@@ -11,9 +11,9 @@ and always surface as a single table named ``docs``.
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
 
-Pushed predicates (Compare/Contains) are evaluated here with deliberately
-local code, so that the engine's central evaluator remains an independent
-check on pushdown results.
+Pushed predicates (Compare/Contains) are checked against the connector's
+capabilities here and evaluated with the engine's one evaluator,
+:func:`vdc.predicates.matches`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-import unicodedata
 import xml.parsers.expat
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -35,7 +34,7 @@ from .model import (
     nfc,
     parse_uncertain_date,
 )
-from .predicates import Compare, Contains
+from .predicates import Compare, Contains, matches
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datacentre import AccessMode
@@ -69,14 +68,6 @@ class SourceDescriptor:
     def __post_init__(self):
         if self.kind not in (TABULAR, XML_CORPUS):
             raise ValueError(f"unknown source kind {self.kind!r}")
-
-
-@dataclass
-class RawTable:
-    """A schema paired with a deterministic (file-order) row stream."""
-
-    schema: TableSchema
-    rows: Iterator[Row]
 
 
 @dataclass
@@ -155,7 +146,7 @@ def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
 
 
 # --------------------------------------------------------------------------
-# connector-local predicate evaluation (pushdown)
+# pushdown capability checks
 
 _INT_RE = re.compile(r"^-?\d+$")
 
@@ -186,36 +177,24 @@ def _pred_column(schema: TableSchema, name: str) -> ColumnDescriptor:
     raise CapabilityError(f"pushed predicate references unknown column {name!r}")
 
 
-def _local_eval(schema: TableSchema, preds: Sequence, row: Row) -> bool:
-    for p in preds:
-        i = schema.index_of(p.column)
-        cell = row[i]
-        if cell is None:
-            return False
-        if isinstance(p, Contains):
-            hay = unicodedata.normalize("NFC", cell).casefold()
-            needle = unicodedata.normalize("NFC", p.needle).casefold()
-            if needle not in hay:
-                return False
-        else:
-            op = p.op
-            if op == "=" and not cell == p.literal:
-                return False
-            if op == "!=" and not cell != p.literal:
-                return False
-            if op == "<" and not cell < p.literal:
-                return False
-            if op == ">" and not cell > p.literal:
-                return False
-            if op == "<=" and not cell <= p.literal:
-                return False
-            if op == ">=" and not cell >= p.literal:
-                return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # tabular sources
+
+def _utf8_error(path: str, e: UnicodeDecodeError) -> SourceError:
+    """A SourceError for invalid UTF-8 in ``path``, at the line of its first
+    bad byte.  The decoder reads ahead in blocks, so the line is found by
+    decoding the file's bytes again."""
+    line = None
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        data.decode("utf-8")
+    except UnicodeDecodeError as again:
+        line = data.count(b"\n", 0, again.start) + 1
+    except OSError:
+        pass
+    return SourceError(f"invalid UTF-8 ({e.reason})", path=path, line=line)
+
 
 class TabularSource:
     """Directory of ``<table>.csv`` + ``<table>.schema`` pairs."""
@@ -247,7 +226,10 @@ class TabularSource:
     def _validate_header(self, table: str, schema: TableSchema):
         path = self._csv_path(table)
         with open(path, "r", encoding="utf-8", newline="") as f:
-            header = next(csv.reader(f), None)
+            try:
+                header = next(csv.reader(f), None)
+            except UnicodeDecodeError as e:
+                raise _utf8_error(path, e) from e
         if header is None:
             raise SourceError("empty csv (missing header)", path=path, line=1)
         if [nfc(h) for h in header] != schema.column_names():
@@ -284,23 +266,24 @@ class TabularSource:
         with f:
             reader = csv.reader(f)
             try:
-                next(reader)  # header, validated at open time
-            except StopIteration:
-                raise SourceError("empty csv (missing header)", path=path, line=1)
-            for record in reader:
-                if len(record) != len(schema.columns):
-                    raise SourceError(
-                        f"row arity {len(record)} != {len(schema.columns)}",
-                        path=path,
-                        line=reader.line_num,
+                if next(reader, None) is None:  # header, validated at open time
+                    raise SourceError("empty csv (missing header)", path=path, line=1)
+                for record in reader:
+                    if len(record) != len(schema.columns):
+                        raise SourceError(
+                            f"row arity {len(record)} != {len(schema.columns)}",
+                            path=path,
+                            line=reader.line_num,
+                        )
+                    row = tuple(
+                        self._cell(col, text, path, reader.line_num)
+                        for col, text in zip(schema.columns, record)
                     )
-                row = tuple(
-                    self._cell(col, text, path, reader.line_num)
-                    for col, text in zip(schema.columns, record)
-                )
-                if preds and not _local_eval(schema, preds, row):
-                    continue
-                yield row
+                    if preds and not matches(schema, preds, row):
+                        continue
+                    yield row
+            except UnicodeDecodeError as e:
+                raise _utf8_error(path, e) from e
 
     @staticmethod
     def _cell(col: ColumnDescriptor, text: str, path: str, line: int):
@@ -313,9 +296,6 @@ class TabularSource:
                 )
             return int(text)
         return nfc(text)
-
-    def table(self, name: str) -> RawTable:
-        return RawTable(self.schema(name), self.scan(name))
 
 
 # --------------------------------------------------------------------------
@@ -506,9 +486,6 @@ class XmlCorpusSource:
                 doc.body or None,
             )
 
-    def table(self, name: str) -> RawTable:
-        return RawTable(self.schema(name), self.scan(name))
-
 
 SourceHandle = TabularSource | XmlCorpusSource
 
@@ -521,10 +498,3 @@ def open_source(desc: SourceDescriptor) -> SourceHandle:
         return TabularSource(desc.source_id, desc.path)
     return XmlCorpusSource(desc.source_id, desc.path)
 
-
-def list_tables(handle: SourceHandle) -> list[TableSchema]:
-    return handle.list_tables()
-
-
-def scan_table(handle: SourceHandle, table: str, pushed: Sequence | None = None) -> Iterator[Row]:
-    return handle.scan(table, pushed)

@@ -28,6 +28,7 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 from . import connectors, mediation, textindex
+from .atomic import write_atomic
 from .connectors import CorpusDoc, SourceDescriptor, SourceHandle, row_item_key
 from .errors import (
     AccessDenied,
@@ -140,6 +141,9 @@ class Relation:
         return True
 
     def estimate_rows(self) -> int:
+        """Raw row count over all bases.  The planner does not use it; the
+        benchmark's traced run wraps it by name, so it stays until that
+        benchmark changes."""
         total = 0
         for b in self.bases:
             handle = self._catalogue.open_handle(b.ref.source_id)
@@ -157,7 +161,9 @@ class Relation:
 
         ``raw_preds`` are raw-space scan predicates; the connector applies
         them when ``use_connector``, otherwise ``raw_eval`` does, on the raw
-        rows, before mediation.
+        rows, before mediation.  Both routes run ``predicates.matches``: the
+        connector calls it itself and the executor passes it as
+        ``raw_eval``.
         """
         b = self.bases[base_index]
         handle = self._catalogue.open_handle(b.ref.source_id)
@@ -517,24 +523,11 @@ class Catalogue:
         """
         path = path or self.path
         data = self.serialize()
-
-        def write():
-            d = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(prefix=".vdccat.", dir=d)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-                    f.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
         if take_lock:
             with catalogue_lock(path, blocking=True):
-                write()
+                write_atomic(path, data)
         else:
-            write()
+            write_atomic(path, data)
 
     @classmethod
     def load(
@@ -652,10 +645,3 @@ class Catalogue:
         else:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
 
-
-def persist_catalogue(catalogue: Catalogue, path: str | None = None) -> None:
-    catalogue.persist(path)
-
-
-def load_catalogue(path: str, **options) -> Catalogue:
-    return Catalogue.load(path, **options)

@@ -410,17 +410,3 @@ def compile_view(
     schema = TableSchema(view.name, tuple(first))
     return CompiledView(view, schema, ops, origins, strict_translate)
 
-
-def resolve_view_schema(
-    view: ViewDefinition,
-    base_schemas: list[TableSchema],
-    xlates: dict[str, TranslationTable],
-) -> TableSchema:
-    return compile_view(view, base_schemas, xlates).schema
-
-
-def apply_rules_to_row(
-    compiled: CompiledView, row: Row, ref: str, base_index: int = 0
-) -> tuple[Row, list[CoercionError]]:
-    """Map one base row through the view's rules.  See CompiledView.apply."""
-    return compiled.apply(base_index, row, ref)

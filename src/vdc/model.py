@@ -315,24 +315,6 @@ class TableSchema:
 Row = tuple  # ordered cell values, positionally aligned with a TableSchema
 
 
-def check_row(schema: TableSchema, row: Row) -> None:
-    """Raise ValueError unless every cell is Null or matches its column kind."""
-    if len(row) != len(schema.columns):
-        raise ValueError(
-            f"row arity {len(row)} != schema arity {len(schema.columns)}"
-        )
-    for col, v in zip(schema.columns, row):
-        if v is None:
-            continue
-        ok = (
-            (col.kind is ColumnKind.INT and isinstance(v, int) and not isinstance(v, bool))
-            or (col.kind is ColumnKind.TEXT and isinstance(v, str))
-            or (col.kind is ColumnKind.DATE and isinstance(v, UncertainDate))
-        )
-        if not ok:
-            raise ValueError(f"column {col.name!r}: {v!r} is not {col.kind.value}")
-
-
 # Characters that would break the textual container formats refs travel in
 # (tab-separated index lines, comma-separated catalogue lines).
 _REF_FORBIDDEN = set("\t\n\r,")

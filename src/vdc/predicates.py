@@ -1,16 +1,22 @@
-"""Predicate shapes shared by the query engine and the connectors.
+"""Scan predicates and the engine's one raw-space evaluator.
 
 Connectors only ever receive Compare and Contains (the pushable shapes);
-the date predicates always run centrally on mediated rows.  The dataclasses
-are pure data: each consumer evaluates them with its own code so that
-pushed-down and central evaluation stay independently testable.
+the date predicates always run centrally on mediated rows.  ``compare`` and
+``contains`` are the engine's single implementation of those meanings: the
+tabular connector applies them to pushed predicates, the executor applies
+them to scan predicates it keeps for itself and to bound filters.  Pushdown
+therefore cannot change an answer by construction; the independent check of
+what the meanings should be is ``query/reference.py``, which keeps its own
+code.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
+from typing import Sequence
 
-from .model import UncertainDate
+from .model import Row, TableSchema, UncertainDate
 
 COMPARE_OPS = ("=", "!=", "<", ">", "<=", ">=")
 
@@ -32,18 +38,44 @@ class Contains:
     needle: str
 
 
-@dataclass(frozen=True)
-class DateNear:
-    column_a: str
-    column_b: str
-    k_years: int
+def contains(cell: str, needle: str) -> bool:
+    """Substring test after NFC normalization and case folding."""
+    hay = unicodedata.normalize("NFC", cell).casefold()
+    return unicodedata.normalize("NFC", needle).casefold() in hay
 
 
-@dataclass(frozen=True)
-class DateWithin:
-    column: str
-    lo: UncertainDate
-    hi: UncertainDate
+def compare(cell, op: str, literal) -> bool:
+    """``cell op literal`` on a non-null cell; dates compare by interval
+    equality only (the planner admits no ordering on date columns)."""
+    if isinstance(cell, UncertainDate):
+        same = (cell.earliest_day, cell.latest_day) == (
+            literal.earliest_day,
+            literal.latest_day,
+        )
+        return same if op == "=" else not same
+    if op == "=":
+        return cell == literal
+    if op == "!=":
+        return cell != literal
+    if op == "<":
+        return cell < literal
+    if op == ">":
+        return cell > literal
+    if op == "<=":
+        return cell <= literal
+    return cell >= literal
 
 
-Predicate = Compare | Contains | DateNear | DateWithin
+def matches(schema: TableSchema, preds: Sequence, row: Row) -> bool:
+    """True when a raw row satisfies every Compare/Contains in ``preds``;
+    a null cell satisfies nothing."""
+    for p in preds:
+        cell = row[schema.index_of(p.column)]
+        if cell is None:
+            return False
+        if isinstance(p, Contains):
+            if not contains(cell, p.needle):
+                return False
+        elif not compare(cell, p.op, p.literal):
+            return False
+    return True

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import unicodedata
 from dataclasses import dataclass, field
 
 from ..errors import CoercionError, ExecutionError
@@ -27,7 +26,7 @@ from ..model import (
     row_sort_key,
     value_sort_key,
 )
-from ..predicates import Contains
+from ..predicates import compare, contains, matches
 from .planner import (
     BCompare,
     BContains,
@@ -35,7 +34,6 @@ from .planner import (
     FilterNode,
     HashJoinNode,
     LimitNode,
-    NestedLoopJoinNode,
     Plan,
     PlanNode,
     ProjectNode,
@@ -53,64 +51,21 @@ class ResultSet:
     warnings: list[CoercionError] = field(default_factory=list)
 
 
-# -- the central predicate evaluator ----------------------------------------
-
-def _contains(cell: str, needle: str) -> bool:
-    hay = unicodedata.normalize("NFC", cell).casefold()
-    return unicodedata.normalize("NFC", needle).casefold() in hay
-
-
-def _compare(cell, op: str, literal) -> bool:
-    if isinstance(cell, UncertainDate):
-        same = (cell.earliest_day, cell.latest_day) == (
-            literal.earliest_day,
-            literal.latest_day,
-        )
-        return same if op == "=" else not same
-    if op == "=":
-        return cell == literal
-    if op == "!=":
-        return cell != literal
-    if op == "<":
-        return cell < literal
-    if op == ">":
-        return cell > literal
-    if op == "<=":
-        return cell <= literal
-    return cell >= literal
-
+# -- bound predicates (filters above the scans) -------------------------------
 
 def eval_bound(pred, row: Row) -> bool:
     """Evaluate one bound predicate; null never satisfies anything."""
     if isinstance(pred, BCompare):
         cell = row[pred.index]
-        return cell is not None and _compare(cell, pred.op, pred.literal)
+        return cell is not None and compare(cell, pred.op, pred.literal)
     if isinstance(pred, BContains):
         cell = row[pred.index]
-        return cell is not None and _contains(cell, pred.needle)
+        return cell is not None and contains(cell, pred.needle)
     if isinstance(pred, BDateNear):
         a, b = row[pred.index_a], row[pred.index_b]
         return a is not None and b is not None and date_near(a, b, pred.k_years)
     a = row[pred.index]
     return a is not None and date_within(a, pred.lo, pred.hi)
-
-
-def eval_raw(schema: TableSchema, preds, row: Row) -> bool:
-    """Scan-level evaluation of raw-space Compare/Contains predicates.
-
-    This is the engine-side ("central") route for predicates a connector
-    cannot or must not evaluate itself.
-    """
-    for p in preds:
-        cell = row[schema.index_of(p.column)]
-        if cell is None:
-            return False
-        if isinstance(p, Contains):
-            if not _contains(cell, p.needle):
-                return False
-        elif not _compare(cell, p.op, p.literal):
-            return False
-    return True
 
 
 # -- operators ---------------------------------------------------------------
@@ -120,7 +75,7 @@ def _run(node: PlanNode, cap: int) -> tuple[list[Row], list[CoercionError]]:
         rows: list[Row] = []
         warnings: list[CoercionError] = []
         for row, warns in node.relation.scan_base(
-            node.base_index, node.raw_preds, node.use_connector, eval_raw
+            node.base_index, node.raw_preds, node.use_connector, matches
         ):
             rows.append(row)
             warnings.extend(warns)
@@ -138,44 +93,39 @@ def _run(node: PlanNode, cap: int) -> tuple[list[Row], list[CoercionError]]:
     if isinstance(node, HashJoinNode):
         left, lw = _run(node.left, cap)
         right, rw = _run(node.right, cap)
-        if len(right) > cap:
-            raise ExecutionError(
-                f"hash join build side exceeds {cap} rows; raise the cap or filter first"
-            )
-        table: dict = {}
-        for r in right:
-            key_cell = r[node.right_index]
-            if key_cell is None:
-                continue
-            table.setdefault(value_sort_key(key_cell), []).append(r)
-        out = []
-        for l in left:
-            key_cell = l[node.left_index]
-            if key_cell is None:
-                continue
-            for r in table.get(value_sort_key(key_cell), ()):
-                out.append(l + r)
-        return out, lw + rw
-    if isinstance(node, NestedLoopJoinNode):
-        left, lw = _run(node.left, cap)
-        right, rw = _run(node.right, cap)
-        out = []
-        for l in left:
-            lk = l[node.left_index]
-            if lk is None:
-                continue
-            lkey = value_sort_key(lk)
-            for r in right:
-                rk = r[node.right_index]
-                if rk is not None and value_sort_key(rk) == lkey:
-                    out.append(l + r)
-        return out, lw + rw
+        return _hash_join(left, right, node.left_index, node.right_index, cap), lw + rw
     if isinstance(node, ProjectNode):
         rows, warnings = _run(node.child, cap)
         return [tuple(r[i] for i in node.indices) for r in rows], warnings
     if isinstance(node, LimitNode):  # handled by execute_plan after sorting
         raise ExecutionError("LIMIT must be the plan root")
     raise ExecutionError(f"unknown plan node {type(node).__name__}")
+
+
+def _hash_join(left: list[Row], right: list[Row], li: int, ri: int, cap: int) -> list[Row]:
+    """Equi-join on canonical key equality, building on the smaller side;
+    output rows are always ``left + right``.  Null keys match nothing."""
+    build_left = len(left) < len(right)
+    build, build_i, probe, probe_i = (
+        (left, li, right, ri) if build_left else (right, ri, left, li)
+    )
+    if len(build) > cap:
+        raise ExecutionError(
+            f"hash join build side exceeds {cap} rows; raise the cap or filter first"
+        )
+    table: dict = {}
+    for b in build:
+        key_cell = b[build_i]
+        if key_cell is not None:
+            table.setdefault(value_sort_key(key_cell), []).append(b)
+    out = []
+    for p in probe:
+        key_cell = p[probe_i]
+        if key_cell is None:
+            continue
+        for b in table.get(value_sort_key(key_cell), ()):
+            out.append(b + p if build_left else p + b)
+    return out
 
 
 def execute_plan(plan: Plan, max_hash_build: int = HASH_BUILD_CAP) -> ResultSet:

@@ -1,10 +1,11 @@
-"""Query planning: predicate placement, pushdown, join method choice.
+"""Query planning: predicate placement, pushdown and join order.
 
 Scan-level predicates (single-relation Compare/Contains over columns whose
 values pass through mediation untransformed) are attached to the Scan node
 and evaluated either by the connector (when its capabilities allow and
 pushdown is enabled) or centrally by the engine on the raw rows.  Both
-routes see identical values, so enabling or disabling pushdown can never
+routes see identical values and run the same evaluator
+(``predicates.matches``), so enabling or disabling pushdown can never
 change the result — including its coercion warnings, because mediation runs
 on exactly the rows that survive the scan predicates in both modes.
 
@@ -32,9 +33,6 @@ from .parser import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..datacentre import Relation
-
-LOOP_JOIN_THRESHOLD = 64  # sides smaller than this use a nested-loop join
-_EST_CAP = 10**9
 
 
 # -- bound predicates (slot-indexed, relative to the row a node sees) ------
@@ -99,14 +97,6 @@ class HashJoinNode:
 
 
 @dataclass
-class NestedLoopJoinNode:
-    left: "PlanNode"
-    right: "PlanNode"
-    left_index: int
-    right_index: int
-
-
-@dataclass
 class ProjectNode:
     child: "PlanNode"
     indices: tuple[int, ...]
@@ -119,8 +109,7 @@ class LimitNode:
 
 
 PlanNode = Union[
-    ScanNode, UnionAllNode, FilterNode, HashJoinNode, NestedLoopJoinNode,
-    ProjectNode, LimitNode,
+    ScanNode, UnionAllNode, FilterNode, HashJoinNode, ProjectNode, LimitNode,
 ]
 
 
@@ -166,12 +155,7 @@ def _typed_literal(ast: CompareAst, kind: ColumnKind) -> int | str | UncertainDa
         raise PlanError(f"column {ast.column.text()!r} is date, literal does not parse: {e}")
 
 
-def plan_query(
-    ast: QueryAst,
-    catalogue,
-    pushdown: bool = True,
-    loop_threshold: int = LOOP_JOIN_THRESHOLD,
-) -> Plan:
+def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
     binding = Binding(ast, catalogue)
     n_rels = len(binding.relations)
 
@@ -262,14 +246,9 @@ def plan_query(
             node = FilterNode(node, tuple(term_filters[r]))
         return node
 
-    def estimate(r: int) -> int:
-        return min(binding.relations[r].relation.estimate_rows(), _EST_CAP)
-
     root = term_tree(0)
-    left_est = estimate(0) if join_keys else 0  # counting is a join concern
     for jn, (li, ri) in enumerate(join_keys, start=1):
         right = term_tree(jn)
-        right_est = estimate(jn)
         # Slots to the left of this join keep their absolute index; the
         # right side is indexed locally.
         left_slot = li
@@ -282,11 +261,7 @@ def plan_query(
         right_slot = ri - first
         if left_slot >= first:
             raise PlanError("join condition must reference an earlier relation")
-        if min(left_est, right_est) < loop_threshold:
-            root = NestedLoopJoinNode(root, right, left_slot, right_slot)
-        else:
-            root = HashJoinNode(root, right, left_slot, right_slot)
-        left_est = min(left_est * max(right_est, 1), _EST_CAP)
+        root = HashJoinNode(root, right, left_slot, right_slot)
 
     if join_filters:
         root = FilterNode(root, tuple(join_filters))

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .atomic import write_atomic
 from .errors import (
     CollectionError,
     IndexFormatError,
@@ -236,13 +237,19 @@ def ingest_documents(
     docs: list[Document] = []
     warnings: list[str] = []
     seen: dict[str, str] = {}
-    for row in handle.scan(recipe.source.table):
+    for n, row in enumerate(handle.scan(recipe.source.table), start=1):
         id_cell = _as_text(row[id_i])
         if id_cell is None:
             raise IngestError(
                 f"recipe {recipe.name!r}: null id in column {recipe.id_column!r}"
             )
-        ref = ItemRef(recipe.source.source_id, recipe.source.table, row_item_key(row))
+        try:
+            ref = ItemRef(recipe.source.source_id, recipe.source.table, row_item_key(row))
+        except ValueError as e:  # the item key (first cell) is empty or unusable
+            raise IngestError(
+                f"recipe {recipe.name!r}: row {n} of {recipe.source.text()} "
+                f"(id {id_cell!r}): {e}"
+            ) from e
         if id_cell in seen:
             raise IngestError(
                 f"duplicate doc id {id_cell!r}: {seen[id_cell]} and {ref.text()}"
@@ -394,9 +401,7 @@ def write_index(index: InvertedIndex, path: str) -> None:
         for term in sorted(index.postings[field]):
             plist = ",".join(f"{o}:{tf}" for o, tf in index.postings[field][term])
             lines.append(f"{term}\t{plist}")
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(data)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_index(path: str) -> InvertedIndex:

@@ -9,18 +9,16 @@ import pytest
 
 from vdc.connectors import (
     SourceDescriptor,
-    list_tables,
     open_source,
     parse_sidecar,
     parse_xml_doc,
     row_item_key,
-    scan_table,
 )
 from vdc.datacentre import AccessMode
 from vdc.errors import CapabilityError, NotFound, ParseError, SourceError
 from vdc.model import ColumnKind
 from vdc.predicates import Compare, Contains
-from vdc.query.executor import eval_raw
+from vdc.query.reference import _naive_compare, _naive_contains
 
 
 def write_source(dirpath, table="texts", header="id,status,note",
@@ -66,7 +64,7 @@ class TestTabular:
         write_source(tmp_path / "s", table="zz")
         write_source(tmp_path / "s", table="aa")
         handle = live("s", tmp_path / "s")
-        assert [t.name for t in list_tables(handle)] == ["aa", "zz"]
+        assert [t.name for t in handle.list_tables()] == ["aa", "zz"]
 
     def test_missing_sidecar(self, tmp_path):
         d = tmp_path / "s"
@@ -83,7 +81,7 @@ class TestTabular:
     def test_scan_parses_cells_and_nulls(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,complete,", "2,,x"])
         handle = live("s", tmp_path / "s")
-        rows = list(scan_table(handle, "texts"))
+        rows = list(handle.scan("texts"))
         assert rows == [(1, "complete", None), (2, None, "x")]
         assert row_item_key(rows[0]) == "1"
 
@@ -91,48 +89,70 @@ class TestTabular:
         write_source(tmp_path / "s", rows=["x,a,b"])
         handle = live("s", tmp_path / "s")
         with pytest.raises(SourceError) as e:
-            list(scan_table(handle, "texts"))
+            list(handle.scan("texts"))
         assert e.value.line == 2
 
     def test_arity_mismatch(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,a"])
         handle = live("s", tmp_path / "s")
         with pytest.raises(SourceError):
-            list(scan_table(handle, "texts"))
+            list(handle.scan("texts"))
 
     def test_unknown_table(self, tmp_path):
         write_source(tmp_path / "s")
         with pytest.raises(NotFound):
-            list(scan_table(live("s", tmp_path / "s"), "nope"))
+            list(live("s", tmp_path / "s").scan("nope"))
 
     def test_quoted_csv_fields(self, tmp_path):
         write_source(tmp_path / "s", rows=['1,"a,b","say ""hi"""'])
         handle = live("s", tmp_path / "s")
-        assert list(scan_table(handle, "texts")) == [(1, "a,b", 'say "hi"')]
+        assert list(handle.scan("texts")) == [(1, "a,b", 'say "hi"')]
 
     def test_pushdown_filters_rows(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,complete,a", "2,draft,b", "3,complete,c"])
         handle = live("s", tmp_path / "s")
-        rows = list(scan_table(handle, "texts", [Compare("status", "=", "complete")]))
+        rows = list(handle.scan("texts", [Compare("status", "=", "complete")]))
         assert [r[0] for r in rows] == [1, 3]
+
+    def test_invalid_utf8_header_is_source_error(self, tmp_path):
+        d = tmp_path / "s"
+        write_source(d)
+        (d / "texts.csv").write_bytes(b"id,status,note\n1,\xff\xfe,x\n")
+        with pytest.raises(SourceError) as e:
+            live("s", d)
+        assert e.value.path == str(d / "texts.csv")
+        assert e.value.line == 2
+
+    def test_invalid_utf8_row_is_source_error_on_scan(self, tmp_path):
+        d = tmp_path / "s"
+        write_source(d)
+        # past the decoder's first read-ahead block, so opening (which reads
+        # only the header) succeeds and the scan meets the bad bytes
+        rows = b"".join(b"%d,a,b\n" % i for i in range(1, 2001))
+        (d / "texts.csv").write_bytes(b"id,status,note\n" + rows + b"2001,\xff\xfe,x\n")
+        handle = live("s", d)
+        with pytest.raises(SourceError) as e:
+            list(handle.scan("texts"))
+        assert e.value.path == str(d / "texts.csv")
+        assert e.value.line == 2002
 
     def test_pushdown_rejects_unknown_column_and_kind(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,a,b"])
         handle = live("s", tmp_path / "s")
         with pytest.raises(CapabilityError):
-            list(scan_table(handle, "texts", [Compare("nope", "=", 1)]))
+            list(handle.scan("texts", [Compare("nope", "=", 1)]))
         with pytest.raises(CapabilityError):
-            list(scan_table(handle, "texts", [Compare("status", "=", 5)]))
+            list(handle.scan("texts", [Compare("status", "=", 5)]))
 
 
 class TestPushdownSoundness:
-    def test_matches_central_evaluator(self, desk_fixtures):
-        """Connector-side evaluation must agree with the engine's evaluator
-        for every supported predicate."""
+    def test_matches_reference_evaluator(self, desk_fixtures):
+        """Pushed predicates must keep exactly the rows the reference
+        oracle's own predicate code keeps, for every supported predicate."""
         fx, _ = desk_fixtures
         handle = live("volterra", os.path.join(fx, "volterra"))
         schema = handle.schema("legal_texts")
-        full = list(scan_table(handle, "legal_texts"))
+        full = list(handle.scan("legal_texts"))
         rng = random.Random(7)
         spots = ["Rome", "Oxyrhynchos", "Carthage", "Alexandria"]
         for _ in range(60):
@@ -144,15 +164,19 @@ class TestPushdownSoundness:
                 pred = Compare("findspot", rng.choice(["=", "!="]), rng.choice(spots))
             else:
                 pred = Contains("summary", rng.choice(["impera", "LEX", "heres", "zz"]))
-            pushed = list(scan_table(handle, "legal_texts", [pred]))
-            central = [r for r in full if eval_raw(schema, [pred], r)]
-            assert pushed == central, pred
+            pushed = list(handle.scan("legal_texts", [pred]))
+            i = schema.index_of(pred.column)
+            if isinstance(pred, Contains):
+                expected = [r for r in full if _naive_contains(r[i], pred.needle)]
+            else:
+                expected = [r for r in full if _naive_compare(r[i], pred.op, pred.literal)]
+            assert pushed == expected, pred
 
     def test_determinism(self, desk_fixtures):
         fx, _ = desk_fixtures
         handle = live("volterra", os.path.join(fx, "volterra"))
-        assert list(scan_table(handle, "legal_texts")) == list(
-            scan_table(handle, "legal_texts")
+        assert list(handle.scan("legal_texts")) == list(
+            handle.scan("legal_texts")
         )
 
 
@@ -218,13 +242,13 @@ class TestXmlCorpus:
                 f'<doc id="i{i}"><meta><title>t{i}</title></meta><text>body {i}</text></doc>'
             )
         handle = live("c", d, kind="xml_corpus")
-        tables = list_tables(handle)
+        tables = handle.list_tables()
         assert [t.name for t in tables] == ["docs"]
         assert tables[0].column_names() == [
             "id", "title", "findspot", "not_before", "not_after",
             "category", "persons", "body",
         ]
-        rows = list(scan_table(handle, "docs"))
+        rows = list(handle.scan("docs"))
         assert len(rows) == 3
         assert rows[0][0] == "i0"
 
@@ -234,7 +258,7 @@ class TestXmlCorpus:
         (d / "a.xml").write_text('<doc id="same"><text>x</text></doc>')
         (d / "b.xml").write_text('<doc id="same"><text>y</text></doc>')
         with pytest.raises(SourceError):
-            list(scan_table(live("c", d, kind="xml_corpus"), "docs"))
+            list(live("c", d, kind="xml_corpus").scan("docs"))
 
     def test_no_pushdown_capability(self, tmp_path):
         d = tmp_path / "c"
@@ -242,14 +266,14 @@ class TestXmlCorpus:
         (d / "a.xml").write_text('<doc id="a"><text>x</text></doc>')
         handle = live("c", d, kind="xml_corpus")
         with pytest.raises(CapabilityError):
-            list(scan_table(handle, "docs", [Contains("body", "x")]))
+            list(handle.scan("docs", [Contains("body", "x")]))
 
     def test_fixture_table_names(self, desk_fixtures):
         fx, _ = desk_fixtures
-        assert [t.name for t in list_tables(live("v", os.path.join(fx, "volterra")))] == ["legal_texts"]
-        assert [t.name for t in list_tables(live("h", os.path.join(fx, "hgv")))] == ["papyri"]
+        assert [t.name for t in live("v", os.path.join(fx, "volterra")).list_tables()] == ["legal_texts"]
+        assert [t.name for t in live("h", os.path.join(fx, "hgv")).list_tables()] == ["papyri"]
         assert [
-            t.name for t in list_tables(live("i", os.path.join(fx, "iaph"), "xml_corpus"))
+            t.name for t in live("i", os.path.join(fx, "iaph"), "xml_corpus").list_tables()
         ] == ["docs"]
 
 
@@ -263,7 +287,7 @@ class TestAutonomy:
             os.chmod(p, stat.S_IRUSR | stat.S_IRGRP | stat.S_IROTH)
             mtimes[name] = os.stat(p).st_mtime_ns
         handle = live("s", d)
-        assert len(list(scan_table(handle, "texts"))) == 1
+        assert len(list(handle.scan("texts"))) == 1
         assert handle.estimate_rows("texts") == 1
         for name in os.listdir(d):
             assert os.stat(os.path.join(d, name)).st_mtime_ns == mtimes[name]

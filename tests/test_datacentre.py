@@ -296,7 +296,6 @@ class TestRegistrationIntegrity:
                 "ON h.Fundort = v.findspot"
             ),
             cat,
-            loop_threshold=0,  # force a hash join
         )
         with pytest.raises(ExecutionError):
             execute_plan(plan, max_hash_build=10)

@@ -11,11 +11,9 @@ from vdc.mediation import (
     Rename,
     Translate,
     TranslationError,
-    apply_rules_to_row,
     compile_view,
     parse_translation_table,
     parse_view_file,
-    resolve_view_schema,
     translate_term,
 )
 from vdc.model import ColumnDescriptor, ColumnKind, TableSchema, UncertainDate
@@ -136,7 +134,7 @@ BASE = schema(
 class TestResolve:
     def test_rename_and_coerce(self):
         v = parse_view_file(VIEW_TEXT)
-        out = resolve_view_schema(v, [BASE], {"de_en": make_xlate()})
+        out = compile_view(v, [BASE], {"de_en": make_xlate()}).schema
         assert out.name == "papyri_en"
         assert out.column_names() == ["id", "findspot", "datierung", "kategorie"]
         assert out.columns[2].kind is ColumnKind.DATE
@@ -144,19 +142,19 @@ class TestResolve:
     def test_rename_missing_column(self):
         v = parse_view_file('view v\nfrom a.t\nrename "nope" -> x\nend\n')
         with pytest.raises(PlanError):
-            resolve_view_schema(v, [BASE], {})
+            compile_view(v, [BASE], {})
 
     def test_coerce_requires_date_text(self):
         v = parse_view_file("view v\nfrom a.t\ncoerce kategorie date\nend\n")
         with pytest.raises(PlanError) as e:
-            resolve_view_schema(v, [BASE], {})
+            compile_view(v, [BASE], {})
         assert "non-date_text" in str(e.value)
 
     def test_union_parse_succeeds_resolve_rejects_mismatch(self):
         v = parse_view_file("view v\nfrom a.t\nunion b.t\nend\n")  # parses
         other = schema("t2", col("id", ColumnKind.INT), col("Fundort"))
         with pytest.raises(PlanError):
-            resolve_view_schema(v, [BASE, other], {})
+            compile_view(v, [BASE, other], {})
 
     def test_union_of_matching_schemas(self):
         v = parse_view_file('view v\nfrom a.t\nunion b.t\nrename "Ort" -> Fundort\nend\n')
@@ -167,13 +165,13 @@ class TestResolve:
             col("datierung", date_text=True),
             col("kategorie"),
         )
-        out = resolve_view_schema(v, [BASE, other], {})
+        out = compile_view(v, [BASE, other], {}).schema
         assert out.column_names() == ["id", "Fundort", "datierung", "kategorie"]
 
     def test_rename_target_collision(self):
         v = parse_view_file('view v\nfrom a.t\nrename "Fundort" -> kategorie\nend\n')
         with pytest.raises(PlanError):
-            resolve_view_schema(v, [BASE], {})
+            compile_view(v, [BASE], {})
 
 
 class TestRowMapping:
@@ -186,7 +184,7 @@ class TestRowMapping:
 
     def test_translate_and_coerce_compose(self):
         cv = self.compiled()
-        row, warns = apply_rules_to_row(cv, (1, "Memphis", "0213", "Quittung"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", "0213", "Quittung"), "a/t/1")
         assert warns == []
         assert row[3] == "receipt"
         assert isinstance(row[2], UncertainDate)
@@ -194,12 +192,12 @@ class TestRowMapping:
 
     def test_null_date_stays_null(self):
         cv = self.compiled()
-        row, warns = apply_rules_to_row(cv, (1, "Memphis", None, "Brief"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", None, "Brief"), "a/t/1")
         assert row[2] is None and row[3] == "letter" and warns == []
 
     def test_unparseable_date_collected_not_fatal(self):
         cv = self.compiled()
-        row, warns = apply_rules_to_row(cv, (1, "Memphis", "13th of March", "Brief"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", "13th of March", "Brief"), "a/t/1")
         assert row[2] is None
         assert len(warns) == 1
         assert isinstance(warns[0], CoercionError)
@@ -209,7 +207,7 @@ class TestRowMapping:
     def test_rename_preserves_values(self):
         v = parse_view_file('view v\nfrom a.t\nrename "Fundort" -> findspot\nend\n')
         cv = compile_view(v, [BASE], {})
-        row, warns = apply_rules_to_row(cv, (1, "Memphis", "0213", "Brief"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", "0213", "Brief"), "a/t/1")
         assert row == (1, "Memphis", "0213", "Brief") and warns == []
 
     def test_application_is_order_independent(self):
@@ -220,8 +218,8 @@ class TestRowMapping:
         rng = random.Random(3)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        out_a = sorted(repr(apply_rules_to_row(cv, r, f"a/t/{r[0]}")) for r in rows)
-        out_b = sorted(repr(apply_rules_to_row(cv, r, f"a/t/{r[0]}")) for r in shuffled)
+        out_a = sorted(repr(cv.apply(0, r, f"a/t/{r[0]}")) for r in rows)
+        out_b = sorted(repr(cv.apply(0, r, f"a/t/{r[0]}")) for r in shuffled)
         assert out_a == out_b
 
 

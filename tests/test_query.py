@@ -217,13 +217,28 @@ class TestExecutor:
         assert limited.rows == full.rows[:3]
 
     def test_join_method_equivalence(self, small_centre):
+        """The hash join equals the reference's nested loops whichever side
+        it builds on: equal-sized sides, a tiny left, a tiny right."""
         cat, views, _ = small_centre
-        q = parse_query(
-            f"SELECT a.id, b.id FROM {views[0]} a JOIN {views[1]} b ON a.tag = b.tag"
-        )
-        hash_rs = execute_plan(plan_query(q, cat, loop_threshold=0))
-        loop_rs = execute_plan(plan_query(q, cat, loop_threshold=10**6))
-        assert hash_rs.rows == loop_rs.rows
+        for where in ("", " WHERE a.id < 3", " WHERE b.id < 3"):
+            q = parse_query(
+                f"SELECT a.id, b.id, a.tag FROM {views[0]} a JOIN {views[1]} b "
+                f"ON a.tag = b.tag{where}"
+            )
+            assert execute_plan(plan_query(q, cat)).rows == reference_eval(q, cat).rows, where
+
+    def test_hash_cap_applies_to_the_smaller_side(self, small_centre):
+        """A join whose larger side exceeds max_hash_build succeeds when the
+        smaller side fits: the build side is the smaller one."""
+        cat, views, _ = small_centre
+        for where in (" WHERE a.id < 4", " WHERE b.id < 4"):
+            q = parse_query(
+                f"SELECT a.id, b.id FROM {views[0]} a JOIN {views[2]} b "
+                f"ON a.tag = b.tag{where}"
+            )
+            rs = execute_plan(plan_query(q, cat), max_hash_build=3)
+            assert rs.rows, where  # the join hits, so the probe side was read
+            assert rs.rows == reference_eval(q, cat).rows, where
 
     def test_join_operand_symmetry(self, small_centre):
         cat, views, _ = small_centre

@@ -2,6 +2,7 @@
 oracle, recipe ingestion, deterministic index files, search vs a naive scan,
 and virtual collections."""
 
+import errno
 import os
 import random
 import unicodedata
@@ -173,6 +174,18 @@ class TestIngest:
             cat.ingest(parse_recipe_file(RECIPE))
         assert "src/t/1" in str(e.value)
 
+    def test_empty_item_key_is_ingest_error(self, tmp_path):
+        """The item key is the first cell; an empty one cannot make a ref
+        even when the recipe's id column is another column."""
+        d = tmp_path / "src"
+        write_tabular(d, ["1,A,M,x,,", ",B,T,y,,"])
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("src", "tabular", str(d), AccessMode.LIVE)
+        with pytest.raises(IngestError) as e:
+            cat.ingest(parse_recipe_file(RECIPE.replace("id id", "id title")))
+        assert "recipe 'demo'" in str(e.value)
+        assert "row 2 of src.t" in str(e.value)
+
 
 def doc(doc_id, body, title="", geo=None, **fields):
     f = dict(fields)
@@ -255,6 +268,34 @@ class TestIndexFormat:
         p2 = str(tmp_path / "t2.idx")
         write_index(read_index(p), p2)
         assert open(p, "rb").read() == open(p2, "rb").read()
+
+    def test_failed_write_keeps_previous_index(self, tmp_path, monkeypatch):
+        """A write that fails partway leaves the published bytes as they
+        were and no temp file behind."""
+        _, p = self.make(tmp_path)
+        before = open(p, "rb").read()
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
+        with pytest.raises(OSError):
+            write_index(build_index([doc("d3", "other words")], mini_recipe()), p)
+        monkeypatch.undo()
+        assert open(p, "rb").read() == before
+        assert os.listdir(tmp_path) == ["t.idx"]
 
     def test_truncated_file_rejected(self, tmp_path):
         _, p = self.make(tmp_path)
