@@ -6,8 +6,8 @@ import os
 import tempfile
 
 
-def write_atomic(path: str, data: str) -> None:
-    """Write ``data`` (UTF-8, LF line ends) to ``path`` all at once.
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` all at once.
 
     The bytes go to a temp file in the same directory, which then replaces
     ``path`` with ``os.replace``: a concurrent reader sees the old file or
@@ -17,7 +17,7 @@ def write_atomic(path: str, data: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(path) + ".", dir=d)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+        with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:

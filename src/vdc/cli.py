@@ -121,14 +121,13 @@ def _load_catalogue(path: str) -> Catalogue:
     return Catalogue.load(path)
 
 
-def _load_or_new(path: str) -> Catalogue:
-    return Catalogue.load(path) if os.path.exists(path) else Catalogue(path)
-
-
-def _mutate(args, fn) -> int:
+def _mutate(args, fn, stale_indexes_ok: bool = False) -> int:
     """Run a catalogue mutation under the non-blocking lock and persist."""
     with catalogue_lock(args.catalogue, blocking=False):
-        cat = _load_or_new(args.catalogue)
+        if os.path.exists(args.catalogue):
+            cat = Catalogue.load(args.catalogue, stale_indexes_ok=stale_indexes_ok)
+        else:
+            cat = Catalogue(args.catalogue)
         fn(cat)
         cat.persist(take_lock=False)
     return EXIT_OK
@@ -198,7 +197,9 @@ def _cmd_index_build(args) -> int:
             print(f"warning: {w}", file=sys.stderr)
         print(f"published index {args.collection} at {path}", file=sys.stderr)
 
-    return _mutate(args, fn)
+    # a build replaces an index of an older format, so such indexes may not
+    # stop the catalogue from loading
+    return _mutate(args, fn, stale_indexes_ok=True)
 
 
 def _cmd_search(args) -> int:

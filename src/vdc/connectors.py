@@ -216,7 +216,11 @@ class TabularSource:
             if not os.path.exists(sidecar):
                 raise SourceError("missing schema sidecar", path=sidecar)
             with open(sidecar, "r", encoding="utf-8") as f:
-                schema = parse_sidecar(f.read(), name, sidecar)
+                try:
+                    text = f.read()
+                except UnicodeDecodeError as e:
+                    raise _utf8_error(sidecar, e) from e
+            schema = parse_sidecar(text, name, sidecar)
             self._validate_header(name, schema)
             self._schemas[name] = schema
 

@@ -32,6 +32,7 @@ from .atomic import write_atomic
 from .connectors import CorpusDoc, SourceDescriptor, SourceHandle, row_item_key
 from .errors import (
     AccessDenied,
+    IndexFormatError,
     IntegrityError,
     LockedError,
     NotFound,
@@ -49,6 +50,7 @@ from .mediation import (
 from .model import ItemRef, Row, TableSchema
 from .predicates import Compare, Contains
 from .textindex import (
+    DocEntry,
     IngestRecipe,
     InvertedIndex,
     ResolvedItem,
@@ -223,6 +225,9 @@ class Catalogue:
         self.xlates: dict[str, _XlateEntry] = {}
         self.recipes: dict[str, _RecipeEntry] = {}
         self.indexes: dict[str, str] = {}  # collection -> index file path
+        # collection -> the source relation its index was built from (None:
+        # a stale index kept unread for `vdc index build` to replace)
+        self._index_relations: dict[str, str | None] = {}
         self.collections: dict[str, VirtualCollection] = {}
         self._vault_handles: dict[str, SourceHandle] = {}
         self._index_cache: dict[str, InvertedIndex] = {}
@@ -400,23 +405,31 @@ class Catalogue:
     # -- record fetching -------------------------------------------------------
     def fetch_record(self, ref: ItemRef) -> Row | CorpusDoc:
         """Fetch one item under its source's mode (vault/live only)."""
-        desc = self._descriptor(ref.source_id)
+        return _pick(self._fetch_records(ref.source_id, ref.container, [ref.item_id]), ref)
+
+    def _fetch_records(
+        self, source_id: str, container: str, item_ids: Sequence[str]
+    ) -> dict[str, Row | CorpusDoc]:
+        """The first record of each item id in one container, from a single
+        pass that stops once every id has been found."""
+        desc = self._descriptor(source_id)
         if desc.mode is AccessMode.INDEX_ONLY:
-            raise AccessDenied(
-                f"source {ref.source_id!r} is index-only: fetch denied"
-            )
-        handle = self.open_handle(ref.source_id)
+            raise AccessDenied(f"source {source_id!r} is index-only: fetch denied")
+        handle = self.open_handle(source_id)
         if handle.kind == connectors.XML_CORPUS:
-            if ref.container != "docs":
-                raise NotFound(f"xml corpus has no container {ref.container!r}")
-            for doc in handle.documents():
-                if doc.id == ref.item_id:
-                    return doc
-            raise NotFound(f"no document {ref.item_id!r} in {ref.source_id!r}")
-        for row in handle.scan(ref.container):
-            if row_item_key(row) == ref.item_id:
-                return row
-        raise NotFound(f"no item {ref.item_id!r} in {ref.source_id}/{ref.container}")
+            if container != "docs":
+                raise NotFound(f"xml corpus has no container {container!r}")
+            records = ((doc.id, doc) for doc in handle.documents())
+        else:
+            records = ((row_item_key(row), row) for row in handle.scan(container))
+        wanted = set(item_ids)
+        found: dict[str, Row | CorpusDoc] = {}
+        for key, record in records:
+            if key in wanted and key not in found:
+                found[key] = record
+                if len(found) == len(wanted):
+                    break
+        return found
 
     def check_ref(self, ref: ItemRef) -> None:
         """Validate a ref for collection membership under mode rules."""
@@ -425,8 +438,33 @@ class Catalogue:
             return  # refs are metadata; content checks would need the records
         self.fetch_record(ref)
 
-    def resolve_ref(self, ref: ItemRef) -> ResolvedItem:
-        """Resolve a collection ref to a record or an index-only stub."""
+    def resolve_refs(self, refs: Sequence[ItemRef]) -> list[ResolvedItem]:
+        """Resolve collection refs, in order, to records or index-only stubs.
+
+        The row and document refs of one source container are fetched
+        together, in one pass.  A ref that cannot be resolved becomes an
+        ``error`` item and resolution continues.
+        """
+        groups: dict[tuple[str, str], list[str]] = {}
+        for ref in refs:
+            desc = self.sources.get(ref.source_id)
+            if desc is not None and desc.mode is not AccessMode.INDEX_ONLY:
+                groups.setdefault((ref.source_id, ref.container), []).append(ref.item_id)
+        fetched: dict[tuple[str, str], dict | VdcError] = {}
+        for (source_id, container), ids in groups.items():
+            try:
+                fetched[source_id, container] = self._fetch_records(source_id, container, ids)
+            except VdcError as e:
+                fetched[source_id, container] = e
+        out = []
+        for ref in refs:
+            try:
+                out.append(self._resolve(ref, fetched.get((ref.source_id, ref.container))))
+            except VdcError as e:
+                out.append(ResolvedItem(ref, "error", str(e)))
+        return out
+
+    def _resolve(self, ref: ItemRef, records: dict | VdcError | None) -> ResolvedItem:
         desc = self._descriptor(ref.source_id)
         if desc.mode is AccessMode.INDEX_ONLY:
             entry = self._find_stub(ref)
@@ -437,17 +475,22 @@ class Catalogue:
                 "stub",
                 {"doc_id": entry.doc_id, "fields": dict(entry.stored)},
             )
-        record = self.fetch_record(ref)
+        if isinstance(records, VdcError):
+            raise records
+        record = _pick(records, ref)
         if isinstance(record, CorpusDoc):
             return ResolvedItem(ref, "doc", record)
         schema = self.table_schema(ref.source_id, ref.container)
         return ResolvedItem(ref, "row", (schema, record))
 
-    def _find_stub(self, ref: ItemRef):
-        for collection in self.indexes:
-            index = self.get_index(collection)
-            for entry in index.docs:
-                if entry.ref == ref.text():
+    def _find_stub(self, ref: ItemRef) -> DocEntry | None:
+        """The first DOCS entry for ``ref`` in the indexes built from its
+        relation; indexes of other relations are not opened."""
+        relation = RelationRef(ref.source_id, ref.container).text()
+        for collection, built_from in self._index_relations.items():
+            if built_from == relation:
+                entry = self.get_index(collection).find_ref(ref.text())
+                if entry is not None:
                     return entry
         return None
 
@@ -487,6 +530,7 @@ class Catalogue:
         path = os.path.join(index_dir, collection + ".idx")
         textindex.write_index(index, path)
         self.indexes[collection] = path
+        self._index_relations[collection] = index.relation
         self._index_cache[collection] = index
         return path, warnings
 
@@ -522,7 +566,7 @@ class Catalogue:
         lock (flock is not reentrant across file descriptors).
         """
         path = path or self.path
-        data = self.serialize()
+        data = self.serialize().encode("utf-8")
         if take_lock:
             with catalogue_lock(path, blocking=True):
                 write_atomic(path, data)
@@ -535,13 +579,17 @@ class Catalogue:
         path: str,
         strict_translate: bool = False,
         manifest_fields: Sequence[str] = DEFAULT_MANIFEST_FIELDS,
+        stale_indexes_ok: bool = False,
     ) -> "Catalogue":
         """Load and integrity-check a catalogue file.
 
         Referenced definition files are re-read and re-parsed; entries that
         name unregistered sources or missing centre-owned files fail the
-        load.  Sources themselves are opened lazily (a live source may be
-        temporarily unreachable without invalidating the catalogue).
+        load, and so does an index whose first line is not a ``VDCIDX 2``
+        header.  ``stale_indexes_ok`` keeps such indexes, unread, so that
+        `vdc index build` can replace them.  Sources themselves are opened
+        lazily (a live source may be temporarily unreachable without
+        invalidating the catalogue).
         """
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -559,7 +607,7 @@ class Catalogue:
                 continue
             tag, _, rest = line.partition(" ")
             try:
-                cat._load_line(tag, rest)
+                cat._load_line(tag, rest, stale_indexes_ok)
             except VdcError:
                 raise
             except Exception as e:
@@ -575,7 +623,7 @@ class Catalogue:
                     )
         return cat
 
-    def _load_line(self, tag: str, rest: str) -> None:
+    def _load_line(self, tag: str, rest: str, stale_indexes_ok: bool) -> None:
         if tag == "SOURCE":
             sid, kind, mode_s, path = rest.split(" ", 3)
             mode = AccessMode.parse(mode_s)
@@ -623,10 +671,14 @@ class Catalogue:
             collection, _, p = rest.partition(" ")
             if not os.path.isfile(p):
                 raise IntegrityError(f"index file missing for {collection!r}: {p}")
-            with open(p, "r", encoding="utf-8") as f:
-                if f.readline().rstrip("\n") != textindex.INDEX_MAGIC:
-                    raise IntegrityError(f"bad index header in {p}")
+            try:
+                relation = textindex.index_relation(p)
+            except IndexFormatError as e:
+                if not stale_indexes_ok:
+                    raise IntegrityError(f"index {collection!r} at {p}: {e}") from e
+                relation = None
             self.indexes[collection] = p
+            self._index_relations[collection] = relation
         elif tag == "COLL":
             name, _, refs_s = rest.partition(" ")
             refs = []
@@ -645,3 +697,9 @@ class Catalogue:
         else:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
 
+
+def _pick(records: dict[str, Row | CorpusDoc], ref: ItemRef) -> Row | CorpusDoc:
+    try:
+        return records[ref.item_id]
+    except KeyError:
+        raise NotFound(f"no item {ref.item_id!r} in {ref.source_id}/{ref.container}") from None

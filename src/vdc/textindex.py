@@ -14,7 +14,10 @@ cached and shipped without its source.
 
 from __future__ import annotations
 
+import heapq
+import re
 import unicodedata
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -34,8 +37,6 @@ from .model import ItemRef
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datacentre import Catalogue
-
-INDEX_MAGIC = "VDCIDX 1"
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +290,106 @@ def _parse_geo(lat_t: str | None, lon_t: str | None) -> tuple[float, float] | No
 
 
 # --------------------------------------------------------------------------
-# the inverted index
+# the inverted index and its file format
+#
+# An index is one VDCIDX 2 image: UTF-8 text lines with LF line ends,
+#
+#   VDCIDX 2 <source relation>
+#   DOCS <n>
+#   <ref>TAB<doc_id>TAB<lat>TAB<lon>[TAB<name>=<value>]...   n lines, by ordinal
+#   POSTINGS <field>                      then, per indexed field in name order:
+#   <ord>:<tf>,<ord>:<tf>,...             one line per term, in term order
+#   TERMS <field> <count>
+#   <term>TAB<offset>TAB<length>          byte span of the term's postings line
+#   DOCOFFSETS <width>
+#   <byte offset of each DOCS line, zero-padded to width digits, unseparated>
+#   TOC <byte offset of each section header line>...
+#   END <doc count> <term count> <crc32 of all preceding bytes, 8 hex digits>
+#
+# Values escape backslash, tab, LF and CR as \\ \t \n \r.  Opening an image
+# checks the footer, the checksum and the section table; the rest is decoded
+# on demand, by the same code whether the image was just built or read.
+
+INDEX_MAGIC = "VDCIDX 2"
+_V1_MAGIC = "VDCIDX 1"
+
+_FOOTER_RE = re.compile(rb"END (\d+) (\d+) ([0-9a-f]{8})\n")
+_TOC_RE = re.compile(rb"TOC((?: \d+)+)\n")
+_POSTINGS_RE = re.compile(rb"\d+:[1-9]\d*(?:,\d+:[1-9]\d*)*")
+_ESCAPE_RE = re.compile(r"\\(.?)", re.S)
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def _escape(v: str) -> str:
+    return v.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+
+
+def _unescape(v: str) -> str:
+    if "\\" not in v:
+        return v
+
+    def one(m: re.Match) -> str:
+        try:
+            return _UNESCAPES[m.group(1)]
+        except KeyError:
+            raise IndexFormatError(f"bad escape in {v!r}") from None
+
+    return _ESCAPE_RE.sub(one, v)
+
+
+def _nat(s: str | bytes) -> int:
+    """A non-negative decimal written in ASCII digits."""
+    if not (s.isascii() and s.isdigit()):
+        raise IndexFormatError(f"bad number {s!r} in index")
+    return int(s)
+
+
+def _text(b: bytes) -> str:
+    try:
+        return b.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise IndexFormatError(f"invalid UTF-8 in index: {e}") from e
+
+
+def _fmt_coord(x: float | None) -> str:
+    return "-" if x is None else repr(x)
+
+
+def _geo(lat: str, lon: str, ordinal: int) -> tuple[float, float] | None:
+    if lat == "-" and lon == "-":
+        return None
+    try:
+        return (float(lat), float(lon))
+    except ValueError as e:
+        raise IndexFormatError(f"bad coordinates for document {ordinal}") from e
+
+
+def _header_relation(line: bytes) -> str:
+    """The source relation that an index's first line (without LF) names."""
+    text = line.decode("utf-8", "replace")
+    if text == _V1_MAGIC:
+        raise IndexFormatError(
+            "index has format v1, which is no longer read: "
+            "rebuild it with `vdc index build`"
+        )
+    prefix = INDEX_MAGIC + " "
+    if text.startswith(prefix):
+        try:
+            return RelationRef.parse(text[len(prefix):]).text()
+        except ValueError:
+            pass
+    raise IndexFormatError(f"bad index header {text!r}")
+
+
+def index_relation(path: str) -> str:
+    """The source relation of an index file, from its first line alone."""
+    try:
+        with open(path, "rb") as f:
+            line = f.readline(4096)
+    except OSError as e:
+        raise IndexFormatError(f"cannot read index: {e}") from e
+    return _header_relation(line.removesuffix(b"\n"))
+
 
 @dataclass
 class DocEntry:
@@ -301,18 +401,205 @@ class DocEntry:
 
 
 class InvertedIndex:
-    """Per-field postings over a fixed document set.
+    """Per-field postings over a fixed document set, held as one VDCIDX 2
+    image and decoded on demand.
 
-    ``postings[field][term]`` is a list of (ordinal, term frequency) with
-    strictly ascending ordinals; ``docs`` is the ordinal-ordered manifest.
+    Ordinals follow ascending doc_id.  A field's term dictionary is decoded
+    the first time the field is searched, a postings line when its term is,
+    and a DOCS line when its document is returned or filtered by location;
+    decoded parts are kept, so an index held in memory decodes each once.
+    Structural faults surface as ``IndexFormatError`` when the faulty part
+    is decoded.
     """
 
-    def __init__(self, docs: list[DocEntry], postings: dict[str, dict[str, list[tuple[int, int]]]]):
-        self.docs = docs
-        self.postings = postings
+    def __init__(self, data: bytes):
+        self.data = data
+        first = data.find(b"\n")
+        self.relation = _header_relation(data[:first] if first >= 0 else data)
+        if not data.endswith(b"\n"):
+            raise IndexFormatError("index file is truncated (no final newline)")
+        foot = data.rfind(b"\n", 0, len(data) - 1) + 1
+        m = _FOOTER_RE.fullmatch(data, foot)
+        if m is None:
+            raise IndexFormatError("index file is truncated (no END footer)")
+        n_docs, n_terms = int(m[1]), int(m[2])
+        if zlib.crc32(memoryview(data)[:foot]) != int(m[3], 16):
+            raise IndexFormatError("index checksum mismatch: the file is damaged")
+
+        toc = data.rfind(b"\n", 0, foot - 1) + 1
+        m = _TOC_RE.fullmatch(data, toc, foot)
+        if m is None:
+            raise IndexFormatError("bad TOC line")
+        starts = [int(s) for s in m[1].split()]
+        if starts[0] != first + 1:
+            raise IndexFormatError("DOCS section does not follow the header")
+        sections = []  # (header words, first byte after the header, end)
+        for start, end in zip(starts, starts[1:] + [toc]):
+            head_end = data.find(b"\n", start, end)
+            if head_end < 0 or data[start - 1] != 0x0A:
+                raise IndexFormatError(f"bad section offset {start}")
+            words = data[start:head_end].decode("utf-8", "replace").split(" ")
+            sections.append((words, head_end + 1, end))
+
+        words, self._docs_start, self._docs_end = sections[0]
+        if words != ["DOCS", str(n_docs)]:
+            raise IndexFormatError("DOCS section disagrees with the footer's doc count")
+        self.n_docs = n_docs
+        self._postings_spans: dict[str, tuple[int, int]] = {}  # field -> postings lines span
+        self._terms_spans: dict[str, tuple[int, int, int]] = {}  # + term count
+        pairs = sections[1:-1]
+        if len(pairs) % 2:
+            raise IndexFormatError("unpaired POSTINGS/TERMS sections")
+        for (p_words, p_start, p_end), (t_words, t_start, t_end) in zip(pairs[0::2], pairs[1::2]):
+            field = p_words[-1]
+            if (
+                len(p_words) != 2 or p_words[0] != "POSTINGS" or not IDENT_RE.match(field)
+                or len(t_words) != 3 or t_words[:2] != ["TERMS", field]
+                or any(field <= f for f in self._postings_spans)
+            ):
+                raise IndexFormatError(f"bad sections for field {field!r}")
+            self._postings_spans[field] = (p_start, p_end)
+            self._terms_spans[field] = (t_start, t_end, _nat(t_words[2]))
+        if sum(count for _, _, count in self._terms_spans.values()) != n_terms:
+            raise IndexFormatError("TERMS sections disagree with the footer's term count")
+
+        words, self._table, table_end = sections[-1]
+        self._width = _nat(words[-1]) if words[0] == "DOCOFFSETS" and len(words) == 2 else 0
+        if (
+            not self._width
+            or table_end - self._table != n_docs * self._width + 1
+            or (n_docs and _nat(data[self._table : self._table + self._width]) != self._docs_start)
+        ):
+            raise IndexFormatError("bad DOCOFFSETS section")
+        # decoded on first use and kept: term dictionaries by field,
+        # postings by (field, term), and all DOCS lines
+        self._decoded_terms: dict[str, dict[str, tuple[str, str]]] = {}
+        self._decoded_postings: dict[tuple[str, str], dict[int, int]] = {}
+        self._lines: list[str] | None = None
 
     def indexed_fields(self) -> list[str]:
-        return sorted(self.postings)
+        return list(self._postings_spans)
+
+    def terms(self, field: str) -> dict[str, tuple[str, str]]:
+        """A field's term dictionary, decoded on first use: term -> the
+        (offset, length) digits of its postings line."""
+        d = self._decoded_terms.get(field)
+        if d is None:
+            start, end, count = self._terms_spans[field]
+            cells = _text(self.data[start:end]).replace("\n", "\t").split("\t")
+            if len(cells) != 3 * count + 1:
+                raise IndexFormatError(f"bad TERMS section for field {field!r}")
+            names = cells[0:-1:3]
+            if (names and not names[0]) or not all(map(str.__lt__, names, names[1:])):
+                raise IndexFormatError(f"terms out of order in field {field!r}")
+            d = self._decoded_terms[field] = dict(zip(names, zip(cells[1::3], cells[2::3])))
+        return d
+
+    def postings(self, field: str, term: str) -> dict[int, int]:
+        """Term frequency of ``term`` in ``field`` by ordinal, in ascending
+        ordinal order; empty when the term does not occur.  The dict is
+        kept for later calls, so callers must not modify it."""
+        key = (field, term)
+        if key not in self._decoded_postings:
+            self._decoded_postings[key] = self._decode_postings(field, term)
+        return self._decoded_postings[key]
+
+    def _decode_postings(self, field: str, term: str) -> dict[int, int]:
+        span = self.terms(field).get(term)
+        if span is None:
+            return {}
+        start = _nat(span[0])
+        end = start + _nat(span[1])
+        lo, hi = self._postings_spans[field]
+        data = self.data
+        if not lo <= start < end < hi or data[start - 1] != 0x0A or data[end] != 0x0A:
+            raise IndexFormatError(f"bad postings span for {term!r} in field {field!r}")
+        line = data[start:end]
+        if _POSTINGS_RE.fullmatch(line) is None:
+            raise IndexFormatError(f"bad postings for {term!r} in field {field!r}")
+        nums = list(map(int, line.replace(b":", b",").split(b",")))
+        ordinals = nums[0::2]
+        if ordinals[-1] >= self.n_docs or not all(map(int.__lt__, ordinals, ordinals[1:])):
+            raise IndexFormatError(
+                f"ordinals out of order or range for {term!r} in field {field!r}"
+            )
+        return dict(zip(ordinals, nums[1::2]))
+
+    def _doc_line(self, o: int) -> str:
+        """The DOCS line of ordinal ``o``, found through the offset table."""
+        if not 0 <= o < self.n_docs:
+            raise IndexFormatError(f"ordinal {o} out of range")
+        data, w = self.data, self._width
+        at = self._table + o * w
+        start = _nat(data[at : at + w])
+        end = _nat(data[at + w : at + 2 * w]) if o + 1 < self.n_docs else self._docs_end
+        if (
+            not self._docs_start <= start < end <= self._docs_end
+            or data[start - 1] != 0x0A
+            or data.find(b"\n", start, end) != end - 1
+        ):
+            raise IndexFormatError(f"bad DOCS offset for document {o}")
+        return _text(data[start : end - 1])
+
+    def _doc_lines(self, ordinals: Sequence[int]) -> list[str]:
+        """The DOCS lines of ``ordinals``: ref, doc_id, lat, lon, then the
+        stored fields, tab-separated.  Lines are sought one by one through
+        the offset table; for more than one document in sixteen, decoding
+        the whole section in one pass is cheaper, and it is kept."""
+        if self._lines is None:
+            if len(ordinals) * 16 <= self.n_docs:
+                return [self._doc_line(o) for o in ordinals]
+            lines = _text(self.data[self._docs_start : self._docs_end]).split("\n")
+            if len(lines) != self.n_docs + 1:
+                raise IndexFormatError("DOCS section disagrees with its doc count")
+            self._lines = lines
+        return [self._lines[o] for o in ordinals]
+
+    # A DOCS line has at least four cells; unpacking a shorter one raises
+    # ValueError, which the three readers below report as a format error.
+
+    def doc(self, o: int) -> DocEntry:
+        try:
+            ref, doc_id, lat, lon, *stored_cells = self._doc_lines([o])[0].split("\t")
+        except ValueError as e:
+            raise IndexFormatError(f"bad DOCS line for document {o}") from e
+        stored = {}
+        for cell in stored_cells:
+            name, sep, value = cell.partition("=")
+            if not sep:
+                raise IndexFormatError(f"bad stored field for document {o}")
+            stored[name] = _unescape(value)
+        return DocEntry(o, _unescape(doc_id), _unescape(ref), _geo(lat, lon, o), stored)
+
+    def hits(self, ordinals: Sequence[int]) -> list[tuple[str, str]]:
+        """(doc_id, ref) of each ordinal."""
+        lines = self._doc_lines(ordinals)
+        try:
+            return [
+                (_unescape(doc_id), _unescape(ref))
+                for ref, doc_id, _ in (line.split("\t", 2) for line in lines)
+            ]
+        except ValueError as e:
+            raise IndexFormatError("bad DOCS line") from e
+
+    def geos(self, ordinals: Sequence[int]) -> list[tuple[float, float] | None]:
+        lines = self._doc_lines(ordinals)
+        try:
+            return [
+                _geo(lat, lon, o)
+                for o, (_, _, lat, lon, *_) in zip(ordinals, (line.split("\t", 4) for line in lines))
+            ]
+        except ValueError as e:
+            raise IndexFormatError("bad DOCS line") from e
+
+    def find_ref(self, ref: str) -> DocEntry | None:
+        """The first document whose ref is ``ref``: a byte search of the
+        DOCS lines, which each start with their escaped ref."""
+        needle = b"\n" + _escape(ref).encode("utf-8") + b"\t"
+        at = self.data.find(needle, self._docs_start - 1, self._docs_end)
+        if at < 0:
+            return None
+        return self.doc(self.data.count(b"\n", self._docs_start, at + 1))
 
 
 def build_index(
@@ -324,191 +611,75 @@ def build_index(
 
     ``stored_whitelist`` masks manifest field values for sources that only
     publish their index: non-whitelisted fields keep their name but store
-    ``-``.  Postings are unaffected (published terms are the point).
+    ``-``.  Postings are unaffected (published terms are the point).  The
+    image is encoded as it is built, one field's postings at a time.
     """
     ids = [d.doc_id for d in docs]
     if len(set(ids)) != len(ids):
         dup = sorted(i for i in set(ids) if ids.count(i) > 1)[0]
         raise IngestError(f"duplicate doc id {dup!r} in index input")
     ordered = sorted(docs, key=lambda d: d.doc_id)
-
     allow = None if stored_whitelist is None else set(stored_whitelist)
-    entries = []
-    for ordinal, doc in enumerate(ordered):
-        stored = {}
-        for f, v in doc.fields.items():
-            if allow is None or f in allow:
-                stored[f] = v
-            else:
-                stored[f] = "-"
-        entries.append(DocEntry(ordinal, doc.doc_id, doc.ref.text(), doc.geo, stored))
 
-    postings: dict[str, dict[str, list[tuple[int, int]]]] = {}
-    for f in recipe.indexed:
-        field_postings: dict[str, list[tuple[int, int]]] = {}
+    out = bytearray(f"{INDEX_MAGIC} {recipe.source.text()}\n".encode("utf-8"))
+    sections = [len(out)]
+    out += f"DOCS {len(ordered)}\n".encode("utf-8")
+    doc_offsets = []
+    for doc in ordered:
+        doc_offsets.append(len(out))
+        lat = _fmt_coord(doc.geo[0] if doc.geo else None)
+        lon = _fmt_coord(doc.geo[1] if doc.geo else None)
+        stored = "".join(
+            f"\t{f}={_escape(v) if allow is None or f in allow else '-'}"
+            for f, v in doc.fields.items()
+        )
+        line = f"{_escape(doc.ref.text())}\t{_escape(doc.doc_id)}\t{lat}\t{lon}{stored}\n"
+        out += line.encode("utf-8")
+    docs_end = len(out)
+
+    n_terms = 0
+    for field in sorted(recipe.indexed):
+        postings: dict[str, list[int]] = {}  # term -> ordinal, tf, ordinal, tf, ...
         for ordinal, doc in enumerate(ordered):
-            text = doc.body if f == "body" else doc.fields.get(f, "")
-            for term, tf in sorted(Counter(tokenize(text)).items()):
-                field_postings.setdefault(term, []).append((ordinal, tf))
-        postings[f] = field_postings
-    return InvertedIndex(entries, postings)
+            text = doc.body if field == "body" else doc.fields.get(field, "")
+            for term, tf in Counter(tokenize(text)).items():
+                postings.setdefault(term, []).extend((ordinal, tf))
+        sections.append(len(out))
+        out += f"POSTINGS {field}\n".encode("utf-8")
+        dictionary = []
+        for term in sorted(postings):
+            flat = postings.pop(term)
+            line = ",".join(map("{}:{}".format, flat[0::2], flat[1::2]))
+            dictionary.append(f"{term}\t{len(out)}\t{len(line)}\n")
+            out += line.encode("ascii") + b"\n"
+        sections.append(len(out))
+        out += f"TERMS {field} {len(dictionary)}\n".encode("utf-8")
+        out += "".join(dictionary).encode("utf-8")
+        n_terms += len(dictionary)
 
-
-# --------------------------------------------------------------------------
-# index file format
-
-_ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), (";", "\\;"), ("\n", "\\n"), ("\r", "\\r")]
-
-
-def _escape(v: str) -> str:
-    for ch, rep in _ESCAPES:
-        v = v.replace(ch, rep)
-    return v
-
-
-_UNESCAPES = {"\\": "\\", "t": "\t", ";": ";", "n": "\n", "r": "\r"}
-
-
-def _unescape(v: str) -> str:
-    out = []
-    i = 0
-    while i < len(v):
-        ch = v[i]
-        if ch == "\\":
-            if i + 1 >= len(v) or v[i + 1] not in _UNESCAPES:
-                raise IndexFormatError(f"bad escape in {v!r}")
-            out.append(_UNESCAPES[v[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _fmt_coord(x: float | None) -> str:
-    return "-" if x is None else repr(x)
+    width = len(str(docs_end))
+    sections.append(len(out))
+    out += f"DOCOFFSETS {width}\n".encode("utf-8")
+    out += "".join(str(o).zfill(width) for o in doc_offsets).encode("ascii") + b"\n"
+    out += ("TOC " + " ".join(map(str, sections)) + "\n").encode("ascii")
+    out += f"END {len(ordered)} {n_terms} {zlib.crc32(out):08x}\n".encode("ascii")
+    return InvertedIndex(bytes(out))
 
 
 def write_index(index: InvertedIndex, path: str) -> None:
-    lines = [INDEX_MAGIC, "DOCS"]
-    for e in index.docs:
-        lat = _fmt_coord(e.geo[0] if e.geo else None)
-        lon = _fmt_coord(e.geo[1] if e.geo else None)
-        stored = ";".join(f"{k}={_escape(v)}" for k, v in e.stored.items())
-        lines.append(f"{e.ordinal}\t{_escape(e.doc_id)}\t{_escape(e.ref)}\t{lat}\t{lon}\t{stored}")
-    for field in sorted(index.postings):
-        lines.append(f"FIELD {field}")
-        for term in sorted(index.postings[field]):
-            plist = ",".join(f"{o}:{tf}" for o, tf in index.postings[field][term])
-            lines.append(f"{term}\t{plist}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Publish an index's image atomically."""
+    write_atomic(path, index.data)
 
 
 def read_index(path: str) -> InvertedIndex:
+    """Open an index file.  Its bytes are read whole and checked against
+    the footer and the checksum; the rest is decoded on demand."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise IndexFormatError(f"cannot read index: {e}") from e
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        raise IndexFormatError("index file is truncated (no final newline)")
-    lines.pop()
-    if not lines or lines[0] != INDEX_MAGIC:
-        raise IndexFormatError(
-            f"bad index header {lines[0]!r}" if lines else "empty index file"
-        )
-    if len(lines) < 2 or lines[1] != "DOCS":
-        raise IndexFormatError("missing DOCS section")
-
-    docs: list[DocEntry] = []
-    i = 2
-    while i < len(lines) and not lines[i].startswith("FIELD "):
-        parts = lines[i].split("\t")
-        if len(parts) != 6:
-            raise IndexFormatError(f"bad DOCS line {i + 1}")
-        ordinal = _parse_int(parts[0], i)
-        if ordinal != len(docs):
-            raise IndexFormatError(f"non-monotonic ordinal at line {i + 1}")
-        geo = None
-        if parts[3] != "-" or parts[4] != "-":
-            try:
-                geo = (float(parts[3]), float(parts[4]))
-            except ValueError as e:
-                raise IndexFormatError(f"bad coordinates at line {i + 1}") from e
-        stored: dict[str, str] = {}
-        if parts[5]:
-            for pair in _split_unescaped(parts[5], ";"):
-                k, sep, v = pair.partition("=")
-                if not sep:
-                    raise IndexFormatError(f"bad stored field at line {i + 1}")
-                stored[k] = _unescape(v)
-        docs.append(DocEntry(ordinal, _unescape(parts[1]), _unescape(parts[2]), geo, stored))
-        i += 1
-
-    postings: dict[str, dict[str, list[tuple[int, int]]]] = {}
-    current: dict[str, list[tuple[int, int]]] | None = None
-    prev_term: str | None = None
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("FIELD "):
-            fname = line[len("FIELD "):]
-            if not IDENT_RE.match(fname) or fname in postings:
-                raise IndexFormatError(f"bad FIELD section {fname!r} at line {i + 1}")
-            current = {}
-            postings[fname] = current
-            prev_term = None
-        else:
-            if current is None:
-                raise IndexFormatError(f"postings outside FIELD section at line {i + 1}")
-            term, sep, plist = line.partition("\t")
-            if not sep or not term:
-                raise IndexFormatError(f"bad postings line {i + 1}")
-            if prev_term is not None and not (prev_term < term):
-                raise IndexFormatError(f"terms out of order at line {i + 1}")
-            prev_term = term
-            entries = []
-            last_ord = -1
-            for item in plist.split(","):
-                o_s, sep2, tf_s = item.partition(":")
-                if not sep2:
-                    raise IndexFormatError(f"bad posting {item!r} at line {i + 1}")
-                o, tf = _parse_int(o_s, i), _parse_int(tf_s, i)
-                if o <= last_ord:
-                    raise IndexFormatError(f"ordinals out of order at line {i + 1}")
-                if not 0 <= o < len(docs) or tf < 1:
-                    raise IndexFormatError(f"posting out of range at line {i + 1}")
-                last_ord = o
-                entries.append((o, tf))
-            current[term] = entries
-        i += 1
-    return InvertedIndex(docs, postings)
-
-
-def _parse_int(s: str, line_i: int) -> int:
-    if not s.isdigit():
-        raise IndexFormatError(f"bad integer {s!r} at line {line_i + 1}")
-    return int(s)
-
-
-def _split_unescaped(s: str, sep: str) -> list[str]:
-    parts = []
-    buf = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "\\" and i + 1 < len(s):
-            buf.append(s[i : i + 2])
-            i += 2
-        elif ch == sep:
-            parts.append("".join(buf))
-            buf = []
-            i += 1
-        else:
-            buf.append(ch)
-            i += 1
-    parts.append("".join(buf))
-    return parts
+    return InvertedIndex(data)
 
 
 # --------------------------------------------------------------------------
@@ -544,20 +715,22 @@ def search(index: InvertedIndex, q: SearchQuery) -> list[Hit]:
     A document is a candidate when it contains every query term — in the
     restricted field if one is given, in any indexed field otherwise — and
     lies inside the bbox when one is given (boundary inclusive).  Hits are
-    ordered by score descending, then doc_id ascending.
+    ordered by score descending, then doc_id ascending.  Postings are
+    decoded for the query terms only, and DOCS lines for the returned hits
+    and, with a bbox, the candidates.
     """
-    fields = [q.field] if q.field is not None else index.indexed_fields()
-    fields = [f for f in fields if f in index.postings]
+    fields = index.indexed_fields()
+    if q.field is not None:
+        fields = [q.field] if q.field in fields else []
 
     scores: dict[int, int] | None = None
     if q.terms:
         if not fields:
             return []
         for term in q.terms:
-            tf_by_doc: dict[int, int] = {}
+            tf_by_doc: Counter[int] = Counter()
             for f in fields:
-                for o, tf in index.postings[f].get(term, ()):
-                    tf_by_doc[o] = tf_by_doc.get(o, 0) + tf
+                tf_by_doc.update(index.postings(f, term))
             if scores is None:
                 scores = tf_by_doc
             else:
@@ -567,24 +740,28 @@ def search(index: InvertedIndex, q: SearchQuery) -> list[Hit]:
             if not scores:
                 return []
     else:
-        scores = dict.fromkeys(range(len(index.docs)), 0)
+        scores = dict.fromkeys(range(index.n_docs), 0)
 
     if q.bbox is not None:
         min_lat, min_lon, max_lat, max_lon = q.bbox
+        candidates = list(scores)
         scores = {
-            o: s
-            for o, s in scores.items()
-            if index.docs[o].geo is not None
-            and min_lat <= index.docs[o].geo[0] <= max_lat
-            and min_lon <= index.docs[o].geo[1] <= max_lon
+            o: scores[o]
+            for o, geo in zip(candidates, index.geos(candidates))
+            if geo is not None and min_lat <= geo[0] <= max_lat and min_lon <= geo[1] <= max_lon
         }
 
-    docs = index.docs
-    # tuple order (-score, doc_id) sorts without a key function
-    ranked = sorted((-s, docs[o].doc_id, docs[o].ref) for o, s in scores.items())
-    if q.limit is not None:
-        ranked = ranked[: q.limit]
-    return [Hit(doc_id, ref, -neg) for neg, doc_id, ref in ranked]
+    # Ordinals ascend with doc_id, so ranking by (-score, ordinal) orders
+    # hits by score, then doc_id.  The full sort is stable: ordinals sorted
+    # first keep their order among equal scores.
+    if q.limit is None:
+        ranked = sorted(sorted(scores), key=scores.__getitem__, reverse=True)
+    else:
+        ranked = heapq.nsmallest(q.limit, scores, key=lambda o: (-scores[o], o))
+    return [
+        Hit(doc_id, ref, scores[o])
+        for o, (doc_id, ref) in zip(ranked, index.hits(ranked))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -639,10 +816,4 @@ def collection_resolve(catalogue: "Catalogue", name: str) -> list[ResolvedItem]:
     coll = catalogue.collections.get(name)
     if coll is None:
         raise NotFound(f"no collection {name!r}")
-    out = []
-    for ref in coll.refs:
-        try:
-            out.append(catalogue.resolve_ref(ref))
-        except VdcError as e:
-            out.append(ResolvedItem(ref, "error", str(e)))
-    return out
+    return catalogue.resolve_refs(coll.refs)

@@ -11,6 +11,11 @@ from vdc.model import format_uncertain_date, parse_uncertain_date
 FIXTURE_VIEWS = ("papyri_en", "volterra_texts", "iaph_docs", "all_texts")
 
 
+def index_docs(index) -> list:
+    """Every DOCS entry of an index, decoded, in ordinal order."""
+    return [index.doc(o) for o in range(index.n_docs)]
+
+
 def register_desk(cat: Catalogue, fx: str, mode: AccessMode = AccessMode.LIVE) -> Catalogue:
     cat.register_source("hgv", "tabular", os.path.join(fx, "hgv"), mode)
     cat.register_source("volterra", "tabular", os.path.join(fx, "volterra"), mode)

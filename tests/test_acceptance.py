@@ -36,7 +36,7 @@ from vdc.fixtures import FixtureSpec, generate_fixtures
 from vdc.model import ItemRef
 
 from conftest import record_acceptance
-from helpers import QueryGen, register_desk, register_small
+from helpers import QueryGen, index_docs, register_desk, register_small
 from test_model import oracle_day_number
 
 HOMONYM_QUERY = (
@@ -359,7 +359,7 @@ class TestAcceptance:
             repr([i.__dict__ for i in collection_resolve(cat, "finds")]),
             open(cat.indexes["sec_texts"], encoding="utf-8").read(),
             open(cat.path, encoding="utf-8").read(),
-            repr([e.__dict__ for e in cat.get_index("sec_texts").docs]),
+            repr([e.__dict__ for e in index_docs(cat.get_index("sec_texts"))]),
         ]
         if any(sentinel in s for s in surfaces):
             failures.append("sentinel leaked")

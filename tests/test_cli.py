@@ -188,6 +188,20 @@ class TestSearchViaCli:
         code, _, err = cli("search", "vol_texts", "imperator", "--bbox", "bad")
         assert code == 2
 
+    def test_v1_index_is_rebuilt_by_index_build(self, centre):
+        cli, cat, fx, _ = centre
+        recipe = os.path.join(fx, "recipes", "volterra.recipe")
+        assert cli("index", "build", "vol_texts", "--recipe", recipe)[0] == 0
+        _, before, _ = cli("search", "vol_texts", "imperator")
+        path = os.path.join(cat + ".store", "index", "vol_texts.idx")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("VDCIDX 1\nDOCS\n")
+        code, out, err = cli("search", "vol_texts", "imperator")
+        assert code == 2 and out == ""
+        assert "vdc index build" in err
+        assert cli("index", "build", "vol_texts", "--recipe", recipe)[0] == 0
+        assert cli("search", "vol_texts", "imperator") == (0, before, "")
+
     def test_search_unknown_collection(self, centre):
         cli, *_ = centre
         assert cli("search", "ghost", "term")[0] == 2

@@ -123,6 +123,15 @@ class TestTabular:
         assert e.value.path == str(d / "texts.csv")
         assert e.value.line == 2
 
+    def test_invalid_utf8_sidecar_is_source_error(self, tmp_path):
+        d = tmp_path / "s"
+        write_source(d)
+        (d / "texts.schema").write_bytes(b"id : int\nstatus \xff : text\nnote : text\n")
+        with pytest.raises(SourceError) as e:
+            live("s", d)
+        assert e.value.path == str(d / "texts.schema")
+        assert e.value.line == 2
+
     def test_invalid_utf8_row_is_source_error_on_scan(self, tmp_path):
         d = tmp_path / "s"
         write_source(d)

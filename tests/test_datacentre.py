@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from vdc import textindex
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
 from vdc.errors import (
     AccessDenied,
@@ -24,7 +25,7 @@ from vdc.textindex import (
     search,
 )
 
-from helpers import register_desk
+from helpers import index_docs, register_desk
 
 SENTINEL = "XYZZY::SENTINEL::73"
 
@@ -147,6 +148,28 @@ class TestIndexOnlyMode:
         assert stub["fields"]["title"] == "Stone one"  # whitelisted (default)
         assert stub["fields"]["secret"] == "-"  # masked
 
+    def test_stub_lookup_reads_only_indexes_of_its_relation(
+        self, tmp_path, desk_fixtures, monkeypatch
+    ):
+        fx, _ = desk_fixtures
+        src = tmp_path / "secret_src"
+        write_secret_source(src)
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("volterra", "tabular", os.path.join(fx, "volterra"), AccessMode.LIVE)
+        recipe = cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+        cat.build_index("vol_texts", recipe)  # listed first, other relation
+        cat.register_source("sec", "tabular", str(src), AccessMode.INDEX_ONLY)
+        cat.build_index("secrets", parse_recipe_file(RECIPE))
+        collection_update(cat, "finds", [ItemRef("sec", "t", "2")])
+        cat.persist()
+        loaded = Catalogue.load(cat.path)
+        read = []
+        real_read = textindex.read_index
+        monkeypatch.setattr(textindex, "read_index", lambda p: read.append(p) or real_read(p))
+        items = collection_resolve(loaded, "finds")
+        assert [(i.kind, i.payload["doc_id"]) for i in items] == [("stub", "2")]
+        assert read == [loaded.indexes["secrets"]]
+
     def test_sentinel_never_leaks(self, tmp_path):
         cat = self.build(tmp_path)
         collection_update(cat, "finds", [ItemRef("sec", "t", "1")])
@@ -157,7 +180,7 @@ class TestIndexOnlyMode:
         surfaces.append(repr(search(idx, SearchQuery(("alpha",)))))
         surfaces.append(repr(search(idx, SearchQuery(("xyzzy",)))))
         surfaces.append(repr([i.__dict__ for i in collection_resolve(cat, "finds")]))
-        surfaces.append(repr([e.__dict__ for e in idx.docs]))
+        surfaces.append(repr([e.__dict__ for e in index_docs(idx)]))
         surfaces.append(open(cat.indexes["secrets"], encoding="utf-8").read())
         surfaces.append(open(cat.path, encoding="utf-8").read())
         with pytest.raises(AccessDenied):
@@ -218,6 +241,24 @@ class TestPersistence:
             f.write("INDEX ghost /nonexistent/g.idx\n")
         with pytest.raises(IntegrityError):
             Catalogue.load(cat.path)
+
+    def test_load_v1_index_fails_with_rebuild_hint(self, tmp_path, desk_fixtures):
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        register_desk(cat, fx)
+        recipe = cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+        path, _ = cat.build_index("vol_texts", recipe)
+        cat.persist()
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("VDCIDX 1\nDOCS\n0\t1\tvolterra/legal_texts/1\t-\t-\t\nFIELD body\n")
+        with pytest.raises(IntegrityError) as e:
+            Catalogue.load(cat.path)
+        assert "vdc index build" in str(e.value)
+        # the rebuild itself may load the catalogue
+        stale = Catalogue.load(cat.path, stale_indexes_ok=True)
+        stale.build_index("vol_texts", recipe)
+        stale.persist()
+        assert Catalogue.load(cat.path).get_index("vol_texts").relation == "volterra.legal_texts"
 
     def test_load_coll_with_unregistered_source_fails(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures

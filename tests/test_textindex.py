@@ -6,11 +6,13 @@ import errno
 import os
 import random
 import unicodedata
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdc import connectors
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import (
     CollectionError,
@@ -23,6 +25,7 @@ from vdc.model import ItemRef
 from vdc.textindex import (
     Document,
     SearchQuery,
+    VirtualCollection,
     build_index,
     collection_resolve,
     collection_update,
@@ -33,7 +36,7 @@ from vdc.textindex import (
     write_index,
 )
 
-from helpers import register_desk
+from helpers import index_docs, register_desk
 
 
 def oracle_tokenize(text: str) -> list[str]:
@@ -204,13 +207,14 @@ def mini_recipe(indexed=("body",)):
 class TestBuildIndex:
     def test_postings_count_occurrences(self):
         idx = build_index([doc("d1", "a b a")], mini_recipe())
-        assert idx.postings["body"]["a"] == [(0, 2)]
-        assert idx.postings["body"]["b"] == [(0, 1)]
+        assert idx.postings("body", "a") == {0: 2}
+        assert idx.postings("body", "b") == {0: 1}
+        assert idx.postings("body", "c") == {}
 
     def test_ordinals_follow_doc_id_not_input_order(self, tmp_path):
         docs = [doc("b", "x"), doc("a", "y")]
         idx = build_index(docs, mini_recipe())
-        assert [e.doc_id for e in idx.docs] == ["a", "b"]
+        assert [e.doc_id for e in index_docs(idx)] == ["a", "b"]
 
     def test_permuted_input_gives_identical_bytes(self, tmp_path):
         docs = [doc(f"d{i}", f"w{i} common") for i in range(20)]
@@ -226,7 +230,9 @@ class TestBuildIndex:
         p = str(tmp_path / "e.idx")
         write_index(build_index([], mini_recipe()), p)
         idx = read_index(p)
-        assert idx.docs == [] and idx.postings == {"body": {}}
+        assert idx.n_docs == 0
+        assert idx.indexed_fields() == ["body"] and idx.terms("body") == {}
+        assert search(idx, SearchQuery(("a",))) == []
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(IngestError):
@@ -241,7 +247,7 @@ class TestBuildIndex:
         ]
         idx = build_index(docs, mini_recipe())
         total_tf = sum(
-            tf for plist in idx.postings["body"].values() for _, tf in plist
+            tf for term in idx.terms("body") for tf in idx.postings("body", term).values()
         )
         assert total_tf == sum(len(tokenize(d.body)) for d in docs)
 
@@ -260,8 +266,27 @@ class TestIndexFormat:
     def test_round_trip_structural_equality(self, tmp_path):
         idx, p = self.make(tmp_path)
         back = read_index(p)
-        assert [e.__dict__ for e in back.docs] == [e.__dict__ for e in idx.docs]
-        assert back.postings == idx.postings
+        expected_docs = [
+            {"ordinal": 0, "doc_id": "d1", "ref": "s/t/d1", "geo": (31.5, 29.25),
+             "stored": {"title": "T=1;x"}},
+            {"ordinal": 1, "doc_id": "d2", "ref": "s/t/d2", "geo": None,
+             "stored": {"title": "two\nlines"}},
+        ]
+        expected_postings = {
+            "body": {"alpha": [(0, 1)], "beta": [(0, 1), (1, 1)], "gamma": [(1, 1)]},
+            "title": {"1": [(0, 1)], "lines": [(1, 1)], "t": [(0, 1)], "two": [(1, 1)],
+                      "x": [(0, 1)]},
+        }  # (ordinal, tf) in ordinal order
+        for index in (idx, back):
+            assert index.relation == "s.t"
+            assert [e.__dict__ for e in index_docs(index)] == expected_docs
+            assert index.find_ref("s/t/d2").__dict__ == expected_docs[1]
+            assert index.find_ref("s/t/d") is None
+            postings = {
+                f: {t: list(index.postings(f, t).items()) for t in index.terms(f)}
+                for f in index.indexed_fields()
+            }
+            assert postings == expected_postings
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         idx, p = self.make(tmp_path)
@@ -312,20 +337,111 @@ class TestIndexFormat:
         with pytest.raises(IndexFormatError):
             read_index(p)
 
-    def test_unsorted_terms_rejected(self, tmp_path):
-        p = str(tmp_path / "u.idx")
+    def test_v1_file_names_the_rebuild(self, tmp_path):
+        p = str(tmp_path / "v1.idx")
         with open(p, "w") as f:
-            f.write("VDCIDX 1\nDOCS\n0\td\ts/t/d\t-\t-\t\nFIELD body\nzeta\t0:1\nalpha\t0:1\n")
+            f.write("VDCIDX 1\nDOCS\n0\td\ts/t/d\t-\t-\t\nFIELD body\nx\t0:1\n")
         with pytest.raises(IndexFormatError) as e:
             read_index(p)
+        assert "vdc index build" in str(e.value)
+
+    def test_unsorted_terms_rejected(self, tmp_path):
+        """A checksum-valid file whose dictionary lists zeta before beta:
+        the search that decodes the dictionary rejects it."""
+        p = str(tmp_path / "u.idx")
+        write_index(build_index([doc("d", "beta zeta")], mini_recipe()), p)
+        data = open(p, "rb").read()
+        swapped = (data.replace(b"\nbeta\t", b"\n____\t").replace(b"\nzeta\t", b"\nbeta\t")
+                   .replace(b"\n____\t", b"\nzeta\t"))
+        assert swapped.index(b"\nzeta\t") < swapped.index(b"\nbeta\t")
+        with open(p, "wb") as f:
+            f.write(resign(swapped))
+        idx = read_index(p)  # opening checks the footer and section table only
+        with pytest.raises(IndexFormatError) as e:
+            search(idx, SearchQuery(("zeta",)))
         assert "out of order" in str(e.value)
 
     def test_bad_ordinals_rejected(self, tmp_path):
+        """A checksum-valid file whose postings list repeats ordinal 0."""
         p = str(tmp_path / "o.idx")
-        with open(p, "w") as f:
-            f.write("VDCIDX 1\nDOCS\n0\td\ts/t/d\t-\t-\t\nFIELD body\na\t0:1,0:2\n")
-        with pytest.raises(IndexFormatError):
+        write_index(build_index([doc("d", "a"), doc("e", "a")], mini_recipe()), p)
+        data = open(p, "rb").read()
+        assert data.count(b"\n0:1,1:1\n") == 1
+        with open(p, "wb") as f:
+            f.write(resign(data.replace(b"\n0:1,1:1\n", b"\n0:1,0:2\n")))
+        idx = read_index(p)
+        with pytest.raises(IndexFormatError) as e:
+            search(idx, SearchQuery(("a",)))
+        assert "out of order" in str(e.value)
+
+
+def resign(data: bytes) -> bytes:
+    """Recompute the END footer's checksum after an edit that keeps every
+    byte offset, so only the edited structure is wrong."""
+    foot = data.rindex(b"\n", 0, len(data) - 1) + 1
+    _, docs, terms, _ = data[foot:].split()
+    return data[:foot] + b"END %s %s %08x\n" % (docs, terms, zlib.crc32(data[:foot]))
+
+
+class TestFaultInjection:
+    """Every damaged copy of a paper-like index is rejected when opened."""
+
+    @pytest.fixture(scope="class")
+    def image(self, desk_fixtures, tmp_path_factory):
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path_factory.mktemp("faults") / "c.vdc"))
+        register_desk(cat, fx)
+        path, _ = cat.build_index(
+            "hgv_texts", cat.register_recipe(os.path.join(fx, "recipes", "hgv.recipe"))
+        )
+        return open(path, "rb").read()
+
+    def rejected(self, tmp_path, data: bytes) -> bool:
+        p = str(tmp_path / "damaged.idx")
+        with open(p, "wb") as f:
+            f.write(data)
+        try:
             read_index(p)
+        except IndexFormatError:
+            return True
+        return False
+
+    def test_intact_copy_opens(self, tmp_path, image):
+        assert not self.rejected(tmp_path, image)
+
+    def test_cut_at_every_line_boundary(self, tmp_path, image):
+        cuts = [i + 1 for i in range(len(image) - 1) if image[i] == 0x0A]
+        assert len(cuts) > 500
+        accepted = [n for n in cuts if not self.rejected(tmp_path, image[:n])]
+        assert accepted == []
+
+    def test_cut_at_sampled_byte_offsets(self, tmp_path, image):
+        rng = random.Random(31)
+        cuts = [0, 1, len(image) - 1] + rng.sample(range(len(image)), 300)
+        accepted = [n for n in cuts if not self.rejected(tmp_path, image[:n])]
+        assert accepted == []
+
+    def test_one_flipped_byte(self, tmp_path, image):
+        rng = random.Random(32)
+        tail = image.rindex(b"\nTOC ") + 1  # every byte of the TOC and footer
+        positions = list(range(0, 40)) + list(range(tail, len(image)))
+        positions += rng.sample(range(len(image)), 300)
+        accepted = []
+        for at in positions:
+            damaged = bytearray(image)
+            damaged[at] ^= 1 << rng.randrange(8)
+            if not self.rejected(tmp_path, bytes(damaged)):
+                accepted.append(at)
+        assert accepted == []
+
+    def test_footer_with_wrong_counts(self, tmp_path, image):
+        foot = image.rindex(b"\n", 0, len(image) - 1) + 1
+        _, docs, terms, crc = image[foot:].split()
+        docs, terms = int(docs), int(terms)
+        for d, t in ((docs + 1, terms), (docs - 1, terms), (docs, terms + 1),
+                     (docs, terms - 1), (0, 0)):
+            damaged = image[:foot] + b"END %d %d %s\n" % (d, t, crc)
+            assert self.rejected(tmp_path, damaged), (d, t)
 
 
 class TestSearch:
@@ -384,27 +500,49 @@ class TestSearch:
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
-    def test_matches_naive_scan_oracle(self, data):
+    def test_matches_naive_scan_oracle(self, data, tmp_path_factory):
+        """Full ranked output (doc_id, ref, score, order) against a
+        tokenizing scan, with field, bbox and limit, on a built index and
+        on the same index written and read back."""
         words = ["alpha", "beta", "Λόγος", "στρατηγός", "gamma", "delta", "omega"]
+        texts = st.lists(st.sampled_from(words), max_size=8).map(" ".join)
+        coords = st.one_of(st.none(), st.tuples(st.sampled_from([-10.0, 0.0, 12.5, 30.0]),
+                                                st.sampled_from([-20.0, 5.0, 29.25])))
         n_docs = data.draw(st.integers(0, 12))
-        docs = []
-        for i in range(n_docs):
-            body = " ".join(
-                data.draw(st.sampled_from(words)) for _ in range(data.draw(st.integers(0, 8)))
-            )
-            docs.append(doc(f"d{i:02d}", body))
-        idx = build_index(docs, mini_recipe())
+        ids = data.draw(st.permutations([f"d{i:02d}" for i in range(n_docs)]))
+        docs = [doc(i, data.draw(texts), title=data.draw(texts), geo=data.draw(coords))
+                for i in ids]
+        built = build_index(docs, mini_recipe(("body", "title")))
+        p = str(tmp_path_factory.mktemp("oracle") / "o.idx")
+        write_index(built, p)
+
         terms = tuple(
             tokenize(data.draw(st.sampled_from(words)))[0]
-            for _ in range(data.draw(st.integers(1, 3)))
+            for _ in range(data.draw(st.integers(0, 3)))
         )
-        got = {h.doc_id for h in search(idx, SearchQuery(terms))}
-        expected = {
-            d.doc_id
-            for d in docs
-            if all(t in tokenize(d.body) for t in terms)
-        }
-        assert got == expected
+        field = data.draw(st.sampled_from([None, "body", "title", "nope"]))
+        bbox = data.draw(st.sampled_from([None, (0.0, 0.0, 30.0, 30.0), (-10.0, -20.0, 0.0, 5.0)])
+                         if terms else st.just((-90.0, -180.0, 12.5, 180.0)))
+        limit = data.draw(st.sampled_from([None, 1, 2, 5]))
+        q = SearchQuery(terms, field, bbox, limit)
+
+        scored = []
+        for d in docs:
+            scopes = {"body": d.body, "title": d.fields.get("title", "")}
+            texts_in = [scopes.get(field, "")] if field else list(scopes.values())
+            counts = [sum(tokenize(t).count(term) for t in texts_in) for term in terms]
+            if not all(counts):
+                continue
+            if bbox is not None and not (
+                d.geo is not None
+                and bbox[0] <= d.geo[0] <= bbox[2] and bbox[1] <= d.geo[1] <= bbox[3]
+            ):
+                continue
+            scored.append((-sum(counts), d.doc_id, f"s/t/{d.doc_id}"))
+        expected = [(i, r, -s) for s, i, r in sorted(scored)][:limit]
+
+        for index in (built, read_index(p)):
+            assert [tuple(h) for h in search(index, q)] == expected
 
 
 class TestCollections:
@@ -450,6 +588,39 @@ class TestCollections:
         cat.remove_source("iaph")
         items = collection_resolve(cat, "finds")
         assert [i.kind for i in items] == ["row", "error"]
+
+    def test_one_scan_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch):
+        """Two refs into one table, given in reverse order, and a missing
+        one: one scan of the table, output in collection order, and a
+        per-ref error for the missing key."""
+        cat = self.centre(tmp_path, desk_fixtures)
+        refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "99999")]
+        refs.insert(1, ItemRef("iaph", "docs", "i0000"))
+        cat.collections["finds"] = VirtualCollection("finds", refs)
+        scans = []
+        real_scan = connectors.TabularSource.scan
+
+        def counting_scan(self, table, *args, **kwargs):
+            scans.append(table)
+            return real_scan(self, table, *args, **kwargs)
+
+        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+        items = collection_resolve(cat, "finds")
+        assert scans == ["legal_texts"]
+        assert [i.kind for i in items] == ["row", "doc", "row", "error"]
+        assert [i.ref for i in items] == refs
+        assert items[0].payload[1][0] == 3 and items[2].payload[1][0] == 1
+        assert items[1].payload.id == "i0000"
+        assert "99999" in items[3].payload
+
+    def test_duplicate_keys_resolve_to_the_first_row(self, tmp_path):
+        d = tmp_path / "src"
+        write_tabular(d, ["1,first,M,x,,", "2,other,M,y,,", "1,second,T,z,,"])
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("src", "tabular", str(d), AccessMode.LIVE)
+        collection_update(cat, "finds", [ItemRef("src", "t", "2"), ItemRef("src", "t", "1")])
+        items = collection_resolve(cat, "finds")
+        assert [i.payload[1][1] for i in items] == ["other", "first"]
 
     def test_unknown_collection(self, tmp_path, desk_fixtures):
         cat = self.centre(tmp_path, desk_fixtures)
