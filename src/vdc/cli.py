@@ -136,7 +136,7 @@ def _mutate(args, fn, stale_indexes_ok: bool = False) -> int:
 def _cmd_source_add(args) -> int:
     def fn(cat: Catalogue):
         desc = cat.register_source(
-            args.id, _KIND_FLAGS[args.kind], args.path, AccessMode.parse(args.mode)
+            args.id, _KIND_FLAGS[args.kind], args.path, AccessMode(args.mode)
         )
         print(f"registered {desc.source_id} ({desc.kind}, {desc.mode.value})", file=sys.stderr)
 
@@ -219,8 +219,9 @@ def _cmd_search(args) -> int:
         q = textindex.SearchQuery(terms, args.field, bbox, args.limit)
     except ValueError as e:
         raise VdcError(str(e)) from e
+    hits = textindex.search(index, q)
     print("doc_id,ref,score")
-    for hit in textindex.search(index, q):
+    for hit in hits:
         print(f"{hit.doc_id},{hit.ref},{hit.score}")
     return EXIT_OK
 

@@ -11,9 +11,9 @@ and always surface as a single table named ``docs``.
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
 
-Pushed predicates (Compare/Contains) are checked against the connector's
-capabilities here and evaluated with the engine's one evaluator,
-:func:`vdc.predicates.matches`.
+Both connectors accept pushed predicates (Compare/Contains): they are
+checked against the table's columns here and evaluated with the engine's
+one evaluator, :func:`vdc.predicates.matches`.
 """
 
 from __future__ import annotations
@@ -98,24 +98,6 @@ _KIND_MAP = {
     "date_text": (ColumnKind.TEXT, True),
 }
 
-_NEEDS_QUOTING = re.compile(r"[^\x21-\x7e]|\"")  # spaces, non-ASCII, quotes
-
-
-def format_sidecar_name(name: str) -> str:
-    if _NEEDS_QUOTING.search(name):
-        return '"' + name.replace('"', '""') + '"'
-    return name
-
-
-def format_sidecar(schema: TableSchema) -> str:
-    """Render a schema back to sidecar text (used by fixtures and the CLI)."""
-    lines = []
-    for col in schema.columns:
-        kind = "date_text" if col.date_text else col.kind.value
-        lines.append(f"{format_sidecar_name(col.name)} : {kind}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
     columns = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,16 +128,15 @@ def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
 
 
 # --------------------------------------------------------------------------
-# pushdown capability checks
+# pushed predicate checks
 
 _INT_RE = re.compile(r"^-?\d+$")
 
 
-def _check_pushable(schema: TableSchema, preds: Sequence, supports_contains: bool):
+def _check_pushable(schema: TableSchema, preds: Sequence):
+    """Reject pushed predicates on unknown columns or of the wrong kind."""
     for p in preds:
         if isinstance(p, Contains):
-            if not supports_contains:
-                raise CapabilityError("connector does not support Contains pushdown")
             col = _pred_column(schema, p.column)
             if col.kind is not ColumnKind.TEXT:
                 raise CapabilityError(f"Contains on non-text column {p.column!r}")
@@ -200,7 +181,6 @@ class TabularSource:
     """Directory of ``<table>.csv`` + ``<table>.schema`` pairs."""
 
     kind = TABULAR
-    supports_contains = True
 
     def __init__(self, source_id: str, path: str):
         self.source_id = source_id
@@ -261,7 +241,7 @@ class TabularSource:
         schema = self.schema(table)
         preds = tuple(pushed or ())
         if preds:
-            _check_pushable(schema, preds, self.supports_contains)
+            _check_pushable(schema, preds)
         path = self._csv_path(table)
         try:
             f = open(path, "r", encoding="utf-8", newline="")
@@ -426,7 +406,6 @@ class XmlCorpusSource:
     """Directory of ``*.xml`` documents, exposed as one table ``docs``."""
 
     kind = XML_CORPUS
-    supports_contains = False
 
     def __init__(self, source_id: str, path: str):
         self.source_id = source_id
@@ -475,11 +454,12 @@ class XmlCorpusSource:
 
     def scan(self, table: str, pushed: Sequence | None = None) -> Iterator[Row]:
         schema = self.schema(table)
-        if pushed:
-            raise CapabilityError("xml corpus connector does not support pushdown")
+        preds = tuple(pushed or ())
+        if preds:
+            _check_pushable(schema, preds)
         for doc in self.documents():
             meta = doc.meta
-            yield (
+            row = (
                 doc.id,
                 meta.get("title"),
                 meta.get("findspot"),
@@ -489,6 +469,9 @@ class XmlCorpusSource:
                 meta.get("persons"),
                 doc.body or None,
             )
+            if preds and not matches(schema, preds, row):
+                continue
+            yield row
 
 
 SourceHandle = TabularSource | XmlCorpusSource

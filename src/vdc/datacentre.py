@@ -32,6 +32,7 @@ from .atomic import write_atomic
 from .connectors import CorpusDoc, SourceDescriptor, SourceHandle, row_item_key
 from .errors import (
     AccessDenied,
+    CollectionError,
     IndexFormatError,
     IntegrityError,
     LockedError,
@@ -58,20 +59,15 @@ from .textindex import (
 )
 
 CATALOGUE_MAGIC = "VDCCAT 1"
-DEFAULT_MANIFEST_FIELDS = ("title",)
+# the stored fields an index of an index-only source publishes; every other
+# stored field of such an index reads "-"
+MANIFEST_FIELDS = ("title",)
 
 
 class AccessMode(Enum):
     VAULT = "vault"
     LIVE = "live"
     INDEX_ONLY = "index-only"
-
-    @classmethod
-    def parse(cls, s: str) -> "AccessMode":
-        for m in cls:
-            if m.value == s:
-                return m
-        raise ValueError(f"unknown access mode {s!r}")
 
 
 @contextmanager
@@ -92,64 +88,39 @@ def catalogue_lock(catalogue_path: str, blocking: bool = True):
 # --------------------------------------------------------------------------
 # relations (the query engine's view of the catalogue)
 
-@dataclass
-class BaseBinding:
-    ref: RelationRef
-    raw_schema: TableSchema
-    supports_compare: bool
-    supports_contains: bool
-    # view column -> (raw column, transformed); identity for raw tables
-    origin: dict[str, tuple[str, bool]]
-
-
 class Relation:
-    """A registered raw table or view, scannable base by base."""
+    """A registered view, scannable base by base.  A raw table is the
+    identity view over itself, so every relation has the same shape."""
 
-    def __init__(
-        self,
-        name: str,
-        schema: TableSchema,
-        bases: list[BaseBinding],
-        catalogue: "Catalogue",
-        compiled: CompiledView | None,
-    ):
-        self.name = name
-        self.schema = schema
-        self.bases = bases
+    def __init__(self, compiled: CompiledView, catalogue: "Catalogue"):
+        self.name = compiled.view.name
+        self.schema = compiled.schema
+        self.bases: tuple[RelationRef, ...] = compiled.view.base
         self._catalogue = catalogue
         self._compiled = compiled
 
     def scannable(self, column: str) -> bool:
         """True when a predicate on this column may run on raw rows."""
-        for b in self.bases:
-            origin = b.origin.get(column)
+        for origins in self._compiled.origins:
+            origin = origins.get(column)
             if origin is None or origin[1]:
                 return False
         return True
 
     def rewrite_raw(self, base_index: int, pred):
-        raw_name = self.bases[base_index].origin[pred.column][0]
+        raw_name = self._compiled.origins[base_index][pred.column][0]
         if isinstance(pred, Compare):
             return Compare(raw_name, pred.op, pred.literal)
         return Contains(raw_name, pred.needle)
-
-    def connector_supports(self, base_index: int, preds: Sequence) -> bool:
-        b = self.bases[base_index]
-        for p in preds:
-            if isinstance(p, Contains) and not b.supports_contains:
-                return False
-            if isinstance(p, Compare) and not b.supports_compare:
-                return False
-        return True
 
     def estimate_rows(self) -> int:
         """Raw row count over all bases.  The planner does not use it; the
         benchmark's traced run wraps it by name, so it stays until that
         benchmark changes."""
         total = 0
-        for b in self.bases:
-            handle = self._catalogue.open_handle(b.ref.source_id)
-            total += handle.estimate_rows(b.ref.table)
+        for ref in self.bases:
+            handle = self._catalogue.open_handle(ref.source_id)
+            total += handle.estimate_rows(ref.table)
         return total
 
     def scan_base(
@@ -167,23 +138,18 @@ class Relation:
         connector calls it itself and the executor passes it as
         ``raw_eval``.
         """
-        b = self.bases[base_index]
-        handle = self._catalogue.open_handle(b.ref.source_id)
+        ref = self.bases[base_index]
+        handle = self._catalogue.open_handle(ref.source_id)
         if use_connector and raw_preds:
-            rows = handle.scan(b.ref.table, pushed=raw_preds)
+            rows = handle.scan(ref.table, pushed=raw_preds)
         else:
-            rows = handle.scan(b.ref.table)
+            rows = handle.scan(ref.table)
+            if raw_preds:
+                schema = self._compiled.base_schemas[base_index]
+                rows = (r for r in rows if raw_eval(schema, raw_preds, r))
+        apply = self._compiled.apply
         for raw_row in rows:
-            if raw_preds and not use_connector:
-                if not raw_eval(b.raw_schema, raw_preds, raw_row):
-                    continue
-            if self._compiled is None:
-                yield raw_row, []
-            else:
-                ref = ItemRef(
-                    b.ref.source_id, b.ref.table, row_item_key(raw_row) or "?"
-                ).text()
-                yield self._compiled.apply(base_index, raw_row, ref)
+            yield apply(base_index, raw_row)
 
 
 # --------------------------------------------------------------------------
@@ -210,16 +176,9 @@ class _RecipeEntry:
 class Catalogue:
     """All registrations of one data centre, backed by one catalogue file."""
 
-    def __init__(
-        self,
-        path: str = "./catalogue.vdc",
-        strict_translate: bool = False,
-        manifest_fields: Sequence[str] = DEFAULT_MANIFEST_FIELDS,
-    ):
+    def __init__(self, path: str = "./catalogue.vdc"):
         self.path = path
         self.store_dir = path + ".store"
-        self.strict_translate = strict_translate
-        self.manifest_fields = tuple(manifest_fields)
         self.sources: dict[str, SourceDescriptor] = {}
         self.views: dict[str, _ViewEntry] = {}
         self.xlates: dict[str, _XlateEntry] = {}
@@ -284,14 +243,16 @@ class Catalogue:
     def open_handle(self, source_id: str, for_ingest: bool = False) -> SourceHandle:
         """Open a source under its mode rules.
 
-        Index-only content is reachable only with ``for_ingest`` (the
-        ingest+index run); vault handles are cached (snapshots are
-        immutable), live sources are re-opened every time.
+        This is the one place that denies index-only content: it is
+        reachable only with ``for_ingest`` (the ingest+index run).  Vault
+        handles are cached (snapshots are immutable), live sources are
+        re-opened every time.
         """
         desc = self._descriptor(source_id)
         if desc.mode is AccessMode.INDEX_ONLY and not for_ingest:
             raise AccessDenied(
-                f"source {source_id!r} is index-only: records are not retrievable"
+                f"source {source_id!r} is index-only: its content is readable "
+                "only while building its index"
             )
         if desc.mode is AccessMode.VAULT:
             if source_id not in self._vault_handles:
@@ -323,18 +284,9 @@ class Catalogue:
         return view
 
     def _compile_view(self, view: ViewDefinition) -> CompiledView:
-        schemas = []
-        for ref in view.base:
-            desc = self._descriptor(ref.source_id)
-            if desc.mode is AccessMode.INDEX_ONLY:
-                raise AccessDenied(
-                    f"source {ref.source_id!r} is index-only: not queryable"
-                )
-            schemas.append(self.table_schema(ref.source_id, ref.table))
+        schemas = [self.table_schema(ref.source_id, ref.table) for ref in view.base]
         xlates = {xid: e.table for xid, e in self.xlates.items()}
-        return mediation.compile_view(
-            view, schemas, xlates, strict_translate=self.strict_translate
-        )
+        return mediation.compile_view(view, schemas, xlates)
 
     # -- relation resolution -------------------------------------------------
     def resolve_relation(self, name: str) -> Relation:
@@ -347,39 +299,21 @@ class Catalogue:
                 raise PlanError(str(e)) from e
             return self._raw_relation(ref)
         if name in self.views:
-            view = self.views[name].definition
-            compiled = self._compile_view(view)
-            bases = []
-            for b, ref in enumerate(view.base):
-                handle = self.open_handle(ref.source_id)
-                bases.append(
-                    BaseBinding(
-                        ref,
-                        handle.schema(ref.table),
-                        supports_compare=handle.kind == connectors.TABULAR,
-                        supports_contains=handle.supports_contains,
-                        origin=compiled.origins[b],
-                    )
-                )
-            return Relation(view.name, compiled.schema, bases, self, compiled)
+            return Relation(self._compile_view(self.views[name].definition), self)
         candidates = []
         for source_id, desc in self.sources.items():
             if desc.mode is AccessMode.INDEX_ONLY:
                 # Table names are metadata: a bare-name match on an
-                # index-only source is reported as denied, not hidden.
+                # index-only source is reported as denied (by open_handle,
+                # when the relation is compiled), not hidden.
                 try:
                     handle = connectors.open_source(desc)
                 except SourceError:
                     continue  # original withdrawn; only its index remains
             else:
                 handle = self.open_handle(source_id)
-            for schema in handle.list_tables():
-                if schema.name == name:
-                    if desc.mode is AccessMode.INDEX_ONLY:
-                        raise AccessDenied(
-                            f"source {source_id!r} is index-only: not queryable"
-                        )
-                    candidates.append(RelationRef(source_id, name))
+            if any(schema.name == name for schema in handle.list_tables()):
+                candidates.append(RelationRef(source_id, name))
         if not candidates:
             raise NotFound(f"no view or table named {name!r}")
         if len(candidates) > 1:
@@ -388,19 +322,8 @@ class Catalogue:
         return self._raw_relation(candidates[0])
 
     def _raw_relation(self, ref: RelationRef) -> Relation:
-        desc = self._descriptor(ref.source_id)
-        if desc.mode is AccessMode.INDEX_ONLY:
-            raise AccessDenied(f"source {ref.source_id!r} is index-only: not queryable")
-        handle = self.open_handle(ref.source_id)
-        schema = handle.schema(ref.table)
-        binding = BaseBinding(
-            ref,
-            schema,
-            supports_compare=handle.kind == connectors.TABULAR,
-            supports_contains=handle.supports_contains,
-            origin={c.name: (c.name, False) for c in schema.columns},
-        )
-        return Relation(ref.text(), schema, [binding], self, None)
+        """A raw table, as the identity view over itself."""
+        return Relation(self._compile_view(ViewDefinition(ref.text(), (ref,), ())), self)
 
     # -- record fetching -------------------------------------------------------
     def fetch_record(self, ref: ItemRef) -> Row | CorpusDoc:
@@ -412,9 +335,6 @@ class Catalogue:
     ) -> dict[str, Row | CorpusDoc]:
         """The first record of each item id in one container, from a single
         pass that stops once every id has been found."""
-        desc = self._descriptor(source_id)
-        if desc.mode is AccessMode.INDEX_ONLY:
-            raise AccessDenied(f"source {source_id!r} is index-only: fetch denied")
         handle = self.open_handle(source_id)
         if handle.kind == connectors.XML_CORPUS:
             if container != "docs":
@@ -431,20 +351,12 @@ class Catalogue:
                     break
         return found
 
-    def check_ref(self, ref: ItemRef) -> None:
-        """Validate a ref for collection membership under mode rules."""
-        desc = self._descriptor(ref.source_id)
-        if desc.mode is AccessMode.INDEX_ONLY:
-            return  # refs are metadata; content checks would need the records
-        self.fetch_record(ref)
-
-    def resolve_refs(self, refs: Sequence[ItemRef]) -> list[ResolvedItem]:
-        """Resolve collection refs, in order, to records or index-only stubs.
-
-        The row and document refs of one source container are fetched
-        together, in one pass.  A ref that cannot be resolved becomes an
-        ``error`` item and resolution continues.
-        """
+    def _fetch_grouped(
+        self, refs: Sequence[ItemRef]
+    ) -> dict[tuple[str, str], dict[str, Row | CorpusDoc] | VdcError]:
+        """The records of ``refs`` outside index-only sources, fetched one
+        pass per source container; a container whose fetch fails maps to
+        its error."""
         groups: dict[tuple[str, str], list[str]] = {}
         for ref in refs:
             desc = self.sources.get(ref.source_id)
@@ -456,6 +368,32 @@ class Catalogue:
                 fetched[source_id, container] = self._fetch_records(source_id, container, ids)
             except VdcError as e:
                 fetched[source_id, container] = e
+        return fetched
+
+    def check_refs(self, refs: Sequence[ItemRef]) -> None:
+        """Validate refs for collection membership under mode rules.
+
+        Refs into index-only sources are metadata and accepted unchecked;
+        every other ref must name an existing record.  Raises
+        CollectionError naming the first unresolvable ref, in ``refs``
+        order.
+        """
+        fetched = self._fetch_grouped(refs)
+        for ref in refs:
+            try:
+                if self._descriptor(ref.source_id).mode is not AccessMode.INDEX_ONLY:
+                    _pick(fetched[ref.source_id, ref.container], ref)
+            except VdcError as e:
+                raise CollectionError(f"unresolvable ref {ref.text()}: {e}") from e
+
+    def resolve_refs(self, refs: Sequence[ItemRef]) -> list[ResolvedItem]:
+        """Resolve collection refs, in order, to records or index-only stubs.
+
+        The row and document refs of one source container are fetched
+        together, in one pass.  A ref that cannot be resolved becomes an
+        ``error`` item and resolution continues.
+        """
+        fetched = self._fetch_grouped(refs)
         out = []
         for ref in refs:
             try:
@@ -475,8 +413,6 @@ class Catalogue:
                 "stub",
                 {"doc_id": entry.doc_id, "fields": dict(entry.stored)},
             )
-        if isinstance(records, VdcError):
-            raise records
         record = _pick(records, ref)
         if isinstance(record, CorpusDoc):
             return ResolvedItem(ref, "doc", record)
@@ -508,22 +444,14 @@ class Catalogue:
     def ingest(self, recipe: IngestRecipe, privileged: bool = False):
         """Run a recipe.  ``privileged`` marks the ingest+index run, the one
         path allowed to read index-only content."""
-        desc = self._descriptor(recipe.source.source_id)
-        if desc.mode is AccessMode.INDEX_ONLY and not privileged:
-            raise AccessDenied(
-                f"source {recipe.source.source_id!r} is index-only: "
-                "content is only readable while building its index"
-            )
-        handle = self.open_handle(recipe.source.source_id, for_ingest=True)
+        handle = self.open_handle(recipe.source.source_id, for_ingest=privileged)
         return textindex.ingest_documents(handle, recipe)
 
     def build_index(self, collection: str, recipe: IngestRecipe) -> tuple[str, list[str]]:
         """Ingest + index + publish: returns (index path, ingest warnings)."""
         desc = self._descriptor(recipe.source.source_id)
         docs, warnings = self.ingest(recipe, privileged=True)
-        whitelist = None
-        if desc.mode is AccessMode.INDEX_ONLY:
-            whitelist = self.manifest_fields
+        whitelist = MANIFEST_FIELDS if desc.mode is AccessMode.INDEX_ONLY else None
         index = textindex.build_index(docs, recipe, stored_whitelist=whitelist)
         index_dir = os.path.join(self.store_dir, "index")
         os.makedirs(index_dir, exist_ok=True)
@@ -577,8 +505,6 @@ class Catalogue:
     def load(
         cls,
         path: str,
-        strict_translate: bool = False,
-        manifest_fields: Sequence[str] = DEFAULT_MANIFEST_FIELDS,
         stale_indexes_ok: bool = False,
     ) -> "Catalogue":
         """Load and integrity-check a catalogue file.
@@ -601,7 +527,7 @@ class Catalogue:
             raise IntegrityError(
                 f"bad catalogue header {(lines[0] if lines else '')!r}"
             )
-        cat = cls(path, strict_translate=strict_translate, manifest_fields=manifest_fields)
+        cat = cls(path)
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -626,7 +552,7 @@ class Catalogue:
     def _load_line(self, tag: str, rest: str, stale_indexes_ok: bool) -> None:
         if tag == "SOURCE":
             sid, kind, mode_s, path = rest.split(" ", 3)
-            mode = AccessMode.parse(mode_s)
+            mode = AccessMode(mode_s)
             if sid in self.sources:
                 raise IntegrityError(f"duplicate source {sid!r}")
             if mode is AccessMode.VAULT and not os.path.isdir(path):
@@ -698,7 +624,11 @@ class Catalogue:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
 
 
-def _pick(records: dict[str, Row | CorpusDoc], ref: ItemRef) -> Row | CorpusDoc:
+def _pick(records: dict[str, Row | CorpusDoc] | VdcError, ref: ItemRef) -> Row | CorpusDoc:
+    """The record of ``ref`` in a container's fetched records; a container
+    whose fetch failed raises its error."""
+    if isinstance(records, VdcError):
+        raise records
     try:
         return records[ref.item_id]
     except KeyError:

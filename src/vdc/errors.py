@@ -44,7 +44,7 @@ class SourceError(VdcError):
 
 
 class CapabilityError(VdcError):
-    """A connector was handed a pushed predicate it does not support."""
+    """A pushed predicate names an unknown column or does not fit its kind."""
 
 
 class LoadError(VdcError):

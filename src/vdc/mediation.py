@@ -20,7 +20,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import CoercionError, LoadError, ParseError, PlanError, VdcError
+from .connectors import row_item_key
+from .errors import CoercionError, LoadError, ParseError, PlanError
 from .model import (
     ColumnDescriptor,
     ColumnKind,
@@ -31,10 +32,6 @@ from .model import (
 )
 
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-class TranslationError(VdcError):
-    """Raised in strict mode when a term has no translation."""
 
 
 @dataclass(frozen=True)
@@ -110,18 +107,10 @@ def parse_translation_table(table_id: str, text: str) -> TranslationTable:
     return TranslationTable(table_id, entries)
 
 
-def translate_term(table: TranslationTable, term: str, strict: bool = False) -> str:
-    """Mapped target term, or the input unchanged when unmapped.
-
-    ``strict`` upgrades the pass-through to an error for catalogues that
-    want translation coverage enforced.
-    """
+def translate_term(table: TranslationTable, term: str) -> str:
+    """Mapped target term, or the input unchanged when unmapped."""
     hit = table.lookup(term)
-    if hit is not None:
-        return hit
-    if strict and term != "":
-        raise TranslationError(f"no translation for {term!r} in table {table.id!r}")
-    return term
+    return term if hit is None else hit
 
 
 # --------------------------------------------------------------------------
@@ -284,43 +273,55 @@ class _CellOp:
 class CompiledView:
     """A view resolved against its base schemas, ready to map rows.
 
-    ``schema`` is the resolved output schema; ``apply(base_index, row, ref)``
-    maps one base row to a view row, returning collected coercion warnings.
+    ``schema`` is the resolved output schema and ``base_schemas`` the raw
+    schema of each base; ``apply(base_index, row)`` maps one base row to a
+    view row, returning collected coercion warnings.
     ``origins[base][view_column]`` is ``(raw column name, transformed)``:
     a predicate on an untransformed column may be evaluated on raw rows.
+    A raw table is the identity view over itself: no rules, so ``apply``
+    returns its rows unchanged.
     """
 
-    def __init__(self, view: ViewDefinition, schema: TableSchema, ops: list[list[_CellOp]],
-                 origins: list[dict[str, tuple[str, bool]]], strict_translate: bool):
+    def __init__(self, view: ViewDefinition, schema: TableSchema,
+                 base_schemas: list[TableSchema], ops: list[list[_CellOp]],
+                 origins: list[dict[str, tuple[str, bool]]]):
         self.view = view
         self.schema = schema
+        self.base_schemas = base_schemas
         self.origins = origins
         self._ops = ops
-        self._strict = strict_translate
 
-    def apply(self, base_index: int, row: Row, ref: str) -> tuple[Row, list[CoercionError]]:
+    def apply(self, base_index: int, row: Row) -> tuple[Row, list[CoercionError]]:
+        ops = self._ops[base_index]
         warnings: list[CoercionError] = []
+        if not ops:
+            return row, warnings
         cells = list(row)
-        for op in self._ops[base_index]:
+        for op in ops:
             cell = cells[op.index]
             if cell is None:
                 continue
             if op.kind == "translate":
-                cells[op.index] = translate_term(op.table, cell, strict=self._strict)
+                cells[op.index] = translate_term(op.table, cell)
             else:
                 try:
                     cells[op.index] = parse_uncertain_date(cell)
                 except ParseError:
-                    warnings.append(CoercionError(ref, op.column, cell))
+                    warnings.append(CoercionError(self._ref(base_index, row), op.column, cell))
                     cells[op.index] = None
         return tuple(cells), warnings
+
+    def _ref(self, base_index: int, row: Row) -> str:
+        """Item-ref text of a base row, for its coercion warnings; ``?``
+        stands in for an empty key."""
+        base = self.view.base[base_index]
+        return f"{base.source_id}/{base.table}/{row_item_key(row) or '?'}"
 
 
 def compile_view(
     view: ViewDefinition,
     base_schemas: list[TableSchema],
     xlates: dict[str, TranslationTable],
-    strict_translate: bool = False,
 ) -> CompiledView:
     """Resolve a view's rules against its base schemas.
 
@@ -408,5 +409,5 @@ def compile_view(
         for b, cols in enumerate(states)
     ]
     schema = TableSchema(view.name, tuple(first))
-    return CompiledView(view, schema, ops, origins, strict_translate)
+    return CompiledView(view, schema, list(base_schemas), ops, origins)
 

@@ -2,8 +2,8 @@
 
 Scan-level predicates (single-relation Compare/Contains over columns whose
 values pass through mediation untransformed) are attached to the Scan node
-and evaluated either by the connector (when its capabilities allow and
-pushdown is enabled) or centrally by the engine on the raw rows.  Both
+and evaluated either by the connector (when pushdown is enabled; every
+connector takes them) or centrally by the engine on the raw rows.  Both
 routes see identical values and run the same evaluator
 (``predicates.matches``), so enabling or disabling pushdown can never
 change the result — including its coercion warnings, because mediation runs
@@ -239,8 +239,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
         scans: list[PlanNode] = []
         for b in range(len(rel.bases)):
             raw = tuple(rel.rewrite_raw(b, p) for p in scan_preds[r])
-            use_conn = bool(raw) and pushdown and rel.connector_supports(b, raw)
-            scans.append(ScanNode(rel, b, raw, use_conn))
+            scans.append(ScanNode(rel, b, raw, bool(raw) and pushdown))
         node: PlanNode = scans[0] if len(scans) == 1 else UnionAllNode(tuple(scans))
         if term_filters[r]:
             node = FilterNode(node, tuple(term_filters[r]))

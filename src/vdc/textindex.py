@@ -29,7 +29,6 @@ from .errors import (
     IngestError,
     NotFound,
     ParseError,
-    VdcError,
 )
 from .connectors import SourceHandle, row_item_key
 from .mediation import IDENT_RE, RelationRef
@@ -83,9 +82,6 @@ class IngestRecipe:
     body_columns: tuple[str, ...]
     geo: tuple[str, str] | None  # (lat column, lon column)
     indexed: tuple[str, ...]
-
-    def field_names(self) -> list[str]:
-        return [f for f, _ in self.field_map]
 
 
 def parse_recipe_file(text: str) -> IngestRecipe:
@@ -717,11 +713,16 @@ def search(index: InvertedIndex, q: SearchQuery) -> list[Hit]:
     lies inside the bbox when one is given (boundary inclusive).  Hits are
     ordered by score descending, then doc_id ascending.  Postings are
     decoded for the query terms only, and DOCS lines for the returned hits
-    and, with a bbox, the candidates.
+    and, with a bbox, the candidates.  A restriction to a field the index
+    does not have raises NotFound naming the indexed fields.
     """
     fields = index.indexed_fields()
     if q.field is not None:
-        fields = [q.field] if q.field in fields else []
+        if q.field not in fields:
+            raise NotFound(
+                f"index has no field {q.field!r}; indexed fields: {', '.join(fields)}"
+            )
+        fields = [q.field]
 
     scores: dict[int, int] | None = None
     if q.terms:
@@ -790,11 +791,7 @@ def collection_update(catalogue: "Catalogue", name: str, add: Sequence[ItemRef])
         raise CollectionError(f"bad collection name {name!r}")
     if not add and name not in catalogue.collections:
         raise CollectionError("a new collection needs at least one ref")
-    for ref in add:
-        try:
-            catalogue.check_ref(ref)
-        except VdcError as e:
-            raise CollectionError(f"unresolvable ref {ref.text()}: {e}") from e
+    catalogue.check_refs(add)
     coll = catalogue.collections.get(name)
     if coll is None:
         coll = VirtualCollection(name, [])

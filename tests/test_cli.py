@@ -202,6 +202,14 @@ class TestSearchViaCli:
         assert cli("index", "build", "vol_texts", "--recipe", recipe)[0] == 0
         assert cli("search", "vol_texts", "imperator") == (0, before, "")
 
+    def test_search_unindexed_field_exit_2(self, centre):
+        cli, cat, fx, _ = centre
+        assert cli("index", "build", "vol_texts",
+                   "--recipe", os.path.join(fx, "recipes", "volterra.recipe"))[0] == 0
+        code, out, err = cli("search", "vol_texts", "imperator", "--field", "findspot")
+        assert code == 2 and out == ""
+        assert "'findspot'" in err and "body" in err and "title" in err
+
     def test_search_unknown_collection(self, centre):
         cli, *_ = centre
         assert cli("search", "ghost", "term")[0] == 2

@@ -157,29 +157,40 @@ class TestTabular:
 class TestPushdownSoundness:
     def test_matches_reference_evaluator(self, desk_fixtures):
         """Pushed predicates must keep exactly the rows the reference
-        oracle's own predicate code keeps, for every supported predicate."""
+        oracle's own predicate code keeps, for every predicate shape, on
+        both connectors."""
         fx, _ = desk_fixtures
-        handle = live("volterra", os.path.join(fx, "volterra"))
-        schema = handle.schema("legal_texts")
-        full = list(handle.scan("legal_texts"))
+        ops = ["<", "<=", ">", ">=", "=", "!="]
+        spots = ["Rome", "Oxyrhynchos", "Carthage", "Alexandria", "Aphrodisias"]
+        volterra = live("volterra", os.path.join(fx, "volterra"))
+        iaph = live("iaph", os.path.join(fx, "iaph"), "xml_corpus")
+        inputs = [
+            (volterra, "legal_texts", lambda rng: (
+                Compare("id", rng.choice(ops), rng.randint(1, 500)),
+                Compare("findspot", rng.choice(["=", "!="]), rng.choice(spots)),
+                Contains("summary", rng.choice(["impera", "LEX", "heres", "zz"])),
+            )),
+            (iaph, "docs", lambda rng: (
+                Compare("id", rng.choice(ops), f"i{rng.randint(0, 300):04d}"),
+                Compare("findspot", rng.choice(["=", "!="]), rng.choice(spots)),
+                Contains(rng.choice(["body", "title", "persons"]),
+                         rng.choice(["ΣΤΡΑΤΗΓ", "ΛΌΓ", "inscr", "zz"])),
+            )),
+        ]
         rng = random.Random(7)
-        spots = ["Rome", "Oxyrhynchos", "Carthage", "Alexandria"]
-        for _ in range(60):
-            pick = rng.random()
-            if pick < 0.4:
-                pred = Compare("id", rng.choice(["<", "<=", ">", ">=", "=", "!="]),
-                               rng.randint(1, 500))
-            elif pick < 0.7:
-                pred = Compare("findspot", rng.choice(["=", "!="]), rng.choice(spots))
-            else:
-                pred = Contains("summary", rng.choice(["impera", "LEX", "heres", "zz"]))
-            pushed = list(handle.scan("legal_texts", [pred]))
-            i = schema.index_of(pred.column)
-            if isinstance(pred, Contains):
-                expected = [r for r in full if _naive_contains(r[i], pred.needle)]
-            else:
-                expected = [r for r in full if _naive_compare(r[i], pred.op, pred.literal)]
-            assert pushed == expected, pred
+        for handle, table, preds in inputs:
+            schema = handle.schema(table)
+            full = list(handle.scan(table))
+            for _ in range(60):
+                pick = rng.random()
+                pred = preds(rng)[0 if pick < 0.4 else 1 if pick < 0.7 else 2]
+                pushed = list(handle.scan(table, [pred]))
+                i = schema.index_of(pred.column)
+                if isinstance(pred, Contains):
+                    expected = [r for r in full if _naive_contains(r[i], pred.needle)]
+                else:
+                    expected = [r for r in full if _naive_compare(r[i], pred.op, pred.literal)]
+                assert pushed == expected, (table, pred)
 
     def test_determinism(self, desk_fixtures):
         fx, _ = desk_fixtures
@@ -270,12 +281,29 @@ class TestXmlCorpus:
             list(live("c", d, kind="xml_corpus").scan("docs"))
 
     def test_no_pushdown_capability(self, tmp_path):
+        """The XML connector takes pushed predicates like the tabular one:
+        it keeps the rows the reference predicates keep and rejects unknown
+        columns and mistyped literals."""
         d = tmp_path / "c"
         os.makedirs(d)
-        (d / "a.xml").write_text('<doc id="a"><text>x</text></doc>')
+        (d / "a.xml").write_text('<doc id="a"><meta><title>Stein</title></meta><text>x</text></doc>')
+        (d / "b.xml").write_text('<doc id="b"><text>Xy</text></doc>')
+        (d / "c.xml").write_text('<doc id="c"><meta><title>stEIN</title></meta></doc>')
         handle = live("c", d, kind="xml_corpus")
-        with pytest.raises(CapabilityError):
-            list(handle.scan("docs", [Contains("body", "x")]))
+        schema = handle.schema("docs")
+        full = list(handle.scan("docs"))
+        for pred in (Contains("body", "X"), Contains("title", "stein"),
+                     Compare("id", ">", "a"), Compare("title", "=", "Stein")):
+            i = schema.index_of(pred.column)
+            if isinstance(pred, Contains):
+                expected = [r for r in full if _naive_contains(r[i], pred.needle)]
+            else:
+                expected = [r for r in full if _naive_compare(r[i], pred.op, pred.literal)]
+            assert expected
+            assert list(handle.scan("docs", [pred])) == expected, pred
+        for bad in (Contains("nope", "x"), Compare("id", "=", 1)):
+            with pytest.raises(CapabilityError):
+                list(handle.scan("docs", [bad]))
 
     def test_fixture_table_names(self, desk_fixtures):
         fx, _ = desk_fixtures

@@ -131,6 +131,11 @@ class TestIndexOnlyMode:
             plan_query(parse_query("SELECT * FROM sec.t"), cat)
         with pytest.raises(AccessDenied):
             plan_query(parse_query("SELECT * FROM t"), cat)
+        view = tmp_path / "sec.view"
+        view.write_text("view sv\nfrom sec.t\nend\n", encoding="utf-8")
+        with pytest.raises(AccessDenied):
+            cat.define_view(str(view))
+        assert "sv" not in cat.views
 
     def test_plain_ingest_denied(self, tmp_path):
         cat = self.build(tmp_path)
@@ -315,15 +320,21 @@ class TestRegistrationIntegrity:
             Catalogue.load(cat.path)
         assert "translation table" in str(e.value)
 
-    def test_strict_translate_catalogue_rejects_unmapped_terms(self, tmp_path, desk_fixtures):
-        fx, _ = desk_fixtures
-        cat = Catalogue(str(tmp_path / "c.vdc"), strict_translate=True)
-        register_desk(cat, fx)
-        from vdc.mediation import TranslationError
-
-        # the fixture category vocabulary includes an untranslated German term
-        with pytest.raises(TranslationError):
-            execute_plan(plan_query(parse_query("SELECT category FROM papyri_en"), cat))
+    def test_view_over_keys_that_are_not_item_ids(self, tmp_path):
+        """A first-column key an ItemRef cannot hold (here a comma) does not
+        fail a view query; it only appears in a coercion warning's ref."""
+        d = tmp_path / "src"
+        os.makedirs(d)
+        (d / "t.csv").write_text('id,d\n"a,b",0200\nc,bad\n', encoding="utf-8")
+        (d / "t.schema").write_text("id : text\nd : date_text\n", encoding="utf-8")
+        view = tmp_path / "v.view"
+        view.write_text("view v\nfrom s.t\ncoerce d date\nend\n", encoding="utf-8")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(d), AccessMode.LIVE)
+        cat.define_view(str(view))
+        rs = execute_plan(plan_query(parse_query("SELECT * FROM v"), cat))
+        assert result_to_csv(rs) == 'id,d\n"a,b",0200-01-01/0200-12-31\nc,\n'
+        assert [w.ref for w in rs.warnings] == ["s/t/c"]
 
     def test_hash_build_cap_guards_memory(self, tmp_path, desk_fixtures):
         from vdc.errors import ExecutionError

@@ -10,7 +10,6 @@ from vdc.mediation import (
     Coerce,
     Rename,
     Translate,
-    TranslationError,
     compile_view,
     parse_translation_table,
     parse_view_file,
@@ -36,13 +35,6 @@ class TestTranslationTable:
         t = make_xlate()
         assert translate_term(t, "ostrakon") == "ostrakon"
         assert translate_term(t, "") == ""
-
-    def test_strict_mode(self):
-        t = make_xlate()
-        assert translate_term(t, "Brief", strict=True) == "letter"
-        with pytest.raises(TranslationError):
-            translate_term(t, "ostrakon", strict=True)
-        assert translate_term(t, "", strict=True) == ""
 
     def test_duplicate_source_term(self):
         with pytest.raises(LoadError):
@@ -184,7 +176,7 @@ class TestRowMapping:
 
     def test_translate_and_coerce_compose(self):
         cv = self.compiled()
-        row, warns = cv.apply(0, (1, "Memphis", "0213", "Quittung"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", "0213", "Quittung"))
         assert warns == []
         assert row[3] == "receipt"
         assert isinstance(row[2], UncertainDate)
@@ -192,12 +184,12 @@ class TestRowMapping:
 
     def test_null_date_stays_null(self):
         cv = self.compiled()
-        row, warns = cv.apply(0, (1, "Memphis", None, "Brief"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", None, "Brief"))
         assert row[2] is None and row[3] == "letter" and warns == []
 
     def test_unparseable_date_collected_not_fatal(self):
         cv = self.compiled()
-        row, warns = cv.apply(0, (1, "Memphis", "13th of March", "Brief"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", "13th of March", "Brief"))
         assert row[2] is None
         assert len(warns) == 1
         assert isinstance(warns[0], CoercionError)
@@ -207,7 +199,7 @@ class TestRowMapping:
     def test_rename_preserves_values(self):
         v = parse_view_file('view v\nfrom a.t\nrename "Fundort" -> findspot\nend\n')
         cv = compile_view(v, [BASE], {})
-        row, warns = cv.apply(0, (1, "Memphis", "0213", "Brief"), "a/t/1")
+        row, warns = cv.apply(0, (1, "Memphis", "0213", "Brief"))
         assert row == (1, "Memphis", "0213", "Brief") and warns == []
 
     def test_application_is_order_independent(self):
@@ -218,8 +210,8 @@ class TestRowMapping:
         rng = random.Random(3)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        out_a = sorted(repr(cv.apply(0, r, f"a/t/{r[0]}")) for r in rows)
-        out_b = sorted(repr(cv.apply(0, r, f"a/t/{r[0]}")) for r in shuffled)
+        out_a = sorted(repr(cv.apply(0, r)) for r in rows)
+        out_b = sorted(repr(cv.apply(0, r)) for r in shuffled)
         assert out_a == out_b
 
 

@@ -131,13 +131,24 @@ class TestPlanner:
         assert flt.child.raw_preds == ()
 
     def test_contains_on_xml_connector_is_engine_evaluated(self, desk_centre):
+        """Every connector takes pushed CONTAINS: on the XML corpus it lands
+        in the connector, and the rows equal the engine-evaluated route's
+        and the reference evaluator's."""
         cat, _, _ = desk_centre
-        plan = plan_query(
-            parse_query("SELECT id FROM iaph.docs WHERE body CONTAINS 'x'"), cat
-        )
-        scan = plan.root.child
-        assert isinstance(scan, ScanNode)
-        assert scan.raw_preds and not scan.use_connector
+        for text in (
+            "SELECT id FROM iaph.docs WHERE body CONTAINS 'ΣΤΡΑΤΗΓ'",
+            "SELECT id, category FROM iaph_docs WHERE findspot = 'Aphrodisias' "
+            "AND title CONTAINS 'INSCR'",
+        ):
+            ast = parse_query(text)
+            plan = plan_query(ast, cat)
+            scan = plan.root.child
+            assert isinstance(scan, ScanNode)
+            assert scan.raw_preds and scan.use_connector
+            rows = execute_plan(plan).rows
+            assert rows
+            assert rows == execute_plan(plan_query(ast, cat, pushdown=False)).rows
+            assert rows == reference_eval(ast, cat).rows
 
     def test_no_pushdown_flag_disables_connector(self, desk_centre):
         cat, _, _ = desk_centre

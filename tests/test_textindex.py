@@ -525,6 +525,12 @@ class TestSearch:
                          if terms else st.just((-90.0, -180.0, 12.5, 180.0)))
         limit = data.draw(st.sampled_from([None, 1, 2, 5]))
         q = SearchQuery(terms, field, bbox, limit)
+        if field == "nope":  # not an indexed field: an error, not "no hits"
+            for index in (built, read_index(p)):
+                with pytest.raises(NotFound) as e:
+                    search(index, q)
+                assert "'nope'" in str(e.value) and "body, title" in str(e.value)
+            return
 
         scored = []
         for d in docs:
@@ -612,6 +618,33 @@ class TestCollections:
         assert items[0].payload[1][0] == 3 and items[2].payload[1][0] == 1
         assert items[1].payload.id == "i0000"
         assert "99999" in items[3].payload
+
+    def test_update_checks_refs_with_one_scan_per_table(self, tmp_path, desk_fixtures, monkeypatch):
+        """Three refs into one table are checked by one scan of it; an
+        unknown key fails the update naming the first unresolvable ref in
+        the order given, and leaves the collection unchanged."""
+        cat = self.centre(tmp_path, desk_fixtures)
+        scans = []
+        real_scan = connectors.TabularSource.scan
+
+        def counting_scan(self, table, *args, **kwargs):
+            scans.append(table)
+            return real_scan(self, table, *args, **kwargs)
+
+        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+        refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "2")]
+        coll = collection_update(cat, "finds", refs)
+        assert scans == ["legal_texts"]
+        assert coll.refs == refs
+        scans.clear()
+        bad = [ItemRef("volterra", "legal_texts", "5"), ItemRef("volterra", "legal_texts", "99999"),
+               ItemRef("hgv", "papyri", "88888"), ItemRef("volterra", "legal_texts", "77777")]
+        with pytest.raises(CollectionError) as e:
+            collection_update(cat, "finds", bad)
+        assert "volterra/legal_texts/99999" in str(e.value)
+        assert "77777" not in str(e.value) and "88888" not in str(e.value)
+        assert sorted(scans) == ["legal_texts", "papyri"]
+        assert cat.collections["finds"].refs == refs
 
     def test_duplicate_keys_resolve_to_the_first_row(self, tmp_path):
         d = tmp_path / "src"
