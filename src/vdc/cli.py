@@ -14,6 +14,7 @@ import sys
 
 from . import fixtures as fixturegen
 from . import textindex
+from .connectors import read_utf8
 from .datacentre import AccessMode, Catalogue, catalogue_lock
 from .errors import AccessDenied, LockedError, VdcError
 from .model import ItemRef
@@ -174,8 +175,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    with open(args.recipe, "r", encoding="utf-8") as f:
-        recipe = textindex.parse_recipe_file(f.read())
+    recipe = textindex.parse_recipe_file(read_utf8(args.recipe))
     if recipe.source.source_id != args.source:
         raise VdcError(
             f"recipe reads {recipe.source.source_id!r}, not {args.source!r}"

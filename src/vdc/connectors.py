@@ -177,6 +177,18 @@ def _utf8_error(path: str, e: UnicodeDecodeError) -> SourceError:
     return SourceError(f"invalid UTF-8 ({e.reason})", path=path, line=line)
 
 
+def read_utf8(path: str) -> str:
+    """The whole text of ``path``, line endings as written.  Invalid UTF-8
+    raises SourceError naming the path and the line of the first bad byte;
+    OSError passes through."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _utf8_error(path, e) from e
+
+
 class TabularSource:
     """Directory of ``<table>.csv`` + ``<table>.schema`` pairs."""
 
@@ -195,12 +207,7 @@ class TabularSource:
             sidecar = os.path.join(path, name + ".schema")
             if not os.path.exists(sidecar):
                 raise SourceError("missing schema sidecar", path=sidecar)
-            with open(sidecar, "r", encoding="utf-8") as f:
-                try:
-                    text = f.read()
-                except UnicodeDecodeError as e:
-                    raise _utf8_error(sidecar, e) from e
-            schema = parse_sidecar(text, name, sidecar)
+            schema = parse_sidecar(read_utf8(sidecar), name, sidecar)
             self._validate_header(name, schema)
             self._schemas[name] = schema
 

@@ -273,8 +273,7 @@ class Catalogue:
 
     def define_view(self, path: str) -> ViewDefinition:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                view = mediation.parse_view_file(f.read())
+            view = mediation.parse_view_file(connectors.read_utf8(path))
         except OSError as e:
             raise SourceError(f"cannot read view file: {e}", path=path) from e
         if view.name in self.views:
@@ -433,8 +432,7 @@ class Catalogue:
     # -- recipes and indexes -------------------------------------------------
     def register_recipe(self, path: str) -> IngestRecipe:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                recipe = textindex.parse_recipe_file(f.read())
+            recipe = textindex.parse_recipe_file(connectors.read_utf8(path))
         except OSError as e:
             raise SourceError(f"cannot read recipe file: {e}", path=path) from e
         self._descriptor(recipe.source.source_id)  # must be registered
@@ -518,9 +516,8 @@ class Catalogue:
         invalidating the catalogue).
         """
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
+            text = connectors.read_utf8(path)
+        except (OSError, SourceError) as e:
             raise IntegrityError(f"cannot read catalogue: {e}") from e
         lines = text.splitlines()
         if not lines or lines[0] != CATALOGUE_MAGIC:
@@ -560,9 +557,8 @@ class Catalogue:
             self.sources[sid] = SourceDescriptor(sid, kind, path, mode)
         elif tag == "VIEWFILE":
             try:
-                with open(rest, "r", encoding="utf-8") as f:
-                    view = mediation.parse_view_file(f.read())
-            except OSError as e:
+                view = mediation.parse_view_file(connectors.read_utf8(rest))
+            except (OSError, SourceError) as e:
                 raise IntegrityError(f"view file unreadable: {e}") from e
             except ParseError as e:
                 raise IntegrityError(f"view file {rest}: {e}") from e
@@ -581,9 +577,8 @@ class Catalogue:
             self.xlates[xid] = _XlateEntry(p, table)
         elif tag == "RECIPE":
             try:
-                with open(rest, "r", encoding="utf-8") as f:
-                    recipe = textindex.parse_recipe_file(f.read())
-            except OSError as e:
+                recipe = textindex.parse_recipe_file(connectors.read_utf8(rest))
+            except (OSError, SourceError) as e:
                 raise IntegrityError(f"recipe file unreadable: {e}") from e
             except ParseError as e:
                 raise IntegrityError(f"recipe file {rest}: {e}") from e

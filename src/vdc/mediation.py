@@ -20,8 +20,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .connectors import row_item_key
-from .errors import CoercionError, LoadError, ParseError, PlanError
+from .connectors import read_utf8, row_item_key
+from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
 from .model import (
     ColumnDescriptor,
     ColumnKind,
@@ -83,9 +83,8 @@ class TranslationTable:
 
 def load_translation_table(table_id: str, path: str) -> TranslationTable:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            text = f.read()
-    except OSError as e:
+        text = read_utf8(path)
+    except (OSError, SourceError) as e:
         raise LoadError(f"cannot read translation table: {e}") from e
     return parse_translation_table(table_id, text)
 

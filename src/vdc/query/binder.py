@@ -35,8 +35,8 @@ class Slot:
 
 
 class Binding:
-    """The joined row space of a query: relations in FROM/JOIN order and
-    one slot per (relation, column)."""
+    """The joined row space of a query: relations in FROM/JOIN order, one
+    slot per (relation, column), and one join key per JOIN."""
 
     def __init__(self, ast: QueryAst, catalogue: "Catalogue"):
         self.ast = ast
@@ -52,6 +52,26 @@ class Binding:
             self.relations.append(BoundRelation(alias, relation, len(self.slots)))
             for ci, col in enumerate(relation.schema.columns):
                 self.slots.append(Slot(len(self.relations) - 1, ci, alias, col))
+        self.join_keys = [self._join_key(r, j) for r, j in enumerate(ast.joins, 1)]
+
+    def _join_key(self, r: int, join) -> tuple[int, int]:
+        """JOIN ``r``'s ON condition as (slot of an earlier relation, column
+        of relation ``r``), in either written order, kind-checked."""
+        a, b = self.bind(join.left), self.bind(join.right)
+        ka, kb = self.slots[a].column.kind, self.slots[b].column.kind
+        if ka is not kb:
+            raise PlanError(
+                f"join keys {join.left.text()!r} ({ka.value}) and "
+                f"{join.right.text()!r} ({kb.value}) have different kinds"
+            )
+        if self.slots[a].rel_index == r:
+            a, b = b, a
+        if self.slots[b].rel_index != r or self.slots[a].rel_index >= r:
+            raise PlanError(
+                f"join condition {join.left.text()} = {join.right.text()} must "
+                f"relate {self.relations[r].alias!r} to an earlier relation"
+            )
+        return a, self.slots[b].col_index
 
     def bind(self, ref: ColumnRef) -> int:
         """Slot index for a column reference; unknown or ambiguous fails."""

@@ -1,11 +1,12 @@
 """Plan execution with exact multiset semantics and canonical output order.
 
-The engine materializes operator results bottom-up (sources are desk-to-
-archive scale, not warehouse scale), sorts the projected rows with the
-canonical value order, and applies LIMIT last.  Coercion warnings collected
-during scans travel with the result; rows whose date failed to coerce carry
-a null in that cell, which naturally drops them from any predicate or join
-key on the column while keeping them visible to unrelated queries.
+The engine runs a plan's terms left to right, materializing each stage
+(sources are desk-to-archive scale, not warehouse scale), sorts the
+projected rows with the canonical value order, and applies LIMIT last.
+Coercion warnings collected during scans travel with the result; rows whose
+date failed to coerce carry a null in that cell, which naturally drops them
+from any predicate or join key on the column while keeping them visible to
+unrelated queries.
 """
 
 from __future__ import annotations
@@ -27,19 +28,7 @@ from ..model import (
     value_sort_key,
 )
 from ..predicates import compare, contains, matches
-from .planner import (
-    BCompare,
-    BContains,
-    BDateNear,
-    FilterNode,
-    HashJoinNode,
-    LimitNode,
-    Plan,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    UnionAllNode,
-)
+from .planner import BCompare, BContains, BDateNear, Plan
 
 HASH_BUILD_CAP = 1_000_000  # rows; guards the hash-join build side
 
@@ -68,50 +57,18 @@ def eval_bound(pred, row: Row) -> bool:
     return a is not None and date_within(a, pred.lo, pred.hi)
 
 
-# -- operators ---------------------------------------------------------------
+# -- the pipeline -------------------------------------------------------------
 
-def _run(node: PlanNode, cap: int) -> tuple[list[Row], list[CoercionError]]:
-    if isinstance(node, ScanNode):
-        rows: list[Row] = []
-        warnings: list[CoercionError] = []
-        for row, warns in node.relation.scan_base(
-            node.base_index, node.raw_preds, node.use_connector, matches
-        ):
-            rows.append(row)
-            warnings.extend(warns)
-        return rows, warnings
-    if isinstance(node, UnionAllNode):
-        rows, warnings = [], []
-        for child in node.children:
-            r, w = _run(child, cap)
-            rows.extend(r)
-            warnings.extend(w)
-        return rows, warnings
-    if isinstance(node, FilterNode):
-        rows, warnings = _run(node.child, cap)
-        return [r for r in rows if all(eval_bound(p, r) for p in node.preds)], warnings
-    if isinstance(node, HashJoinNode):
-        left, lw = _run(node.left, cap)
-        right, rw = _run(node.right, cap)
-        return _hash_join(left, right, node.left_index, node.right_index, cap), lw + rw
-    if isinstance(node, ProjectNode):
-        rows, warnings = _run(node.child, cap)
-        return [tuple(r[i] for i in node.indices) for r in rows], warnings
-    if isinstance(node, LimitNode):  # handled by execute_plan after sorting
-        raise ExecutionError("LIMIT must be the plan root")
-    raise ExecutionError(f"unknown plan node {type(node).__name__}")
-
-
-def _hash_join(left: list[Row], right: list[Row], li: int, ri: int, cap: int) -> list[Row]:
+def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> list[Row]:
     """Equi-join on canonical key equality, building on the smaller side;
     output rows are always ``left + right``.  Null keys match nothing."""
     build_left = len(left) < len(right)
     build, build_i, probe, probe_i = (
         (left, li, right, ri) if build_left else (right, ri, left, li)
     )
-    if len(build) > cap:
+    if len(build) > HASH_BUILD_CAP:
         raise ExecutionError(
-            f"hash join build side exceeds {cap} rows; raise the cap or filter first"
+            f"hash join build side exceeds {HASH_BUILD_CAP} rows; filter first"
         )
     table: dict = {}
     for b in build:
@@ -128,17 +85,33 @@ def _hash_join(left: list[Row], right: list[Row], li: int, ri: int, cap: int) ->
     return out
 
 
-def execute_plan(plan: Plan, max_hash_build: int = HASH_BUILD_CAP) -> ResultSet:
-    """Run a plan: relational evaluation, canonical sort, then LIMIT."""
-    root = plan.root
-    limit = None
-    if isinstance(root, LimitNode):
-        limit = root.n
-        root = root.child
-    rows, warnings = _run(root, max_hash_build)
+def _keep(rows: list[Row], preds: tuple) -> list[Row]:
+    return [r for r in rows if all(eval_bound(p, r) for p in preds)] if preds else rows
+
+
+def execute_plan(plan: Plan) -> ResultSet:
+    """Run a plan: each term's scans, its filters and its join with the
+    rows so far; then cross-relation filters, projection, canonical sort
+    and LIMIT."""
+    rows: list[Row] = []
+    warnings: list[CoercionError] = []
+    for term in plan.terms:
+        term_rows: list[Row] = []
+        for scan in term.scans:
+            for row, warns in term.relation.scan_base(
+                scan.base_index, scan.raw_preds, scan.use_connector, matches
+            ):
+                term_rows.append(row)
+                warnings.extend(warns)
+        term_rows = _keep(term_rows, term.filters)
+        if term.join_key is None:
+            rows = term_rows
+        else:
+            rows = _hash_join(rows, term_rows, *term.join_key)
+    rows = [tuple(r[i] for i in plan.projection) for r in _keep(rows, plan.filters)]
     rows.sort(key=row_sort_key)
-    if limit is not None:
-        rows = rows[:limit]
+    if plan.limit is not None:
+        rows = rows[: plan.limit]
     warnings.sort(key=lambda w: (w.ref, w.column, w.text))
     return ResultSet(plan.schema, rows, warnings)
 

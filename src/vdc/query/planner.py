@@ -1,7 +1,12 @@
-"""Query planning: predicate placement, pushdown and join order.
+"""Query planning: predicate placement and pushdown.
+
+A plan is one left-deep pipeline: a Term per FROM/JOIN relation, in written
+order, each the union of its bases' Scans, filtered and hash-joined with
+the rows joined so far; then cross-relation filters, projection, the
+canonical sort and LIMIT.
 
 Scan-level predicates (single-relation Compare/Contains over columns whose
-values pass through mediation untransformed) are attached to the Scan node
+values pass through mediation untransformed) are attached to each Scan
 and evaluated either by the connector (when pushdown is enabled; every
 connector takes them) or centrally by the engine on the raw rows.  Both
 routes see identical values and run the same evaluator
@@ -10,8 +15,8 @@ change the result — including its coercion warnings, because mediation runs
 on exactly the rows that survive the scan predicates in both modes.
 
 Predicates that need mediated values (coerced dates, translated terms, and
-the date predicates) become Filter nodes above the scan or above the joins;
-cross-relation predicates always run post-join.
+the date predicates) become the Term's filters; cross-relation predicates
+run on the joined rows.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..datacentre import Relation
 
 
-# -- bound predicates (slot-indexed, relative to the row a node sees) ------
+# -- bound predicates (slot-indexed, relative to the row they filter) -------
 
 @dataclass(frozen=True)
 class BCompare:
@@ -67,61 +72,41 @@ class BDateWithin:
 BoundPredicate = Union[BCompare, BContains, BDateNear, BDateWithin]
 
 
-# -- plan operators ---------------------------------------------------------
+# -- the plan: one left-deep pipeline ---------------------------------------
 
-@dataclass
-class ScanNode:
-    relation: "Relation"
+@dataclass(frozen=True)
+class Scan:
+    """One base of a relation, with its scan predicates in the base's raw
+    column names, run by the connector or centrally on the raw rows."""
+
     base_index: int
-    raw_preds: tuple[Compare | Contains, ...]  # raw column names of this base
+    raw_preds: tuple[Compare | Contains, ...]
     use_connector: bool
 
 
-@dataclass
-class UnionAllNode:
-    children: tuple["PlanNode", ...]
+@dataclass(frozen=True)
+class Term:
+    """One FROM/JOIN relation: the union of its scans, then its own filters
+    (indexed within the relation's row), then a hash join with the rows
+    joined so far on ``join_key`` = (left slot, local right column); the
+    first term has no join key."""
+
+    relation: "Relation"
+    scans: tuple[Scan, ...]
+    filters: tuple[BoundPredicate, ...]
+    join_key: tuple[int, int] | None
 
 
-@dataclass
-class FilterNode:
-    child: "PlanNode"
-    preds: tuple[BoundPredicate, ...]
-
-
-@dataclass
-class HashJoinNode:
-    left: "PlanNode"
-    right: "PlanNode"
-    left_index: int
-    right_index: int
-
-
-@dataclass
-class ProjectNode:
-    child: "PlanNode"
-    indices: tuple[int, ...]
-
-
-@dataclass
-class LimitNode:
-    child: "PlanNode"
-    n: int
-
-
-PlanNode = Union[
-    ScanNode, UnionAllNode, FilterNode, HashJoinNode, ProjectNode, LimitNode,
-]
-
-
-@dataclass
+@dataclass(frozen=True)
 class Plan:
-    root: PlanNode
+    """Terms joined left to right, then the cross-relation ``filters`` on
+    the joined row, the ``projection``, the canonical sort and ``limit``."""
+
+    terms: tuple[Term, ...]
+    filters: tuple[BoundPredicate, ...]
+    projection: tuple[int, ...]
+    limit: int | None
     schema: TableSchema
-    binding: Binding
-
-
-def _kind_name(kind: ColumnKind) -> str:
-    return kind.value
 
 
 def _typed_literal(ast: CompareAst, kind: ColumnKind) -> int | str | UncertainDate:
@@ -186,7 +171,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
             if slot.column.kind is not ColumnKind.TEXT:
                 raise PlanError(
                     f"CONTAINS needs a text column, {p.column.text()!r} is "
-                    f"{_kind_name(slot.column.kind)}"
+                    f"{slot.column.kind.value}"
                 )
             r, c = local(si)
             rel = binding.relations[r].relation
@@ -200,7 +185,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                 if binding.slots[si].column.kind is not ColumnKind.DATE:
                     raise PlanError(
                         f"DATE_NEAR needs date columns, {ref.text()!r} is "
-                        f"{_kind_name(binding.slots[si].column.kind)}"
+                        f"{binding.slots[si].column.kind.value}"
                     )
             ra, ca = local(sa)
             rb, cb = local(sb)
@@ -213,60 +198,22 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
             if binding.slots[si].column.kind is not ColumnKind.DATE:
                 raise PlanError(
                     f"DATE_WITHIN needs a date column, {p.column.text()!r} is "
-                    f"{_kind_name(binding.slots[si].column.kind)}"
+                    f"{binding.slots[si].column.kind.value}"
                 )
             r, c = local(si)
             term_filters[r].append(BDateWithin(c, p.lo, p.hi))
         else:  # pragma: no cover - parser produces no other shapes
             raise PlanError(f"unsupported predicate {p!r}")
 
-    # Join keys, bound and kind-checked.
-    join_keys: list[tuple[int, int]] = []
-    for j in ast.joins:
-        li, ri = binding.bind(j.left), binding.bind(j.right)
-        lk = binding.slots[li].column.kind
-        rk = binding.slots[ri].column.kind
-        if lk is not rk:
-            raise PlanError(
-                f"join keys {j.left.text()!r} ({_kind_name(lk)}) and "
-                f"{j.right.text()!r} ({_kind_name(rk)}) have different kinds"
-            )
-        join_keys.append((li, ri))
-
-    # One subtree per relation term.
-    def term_tree(r: int) -> PlanNode:
-        rel = binding.relations[r].relation
-        scans: list[PlanNode] = []
+    terms = []
+    for r, bound in enumerate(binding.relations):
+        rel = bound.relation
+        scans = []
         for b in range(len(rel.bases)):
             raw = tuple(rel.rewrite_raw(b, p) for p in scan_preds[r])
-            scans.append(ScanNode(rel, b, raw, bool(raw) and pushdown))
-        node: PlanNode = scans[0] if len(scans) == 1 else UnionAllNode(tuple(scans))
-        if term_filters[r]:
-            node = FilterNode(node, tuple(term_filters[r]))
-        return node
-
-    root = term_tree(0)
-    for jn, (li, ri) in enumerate(join_keys, start=1):
-        right = term_tree(jn)
-        # Slots to the left of this join keep their absolute index; the
-        # right side is indexed locally.
-        left_slot = li
-        first = binding.relations[jn].first_slot
-        if not (first <= ri < first + len(binding.relations[jn].relation.schema.columns)):
-            # join condition written reversed (right col first): swap sides
-            left_slot, ri = ri, li
-            if not (first <= ri):
-                raise PlanError("join condition must relate the joined relation")
-        right_slot = ri - first
-        if left_slot >= first:
-            raise PlanError("join condition must reference an earlier relation")
-        root = HashJoinNode(root, right, left_slot, right_slot)
-
-    if join_filters:
-        root = FilterNode(root, tuple(join_filters))
+            scans.append(Scan(b, raw, bool(raw) and pushdown))
+        join_key = binding.join_keys[r - 1] if r else None
+        terms.append(Term(rel, tuple(scans), tuple(term_filters[r]), join_key))
 
     indices, schema = binding.output()
-    root = ProjectNode(root, tuple(indices))
-    if ast.limit is not None:
-        root = LimitNode(root, ast.limit)
-    return Plan(root, schema, binding)
+    return Plan(tuple(terms), tuple(join_filters), tuple(indices), ast.limit, schema)

@@ -75,13 +75,12 @@ def reference_eval(ast: QueryAst, catalogue: "Catalogue") -> ResultSet:
         tables.append(rows)
 
     # Pre-bind every column reference to its absolute slot, rejecting the
-    # same kind mismatches the planner rejects.
-    join_keys = []
-    for j in ast.joins:
-        li, ri = binding.bind(j.left), binding.bind(j.right)
-        if binding.slots[li].column.kind is not binding.slots[ri].column.kind:
-            raise PlanError(f"join keys {j.left.text()!r} and {j.right.text()!r} differ in kind")
-        join_keys.append((li, ri))
+    # same kind mismatches the planner rejects.  The join keys are bound and
+    # checked once, by the Binding.
+    join_keys = [
+        (left, binding.relations[r].first_slot + col)
+        for r, (left, col) in enumerate(binding.join_keys, start=1)
+    ]
     where = []
     for p in ast.where:
         if isinstance(p, CompareAst):

@@ -15,6 +15,7 @@ cached and shipped without its source.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 import unicodedata
 import zlib
@@ -692,6 +693,8 @@ class SearchQuery:
         if not self.terms and self.bbox is None:
             raise ValueError("search needs at least one term or a bbox")
         if self.bbox is not None:
+            if not all(math.isfinite(v) for v in self.bbox):
+                raise ValueError(f"bbox values must be finite numbers, got {self.bbox!r}")
             min_lat, min_lon, max_lat, max_lon = self.bbox
             if min_lat > max_lat or min_lon > max_lon:
                 raise ValueError("bbox minimum exceeds maximum")

@@ -50,6 +50,17 @@ class TestQueryCommand:
         assert out == ""
         assert "error" in err
 
+    def test_join_on_a_later_relation_exit_2(self, centre):
+        cli, *_ = centre
+        code, out, err = cli(
+            "query",
+            "SELECT p.id FROM papyri_en p JOIN volterra_texts v ON a.findspot = p.findspot "
+            "JOIN all_texts a ON a.id = p.id",
+        )
+        assert code == 2
+        assert out == ""
+        assert "must relate 'v' to an earlier relation" in err
+
     def test_unknown_relation_exit_2(self, centre):
         cli, *_ = centre
         assert cli("query", "SELECT * FROM nowhere")[0] == 2
@@ -185,8 +196,17 @@ class TestSearchViaCli:
         code, out, _ = cli("search", "vol_texts", "imperator",
                            "--bbox", "20,20,40,40", "--limit", "3")
         assert code == 0
-        code, _, err = cli("search", "vol_texts", "imperator", "--bbox", "bad")
-        assert code == 2
+        for bad in ("bad", "nan,0,90,180", "0,0,inf,180", "0,-inf,90,180"):
+            code, out, err = cli("search", "vol_texts", "imperator", "--bbox", bad)
+            assert code == 2 and out == "", bad
+
+    def test_ingest_recipe_with_invalid_utf8_exit_2(self, centre, tmp_path):
+        cli, *_ = centre
+        recipe = tmp_path / "bad.recipe"
+        recipe.write_bytes(b"recipe r\nfrom volterra.legal_texts\n# \xff\nid id\nend\n")
+        code, out, err = cli("ingest", "volterra", "--recipe", str(recipe))
+        assert code == 2 and out == ""
+        assert f"invalid UTF-8 (invalid start byte) [{recipe}:3]" in err
 
     def test_v1_index_is_rebuilt_by_index_build(self, centre):
         cli, cat, fx, _ = centre

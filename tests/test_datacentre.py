@@ -11,6 +11,7 @@ from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
 from vdc.errors import (
     AccessDenied,
     IntegrityError,
+    LoadError,
     LockedError,
     NotFound,
     SourceError,
@@ -291,6 +292,46 @@ class TestPersistence:
         assert items[0].kind == "error"
 
 
+class TestInvalidUtf8:
+    """Every text file the centre reads whole names the path and the line
+    of its first bad byte in its documented error, never a bare
+    UnicodeDecodeError."""
+
+    @pytest.mark.parametrize(
+        "content,read,error",
+        [
+            pytest.param(b"VDCCAT 1\n\nSOURCE s tabular live /x\xff\n",
+                         lambda cat, p: Catalogue.load(p), IntegrityError, id="catalogue"),
+            pytest.param(b"view v\nfrom s.t\n# caf\xe9\nend\n",
+                         lambda cat, p: cat.define_view(p), SourceError, id="view"),
+            pytest.param(b"recipe r\nfrom s.t\n# \xff\nend\n",
+                         lambda cat, p: cat.register_recipe(p), SourceError, id="recipe"),
+            pytest.param(b"source_term,target_term\na,b\n\xc3(,c\n",
+                         lambda cat, p: cat.add_translation("t", p), LoadError,
+                         id="translation-table"),
+            pytest.param(b"view v\nfrom s.t\n\xff\nend\n",
+                         lambda cat, p: Catalogue.load(_catalogue_naming(p)), IntegrityError,
+                         id="catalogue-view-file"),
+        ],
+    )
+    def test_documented_error_names_path_and_line(self, tmp_path, content, read, error):
+        path = tmp_path / "file"
+        path.write_bytes(content)
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        with pytest.raises(error) as e:
+            read(cat, str(path))
+        assert f"{path}:3]" in str(e.value)
+        assert "invalid UTF-8" in str(e.value)
+
+
+def _catalogue_naming(view_path: str) -> str:
+    """A catalogue file whose one entry is the view file ``view_path``."""
+    path = os.path.join(os.path.dirname(view_path), "names_view.vdc")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"VDCCAT 1\nVIEWFILE {view_path}\n")
+    return path
+
+
 class TestRegistrationIntegrity:
     def test_view_over_unregistered_source_fails_at_define(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
@@ -336,8 +377,9 @@ class TestRegistrationIntegrity:
         assert result_to_csv(rs) == 'id,d\n"a,b",0200-01-01/0200-12-31\nc,\n'
         assert [w.ref for w in rs.warnings] == ["s/t/c"]
 
-    def test_hash_build_cap_guards_memory(self, tmp_path, desk_fixtures):
+    def test_hash_build_cap_guards_memory(self, tmp_path, desk_fixtures, monkeypatch):
         from vdc.errors import ExecutionError
+        from vdc.query import executor
 
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
@@ -349,8 +391,9 @@ class TestRegistrationIntegrity:
             ),
             cat,
         )
+        monkeypatch.setattr(executor, "HASH_BUILD_CAP", 10)
         with pytest.raises(ExecutionError):
-            execute_plan(plan, max_hash_build=10)
+            execute_plan(plan)
 
 
 class TestLocking:

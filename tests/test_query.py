@@ -18,8 +18,9 @@ from vdc.query import (
     result_to_csv,
     result_to_jsonl,
 )
+from vdc.query import executor
 from vdc.query.parser import CompareAst, ContainsAst, DateNearAst
-from vdc.query.planner import FilterNode, LimitNode, ProjectNode, ScanNode, UnionAllNode
+from vdc.query.planner import BCompare
 
 from helpers import QueryGen, register_small
 
@@ -104,10 +105,9 @@ class TestPlanner:
     def test_pushdown_lands_in_scan(self, desk_centre):
         cat, _, _ = desk_centre
         plan = plan_query(parse_query("SELECT * FROM papyri WHERE Fundort = 'Memphis'"), cat)
-        node = plan.root
-        assert isinstance(node, ProjectNode)
-        scan = node.child
-        assert isinstance(scan, ScanNode)
+        (term,) = plan.terms
+        (scan,) = term.scans
+        assert term.filters == () and plan.filters == ()
         assert scan.use_connector and len(scan.raw_preds) == 1
         assert scan.raw_preds[0].column == "Fundort"
 
@@ -116,8 +116,7 @@ class TestPlanner:
         plan = plan_query(
             parse_query("SELECT * FROM papyri_en WHERE findspot = 'Memphis'"), cat
         )
-        scan = plan.root.child
-        assert isinstance(scan, ScanNode)
+        (scan,) = plan.terms[0].scans
         assert scan.raw_preds[0].column == "Fundort"  # rewritten to the raw name
 
     def test_translated_column_filters_centrally(self, desk_centre):
@@ -125,10 +124,9 @@ class TestPlanner:
         plan = plan_query(
             parse_query("SELECT * FROM papyri_en WHERE category = 'letter'"), cat
         )
-        flt = plan.root.child
-        assert isinstance(flt, FilterNode)
-        assert isinstance(flt.child, ScanNode)
-        assert flt.child.raw_preds == ()
+        (term,) = plan.terms
+        assert [type(p) for p in term.filters] == [BCompare]
+        assert [scan.raw_preds for scan in term.scans] == [()]
 
     def test_contains_on_xml_connector_is_engine_evaluated(self, desk_centre):
         """Every connector takes pushed CONTAINS: on the XML corpus it lands
@@ -142,8 +140,7 @@ class TestPlanner:
         ):
             ast = parse_query(text)
             plan = plan_query(ast, cat)
-            scan = plan.root.child
-            assert isinstance(scan, ScanNode)
+            (scan,) = plan.terms[0].scans
             assert scan.raw_preds and scan.use_connector
             rows = execute_plan(plan).rows
             assert rows
@@ -157,19 +154,21 @@ class TestPlanner:
             cat,
             pushdown=False,
         )
-        scan = plan.root.child
+        (scan,) = plan.terms[0].scans
         assert scan.raw_preds and not scan.use_connector
 
     def test_union_view_plans_union_node(self, desk_centre):
         cat, _, _ = desk_centre
         plan = plan_query(parse_query("SELECT * FROM all_texts"), cat)
-        assert isinstance(plan.root.child, UnionAllNode)
-        assert len(plan.root.child.children) == 2
+        (term,) = plan.terms
+        assert [scan.base_index for scan in term.scans] == [0, 1]
 
     def test_limit_is_root(self, desk_centre):
+        """LIMIT is the plan's last stage, applied after the canonical sort."""
         cat, _, _ = desk_centre
         plan = plan_query(parse_query("SELECT * FROM papyri LIMIT 3"), cat)
-        assert isinstance(plan.root, LimitNode)
+        assert plan.limit == 3
+        assert plan_query(parse_query("SELECT * FROM papyri"), cat).limit is None
 
     @pytest.mark.parametrize(
         "q,fragment",
@@ -238,16 +237,17 @@ class TestExecutor:
             )
             assert execute_plan(plan_query(q, cat)).rows == reference_eval(q, cat).rows, where
 
-    def test_hash_cap_applies_to_the_smaller_side(self, small_centre):
-        """A join whose larger side exceeds max_hash_build succeeds when the
+    def test_hash_cap_applies_to_the_smaller_side(self, small_centre, monkeypatch):
+        """A join whose larger side exceeds HASH_BUILD_CAP succeeds when the
         smaller side fits: the build side is the smaller one."""
         cat, views, _ = small_centre
+        monkeypatch.setattr(executor, "HASH_BUILD_CAP", 3)
         for where in (" WHERE a.id < 4", " WHERE b.id < 4"):
             q = parse_query(
                 f"SELECT a.id, b.id FROM {views[0]} a JOIN {views[2]} b "
                 f"ON a.tag = b.tag{where}"
             )
-            rs = execute_plan(plan_query(q, cat), max_hash_build=3)
+            rs = execute_plan(plan_query(q, cat))
             assert rs.rows, where  # the join hits, so the probe side was read
             assert rs.rows == reference_eval(q, cat).rows, where
 
@@ -271,6 +271,57 @@ class TestExecutor:
         )
         # same multiset, same canonical sort: swapping operands changes nothing
         assert a.rows == b.rows
+
+    def test_reversed_on_order_matches(self, small_centre):
+        """An ON condition may name the joined relation's column first: 2-
+        and 3-way joins give the same rows in both orders, and those of the
+        reference evaluator."""
+        cat, views, _ = small_centre
+        v0, v1, v2 = views
+        for on in (
+            [("a.tag", "b.tag")],
+            [("a.n", "b.n"), ("b.tag", "c.tag")],
+            [("a.name", "b.name"), ("a.id", "c.id")],
+        ):
+            answers = []
+            for reverse in (False, True):
+                keys = [(r, l) for l, r in on] if reverse else on
+                joins = " ".join(
+                    f"JOIN {view} {alias} ON {x} = {y}"
+                    for (view, alias), (x, y) in zip(((v1, "b"), (v2, "c")), keys)
+                )
+                q = parse_query(f"SELECT * FROM {v0} a {joins}")
+                rows = execute_plan(plan_query(q, cat)).rows
+                assert rows, on  # the join hits
+                assert rows == reference_eval(q, cat).rows, (on, reverse)
+                answers.append(rows)
+            assert answers[0] == answers[1], on
+
+    @pytest.mark.parametrize(
+        "on",
+        [
+            "JOIN {1} b ON c.tag = a.tag JOIN {2} c ON c.id = a.id",  # a later relation
+            "JOIN {1} b ON a.tag = a.name",  # both sides earlier
+            "JOIN {1} b ON b.tag = b.name",  # both sides on the joined relation
+        ],
+    )
+    def test_join_must_relate_the_joined_relation(self, small_centre, monkeypatch, on):
+        """A join condition that does not relate the joined relation to an
+        earlier one is a PlanError from the planner and the reference alike,
+        raised before any scan."""
+        from vdc.datacentre import Relation
+
+        cat, views, _ = small_centre
+
+        def no_scan(*args):
+            raise AssertionError("scanned before the join condition was checked")
+
+        monkeypatch.setattr(Relation, "scan_base", no_scan)
+        q = parse_query(f"SELECT a.id FROM {views[0]} a " + on.format(*views))
+        with pytest.raises(PlanError, match="must relate 'b' to an earlier relation"):
+            plan_query(q, cat)
+        with pytest.raises(PlanError, match="must relate 'b' to an earlier relation"):
+            reference_eval(q, cat)
 
     def test_null_never_satisfies_predicates(self, tmp_path):
         d = tmp_path / "nulls"
