@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 
-from . import fixtures as fixturegen
 from . import textindex
 from .connectors import read_utf8
 from .datacentre import AccessMode, Catalogue, catalogue_lock
@@ -266,6 +265,8 @@ def _cmd_coll_resolve(args) -> int:
 
 
 def _cmd_fixtures_generate(args) -> int:
+    from . import fixtures as fixturegen  # only this command needs it
+
     spec = fixturegen.FixtureSpec(args.seed, args.scale, args.out)
     manifest = fixturegen.generate_fixtures(spec)
     near = len(manifest.near_pairs())
@@ -279,11 +280,28 @@ def _cmd_fixtures_generate(args) -> int:
     return EXIT_OK
 
 
+def _join_bbox(argv: list[str]) -> list[str]:
+    """``--bbox -10,20,30,40`` as ``--bbox=-10,20,30,40``: argparse reads a
+    value that starts with ``-`` and is not a plain number as an option, so
+    a box reaching south of the equator would need the ``=`` form."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--bbox" and i + 1 < len(argv) and argv[i + 1].startswith("-") \
+                and "," in argv[i + 1]:
+            out.append("--bbox=" + argv[i + 1])
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def run(argv: list[str]) -> int:
     """Parse argv and execute one subcommand, mapping errors to exit codes."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_bbox(argv))
     except SystemExit as e:
         return int(e.code or 0)
     handlers = {

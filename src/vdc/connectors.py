@@ -13,7 +13,9 @@ translation all happen above them, in the mediation layer.
 
 Both connectors accept pushed predicates (Compare/Contains): they are
 checked against the table's columns here and evaluated with the engine's
-one evaluator, :func:`vdc.predicates.matches`.
+one evaluator, :func:`vdc.predicates.holds`.  The tabular connector tests
+them before it decodes the rest of a row, and decodes only the columns it
+is asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import os
 import re
 import xml.parsers.expat
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from unicodedata import normalize
 
 from .errors import CapabilityError, NotFound, ParseError, SourceError
 from .model import (
@@ -34,7 +37,7 @@ from .model import (
     nfc,
     parse_uncertain_date,
 )
-from .predicates import Compare, Contains, matches
+from .predicates import Compare, Contains, holds, matches
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datacentre import AccessMode
@@ -244,49 +247,85 @@ class TabularSource:
         with open(self._csv_path(table), "r", encoding="utf-8", newline="") as f:
             return sum(1 for _ in csv.reader(f)) - 1
 
-    def scan(self, table: str, pushed: Sequence | None = None) -> Iterator[Row]:
+    def scan(
+        self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
+    ) -> Iterator[Row]:
+        """The typed rows of ``table`` that satisfy every ``pushed``
+        predicate, decoded late.
+
+        Every record is checked in full whatever is read: its arity, the
+        syntax of each int cell, and (by the text decoder) the UTF-8 of the
+        whole file.  The pushed predicates are tested on their own decoded
+        cells first; the cells at positions ``columns`` (all, when None)
+        are decoded only for rows that pass, and every other cell is None.
+        A file that changes on disk during the scan (its size, mtime or
+        inode differ at the end) raises SourceError: its rows may be cut.
+        """
         schema = self.schema(table)
         preds = tuple(pushed or ())
         if preds:
             _check_pushable(schema, preds)
+        width = len(schema.columns)
+        convert = [_int_cell if c.kind is ColumnKind.INT else _text_cell for c in schema.columns]
+        ints = [i for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
+        tests = [(schema.index_of(p.column), p) for p in preds]
+        decode = [(i, convert[i]) for i in (range(width) if columns is None else sorted(set(columns)))]
+        int_syntax = _INT_RE.match
         path = self._csv_path(table)
         try:
             f = open(path, "r", encoding="utf-8", newline="")
         except OSError as e:
             raise SourceError(f"cannot read table: {e}", path=path) from e
         with f:
+            before = _identity(os.fstat(f.fileno()))
             reader = csv.reader(f)
             try:
                 if next(reader, None) is None:  # header, validated at open time
                     raise SourceError("empty csv (missing header)", path=path, line=1)
                 for record in reader:
-                    if len(record) != len(schema.columns):
+                    if len(record) != width:
                         raise SourceError(
-                            f"row arity {len(record)} != {len(schema.columns)}",
+                            f"row arity {len(record)} != {width}",
                             path=path,
                             line=reader.line_num,
                         )
-                    row = tuple(
-                        self._cell(col, text, path, reader.line_num)
-                        for col, text in zip(schema.columns, record)
-                    )
-                    if preds and not matches(schema, preds, row):
-                        continue
-                    yield row
+                    for i in ints:
+                        text = record[i]
+                        if text and not int_syntax(text):
+                            raise SourceError(
+                                f"bad int {text!r} in column {schema.columns[i].name!r}",
+                                path=path,
+                                line=reader.line_num,
+                            )
+                    for i, p in tests:
+                        if not holds(p, convert[i](record[i])):
+                            break
+                    else:  # the row passed every pushed predicate
+                        cells = [None] * width
+                        for i, conv in decode:
+                            cells[i] = conv(record[i])
+                        yield tuple(cells)
             except UnicodeDecodeError as e:
                 raise _utf8_error(path, e) from e
+        try:
+            after = _identity(os.stat(path))
+        except OSError as e:
+            raise SourceError(f"table vanished during the scan: {e}", path=path) from e
+        if after != before:
+            raise SourceError("table changed on disk during the scan", path=path)
 
-    @staticmethod
-    def _cell(col: ColumnDescriptor, text: str, path: str, line: int):
-        if text == "":
-            return None
-        if col.kind is ColumnKind.INT:
-            if not _INT_RE.match(text):
-                raise SourceError(
-                    f"bad int {text!r} in column {col.name!r}", path=path, line=line
-                )
-            return int(text)
-        return nfc(text)
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_mtime_ns, st.st_size, st.st_ino
+
+
+def _text_cell(text: str) -> str | None:
+    return normalize("NFC", text) if text else None
+
+
+def _int_cell(text: str) -> int | None:
+    """An int cell whose syntax the scan has checked."""
+    return int(text) if text else None
 
 
 # --------------------------------------------------------------------------
@@ -459,7 +498,12 @@ class XmlCorpusSource:
         self.schema(table)
         return len(self._files)
 
-    def scan(self, table: str, pushed: Sequence | None = None) -> Iterator[Row]:
+    def scan(
+        self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
+    ) -> Iterator[Row]:
+        """Every document as a row; ``columns`` is accepted for the
+        connectors' common shape, but documents are parsed whole, once, so
+        every cell is filled."""
         schema = self.schema(table)
         preds = tuple(pushed or ())
         if preds:

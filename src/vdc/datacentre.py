@@ -25,7 +25,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import connectors, mediation, textindex
 from .atomic import write_atomic
@@ -100,18 +100,28 @@ class Relation:
         self._compiled = compiled
 
     def scannable(self, column: str) -> bool:
-        """True when a predicate on this column may run on raw rows."""
+        """True when a predicate on this column may run on raw rows: no
+        base transforms it, or the only transform is one translation,
+        which the scan predicate then carries."""
         for origins in self._compiled.origins:
             origin = origins.get(column)
-            if origin is None or origin[1]:
+            if origin is None:
+                return False
+            transforms = origin[1]
+            if transforms and (len(transforms) > 1 or transforms[0].kind != "translate"):
                 return False
         return True
 
     def rewrite_raw(self, base_index: int, pred):
-        raw_name = self._compiled.origins[base_index][pred.column][0]
+        raw_name, transforms = self._compiled.origins[base_index][pred.column]
+        xlate = transforms[0].table if transforms else None
         if isinstance(pred, Compare):
-            return Compare(raw_name, pred.op, pred.literal)
-        return Contains(raw_name, pred.needle)
+            return Compare(raw_name, pred.op, pred.literal, xlate)
+        return Contains(raw_name, pred.needle, xlate)
+
+    def mediation_reads(self) -> set[int]:
+        """Columns every scan must decode for mediation's warnings."""
+        return self._compiled.mediation_reads()
 
     def estimate_rows(self) -> int:
         """Raw row count over all bases.  The planner does not use it; the
@@ -129,21 +139,25 @@ class Relation:
         raw_preds: Sequence,
         use_connector: bool,
         raw_eval: Callable | None,
+        columns: Iterable[int] | None = None,
     ) -> Iterator[tuple[Row, list]]:
         """Yield (mediated row, coercion warnings) for one base relation.
 
         ``raw_preds`` are raw-space scan predicates; the connector applies
         them when ``use_connector``, otherwise ``raw_eval`` does, on the raw
-        rows, before mediation.  Both routes run ``predicates.matches``: the
-        connector calls it itself and the executor passes it as
-        ``raw_eval``.
+        rows, before mediation.  Both routes run the one evaluator of
+        ``vdc.predicates``: the connector calls it itself and the executor
+        passes ``predicates.matches`` as ``raw_eval``.  ``columns`` are the
+        positions the caller reads (all when None); the connector may leave
+        every other cell None, so they must cover the columns of
+        ``raw_preds`` and :meth:`mediation_reads`.
         """
         ref = self.bases[base_index]
         handle = self._catalogue.open_handle(ref.source_id)
         if use_connector and raw_preds:
-            rows = handle.scan(ref.table, pushed=raw_preds)
+            rows = handle.scan(ref.table, pushed=raw_preds, columns=columns)
         else:
-            rows = handle.scan(ref.table)
+            rows = handle.scan(ref.table, columns=columns)
             if raw_preds:
                 schema = self._compiled.base_schemas[base_index]
                 rows = (r for r in rows if raw_eval(schema, raw_preds, r))

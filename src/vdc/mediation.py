@@ -27,6 +27,7 @@ from .model import (
     ColumnKind,
     Row,
     TableSchema,
+    UncertainDate,
     nfc,
     parse_uncertain_date,
 )
@@ -269,26 +270,42 @@ class _CellOp:
         self.table = table
 
 
+_UNSEEN = object()  # a date text not coerced yet
+
+
 class CompiledView:
     """A view resolved against its base schemas, ready to map rows.
 
     ``schema`` is the resolved output schema and ``base_schemas`` the raw
     schema of each base; ``apply(base_index, row)`` maps one base row to a
-    view row, returning collected coercion warnings.
-    ``origins[base][view_column]`` is ``(raw column name, transformed)``:
-    a predicate on an untransformed column may be evaluated on raw rows.
-    A raw table is the identity view over itself: no rules, so ``apply``
-    returns its rows unchanged.
+    view row, returning collected coercion warnings.  Renames and
+    transforms keep positions, so view column ``i`` is raw column ``i`` of
+    every base.  ``origins[base][view_column]`` is ``(raw column name,
+    transforms)``, the cell ops applied to that column in rule order: a
+    predicate on a column with no transform, or with one translation, may
+    be evaluated on raw rows.  A raw table is the identity view over
+    itself: no rules, so ``apply`` returns its rows unchanged.
+
+    Date coercion is memoized per distinct text for the life of the
+    compiled view; each row whose text fails still gets its own warning.
     """
 
     def __init__(self, view: ViewDefinition, schema: TableSchema,
                  base_schemas: list[TableSchema], ops: list[list[_CellOp]],
-                 origins: list[dict[str, tuple[str, bool]]]):
+                 origins: list[dict[str, tuple[str, tuple[_CellOp, ...]]]]):
         self.view = view
         self.schema = schema
         self.base_schemas = base_schemas
         self.origins = origins
         self._ops = ops
+        self._dates: dict[str, UncertainDate | None] = {}
+
+    def mediation_reads(self) -> set[int]:
+        """Columns that mediation reads on every row whatever a query reads:
+        each coerced column, for its warnings, and column 0, the item key
+        those warnings name, when there is any coercion."""
+        coerced = {op.index for ops in self._ops for op in ops if op.kind == "coerce"}
+        return coerced | {0} if coerced else coerced
 
     def apply(self, base_index: int, row: Row) -> tuple[Row, list[CoercionError]]:
         ops = self._ops[base_index]
@@ -303,12 +320,23 @@ class CompiledView:
             if op.kind == "translate":
                 cells[op.index] = translate_term(op.table, cell)
             else:
-                try:
-                    cells[op.index] = parse_uncertain_date(cell)
-                except ParseError:
+                date = self._dates.get(cell, _UNSEEN)
+                if date is _UNSEEN:
+                    date = self._coerce(cell)
+                if date is None:
                     warnings.append(CoercionError(self._ref(base_index, row), op.column, cell))
-                    cells[op.index] = None
+                cells[op.index] = date
         return tuple(cells), warnings
+
+    def _coerce(self, text: str) -> UncertainDate | None:
+        """Parse a date text not seen before and remember the result: the
+        date, or None when it does not parse."""
+        try:
+            date = parse_uncertain_date(text)
+        except ParseError:
+            date = None
+        self._dates[text] = date
+        return date
 
     def _ref(self, base_index: int, row: Row) -> str:
         """Item-ref text of a base row, for its coercion warnings; ``?``
@@ -331,10 +359,9 @@ def compile_view(
         raise ValueError("one schema per base relation required")
 
     # Per base: the evolving (name, descriptor) list rules operate on, plus
-    # each position's raw origin and whether any rule transformed its values.
+    # each position's raw origin and the value transforms applied to it.
     states: list[list[ColumnDescriptor]] = [list(s.columns) for s in base_schemas]
     raw_names: list[list[str]] = [[c.name for c in s.columns] for s in base_schemas]
-    transformed: list[list[bool]] = [[False] * len(s.columns) for s in base_schemas]
     ops: list[list[_CellOp]] = [[] for _ in base_schemas]
 
     def find(cols: list[ColumnDescriptor], name: str) -> int | None:
@@ -372,7 +399,6 @@ def compile_view(
                         f"view {view.name!r}: coerce of non-date_text column {rule.column!r}"
                     )
                 cols[i] = ColumnDescriptor(rule.column, ColumnKind.DATE)
-                transformed[b][i] = True
                 ops[b].append(_CellOp("coerce", i, rule.column))
         elif isinstance(rule, Translate):
             if rule.table_id not in xlates:
@@ -389,7 +415,6 @@ def compile_view(
                     raise PlanError(
                         f"view {view.name!r}: translate of non-text column {rule.column!r}"
                     )
-                transformed[b][i] = True
                 ops[b].append(_CellOp("translate", i, rule.column, xlates[rule.table_id]))
 
     first = states[0]
@@ -402,7 +427,7 @@ def compile_view(
 
     origins = [
         {
-            cols[i].name: (raw_names[b][i], transformed[b][i])
+            cols[i].name: (raw_names[b][i], tuple(op for op in ops[b] if op.index == i))
             for i in range(len(cols))
         }
         for b, cols in enumerate(states)

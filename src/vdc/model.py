@@ -23,6 +23,8 @@ from enum import Enum
 from .errors import ParseError
 
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# days before the first of each month in a common year
+_MONTH_START = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 
 # Interval widening applied by the "ca. " prefix: +/- 10 years of 365 days.
 CIRCA_WIDENING_DAYS = 3650
@@ -43,14 +45,15 @@ def days_in_year(year: int) -> int:
 
 
 def day_number(year: int, month: int, day: int) -> int:
-    """Day number of a calendar date; day 0 is 1 January of year 1.
+    """Day number of a calendar date (month 1-12); day 0 is 1 January of
+    year 1.
 
     Valid for any astronomical year.  365*(y-1) + floor((y-1)/4) counts the
     days of all years before ``year`` (floor division makes the formula hold
     for year 0 and negative years as well).
     """
     days_before_year = 365 * (year - 1) + (year - 1) // 4
-    days_before_month = sum(days_in_month(year, m) for m in range(1, month))
+    days_before_month = _MONTH_START[month - 1] + (month > 2 and is_leap_year(year))
     return days_before_year + days_before_month + (day - 1)
 
 

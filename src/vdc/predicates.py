@@ -1,22 +1,28 @@
 """Scan predicates and the engine's one raw-space evaluator.
 
 Connectors only ever receive Compare and Contains (the pushable shapes);
-the date predicates always run centrally on mediated rows.  ``compare`` and
-``contains`` are the engine's single implementation of those meanings: the
-tabular connector applies them to pushed predicates, the executor applies
-them to scan predicates it keeps for itself and to bound filters.  Pushdown
-therefore cannot change an answer by construction; the independent check of
-what the meanings should be is ``query/reference.py``, which keeps its own
-code.
+the date predicates always run centrally on mediated rows.  A pushed
+predicate on a column that a view only translates carries its translation
+table: the raw cell is translated (unmapped terms pass through) before the
+test, which is exactly what the central filter sees after mediation.
+``compare`` and ``contains`` are the engine's single implementation of
+those meanings: the tabular connector applies them to pushed predicates,
+the executor applies them to scan predicates it keeps for itself and to
+bound filters.  Pushdown therefore cannot change an answer by
+construction; the independent check of what the meanings should be is
+``query/reference.py``, which keeps its own code.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .model import Row, TableSchema, UncertainDate
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .mediation import TranslationTable
 
 COMPARE_OPS = ("=", "!=", "<", ">", "<=", ">=")
 
@@ -26,6 +32,7 @@ class Compare:
     column: str
     op: str
     literal: int | str | UncertainDate
+    xlate: "TranslationTable | None" = None
 
     def __post_init__(self):
         if self.op not in COMPARE_OPS:
@@ -36,6 +43,7 @@ class Compare:
 class Contains:
     column: str
     needle: str
+    xlate: "TranslationTable | None" = None
 
 
 def contains(cell: str, needle: str) -> bool:
@@ -66,16 +74,20 @@ def compare(cell, op: str, literal) -> bool:
     return cell >= literal
 
 
+def holds(p: Compare | Contains, cell) -> bool:
+    """True when one raw cell satisfies ``p``; a null cell satisfies
+    nothing.  A translating predicate tests the cell's translation."""
+    if cell is None:
+        return False
+    if p.xlate is not None:
+        hit = p.xlate.lookup(cell)
+        if hit is not None:
+            cell = hit
+    if isinstance(p, Contains):
+        return contains(cell, p.needle)
+    return compare(cell, p.op, p.literal)
+
+
 def matches(schema: TableSchema, preds: Sequence, row: Row) -> bool:
-    """True when a raw row satisfies every Compare/Contains in ``preds``;
-    a null cell satisfies nothing."""
-    for p in preds:
-        cell = row[schema.index_of(p.column)]
-        if cell is None:
-            return False
-        if isinstance(p, Contains):
-            if not contains(cell, p.needle):
-                return False
-        elif not compare(cell, p.op, p.literal):
-            return False
-    return True
+    """True when a raw row satisfies every Compare/Contains in ``preds``."""
+    return all(holds(p, row[schema.index_of(p.column)]) for p in preds)

@@ -12,6 +12,7 @@ unrelated queries.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 from dataclasses import dataclass, field
@@ -99,7 +100,8 @@ def execute_plan(plan: Plan) -> ResultSet:
         term_rows: list[Row] = []
         for scan in term.scans:
             for row, warns in term.relation.scan_base(
-                scan.base_index, scan.raw_preds, scan.use_connector, matches
+                scan.base_index, scan.raw_preds, scan.use_connector, matches,
+                columns=term.columns,
             ):
                 term_rows.append(row)
                 warnings.extend(warns)
@@ -109,9 +111,10 @@ def execute_plan(plan: Plan) -> ResultSet:
         else:
             rows = _hash_join(rows, term_rows, *term.join_key)
     rows = [tuple(r[i] for i in plan.projection) for r in _keep(rows, plan.filters)]
-    rows.sort(key=row_sort_key)
-    if plan.limit is not None:
-        rows = rows[: plan.limit]
+    if plan.limit is None:
+        rows.sort(key=row_sort_key)
+    else:  # documented equal to sorted(rows, key=...)[:limit], ties included
+        rows = heapq.nsmallest(plan.limit, rows, key=row_sort_key)
     warnings.sort(key=lambda w: (w.ref, w.column, w.text))
     return ResultSet(plan.schema, rows, warnings)
 

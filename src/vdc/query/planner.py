@@ -6,17 +6,23 @@ the rows joined so far; then cross-relation filters, projection, the
 canonical sort and LIMIT.
 
 Scan-level predicates (single-relation Compare/Contains over columns whose
-values pass through mediation untransformed) are attached to each Scan
-and evaluated either by the connector (when pushdown is enabled; every
-connector takes them) or centrally by the engine on the raw rows.  Both
-routes see identical values and run the same evaluator
-(``predicates.matches``), so enabling or disabling pushdown can never
-change the result — including its coercion warnings, because mediation runs
-on exactly the rows that survive the scan predicates in both modes.
+values pass through mediation untransformed, or through one translation
+that the predicate then carries) are attached to each Scan and evaluated
+either by the connector (when pushdown is enabled; every connector takes
+them) or centrally by the engine on the raw rows.  Both routes see
+identical values and run the same evaluator (``vdc.predicates``), so
+enabling or disabling pushdown can never change the result — including its
+coercion warnings, because mediation runs on exactly the rows that survive
+the scan predicates in both modes.
 
-Predicates that need mediated values (coerced dates, translated terms, and
-the date predicates) become the Term's filters; cross-relation predicates
-run on the joined rows.
+Predicates that need mediated values (coerced dates, twice-translated
+terms, and the date predicates) become the Term's filters; cross-relation
+predicates run on the joined rows.
+
+Each Term also names the columns the plan reads from its relation, so the
+connector decodes no others: the projection, every predicate's columns
+(scan predicates included, which the central route tests on decoded rows),
+the join keys, and what mediation reads for its coercion warnings.
 """
 
 from __future__ import annotations
@@ -89,12 +95,14 @@ class Term:
     """One FROM/JOIN relation: the union of its scans, then its own filters
     (indexed within the relation's row), then a hash join with the rows
     joined so far on ``join_key`` = (left slot, local right column); the
-    first term has no join key."""
+    first term has no join key.  ``columns`` are the positions of the
+    relation's row that the plan reads; every other cell may be None."""
 
     relation: "Relation"
     scans: tuple[Scan, ...]
     filters: tuple[BoundPredicate, ...]
     join_key: tuple[int, int] | None
+    columns: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,13 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
     term_filters: list[list[BoundPredicate]] = [[] for _ in range(n_rels)]
     join_filters: list[BoundPredicate] = []
 
-    def local(slot_index: int) -> tuple[int, int]:
+    # Per relation: the columns the plan reads.
+    reads: list[set[int]] = [bound.relation.mediation_reads() for bound in binding.relations]
+
+    def read(slot_index: int) -> tuple[int, int]:
+        """A slot's (relation, column), recorded as read."""
         s = binding.slots[slot_index]
+        reads[s.rel_index].add(s.col_index)
         return s.rel_index, s.col_index
 
     for p in ast.where:
@@ -159,7 +172,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
             si = binding.bind(p.column)
             slot = binding.slots[si]
             literal = _typed_literal(p, slot.column.kind)
-            r, c = local(si)
+            r, c = read(si)
             rel = binding.relations[r].relation
             if slot.column.kind is not ColumnKind.DATE and rel.scannable(slot.column.name):
                 scan_preds[r].append(Compare(slot.column.name, p.op, literal))
@@ -173,7 +186,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                     f"CONTAINS needs a text column, {p.column.text()!r} is "
                     f"{slot.column.kind.value}"
                 )
-            r, c = local(si)
+            r, c = read(si)
             rel = binding.relations[r].relation
             if rel.scannable(slot.column.name):
                 scan_preds[r].append(Contains(slot.column.name, p.needle))
@@ -187,8 +200,8 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                         f"DATE_NEAR needs date columns, {ref.text()!r} is "
                         f"{binding.slots[si].column.kind.value}"
                     )
-            ra, ca = local(sa)
-            rb, cb = local(sb)
+            ra, ca = read(sa)
+            rb, cb = read(sb)
             if ra == rb:
                 term_filters[ra].append(BDateNear(ca, cb, p.k_years))
             else:
@@ -200,10 +213,17 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                     f"DATE_WITHIN needs a date column, {p.column.text()!r} is "
                     f"{binding.slots[si].column.kind.value}"
                 )
-            r, c = local(si)
+            r, c = read(si)
             term_filters[r].append(BDateWithin(c, p.lo, p.hi))
         else:  # pragma: no cover - parser produces no other shapes
             raise PlanError(f"unsupported predicate {p!r}")
+
+    indices, schema = binding.output()
+    for si in indices:
+        read(si)
+    for r, (left, right) in enumerate(binding.join_keys, start=1):
+        read(left)
+        reads[r].add(right)
 
     terms = []
     for r, bound in enumerate(binding.relations):
@@ -213,7 +233,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
             raw = tuple(rel.rewrite_raw(b, p) for p in scan_preds[r])
             scans.append(Scan(b, raw, bool(raw) and pushdown))
         join_key = binding.join_keys[r - 1] if r else None
-        terms.append(Term(rel, tuple(scans), tuple(term_filters[r]), join_key))
-
-    indices, schema = binding.output()
+        terms.append(
+            Term(rel, tuple(scans), tuple(term_filters[r]), join_key, tuple(sorted(reads[r])))
+        )
     return Plan(tuple(terms), tuple(join_filters), tuple(indices), ast.limit, schema)

@@ -200,6 +200,22 @@ class TestSearchViaCli:
             code, out, err = cli("search", "vol_texts", "imperator", "--bbox", bad)
             assert code == 2 and out == "", bad
 
+    def test_bbox_with_a_negative_first_value(self, centre):
+        """``--bbox -10,...`` is read as the box, not as an option: it gives
+        the hits of the ``--bbox=-10,...`` form; a malformed box of either
+        form still exits 2."""
+        cli, cat, fx, _ = centre
+        assert cli("index", "build", "vol_texts",
+                   "--recipe", os.path.join(fx, "recipes", "volterra.recipe"))[0] == 0
+        spaced = cli("search", "vol_texts", "imperator", "--bbox", "-10,-20,60,60")
+        joined = cli("search", "vol_texts", "imperator", "--bbox=-10,-20,60,60")
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1] and len(spaced[1].splitlines()) > 1
+        for argv in (("--bbox", "-10,-20,60"), ("--bbox=-10,-20,60",),
+                     ("--bbox", "-10,x,60,60")):
+            code, out, _ = cli("search", "vol_texts", "imperator", *argv)
+            assert code == 2 and out == "", argv
+
     def test_ingest_recipe_with_invalid_utf8_exit_2(self, centre, tmp_path):
         cli, *_ = centre
         recipe = tmp_path / "bad.recipe"

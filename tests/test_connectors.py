@@ -332,3 +332,105 @@ class TestAutonomy:
     def test_open_missing_path(self, tmp_path):
         with pytest.raises(SourceError):
             live("s", tmp_path / "missing")
+
+
+class TestLateDecoding:
+    """Rows are checked in full before a pushed predicate rejects them and
+    whatever columns a query reads: a malformed cell in an unread column of
+    a rejected row still fails the scan, with pushdown on and off."""
+
+    BAD_ROWS = {
+        "bad_int": b"0,x,drop,b\n",
+        "arity": b"0,6,drop\n",
+        "invalid_utf8": b"0,6,drop,\xff\n",
+    }
+    # rows before the bad one: past the decoder's first read-ahead block,
+    # so opening the source (which reads only the header) succeeds
+    LEAD = 1000
+
+    def _source(self, tmp_path, bad: bytes):
+        d = tmp_path / "s"
+        write_source(d, table="t", header="id,n,tag,note",
+                     schema="id : int\nn : int\ntag : text\nnote : text\n")
+        lead = b"".join(b"%d,5,keep,a\n" % i for i in range(1, self.LEAD + 1))
+        (d / "t.csv").write_bytes(b"id,n,tag,note\n" + lead + bad + b"7,7,keep,c\n")
+        return d
+
+    def test_good_rows_decode_only_the_columns_asked_for(self, tmp_path):
+        d = self._source(tmp_path, b"0,6,drop,b\n")
+        handle = live("s", d)
+        keep = [Compare("tag", "=", "keep")]
+        rows = list(handle.scan("t", keep, columns=[0, 2]))
+        assert len(rows) == self.LEAD + 1
+        assert rows[-1] == (7, None, "keep", None)
+        assert list(handle.scan("t", columns=[3]))[-2:] == [
+            (None, None, None, "b"), (None, None, None, "c")
+        ]
+        assert list(handle.scan("t", keep))[-1] == (7, 7, "keep", "c")
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_connector_scan_fails(self, tmp_path, bad):
+        handle = live("s", self._source(tmp_path, self.BAD_ROWS[bad]))
+        with pytest.raises(SourceError) as e:
+            list(handle.scan("t", [Compare("tag", "=", "keep")], columns=[0, 2]))
+        assert e.value.line == self.LEAD + 2
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_query_fails_with_pushdown_on_and_off(self, tmp_path, bad):
+        from vdc.datacentre import Catalogue
+        from vdc.query import execute_plan, parse_query, plan_query
+
+        d = self._source(tmp_path, self.BAD_ROWS[bad])
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(d), AccessMode.LIVE)
+        ast = parse_query("SELECT id FROM s.t WHERE tag = 'keep'")
+        for pushdown in (True, False):
+            plan = plan_query(ast, cat, pushdown=pushdown)
+            assert plan.terms[0].columns == (0, 2)
+            with pytest.raises(SourceError):
+                execute_plan(plan)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_cli_exit_2_with_pushdown_on_and_off(self, tmp_path, bad, capsys):
+        from vdc.cli import run
+
+        d = self._source(tmp_path, self.BAD_ROWS[bad])
+        cat = str(tmp_path / "c.vdc")
+        assert run(["--catalogue", cat, "source", "add", "s", "--kind", "tabular",
+                    "--path", str(d), "--mode", "live"]) == 0
+        q = ["--catalogue", cat, "query", "SELECT id FROM s.t WHERE tag = 'keep'"]
+        for extra in ([], ["--no-pushdown"]):
+            capsys.readouterr()
+            assert run(q + extra) == 2
+            assert capsys.readouterr().out == ""
+
+
+class TestLiveChanges:
+    """A CSV that changes on disk while it is scanned fails the scan rather
+    than returning a cut result."""
+
+    @pytest.mark.parametrize("how", ["in_place", "replaced"])
+    def test_rewritten_shorter_during_scan(self, tmp_path, how):
+        d = tmp_path / "s"
+        write_source(d, rows=[f"{i},a,b" for i in range(1, 6)])
+        rows = live("s", d).scan("texts")
+        assert next(rows) == (1, "a", "b")
+        target = d / "texts.csv"
+        if how == "in_place":
+            target.write_text("id,status,note\n1,a,b\n", encoding="utf-8")
+        else:
+            (d / "new.tmp").write_text("id,status,note\n1,a,b\n", encoding="utf-8")
+            os.replace(d / "new.tmp", target)
+        with pytest.raises(SourceError, match="changed on disk"):
+            list(rows)
+
+    def test_unchanged_live_and_vault_scans_succeed(self, tmp_path):
+        from vdc.datacentre import Catalogue
+
+        d = tmp_path / "s"
+        write_source(d, rows=["1,a,b", "2,c,d"])
+        assert len(list(live("s", d).scan("texts"))) == 2
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("v", "tabular", str(d), AccessMode.VAULT)
+        for _ in range(2):
+            assert len(list(cat.open_handle("v").scan("texts"))) == 2

@@ -119,11 +119,22 @@ class TestPlanner:
         (scan,) = plan.terms[0].scans
         assert scan.raw_preds[0].column == "Fundort"  # rewritten to the raw name
 
-    def test_translated_column_filters_centrally(self, desk_centre):
+    def test_translated_column_filter_is_pushed(self, desk_centre):
+        """A predicate on a column whose one transform is a translation runs
+        in the scan, on the raw column, carrying the translation table; a
+        predicate on a coerced column stays a central filter."""
         cat, _, _ = desk_centre
         plan = plan_query(
             parse_query("SELECT * FROM papyri_en WHERE category = 'letter'"), cat
         )
+        (term,) = plan.terms
+        assert term.filters == ()
+        (scan,) = term.scans
+        (pred,) = scan.raw_preds
+        assert scan.use_connector
+        assert (pred.column, pred.op, pred.literal) == ("Kategorie", "=", "letter")
+        assert pred.xlate is not None and pred.xlate.id == "de_en"
+        plan = plan_query(parse_query("SELECT * FROM papyri_en WHERE date = '0200'"), cat)
         (term,) = plan.terms
         assert [type(p) for p in term.filters] == [BCompare]
         assert [scan.raw_preds for scan in term.scans] == [()]
@@ -357,6 +368,19 @@ class TestExecutor:
         for row in joined.rows:
             assert row[0] is not None
 
+    def test_warnings_do_not_depend_on_the_columns_read(self, small_centre):
+        """A query that reads few columns still coerces every row's date and
+        names each failure by its item key: its warnings are those of the
+        reference evaluator, which decodes every cell."""
+        cat, views, _ = small_centre
+        for select in ("name", "id", "when", "*"):
+            ast = parse_query(f"SELECT {select} FROM {views[0]}")
+            rs = execute_plan(plan_query(ast, cat))
+            ref = reference_eval(ast, cat)
+            assert rs.warnings and [str(w) for w in rs.warnings] == [
+                str(w) for w in ref.warnings
+            ], select
+
     def test_contains_matches_independent_naive(self, desk_centre):
         cat, _, _ = desk_centre
         rs = execute_plan(
@@ -419,3 +443,121 @@ class TestOracleEquivalence:
             off = execute_plan(plan_query(ast, cat, pushdown=False))
             assert result_to_csv(on).encode() == result_to_csv(off).encode(), q
             assert [str(w) for w in on.warnings] == [str(w) for w in off.warnings], q
+
+
+# raw category terms of the translating union view: mixed case, composed and
+# decomposed (non-NFC) spellings, unmapped terms, an unmapped term equal to
+# a target term ("letter"), and null cells (""); the translation table's
+# source term for "edict" is itself decomposed
+_XLATE_RAW = ["Brief", "brief", "BRIEF", "Vertrag", "vertrag", "\u00c9dikt",
+              "E\u0301dikt", "e\u0301dikt", "letter", "Liste", "contract", ""]
+_XLATE_LITERALS = ["letter", "contract", "edict", "Liste", "liste", "Brief",
+                   "Edikt", "\u00e9dikt", "m", ""]
+_XLATE_NEEDLES = ["ett", "LET", "dik", "\u00c9", "con", "i", "zz"]
+
+
+@pytest.fixture(scope="module")
+def xlate_centre(tmp_path_factory):
+    """Two generated tables under one view that translates ``kind`` (and
+    coerces ``when``, so scans collect warnings); a second view translates
+    ``kind`` twice."""
+    base = tmp_path_factory.mktemp("xlate")
+    rng = random.Random(5)
+    src = base / "src"
+    os.makedirs(src)
+    for t in ("t0", "t1"):
+        with open(src / f"{t}.csv", "w", encoding="utf-8", newline="\n") as f:
+            f.write("id,kind,when\n")
+            for i in range(1, rng.randint(30, 50)):
+                when = rng.choice(["0200", "0201-03", "ca. 0150", "bad", ""])
+                f.write(f"{i},{rng.choice(_XLATE_RAW)},{when}\n")
+        (src / f"{t}.schema").write_text("id : int\nkind : text\nwhen : date_text\n")
+    (base / "tx.csv").write_text(
+        "source_term,target_term\nBrief,letter\nVERTRAG,contract\nE\u0301dikt,edict\n",
+        encoding="utf-8",
+    )
+    (base / "again.csv").write_text("source_term,target_term\nletter,Brief\n", encoding="utf-8")
+    (base / "u.view").write_text(
+        "view u\nfrom s.t0\nunion s.t1\ncoerce when date\ntranslate kind using tx\nend\n"
+    )
+    (base / "twice.view").write_text(
+        "view twice\nfrom s.t0\ntranslate kind using tx\ntranslate kind using again\nend\n"
+    )
+    from vdc.datacentre import AccessMode
+
+    cat = Catalogue(str(base / "c.vdc"))
+    cat.register_source("s", "tabular", str(src), AccessMode.LIVE)
+    cat.add_translation("tx", str(base / "tx.csv"))
+    cat.add_translation("again", str(base / "again.csv"))
+    cat.define_view(str(base / "u.view"))
+    cat.define_view(str(base / "twice.view"))
+    return cat
+
+
+class TestTranslatedPushdown:
+    """Predicates on a translate-only column run in the scan with the
+    translation; the answers are the reference evaluator's, and pushdown on
+    and off print the same bytes and warnings."""
+
+    def _queries(self, rng: random.Random) -> list[str]:
+        out = []
+        for op in ("=", "!=", "<", ">", "<=", ">="):
+            for literal in _XLATE_LITERALS:
+                out.append(f"kind {op} '{literal}'")
+        out += [f"kind CONTAINS '{needle}'" for needle in _XLATE_NEEDLES]
+        queries = []
+        for where in out:
+            select = rng.choice(["*", "kind", "id, kind", "kind, when", "when"])
+            if rng.random() < 0.3:
+                where += f" AND id < {rng.randint(5, 40)}"
+            limit = f" LIMIT {rng.randint(1, 12)}" if rng.random() < 0.4 else ""
+            queries.append(f"SELECT {select} FROM u WHERE {where}{limit}")
+        # LIMIT over rows that tie in the canonical order
+        queries += [
+            "SELECT kind FROM u WHERE kind != 'zz' LIMIT 9",
+            "SELECT kind FROM u WHERE kind >= '' LIMIT 25",
+        ]
+        return queries
+
+    def test_engine_equals_reference_and_pushdown_is_transparent(self, xlate_centre):
+        cat = xlate_centre
+        queries = self._queries(random.Random(17))
+        hits = 0
+        for q in queries:
+            ast = parse_query(q)
+            plan = plan_query(ast, cat)
+            (term,) = plan.terms
+            assert term.filters == (), q
+            for scan in term.scans:
+                assert scan.use_connector and scan.raw_preds[0].xlate is not None, q
+            on = execute_plan(plan)
+            off = execute_plan(plan_query(ast, cat, pushdown=False))
+            assert on.rows == reference_eval(ast, cat).rows, q
+            assert result_to_csv(on).encode() == result_to_csv(off).encode(), q
+            assert [str(w) for w in on.warnings] == [str(w) for w in off.warnings], q
+            hits += bool(on.rows)
+        assert hits > len(queries) // 2  # the literals and needles do hit
+
+    def test_unmapped_target_term_and_decomposed_source_term(self, xlate_centre):
+        """``letter`` matches both translated ``Brief`` rows and raw
+        ``letter`` rows; ``edict`` matches every spelling of ``Édikt``."""
+        cat = xlate_centre
+        letters = parse_query("SELECT kind FROM u WHERE kind = 'letter'")
+        rows = execute_plan(plan_query(letters, cat)).rows
+        assert rows and {r[0] for r in rows} == {"letter"}
+        raw = execute_plan(plan_query(parse_query("SELECT kind FROM s.t0"), cat)).rows
+        raw += execute_plan(plan_query(parse_query("SELECT kind FROM s.t1"), cat)).rows
+        folded = [unicodedata.normalize("NFC", r[0]).casefold() for r in raw if r[0]]
+        assert len(rows) == sum(k in ("brief", "letter") for k in folded)
+        edicts = execute_plan(plan_query(parse_query("SELECT kind FROM u WHERE kind = 'edict'"), cat))
+        assert len(edicts.rows) == sum(k == "édikt" for k in folded) > 0
+
+    def test_twice_translated_column_filters_centrally(self, xlate_centre):
+        cat = xlate_centre
+        ast = parse_query("SELECT id, kind FROM twice WHERE kind = 'Brief'")
+        plan = plan_query(ast, cat)
+        (term,) = plan.terms
+        assert [type(p) for p in term.filters] == [BCompare]
+        assert [scan.raw_preds for scan in term.scans] == [()]
+        rows = execute_plan(plan).rows
+        assert rows and rows == reference_eval(ast, cat).rows
