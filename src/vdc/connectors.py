@@ -11,9 +11,10 @@ and always surface as a single table named ``docs``.
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
 
-Both connectors accept pushed predicates (Compare/Contains): they are
-checked against the table's columns here and evaluated with the engine's
-one evaluator, :func:`vdc.predicates.holds`.  The tabular connector tests
+Both connectors accept pushed predicates (Compare/Contains, each naming
+its column by position in the table's row): they are checked against the
+table's columns here and evaluated with the engine's one evaluator,
+:func:`vdc.predicates.holds`.  The tabular connector tests
 them before it decodes the rest of a row, and decodes only the columns it
 is asked for.
 """
@@ -137,28 +138,26 @@ _INT_RE = re.compile(r"^-?\d+$")
 
 
 def _check_pushable(schema: TableSchema, preds: Sequence):
-    """Reject pushed predicates on unknown columns or of the wrong kind."""
+    """Reject pushed predicates on positions outside the row or of the
+    wrong kind."""
+    width = len(schema.columns)
     for p in preds:
+        if not isinstance(p, (Compare, Contains)):
+            raise CapabilityError(f"cannot push predicate {type(p).__name__}")
+        if not 0 <= p.index < width:
+            raise CapabilityError(
+                f"pushed predicate references column {p.index} of a {width}-column table"
+            )
+        col = schema.columns[p.index]
         if isinstance(p, Contains):
-            col = _pred_column(schema, p.column)
             if col.kind is not ColumnKind.TEXT:
-                raise CapabilityError(f"Contains on non-text column {p.column!r}")
-        elif isinstance(p, Compare):
-            col = _pred_column(schema, p.column)
+                raise CapabilityError(f"Contains on non-text column {col.name!r}")
+        else:
             want = int if col.kind is ColumnKind.INT else str
             if col.kind is ColumnKind.DATE or not isinstance(p.literal, want):
                 raise CapabilityError(
-                    f"cannot push comparison of {p.column!r} against {type(p.literal).__name__}"
+                    f"cannot push comparison of {col.name!r} against {type(p.literal).__name__}"
                 )
-        else:
-            raise CapabilityError(f"cannot push predicate {type(p).__name__}")
-
-
-def _pred_column(schema: TableSchema, name: str) -> ColumnDescriptor:
-    for col in schema.columns:
-        if col.name == name:
-            return col
-    raise CapabilityError(f"pushed predicate references unknown column {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +267,7 @@ class TabularSource:
         width = len(schema.columns)
         convert = [_int_cell if c.kind is ColumnKind.INT else _text_cell for c in schema.columns]
         ints = [i for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
-        tests = [(schema.index_of(p.column), p) for p in preds]
+        tests = [(p.index, convert[p.index], p) for p in preds]
         decode = [(i, convert[i]) for i in (range(width) if columns is None else sorted(set(columns)))]
         int_syntax = _INT_RE.match
         path = self._csv_path(table)
@@ -297,8 +296,8 @@ class TabularSource:
                                 path=path,
                                 line=reader.line_num,
                             )
-                    for i, p in tests:
-                        if not holds(p, convert[i](record[i])):
+                    for i, conv, p in tests:
+                        if not holds(p, conv(record[i])):
                             break
                     else:  # the row passed every pushed predicate
                         cells = [None] * width
@@ -520,7 +519,7 @@ class XmlCorpusSource:
                 meta.get("persons"),
                 doc.body or None,
             )
-            if preds and not matches(schema, preds, row):
+            if preds and not matches(preds, row):
                 continue
             yield row
 

@@ -49,7 +49,6 @@ from .mediation import (
     ViewDefinition,
 )
 from .model import ItemRef, Row, TableSchema
-from .predicates import Compare, Contains
 from .textindex import (
     DocEntry,
     IngestRecipe,
@@ -90,38 +89,16 @@ def catalogue_lock(catalogue_path: str, blocking: bool = True):
 
 class Relation:
     """A registered view, scannable base by base.  A raw table is the
-    identity view over itself, so every relation has the same shape."""
+    identity view over itself, so every relation has the same shape.
+    ``compiled`` answers the planner's questions about the view: which
+    columns mediation reads, and which predicates may run on raw rows."""
 
     def __init__(self, compiled: CompiledView, catalogue: "Catalogue"):
         self.name = compiled.view.name
         self.schema = compiled.schema
         self.bases: tuple[RelationRef, ...] = compiled.view.base
+        self.compiled = compiled
         self._catalogue = catalogue
-        self._compiled = compiled
-
-    def scannable(self, column: str) -> bool:
-        """True when a predicate on this column may run on raw rows: no
-        base transforms it, or the only transform is one translation,
-        which the scan predicate then carries."""
-        for origins in self._compiled.origins:
-            origin = origins.get(column)
-            if origin is None:
-                return False
-            transforms = origin[1]
-            if transforms and (len(transforms) > 1 or transforms[0].kind != "translate"):
-                return False
-        return True
-
-    def rewrite_raw(self, base_index: int, pred):
-        raw_name, transforms = self._compiled.origins[base_index][pred.column]
-        xlate = transforms[0].table if transforms else None
-        if isinstance(pred, Compare):
-            return Compare(raw_name, pred.op, pred.literal, xlate)
-        return Contains(raw_name, pred.needle, xlate)
-
-    def mediation_reads(self) -> set[int]:
-        """Columns every scan must decode for mediation's warnings."""
-        return self._compiled.mediation_reads()
 
     def estimate_rows(self) -> int:
         """Raw row count over all bases.  The planner does not use it; the
@@ -136,32 +113,39 @@ class Relation:
     def scan_base(
         self,
         base_index: int,
-        raw_preds: Sequence,
-        use_connector: bool,
+        preds: Sequence,
+        pushdown: bool,
         raw_eval: Callable | None,
         columns: Iterable[int] | None = None,
     ) -> Iterator[tuple[Row, list]]:
         """Yield (mediated row, coercion warnings) for one base relation.
 
-        ``raw_preds`` are raw-space scan predicates; the connector applies
-        them when ``use_connector``, otherwise ``raw_eval`` does, on the raw
-        rows, before mediation.  Both routes run the one evaluator of
-        ``vdc.predicates``: the connector calls it itself and the executor
-        passes ``predicates.matches`` as ``raw_eval``.  ``columns`` are the
+        ``preds`` are scan predicates, by position in the raw row (which is
+        the view's row); the connector applies them when ``pushdown``,
+        otherwise ``raw_eval`` does, on the raw rows, before mediation.
+        Both routes run the one evaluator of ``vdc.predicates``: the
+        connector calls it itself and the executor passes
+        ``predicates.matches`` as ``raw_eval``.  ``columns`` are the
         positions the caller reads (all when None); the connector may leave
-        every other cell None, so they must cover the columns of
-        ``raw_preds`` and :meth:`mediation_reads`.
+        every other cell None, so they must cover the columns of ``preds``
+        and of ``compiled.mediation_reads()``.
+
+        Every position here was bound against the base's schema when the
+        view was compiled, so a base whose schema has changed since (a live
+        source rewritten on disk) raises SourceError rather than answer by
+        the wrong columns.
         """
         ref = self.bases[base_index]
         handle = self._catalogue.open_handle(ref.source_id)
-        if use_connector and raw_preds:
-            rows = handle.scan(ref.table, pushed=raw_preds, columns=columns)
+        if handle.schema(ref.table) != self.compiled.base_schemas[base_index]:
+            raise SourceError(f"table {ref.text()} changed its schema since the query was planned")
+        if pushdown and preds:
+            rows = handle.scan(ref.table, pushed=preds, columns=columns)
         else:
             rows = handle.scan(ref.table, columns=columns)
-            if raw_preds:
-                schema = self._compiled.base_schemas[base_index]
-                rows = (r for r in rows if raw_eval(schema, raw_preds, r))
-        apply = self._compiled.apply
+            if preds:
+                rows = (r for r in rows if raw_eval(preds, r))
+        apply = self.compiled.apply
         for raw_row in rows:
             yield apply(base_index, raw_row)
 

@@ -18,7 +18,7 @@ import csv
 import io
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .connectors import read_utf8, row_item_key
 from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
@@ -31,6 +31,7 @@ from .model import (
     nfc,
     parse_uncertain_date,
 )
+from .predicates import Compare, Contains
 
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -166,10 +167,21 @@ def _rel(token: str, lineno: int) -> RelationRef:
         raise ParseError(str(e), line=lineno) from e
 
 
+def _strip_comment(line: str) -> str:
+    """``line`` up to its first ``#`` outside double quotes."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def parse_view_file(text: str) -> ViewDefinition:
     """Parse the view micro-grammar.
 
-    Line-based, UTF-8, ``#`` comments::
+    Line-based, UTF-8, ``#`` comments (outside double quotes)::
 
         view <ident>
         from <source>.<table>
@@ -185,7 +197,7 @@ def parse_view_file(text: str) -> ViewDefinition:
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if ended:
@@ -259,7 +271,8 @@ def parse_view_file(text: str) -> ViewDefinition:
 # rule resolution and row application
 
 class _CellOp:
-    """One value transform bound to a column position of one base."""
+    """One value transform bound to a column position, the same in every
+    base of the view."""
 
     __slots__ = ("kind", "index", "column", "table")
 
@@ -279,24 +292,20 @@ class CompiledView:
     ``schema`` is the resolved output schema and ``base_schemas`` the raw
     schema of each base; ``apply(base_index, row)`` maps one base row to a
     view row, returning collected coercion warnings.  Renames and
-    transforms keep positions, so view column ``i`` is raw column ``i`` of
-    every base.  ``origins[base][view_column]`` is ``(raw column name,
-    transforms)``, the cell ops applied to that column in rule order: a
-    predicate on a column with no transform, or with one translation, may
-    be evaluated on raw rows.  A raw table is the identity view over
-    itself: no rules, so ``apply`` returns its rows unchanged.
+    transforms keep positions and a union's bases agree on them, so view
+    column ``i`` is raw column ``i`` of every base and one list of cell ops,
+    in rule order, serves every base.  A raw table is the identity view
+    over itself: no rules, so ``apply`` returns its rows unchanged.
 
     Date coercion is memoized per distinct text for the life of the
     compiled view; each row whose text fails still gets its own warning.
     """
 
     def __init__(self, view: ViewDefinition, schema: TableSchema,
-                 base_schemas: list[TableSchema], ops: list[list[_CellOp]],
-                 origins: list[dict[str, tuple[str, tuple[_CellOp, ...]]]]):
+                 base_schemas: list[TableSchema], ops: list[_CellOp]):
         self.view = view
         self.schema = schema
         self.base_schemas = base_schemas
-        self.origins = origins
         self._ops = ops
         self._dates: dict[str, UncertainDate | None] = {}
 
@@ -304,11 +313,23 @@ class CompiledView:
         """Columns that mediation reads on every row whatever a query reads:
         each coerced column, for its warnings, and column 0, the item key
         those warnings name, when there is any coercion."""
-        coerced = {op.index for ops in self._ops for op in ops if op.kind == "coerce"}
+        coerced = {op.index for op in self._ops if op.kind == "coerce"}
         return coerced | {0} if coerced else coerced
 
+    def raw_form(self, pred: Compare | Contains) -> Compare | Contains | None:
+        """``pred`` in the form that tests raw rows: unchanged when no rule
+        transforms its column, carrying the table when one translation
+        does, and None (it needs mediated values) when the column is
+        coerced or translated twice."""
+        ops = [op for op in self._ops if op.index == pred.index]
+        if not ops:
+            return pred
+        if len(ops) > 1 or ops[0].kind != "translate":
+            return None
+        return replace(pred, xlate=ops[0].table)
+
     def apply(self, base_index: int, row: Row) -> tuple[Row, list[CoercionError]]:
-        ops = self._ops[base_index]
+        ops = self._ops
         warnings: list[CoercionError] = []
         if not ops:
             return row, warnings
@@ -354,21 +375,43 @@ def compile_view(
 
     Raises PlanError when a rule does not apply (unknown column, coercion of
     a non-date_text column, union shape mismatch, duplicate rename target).
+    A coerced or translated column must sit at the same position in every
+    base, or the bases do not match.
     """
     if len(base_schemas) != len(view.base):
         raise ValueError("one schema per base relation required")
 
-    # Per base: the evolving (name, descriptor) list rules operate on, plus
-    # each position's raw origin and the value transforms applied to it.
+    # Per base: the evolving (name, descriptor) list rules operate on.
     states: list[list[ColumnDescriptor]] = [list(s.columns) for s in base_schemas]
-    raw_names: list[list[str]] = [[c.name for c in s.columns] for s in base_schemas]
-    ops: list[list[_CellOp]] = [[] for _ in base_schemas]
+    ops: list[_CellOp] = []
 
     def find(cols: list[ColumnDescriptor], name: str) -> int | None:
         for i, c in enumerate(cols):
             if c.name == name:
                 return i
         return None
+
+    def mismatch(b: int) -> PlanError:
+        return PlanError(
+            f"view {view.name!r}: union base {view.base[b].text()} does not match "
+            f"{view.base[0].text()} after renames"
+        )
+
+    def locate(column: str, verb: str, admits, unfit: str) -> int:
+        """The one position of ``column`` in every base; in each it must
+        exist and pass ``admits`` (else it is an ``unfit`` column)."""
+        hits = []
+        for cols in states:
+            i = find(cols, column)
+            if i is None:
+                raise PlanError(f"view {view.name!r}: {verb} of nonexistent column {column!r}")
+            if not admits(cols[i]):
+                raise PlanError(f"view {view.name!r}: {verb} of {unfit} column {column!r}")
+            hits.append(i)
+        for b, i in enumerate(hits):
+            if i != hits[0]:
+                raise mismatch(b)
+        return hits[0]
 
     for rule in view.rules:
         if isinstance(rule, Rename):
@@ -388,50 +431,22 @@ def compile_view(
                     f"view {view.name!r}: rename of nonexistent column {rule.original!r}"
                 )
         elif isinstance(rule, Coerce):
-            for b, cols in enumerate(states):
-                i = find(cols, rule.column)
-                if i is None:
-                    raise PlanError(
-                        f"view {view.name!r}: coerce of nonexistent column {rule.column!r}"
-                    )
-                if not cols[i].date_text:
-                    raise PlanError(
-                        f"view {view.name!r}: coerce of non-date_text column {rule.column!r}"
-                    )
+            i = locate(rule.column, "coerce", lambda c: c.date_text, "non-date_text")
+            for cols in states:
                 cols[i] = ColumnDescriptor(rule.column, ColumnKind.DATE)
-                ops[b].append(_CellOp("coerce", i, rule.column))
+            ops.append(_CellOp("coerce", i, rule.column))
         elif isinstance(rule, Translate):
             if rule.table_id not in xlates:
                 raise PlanError(
                     f"view {view.name!r}: unknown translation table {rule.table_id!r}"
                 )
-            for b, cols in enumerate(states):
-                i = find(cols, rule.column)
-                if i is None:
-                    raise PlanError(
-                        f"view {view.name!r}: translate of nonexistent column {rule.column!r}"
-                    )
-                if cols[i].kind is not ColumnKind.TEXT:
-                    raise PlanError(
-                        f"view {view.name!r}: translate of non-text column {rule.column!r}"
-                    )
-                ops[b].append(_CellOp("translate", i, rule.column, xlates[rule.table_id]))
+            i = locate(rule.column, "translate", lambda c: c.kind is ColumnKind.TEXT, "non-text")
+            ops.append(_CellOp("translate", i, rule.column, xlates[rule.table_id]))
 
     first = states[0]
     for b, cols in enumerate(states[1:], start=1):
         if [(c.name, c.kind) for c in cols] != [(c.name, c.kind) for c in first]:
-            raise PlanError(
-                f"view {view.name!r}: union base {view.base[b].text()} does not match "
-                f"{view.base[0].text()} after renames"
-            )
+            raise mismatch(b)
 
-    origins = [
-        {
-            cols[i].name: (raw_names[b][i], tuple(op for op in ops[b] if op.index == i))
-            for i in range(len(cols))
-        }
-        for b, cols in enumerate(states)
-    ]
     schema = TableSchema(view.name, tuple(first))
-    return CompiledView(view, schema, list(base_schemas), ops, origins)
-
+    return CompiledView(view, schema, list(base_schemas), ops)

@@ -1,16 +1,17 @@
-"""Scan predicates and the engine's one raw-space evaluator.
+"""Scan predicates and the engine's one evaluator of them.
 
-Connectors only ever receive Compare and Contains (the pushable shapes);
-the date predicates always run centrally on mediated rows.  A pushed
-predicate on a column that a view only translates carries its translation
-table: the raw cell is translated (unmapped terms pass through) before the
-test, which is exactly what the central filter sees after mediation.
-``compare`` and ``contains`` are the engine's single implementation of
-those meanings: the tabular connector applies them to pushed predicates,
-the executor applies them to scan predicates it keeps for itself and to
-bound filters.  Pushdown therefore cannot change an answer by
-construction; the independent check of what the meanings should be is
-``query/reference.py``, which keeps its own code.
+Compare and Contains name their column by ``index``, a position in the row
+they test; for a scan predicate that is the relation's row, which is also
+every base's raw row.  Connectors only ever receive these two shapes; the
+date predicates always run centrally on mediated rows.  A scan predicate
+on a column that a view only translates carries its translation table: the
+raw cell is translated (unmapped terms pass through) before the test,
+which is exactly what the central filter sees after mediation.  ``compare``
+and ``contains`` are the engine's single implementation of those meanings:
+the tabular connector applies them to pushed predicates, the executor to
+scan predicates it keeps for itself and to filters.  Pushdown therefore
+cannot change an answer by construction; the independent check of what the
+meanings should be is ``query/reference.py``, which keeps its own code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .model import Row, TableSchema, UncertainDate
+from .model import Row, UncertainDate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mediation import TranslationTable
@@ -29,7 +30,7 @@ COMPARE_OPS = ("=", "!=", "<", ">", "<=", ">=")
 
 @dataclass(frozen=True)
 class Compare:
-    column: str
+    index: int
     op: str
     literal: int | str | UncertainDate
     xlate: "TranslationTable | None" = None
@@ -41,7 +42,7 @@ class Compare:
 
 @dataclass(frozen=True)
 class Contains:
-    column: str
+    index: int
     needle: str
     xlate: "TranslationTable | None" = None
 
@@ -75,7 +76,7 @@ def compare(cell, op: str, literal) -> bool:
 
 
 def holds(p: Compare | Contains, cell) -> bool:
-    """True when one raw cell satisfies ``p``; a null cell satisfies
+    """True when one cell satisfies ``p``; a null cell satisfies
     nothing.  A translating predicate tests the cell's translation."""
     if cell is None:
         return False
@@ -88,6 +89,6 @@ def holds(p: Compare | Contains, cell) -> bool:
     return compare(cell, p.op, p.literal)
 
 
-def matches(schema: TableSchema, preds: Sequence, row: Row) -> bool:
-    """True when a raw row satisfies every Compare/Contains in ``preds``."""
-    return all(holds(p, row[schema.index_of(p.column)]) for p in preds)
+def matches(preds: Sequence, row: Row) -> bool:
+    """True when a row satisfies every Compare/Contains in ``preds``."""
+    return all(holds(p, row[p.index]) for p in preds)

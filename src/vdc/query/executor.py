@@ -28,8 +28,8 @@ from ..model import (
     row_sort_key,
     value_sort_key,
 )
-from ..predicates import compare, contains, matches
-from .planner import BCompare, BContains, BDateNear, Plan
+from ..predicates import Compare, Contains, holds, matches
+from .planner import BDateNear, Plan
 
 HASH_BUILD_CAP = 1_000_000  # rows; guards the hash-join build side
 
@@ -45,12 +45,8 @@ class ResultSet:
 
 def eval_bound(pred, row: Row) -> bool:
     """Evaluate one bound predicate; null never satisfies anything."""
-    if isinstance(pred, BCompare):
-        cell = row[pred.index]
-        return cell is not None and compare(cell, pred.op, pred.literal)
-    if isinstance(pred, BContains):
-        cell = row[pred.index]
-        return cell is not None and contains(cell, pred.needle)
+    if isinstance(pred, (Compare, Contains)):
+        return holds(pred, row[pred.index])
     if isinstance(pred, BDateNear):
         a, b = row[pred.index_a], row[pred.index_b]
         return a is not None and b is not None and date_near(a, b, pred.k_years)
@@ -91,17 +87,16 @@ def _keep(rows: list[Row], preds: tuple) -> list[Row]:
 
 
 def execute_plan(plan: Plan) -> ResultSet:
-    """Run a plan: each term's scans, its filters and its join with the
+    """Run a plan: each term's base scans, its filters and its join with the
     rows so far; then cross-relation filters, projection, canonical sort
     and LIMIT."""
     rows: list[Row] = []
     warnings: list[CoercionError] = []
     for term in plan.terms:
         term_rows: list[Row] = []
-        for scan in term.scans:
+        for b in range(len(term.relation.bases)):
             for row, warns in term.relation.scan_base(
-                scan.base_index, scan.raw_preds, scan.use_connector, matches,
-                columns=term.columns,
+                b, term.scan_preds, plan.pushdown, matches, columns=term.columns
             ):
                 term_rows.append(row)
                 warnings.extend(warns)

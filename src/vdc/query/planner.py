@@ -1,19 +1,21 @@
 """Query planning: predicate placement and pushdown.
 
 A plan is one left-deep pipeline: a Term per FROM/JOIN relation, in written
-order, each the union of its bases' Scans, filtered and hash-joined with
-the rows joined so far; then cross-relation filters, projection, the
+order, each the union of its relation's bases, filtered and hash-joined
+with the rows joined so far; then cross-relation filters, projection, the
 canonical sort and LIMIT.
 
-Scan-level predicates (single-relation Compare/Contains over columns whose
+Every predicate is bound once, to a position in the row it filters.  A
+Term's scan predicates (single-relation Compare/Contains on columns whose
 values pass through mediation untransformed, or through one translation
-that the predicate then carries) are attached to each Scan and evaluated
-either by the connector (when pushdown is enabled; every connector takes
-them) or centrally by the engine on the raw rows.  Both routes see
-identical values and run the same evaluator (``vdc.predicates``), so
-enabling or disabling pushdown can never change the result — including its
-coercion warnings, because mediation runs on exactly the rows that survive
-the scan predicates in both modes.
+that the predicate then carries) are positions in the relation's row,
+which is also every base's raw row.  They are evaluated either by the
+connector (when pushdown is enabled; every connector takes them) or
+centrally by the engine on the raw rows.  Both routes see identical values
+and run the same evaluator (``vdc.predicates``), so enabling or disabling
+pushdown can never change the result — including its coercion warnings,
+because mediation runs on exactly the rows that survive the scan
+predicates in both modes.
 
 Predicates that need mediated values (coerced dates, twice-translated
 terms, and the date predicates) become the Term's filters; cross-relation
@@ -46,20 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..datacentre import Relation
 
 
-# -- bound predicates (slot-indexed, relative to the row they filter) -------
-
-@dataclass(frozen=True)
-class BCompare:
-    index: int
-    op: str
-    literal: int | str | UncertainDate
-
-
-@dataclass(frozen=True)
-class BContains:
-    index: int
-    needle: str
-
+# -- bound predicates (relative to the row they filter) ----------------------
+# Compare and Contains (``vdc.predicates``) carry one position; the date
+# predicates are evaluated only here, on mediated rows.
 
 @dataclass(frozen=True)
 class BDateNear:
@@ -75,31 +66,23 @@ class BDateWithin:
     hi: UncertainDate
 
 
-BoundPredicate = Union[BCompare, BContains, BDateNear, BDateWithin]
+BoundPredicate = Union[Compare, Contains, BDateNear, BDateWithin]
 
 
 # -- the plan: one left-deep pipeline ---------------------------------------
 
 @dataclass(frozen=True)
-class Scan:
-    """One base of a relation, with its scan predicates in the base's raw
-    column names, run by the connector or centrally on the raw rows."""
-
-    base_index: int
-    raw_preds: tuple[Compare | Contains, ...]
-    use_connector: bool
-
-
-@dataclass(frozen=True)
 class Term:
-    """One FROM/JOIN relation: the union of its scans, then its own filters
-    (indexed within the relation's row), then a hash join with the rows
-    joined so far on ``join_key`` = (left slot, local right column); the
-    first term has no join key.  ``columns`` are the positions of the
-    relation's row that the plan reads; every other cell may be None."""
+    """One FROM/JOIN relation: the union of its bases, each scanned with
+    ``scan_preds`` (run on raw rows, by the connector when the plan pushes
+    down), then its own filters (indexed within the relation's row), then
+    a hash join with the rows joined so far on ``join_key`` = (left slot,
+    local right column); the first term has no join key.  ``columns`` are
+    the positions of the relation's row that the plan reads; every other
+    cell may be None."""
 
     relation: "Relation"
-    scans: tuple[Scan, ...]
+    scan_preds: tuple[Compare | Contains, ...]
     filters: tuple[BoundPredicate, ...]
     join_key: tuple[int, int] | None
     columns: tuple[int, ...]
@@ -108,13 +91,15 @@ class Term:
 @dataclass(frozen=True)
 class Plan:
     """Terms joined left to right, then the cross-relation ``filters`` on
-    the joined row, the ``projection``, the canonical sort and ``limit``."""
+    the joined row, the ``projection``, the canonical sort and ``limit``.
+    ``pushdown`` hands every term's scan predicates to the connectors."""
 
     terms: tuple[Term, ...]
     filters: tuple[BoundPredicate, ...]
     projection: tuple[int, ...]
     limit: int | None
     schema: TableSchema
+    pushdown: bool
 
 
 def _typed_literal(ast: CompareAst, kind: ColumnKind) -> int | str | UncertainDate:
@@ -159,7 +144,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
     join_filters: list[BoundPredicate] = []
 
     # Per relation: the columns the plan reads.
-    reads: list[set[int]] = [bound.relation.mediation_reads() for bound in binding.relations]
+    reads = [bound.relation.compiled.mediation_reads() for bound in binding.relations]
 
     def read(slot_index: int) -> tuple[int, int]:
         """A slot's (relation, column), recorded as read."""
@@ -168,30 +153,23 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
         return s.rel_index, s.col_index
 
     for p in ast.where:
-        if isinstance(p, CompareAst):
+        if isinstance(p, (CompareAst, ContainsAst)):
             si = binding.bind(p.column)
-            slot = binding.slots[si]
-            literal = _typed_literal(p, slot.column.kind)
+            kind = binding.slots[si].column.kind
             r, c = read(si)
-            rel = binding.relations[r].relation
-            if slot.column.kind is not ColumnKind.DATE and rel.scannable(slot.column.name):
-                scan_preds[r].append(Compare(slot.column.name, p.op, literal))
+            if isinstance(p, CompareAst):
+                pred = Compare(c, p.op, _typed_literal(p, kind))
+            elif kind is ColumnKind.TEXT:
+                pred = Contains(c, p.needle)
             else:
-                term_filters[r].append(BCompare(c, p.op, literal))
-        elif isinstance(p, ContainsAst):
-            si = binding.bind(p.column)
-            slot = binding.slots[si]
-            if slot.column.kind is not ColumnKind.TEXT:
                 raise PlanError(
-                    f"CONTAINS needs a text column, {p.column.text()!r} is "
-                    f"{slot.column.kind.value}"
+                    f"CONTAINS needs a text column, {p.column.text()!r} is {kind.value}"
                 )
-            r, c = read(si)
-            rel = binding.relations[r].relation
-            if rel.scannable(slot.column.name):
-                scan_preds[r].append(Contains(slot.column.name, p.needle))
+            raw = binding.relations[r].relation.compiled.raw_form(pred)
+            if raw is None:
+                term_filters[r].append(pred)
             else:
-                term_filters[r].append(BContains(c, p.needle))
+                scan_preds[r].append(raw)
         elif isinstance(p, DateNearAst):
             sa, sb = binding.bind(p.column_a), binding.bind(p.column_b)
             for si, ref in ((sa, p.column_a), (sb, p.column_b)):
@@ -225,15 +203,14 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
         read(left)
         reads[r].add(right)
 
-    terms = []
-    for r, bound in enumerate(binding.relations):
-        rel = bound.relation
-        scans = []
-        for b in range(len(rel.bases)):
-            raw = tuple(rel.rewrite_raw(b, p) for p in scan_preds[r])
-            scans.append(Scan(b, raw, bool(raw) and pushdown))
-        join_key = binding.join_keys[r - 1] if r else None
-        terms.append(
-            Term(rel, tuple(scans), tuple(term_filters[r]), join_key, tuple(sorted(reads[r])))
+    terms = tuple(
+        Term(
+            bound.relation,
+            tuple(scan_preds[r]),
+            tuple(term_filters[r]),
+            binding.join_keys[r - 1] if r else None,
+            tuple(sorted(reads[r])),
         )
-    return Plan(tuple(terms), tuple(join_filters), tuple(indices), ast.limit, schema)
+        for r, bound in enumerate(binding.relations)
+    )
+    return Plan(terms, tuple(join_filters), tuple(indices), ast.limit, schema, pushdown)

@@ -4,18 +4,28 @@ and row mapping, union shape checks."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdc.errors import CoercionError, LoadError, ParseError, PlanError
 from vdc.mediation import (
     Coerce,
+    RelationRef,
     Rename,
     Translate,
+    ViewDefinition,
     compile_view,
     parse_translation_table,
     parse_view_file,
     translate_term,
 )
-from vdc.model import ColumnDescriptor, ColumnKind, TableSchema, UncertainDate
+from vdc.model import (
+    ColumnDescriptor,
+    ColumnKind,
+    TableSchema,
+    UncertainDate,
+    parse_uncertain_date,
+)
 
 
 def make_xlate():
@@ -85,6 +95,14 @@ class TestViewGrammar:
             'view v\nfrom a.t\nrename "Erwähnte Person" -> person\nend\n'
         )
         assert v.rules == (Rename("Erwähnte Person", "person"),)
+
+    def test_hash_inside_a_quoted_original_is_not_a_comment(self):
+        v = parse_view_file('view v\nfrom a.t\nrename "Inv. #" -> inv\nend\n')
+        assert v.rules == (Rename("Inv. #", "inv"),)
+        v = parse_view_file(
+            'view v  # comment\nfrom a.t\nrename "Inv. #" -> inv  # the "inventory" no.\nend\n'
+        )
+        assert v.name == "v" and v.rules == (Rename("Inv. #", "inv"),)
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -164,6 +182,118 @@ class TestResolve:
         v = parse_view_file('view v\nfrom a.t\nrename "Fundort" -> kategorie\nend\n')
         with pytest.raises(PlanError):
             compile_view(v, [BASE], {})
+
+
+class TestOneOpList:
+    """A view keeps one list of cell ops for all its bases: every coerced or
+    translated column sits at one position in every base, or the view is
+    rejected."""
+
+    def test_union_with_coerced_column_at_different_positions_is_rejected(self):
+        v = parse_view_file("view v\nfrom a.t\nunion b.t\ncoerce datierung date\nend\n")
+        moved = schema(
+            "t2",
+            col("id", ColumnKind.INT),
+            col("datierung", date_text=True),
+            col("Fundort"),
+            col("kategorie"),
+        )
+        with pytest.raises(PlanError) as e:
+            compile_view(v, [BASE, moved], {})
+        assert "does not match" in str(e.value)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_apply_equals_a_replay_by_name(self, data):
+        """Bases that rename, and sometimes permute, one column set, and
+        random rules: the view either fails to compile or maps every row of
+        every base as a replay of its rules by column name does."""
+        n = data.draw(st.integers(2, 4), label="columns")
+        kinds = data.draw(st.lists(st.sampled_from(_KINDS), min_size=n, max_size=n))
+        bases, renames = [], []
+        for b in range(data.draw(st.integers(2, 3), label="bases")):
+            # column k is c<k> in every base that shares the name, or a name
+            # of this base's own, which a rename usually maps to c<k>
+            names = [data.draw(st.sampled_from([f"c{k}", f"r{b}_{k}"])) for k in range(n)]
+            renames += [Rename(name, f"c{k}") for k, name in enumerate(names) if name[0] == "r"]
+            order = list(range(n))
+            if data.draw(st.integers(0, 5)) == 5:
+                order = data.draw(st.permutations(order))
+            bases.append(schema(f"t{b}", *(col(names[k], *kinds[k]) for k in order)))
+
+        # rules by the view's current name of column k (c<k>, or e<k> once
+        # renamed): a rename between the two, or the transform its kind admits
+        current = [f"c{k}" for k in range(n)]
+        extra = []
+        for _ in range(data.draw(st.integers(0, 5), label="rules")):
+            k = data.draw(st.integers(0, n - 1))
+            kind, date_text = kinds[k]
+            if kind is ColumnKind.INT or data.draw(st.booleans()):
+                to = "ce"[current[k][0] == "c"] + str(k)
+                extra.append(Rename(current[k], to))
+                current[k] = to
+            elif date_text:
+                extra.append(Coerce(current[k]))
+            else:
+                extra.append(Translate(current[k], data.draw(st.sampled_from(sorted(_XLATES)))))
+        kept = [r for r in renames if data.draw(st.integers(0, 9)) < 9]
+        rules = kept + extra
+        if data.draw(st.integers(0, 3)) == 3:
+            rules = data.draw(st.permutations(rules), label="order")
+        rules = tuple(rules)
+        view = ViewDefinition(
+            "v", tuple(RelationRef("s", f"t{b}") for b in range(len(bases))), rules
+        )
+        try:
+            cv = compile_view(view, bases, _XLATES)
+        except PlanError:
+            return
+        for b, base in enumerate(bases):
+            for _ in range(3):
+                row = tuple(data.draw(_cells(c)) for c in base.columns)
+                got, warns = cv.apply(b, row)
+                want, want_warns = _replay(rules, base, row)
+                assert got == want
+                assert [(w.column, w.text) for w in warns] == want_warns
+
+
+_KINDS = [(ColumnKind.INT, False), (ColumnKind.TEXT, False), (ColumnKind.TEXT, True)]
+_XLATES = {
+    "de_en": make_xlate(),
+    "en_de": parse_translation_table("en_de", "source_term,target_term\nletter,Brief\n"),
+}
+
+
+def _cells(c: ColumnDescriptor):
+    if c.kind is ColumnKind.INT:
+        return st.none() | st.integers(0, 9)
+    if c.date_text:
+        return st.sampled_from([None, "0213", "0150-03", "bad"])
+    return st.sampled_from([None, "Brief", "letter", "Quittung", "x"])
+
+
+def _replay(rules, base: TableSchema, row) -> tuple[tuple, list]:
+    """Apply ``rules`` to one raw row by looking every column up by name."""
+    names = base.column_names()
+    cells = list(row)
+    warns = []
+    for rule in rules:
+        if isinstance(rule, Rename):
+            if rule.original in names:
+                names[names.index(rule.original)] = rule.to
+            continue
+        i = names.index(rule.column)
+        if cells[i] is None:
+            continue
+        if isinstance(rule, Translate):
+            cells[i] = translate_term(_XLATES[rule.table_id], cells[i])
+            continue
+        try:
+            cells[i] = parse_uncertain_date(cells[i])
+        except ParseError:
+            warns.append((rule.column, cells[i]))
+            cells[i] = None
+    return tuple(cells), warns
 
 
 class TestRowMapping:

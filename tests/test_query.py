@@ -10,6 +10,7 @@ import pytest
 from vdc.datacentre import Catalogue
 from vdc.errors import ParseError, PlanError, VdcError
 from vdc.model import UncertainDate
+from vdc.predicates import Compare
 from vdc.query import (
     execute_plan,
     parse_query,
@@ -20,7 +21,6 @@ from vdc.query import (
 )
 from vdc.query import executor
 from vdc.query.parser import CompareAst, ContainsAst, DateNearAst
-from vdc.query.planner import BCompare
 
 from helpers import QueryGen, register_small
 
@@ -106,18 +106,21 @@ class TestPlanner:
         cat, _, _ = desk_centre
         plan = plan_query(parse_query("SELECT * FROM papyri WHERE Fundort = 'Memphis'"), cat)
         (term,) = plan.terms
-        (scan,) = term.scans
         assert term.filters == () and plan.filters == ()
-        assert scan.use_connector and len(scan.raw_preds) == 1
-        assert scan.raw_preds[0].column == "Fundort"
+        assert plan.pushdown and len(term.scan_preds) == 1
+        assert term.scan_preds[0].index == term.relation.schema.index_of("Fundort")
 
     def test_pushdown_through_rename(self, desk_centre):
         cat, _, _ = desk_centre
         plan = plan_query(
             parse_query("SELECT * FROM papyri_en WHERE findspot = 'Memphis'"), cat
         )
-        (scan,) = plan.terms[0].scans
-        assert scan.raw_preds[0].column == "Fundort"  # rewritten to the raw name
+        (term,) = plan.terms
+        (pred,) = term.scan_preds
+        # the view's position of findspot is the raw position of Fundort
+        (base,) = term.relation.compiled.base_schemas
+        assert pred.index == term.relation.schema.index_of("findspot")
+        assert pred.index == base.index_of("Fundort")
 
     def test_translated_column_filter_is_pushed(self, desk_centre):
         """A predicate on a column whose one transform is a translation runs
@@ -129,15 +132,16 @@ class TestPlanner:
         )
         (term,) = plan.terms
         assert term.filters == ()
-        (scan,) = term.scans
-        (pred,) = scan.raw_preds
-        assert scan.use_connector
-        assert (pred.column, pred.op, pred.literal) == ("Kategorie", "=", "letter")
+        (pred,) = term.scan_preds
+        assert plan.pushdown
+        (base,) = term.relation.compiled.base_schemas
+        assert (pred.index, pred.op, pred.literal) == (base.index_of("Kategorie"), "=", "letter")
         assert pred.xlate is not None and pred.xlate.id == "de_en"
         plan = plan_query(parse_query("SELECT * FROM papyri_en WHERE date = '0200'"), cat)
         (term,) = plan.terms
-        assert [type(p) for p in term.filters] == [BCompare]
-        assert [scan.raw_preds for scan in term.scans] == [()]
+        assert [type(p) for p in term.filters] == [Compare]
+        assert term.filters[0].xlate is None
+        assert term.scan_preds == ()
 
     def test_contains_on_xml_connector_is_engine_evaluated(self, desk_centre):
         """Every connector takes pushed CONTAINS: on the XML corpus it lands
@@ -151,8 +155,7 @@ class TestPlanner:
         ):
             ast = parse_query(text)
             plan = plan_query(ast, cat)
-            (scan,) = plan.terms[0].scans
-            assert scan.raw_preds and scan.use_connector
+            assert plan.terms[0].scan_preds and plan.pushdown
             rows = execute_plan(plan).rows
             assert rows
             assert rows == execute_plan(plan_query(ast, cat, pushdown=False)).rows
@@ -165,14 +168,13 @@ class TestPlanner:
             cat,
             pushdown=False,
         )
-        (scan,) = plan.terms[0].scans
-        assert scan.raw_preds and not scan.use_connector
+        assert plan.terms[0].scan_preds and not plan.pushdown
 
     def test_union_view_plans_union_node(self, desk_centre):
         cat, _, _ = desk_centre
         plan = plan_query(parse_query("SELECT * FROM all_texts"), cat)
         (term,) = plan.terms
-        assert [scan.base_index for scan in term.scans] == [0, 1]
+        assert len(term.relation.bases) == 2
 
     def test_limit_is_root(self, desk_centre):
         """LIMIT is the plan's last stage, applied after the canonical sort."""
@@ -528,8 +530,7 @@ class TestTranslatedPushdown:
             plan = plan_query(ast, cat)
             (term,) = plan.terms
             assert term.filters == (), q
-            for scan in term.scans:
-                assert scan.use_connector and scan.raw_preds[0].xlate is not None, q
+            assert plan.pushdown and term.scan_preds[0].xlate is not None, q
             on = execute_plan(plan)
             off = execute_plan(plan_query(ast, cat, pushdown=False))
             assert on.rows == reference_eval(ast, cat).rows, q
@@ -557,7 +558,7 @@ class TestTranslatedPushdown:
         ast = parse_query("SELECT id, kind FROM twice WHERE kind = 'Brief'")
         plan = plan_query(ast, cat)
         (term,) = plan.terms
-        assert [type(p) for p in term.filters] == [BCompare]
-        assert [scan.raw_preds for scan in term.scans] == [()]
+        assert [type(p) for p in term.filters] == [Compare]
+        assert term.scan_preds == ()
         rows = execute_plan(plan).rows
         assert rows and rows == reference_eval(ast, cat).rows
