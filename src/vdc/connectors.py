@@ -11,10 +11,10 @@ and always surface as a single table named ``docs``.
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
 
-Both connectors accept pushed predicates (Compare/Contains, each naming
-its column by position in the table's row): they are checked against the
-table's columns here and evaluated with the engine's one evaluator,
-:func:`vdc.predicates.holds`.  The tabular connector tests
+Both connectors accept pushed predicates (Compare/Contains/DateWithin,
+each naming its column by position in the table's row): they are checked
+against the table's columns here and evaluated with the engine's one
+evaluator, :func:`vdc.predicates.holds`.  The tabular connector tests
 them before it decodes the rest of a row, and decodes only the columns it
 is asked for.
 """
@@ -35,10 +35,11 @@ from .model import (
     ColumnKind,
     Row,
     TableSchema,
+    UncertainDate,
     nfc,
     parse_uncertain_date,
 )
-from .predicates import Compare, Contains, holds, matches
+from .predicates import Compare, Contains, DateWithin, holds, matches
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datacentre import AccessMode
@@ -139,10 +140,10 @@ _INT_RE = re.compile(r"^-?\d+$")
 
 def _check_pushable(schema: TableSchema, preds: Sequence):
     """Reject pushed predicates on positions outside the row or of the
-    wrong kind."""
+    wrong kind.  A coercing predicate tests a date_text column as dates."""
     width = len(schema.columns)
     for p in preds:
-        if not isinstance(p, (Compare, Contains)):
+        if not isinstance(p, (Compare, Contains, DateWithin)):
             raise CapabilityError(f"cannot push predicate {type(p).__name__}")
         if not 0 <= p.index < width:
             raise CapabilityError(
@@ -152,6 +153,10 @@ def _check_pushable(schema: TableSchema, preds: Sequence):
         if isinstance(p, Contains):
             if col.kind is not ColumnKind.TEXT:
                 raise CapabilityError(f"Contains on non-text column {col.name!r}")
+        elif isinstance(p, DateWithin) or p.coerce is not None:
+            dated = isinstance(p, DateWithin) or isinstance(p.literal, UncertainDate)
+            if p.coerce is None or not col.date_text or not dated:
+                raise CapabilityError(f"cannot push a date test on {col.name!r}")
         else:
             want = int if col.kind is ColumnKind.INT else str
             if col.kind is ColumnKind.DATE or not isinstance(p.literal, want):

@@ -17,10 +17,12 @@ class ParseError(VdcError):
     """Malformed text in one of the grammars (dates, queries, views, XML).
 
     ``offset`` is a byte offset into the parsed text where known; ``line``
-    is a 1-based line number for line-oriented grammars.
+    is a 1-based line number for line-oriented grammars.  ``message`` is
+    the text without either.
     """
 
     def __init__(self, message: str, offset: int | None = None, line: int | None = None):
+        self.message = message
         self.offset = offset
         self.line = line
         where = ""

@@ -31,7 +31,7 @@ from .model import (
     nfc,
     parse_uncertain_date,
 )
-from .predicates import Compare, Contains
+from .predicates import Compare, Contains, DateWithin
 
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -298,7 +298,8 @@ class CompiledView:
     over itself: no rules, so ``apply`` returns its rows unchanged.
 
     Date coercion is memoized per distinct text for the life of the
-    compiled view; each row whose text fails still gets its own warning.
+    compiled view, one memo for ``apply`` and the coercing predicates of
+    ``raw_form``; each row whose text fails still gets its own warning.
     """
 
     def __init__(self, view: ViewDefinition, schema: TableSchema,
@@ -316,17 +317,28 @@ class CompiledView:
         coerced = {op.index for op in self._ops if op.kind == "coerce"}
         return coerced | {0} if coerced else coerced
 
-    def raw_form(self, pred: Compare | Contains) -> Compare | Contains | None:
-        """``pred`` in the form that tests raw rows: unchanged when no rule
-        transforms its column, carrying the table when one translation
-        does, and None (it needs mediated values) when the column is
-        coerced or translated twice."""
+    def raw_form(
+        self, pred: Compare | Contains | DateWithin
+    ) -> Compare | Contains | DateWithin | None:
+        """``pred`` in the form that tests raw rows, or None when it needs
+        mediated values.  Unchanged when no rule transforms its column;
+        carrying the table when one translation does; carrying the view's
+        coercion when one coercion does and no other column is coerced.
+        The coercing form keeps texts that do not coerce, so it is only a
+        prefilter: the exact predicate must still run on mediated rows.
+        It cuts no row that would warn, because a row's only warning can
+        come from the column it tests; with a second coerced column it
+        could, so such a view gets None."""
         ops = [op for op in self._ops if op.index == pred.index]
         if not ops:
             return pred
-        if len(ops) > 1 or ops[0].kind != "translate":
+        if len(ops) > 1:
             return None
-        return replace(pred, xlate=ops[0].table)
+        if ops[0].kind == "translate":
+            return replace(pred, xlate=ops[0].table)
+        if sum(op.kind == "coerce" for op in self._ops) == 1:
+            return replace(pred, coerce=self.coerce_date)
+        return None
 
     def apply(self, base_index: int, row: Row) -> tuple[Row, list[CoercionError]]:
         ops = self._ops
@@ -341,22 +353,22 @@ class CompiledView:
             if op.kind == "translate":
                 cells[op.index] = translate_term(op.table, cell)
             else:
-                date = self._dates.get(cell, _UNSEEN)
-                if date is _UNSEEN:
-                    date = self._coerce(cell)
+                date = self.coerce_date(cell)
                 if date is None:
                     warnings.append(CoercionError(self._ref(base_index, row), op.column, cell))
                 cells[op.index] = date
         return tuple(cells), warnings
 
-    def _coerce(self, text: str) -> UncertainDate | None:
-        """Parse a date text not seen before and remember the result: the
-        date, or None when it does not parse."""
-        try:
-            date = parse_uncertain_date(text)
-        except ParseError:
-            date = None
-        self._dates[text] = date
+    def coerce_date(self, text: str) -> UncertainDate | None:
+        """The date of a date text, or None when it does not parse; each
+        distinct text is parsed once."""
+        date = self._dates.get(text, _UNSEEN)
+        if date is _UNSEEN:
+            try:
+                date = parse_uncertain_date(text)
+            except ParseError:
+                date = None
+            self._dates[text] = date
         return date
 
     def _ref(self, base_index: int, row: Row) -> str:

@@ -113,7 +113,8 @@ Value = int | str | UncertainDate | None
 _BOUND_RE = re.compile(r"^(-?\d+)(?:-(\d{2}))?(?:-(\d{2}))?$")
 
 
-def _byte_offset(s: str, char_offset: int) -> int:
+def byte_offset(s: str, char_offset: int) -> int:
+    """The byte offset in ``s``'s UTF-8 of its character ``char_offset``."""
     return len(s[:char_offset].encode("utf-8"))
 
 
@@ -125,7 +126,7 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     """
     m = _BOUND_RE.match(part)
     if not m:
-        raise ParseError(f"malformed date {part!r}", offset=_byte_offset(whole, base))
+        raise ParseError(f"malformed date {part!r}", offset=byte_offset(whole, base))
     year = int(m.group(1))
     if m.group(2) is None:
         return day_number(year, 1, 1), day_number(year, 12, 31)
@@ -133,7 +134,7 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     month_at = base + m.start(2)
     if not 1 <= month <= 12:
         raise ParseError(
-            f"month {m.group(2)} out of range", offset=_byte_offset(whole, month_at)
+            f"month {m.group(2)} out of range", offset=byte_offset(whole, month_at)
         )
     if m.group(3) is None:
         return day_number(year, month, 1), day_number(year, month, days_in_month(year, month))
@@ -142,7 +143,7 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     if not 1 <= day <= days_in_month(year, month):
         raise ParseError(
             f"day {m.group(3)} invalid for {_format_year(year)}-{m.group(2)}",
-            offset=_byte_offset(whole, day_at),
+            offset=byte_offset(whole, day_at),
         )
     n = day_number(year, month, day)
     return n, n
@@ -169,20 +170,20 @@ def parse_uncertain_date(s: str) -> UncertainDate:
         lead += 4
         body = body[4:]
         if not body:
-            raise ParseError("empty date text after 'ca. '", offset=_byte_offset(s, lead))
+            raise ParseError("empty date text after 'ca. '", offset=byte_offset(s, lead))
 
     if "/" in body:
         left, _, right = body.partition("/")
         if "/" in right:
             raise ParseError(
                 "more than one '/' in date range",
-                offset=_byte_offset(s, lead + len(left) + 1 + right.index("/")),
+                offset=byte_offset(s, lead + len(left) + 1 + right.index("/")),
             )
         lo, _ = _parse_bound(left, s, lead)
         _, hi = _parse_bound(right, s, lead + len(left) + 1)
         if lo > hi:
             raise ParseError(
-                "reversed date range", offset=_byte_offset(s, lead + len(left) + 1)
+                "reversed date range", offset=byte_offset(s, lead + len(left) + 1)
             )
     else:
         lo, hi = _parse_bound(body, s, lead)

@@ -1,31 +1,40 @@
 """Scan predicates and the engine's one evaluator of them.
 
-Compare and Contains name their column by ``index``, a position in the row
-they test; for a scan predicate that is the relation's row, which is also
-every base's raw row.  Connectors only ever receive these two shapes; the
-date predicates always run centrally on mediated rows.  A scan predicate
-on a column that a view only translates carries its translation table: the
-raw cell is translated (unmapped terms pass through) before the test,
-which is exactly what the central filter sees after mediation.  ``compare``
-and ``contains`` are the engine's single implementation of those meanings:
-the tabular connector applies them to pushed predicates, the executor to
-scan predicates it keeps for itself and to filters.  Pushdown therefore
-cannot change an answer by construction; the independent check of what the
-meanings should be is ``query/reference.py``, which keeps its own code.
+Compare, Contains and DateWithin name their column by ``index``, a
+position in the row they test; for a scan predicate that is the relation's
+row, which is also every base's raw row.  A scan predicate on a column
+that a view only translates carries its translation table: the raw cell
+is translated (unmapped terms pass through) before the test, which is
+exactly what the central filter sees after mediation.  A date predicate
+(DateWithin, or a Compare against a date) on a column that the view only
+coerces, where that is the view's one coerced column, carries the view's
+coercion instead and is a prefilter: a raw text that coerces is tested as
+its date, and one that does not is kept, so that mediation still warns on
+it and the exact predicate, which stays a central filter, drops it.
+``compare``, ``contains`` and ``holds`` are the engine's single
+implementation of these meanings: the connectors apply them to pushed
+predicates, the executor to scan predicates it keeps for itself and to
+filters.  Pushdown therefore cannot change an answer by construction; the
+independent check of what the meanings should be is ``query/reference.py``,
+which keeps its own code.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .model import Row, UncertainDate
+from .model import Row, UncertainDate, date_within
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mediation import TranslationTable
 
 COMPARE_OPS = ("=", "!=", "<", ">", "<=", ">=")
+
+# A view's date coercion of one raw text: its date, or None when it does
+# not parse.
+Coercion = Callable[[str], "UncertainDate | None"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,7 @@ class Compare:
     op: str
     literal: int | str | UncertainDate
     xlate: "TranslationTable | None" = None
+    coerce: "Coercion | None" = None
 
     def __post_init__(self):
         if self.op not in COMPARE_OPS:
@@ -45,6 +55,16 @@ class Contains:
     index: int
     needle: str
     xlate: "TranslationTable | None" = None
+
+
+@dataclass(frozen=True)
+class DateWithin:
+    """DATE_WITHIN: the cell's whole interval lies inside [lo, hi]."""
+
+    index: int
+    lo: UncertainDate
+    hi: UncertainDate
+    coerce: "Coercion | None" = None
 
 
 def contains(cell: str, needle: str) -> bool:
@@ -75,20 +95,31 @@ def compare(cell, op: str, literal) -> bool:
     return cell >= literal
 
 
-def holds(p: Compare | Contains, cell) -> bool:
-    """True when one cell satisfies ``p``; a null cell satisfies
-    nothing.  A translating predicate tests the cell's translation."""
-    if cell is None:
-        return False
+def _translated(p: Compare | Contains, cell: str):
     if p.xlate is not None:
         hit = p.xlate.lookup(cell)
         if hit is not None:
-            cell = hit
+            return hit
+    return cell
+
+
+def holds(p: Compare | Contains | DateWithin, cell) -> bool:
+    """True when one cell satisfies ``p``; a null cell satisfies nothing.
+    A translating predicate tests the cell's translation; a coercing one
+    tests the cell's date, and keeps a cell that does not coerce."""
+    if cell is None:
+        return False
     if isinstance(p, Contains):
-        return contains(cell, p.needle)
-    return compare(cell, p.op, p.literal)
+        return contains(_translated(p, cell), p.needle)
+    if p.coerce is not None:
+        cell = p.coerce(cell)
+        if cell is None:
+            return True  # mediation warns on it; the exact filter drops it
+    if isinstance(p, DateWithin):
+        return date_within(cell, p.lo, p.hi)
+    return compare(_translated(p, cell), p.op, p.literal)
 
 
 def matches(preds: Sequence, row: Row) -> bool:
-    """True when a row satisfies every Compare/Contains in ``preds``."""
+    """True when a row satisfies every predicate in ``preds``."""
     return all(holds(p, row[p.index]) for p in preds)

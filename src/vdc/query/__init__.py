@@ -9,7 +9,6 @@ from .executor import (
 )
 from .parser import QueryAst, parse_query
 from .planner import Plan, plan_query
-from .reference import reference_eval
 
 __all__ = [
     "Plan",
@@ -23,3 +22,13 @@ __all__ = [
     "result_to_csv",
     "result_to_jsonl",
 ]
+
+
+def __getattr__(name: str):
+    """``reference_eval`` on first use: the test oracle is not compiled
+    into every query process."""
+    if name == "reference_eval":
+        from .reference import reference_eval
+
+        return reference_eval
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,10 @@
 """Plan execution with exact multiset semantics and canonical output order.
 
-The engine runs a plan's terms left to right, materializing each stage
-(sources are desk-to-archive scale, not warehouse scale), sorts the
-projected rows with the canonical value order, and applies LIMIT last.
+The engine runs a plan's terms left to right as one stream: a term's rows
+are materialized only where a hash join needs them (sources are
+desk-to-archive scale, not warehouse scale).  The last stage's rows pass
+the cross-relation filters and the projection, then the canonical sort, or
+with a LIMIT a bounded top-k that holds at most LIMIT rows.
 Coercion warnings collected during scans travel with the result; rows whose
 date failed to coerce carry a null in that cell, which naturally drops them
 from any predicate or join key on the column while keeping them visible to
@@ -16,6 +18,7 @@ import heapq
 import io
 import json
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from ..errors import CoercionError, ExecutionError
 from ..model import (
@@ -23,13 +26,12 @@ from ..model import (
     TableSchema,
     UncertainDate,
     date_near,
-    date_within,
     format_uncertain_date,
     row_sort_key,
     value_sort_key,
 )
-from ..predicates import Compare, Contains, holds, matches
-from .planner import BDateNear, Plan
+from ..predicates import holds, matches
+from .planner import BDateNear, Plan, Term
 
 HASH_BUILD_CAP = 1_000_000  # rows; guards the hash-join build side
 
@@ -45,13 +47,10 @@ class ResultSet:
 
 def eval_bound(pred, row: Row) -> bool:
     """Evaluate one bound predicate; null never satisfies anything."""
-    if isinstance(pred, (Compare, Contains)):
-        return holds(pred, row[pred.index])
     if isinstance(pred, BDateNear):
         a, b = row[pred.index_a], row[pred.index_b]
         return a is not None and b is not None and date_near(a, b, pred.k_years)
-    a = row[pred.index]
-    return a is not None and date_within(a, pred.lo, pred.hi)
+    return holds(pred, row[pred.index])
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -82,32 +81,38 @@ def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> list[Row]
     return out
 
 
-def _keep(rows: list[Row], preds: tuple) -> list[Row]:
-    return [r for r in rows if all(eval_bound(p, r) for p in preds)] if preds else rows
+def _term_rows(term: Term, pushdown: bool, warnings: list[CoercionError]) -> Iterator[Row]:
+    """The rows of a term's bases that pass its scan predicates and its
+    filters; each mediated row's coercion warnings go to ``warnings`` as
+    it passes."""
+    filters = term.filters
+    for b in range(len(term.relation.bases)):
+        for row, warns in term.relation.scan_base(
+            b, term.scan_preds, pushdown, matches, columns=term.columns
+        ):
+            warnings.extend(warns)
+            if all(eval_bound(p, row) for p in filters):
+                yield row
 
 
 def execute_plan(plan: Plan) -> ResultSet:
     """Run a plan: each term's base scans, its filters and its join with the
     rows so far; then cross-relation filters, projection, canonical sort
     and LIMIT."""
-    rows: list[Row] = []
     warnings: list[CoercionError] = []
+    rows: Iterable[Row] = ()
     for term in plan.terms:
-        term_rows: list[Row] = []
-        for b in range(len(term.relation.bases)):
-            for row, warns in term.relation.scan_base(
-                b, term.scan_preds, plan.pushdown, matches, columns=term.columns
-            ):
-                term_rows.append(row)
-                warnings.extend(warns)
-        term_rows = _keep(term_rows, term.filters)
+        term_rows = _term_rows(term, plan.pushdown, warnings)
         if term.join_key is None:
             rows = term_rows
         else:
-            rows = _hash_join(rows, term_rows, *term.join_key)
-    rows = [tuple(r[i] for i in plan.projection) for r in _keep(rows, plan.filters)]
+            rows = _hash_join(list(rows), list(term_rows), *term.join_key)
+    project, filters = plan.projection, plan.filters
+    rows = (
+        tuple(r[i] for i in project) for r in rows if all(eval_bound(p, r) for p in filters)
+    )
     if plan.limit is None:
-        rows.sort(key=row_sort_key)
+        rows = sorted(rows, key=row_sort_key)
     else:  # documented equal to sorted(rows, key=...)[:limit], ties included
         rows = heapq.nsmallest(plan.limit, rows, key=row_sort_key)
     warnings.sort(key=lambda w: (w.ref, w.column, w.text))

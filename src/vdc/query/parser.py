@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
-from ..model import UncertainDate, nfc, parse_uncertain_date
+from ..model import UncertainDate, byte_offset, nfc, parse_uncertain_date
 
 KEYWORDS = {"select", "from", "join", "on", "where", "and", "limit", "contains"}
 FUNCTIONS = {"date_near", "date_within"}
@@ -45,10 +45,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _byte(text: str, char_offset: int) -> int:
-    return len(text[:char_offset].encode("utf-8"))
-
-
 def tokenize_query(text: str) -> list[Token]:
     tokens = []
     pos = 0
@@ -56,9 +52,9 @@ def tokenize_query(text: str) -> list[Token]:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             if text[pos] == "'":
-                raise ParseError("unterminated string", offset=_byte(text, pos))
+                raise ParseError("unterminated string", offset=byte_offset(text, pos))
             raise ParseError(
-                f"unexpected character {text[pos]!r}", offset=_byte(text, pos)
+                f"unexpected character {text[pos]!r}", offset=byte_offset(text, pos)
             )
         if m.lastgroup != "ws":
             tokens.append(Token(m.lastgroup, m.group(), pos))
@@ -101,6 +97,7 @@ class CompareAst:
     literal: int | str
     literal_is_string: bool
     offset: int
+    literal_offset: int  # char offset of the literal's first character
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, offset=_byte(self.text, tok.offset))
+        raise ParseError(message, offset=byte_offset(self.text, tok.offset))
 
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
@@ -243,7 +240,7 @@ class _Parser:
         else:
             literal = self.integer("a literal")
             is_string = False
-        return CompareAst(col, op_tok.text, literal, is_string, col.offset)
+        return CompareAst(col, op_tok.text, literal, is_string, col.offset, lit_tok.offset)
 
     def function_predicate(self) -> PredicateAst:
         fn = self.next()
@@ -277,7 +274,8 @@ class _Parser:
             return parse_uncertain_date(text)
         except ParseError as e:
             raise ParseError(
-                f"bad date literal {text!r}: {e}", offset=_byte(self.text, tok.offset)
+                f"bad date literal {text!r}: {e.message}",
+                offset=byte_offset(self.text, tok.offset),
             ) from e
 
     def query(self) -> QueryAst:

@@ -6,19 +6,22 @@ with the rows joined so far; then cross-relation filters, projection, the
 canonical sort and LIMIT.
 
 Every predicate is bound once, to a position in the row it filters.  A
-Term's scan predicates (single-relation Compare/Contains on columns whose
-values pass through mediation untransformed, or through one translation
-that the predicate then carries) are positions in the relation's row,
-which is also every base's raw row.  They are evaluated either by the
-connector (when pushdown is enabled; every connector takes them) or
+Term's scan predicates are single-relation predicates in the form that
+tests raw rows (``CompiledView.raw_form``): positions in the relation's
+row, which is also every base's raw row, carrying the one translation or
+the one coercion their column passes through.  They are evaluated either
+by the connector (when pushdown is enabled; every connector takes them) or
 centrally by the engine on the raw rows.  Both routes see identical values
 and run the same evaluator (``vdc.predicates``), so enabling or disabling
 pushdown can never change the result — including its coercion warnings,
 because mediation runs on exactly the rows that survive the scan
 predicates in both modes.
 
-Predicates that need mediated values (coerced dates, twice-translated
-terms, and the date predicates) become the Term's filters; cross-relation
+A predicate on a date column is exact only on mediated values: a coercing
+scan predicate keeps the texts that do not coerce, so it is a prefilter
+and the exact predicate stays among the Term's filters.  Predicates with
+no raw form (on twice-transformed columns, or on a coerced column of a
+view that coerces two) and DATE_NEAR are filters only; cross-relation
 predicates run on the joined rows.
 
 Each Term also names the columns the plan reads from its relation, so the
@@ -32,9 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from ..errors import PlanError
-from ..model import ColumnKind, TableSchema, UncertainDate
-from ..predicates import Compare, Contains
+from ..errors import ParseError, PlanError
+from ..model import (
+    ColumnKind,
+    TableSchema,
+    UncertainDate,
+    byte_offset,
+    parse_uncertain_date,
+)
+from ..predicates import Compare, Contains, DateWithin
 from .binder import Binding
 from .parser import (
     CompareAst,
@@ -49,8 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 # -- bound predicates (relative to the row they filter) ----------------------
-# Compare and Contains (``vdc.predicates``) carry one position; the date
-# predicates are evaluated only here, on mediated rows.
+# Compare, Contains and DateWithin (``vdc.predicates``) carry one position;
+# DATE_NEAR is evaluated only on mediated rows.
 
 @dataclass(frozen=True)
 class BDateNear:
@@ -59,14 +68,7 @@ class BDateNear:
     k_years: int
 
 
-@dataclass(frozen=True)
-class BDateWithin:
-    index: int
-    lo: UncertainDate
-    hi: UncertainDate
-
-
-BoundPredicate = Union[Compare, Contains, BDateNear, BDateWithin]
+BoundPredicate = Union[Compare, Contains, DateWithin, BDateNear]
 
 
 # -- the plan: one left-deep pipeline ---------------------------------------
@@ -82,7 +84,7 @@ class Term:
     cell may be None."""
 
     relation: "Relation"
-    scan_preds: tuple[Compare | Contains, ...]
+    scan_preds: tuple[Compare | Contains | DateWithin, ...]
     filters: tuple[BoundPredicate, ...]
     join_key: tuple[int, int] | None
     columns: tuple[int, ...]
@@ -102,10 +104,9 @@ class Plan:
     pushdown: bool
 
 
-def _typed_literal(ast: CompareAst, kind: ColumnKind) -> int | str | UncertainDate:
-    """Check and convert a Compare literal against its column kind."""
-    from ..model import parse_uncertain_date
-
+def _typed_literal(ast: CompareAst, kind: ColumnKind, text: str) -> int | str | UncertainDate:
+    """Check and convert a Compare literal against its column kind; a bad
+    date literal is reported at its byte offset in the query ``text``."""
     if kind is ColumnKind.INT:
         if ast.literal_is_string:
             raise PlanError(
@@ -129,8 +130,29 @@ def _typed_literal(ast: CompareAst, kind: ColumnKind) -> int | str | UncertainDa
         )
     try:
         return parse_uncertain_date(ast.literal)
-    except Exception as e:
-        raise PlanError(f"column {ast.column.text()!r} is date, literal does not parse: {e}")
+    except ParseError as e:
+        raise PlanError(
+            f"column {ast.column.text()!r} is date, literal does not parse: "
+            f"{e.message} (byte {byte_offset(text, ast.literal_offset)})"
+        ) from e
+
+
+def _bound(p: CompareAst | ContainsAst | DateWithinAst, c: int, kind: ColumnKind,
+           text: str) -> Compare | Contains | DateWithin:
+    """``p`` bound to column ``c`` of its relation, kind-checked."""
+    if isinstance(p, CompareAst):
+        return Compare(c, p.op, _typed_literal(p, kind, text))
+    if isinstance(p, ContainsAst):
+        if kind is not ColumnKind.TEXT:
+            raise PlanError(
+                f"CONTAINS needs a text column, {p.column.text()!r} is {kind.value}"
+            )
+        return Contains(c, p.needle)
+    if kind is not ColumnKind.DATE:
+        raise PlanError(
+            f"DATE_WITHIN needs a date column, {p.column.text()!r} is {kind.value}"
+        )
+    return DateWithin(c, p.lo, p.hi)
 
 
 def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
@@ -139,7 +161,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
 
     # Classify WHERE predicates: per-relation scan-level, per-relation
     # central, or cross-relation (post-join).
-    scan_preds: list[list[Compare | Contains]] = [[] for _ in range(n_rels)]
+    scan_preds: list[list[Compare | Contains | DateWithin]] = [[] for _ in range(n_rels)]
     term_filters: list[list[BoundPredicate]] = [[] for _ in range(n_rels)]
     join_filters: list[BoundPredicate] = []
 
@@ -153,23 +175,16 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
         return s.rel_index, s.col_index
 
     for p in ast.where:
-        if isinstance(p, (CompareAst, ContainsAst)):
+        if isinstance(p, (CompareAst, ContainsAst, DateWithinAst)):
             si = binding.bind(p.column)
             kind = binding.slots[si].column.kind
             r, c = read(si)
-            if isinstance(p, CompareAst):
-                pred = Compare(c, p.op, _typed_literal(p, kind))
-            elif kind is ColumnKind.TEXT:
-                pred = Contains(c, p.needle)
-            else:
-                raise PlanError(
-                    f"CONTAINS needs a text column, {p.column.text()!r} is {kind.value}"
-                )
+            pred = _bound(p, c, kind, ast.text)
             raw = binding.relations[r].relation.compiled.raw_form(pred)
-            if raw is None:
-                term_filters[r].append(pred)
-            else:
+            if raw is not None:
                 scan_preds[r].append(raw)
+            if raw is None or kind is ColumnKind.DATE:
+                term_filters[r].append(pred)
         elif isinstance(p, DateNearAst):
             sa, sb = binding.bind(p.column_a), binding.bind(p.column_b)
             for si, ref in ((sa, p.column_a), (sb, p.column_b)):
@@ -184,15 +199,6 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                 term_filters[ra].append(BDateNear(ca, cb, p.k_years))
             else:
                 join_filters.append(BDateNear(sa, sb, p.k_years))
-        elif isinstance(p, DateWithinAst):
-            si = binding.bind(p.column)
-            if binding.slots[si].column.kind is not ColumnKind.DATE:
-                raise PlanError(
-                    f"DATE_WITHIN needs a date column, {p.column.text()!r} is "
-                    f"{binding.slots[si].column.kind.value}"
-                )
-            r, c = read(si)
-            term_filters[r].append(BDateWithin(c, p.lo, p.hi))
         else:  # pragma: no cover - parser produces no other shapes
             raise PlanError(f"unsupported predicate {p!r}")
 

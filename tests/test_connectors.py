@@ -16,8 +16,9 @@ from vdc.connectors import (
 )
 from vdc.datacentre import AccessMode
 from vdc.errors import CapabilityError, NotFound, ParseError, SourceError
-from vdc.model import ColumnKind
-from vdc.predicates import Compare, Contains
+from vdc.mediation import TranslationTable
+from vdc.model import ColumnKind, parse_uncertain_date
+from vdc.predicates import Compare, Contains, DateWithin
 from vdc.query.reference import _naive_compare, _naive_contains
 
 
@@ -153,6 +154,45 @@ class TestTabular:
                 list(handle.scan("texts", [Compare(outside, "=", 1)]))
         with pytest.raises(CapabilityError):
             list(handle.scan("texts", [Compare(1, "=", 5)]))
+
+    def _dated(self, tmp_path):
+        rows = [f"{i},{'ab'[i % 2]},{('0200', '0300', 'bad', '')[i % 4]}" for i in range(1, 41)]
+        write_source(tmp_path / "s", header="id,status,when",
+                     schema="id : int\nstatus : text\nwhen : date_text\n", rows=rows)
+        return live("s", tmp_path / "s")
+
+    @staticmethod
+    def _coerce(text):
+        try:
+            return parse_uncertain_date(text)
+        except ParseError:
+            return None
+
+    def test_transforming_predicates_test_the_transformed_cell(self, tmp_path):
+        """A pushed predicate that translates tests the translation; one
+        that coerces keeps a text that does not coerce and drops a null."""
+        handle = self._dated(tmp_path)
+        window = parse_uncertain_date("0150"), parse_uncertain_date("0250")
+        for pred, ids in (
+            (Compare(1, "=", "x", xlate=TranslationTable("t", [("a", "x")])),
+             [i for i in range(1, 41) if i % 2 == 0]),
+            (DateWithin(2, *window, coerce=self._coerce),
+             [i for i in range(1, 41) if i % 4 in (0, 2)]),
+            (Compare(1, "=", "a"), [i for i in range(1, 41) if i % 2 == 0]),
+        ):
+            assert [r[0] for r in handle.scan("texts", [pred])] == ids, pred
+
+    def test_pushed_date_tests_need_a_coercion_and_a_date_text_column(self, tmp_path):
+        handle = self._dated(tmp_path)
+        d = parse_uncertain_date("0200")
+        for bad in (DateWithin(2, d, d), DateWithin(1, d, d, coerce=self._coerce),
+                    Compare(2, "=", d), Compare(1, "=", d, coerce=self._coerce),
+                    Compare(2, "=", "0200", coerce=self._coerce)):
+            with pytest.raises(CapabilityError):
+                list(handle.scan("texts", [bad]))
+        assert [r[0] for r in handle.scan("texts", [Compare(2, "=", d, coerce=self._coerce)])] == [
+            i for i in range(1, 41) if i % 4 in (0, 2)
+        ]
 
 
 class TestPushdownSoundness:

@@ -3,14 +3,18 @@ checks), execution semantics, and engine-vs-oracle equivalence."""
 
 import os
 import random
+import subprocess
+import sys
+import tracemalloc
 import unicodedata
+from dataclasses import replace
 
 import pytest
 
 from vdc.datacentre import Catalogue
 from vdc.errors import ParseError, PlanError, VdcError
 from vdc.model import UncertainDate
-from vdc.predicates import Compare
+from vdc.predicates import Compare, DateWithin
 from vdc.query import (
     execute_plan,
     parse_query,
@@ -94,6 +98,14 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_query(text)
 
+    def test_bad_date_within_literal_reports_its_offset_in_the_query(self):
+        text = "SELECT id FROM papyri_en WHERE DATE_WITHIN(date, 'ca. 0100', '0100/0090')"
+        with pytest.raises(ParseError) as e:
+            parse_query(text)
+        at = text.index("'0100/0090'")
+        assert e.value.offset == at
+        assert str(e.value) == f"bad date literal '0100/0090': reversed date range (byte {at})"
+
     def test_date_within_literals_parsed_eagerly(self):
         ast = parse_query("SELECT * FROM t WHERE DATE_WITHIN(d, '0200', '0250')")
         assert isinstance(ast.where[0].lo, UncertainDate)
@@ -125,7 +137,8 @@ class TestPlanner:
     def test_translated_column_filter_is_pushed(self, desk_centre):
         """A predicate on a column whose one transform is a translation runs
         in the scan, on the raw column, carrying the translation table; a
-        predicate on a coerced column stays a central filter."""
+        predicate on a coerced column stays a central filter, with a
+        coercing prefilter in the scan."""
         cat, _, _ = desk_centre
         plan = plan_query(
             parse_query("SELECT * FROM papyri_en WHERE category = 'letter'"), cat
@@ -141,7 +154,48 @@ class TestPlanner:
         (term,) = plan.terms
         assert [type(p) for p in term.filters] == [Compare]
         assert term.filters[0].xlate is None
-        assert term.scan_preds == ()
+        (pre,) = term.scan_preds
+        assert pre.coerce is not None and pre.literal == term.filters[0].literal
+
+    def test_bad_date_literal_reports_its_offset_in_the_query(self, desk_centre):
+        cat, _, _ = desk_centre
+        text = "SELECT id FROM papyri_en WHERE date = '0213-02-30'"
+        with pytest.raises(PlanError) as e:
+            plan_query(parse_query(text), cat)
+        assert str(e.value) == (
+            "column 'date' is date, literal does not parse: "
+            f"day 30 invalid for 0213-02 (byte {text.index(chr(39))})"
+        )
+        # byte offsets count UTF-8 bytes, not characters
+        text = "SELECT id FROM papyri_en WHERE findspot != 'Ἀντινόου' AND date = 'x'"
+        with pytest.raises(PlanError) as e:
+            plan_query(parse_query(text), cat)
+        at = len(text[: text.index("'x'")].encode("utf-8"))
+        assert str(e.value).endswith(f"malformed date 'x' (byte {at})")
+
+    def test_date_prefilter_only_on_a_singly_coerced_column(self, desk_centre):
+        """A date predicate on the one coerced column of a view adds a
+        coercing prefilter to the scan and keeps the exact predicate as a
+        filter; on a view that coerces two columns it is a filter only."""
+        cat, _, _ = desk_centre
+        for q in (
+            "SELECT id FROM papyri_en WHERE DATE_WITHIN(date, '0150', '0159')",
+            "SELECT id FROM all_texts WHERE date != '0150'",
+            "SELECT id FROM volterra_texts WHERE date = '0150'",
+        ):
+            (term,) = plan_query(parse_query(q), cat).terms
+            (pre,) = term.scan_preds
+            (exact,) = term.filters
+            assert pre.coerce is not None and exact.coerce is None, q
+            assert type(pre) is type(exact) and pre.index == exact.index, q
+            assert pre == replace(exact, coerce=pre.coerce), q
+        for q in (
+            "SELECT id FROM iaph_docs WHERE DATE_WITHIN(not_before, '0150', '0159')",
+            "SELECT id FROM iaph_docs WHERE not_after = '0150'",
+        ):
+            (term,) = plan_query(parse_query(q), cat).terms
+            assert term.scan_preds == (), q
+            assert [p.coerce for p in term.filters] == [None], q
 
     def test_contains_on_xml_connector_is_engine_evaluated(self, desk_centre):
         """Every connector takes pushed CONTAINS: on the XML corpus it lands
@@ -238,6 +292,24 @@ class TestExecutor:
         full = execute_plan(plan_query(parse_query("SELECT id FROM papyri"), cat))
         limited = execute_plan(plan_query(parse_query("SELECT id FROM papyri LIMIT 3"), cat))
         assert limited.rows == full.rows[:3]
+
+    def test_one_relation_limit_holds_only_k_rows(self, desk_centre):
+        """A one-relation LIMIT streams into a bounded top-k: its traced
+        peak is under half that of the same query without LIMIT, which
+        holds every row."""
+        cat, _, _ = desk_centre
+
+        def peak(q: str) -> int:
+            plan = plan_query(parse_query(q), cat)
+            execute_plan(plan)  # first-use allocations stay out of the measure
+            tracemalloc.start()
+            try:
+                execute_plan(plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak("SELECT * FROM all_texts LIMIT 5") < peak("SELECT * FROM all_texts") / 2
 
     def test_join_method_equivalence(self, small_centre):
         """The hash join equals the reference's nested loops whichever side
@@ -462,7 +534,7 @@ _XLATE_NEEDLES = ["ett", "LET", "dik", "\u00c9", "con", "i", "zz"]
 def xlate_centre(tmp_path_factory):
     """Two generated tables under one view that translates ``kind`` (and
     coerces ``when``, so scans collect warnings); a second view translates
-    ``kind`` twice."""
+    ``kind`` twice, and a third translates ``when`` before coercing it."""
     base = tmp_path_factory.mktemp("xlate")
     rng = random.Random(5)
     src = base / "src"
@@ -479,11 +551,15 @@ def xlate_centre(tmp_path_factory):
         encoding="utf-8",
     )
     (base / "again.csv").write_text("source_term,target_term\nletter,Brief\n", encoding="utf-8")
+    (base / "when.csv").write_text("source_term,target_term\nbad,0199\n", encoding="utf-8")
     (base / "u.view").write_text(
         "view u\nfrom s.t0\nunion s.t1\ncoerce when date\ntranslate kind using tx\nend\n"
     )
     (base / "twice.view").write_text(
         "view twice\nfrom s.t0\ntranslate kind using tx\ntranslate kind using again\nend\n"
+    )
+    (base / "tc.view").write_text(
+        "view tc\nfrom s.t0\ntranslate when using when\ncoerce when date\nend\n"
     )
     from vdc.datacentre import AccessMode
 
@@ -491,8 +567,9 @@ def xlate_centre(tmp_path_factory):
     cat.register_source("s", "tabular", str(src), AccessMode.LIVE)
     cat.add_translation("tx", str(base / "tx.csv"))
     cat.add_translation("again", str(base / "again.csv"))
-    cat.define_view(str(base / "u.view"))
-    cat.define_view(str(base / "twice.view"))
+    cat.add_translation("when", str(base / "when.csv"))
+    for view in ("u", "twice", "tc"):
+        cat.define_view(str(base / f"{view}.view"))
     return cat
 
 
@@ -562,3 +639,114 @@ class TestTranslatedPushdown:
         assert term.scan_preds == ()
         rows = execute_plan(plan).rows
         assert rows and rows == reference_eval(ast, cat).rows
+
+
+def _date_queries(rng: random.Random, view: str, years: range, literals: list[str],
+                  others: list[str], n: int) -> list[str]:
+    """DATE_WITHIN (from a year in ``years``) and date =/!= ``literals``
+    queries on ``view``'s ``when``, some with one more predicate from
+    ``others``, some with a LIMIT."""
+    queries = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            lo = rng.choice(years)
+            where = f"DATE_WITHIN(when, '{lo:04d}', '{lo + rng.randint(0, 60):04d}')"
+        else:
+            where = f"when {rng.choice(['=', '!='])} '{rng.choice(literals)}'"
+        if rng.random() < 0.25:
+            where += f" AND {rng.choice(others)}"
+        select = rng.choice(["*", "id", "when", "id, when"])
+        limit = f" LIMIT {rng.randint(1, 15)}" if rng.random() < 0.5 else ""
+        queries.append(f"SELECT {select} FROM {view} WHERE {where}{limit}")
+    return queries
+
+
+class TestDatePrefilter:
+    """A date predicate on a view's one coerced column prefilters the scan
+    with the view's coercion, keeping the texts that do not coerce; the
+    exact predicate stays a filter.  Answers are the reference
+    evaluator's, the prefilter cuts no row that warns, and pushdown on and
+    off print the same bytes and warnings."""
+
+    def _check(self, cat, queries: list[str]) -> None:
+        hits = warned = 0
+        for q in queries:
+            ast = parse_query(q)
+            plan = plan_query(ast, cat)
+            (term,) = plan.terms
+            assert any(isinstance(p, (Compare, DateWithin)) and p.coerce is not None
+                       for p in term.scan_preds), q
+            assert any(p.coerce is None for p in term.filters), q
+            on = execute_plan(plan)
+            off = execute_plan(plan_query(ast, cat, pushdown=False))
+            ref = reference_eval(ast, cat)
+            assert on.rows == ref.rows, q
+            if all(getattr(p, "coerce", None) is not None for p in term.scan_preds):
+                assert [str(w) for w in on.warnings] == [str(w) for w in ref.warnings], q
+            assert result_to_csv(on).encode() == result_to_csv(off).encode(), q
+            assert [str(w) for w in on.warnings] == [str(w) for w in off.warnings], q
+            hits += bool(on.rows)
+            warned += bool(on.warnings)
+        assert hits > len(queries) // 2 and warned > len(queries) // 2
+
+    def test_small_views(self, small_centre):
+        cat, views, _ = small_centre
+        others = ["id < 20", "tag = 'beta'", "name CONTAINS 'ar'", "n >= 5"]
+        rng = random.Random(31)
+        queries = []
+        literals = ["0200", "0190/0230", "ca. 0210", "0245", "0201-03"]
+        for view in views:
+            queries += _date_queries(rng, view, range(170, 260), literals, others, 40)
+        self._check(cat, queries)
+
+    def test_translating_union_view(self, xlate_centre):
+        others = ["kind = 'letter'", "id < 20", "kind CONTAINS 'dik'"]
+        literals = ["0200", "0201-03", "ca. 0150", "0150", "0140/0160"]
+        queries = _date_queries(random.Random(37), "u", range(130, 201), literals, others, 80)
+        self._check(xlate_centre, queries)
+
+    def test_limit_ties_are_taken_across_union_bases(self, xlate_centre):
+        """Where the k-th row ties with the next under the canonical order,
+        LIMIT k gives the reference's first k rows; the tied values occur
+        in both bases of the union."""
+        cat = xlate_centre
+        q = "SELECT when, kind FROM u WHERE DATE_WITHIN(when, '0100', '0300')"
+        full = reference_eval(parse_query(q), cat).rows
+        relation = cat.resolve_relation("u")
+        cols = [relation.schema.index_of(c) for c in ("when", "kind")]
+        per_base = [
+            {tuple(row[i] for i in cols) for row, _ in relation.scan_base(b, (), False, None)}
+            for b in range(len(relation.bases))
+        ]
+        ties = [
+            k for k in range(1, len(full))
+            if full[k - 1] == full[k] and all(full[k] in rows for rows in per_base)
+        ]
+        assert ties
+        for k in ties:
+            for pushdown in (True, False):
+                rs = execute_plan(plan_query(parse_query(f"{q} LIMIT {k}"), cat, pushdown=pushdown))
+                assert rs.rows == full[:k], (k, pushdown)
+
+    def test_coerced_and_translated_column_filters_centrally(self, xlate_centre):
+        cat = xlate_centre
+        ast = parse_query("SELECT id, when FROM tc WHERE DATE_WITHIN(when, '0150', '0250')")
+        plan = plan_query(ast, cat)
+        (term,) = plan.terms
+        assert term.scan_preds == ()
+        assert [type(p) for p in term.filters] == [DateWithin]
+        rows = execute_plan(plan).rows
+        assert rows and rows == reference_eval(ast, cat).rows
+
+
+def test_query_package_serves_the_oracle_lazily():
+    """Importing the CLI does not compile the reference evaluator; the
+    package still serves ``reference_eval`` by name."""
+    code = (
+        "import sys, vdc.cli\n"
+        "assert 'vdc.query.reference' not in sys.modules\n"
+        "from vdc.query import reference_eval\n"
+        "assert reference_eval.__module__ == 'vdc.query.reference'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
