@@ -243,16 +243,12 @@ def _cmd_coll_update(args) -> int:
 def _cmd_coll_resolve(args) -> int:
     cat = _load_catalogue(args.catalogue)
     for item in textindex.collection_resolve(cat, args.name):
-        if item.kind == "row":
+        if item.kind in ("row", "doc"):
             schema, row = item.payload
-            detail = ";".join(
-                f"{c.name}={cell_text(v)}" for c, v in zip(schema.columns, row)
-            )
-        elif item.kind == "doc":
-            doc = item.payload
-            parts = [f"id={doc.id}"] + [f"{k}={v}" for k, v in doc.meta.items()]
-            parts.append(f"body={doc.body}")
-            detail = ";".join(parts)
+            cells = list(zip(schema.column_names(), row))
+            if item.kind == "doc":  # the metadata it has, then its body
+                cells = [(n, v) for n, v in cells[:-1] if v is not None] + [cells[-1]]
+            detail = ";".join(f"{n}={cell_text(v)}" for n, v in cells)
         elif item.kind == "stub":
             parts = [f"doc_id={item.payload['doc_id']}"]
             parts += [f"{k}={v}" for k, v in item.payload["fields"].items()]

@@ -60,9 +60,6 @@ DOCS_TABLE_COLUMNS = (
     ColumnDescriptor("body", ColumnKind.TEXT),
 )
 
-_META_FIELDS = ("title", "findspot", "not_before", "not_after", "category", "persons")
-
-
 @dataclass(frozen=True)
 class SourceDescriptor:
     source_id: str
@@ -73,13 +70,6 @@ class SourceDescriptor:
     def __post_init__(self):
         if self.kind not in (TABULAR, XML_CORPUS):
             raise ValueError(f"unknown source kind {self.kind!r}")
-
-
-@dataclass
-class CorpusDoc:
-    id: str
-    meta: dict[str, str]  # subset of _META_FIELDS, insertion-ordered
-    body: str
 
 
 def row_item_key(row: Row) -> str:
@@ -246,11 +236,6 @@ class TabularSource:
         except KeyError:
             raise NotFound(f"no table {table!r} in source {self.source_id!r}") from None
 
-    def estimate_rows(self, table: str) -> int:
-        self.schema(table)
-        with open(self._csv_path(table), "r", encoding="utf-8", newline="") as f:
-            return sum(1 for _ in csv.reader(f)) - 1
-
     def scan(
         self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
     ) -> Iterator[Row]:
@@ -336,7 +321,7 @@ def _int_cell(text: str) -> int | None:
 # xml corpus sources
 
 class _DocBuilder:
-    """Expat handlers assembling a CorpusDoc from the subset grammar."""
+    """Expat handlers collecting one document of the subset grammar."""
 
     def __init__(self):
         self.id: str | None = None
@@ -423,23 +408,27 @@ class _DocBuilder:
             self.cur_meta_text.append(data)
 
 
-def parse_xml_doc(data: bytes) -> CorpusDoc:
-    """Parse one corpus document.
+def parse_xml_doc(data: bytes) -> Row:
+    """Parse one corpus document into its ``docs`` row.
 
     Grammar: root ``<doc id="...">`` containing an optional ``<meta>``
     (children ``title``, ``findspot``, ``date`` with notBefore/notAfter
     attributes, ``category``, zero or more ``persName``) and an optional
     ``<text>`` whose entire character content, tags stripped and whitespace
-    collapsed, becomes the body.
+    collapsed, becomes the body.  The row follows ``DOCS_TABLE_COLUMNS``:
+    absent metadata and an empty body are null cells, and the persons are
+    joined with ``|``.
     """
     b = _DocBuilder()
     try:
         b.parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as e:
         raise ParseError(f"not well-formed: {e}", line=e.lineno) from e
+    except LookupError as e:  # the declared encoding has no codec
+        raise ParseError(f"not well-formed: {e}", line=1) from e
     if b.id is None:
         raise ParseError("document has no <doc> root")
-    meta = {k: b.meta[k] for k in _META_FIELDS if k in b.meta}
+    meta = b.meta
     if b.persons:
         meta["persons"] = "|".join(b.persons)
     for key in ("not_before", "not_after"):
@@ -449,7 +438,7 @@ def parse_xml_doc(data: bytes) -> CorpusDoc:
             except ParseError as e:
                 raise ParseError(f"{key}={meta[key]!r} is not a valid date: {e}") from e
     body = nfc(re.sub(r"\s+", " ", "".join(b.body_parts)).strip())
-    return CorpusDoc(id=b.id, meta=meta, body=body)
+    return (b.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
 
 
 class XmlCorpusSource:
@@ -463,11 +452,12 @@ class XmlCorpusSource:
         self._files = sorted(f for f in os.listdir(path) if f.endswith(".xml"))
         if not self._files:
             raise SourceError("xml corpus has no .xml documents", path=path)
-        self._docs: list[CorpusDoc] | None = None
+        self._docs: list[Row] | None = None
         self._schema = TableSchema("docs", DOCS_TABLE_COLUMNS)
 
-    def documents(self) -> list[CorpusDoc]:
-        """All corpus docs, in sorted file order; parsed once and cached."""
+    def documents(self) -> list[Row]:
+        """The ``docs`` row of every document, in sorted file order;
+        parsed once and cached."""
         if self._docs is None:
             docs = []
             seen: dict[str, str] = {}
@@ -475,18 +465,19 @@ class XmlCorpusSource:
                 full = os.path.join(self.path, name)
                 try:
                     with open(full, "rb") as f:
-                        doc = parse_xml_doc(f.read())
+                        row = parse_xml_doc(f.read())
                 except ParseError as e:
                     raise SourceError(str(e), path=full, line=e.line) from e
                 except OSError as e:
                     raise SourceError(f"cannot read document: {e}", path=full) from e
-                if doc.id in seen:
+                doc_id = row[0]
+                if doc_id in seen:
                     raise SourceError(
-                        f"duplicate doc id {doc.id!r} (also in {seen[doc.id]})",
+                        f"duplicate doc id {doc_id!r} (also in {seen[doc_id]})",
                         path=full,
                     )
-                seen[doc.id] = name
-                docs.append(doc)
+                seen[doc_id] = name
+                docs.append(row)
             self._docs = docs
         return self._docs
 
@@ -498,35 +489,19 @@ class XmlCorpusSource:
             raise NotFound(f"no table {table!r} in source {self.source_id!r}")
         return self._schema
 
-    def estimate_rows(self, table: str) -> int:
-        self.schema(table)
-        return len(self._files)
-
     def scan(
         self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
     ) -> Iterator[Row]:
-        """Every document as a row; ``columns`` is accepted for the
-        connectors' common shape, but documents are parsed whole, once, so
-        every cell is filled."""
+        """The documents' rows that satisfy every ``pushed`` predicate;
+        ``columns`` is accepted for the connectors' common shape, but
+        documents are parsed whole, once, so every cell is filled."""
         schema = self.schema(table)
         preds = tuple(pushed or ())
         if preds:
             _check_pushable(schema, preds)
-        for doc in self.documents():
-            meta = doc.meta
-            row = (
-                doc.id,
-                meta.get("title"),
-                meta.get("findspot"),
-                meta.get("not_before"),
-                meta.get("not_after"),
-                meta.get("category"),
-                meta.get("persons"),
-                doc.body or None,
-            )
-            if preds and not matches(preds, row):
-                continue
-            yield row
+        for row in self.documents():
+            if not preds or matches(preds, row):
+                yield row
 
 
 SourceHandle = TabularSource | XmlCorpusSource

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import connectors, mediation, textindex
 from .atomic import write_atomic
-from .connectors import CorpusDoc, SourceDescriptor, SourceHandle, row_item_key
+from .connectors import SourceDescriptor, SourceHandle, row_item_key
 from .errors import (
     AccessDenied,
     CollectionError,
@@ -107,7 +107,7 @@ class Relation:
         total = 0
         for ref in self.bases:
             handle = self._catalogue.open_handle(ref.source_id)
-            total += handle.estimate_rows(ref.table)
+            total += sum(1 for _ in handle.scan(ref.table, columns=()))
         return total
 
     def scan_base(
@@ -323,49 +323,28 @@ class Catalogue:
         return Relation(self._compile_view(ViewDefinition(ref.text(), (ref,), ())), self)
 
     # -- record fetching -------------------------------------------------------
-    def fetch_record(self, ref: ItemRef) -> Row | CorpusDoc:
+    def fetch_record(self, ref: ItemRef) -> Row:
         """Fetch one item under its source's mode (vault/live only)."""
-        return _pick(self._fetch_records(ref.source_id, ref.container, [ref.item_id]), ref)
+        _, records = self._fetch_records(ref.source_id, ref.container, [ref.item_id])
+        return _pick(records, ref)
 
     def _fetch_records(
         self, source_id: str, container: str, item_ids: Sequence[str]
-    ) -> dict[str, Row | CorpusDoc]:
-        """The first record of each item id in one container, from a single
-        pass that stops once every id has been found."""
+    ) -> tuple[TableSchema, dict[str, Row]]:
+        """The container's schema and the first row of each item id in it,
+        from one opening of the source and a single pass that stops once
+        every id has been found."""
         handle = self.open_handle(source_id)
-        if handle.kind == connectors.XML_CORPUS:
-            if container != "docs":
-                raise NotFound(f"xml corpus has no container {container!r}")
-            records = ((doc.id, doc) for doc in handle.documents())
-        else:
-            records = ((row_item_key(row), row) for row in handle.scan(container))
+        schema = handle.schema(container)
         wanted = set(item_ids)
-        found: dict[str, Row | CorpusDoc] = {}
-        for key, record in records:
+        found: dict[str, Row] = {}
+        for row in handle.scan(container):
+            key = row_item_key(row)
             if key in wanted and key not in found:
-                found[key] = record
+                found[key] = row
                 if len(found) == len(wanted):
                     break
-        return found
-
-    def _fetch_grouped(
-        self, refs: Sequence[ItemRef]
-    ) -> dict[tuple[str, str], dict[str, Row | CorpusDoc] | VdcError]:
-        """The records of ``refs`` outside index-only sources, fetched one
-        pass per source container; a container whose fetch fails maps to
-        its error."""
-        groups: dict[tuple[str, str], list[str]] = {}
-        for ref in refs:
-            desc = self.sources.get(ref.source_id)
-            if desc is not None and desc.mode is not AccessMode.INDEX_ONLY:
-                groups.setdefault((ref.source_id, ref.container), []).append(ref.item_id)
-        fetched: dict[tuple[str, str], dict | VdcError] = {}
-        for (source_id, container), ids in groups.items():
-            try:
-                fetched[source_id, container] = self._fetch_records(source_id, container, ids)
-            except VdcError as e:
-                fetched[source_id, container] = e
-        return fetched
+        return schema, found
 
     def check_refs(self, refs: Sequence[ItemRef]) -> None:
         """Validate refs for collection membership under mode rules.
@@ -375,22 +354,28 @@ class Catalogue:
         CollectionError naming the first unresolvable ref, in ``refs``
         order.
         """
-        fetched = self._fetch_grouped(refs)
-        for ref in refs:
-            try:
-                if self._descriptor(ref.source_id).mode is not AccessMode.INDEX_ONLY:
-                    _pick(fetched[ref.source_id, ref.container], ref)
-            except VdcError as e:
-                raise CollectionError(f"unresolvable ref {ref.text()}: {e}") from e
+        checked = [r for r in refs if not self._index_only(r.source_id)]
+        for item in self.resolve_refs(checked):
+            if item.kind == "error":
+                raise CollectionError(f"unresolvable ref {item.ref.text()}: {item.payload}")
 
     def resolve_refs(self, refs: Sequence[ItemRef]) -> list[ResolvedItem]:
         """Resolve collection refs, in order, to records or index-only stubs.
 
-        The row and document refs of one source container are fetched
-        together, in one pass.  A ref that cannot be resolved becomes an
-        ``error`` item and resolution continues.
+        The refs of one source container outside index-only sources are
+        fetched together, in one pass.  A ref that cannot be resolved
+        becomes an ``error`` item and resolution continues.
         """
-        fetched = self._fetch_grouped(refs)
+        groups: dict[tuple[str, str], list[str]] = {}
+        for ref in refs:
+            if not self._index_only(ref.source_id):
+                groups.setdefault((ref.source_id, ref.container), []).append(ref.item_id)
+        fetched: dict[tuple[str, str], tuple | VdcError] = {}
+        for (source_id, container), ids in groups.items():
+            try:
+                fetched[source_id, container] = self._fetch_records(source_id, container, ids)
+            except VdcError as e:
+                fetched[source_id, container] = e
         out = []
         for ref in refs:
             try:
@@ -399,7 +384,13 @@ class Catalogue:
                 out.append(ResolvedItem(ref, "error", str(e)))
         return out
 
-    def _resolve(self, ref: ItemRef, records: dict | VdcError | None) -> ResolvedItem:
+    def _index_only(self, source_id: str) -> bool:
+        desc = self.sources.get(source_id)
+        return desc is not None and desc.mode is AccessMode.INDEX_ONLY
+
+    def _resolve(self, ref: ItemRef, fetched: tuple | VdcError | None) -> ResolvedItem:
+        """A ``row`` or ``doc`` item carries ``(schema, row)``; a stub its
+        index entry's doc id and stored fields."""
         desc = self._descriptor(ref.source_id)
         if desc.mode is AccessMode.INDEX_ONLY:
             entry = self._find_stub(ref)
@@ -410,11 +401,11 @@ class Catalogue:
                 "stub",
                 {"doc_id": entry.doc_id, "fields": dict(entry.stored)},
             )
-        record = _pick(records, ref)
-        if isinstance(record, CorpusDoc):
-            return ResolvedItem(ref, "doc", record)
-        schema = self.table_schema(ref.source_id, ref.container)
-        return ResolvedItem(ref, "row", (schema, record))
+        if isinstance(fetched, VdcError):
+            raise fetched
+        schema, records = fetched
+        kind = "doc" if desc.kind == connectors.XML_CORPUS else "row"
+        return ResolvedItem(ref, kind, (schema, _pick(records, ref)))
 
     def _find_stub(self, ref: ItemRef) -> DocEntry | None:
         """The first DOCS entry for ``ref`` in the indexes built from its
@@ -617,11 +608,8 @@ class Catalogue:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
 
 
-def _pick(records: dict[str, Row | CorpusDoc] | VdcError, ref: ItemRef) -> Row | CorpusDoc:
-    """The record of ``ref`` in a container's fetched records; a container
-    whose fetch failed raises its error."""
-    if isinstance(records, VdcError):
-        raise records
+def _pick(records: dict[str, Row], ref: ItemRef) -> Row:
+    """The record of ``ref`` among a container's fetched records."""
     try:
         return records[ref.item_id]
     except KeyError:

@@ -618,16 +618,18 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
         ref = f"volterra/legal_texts/{row[0]}"
         by_person.setdefault(row[vp], []).append((ref, _try_date(row[vd])))
     derived_pairs = {}
-    for doc in iaph.documents():
-        persons = doc.meta.get("persons")
+    docs_schema = iaph.schema("docs")
+    di, dp, dn, dc = (docs_schema.index_of(c) for c in ("id", "persons", "not_before", "category"))
+    for doc in iaph.scan("docs"):
+        persons = doc[dp]
         if not persons or persons not in by_person:
             continue
-        d_date = _try_date(doc.meta.get("not_before"))
+        d_date = _try_date(doc[dn])
         for vref, v_date in by_person[persons]:
             if v_date is None or d_date is None:
                 continue
             gap = date_gap_days(v_date, d_date)
-            derived_pairs[(vref, f"iaph/docs/{doc.id}")] = gap
+            derived_pairs[(vref, f"iaph/docs/{doc[di]}")] = gap
     manifest_pairs = {
         (e.ref_a, e.ref_b): e.gap_days for e in entries if e.kind == "homonym"
     }
@@ -661,11 +663,8 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
     hgv_en = set()
     for row in hgv.scan("papyri"):
         if row[hk]:
-            hit = xlate.lookup(row[hk])
-            hgv_en.add(hit if hit is not None else row[hk])
-    iaph_en = {
-        doc.meta["category"] for doc in iaph.documents() if "category" in doc.meta
-    }
+            hgv_en.add(xlate.translate(row[hk]))
+    iaph_en = {doc[dc] for doc in iaph.scan("docs") if doc[dc] is not None}
     derived_cats = hgv_en & iaph_en
     manifest_cats = {e.value for e in entries if e.kind == "shared_category"}
     ok = derived_cats == manifest_cats

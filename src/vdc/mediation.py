@@ -82,6 +82,10 @@ class TranslationTable:
     def lookup(self, term: str) -> str | None:
         return self._map.get(_fold(term))
 
+    def translate(self, term: str) -> str:
+        """Mapped target term, or the input unchanged when unmapped."""
+        return self._map.get(_fold(term), term)
+
 
 def load_translation_table(table_id: str, path: str) -> TranslationTable:
     try:
@@ -106,12 +110,6 @@ def parse_translation_table(table_id: str, text: str) -> TranslationTable:
             raise LoadError(f"translation row {record!r} does not have 2 fields")
         entries.append((nfc(record[0]), nfc(record[1])))
     return TranslationTable(table_id, entries)
-
-
-def translate_term(table: TranslationTable, term: str) -> str:
-    """Mapped target term, or the input unchanged when unmapped."""
-    hit = table.lookup(term)
-    return term if hit is None else hit
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +349,7 @@ class CompiledView:
             if cell is None:
                 continue
             if op.kind == "translate":
-                cells[op.index] = translate_term(op.table, cell)
+                cells[op.index] = op.table.translate(cell)
             else:
                 date = self.coerce_date(cell)
                 if date is None:

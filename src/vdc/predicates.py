@@ -95,29 +95,23 @@ def compare(cell, op: str, literal) -> bool:
     return cell >= literal
 
 
-def _translated(p: Compare | Contains, cell: str):
-    if p.xlate is not None:
-        hit = p.xlate.lookup(cell)
-        if hit is not None:
-            return hit
-    return cell
-
-
 def holds(p: Compare | Contains | DateWithin, cell) -> bool:
     """True when one cell satisfies ``p``; a null cell satisfies nothing.
     A translating predicate tests the cell's translation; a coercing one
     tests the cell's date, and keeps a cell that does not coerce."""
     if cell is None:
         return False
+    if not isinstance(p, DateWithin) and p.xlate is not None:
+        cell = p.xlate.translate(cell)
     if isinstance(p, Contains):
-        return contains(_translated(p, cell), p.needle)
+        return contains(cell, p.needle)
     if p.coerce is not None:
         cell = p.coerce(cell)
         if cell is None:
             return True  # mediation warns on it; the exact filter drops it
     if isinstance(p, DateWithin):
         return date_within(cell, p.lo, p.hi)
-    return compare(_translated(p, cell), p.op, p.literal)
+    return compare(cell, p.op, p.literal)
 
 
 def matches(preds: Sequence, row: Row) -> bool:

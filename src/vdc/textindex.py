@@ -215,7 +215,9 @@ def ingest_documents(
     """Map every row of the recipe's table to a Document.
 
     Returns (documents, warnings); warnings report rows whose geo
-    coordinates were present but unusable.
+    coordinates were present but unusable.  Only the cells the recipe
+    reads are decoded (the item key, id, field, body and geo columns);
+    the scan still checks every record in full.
     """
     schema = handle.schema(recipe.source.table)
     names = schema.column_names()
@@ -235,7 +237,8 @@ def ingest_documents(
     docs: list[Document] = []
     warnings: list[str] = []
     seen: dict[str, str] = {}
-    for n, row in enumerate(handle.scan(recipe.source.table), start=1):
+    reads = {0, id_i, *(i for _, i in field_is), *body_is, *(geo_is or ())}
+    for n, row in enumerate(handle.scan(recipe.source.table, columns=reads), start=1):
         id_cell = _as_text(row[id_i])
         if id_cell is None:
             raise IngestError(

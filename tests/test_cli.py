@@ -180,6 +180,18 @@ class TestCollectionsViaCli:
         assert lines[0].startswith("volterra/legal_texts/1\trow\tid=1;")
         assert lines[1].startswith("iaph/docs/i0000\tdoc\tid=i0000;")
 
+    def test_doc_without_metadata_or_body(self, centre, tmp_path):
+        """A doc lists only the metadata it has, then its body, even when
+        both are empty."""
+        cli, *_ = centre
+        corpus = tmp_path / "bare"
+        corpus.mkdir()
+        (corpus / "b.xml").write_bytes(b'<doc id="b1"><text>  </text></doc>')
+        assert cli("source", "add", "bare", "--kind", "xml", "--path", str(corpus),
+                   "--mode", "live")[0] == 0
+        assert cli("coll", "update", "finds", "--add", "bare/docs/b1")[0] == 0
+        assert cli("coll", "resolve", "finds") == (0, "bare/docs/b1\tdoc\tid=b1;body=\n", "")
+
     def test_malformed_ref_exit_2(self, centre):
         cli, *_ = centre
         assert cli("coll", "update", "finds", "--add", "notaref")[0] == 2
@@ -223,6 +235,30 @@ class TestSearchViaCli:
         code, out, err = cli("ingest", "volterra", "--recipe", str(recipe))
         assert code == 2 and out == ""
         assert f"invalid UTF-8 (invalid start byte) [{recipe}:3]" in err
+
+    @pytest.mark.parametrize("bad_row", [
+        b"2,second,x,note\n",  # bad int in an unread column
+        b"2,second\n",  # short row
+        b"2,second,7,caf\xe9\n",  # invalid UTF-8 in an unread column
+    ])
+    def test_ingest_checks_columns_it_does_not_read(self, centre, tmp_path, bad_row):
+        """The recipe reads id and title only; a malformed record elsewhere
+        in a live table still fails the build."""
+        cli, *_ = centre
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.schema").write_text("id : int\ntitle : text\nn : int\nnote : text\n")
+        (src / "t.csv").write_bytes(b"id,title,n,note\n1,first,3,ok\n")
+        recipe = tmp_path / "t.recipe"
+        recipe.write_text("recipe t_ingest\nfrom src.t\nid id\nfield title = title\n"
+                          "body title\nindex body\nend\n")
+        assert cli("source", "add", "src", "--kind", "tabular", "--path", str(src),
+                   "--mode", "live")[0] == 0
+        assert cli("index", "build", "t_texts", "--recipe", str(recipe))[0] == 0
+        (src / "t.csv").write_bytes(b"id,title,n,note\n1,first,3,ok\n" + bad_row + b"3,third,4,ok\n")
+        code, out, err = cli("index", "build", "t_texts", "--recipe", str(recipe))
+        assert code == 2 and out == ""
+        assert f"{src / 't.csv'}:3]" in err
 
     def test_v1_index_is_rebuilt_by_index_build(self, centre):
         cli, cat, fx, _ = centre

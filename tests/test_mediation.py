@@ -17,7 +17,6 @@ from vdc.mediation import (
     compile_view,
     parse_translation_table,
     parse_view_file,
-    translate_term,
 )
 from vdc.model import (
     ColumnDescriptor,
@@ -37,14 +36,14 @@ def make_xlate():
 class TestTranslationTable:
     def test_direct_and_case_insensitive_lookup(self):
         t = make_xlate()
-        assert translate_term(t, "Quittung") == "receipt"
-        assert translate_term(t, "quittung") == "receipt"
-        assert translate_term(t, "QUITTUNG") == "receipt"
+        assert t.translate("Quittung") == "receipt"
+        assert t.translate("quittung") == "receipt"
+        assert t.translate("QUITTUNG") == "receipt"
 
     def test_pass_through_unmapped(self):
         t = make_xlate()
-        assert translate_term(t, "ostrakon") == "ostrakon"
-        assert translate_term(t, "") == ""
+        assert t.translate("ostrakon") == "ostrakon"
+        assert t.translate("") == ""
 
     def test_duplicate_source_term(self):
         with pytest.raises(LoadError):
@@ -286,7 +285,7 @@ def _replay(rules, base: TableSchema, row) -> tuple[tuple, list]:
         if cells[i] is None:
             continue
         if isinstance(rule, Translate):
-            cells[i] = translate_term(_XLATES[rule.table_id], cells[i])
+            cells[i] = _XLATES[rule.table_id].translate(cells[i])
             continue
         try:
             cells[i] = parse_uncertain_date(cells[i])

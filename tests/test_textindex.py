@@ -616,8 +616,27 @@ class TestCollections:
         assert [i.kind for i in items] == ["row", "doc", "row", "error"]
         assert [i.ref for i in items] == refs
         assert items[0].payload[1][0] == 3 and items[2].payload[1][0] == 1
-        assert items[1].payload.id == "i0000"
+        assert items[1].payload[1][0] == "i0000"
         assert "99999" in items[3].payload
+
+    def test_refs_into_one_live_container_open_the_source_once(
+        self, tmp_path, desk_fixtures, monkeypatch
+    ):
+        cat = self.centre(tmp_path, desk_fixtures)
+        opened = []
+        real_open = connectors.open_source
+
+        def counting_open(desc):
+            opened.append(desc.source_id)
+            return real_open(desc)
+
+        monkeypatch.setattr(connectors, "open_source", counting_open)
+        refs = [ItemRef("volterra", "legal_texts", k) for k in ("4", "2", "3", "1")]
+        cat.collections["finds"] = VirtualCollection("finds", refs)
+        items = collection_resolve(cat, "finds")
+        assert [i.kind for i in items] == ["row"] * 4
+        assert [i.payload[1][0] for i in items] == [4, 2, 3, 1]
+        assert opened == ["volterra"]
 
     def test_update_checks_refs_with_one_scan_per_table(self, tmp_path, desk_fixtures, monkeypatch):
         """Three refs into one table are checked by one scan of it; an
