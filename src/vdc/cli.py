@@ -15,7 +15,7 @@ import sys
 from . import textindex
 from .connectors import read_utf8
 from .datacentre import AccessMode, Catalogue, catalogue_lock
-from .errors import AccessDenied, LockedError, VdcError
+from .errors import AccessDenied, LockedError, NotFound, VdcError
 from .model import ItemRef
 from .query import (
     execute_plan,
@@ -30,6 +30,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DENIED = 3
+
+# the exit code of each error a command may raise; the first match counts
+_ERROR_EXITS = (
+    (LockedError, EXIT_USAGE),
+    (AccessDenied, EXIT_DENIED),
+    ((VdcError, ValueError, OSError), EXIT_DATA),
+)
 
 _KIND_FLAGS = {"tabular": "tabular", "xml": "xml_corpus"}
 
@@ -234,15 +241,17 @@ def _cmd_coll_update(args) -> int:
             raise VdcError(str(e)) from e
 
     def fn(cat: Catalogue):
-        coll = textindex.collection_update(cat, args.name, refs)
-        print(f"collection {coll.name}: {len(coll.refs)} refs", file=sys.stderr)
+        members = cat.update_collection(args.name, refs)
+        print(f"collection {args.name}: {len(members)} refs", file=sys.stderr)
 
     return _mutate(args, fn)
 
 
 def _cmd_coll_resolve(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    for item in textindex.collection_resolve(cat, args.name):
+    if args.name not in cat.collections:
+        raise NotFound(f"no collection {args.name!r}")
+    for item in cat.resolve_refs(cat.collections[args.name]):
         if item.kind in ("row", "doc"):
             schema, row = item.payload
             cells = list(zip(schema.column_names(), row))
@@ -315,21 +324,9 @@ def run(argv: list[str]) -> int:
     handler = handlers[(args.cmd, getattr(args, "sub", None))]
     try:
         return handler(args)
-    except LockedError as e:
+    except (VdcError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except AccessDenied as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DENIED
-    except VdcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(e, kinds))
 
 
 def main() -> None:

@@ -325,7 +325,7 @@ class _DocBuilder:
 
     def __init__(self):
         self.id: str | None = None
-        self.meta: dict[str, str] = {}
+        self.meta: dict[str, str | None] = {}
         self.persons: list[str] = []
         self.body_parts: list[str] = []
         self.stack: list[str] = []
@@ -395,10 +395,13 @@ class _DocBuilder:
         if name == "text" and len(self.stack) == 1:
             self.in_text = False
         elif len(self.stack) == 2 and self.stack[-1] == "meta":
+            # an empty element is a null cell, as an empty table cell is
+            text = _text_cell("".join(self.cur_meta_text).strip())
             if name == "persName":
-                self.persons.append(nfc("".join(self.cur_meta_text).strip()))
+                if text is not None:
+                    self.persons.append(text)
             elif name in ("title", "findspot", "category"):
-                self.meta[name] = nfc("".join(self.cur_meta_text).strip())
+                self.meta[name] = text
             self.cur_meta_field = None
 
     def chars(self, data: str):
@@ -416,8 +419,9 @@ def parse_xml_doc(data: bytes) -> Row:
     attributes, ``category``, zero or more ``persName``) and an optional
     ``<text>`` whose entire character content, tags stripped and whitespace
     collapsed, becomes the body.  The row follows ``DOCS_TABLE_COLUMNS``:
-    absent metadata and an empty body are null cells, and the persons are
-    joined with ``|``.
+    absent metadata, a metadata element that is empty or all whitespace, and
+    an empty body are null cells; the non-empty persons are joined with
+    ``|``.
     """
     b = _DocBuilder()
     try:

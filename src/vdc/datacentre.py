@@ -1,5 +1,6 @@
 """The catalogue: source registration under trust modes, record fetching,
-relation resolution for the query engine, and persistence.
+relation resolution for the query engine, virtual collections, and
+persistence.
 
 Trust modes fix what the centre may do with a source:
 
@@ -10,6 +11,10 @@ Trust modes fix what the centre may do with a source:
   owner withdraws the source, the next scan fails cleanly.
 * index-only — the content is readable solely while building a text index;
   afterwards only the index is retained and record fetches are denied.
+
+A virtual collection is a named list of item refs across sources: it links
+items so they can be explored as a unity without copying any content, and
+each ref resolves under its own source's mode.
 
 The catalogue file is line-based UTF-8 and references view/recipe/xlate
 definition files by path; persistence is atomic (temp file + rename) and
@@ -37,25 +42,19 @@ from .errors import (
     IntegrityError,
     LockedError,
     NotFound,
-    ParseError,
     PlanError,
     SourceError,
     VdcError,
 )
 from .mediation import (
+    IDENT_RE,
     CompiledView,
     RelationRef,
     TranslationTable,
     ViewDefinition,
 )
 from .model import ItemRef, Row, TableSchema
-from .textindex import (
-    DocEntry,
-    IngestRecipe,
-    InvertedIndex,
-    ResolvedItem,
-    VirtualCollection,
-)
+from .textindex import DocEntry, IngestRecipe, InvertedIndex
 
 CATALOGUE_MAGIC = "VDCCAT 1"
 # the stored fields an index of an index-only source publishes; every other
@@ -171,6 +170,15 @@ class _RecipeEntry:
     recipe: IngestRecipe
 
 
+@dataclass
+class ResolvedItem:
+    """One collection ref, resolved under its source's mode."""
+
+    ref: ItemRef
+    kind: str  # "row" | "doc" | "stub" | "error"
+    payload: object
+
+
 class Catalogue:
     """All registrations of one data centre, backed by one catalogue file."""
 
@@ -185,7 +193,7 @@ class Catalogue:
         # collection -> the source relation its index was built from (None:
         # a stale index kept unread for `vdc index build` to replace)
         self._index_relations: dict[str, str | None] = {}
-        self.collections: dict[str, VirtualCollection] = {}
+        self.collections: dict[str, list[ItemRef]] = {}  # name -> refs
         self._vault_handles: dict[str, SourceHandle] = {}
         self._index_cache: dict[str, InvertedIndex] = {}
 
@@ -197,8 +205,11 @@ class Catalogue:
             raise IntegrityError(f"bad source id {source_id!r}")
         if not os.path.isdir(path):
             raise SourceError("source path is not a readable directory", path=path)
-        # validate layout before accepting (and before snapshotting)
-        connectors.open_source(SourceDescriptor(source_id, kind, path, mode))
+        # validate before accepting (and before snapshotting): the layout,
+        # and every document of a corpus whose content the centre may read
+        handle = connectors.open_source(SourceDescriptor(source_id, kind, path, mode))
+        if mode is not AccessMode.INDEX_ONLY and kind == connectors.XML_CORPUS:
+            handle.documents()
         if mode is AccessMode.VAULT:
             path = self._snapshot(source_id, path)
         desc = SourceDescriptor(source_id, kind, path, mode)
@@ -262,6 +273,12 @@ class Catalogue:
         return self.open_handle(source_id).schema(table)
 
     # -- views and translation tables ---------------------------------------
+    # Each kind of definition file has one reader, used both to register a
+    # file and to load the catalogue line that names it: it reads the file,
+    # parses it and checks that the sources it names are registered.  Only
+    # registration rejects a duplicate name and compiles a view against its
+    # sources' schemas.
+
     def add_translation(self, xlate_id: str, path: str) -> TranslationTable:
         if xlate_id in self.xlates:
             raise IntegrityError(f"translation table {xlate_id!r} already registered")
@@ -270,14 +287,17 @@ class Catalogue:
         return table
 
     def define_view(self, path: str) -> ViewDefinition:
-        try:
-            view = mediation.parse_view_file(connectors.read_utf8(path))
-        except OSError as e:
-            raise SourceError(f"cannot read view file: {e}", path=path) from e
+        view = self._read_view(path)
         if view.name in self.views:
             raise IntegrityError(f"view {view.name!r} already defined")
         self._compile_view(view)  # fail fast on unresolvable views
         self.views[view.name] = _ViewEntry(path, view)
+        return view
+
+    def _read_view(self, path: str) -> ViewDefinition:
+        view = mediation.parse_view_file(_read_definition(path, "view file"))
+        for ref in view.base:
+            self._descriptor(ref.source_id)
         return view
 
     def _compile_view(self, view: ViewDefinition) -> CompiledView:
@@ -346,22 +366,36 @@ class Catalogue:
                     break
         return schema, found
 
-    def check_refs(self, refs: Sequence[ItemRef]) -> None:
-        """Validate refs for collection membership under mode rules.
+    # -- virtual collections -------------------------------------------------
+    def update_collection(self, name: str, add: Sequence[ItemRef]) -> list[ItemRef]:
+        """Add refs to a (possibly new) collection and return its refs;
+        duplicates are skipped.
 
         Refs into index-only sources are metadata and accepted unchecked;
-        every other ref must name an existing record.  Raises
-        CollectionError naming the first unresolvable ref, in ``refs``
-        order.
+        every other ref must name an existing record now.  Raises
+        CollectionError naming the first unresolvable ref, in ``add``
+        order, and leaves the collection unchanged.
         """
-        checked = [r for r in refs if not self._index_only(r.source_id)]
+        if not IDENT_RE.match(name):
+            raise CollectionError(f"bad collection name {name!r}")
+        if not add and name not in self.collections:
+            raise CollectionError("a new collection needs at least one ref")
+        checked = [r for r in add if not self._index_only(r.source_id)]
         for item in self.resolve_refs(checked):
             if item.kind == "error":
                 raise CollectionError(f"unresolvable ref {item.ref.text()}: {item.payload}")
+        refs = self.collections.setdefault(name, [])
+        seen = {r.text() for r in refs}
+        for ref in add:
+            if ref.text() not in seen:
+                refs.append(ref)
+                seen.add(ref.text())
+        return refs
 
     def resolve_refs(self, refs: Sequence[ItemRef]) -> list[ResolvedItem]:
         """Resolve collection refs, in order, to records or index-only stubs.
 
+        Index-only sources yield stubs (doc id plus stored manifest fields).
         The refs of one source container outside index-only sources are
         fetched together, in one pass.  A ref that cannot be resolved
         becomes an ``error`` item and resolution continues.
@@ -420,10 +454,7 @@ class Catalogue:
 
     # -- recipes and indexes -------------------------------------------------
     def register_recipe(self, path: str) -> IngestRecipe:
-        try:
-            recipe = textindex.parse_recipe_file(connectors.read_utf8(path))
-        except OSError as e:
-            raise SourceError(f"cannot read recipe file: {e}", path=path) from e
+        recipe = textindex.parse_recipe_file(_read_definition(path, "recipe file"))
         self._descriptor(recipe.source.source_id)  # must be registered
         self.recipes[recipe.name] = _RecipeEntry(path, recipe)
         return recipe
@@ -469,9 +500,8 @@ class Catalogue:
             lines.append(f"RECIPE {entry.path}")
         for collection, path in self.indexes.items():
             lines.append(f"INDEX {collection} {path}")
-        for coll in self.collections.values():
-            refs = ",".join(r.text() for r in coll.refs)
-            lines.append(f"COLL {coll.name} {refs}")
+        for name, refs in self.collections.items():
+            lines.append(f"COLL {name} {','.join(r.text() for r in refs)}")
         return "\n".join(lines) + "\n"
 
     def persist(self, path: str | None = None, take_lock: bool = True) -> None:
@@ -496,13 +526,14 @@ class Catalogue:
     ) -> "Catalogue":
         """Load and integrity-check a catalogue file.
 
-        Referenced definition files are re-read and re-parsed; entries that
-        name unregistered sources or missing centre-owned files fail the
-        load, and so does an index whose first line is not a ``VDCIDX 2``
-        header.  ``stale_indexes_ok`` keeps such indexes, unread, so that
-        `vdc index build` can replace them.  Sources themselves are opened
-        lazily (a live source may be temporarily unreachable without
-        invalidating the catalogue).
+        Referenced definition files are re-read by the readers that
+        registered them; entries that name unregistered sources or missing
+        centre-owned files fail the load, and so does an index whose first
+        line is not a ``VDCIDX 2`` header.  Every such fault is one
+        IntegrityError naming the catalogue line.  ``stale_indexes_ok`` keeps
+        such indexes, unread, so that `vdc index build` can replace them.
+        Sources themselves are opened lazily (a live source may be
+        temporarily unreachable without invalidating the catalogue).
         """
         try:
             text = connectors.read_utf8(path)
@@ -520,8 +551,6 @@ class Catalogue:
             tag, _, rest = line.partition(" ")
             try:
                 cat._load_line(tag, rest, stale_indexes_ok)
-            except VdcError:
-                raise
             except Exception as e:
                 raise IntegrityError(f"catalogue line {lineno}: {e}") from e
         # cross-entity integrity: views may precede their translation tables
@@ -545,38 +574,13 @@ class Catalogue:
                 raise IntegrityError(f"vault snapshot missing for {sid!r}: {path}")
             self.sources[sid] = SourceDescriptor(sid, kind, path, mode)
         elif tag == "VIEWFILE":
-            try:
-                view = mediation.parse_view_file(connectors.read_utf8(rest))
-            except (OSError, SourceError) as e:
-                raise IntegrityError(f"view file unreadable: {e}") from e
-            except ParseError as e:
-                raise IntegrityError(f"view file {rest}: {e}") from e
-            for ref in view.base:
-                if ref.source_id not in self.sources:
-                    raise IntegrityError(
-                        f"view {view.name!r} references unregistered source {ref.source_id!r}"
-                    )
+            view = self._read_view(rest)
             self.views[view.name] = _ViewEntry(rest, view)
         elif tag == "XLATE":
             xid, _, p = rest.partition(" ")
-            try:
-                table = mediation.load_translation_table(xid, p)
-            except VdcError as e:
-                raise IntegrityError(f"translation table {xid!r}: {e}") from e
-            self.xlates[xid] = _XlateEntry(p, table)
+            self.xlates[xid] = _XlateEntry(p, mediation.load_translation_table(xid, p))
         elif tag == "RECIPE":
-            try:
-                recipe = textindex.parse_recipe_file(connectors.read_utf8(rest))
-            except (OSError, SourceError) as e:
-                raise IntegrityError(f"recipe file unreadable: {e}") from e
-            except ParseError as e:
-                raise IntegrityError(f"recipe file {rest}: {e}") from e
-            if recipe.source.source_id not in self.sources:
-                raise IntegrityError(
-                    f"recipe {recipe.name!r} references unregistered source "
-                    f"{recipe.source.source_id!r}"
-                )
-            self.recipes[recipe.name] = _RecipeEntry(rest, recipe)
+            self.register_recipe(rest)  # recipes replace one another by name
         elif tag == "INDEX":
             collection, _, p = rest.partition(" ")
             if not os.path.isfile(p):
@@ -591,21 +595,20 @@ class Catalogue:
             self._index_relations[collection] = relation
         elif tag == "COLL":
             name, _, refs_s = rest.partition(" ")
-            refs = []
-            for ref_text in refs_s.split(","):
-                try:
-                    ref = ItemRef.parse(ref_text)
-                except ValueError as e:
-                    raise IntegrityError(f"collection {name!r}: {e}") from e
-                if ref.source_id not in self.sources:
-                    raise IntegrityError(
-                        f"collection {name!r} references unregistered source "
-                        f"{ref.source_id!r}"
-                    )
-                refs.append(ref)
-            self.collections[name] = VirtualCollection(name, refs)
+            refs = [ItemRef.parse(text) for text in refs_s.split(",")]
+            for ref in refs:
+                self._descriptor(ref.source_id)
+            self.collections[name] = refs
         else:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
+
+
+def _read_definition(path: str, what: str) -> str:
+    """The text of a definition file; an unreadable one is a SourceError."""
+    try:
+        return connectors.read_utf8(path)
+    except OSError as e:
+        raise SourceError(f"cannot read {what}: {e}", path=path) from e
 
 
 def _pick(records: dict[str, Row], ref: ItemRef) -> Row:

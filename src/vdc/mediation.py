@@ -19,6 +19,7 @@ import io
 import re
 import unicodedata
 from dataclasses import dataclass, replace
+from typing import Collection, Iterator
 
 from .connectors import read_utf8, row_item_key
 from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
@@ -152,13 +153,13 @@ def _unquote(token: str, lineno: int) -> str:
     return nfc(m.group(1).replace('""', '"'))
 
 
-def _ident(token: str, lineno: int) -> str:
+def ident_token(token: str, lineno: int) -> str:
     if not IDENT_RE.match(token):
         raise ParseError(f"expected an identifier, got {token!r}", line=lineno)
     return token
 
 
-def _rel(token: str, lineno: int) -> RelationRef:
+def relation_token(token: str, lineno: int) -> RelationRef:
     try:
         return RelationRef.parse(token)
     except ValueError as e:
@@ -176,6 +177,58 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def definition_lines(
+    text: str, kind: str, keywords: Collection[str], noun: str
+) -> tuple[str, Iterator[tuple[int, list[str], str]]]:
+    """Read a line-based definition file: its name, from the ``<kind>
+    <name>`` header that must be its first line, and its other lines, each
+    as ``(line number, words, line)``, up to and including ``end``.
+
+    ``#`` starts a comment outside double quotes, and blank lines are
+    skipped.  An empty file or one that does not open with its header
+    fails here; a second header, a keyword outside ``keywords`` (an
+    unknown ``noun`` keyword), content after ``end`` and a missing ``end``
+    fail as the lines are read, so each fault is reported in line order.
+    """
+    lines = (
+        (lineno, line.split(), line)
+        for lineno, line in enumerate(
+            (_strip_comment(raw).strip() for raw in text.splitlines()), start=1
+        )
+        if line
+    )
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(f"empty {kind} file")
+    lineno, words, _ = first
+    if words[0] != kind:
+        raise ParseError(f"{kind} file must start with '{kind} <name>'", line=lineno)
+    if len(words) != 2:
+        raise ParseError(f"usage: {kind} <name>", line=lineno)
+    return ident_token(words[1], lineno), _body_lines(lines, kind, keywords, noun)
+
+
+def _body_lines(
+    lines: Iterator[tuple[int, list[str], str]], kind: str, keywords: Collection[str], noun: str
+) -> Iterator[tuple[int, list[str], str]]:
+    ended = False
+    for lineno, words, line in lines:
+        if ended:
+            raise ParseError("content after 'end'", line=lineno)
+        keyword = words[0]
+        if keyword == kind:
+            raise ParseError(f"duplicate '{kind}' line", line=lineno)
+        if keyword != "end" and keyword not in keywords:
+            raise ParseError(f"unknown {noun} keyword {keyword!r}", line=lineno)
+        ended = keyword == "end"
+        yield lineno, words, line
+    if not ended:
+        raise ParseError("missing 'end'")
+
+
+_VIEW_KEYWORDS = ("from", "union", "rename", "coerce", "translate")
+
+
 def parse_view_file(text: str) -> ViewDefinition:
     """Parse the view micro-grammar.
 
@@ -189,36 +242,18 @@ def parse_view_file(text: str) -> ViewDefinition:
         translate <ident> using <ident>
         end
     """
-    name: str | None = None
+    name, lines = definition_lines(text, "view", _VIEW_KEYWORDS, "rule")
     base: list[RelationRef] = []
     rules: list[MappingRule] = []
-    ended = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if ended:
-            raise ParseError("content after 'end'", line=lineno)
-        words = line.split()
+    for lineno, words, line in lines:
         keyword = words[0]
-
-        if keyword == "view":
-            if name is not None:
-                raise ParseError("duplicate 'view' line", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: view <name>", line=lineno)
-            name = _ident(words[1], lineno)
-            continue
-        if name is None:
-            raise ParseError("view file must start with 'view <name>'", line=lineno)
-
         if keyword == "from":
             if base:
                 raise ParseError("duplicate 'from' (use 'union' for more relations)", line=lineno)
             if len(words) != 2:
                 raise ParseError("usage: from <source>.<table>", line=lineno)
-            base.append(_rel(words[1], lineno))
+            base.append(relation_token(words[1], lineno))
         elif keyword == "union":
             if not base:
                 raise ParseError("'union' before 'from'", line=lineno)
@@ -226,7 +261,7 @@ def parse_view_file(text: str) -> ViewDefinition:
                 raise ParseError("'union' must precede mapping rules", line=lineno)
             if len(words) != 2:
                 raise ParseError("usage: union <source>.<table>", line=lineno)
-            base.append(_rel(words[1], lineno))
+            base.append(relation_token(words[1], lineno))
         elif keyword == "rename":
             # rename "<original>" -> <ident>; the original may contain spaces,
             # so re-split on the arrow rather than on whitespace.
@@ -237,31 +272,22 @@ def parse_view_file(text: str) -> ViewDefinition:
             if not base:
                 raise ParseError("rules must follow 'from'", line=lineno)
             rules.append(
-                Rename(_unquote(left.strip(), lineno), _ident(right.strip(), lineno))
+                Rename(_unquote(left.strip(), lineno), ident_token(right.strip(), lineno))
             )
         elif keyword == "coerce":
             if len(words) != 3 or words[2] != "date":
                 raise ParseError("usage: coerce <column> date", line=lineno)
             if not base:
                 raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(Coerce(_ident(words[1], lineno)))
+            rules.append(Coerce(ident_token(words[1], lineno)))
         elif keyword == "translate":
             if len(words) != 4 or words[2] != "using":
                 raise ParseError("usage: translate <column> using <table>", line=lineno)
             if not base:
                 raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(Translate(_ident(words[1], lineno), _ident(words[3], lineno)))
-        elif keyword == "end":
-            if not base:
-                raise ParseError("'end' before 'from'", line=lineno)
-            ended = True
-        else:
-            raise ParseError(f"unknown rule keyword {keyword!r}", line=lineno)
-
-    if name is None:
-        raise ParseError("empty view file")
-    if not ended:
-        raise ParseError("missing 'end'")
+            rules.append(Translate(ident_token(words[1], lineno), ident_token(words[3], lineno)))
+        elif not base:  # end
+            raise ParseError("'end' before 'from'", line=lineno)
     return ViewDefinition(name, tuple(base), tuple(rules))
 
 

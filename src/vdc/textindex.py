@@ -1,11 +1,10 @@
-"""Text-centric virtualization: ingestion recipes, inverted indexes, search,
-and virtual collections.
+"""Text-centric virtualization: ingestion recipes, inverted indexes and
+search.
 
 Rows and corpus documents are mapped into a generic document model by small
 declarative recipes, indexed into per-field postings lists, and searched by
 keyword conjunctions, optionally restricted to one field or a geographic
-bounding box.  Virtual collections assemble item references across sources
-without copying any content.
+bounding box.
 
 Index files are deterministic: the same document set always produces the
 same bytes, regardless of input order, so a published index can be compared,
@@ -21,22 +20,13 @@ import unicodedata
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .atomic import write_atomic
-from .errors import (
-    CollectionError,
-    IndexFormatError,
-    IngestError,
-    NotFound,
-    ParseError,
-)
+from .errors import IndexFormatError, IngestError, NotFound, ParseError
 from .connectors import SourceHandle, row_item_key
-from .mediation import IDENT_RE, RelationRef
+from .mediation import IDENT_RE, RelationRef, definition_lines, ident_token, relation_token
 from .model import ItemRef
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .datacentre import Catalogue
 
 
 # --------------------------------------------------------------------------
@@ -85,10 +75,13 @@ class IngestRecipe:
     indexed: tuple[str, ...]
 
 
+_RECIPE_KEYWORDS = ("from", "id", "field", "body", "geo", "index")
+
+
 def parse_recipe_file(text: str) -> IngestRecipe:
     """Parse the recipe micro-grammar.
 
-    Line-based, UTF-8, ``#`` comments::
+    Line-based, UTF-8, ``#`` comments (outside double quotes)::
 
         recipe <ident>
         from <source>.<table>
@@ -99,85 +92,53 @@ def parse_recipe_file(text: str) -> IngestRecipe:
         index <ident>              # zero or more, over fields and "body"
         end
     """
-    name = None
+    name, lines = definition_lines(text, "recipe", _RECIPE_KEYWORDS, "recipe")
     source = None
     id_column = None
     fields: list[tuple[str, str]] = []
     body: list[str] = []
     geo: tuple[str, str] | None = None
     indexed: list[str] = []
-    ended = False
 
-    def ident(tok: str, lineno: int) -> str:
-        if not IDENT_RE.match(tok):
-            raise ParseError(f"expected an identifier, got {tok!r}", line=lineno)
-        return tok
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise ParseError("content after 'end'", line=lineno)
-        words = line.split()
+    for lineno, words, _ in lines:
         keyword = words[0]
-        if keyword == "recipe":
-            if name is not None:
-                raise ParseError("duplicate 'recipe' line", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: recipe <name>", line=lineno)
-            name = ident(words[1], lineno)
-            continue
-        if name is None:
-            raise ParseError("recipe file must start with 'recipe <name>'", line=lineno)
         if keyword == "from":
             if source is not None:
                 raise ParseError("duplicate 'from' line", line=lineno)
             if len(words) != 2:
                 raise ParseError("usage: from <source>.<table>", line=lineno)
-            try:
-                source = RelationRef.parse(words[1])
-            except ValueError as e:
-                raise ParseError(str(e), line=lineno) from e
+            source = relation_token(words[1], lineno)
         elif keyword == "id":
             if id_column is not None:
                 raise ParseError("duplicate 'id' line", line=lineno)
             if len(words) != 2:
                 raise ParseError("usage: id <column>", line=lineno)
-            id_column = ident(words[1], lineno)
+            id_column = ident_token(words[1], lineno)
         elif keyword == "field":
             if len(words) != 4 or words[2] != "=":
                 raise ParseError("usage: field <ident> = <column>", line=lineno)
-            fname = ident(words[1], lineno)
+            fname = ident_token(words[1], lineno)
             if fname == "body" or any(f == fname for f, _ in fields):
                 raise ParseError(f"duplicate field {fname!r}", line=lineno)
-            fields.append((fname, ident(words[3], lineno)))
+            fields.append((fname, ident_token(words[3], lineno)))
         elif keyword == "body":
             if len(words) != 2:
                 raise ParseError("usage: body <column>", line=lineno)
-            body.append(ident(words[1], lineno))
+            body.append(ident_token(words[1], lineno))
         elif keyword == "geo":
             if geo is not None:
                 raise ParseError("duplicate 'geo' line", line=lineno)
             if len(words) != 3:
                 raise ParseError("usage: geo <latcol> <loncol>", line=lineno)
-            geo = (ident(words[1], lineno), ident(words[2], lineno))
+            geo = (ident_token(words[1], lineno), ident_token(words[2], lineno))
         elif keyword == "index":
             if len(words) != 2:
                 raise ParseError("usage: index <field>", line=lineno)
-            f = ident(words[1], lineno)
+            f = ident_token(words[1], lineno)
             if f in indexed:
                 raise ParseError(f"duplicate index field {f!r}", line=lineno)
             indexed.append(f)
-        elif keyword == "end":
-            ended = True
-        else:
-            raise ParseError(f"unknown recipe keyword {keyword!r}", line=lineno)
 
-    if name is None:
-        raise ParseError("empty recipe file")
-    if not ended:
-        raise ParseError("missing 'end'")
     if source is None or id_column is None:
         raise ParseError("recipe needs 'from' and 'id' lines")
     if not body:
@@ -769,54 +730,3 @@ def search(index: InvertedIndex, q: SearchQuery) -> list[Hit]:
         Hit(doc_id, ref, scores[o])
         for o, (doc_id, ref) in zip(ranked, index.hits(ranked))
     ]
-
-
-# --------------------------------------------------------------------------
-# virtual collections
-
-@dataclass
-class VirtualCollection:
-    name: str
-    refs: list[ItemRef]
-
-
-@dataclass
-class ResolvedItem:
-    ref: ItemRef
-    kind: str  # "row" | "doc" | "stub" | "error"
-    payload: object
-
-
-def collection_update(catalogue: "Catalogue", name: str, add: Sequence[ItemRef]) -> VirtualCollection:
-    """Add refs to a (possibly new) collection; duplicates are skipped.
-
-    Every added ref must resolve under its source's access mode at add
-    time; refs into index-only sources are allowed (they are metadata).
-    """
-    if not IDENT_RE.match(name):
-        raise CollectionError(f"bad collection name {name!r}")
-    if not add and name not in catalogue.collections:
-        raise CollectionError("a new collection needs at least one ref")
-    catalogue.check_refs(add)
-    coll = catalogue.collections.get(name)
-    if coll is None:
-        coll = VirtualCollection(name, [])
-        catalogue.collections[name] = coll
-    seen = {r.text() for r in coll.refs}
-    for ref in add:
-        if ref.text() not in seen:
-            coll.refs.append(ref)
-            seen.add(ref.text())
-    return coll
-
-
-def collection_resolve(catalogue: "Catalogue", name: str) -> list[ResolvedItem]:
-    """Resolve each ref to its record under the owning source's mode.
-
-    Index-only sources yield stubs (doc id plus stored manifest fields);
-    dangling refs are reported per item and resolution continues.
-    """
-    coll = catalogue.collections.get(name)
-    if coll is None:
-        raise NotFound(f"no collection {name!r}")
-    return catalogue.resolve_refs(coll.refs)

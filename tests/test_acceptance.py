@@ -24,8 +24,6 @@ from vdc.query import (
 from vdc.textindex import (
     SearchQuery,
     build_index,
-    collection_resolve,
-    collection_update,
     parse_recipe_file,
     read_index,
     search,
@@ -353,10 +351,10 @@ class TestAcceptance:
         if [h.doc_id for h in hits] != ["1"]:
             failures.append("index-only search failed")
 
-        collection_update(cat, "finds", [ItemRef("sec", "t", "1")])
+        cat.update_collection("finds", [ItemRef("sec", "t", "1")])
         surfaces = [
             repr(hits),
-            repr([i.__dict__ for i in collection_resolve(cat, "finds")]),
+            repr([i.__dict__ for i in cat.resolve_refs(cat.collections["finds"])]),
             open(cat.indexes["sec_texts"], encoding="utf-8").read(),
             open(cat.path, encoding="utf-8").read(),
             repr([e.__dict__ for e in index_docs(cat.get_index("sec_texts"))]),
@@ -430,8 +428,8 @@ class TestAcceptance:
         ):
             recipe = cat.register_recipe(os.path.join(fx, "recipes", recipe_file))
             cat.build_index(coll, recipe)
-        collection_update(
-            cat, "finds",
+        cat.update_collection(
+            "finds",
             [ItemRef("volterra", "legal_texts", "1"), ItemRef("iaph", "docs", "i0001")],
         )
         cat.persist()

@@ -197,6 +197,41 @@ class TestCollectionsViaCli:
         assert cli("coll", "update", "finds", "--add", "notaref")[0] == 2
 
 
+class TestXmlRegistration:
+    BAD = b'<?xml version="1.0" encoding="TTF-8"?><doc id="i1"/>'
+
+    @pytest.mark.parametrize("mode", ["vault", "live"])
+    def test_malformed_document_refused_at_registration(self, centre, tmp_path, mode):
+        """Every document is parsed before the source is accepted (and
+        before a vault snapshot is taken): a malformed one exits 2 and
+        leaves the catalogue and the store as they were."""
+        cli, cat, *_ = centre
+        corpus = tmp_path / "bad"
+        corpus.mkdir()
+        (corpus / "a.xml").write_bytes(b'<doc id="a0"><text>fine</text></doc>')
+        (corpus / "b.xml").write_bytes(self.BAD)
+        before = open(cat, "rb").read()
+        code, out, err = cli("source", "add", "bad", "--kind", "xml",
+                             "--path", str(corpus), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert "unknown encoding" in err and "b.xml" in err
+        assert open(cat, "rb").read() == before
+        assert not os.path.exists(cat + ".store/vault/bad")
+
+    def test_index_only_corpus_is_read_only_by_its_index_build(self, centre, tmp_path):
+        cli, cat, *_ = centre
+        corpus = tmp_path / "bad"
+        corpus.mkdir()
+        (corpus / "b.xml").write_bytes(self.BAD)
+        assert cli("source", "add", "bad", "--kind", "xml", "--path", str(corpus),
+                   "--mode", "index-only")[0] == 0
+        recipe = tmp_path / "bad.recipe"
+        recipe.write_text("recipe bad_ingest\nfrom bad.docs\nid id\nbody body\nend\n",
+                          encoding="utf-8")
+        code, _, err = cli("index", "build", "bad_texts", "--recipe", str(recipe))
+        assert code == 2 and "unknown encoding" in err
+
+
 class TestSearchViaCli:
     def test_search_with_field_bbox_limit(self, centre, tmp_path):
         cli, cat, fx, _ = centre

@@ -18,11 +18,12 @@ from vdc.connectors import (
     parse_xml_doc,
     row_item_key,
 )
-from vdc.datacentre import AccessMode
+from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import CapabilityError, NotFound, ParseError, SourceError
 from vdc.mediation import TranslationTable
 from vdc.model import ColumnKind, parse_uncertain_date
 from vdc.predicates import Compare, Contains, DateWithin
+from vdc.query import execute_plan, parse_query, plan_query
 from vdc.query.reference import _naive_compare, _naive_contains
 
 
@@ -286,6 +287,17 @@ class TestXmlDoc:
         )
         assert row[6] == "A B|C"
 
+    def test_empty_metadata_is_null(self):
+        """An empty or all-whitespace element is a null cell, as an empty
+        table cell is, and an empty persName adds no person."""
+        row = parse_xml_doc(
+            b'<doc id="a"><meta><title></title><persName></persName><persName>B</persName>'
+            b"<findspot>  </findspot></meta></doc>"
+        )
+        assert row == ("a", None, None, None, None, None, "B", None)
+        row = parse_xml_doc(b'<doc id="a"><meta><persName> </persName></meta></doc>')
+        assert row[6] is None
+
     def test_unparseable_date_attr_rejected(self):
         with pytest.raises(ParseError):
             parse_xml_doc(
@@ -352,6 +364,23 @@ class TestXmlCorpus:
         for bad in (Contains(len(full[0]), "x"), Compare(col("id"), "=", 1)):
             with pytest.raises(CapabilityError):
                 list(handle.scan("docs", [bad]))
+
+    @pytest.mark.parametrize("pushdown", [True, False])
+    def test_empty_title_filters_like_an_empty_table_cell(self, tmp_path, pushdown):
+        corpus = tmp_path / "c"
+        os.makedirs(corpus)
+        (corpus / "a.xml").write_text('<doc id="a"><meta><title></title></meta></doc>')
+        (corpus / "b.xml").write_text('<doc id="b"><meta><title>y</title></meta></doc>')
+        write_source(tmp_path / "t", table="docs", header="id,title",
+                     schema="id : text\ntitle : text\n", rows=["a,", "b,y"])
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("e", "xml_corpus", str(corpus), AccessMode.LIVE)
+        cat.register_source("t", "tabular", str(tmp_path / "t"), AccessMode.LIVE)
+        rows = {}
+        for source in ("e", "t"):
+            q = parse_query(f"SELECT id, title FROM {source}.docs WHERE title != 'x'")
+            rows[source] = execute_plan(plan_query(q, cat, pushdown)).rows
+        assert rows["e"] == rows["t"] == [("b", "y")]
 
     def test_fixture_table_names(self, desk_fixtures):
         fx, _ = desk_fixtures

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from vdc import textindex
+from vdc import connectors, mediation, textindex
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
 from vdc.errors import (
     AccessDenied,
@@ -20,8 +20,6 @@ from vdc.model import ItemRef
 from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
 from vdc.textindex import (
     SearchQuery,
-    collection_resolve,
-    collection_update,
     parse_recipe_file,
     search,
 )
@@ -145,9 +143,9 @@ class TestIndexOnlyMode:
 
     def test_stub_resolution_masks_fields(self, tmp_path):
         cat = self.build(tmp_path)
-        coll = collection_update(cat, "finds", [ItemRef("sec", "t", "1")])
-        assert len(coll.refs) == 1  # index-only refs are metadata, allowed
-        items = collection_resolve(cat, "finds")
+        refs = cat.update_collection("finds", [ItemRef("sec", "t", "1")])
+        assert len(refs) == 1  # index-only refs are metadata, allowed
+        items = cat.resolve_refs(cat.collections["finds"])
         assert items[0].kind == "stub"
         stub = items[0].payload
         assert stub["doc_id"] == "1"
@@ -166,26 +164,26 @@ class TestIndexOnlyMode:
         cat.build_index("vol_texts", recipe)  # listed first, other relation
         cat.register_source("sec", "tabular", str(src), AccessMode.INDEX_ONLY)
         cat.build_index("secrets", parse_recipe_file(RECIPE))
-        collection_update(cat, "finds", [ItemRef("sec", "t", "2")])
+        cat.update_collection("finds", [ItemRef("sec", "t", "2")])
         cat.persist()
         loaded = Catalogue.load(cat.path)
         read = []
         real_read = textindex.read_index
         monkeypatch.setattr(textindex, "read_index", lambda p: read.append(p) or real_read(p))
-        items = collection_resolve(loaded, "finds")
+        items = loaded.resolve_refs(loaded.collections["finds"])
         assert [(i.kind, i.payload["doc_id"]) for i in items] == [("stub", "2")]
         assert read == [loaded.indexes["secrets"]]
 
     def test_sentinel_never_leaks(self, tmp_path):
         cat = self.build(tmp_path)
-        collection_update(cat, "finds", [ItemRef("sec", "t", "1")])
+        cat.update_collection("finds", [ItemRef("sec", "t", "1")])
         cat.persist()
 
         surfaces = []
         idx = cat.get_index("secrets")
         surfaces.append(repr(search(idx, SearchQuery(("alpha",)))))
         surfaces.append(repr(search(idx, SearchQuery(("xyzzy",)))))
-        surfaces.append(repr([i.__dict__ for i in collection_resolve(cat, "finds")]))
+        surfaces.append(repr([i.__dict__ for i in cat.resolve_refs(cat.collections["finds"])]))
         surfaces.append(repr([e.__dict__ for e in index_docs(idx)]))
         surfaces.append(open(cat.indexes["secrets"], encoding="utf-8").read())
         surfaces.append(open(cat.path, encoding="utf-8").read())
@@ -208,14 +206,14 @@ class TestPersistence:
         register_desk(cat, fx)
         cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
         cat.build_index("vol_texts", cat.recipes["volterra_ingest"].recipe)
-        collection_update(cat, "finds", [ItemRef("volterra", "legal_texts", "1")])
+        cat.update_collection("finds", [ItemRef("volterra", "legal_texts", "1")])
         cat.persist()
         first = open(cat.path, "rb").read()
         loaded = Catalogue.load(cat.path)
         loaded.persist()
         assert open(cat.path, "rb").read() == first
         assert list(loaded.views) == list(cat.views)
-        assert list(loaded.collections["finds"].refs) == list(cat.collections["finds"].refs)
+        assert loaded.collections["finds"] == cat.collections["finds"]
 
     def test_loaded_catalogue_answers_queries(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
@@ -237,6 +235,65 @@ class TestPersistence:
             f.write(data.replace(view_path, view_path + ".gone"))
         with pytest.raises(IntegrityError):
             Catalogue.load(cat.path)
+
+    def test_load_reads_each_definition_file_once_and_opens_no_source(
+        self, tmp_path, desk_fixtures, monkeypatch
+    ):
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        register_desk(cat, fx)
+        cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+        cat.persist()
+        reads = []
+        real_read = connectors.read_utf8
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        def no_open(desc):
+            raise AssertionError(f"load opened source {desc.source_id!r}")
+
+        monkeypatch.setattr(connectors, "read_utf8", counting_read)
+        monkeypatch.setattr(mediation, "read_utf8", counting_read)
+        monkeypatch.setattr(connectors, "open_source", no_open)
+        loaded = Catalogue.load(cat.path)
+        definitions = [e.path for kind in (cat.views, cat.xlates, cat.recipes)
+                       for e in kind.values()]
+        assert sorted(reads) == sorted([cat.path, *definitions])
+        assert loaded.serialize() == cat.serialize()
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("VIEWFILE {dir}/v.view", "unknown rule keyword 'frob' (line 3)"),
+            ("VIEWFILE {dir}/ghost.view", "no source 'ghost'"),
+            ("VIEWFILE {dir}/gone.view", "cannot read view file: "),
+            ("RECIPE {dir}/r.recipe", "recipe needs at least one 'body' column"),
+            ("RECIPE {dir}/ghost.recipe", "no source 'ghost'"),
+            ("XLATE x {dir}/gone.csv", "cannot read translation table: "),
+            ("XLATE x {dir}/bad.csv", "translation table must start with header"),
+            ("SOURCE s tabular live {dir}", "duplicate source 's'"),
+            ("COLL finds s/t/1,ghost/t/1", "no source 'ghost'"),
+            ("BOGUS 1", "unknown catalogue record 'BOGUS'"),
+        ],
+    )
+    def test_load_fault_is_one_integrity_error_naming_the_line(self, tmp_path, entry, message):
+        files = {
+            "v.view": "view v\nfrom s.t\nfrob\nend\n",
+            "ghost.view": "view g\nfrom ghost.t\nend\n",
+            "r.recipe": "recipe r\nfrom s.t\nid id\nend\n",
+            "ghost.recipe": "recipe g\nfrom ghost.t\nid id\nbody b\nend\n",
+            "bad.csv": "a,b\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        path = tmp_path / "c.vdc"
+        path.write_text(f"VDCCAT 1\nSOURCE s tabular live {tmp_path}\n\n"
+                        + entry.format(dir=tmp_path) + "\n", encoding="utf-8")
+        with pytest.raises(IntegrityError) as e:
+            Catalogue.load(str(path))
+        assert str(e.value).startswith(f"catalogue line 4: {message}")
 
     def test_load_missing_index_file_fails(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
@@ -286,9 +343,9 @@ class TestPersistence:
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
-        collection_update(cat, "finds", [ItemRef("volterra", "legal_texts", "1")])
+        cat.update_collection("finds", [ItemRef("volterra", "legal_texts", "1")])
         cat.remove_source("volterra")
-        items = collection_resolve(cat, "finds")
+        items = cat.resolve_refs(cat.collections["finds"])
         assert items[0].kind == "error"
 
 

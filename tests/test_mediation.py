@@ -18,6 +18,7 @@ from vdc.mediation import (
     parse_translation_table,
     parse_view_file,
 )
+from vdc.textindex import parse_recipe_file
 from vdc.model import (
     ColumnDescriptor,
     ColumnKind,
@@ -121,6 +122,30 @@ class TestViewGrammar:
         with pytest.raises(ParseError) as e:
             parse_view_file(text)
         assert fragment in str(e.value)
+
+
+@pytest.mark.parametrize("kind,parse", [("view", parse_view_file),
+                                        ("recipe", parse_recipe_file)])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty {kind} file"),
+        ("# a comment\n\n", "empty {kind} file"),
+        ("from a.t\nend\n", "{kind} file must start with '{kind} <name>' (line 1)"),
+        ("\n{kind} a b\n", "usage: {kind} <name> (line 2)"),
+        ("{kind} 9a\n", "expected an identifier, got '9a' (line 1)"),
+        ("{kind} v\n{kind} w\nend\n", "duplicate '{kind}' line (line 2)"),
+        ("{kind} v  # the name\nfrom a.t\n", "missing 'end'"),
+        ("{kind} v\nfrom a.t\nend\n# fine\nfrom b.t\n", "content after 'end' (line 5)"),
+        ("{kind} v\nfrom a.t\nfrom b.t\nend\nx\n", "duplicate 'from"),
+    ],
+)
+def test_view_and_recipe_files_share_one_line_reader(kind, parse, text, message):
+    """Header, comments, ``end`` and what follows it read the same in both
+    grammars; a fault is reported at its line, in line order."""
+    with pytest.raises(ParseError) as e:
+        parse(text.format(kind=kind))
+    assert str(e.value).startswith(message.format(kind=kind))
 
 
 def schema(name, *cols):

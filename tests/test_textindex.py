@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdc import connectors
+from vdc.cli import run as cli_run
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import (
     CollectionError,
@@ -25,10 +26,7 @@ from vdc.model import ItemRef
 from vdc.textindex import (
     Document,
     SearchQuery,
-    VirtualCollection,
     build_index,
-    collection_resolve,
-    collection_update,
     parse_recipe_file,
     read_index,
     search,
@@ -562,37 +560,36 @@ class TestCollections:
         cat = self.centre(tmp_path, desk_fixtures)
         r1 = ItemRef("volterra", "legal_texts", "1")
         r2 = ItemRef("volterra", "legal_texts", "2")
-        coll = collection_update(cat, "finds", [r1, r2, r1])
-        assert coll.refs == [r1, r2]
-        coll = collection_update(cat, "finds", [r2, ItemRef("volterra", "legal_texts", "3")])
-        assert [r.item_id for r in coll.refs] == ["1", "2", "3"]
+        refs = cat.update_collection("finds", [r1, r2, r1])
+        assert refs == [r1, r2]
+        refs = cat.update_collection("finds", [r2, ItemRef("volterra", "legal_texts", "3")])
+        assert [r.item_id for r in refs] == ["1", "2", "3"]
+        assert cat.collections["finds"] is refs
 
     def test_unresolvable_ref_rejected(self, tmp_path, desk_fixtures):
         cat = self.centre(tmp_path, desk_fixtures)
         with pytest.raises(CollectionError):
-            collection_update(cat, "finds", [ItemRef("volterra", "legal_texts", "99999")])
+            cat.update_collection("finds", [ItemRef("volterra", "legal_texts", "99999")])
         with pytest.raises(CollectionError):
-            collection_update(cat, "finds", [ItemRef("ghost", "t", "1")])
+            cat.update_collection("finds", [ItemRef("ghost", "t", "1")])
 
     def test_resolve_returns_rows_and_docs(self, tmp_path, desk_fixtures):
         cat = self.centre(tmp_path, desk_fixtures)
-        collection_update(
-            cat,
+        cat.update_collection(
             "finds",
             [ItemRef("volterra", "legal_texts", "1"), ItemRef("iaph", "docs", "i0000")],
         )
-        items = collection_resolve(cat, "finds")
+        items = cat.resolve_refs(cat.collections["finds"])
         assert [i.kind for i in items] == ["row", "doc"]
 
     def test_dangling_source_reported_per_ref(self, tmp_path, desk_fixtures):
         cat = self.centre(tmp_path, desk_fixtures)
-        collection_update(
-            cat,
+        cat.update_collection(
             "finds",
             [ItemRef("volterra", "legal_texts", "1"), ItemRef("iaph", "docs", "i0000")],
         )
         cat.remove_source("iaph")
-        items = collection_resolve(cat, "finds")
+        items = cat.resolve_refs(cat.collections["finds"])
         assert [i.kind for i in items] == ["row", "error"]
 
     def test_one_scan_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch):
@@ -602,7 +599,7 @@ class TestCollections:
         cat = self.centre(tmp_path, desk_fixtures)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "99999")]
         refs.insert(1, ItemRef("iaph", "docs", "i0000"))
-        cat.collections["finds"] = VirtualCollection("finds", refs)
+        cat.collections["finds"] = refs
         scans = []
         real_scan = connectors.TabularSource.scan
 
@@ -611,7 +608,7 @@ class TestCollections:
             return real_scan(self, table, *args, **kwargs)
 
         monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
-        items = collection_resolve(cat, "finds")
+        items = cat.resolve_refs(cat.collections["finds"])
         assert scans == ["legal_texts"]
         assert [i.kind for i in items] == ["row", "doc", "row", "error"]
         assert [i.ref for i in items] == refs
@@ -632,8 +629,8 @@ class TestCollections:
 
         monkeypatch.setattr(connectors, "open_source", counting_open)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("4", "2", "3", "1")]
-        cat.collections["finds"] = VirtualCollection("finds", refs)
-        items = collection_resolve(cat, "finds")
+        cat.collections["finds"] = refs
+        items = cat.resolve_refs(cat.collections["finds"])
         assert [i.kind for i in items] == ["row"] * 4
         assert [i.payload[1][0] for i in items] == [4, 2, 3, 1]
         assert opened == ["volterra"]
@@ -652,29 +649,31 @@ class TestCollections:
 
         monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "2")]
-        coll = collection_update(cat, "finds", refs)
+        assert cat.update_collection("finds", refs) == refs
         assert scans == ["legal_texts"]
-        assert coll.refs == refs
         scans.clear()
         bad = [ItemRef("volterra", "legal_texts", "5"), ItemRef("volterra", "legal_texts", "99999"),
                ItemRef("hgv", "papyri", "88888"), ItemRef("volterra", "legal_texts", "77777")]
         with pytest.raises(CollectionError) as e:
-            collection_update(cat, "finds", bad)
+            cat.update_collection("finds", bad)
         assert "volterra/legal_texts/99999" in str(e.value)
         assert "77777" not in str(e.value) and "88888" not in str(e.value)
         assert sorted(scans) == ["legal_texts", "papyri"]
-        assert cat.collections["finds"].refs == refs
+        assert cat.collections["finds"] == refs
 
     def test_duplicate_keys_resolve_to_the_first_row(self, tmp_path):
         d = tmp_path / "src"
         write_tabular(d, ["1,first,M,x,,", "2,other,M,y,,", "1,second,T,z,,"])
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("src", "tabular", str(d), AccessMode.LIVE)
-        collection_update(cat, "finds", [ItemRef("src", "t", "2"), ItemRef("src", "t", "1")])
-        items = collection_resolve(cat, "finds")
+        cat.update_collection("finds", [ItemRef("src", "t", "2"), ItemRef("src", "t", "1")])
+        items = cat.resolve_refs(cat.collections["finds"])
         assert [i.payload[1][1] for i in items] == ["other", "first"]
 
-    def test_unknown_collection(self, tmp_path, desk_fixtures):
+    def test_unknown_collection(self, tmp_path, desk_fixtures, capsys):
         cat = self.centre(tmp_path, desk_fixtures)
-        with pytest.raises(NotFound):
-            collection_resolve(cat, "nope")
+        cat.persist()
+        capsys.readouterr()
+        assert cli_run(["--catalogue", cat.path, "coll", "resolve", "nope"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: no collection 'nope'\n")

@@ -1,0 +1,72 @@
+"""The benchmark's traced child runs the commands it times unchanged.
+
+``perfbench/trace_child.py`` patches names of the program where callers
+look them up (catalogue methods, connector and index functions); a name
+that moves or disappears breaks the traced run without failing any other
+test.  This runs that file as it is, on a desk centre, for one query, one
+search and one collection resolve that includes an index-only stub, and
+checks that each prints what the plain command prints."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import vdc
+from vdc.datacentre import AccessMode, Catalogue
+from vdc.model import ItemRef
+
+from helpers import register_desk
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACE_CHILD = os.path.join(REPO, "perfbench", "trace_child.py")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(vdc.__file__)))
+
+
+@pytest.fixture(scope="module")
+def centre(desk_fixtures, tmp_path_factory):
+    fx, _ = desk_fixtures
+    d = tmp_path_factory.mktemp("traced")
+    cat = Catalogue(str(d / "catalogue.vdc"))
+    register_desk(cat, fx)
+    cat.register_source("sealed", "xml_corpus", os.path.join(fx, "iaph"), AccessMode.INDEX_ONLY)
+    recipe = open(os.path.join(fx, "recipes", "iaph.recipe"), encoding="utf-8").read()
+    recipe = recipe.replace("from iaph.docs", "from sealed.docs", 1)
+    (d / "sealed.recipe").write_text(recipe, encoding="utf-8")
+    cat.build_index("sealed_texts", cat.register_recipe(str(d / "sealed.recipe")))
+    volterra = cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+    cat.build_index("vol_texts", volterra)
+    cat.update_collection("finds", [
+        ItemRef("hgv", "papyri", "1"), ItemRef("iaph", "docs", "i0000"),
+        ItemRef("sealed", "docs", "i0001"), ItemRef("volterra", "legal_texts", "2"),
+    ])
+    cat.persist()
+    return d
+
+
+def _run(centre, argv, *prefix):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, *prefix, "--catalogue", str(centre / "catalogue.vdc"), *argv]
+    return subprocess.run(cmd, cwd=centre, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "SELECT v.id, i.id FROM volterra_texts v JOIN iaph_docs i "
+              "ON v.person = i.persons LIMIT 10"),
+    ("search", "vol_texts", "lex", "--limit", "5"),
+    ("coll", "resolve", "finds"),
+], ids=["query", "search", "coll-resolve"])
+def test_traced_run_prints_what_the_plain_run_prints(centre, argv):
+    plain = _run(centre, argv, "-m", "vdc.cli")
+    spans = centre / f"{argv[0]}.spans.jsonl"
+    traced = _run(centre, argv, TRACE_CHILD, str(spans))
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert plain.stdout.count(b"\n") > 1
+    if argv[0] == "coll":
+        kinds = [line.split(b"\t")[1] for line in plain.stdout.splitlines()]
+        assert kinds == [b"row", b"doc", b"stub", b"row"]
+    assert spans.stat().st_size > 0
