@@ -12,8 +12,6 @@ import argparse
 import os
 import sys
 
-from . import textindex
-from .connectors import read_utf8
 from .datacentre import AccessMode, Catalogue, catalogue_lock
 from .errors import AccessDenied, LockedError, NotFound, VdcError
 from .model import ItemRef
@@ -128,11 +126,11 @@ def _load_catalogue(path: str) -> Catalogue:
     return Catalogue.load(path)
 
 
-def _mutate(args, fn, stale_indexes_ok: bool = False) -> int:
+def _mutate(args, fn) -> int:
     """Run a catalogue mutation under the non-blocking lock and persist."""
     with catalogue_lock(args.catalogue, blocking=False):
         if os.path.exists(args.catalogue):
-            cat = Catalogue.load(args.catalogue, stale_indexes_ok=stale_indexes_ok)
+            cat = Catalogue.load(args.catalogue)
         else:
             cat = Catalogue(args.catalogue)
         fn(cat)
@@ -181,11 +179,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    recipe = textindex.parse_recipe_file(read_utf8(args.recipe))
+    recipe = cat.register_recipe(args.recipe)  # in memory: ingest persists nothing
     if recipe.source.source_id != args.source:
-        raise VdcError(
-            f"recipe reads {recipe.source.source_id!r}, not {args.source!r}"
-        )
+        raise VdcError(f"recipe reads {recipe.source.source_id!r}, not {args.source!r}")
     docs, warnings = cat.ingest(recipe)
     print("doc_id,ref")
     for d in docs:
@@ -203,12 +199,12 @@ def _cmd_index_build(args) -> int:
             print(f"warning: {w}", file=sys.stderr)
         print(f"published index {args.collection} at {path}", file=sys.stderr)
 
-    # a build replaces an index of an older format, so such indexes may not
-    # stop the catalogue from loading
-    return _mutate(args, fn, stale_indexes_ok=True)
+    return _mutate(args, fn)
 
 
 def _cmd_search(args) -> int:
+    from . import textindex  # only the index commands load it
+
     cat = _load_catalogue(args.catalogue)
     index = cat.get_index(args.collection)
     bbox = None

@@ -214,10 +214,13 @@ class TabularSource:
     def _validate_header(self, table: str, schema: TableSchema):
         path = self._csv_path(table)
         with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
             try:
-                header = next(csv.reader(f), None)
+                header = next(reader, None)
             except UnicodeDecodeError as e:
                 raise _utf8_error(path, e) from e
+            except csv.Error as e:
+                raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
         if header is None:
             raise SourceError("empty csv (missing header)", path=path, line=1)
         if [nfc(h) for h in header] != schema.column_names():
@@ -296,6 +299,8 @@ class TabularSource:
                         yield tuple(cells)
             except UnicodeDecodeError as e:
                 raise _utf8_error(path, e) from e
+            except csv.Error as e:
+                raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
         try:
             after = _identity(os.stat(path))
         except OSError as e:

@@ -27,12 +27,12 @@ import fcntl
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from . import connectors, mediation, textindex
+from . import connectors, mediation
 from .atomic import write_atomic
 from .connectors import SourceDescriptor, SourceHandle, row_item_key
 from .errors import (
@@ -49,12 +49,15 @@ from .errors import (
 from .mediation import (
     IDENT_RE,
     CompiledView,
+    IngestRecipe,
     RelationRef,
     TranslationTable,
     ViewDefinition,
 )
 from .model import ItemRef, Row, TableSchema
-from .textindex import DocEntry, IngestRecipe, InvertedIndex
+
+if TYPE_CHECKING:  # vdc.textindex is imported by the methods that use it
+    from .textindex import DocEntry, InvertedIndex
 
 CATALOGUE_MAGIC = "VDCCAT 1"
 # the stored fields an index of an index-only source publishes; every other
@@ -190,9 +193,8 @@ class Catalogue:
         self.xlates: dict[str, _XlateEntry] = {}
         self.recipes: dict[str, _RecipeEntry] = {}
         self.indexes: dict[str, str] = {}  # collection -> index file path
-        # collection -> the source relation its index was built from (None:
-        # a stale index kept unread for `vdc index build` to replace)
-        self._index_relations: dict[str, str | None] = {}
+        # collection -> its index's source relation, once built or read
+        self._index_relations: dict[str, str] = {}
         self.collections: dict[str, list[ItemRef]] = {}  # name -> refs
         self._vault_handles: dict[str, SourceHandle] = {}
         self._index_cache: dict[str, InvertedIndex] = {}
@@ -269,9 +271,6 @@ class Catalogue:
             return self._vault_handles[source_id]
         return connectors.open_source(desc)
 
-    def table_schema(self, source_id: str, table: str) -> TableSchema:
-        return self.open_handle(source_id).schema(table)
-
     # -- views and translation tables ---------------------------------------
     # Each kind of definition file has one reader, used both to register a
     # file and to load the catalogue line that names it: it reads the file,
@@ -301,7 +300,7 @@ class Catalogue:
         return view
 
     def _compile_view(self, view: ViewDefinition) -> CompiledView:
-        schemas = [self.table_schema(ref.source_id, ref.table) for ref in view.base]
+        schemas = [self.open_handle(ref.source_id).schema(ref.table) for ref in view.base]
         xlates = {xid: e.table for xid, e in self.xlates.items()}
         return mediation.compile_view(view, schemas, xlates)
 
@@ -443,18 +442,30 @@ class Catalogue:
 
     def _find_stub(self, ref: ItemRef) -> DocEntry | None:
         """The first DOCS entry for ``ref`` in the indexes built from its
-        relation; indexes of other relations are not opened."""
+        relation; of the others only the header line is read.  If none has
+        it, an index whose header is unreadable (and may hold it) raises."""
+        from . import textindex
+
         relation = RelationRef(ref.source_id, ref.container).text()
-        for collection, built_from in self._index_relations.items():
-            if built_from == relation:
+        unread = None
+        for collection, path in self.indexes.items():
+            if collection not in self._index_relations:
+                try:
+                    self._index_relations[collection] = textindex.index_relation(path)
+                except IndexFormatError as e:
+                    unread = unread or IndexFormatError(f"index {collection!r}: {e}")
+                    continue
+            if self._index_relations[collection] == relation:
                 entry = self.get_index(collection).find_ref(ref.text())
                 if entry is not None:
                     return entry
+        if unread is not None:
+            raise unread
         return None
 
     # -- recipes and indexes -------------------------------------------------
     def register_recipe(self, path: str) -> IngestRecipe:
-        recipe = textindex.parse_recipe_file(_read_definition(path, "recipe file"))
+        recipe = mediation.parse_recipe_file(_read_definition(path, "recipe file"))
         self._descriptor(recipe.source.source_id)  # must be registered
         self.recipes[recipe.name] = _RecipeEntry(path, recipe)
         return recipe
@@ -462,11 +473,15 @@ class Catalogue:
     def ingest(self, recipe: IngestRecipe, privileged: bool = False):
         """Run a recipe.  ``privileged`` marks the ingest+index run, the one
         path allowed to read index-only content."""
+        from . import textindex
+
         handle = self.open_handle(recipe.source.source_id, for_ingest=privileged)
         return textindex.ingest_documents(handle, recipe)
 
     def build_index(self, collection: str, recipe: IngestRecipe) -> tuple[str, list[str]]:
         """Ingest + index + publish: returns (index path, ingest warnings)."""
+        from . import textindex
+
         desc = self._descriptor(recipe.source.source_id)
         docs, warnings = self.ingest(recipe, privileged=True)
         whitelist = MANIFEST_FIELDS if desc.mode is AccessMode.INDEX_ONLY else None
@@ -481,6 +496,9 @@ class Catalogue:
         return path, warnings
 
     def get_index(self, collection: str) -> InvertedIndex:
+        """The collection's index, read and checked on first use."""
+        from . import textindex
+
         if collection not in self.indexes:
             raise NotFound(f"no index for collection {collection!r}")
         if collection not in self._index_cache:
@@ -504,36 +522,26 @@ class Catalogue:
             lines.append(f"COLL {name} {','.join(r.text() for r in refs)}")
         return "\n".join(lines) + "\n"
 
-    def persist(self, path: str | None = None, take_lock: bool = True) -> None:
+    def persist(self, take_lock: bool = True) -> None:
         """Atomically write the catalogue file (temp file + rename).
 
         ``take_lock=False`` is for callers already holding the catalogue
         lock (flock is not reentrant across file descriptors).
         """
-        path = path or self.path
-        data = self.serialize().encode("utf-8")
-        if take_lock:
-            with catalogue_lock(path, blocking=True):
-                write_atomic(path, data)
-        else:
-            write_atomic(path, data)
+        with catalogue_lock(self.path) if take_lock else nullcontext():
+            write_atomic(self.path, self.serialize().encode("utf-8"))
 
     @classmethod
-    def load(
-        cls,
-        path: str,
-        stale_indexes_ok: bool = False,
-    ) -> "Catalogue":
+    def load(cls, path: str) -> "Catalogue":
         """Load and integrity-check a catalogue file.
 
         Referenced definition files are re-read by the readers that
         registered them; entries that name unregistered sources or missing
-        centre-owned files fail the load, and so does an index whose first
-        line is not a ``VDCIDX 2`` header.  Every such fault is one
-        IntegrityError naming the catalogue line.  ``stale_indexes_ok`` keeps
-        such indexes, unread, so that `vdc index build` can replace them.
-        Sources themselves are opened lazily (a live source may be
-        temporarily unreachable without invalidating the catalogue).
+        centre-owned files fail the load, each fault as one IntegrityError
+        naming the catalogue line.  Sources are opened lazily (a live source
+        may be temporarily unreachable without invalidating the catalogue),
+        and so are index files: an index of an older format loads, fails
+        where it is read, and is replaced by `vdc index build`.
         """
         try:
             text = connectors.read_utf8(path)
@@ -550,7 +558,7 @@ class Catalogue:
                 continue
             tag, _, rest = line.partition(" ")
             try:
-                cat._load_line(tag, rest, stale_indexes_ok)
+                cat._load_line(tag, rest)
             except Exception as e:
                 raise IntegrityError(f"catalogue line {lineno}: {e}") from e
         # cross-entity integrity: views may precede their translation tables
@@ -564,7 +572,7 @@ class Catalogue:
                     )
         return cat
 
-    def _load_line(self, tag: str, rest: str, stale_indexes_ok: bool) -> None:
+    def _load_line(self, tag: str, rest: str) -> None:
         if tag == "SOURCE":
             sid, kind, mode_s, path = rest.split(" ", 3)
             mode = AccessMode(mode_s)
@@ -585,14 +593,7 @@ class Catalogue:
             collection, _, p = rest.partition(" ")
             if not os.path.isfile(p):
                 raise IntegrityError(f"index file missing for {collection!r}: {p}")
-            try:
-                relation = textindex.index_relation(p)
-            except IndexFormatError as e:
-                if not stale_indexes_ok:
-                    raise IntegrityError(f"index {collection!r} at {p}: {e}") from e
-                relation = None
             self.indexes[collection] = p
-            self._index_relations[collection] = relation
         elif tag == "COLL":
             name, _, refs_s = rest.partition(" ")
             refs = [ItemRef.parse(text) for text in refs_s.split(",")]

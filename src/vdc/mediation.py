@@ -54,9 +54,6 @@ class RelationRef:
             raise ValueError(f"malformed relation ref {s!r}")
         return cls(left, right)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.text()
-
 
 # --------------------------------------------------------------------------
 # translation tables
@@ -80,9 +77,6 @@ class TranslationTable:
                 )
             self._map[key] = nfc(target_term)
 
-    def lookup(self, term: str) -> str | None:
-        return self._map.get(_fold(term))
-
     def translate(self, term: str) -> str:
         """Mapped target term, or the input unchanged when unmapped."""
         return self._map.get(_fold(term), term)
@@ -93,23 +87,26 @@ def load_translation_table(table_id: str, path: str) -> TranslationTable:
         text = read_utf8(path)
     except (OSError, SourceError) as e:
         raise LoadError(f"cannot read translation table: {e}") from e
-    return parse_translation_table(table_id, text)
+    return parse_translation_table(table_id, text, path)
 
 
-def parse_translation_table(table_id: str, text: str) -> TranslationTable:
+def parse_translation_table(table_id: str, text: str, path: str = "-") -> TranslationTable:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["source_term", "target_term"]:
-        raise LoadError(
-            f"translation table must start with header source_term,target_term, got {header!r}"
-        )
-    entries = []
-    for record in reader:
-        if not record:
-            continue
-        if len(record) != 2:
-            raise LoadError(f"translation row {record!r} does not have 2 fields")
-        entries.append((nfc(record[0]), nfc(record[1])))
+    try:
+        header = next(reader, None)
+        if header != ["source_term", "target_term"]:
+            raise LoadError(
+                f"translation table must start with header source_term,target_term, got {header!r}"
+            )
+        entries = []
+        for record in reader:
+            if not record:
+                continue
+            if len(record) != 2:
+                raise LoadError(f"translation row {record!r} does not have 2 fields")
+            entries.append((nfc(record[0]), nfc(record[1])))
+    except csv.Error as e:
+        raise LoadError(f"bad csv in translation table: {e} [{path}:{reader.line_num}]") from e
     return TranslationTable(table_id, entries)
 
 
@@ -153,13 +150,13 @@ def _unquote(token: str, lineno: int) -> str:
     return nfc(m.group(1).replace('""', '"'))
 
 
-def ident_token(token: str, lineno: int) -> str:
+def _ident_token(token: str, lineno: int) -> str:
     if not IDENT_RE.match(token):
         raise ParseError(f"expected an identifier, got {token!r}", line=lineno)
     return token
 
 
-def relation_token(token: str, lineno: int) -> RelationRef:
+def _relation_token(token: str, lineno: int) -> RelationRef:
     try:
         return RelationRef.parse(token)
     except ValueError as e:
@@ -177,7 +174,7 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def definition_lines(
+def _definition_lines(
     text: str, kind: str, keywords: Collection[str], noun: str
 ) -> tuple[str, Iterator[tuple[int, list[str], str]]]:
     """Read a line-based definition file: its name, from the ``<kind>
@@ -205,7 +202,7 @@ def definition_lines(
         raise ParseError(f"{kind} file must start with '{kind} <name>'", line=lineno)
     if len(words) != 2:
         raise ParseError(f"usage: {kind} <name>", line=lineno)
-    return ident_token(words[1], lineno), _body_lines(lines, kind, keywords, noun)
+    return _ident_token(words[1], lineno), _body_lines(lines, kind, keywords, noun)
 
 
 def _body_lines(
@@ -242,7 +239,7 @@ def parse_view_file(text: str) -> ViewDefinition:
         translate <ident> using <ident>
         end
     """
-    name, lines = definition_lines(text, "view", _VIEW_KEYWORDS, "rule")
+    name, lines = _definition_lines(text, "view", _VIEW_KEYWORDS, "rule")
     base: list[RelationRef] = []
     rules: list[MappingRule] = []
 
@@ -253,7 +250,7 @@ def parse_view_file(text: str) -> ViewDefinition:
                 raise ParseError("duplicate 'from' (use 'union' for more relations)", line=lineno)
             if len(words) != 2:
                 raise ParseError("usage: from <source>.<table>", line=lineno)
-            base.append(relation_token(words[1], lineno))
+            base.append(_relation_token(words[1], lineno))
         elif keyword == "union":
             if not base:
                 raise ParseError("'union' before 'from'", line=lineno)
@@ -261,7 +258,7 @@ def parse_view_file(text: str) -> ViewDefinition:
                 raise ParseError("'union' must precede mapping rules", line=lineno)
             if len(words) != 2:
                 raise ParseError("usage: union <source>.<table>", line=lineno)
-            base.append(relation_token(words[1], lineno))
+            base.append(_relation_token(words[1], lineno))
         elif keyword == "rename":
             # rename "<original>" -> <ident>; the original may contain spaces,
             # so re-split on the arrow rather than on whitespace.
@@ -272,23 +269,114 @@ def parse_view_file(text: str) -> ViewDefinition:
             if not base:
                 raise ParseError("rules must follow 'from'", line=lineno)
             rules.append(
-                Rename(_unquote(left.strip(), lineno), ident_token(right.strip(), lineno))
+                Rename(_unquote(left.strip(), lineno), _ident_token(right.strip(), lineno))
             )
         elif keyword == "coerce":
             if len(words) != 3 or words[2] != "date":
                 raise ParseError("usage: coerce <column> date", line=lineno)
             if not base:
                 raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(Coerce(ident_token(words[1], lineno)))
+            rules.append(Coerce(_ident_token(words[1], lineno)))
         elif keyword == "translate":
             if len(words) != 4 or words[2] != "using":
                 raise ParseError("usage: translate <column> using <table>", line=lineno)
             if not base:
                 raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(Translate(ident_token(words[1], lineno), ident_token(words[3], lineno)))
+            rules.append(Translate(_ident_token(words[1], lineno), _ident_token(words[3], lineno)))
         elif not base:  # end
             raise ParseError("'end' before 'from'", line=lineno)
     return ViewDefinition(name, tuple(base), tuple(rules))
+
+
+# --------------------------------------------------------------------------
+# ingest recipes (run by vdc.textindex)
+
+@dataclass(frozen=True)
+class IngestRecipe:
+    name: str
+    source: RelationRef
+    id_column: str
+    field_map: tuple[tuple[str, str], ...]  # (document field, source column)
+    body_columns: tuple[str, ...]
+    geo: tuple[str, str] | None  # (lat column, lon column)
+    indexed: tuple[str, ...]
+
+
+_RECIPE_KEYWORDS = ("from", "id", "field", "body", "geo", "index")
+
+
+def parse_recipe_file(text: str) -> IngestRecipe:
+    """Parse the recipe micro-grammar.
+
+    Line-based, UTF-8, ``#`` comments (outside double quotes)::
+
+        recipe <ident>
+        from <source>.<table>
+        id <column>
+        field <ident> = <column>   # zero or more
+        body <column>              # one or more
+        geo <latcol> <loncol>      # optional
+        index <ident>              # zero or more, over fields and "body"
+        end
+    """
+    name, lines = _definition_lines(text, "recipe", _RECIPE_KEYWORDS, "recipe")
+    source = None
+    id_column = None
+    fields: list[tuple[str, str]] = []
+    body: list[str] = []
+    geo: tuple[str, str] | None = None
+    indexed: list[str] = []
+
+    for lineno, words, _ in lines:
+        keyword = words[0]
+        if keyword == "from":
+            if source is not None:
+                raise ParseError("duplicate 'from' line", line=lineno)
+            if len(words) != 2:
+                raise ParseError("usage: from <source>.<table>", line=lineno)
+            source = _relation_token(words[1], lineno)
+        elif keyword == "id":
+            if id_column is not None:
+                raise ParseError("duplicate 'id' line", line=lineno)
+            if len(words) != 2:
+                raise ParseError("usage: id <column>", line=lineno)
+            id_column = _ident_token(words[1], lineno)
+        elif keyword == "field":
+            if len(words) != 4 or words[2] != "=":
+                raise ParseError("usage: field <ident> = <column>", line=lineno)
+            fname = _ident_token(words[1], lineno)
+            if fname == "body" or any(f == fname for f, _ in fields):
+                raise ParseError(f"duplicate field {fname!r}", line=lineno)
+            fields.append((fname, _ident_token(words[3], lineno)))
+        elif keyword == "body":
+            if len(words) != 2:
+                raise ParseError("usage: body <column>", line=lineno)
+            body.append(_ident_token(words[1], lineno))
+        elif keyword == "geo":
+            if geo is not None:
+                raise ParseError("duplicate 'geo' line", line=lineno)
+            if len(words) != 3:
+                raise ParseError("usage: geo <latcol> <loncol>", line=lineno)
+            geo = (_ident_token(words[1], lineno), _ident_token(words[2], lineno))
+        elif keyword == "index":
+            if len(words) != 2:
+                raise ParseError("usage: index <field>", line=lineno)
+            f = _ident_token(words[1], lineno)
+            if f in indexed:
+                raise ParseError(f"duplicate index field {f!r}", line=lineno)
+            indexed.append(f)
+
+    if source is None or id_column is None:
+        raise ParseError("recipe needs 'from' and 'id' lines")
+    if not body:
+        raise ParseError("recipe needs at least one 'body' column")
+    declared = {f for f, _ in fields} | {"body"}
+    for f in indexed:
+        if f not in declared:
+            raise ParseError(f"indexed field {f!r} is not declared")
+    return IngestRecipe(
+        name, source, id_column, tuple(fields), tuple(body), geo, tuple(indexed)
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Text-centric virtualization: ingestion recipes, inverted indexes and
-search.
+"""Text-centric virtualization: ingestion, inverted indexes and search.
 
 Rows and corpus documents are mapped into a generic document model by small
-declarative recipes, indexed into per-field postings lists, and searched by
-keyword conjunctions, optionally restricted to one field or a geographic
-bounding box.
+declarative recipes (their grammar is in ``vdc.mediation``), indexed into
+per-field postings lists, and searched by keyword conjunctions, optionally
+restricted to one field or a geographic bounding box.
 
 Index files are deterministic: the same document set always produces the
 same bytes, regardless of input order, so a published index can be compared,
@@ -23,9 +22,10 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .atomic import write_atomic
-from .errors import IndexFormatError, IngestError, NotFound, ParseError
+from .errors import IndexFormatError, IngestError, NotFound
 from .connectors import SourceHandle, row_item_key
-from .mediation import IDENT_RE, RelationRef, definition_lines, ident_token, relation_token
+# perfbench/oracle.py imports parse_recipe_file from this module
+from .mediation import IDENT_RE, IngestRecipe, RelationRef, parse_recipe_file
 from .model import ItemRef
 
 
@@ -59,97 +59,6 @@ def tokenize(text: str) -> list[str]:
     """
     folded = unicodedata.normalize("NFC", text).lower()
     return folded.translate(_SEPARATORS).split()
-
-
-# --------------------------------------------------------------------------
-# recipes
-
-@dataclass(frozen=True)
-class IngestRecipe:
-    name: str
-    source: RelationRef
-    id_column: str
-    field_map: tuple[tuple[str, str], ...]  # (document field, source column)
-    body_columns: tuple[str, ...]
-    geo: tuple[str, str] | None  # (lat column, lon column)
-    indexed: tuple[str, ...]
-
-
-_RECIPE_KEYWORDS = ("from", "id", "field", "body", "geo", "index")
-
-
-def parse_recipe_file(text: str) -> IngestRecipe:
-    """Parse the recipe micro-grammar.
-
-    Line-based, UTF-8, ``#`` comments (outside double quotes)::
-
-        recipe <ident>
-        from <source>.<table>
-        id <column>
-        field <ident> = <column>   # zero or more
-        body <column>              # one or more
-        geo <latcol> <loncol>      # optional
-        index <ident>              # zero or more, over fields and "body"
-        end
-    """
-    name, lines = definition_lines(text, "recipe", _RECIPE_KEYWORDS, "recipe")
-    source = None
-    id_column = None
-    fields: list[tuple[str, str]] = []
-    body: list[str] = []
-    geo: tuple[str, str] | None = None
-    indexed: list[str] = []
-
-    for lineno, words, _ in lines:
-        keyword = words[0]
-        if keyword == "from":
-            if source is not None:
-                raise ParseError("duplicate 'from' line", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: from <source>.<table>", line=lineno)
-            source = relation_token(words[1], lineno)
-        elif keyword == "id":
-            if id_column is not None:
-                raise ParseError("duplicate 'id' line", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: id <column>", line=lineno)
-            id_column = ident_token(words[1], lineno)
-        elif keyword == "field":
-            if len(words) != 4 or words[2] != "=":
-                raise ParseError("usage: field <ident> = <column>", line=lineno)
-            fname = ident_token(words[1], lineno)
-            if fname == "body" or any(f == fname for f, _ in fields):
-                raise ParseError(f"duplicate field {fname!r}", line=lineno)
-            fields.append((fname, ident_token(words[3], lineno)))
-        elif keyword == "body":
-            if len(words) != 2:
-                raise ParseError("usage: body <column>", line=lineno)
-            body.append(ident_token(words[1], lineno))
-        elif keyword == "geo":
-            if geo is not None:
-                raise ParseError("duplicate 'geo' line", line=lineno)
-            if len(words) != 3:
-                raise ParseError("usage: geo <latcol> <loncol>", line=lineno)
-            geo = (ident_token(words[1], lineno), ident_token(words[2], lineno))
-        elif keyword == "index":
-            if len(words) != 2:
-                raise ParseError("usage: index <field>", line=lineno)
-            f = ident_token(words[1], lineno)
-            if f in indexed:
-                raise ParseError(f"duplicate index field {f!r}", line=lineno)
-            indexed.append(f)
-
-    if source is None or id_column is None:
-        raise ParseError("recipe needs 'from' and 'id' lines")
-    if not body:
-        raise ParseError("recipe needs at least one 'body' column")
-    declared = {f for f, _ in fields} | {"body"}
-    for f in indexed:
-        if f not in declared:
-            raise ParseError(f"indexed field {f!r} is not declared")
-    return IngestRecipe(
-        name, source, id_column, tuple(fields), tuple(body), geo, tuple(indexed)
-    )
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Shared test machinery: fixture registration and a seeded query generator."""
+"""Shared test machinery: fixture registration, a seeded query generator
+and a second reader of XML corpus documents."""
 
 from __future__ import annotations
 
 import os
 import random
+import unicodedata
+import xml.etree.ElementTree as ET
 
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.model import format_uncertain_date, parse_uncertain_date
@@ -168,3 +171,44 @@ class QueryGen:
 
 def canonical_date_text(text: str) -> str:
     return format_uncertain_date(parse_uncertain_date(text))
+
+
+# ---------------------------------------------------------------------------
+# an independent reader of the XML document subset, for differential tests
+# of the connector's expat reader (kept out of vdc.query.reference, whose
+# scans go through the engine's connectors)
+
+def _nfc_or_null(text: str | None) -> str | None:
+    text = (text or "").strip()
+    return unicodedata.normalize("NFC", text) if text else None
+
+
+def etree_docs_row(data: bytes) -> tuple:
+    """The ``docs`` row of a valid subset document, read with ElementTree:
+    id, title, findspot, not_before, not_after, category, persons, body.
+    Empty or all-whitespace metadata and an empty body are null; persons
+    are the non-empty ``persName`` texts joined with ``|``; the body is all
+    character data inside ``<text>``, whitespace runs collapsed."""
+    root = ET.fromstring(data)
+    meta = root.find("meta")
+    cells = dict.fromkeys(("title", "findspot", "not_before", "not_after", "category"))
+    persons = []
+    for el in meta if meta is not None else ():
+        if el.tag == "date":
+            for attr, key in (("notBefore", "not_before"), ("notAfter", "not_after")):
+                if el.get(attr):
+                    cells[key] = unicodedata.normalize("NFC", el.get(attr))
+        elif el.tag == "persName":
+            person = _nfc_or_null("".join(el.itertext()))
+            if person is not None:
+                persons.append(person)
+        else:
+            cells[el.tag] = _nfc_or_null("".join(el.itertext()))
+    text = root.find("text")
+    body = None if text is None else _nfc_or_null(" ".join("".join(text.itertext()).split()))
+    return (
+        unicodedata.normalize("NFC", root.get("id")),
+        *cells.values(),
+        "|".join(persons) or None,
+        body,
+    )

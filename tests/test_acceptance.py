@@ -21,10 +21,10 @@ from vdc.query import (
     reference_eval,
     result_to_csv,
 )
+from vdc.mediation import parse_recipe_file
 from vdc.textindex import (
     SearchQuery,
     build_index,
-    parse_recipe_file,
     read_index,
     search,
     tokenize,
@@ -160,7 +160,7 @@ class TestAcceptance:
             expected = sorted(
                 r[rid]
                 for r in raw_rows
-                if r[kat] is not None and xlate.lookup(r[kat]) == target_term
+                if r[kat] is not None and xlate.translate(r[kat]) == target_term
             )
             if got != expected:
                 bad.append(target_term)

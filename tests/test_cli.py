@@ -167,6 +167,12 @@ class TestModesViaCli:
         assert "title=Visible title" in line
         assert "hidden=-" in line
         assert "very secret" not in out
+        # over an index of the retired format the stub is that ref's error
+        with open(os.path.join(cat + ".store", "index", "sec2_texts.idx"), "w") as f:
+            f.write("VDCIDX 1\n")
+        assert cli("coll", "resolve", "finds") == (0, "", (
+            "error: sec2/t/7: index 'sec2_texts': index has format v1, which is no longer read: "
+            "rebuild it with `vdc index build`\n"))
 
 
 class TestCollectionsViaCli:
@@ -263,6 +269,14 @@ class TestSearchViaCli:
             code, out, _ = cli("search", "vol_texts", "imperator", *argv)
             assert code == 2 and out == "", argv
 
+    def test_ingest_missing_recipe_exit_2(self, centre, tmp_path):
+        cli, *_ = centre
+        recipe = str(tmp_path / "nope.recipe")
+        code, out, err = cli("ingest", "volterra", "--recipe", recipe)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read recipe file: [Errno 2] No such file or "
+                       f"directory: {recipe!r} [{recipe}]\n")
+
     def test_ingest_recipe_with_invalid_utf8_exit_2(self, centre, tmp_path):
         cli, *_ = centre
         recipe = tmp_path / "bad.recipe"
@@ -306,6 +320,8 @@ class TestSearchViaCli:
         code, out, err = cli("search", "vol_texts", "imperator")
         assert code == 2 and out == ""
         assert "vdc index build" in err
+        # the catalogue still loads: a query does not read the index
+        assert cli("query", "SELECT id FROM papyri LIMIT 1")[0] == 0
         assert cli("index", "build", "vol_texts", "--recipe", recipe)[0] == 0
         assert cli("search", "vol_texts", "imperator") == (0, before, "")
 
@@ -320,6 +336,48 @@ class TestSearchViaCli:
     def test_search_unknown_collection(self, centre):
         cli, *_ = centre
         assert cli("search", "ghost", "term")[0] == 2
+
+
+class TestCsvFieldLimit:
+    """A cell longer than the csv module's field limit (131,072
+    characters) is a data error naming the file and line, on each path
+    that reads CSV."""
+
+    BIG = "x" * 140_000
+
+    def live_source(self, cli, tmp_path, header, row):
+        src = tmp_path / "big"
+        src.mkdir()
+        (src / "t.schema").write_text("id : int\nnote : text\n", encoding="utf-8")
+        (src / "t.csv").write_text(f"{header}\n{row}\n", encoding="utf-8")
+        code, _, err = cli("source", "add", "big", "--kind", "tabular",
+                           "--path", str(src), "--mode", "live")
+        return code, err, src / "t.csv"
+
+    def test_scan(self, centre, tmp_path):
+        cli, *_ = centre
+        code, _, path = self.live_source(cli, tmp_path, "id,note", f'1,"{self.BIG}"')
+        assert code == 0  # registration reads the header only
+        code, out, err = cli("query", "SELECT id FROM big.t")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad csv: field larger than field limit (131072) [{path}:2]\n"
+
+    def test_header(self, centre, tmp_path):
+        cli, cat, *_ = centre
+        before = open(cat, "rb").read()
+        code, err, path = self.live_source(cli, tmp_path, f'id,"{self.BIG}"', "1,a")
+        assert code == 2
+        assert err == f"error: bad csv: field larger than field limit (131072) [{path}:1]\n"
+        assert open(cat, "rb").read() == before
+
+    def test_translation_table(self, centre, tmp_path):
+        cli, *_ = centre
+        path = tmp_path / "big.csv"
+        path.write_text(f'source_term,target_term\na,b\nc,"{self.BIG}"\n', encoding="utf-8")
+        code, out, err = cli("xlate", "add", "big", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: bad csv in translation table: field larger than field "
+                       f"limit (131072) [{path}:3]\n")
 
 
 class TestFixturesViaCli:

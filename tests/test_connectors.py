@@ -5,6 +5,7 @@ import os
 import random
 import stat
 import tempfile
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from vdc.model import ColumnKind, parse_uncertain_date
 from vdc.predicates import Compare, Contains, DateWithin
 from vdc.query import execute_plan, parse_query, plan_query
 from vdc.query.reference import _naive_compare, _naive_contains
+
+from helpers import etree_docs_row
 
 
 def write_source(dirpath, table="texts", header="id,status,note",
@@ -627,3 +630,60 @@ class TestXmlFuzz:
             except SourceError:
                 return
         assert len(rows) == 1 and rows[0][0]
+
+
+# documents of the subset grammar: metadata that may be empty, all
+# whitespace or repeated (persName), absent <meta> or <text>, markup,
+# comments and CDATA inside <text>, and text needing NFC and escaping
+_CHARS = st.sampled_from(list("aZ λ\t\n&<>\"'") + ["e\u0301", "\u00a0", "\u2003"])
+_TEXT = st.lists(_CHARS, max_size=8).map("".join)
+_DATES = ["", "0206", "0150-03", "0150-03-07", "ca. 0200", "0100/0150", "-0020"]
+
+
+@st.composite
+def _subset_docs(draw, doc_id: str = "") -> bytes:
+    parts = [f"<doc id={quoteattr(doc_id or 'd' + draw(_TEXT).strip())}>"]
+    if draw(st.booleans()):
+        meta = [f"<persName>{escape(draw(_TEXT))}</persName>"
+                for _ in range(draw(st.integers(0, 3)))]
+        for name in ("title", "findspot", "category"):
+            if draw(st.booleans()):
+                meta.append(f"<{name}>{escape(draw(_TEXT))}</{name}>")
+        if draw(st.booleans()):
+            nb, na = draw(st.sampled_from(_DATES)), draw(st.sampled_from(_DATES))
+            meta.append(f"<date notBefore={quoteattr(nb)} notAfter={quoteattr(na)}>"
+                        f"{escape(draw(_TEXT))}</date>")
+        order = draw(st.permutations(range(len(meta))))
+        parts += ["<meta>", *(meta[i] for i in order), "</meta>"]
+    if draw(st.booleans()):
+        pieces = st.one_of(
+            _TEXT.map(escape),
+            _TEXT.map(lambda t: f"<hi>{escape(t)}</hi>"),
+            _TEXT.map(lambda t: f"<a><b>{escape(t)}</b>{escape(t)}<lb/></a>"),
+            st.just("<!-- c -->"),
+            _TEXT.map(lambda t: f"<![CDATA[{t}]]>"),
+        )
+        parts += ["<text>", *draw(st.lists(pieces, max_size=5)), "</text>"]
+    parts.append("</doc>")
+    sep = draw(st.sampled_from(["", "\n", "\n  "]))
+    return sep.join(parts).encode("utf-8")
+
+
+class TestXmlDifferential:
+    """The connector's expat reader against an ElementTree reader."""
+
+    @given(data=_subset_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_xml_doc(self, data):
+        assert parse_xml_doc(data) == etree_docs_row(data)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_scan(self, data):
+        docs = [data.draw(_subset_docs(f"doc{i}")) for i in range(data.draw(st.integers(1, 4)))]
+        with tempfile.TemporaryDirectory() as d:
+            for i, doc in enumerate(docs):
+                with open(os.path.join(d, f"{i:02}.xml"), "wb") as f:
+                    f.write(doc)
+            rows = list(live("c", d, "xml_corpus").scan("docs"))
+        assert rows == [etree_docs_row(doc) for doc in docs]

@@ -10,6 +10,7 @@ from vdc import connectors, mediation, textindex
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
 from vdc.errors import (
     AccessDenied,
+    IndexFormatError,
     IntegrityError,
     LoadError,
     LockedError,
@@ -18,11 +19,8 @@ from vdc.errors import (
 )
 from vdc.model import ItemRef
 from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
-from vdc.textindex import (
-    SearchQuery,
-    parse_recipe_file,
-    search,
-)
+from vdc.mediation import parse_recipe_file
+from vdc.textindex import SearchQuery, search
 
 from helpers import index_docs, register_desk
 
@@ -174,6 +172,23 @@ class TestIndexOnlyMode:
         assert [(i.kind, i.payload["doc_id"]) for i in items] == [("stub", "2")]
         assert read == [loaded.indexes["secrets"]]
 
+    @pytest.mark.parametrize("header,message", [
+        ("VDCIDX 1", "index has format v1, which is no longer read: "
+                     "rebuild it with `vdc index build`"),
+        ("VDCIDX 2 s.", "bad index header 'VDCIDX 2 s.'"),
+    ])
+    def test_stub_over_a_stale_index(self, tmp_path, header, message):
+        """A stale index fails the stubs that no readable index has."""
+        cat = self.build(tmp_path)
+        cat.build_index("fresh", parse_recipe_file(RECIPE))
+        cat.update_collection("finds", [ItemRef("sec", "t", "1"), ItemRef("sec", "t", "9")])
+        cat.persist()
+        with open(cat.indexes["secrets"], "w", encoding="utf-8") as f:
+            f.write(header + "\n")
+        items = Catalogue.load(cat.path).resolve_refs(cat.collections["finds"])
+        assert [i.kind for i in items] == ["stub", "error"]
+        assert items[1].payload == f"index 'secrets': {message}"
+
     def test_sentinel_never_leaks(self, tmp_path):
         cat = self.build(tmp_path)
         cat.update_collection("finds", [ItemRef("sec", "t", "1")])
@@ -305,7 +320,7 @@ class TestPersistence:
         with pytest.raises(IntegrityError):
             Catalogue.load(cat.path)
 
-    def test_load_v1_index_fails_with_rebuild_hint(self, tmp_path, desk_fixtures):
+    def test_v1_index_loads_and_fails_where_read_with_rebuild_hint(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
@@ -314,11 +329,12 @@ class TestPersistence:
         cat.persist()
         with open(path, "w", encoding="utf-8") as f:
             f.write("VDCIDX 1\nDOCS\n0\t1\tvolterra/legal_texts/1\t-\t-\t\nFIELD body\n")
-        with pytest.raises(IntegrityError) as e:
-            Catalogue.load(cat.path)
-        assert "vdc index build" in str(e.value)
-        # the rebuild itself may load the catalogue
-        stale = Catalogue.load(cat.path, stale_indexes_ok=True)
+        stale = Catalogue.load(cat.path)  # the index is not read at load
+        rs = execute_plan(plan_query(parse_query("SELECT id FROM papyri LIMIT 2"), stale))
+        assert len(rs.rows) == 2
+        with pytest.raises(IndexFormatError, match="rebuild it with `vdc index build`"):
+            stale.get_index("vol_texts")
+        # a plain load is enough to rebuild it
         stale.build_index("vol_texts", recipe)
         stale.persist()
         assert Catalogue.load(cat.path).get_index("vol_texts").relation == "volterra.legal_texts"

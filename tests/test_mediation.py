@@ -15,10 +15,10 @@ from vdc.mediation import (
     Translate,
     ViewDefinition,
     compile_view,
+    parse_recipe_file,
     parse_translation_table,
     parse_view_file,
 )
-from vdc.textindex import parse_recipe_file
 from vdc.model import (
     ColumnDescriptor,
     ColumnKind,

@@ -22,12 +22,12 @@ from vdc.errors import (
     NotFound,
     ParseError,
 )
+from vdc.mediation import parse_recipe_file
 from vdc.model import ItemRef
 from vdc.textindex import (
     Document,
     SearchQuery,
     build_index,
-    parse_recipe_file,
     read_index,
     search,
     tokenize,

@@ -5,7 +5,9 @@ look them up (catalogue methods, connector and index functions); a name
 that moves or disappears breaks the traced run without failing any other
 test.  This runs that file as it is, on a desk centre, for one query, one
 search and one collection resolve that includes an index-only stub, and
-checks that each prints what the plain command prints."""
+checks that each prints what the plain command prints.  On the same centre,
+whose catalogue names recipes and indexes, a plain query process never
+imports the index code."""
 
 import os
 import subprocess
@@ -70,3 +72,24 @@ def test_traced_run_prints_what_the_plain_run_prints(centre, argv):
         kinds = [line.split(b"\t")[1] for line in plain.stdout.splitlines()]
         assert kinds == [b"row", b"doc", b"stub", b"row"]
     assert spans.stat().st_size > 0
+
+
+# runs one command, then reports on stderr whether vdc.textindex was imported
+_PROBE = (
+    "import sys, vdc.cli\n"
+    "code = vdc.cli.run(sys.argv[1:])\n"
+    "print('textindex imported:', 'vdc.textindex' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("argv,imported", [
+    (("query", "SELECT id FROM papyri LIMIT 2"), False),
+    (("search", "vol_texts", "lex", "--limit", "5"), True),
+], ids=["query", "search"])
+def test_only_index_commands_import_the_index_code(centre, argv, imported):
+    catalogue = (centre / "catalogue.vdc").read_bytes()
+    assert b"\nRECIPE " in catalogue and b"\nINDEX " in catalogue
+    run = _run(centre, argv, "-c", _PROBE)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.endswith(f"textindex imported: {imported}\n".encode())
