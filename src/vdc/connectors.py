@@ -12,11 +12,13 @@ Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
 
 Both connectors accept pushed predicates (Compare/Contains/DateWithin,
-each naming its column by position in the table's row): they are checked
-against the table's columns here and evaluated with the engine's one
-evaluator, :func:`vdc.predicates.holds`.  The tabular connector tests
-them before it decodes the rest of a row, and decodes only the columns it
-is asked for.
+each naming its column by position in the table's row) and evaluate them
+as given, with the engine's one evaluator, :func:`vdc.predicates.holds`:
+the query planner alone makes them, checking each against the table's
+schema as it binds it, and the catalogue confirms that schema before the
+scan.  The tabular connector tests them before it decodes the rest of a
+row, and decodes only the columns it is asked for.  Connectors know
+nothing of trust modes: the catalogue decides which sources may be read.
 """
 
 from __future__ import annotations
@@ -25,24 +27,19 @@ import csv
 import os
 import re
 import xml.parsers.expat
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 from unicodedata import normalize
 
-from .errors import CapabilityError, NotFound, ParseError, SourceError
+from .errors import NotFound, ParseError, SourceError
 from .model import (
     ColumnDescriptor,
     ColumnKind,
     Row,
     TableSchema,
-    UncertainDate,
     nfc,
     parse_uncertain_date,
 )
-from .predicates import Compare, Contains, DateWithin, holds, matches
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .datacentre import AccessMode
+from .predicates import holds, matches
 
 TABULAR = "tabular"
 XML_CORPUS = "xml_corpus"
@@ -59,17 +56,6 @@ DOCS_TABLE_COLUMNS = (
     ColumnDescriptor("persons", ColumnKind.TEXT),
     ColumnDescriptor("body", ColumnKind.TEXT),
 )
-
-@dataclass(frozen=True)
-class SourceDescriptor:
-    source_id: str
-    kind: str
-    path: str
-    mode: "AccessMode"
-
-    def __post_init__(self):
-        if self.kind not in (TABULAR, XML_CORPUS):
-            raise ValueError(f"unknown source kind {self.kind!r}")
 
 
 def row_item_key(row: Row) -> str:
@@ -123,40 +109,10 @@ def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
 
 
 # --------------------------------------------------------------------------
-# pushed predicate checks
+# tabular sources
 
 _INT_RE = re.compile(r"^-?\d+$")
 
-
-def _check_pushable(schema: TableSchema, preds: Sequence):
-    """Reject pushed predicates on positions outside the row or of the
-    wrong kind.  A coercing predicate tests a date_text column as dates."""
-    width = len(schema.columns)
-    for p in preds:
-        if not isinstance(p, (Compare, Contains, DateWithin)):
-            raise CapabilityError(f"cannot push predicate {type(p).__name__}")
-        if not 0 <= p.index < width:
-            raise CapabilityError(
-                f"pushed predicate references column {p.index} of a {width}-column table"
-            )
-        col = schema.columns[p.index]
-        if isinstance(p, Contains):
-            if col.kind is not ColumnKind.TEXT:
-                raise CapabilityError(f"Contains on non-text column {col.name!r}")
-        elif isinstance(p, DateWithin) or p.coerce is not None:
-            dated = isinstance(p, DateWithin) or isinstance(p.literal, UncertainDate)
-            if p.coerce is None or not col.date_text or not dated:
-                raise CapabilityError(f"cannot push a date test on {col.name!r}")
-        else:
-            want = int if col.kind is ColumnKind.INT else str
-            if col.kind is ColumnKind.DATE or not isinstance(p.literal, want):
-                raise CapabilityError(
-                    f"cannot push comparison of {col.name!r} against {type(p.literal).__name__}"
-                )
-
-
-# --------------------------------------------------------------------------
-# tabular sources
 
 def _utf8_error(path: str, e: UnicodeDecodeError) -> SourceError:
     """A SourceError for invalid UTF-8 in ``path``, at the line of its first
@@ -255,8 +211,6 @@ class TabularSource:
         """
         schema = self.schema(table)
         preds = tuple(pushed or ())
-        if preds:
-            _check_pushable(schema, preds)
         width = len(schema.columns)
         convert = [_int_cell if c.kind is ColumnKind.INT else _text_cell for c in schema.columns]
         ints = [i for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
@@ -504,10 +458,8 @@ class XmlCorpusSource:
         """The documents' rows that satisfy every ``pushed`` predicate;
         ``columns`` is accepted for the connectors' common shape, but
         documents are parsed whole, once, so every cell is filled."""
-        schema = self.schema(table)
+        self.schema(table)  # NotFound for any table but docs
         preds = tuple(pushed or ())
-        if preds:
-            _check_pushable(schema, preds)
         for row in self.documents():
             if not preds or matches(preds, row):
                 yield row
@@ -516,11 +468,12 @@ class XmlCorpusSource:
 SourceHandle = TabularSource | XmlCorpusSource
 
 
-def open_source(desc: SourceDescriptor) -> SourceHandle:
+def open_source(source_id: str, kind: str, path: str) -> SourceHandle:
     """Open a source read-only and list its tables.  Never mutates it."""
-    if not os.path.isdir(desc.path):
-        raise SourceError("source path is not a readable directory", path=desc.path)
-    if desc.kind == TABULAR:
-        return TabularSource(desc.source_id, desc.path)
-    return XmlCorpusSource(desc.source_id, desc.path)
-
+    if not os.path.isdir(path):
+        raise SourceError("source path is not a readable directory", path=path)
+    if kind == TABULAR:
+        return TabularSource(source_id, path)
+    if kind == XML_CORPUS:
+        return XmlCorpusSource(source_id, path)
+    raise ValueError(f"unknown source kind {kind!r}")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import connectors, mediation
 from .atomic import write_atomic
-from .connectors import SourceDescriptor, SourceHandle, row_item_key
+from .connectors import SourceHandle, row_item_key
 from .errors import (
     AccessDenied,
     CollectionError,
@@ -69,6 +69,32 @@ class AccessMode(Enum):
     VAULT = "vault"
     LIVE = "live"
     INDEX_ONLY = "index-only"
+
+
+@dataclass(frozen=True)
+class SourceDescriptor:
+    """A registered source: where it is, how to read it, and its mode."""
+
+    source_id: str
+    kind: str
+    path: str
+    mode: AccessMode
+
+    def __post_init__(self):
+        if self.kind not in (connectors.TABULAR, connectors.XML_CORPUS):
+            raise ValueError(f"unknown source kind {self.kind!r}")
+
+    def open(self) -> SourceHandle:
+        """Open the source read-only; its mode is ``Catalogue.open_handle``'s
+        to apply."""
+        return connectors.open_source(self.source_id, self.kind, self.path)
+
+
+def _check_name(name: str, what: str, error: type[VdcError] = IntegrityError) -> None:
+    """Names the catalogue writes are identifiers, as queries, views and
+    recipes spell them."""
+    if not IDENT_RE.match(name):
+        raise error(f"bad {what} {name!r}")
 
 
 @contextmanager
@@ -203,13 +229,10 @@ class Catalogue:
     def register_source(self, source_id: str, kind: str, path: str, mode: AccessMode) -> SourceDescriptor:
         if source_id in self.sources:
             raise IntegrityError(f"source id {source_id!r} already registered")
-        if "/" in source_id or not source_id:
-            raise IntegrityError(f"bad source id {source_id!r}")
-        if not os.path.isdir(path):
-            raise SourceError("source path is not a readable directory", path=path)
+        _check_name(source_id, "source id")
         # validate before accepting (and before snapshotting): the layout,
         # and every document of a corpus whose content the centre may read
-        handle = connectors.open_source(SourceDescriptor(source_id, kind, path, mode))
+        handle = connectors.open_source(source_id, kind, path)
         if mode is not AccessMode.INDEX_ONLY and kind == connectors.XML_CORPUS:
             handle.documents()
         if mode is AccessMode.VAULT:
@@ -267,9 +290,9 @@ class Catalogue:
             )
         if desc.mode is AccessMode.VAULT:
             if source_id not in self._vault_handles:
-                self._vault_handles[source_id] = connectors.open_source(desc)
+                self._vault_handles[source_id] = desc.open()
             return self._vault_handles[source_id]
-        return connectors.open_source(desc)
+        return desc.open()
 
     # -- views and translation tables ---------------------------------------
     # Each kind of definition file has one reader, used both to register a
@@ -281,6 +304,7 @@ class Catalogue:
     def add_translation(self, xlate_id: str, path: str) -> TranslationTable:
         if xlate_id in self.xlates:
             raise IntegrityError(f"translation table {xlate_id!r} already registered")
+        _check_name(xlate_id, "translation table id")
         table = mediation.load_translation_table(xlate_id, path)
         self.xlates[xlate_id] = _XlateEntry(path, table)
         return table
@@ -323,7 +347,7 @@ class Catalogue:
                 # index-only source is reported as denied (by open_handle,
                 # when the relation is compiled), not hidden.
                 try:
-                    handle = connectors.open_source(desc)
+                    handle = desc.open()
                 except SourceError:
                     continue  # original withdrawn; only its index remains
             else:
@@ -375,8 +399,7 @@ class Catalogue:
         CollectionError naming the first unresolvable ref, in ``add``
         order, and leaves the collection unchanged.
         """
-        if not IDENT_RE.match(name):
-            raise CollectionError(f"bad collection name {name!r}")
+        _check_name(name, "collection name", CollectionError)
         if not add and name not in self.collections:
             raise CollectionError("a new collection needs at least one ref")
         checked = [r for r in add if not self._index_only(r.source_id)]
@@ -482,6 +505,7 @@ class Catalogue:
         """Ingest + index + publish: returns (index path, ingest warnings)."""
         from . import textindex
 
+        _check_name(collection, "collection name", CollectionError)
         desc = self._descriptor(recipe.source.source_id)
         docs, warnings = self.ingest(recipe, privileged=True)
         whitelist = MANIFEST_FIELDS if desc.mode is AccessMode.INDEX_ONLY else None

@@ -45,10 +45,6 @@ class SourceError(VdcError):
         super().__init__(message + where)
 
 
-class CapabilityError(VdcError):
-    """A pushed predicate names an unknown column or does not fit its kind."""
-
-
 class LoadError(VdcError):
     """A translation table or other auxiliary file failed to load."""
 

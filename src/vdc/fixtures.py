@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, quoteattr
 
 from . import connectors
-from .connectors import SourceDescriptor
 from .errors import ParseError, VdcError
-from .mediation import parse_translation_table
+from .mediation import load_translation_table
 from .model import UncertainDate, date_gap_days, parse_uncertain_date
 
 DESK = "desk"
@@ -592,35 +591,40 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
         return VerificationReport(False, [], "no fixture in " + fixture_dir)
     entries = load_manifest(manifest_path)
 
-    from .datacentre import AccessMode  # late import to avoid a cycle at module load
-
     def open_dir(name: str, kind: str):
-        return connectors.open_source(
-            SourceDescriptor(name, kind, os.path.join(fixture_dir, name), AccessMode.LIVE)
-        )
+        return connectors.open_source(name, kind, os.path.join(fixture_dir, name))
 
     volterra = open_dir("volterra", connectors.TABULAR)
     hgv = open_dir("hgv", connectors.TABULAR)
     iaph = open_dir("iaph", connectors.XML_CORPUS)
-    with open(os.path.join(fixture_dir, "xlate", "de_en.csv"), encoding="utf-8") as f:
-        xlate = parse_translation_table("de_en", f.read())
+    xlate = load_translation_table("de_en", os.path.join(fixture_dir, "xlate", "de_en.csv"))
 
-    classes = []
-
-    # homonym pairs: person equality between volterra.person and iaph.persons,
-    # gap measured volterra date vs the document's notBefore year.
-    by_person: dict[str, list[tuple[str, UncertainDate | None]]] = {}
+    # one scan per table, decoding only the columns compared
     vol_schema = volterra.schema("legal_texts")
-    vp, vd = vol_schema.index_of("person"), vol_schema.index_of("date")
-    for row in volterra.scan("legal_texts"):
-        if row[vp] is None:
-            continue
-        ref = f"volterra/legal_texts/{row[0]}"
-        by_person.setdefault(row[vp], []).append((ref, _try_date(row[vd])))
-    derived_pairs = {}
+    vp, vd, vf = (vol_schema.index_of(c) for c in ("person", "date", "findspot"))
+    by_person: dict[str, list[tuple[str, UncertainDate | None]]] = {}
+    vol_spots = set()
+    for row in volterra.scan("legal_texts", columns=(0, vp, vd, vf)):
+        if row[vf]:
+            vol_spots.add(row[vf])
+        if row[vp] is not None:
+            ref = f"volterra/legal_texts/{row[0]}"
+            by_person.setdefault(row[vp], []).append((ref, _try_date(row[vd])))
+    hgv_schema = hgv.schema("papyri")
+    hf, hk = hgv_schema.index_of("Fundort"), hgv_schema.index_of("Kategorie")
+    hgv_spots, hgv_en = set(), set()
+    for row in hgv.scan("papyri", columns=(hf, hk)):
+        if row[hf]:
+            hgv_spots.add(row[hf])
+        if row[hk]:
+            hgv_en.add(xlate.translate(row[hk]))
     docs_schema = iaph.schema("docs")
     di, dp, dn, dc = (docs_schema.index_of(c) for c in ("id", "persons", "not_before", "category"))
+    derived_pairs = {}
+    iaph_en = set()
     for doc in iaph.scan("docs"):
+        if doc[dc] is not None:
+            iaph_en.add(doc[dc])
         persons = doc[dp]
         if not persons or persons not in by_person:
             continue
@@ -628,8 +632,12 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
         for vref, v_date in by_person[persons]:
             if v_date is None or d_date is None:
                 continue
-            gap = date_gap_days(v_date, d_date)
-            derived_pairs[(vref, f"iaph/docs/{doc[di]}")] = gap
+            derived_pairs[(vref, f"iaph/docs/{doc[di]}")] = date_gap_days(v_date, d_date)
+
+    classes = []
+
+    # homonym pairs: person equality between volterra.person and iaph.persons,
+    # gap measured volterra date vs the document's notBefore year.
     manifest_pairs = {
         (e.ref_a, e.ref_b): e.gap_days for e in entries if e.kind == "homonym"
     }
@@ -644,11 +652,6 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
     )
 
     # shared findspots: values occurring in both tabular sources.
-    hgv_schema = hgv.schema("papyri")
-    hf = hgv_schema.index_of("Fundort")
-    vf = vol_schema.index_of("findspot")
-    hgv_spots = {row[hf] for row in hgv.scan("papyri") if row[hf]}
-    vol_spots = {row[vf] for row in volterra.scan("legal_texts") if row[vf]}
     derived_spots = hgv_spots & vol_spots
     manifest_spots = {e.value for e in entries if e.kind == "shared_findspot"}
     ok = derived_spots == manifest_spots
@@ -659,12 +662,6 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
 
     # shared categories: English categories reachable from both hgv (through
     # the translation table) and iaph.
-    hk = hgv_schema.index_of("Kategorie")
-    hgv_en = set()
-    for row in hgv.scan("papyri"):
-        if row[hk]:
-            hgv_en.add(xlate.translate(row[hk]))
-    iaph_en = {doc[dc] for doc in iaph.scan("docs") if doc[dc] is not None}
     derived_cats = hgv_en & iaph_en
     manifest_cats = {e.value for e in entries if e.kind == "shared_category"}
     ok = derived_cats == manifest_cats

@@ -34,7 +34,7 @@ from .model import (
 )
 from .predicates import Compare, Contains, DateWithin
 
-IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 @dataclass(frozen=True)

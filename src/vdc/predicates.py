@@ -11,12 +11,14 @@ coerces, where that is the view's one coerced column, carries the view's
 coercion instead and is a prefilter: a raw text that coerces is tested as
 its date, and one that does not is kept, so that mediation still warns on
 it and the exact predicate, which stays a central filter, drops it.
+Only the planner makes scan predicates, and it checks each one as it binds
+it: its column exists and its literal or test fits the column's kind.
 ``compare``, ``contains`` and ``holds`` are the engine's single
 implementation of these meanings: the connectors apply them to pushed
-predicates, the executor to scan predicates it keeps for itself and to
-filters.  Pushdown therefore cannot change an answer by construction; the
-independent check of what the meanings should be is ``query/reference.py``,
-which keeps its own code.
+predicates without checking them again, the executor to scan predicates
+it keeps for itself and to filters.  Pushdown therefore cannot change an
+answer by construction; the independent check of what the meanings should
+be is ``query/reference.py``, which keeps its own code.
 """
 
 from __future__ import annotations

@@ -402,6 +402,43 @@ class TestFixturesViaCli:
         assert code == 2
 
 
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root`` and its bytes."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+class TestNames:
+    """Names the catalogue writes are identifiers, as queries, views and
+    recipes spell them: any other is refused with exit 2 before anything
+    is written, so the catalogue stays loadable."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("source", "add", "v x", "--kind", "tabular", "--path", "{fx}/volterra",
+          "--mode", "vault"), "bad source id 'v x'"),
+        (("xlate", "add", "de en", "{fx}/xlate/de_en.csv"), "bad translation table id 'de en'"),
+        (("index", "build", "a b", "--recipe", "{fx}/recipes/hgv.recipe"),
+         "bad collection name 'a b'"),
+        (("index", "build", "../../escaped", "--recipe", "{fx}/recipes/hgv.recipe"),
+         "bad collection name '../../escaped'"),
+        (("coll", "update", "finds\n", "--add", "hgv/papyri/1"), "bad collection name 'finds\\n'"),
+    ], ids=["source", "xlate", "index", "index_path", "coll_newline"])
+    def test_non_identifier_refused_before_anything_is_written(self, centre, tmp_path, argv,
+                                                               message):
+        cli, cat, fx, _ = centre
+        before = _tree(tmp_path)
+        code, out, err = cli(*(a.format(fx=fx) for a in argv))
+        assert (code, out) == (2, "")
+        assert message in err
+        assert _tree(tmp_path) == before
+        assert cli("query", "SELECT id FROM papyri_en LIMIT 1")[0] == 0
+
+
 class TestUsageAndLocking:
     def test_usage_errors_exit_1(self, capsys):
         assert run([]) == 1

@@ -11,16 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdc.cli import run
 from vdc.connectors import (
     DOCS_TABLE_COLUMNS,
-    SourceDescriptor,
     open_source,
     parse_sidecar,
     parse_xml_doc,
     row_item_key,
 )
 from vdc.datacentre import AccessMode, Catalogue
-from vdc.errors import CapabilityError, NotFound, ParseError, SourceError
+from vdc.errors import NotFound, ParseError, PlanError, SourceError
 from vdc.mediation import TranslationTable
 from vdc.model import ColumnKind, parse_uncertain_date
 from vdc.predicates import Compare, Contains, DateWithin
@@ -42,7 +42,7 @@ def write_source(dirpath, table="texts", header="id,status,note",
 
 
 def live(source_id, path, kind="tabular"):
-    return open_source(SourceDescriptor(source_id, kind, str(path), AccessMode.LIVE))
+    return open_source(source_id, kind, str(path))
 
 
 class TestSidecar:
@@ -154,14 +154,38 @@ class TestTabular:
         assert e.value.path == str(d / "texts.csv")
         assert e.value.line == 2002
 
-    def test_pushdown_rejects_unknown_column_and_kind(self, tmp_path):
+    def test_open_needs_a_directory_and_a_known_kind(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,a,b"])
-        handle = live("s", tmp_path / "s")
-        for outside in (3, -1):
-            with pytest.raises(CapabilityError):
-                list(handle.scan("texts", [Compare(outside, "=", 1)]))
-        with pytest.raises(CapabilityError):
-            list(handle.scan("texts", [Compare(1, "=", 5)]))
+        with pytest.raises(SourceError, match="not a readable directory"):
+            live("s", tmp_path / "s" / "texts.csv")
+        with pytest.raises(ValueError, match="unknown source kind 'csv'"):
+            live("s", tmp_path / "s", kind="csv")
+
+    def test_pushdown_rejects_unknown_column_and_kind(self, tmp_path, capsys):
+        """Only the planner makes pushed predicates: a query on a column the
+        table lacks, or with a literal or test that does not fit the
+        column's kind, is refused before any scan, with pushdown on and
+        off; a fitting one is pushed as bound."""
+        write_source(tmp_path / "s", rows=["1,a,b"])
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(tmp_path / "s"), AccessMode.LIVE)
+        cat.persist()
+        for where, message in (
+            ("nosuch = 1", "unknown column 'nosuch'"),
+            ("status = 5", "'status' is text, got an integer literal"),
+            ("id = '1'", "'id' is int, got a string literal"),
+            ("id CONTAINS '1'", "CONTAINS needs a text column"),
+        ):
+            q = f"SELECT id FROM s.texts WHERE {where}"
+            for pushdown in (True, False):
+                with pytest.raises(PlanError, match=message):
+                    plan_query(parse_query(q), cat, pushdown)
+            assert run(["--catalogue", cat.path, "query", q]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and message in out.err
+        plan = plan_query(parse_query("SELECT id FROM s.texts WHERE status = 'a'"), cat)
+        assert plan.terms[0].scan_preds == (Compare(1, "=", "a"),)
+        assert execute_plan(plan).rows == [(1,)]
 
     def _dated(self, tmp_path):
         rows = [f"{i},{'ab'[i % 2]},{('0200', '0300', 'bad', '')[i % 4]}" for i in range(1, 41)]
@@ -191,16 +215,41 @@ class TestTabular:
             assert [r[0] for r in handle.scan("texts", [pred])] == ids, pred
 
     def test_pushed_date_tests_need_a_coercion_and_a_date_text_column(self, tmp_path):
+        """A date test reaches a scan only through a view that coerces a
+        date_text column, and then in the coercing form, which keeps a
+        text that does not coerce; the planner refuses every other date
+        test, and a raw date_text column compares as text."""
         handle = self._dated(tmp_path)
-        d = parse_uncertain_date("0200")
-        for bad in (DateWithin(2, d, d), DateWithin(1, d, d, coerce=self._coerce),
-                    Compare(2, "=", d), Compare(1, "=", d, coerce=self._coerce),
-                    Compare(2, "=", "0200", coerce=self._coerce)):
-            with pytest.raises(CapabilityError):
-                list(handle.scan("texts", [bad]))
-        assert [r[0] for r in handle.scan("texts", [Compare(2, "=", d, coerce=self._coerce)])] == [
+        (tmp_path / "v.view").write_text("view v\nfrom s.texts\ncoerce when date\nend\n")
+        (tmp_path / "w.view").write_text("view w\nfrom s.texts\ncoerce status date\nend\n")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(tmp_path / "s"), AccessMode.LIVE)
+        cat.define_view(str(tmp_path / "v.view"))
+        with pytest.raises(PlanError, match="coerce of non-date_text column 'status'"):
+            cat.define_view(str(tmp_path / "w.view"))
+        for q, message in (
+            ("SELECT id FROM s.texts WHERE DATE_WITHIN(when, '0200', '0200')",
+             "DATE_WITHIN needs a date column, 'when' is text"),
+            ("SELECT id FROM v WHERE DATE_WITHIN(status, '0200', '0200')",
+             "DATE_WITHIN needs a date column, 'status' is text"),
+            ("SELECT id FROM v WHERE when = 200", "'when' is date, got an integer literal"),
+            ("SELECT id FROM v WHERE when < '0200'", "ordering comparison on date column"),
+        ):
+            with pytest.raises(PlanError, match=message):
+                plan_query(parse_query(q), cat)
+        raw = plan_query(parse_query("SELECT id FROM s.texts WHERE when = '0200'"), cat)
+        assert raw.terms[0].scan_preds == (Compare(2, "=", "0200"),)
+        q = parse_query("SELECT id FROM v WHERE when = '0200'")
+        (pred,) = plan_query(q, cat).terms[0].scan_preds
+        assert (pred.index, pred.literal) == (2, parse_uncertain_date("0200"))
+        assert pred.coerce is not None
+        assert [r[0] for r in handle.scan("texts", [pred])] == [
             i for i in range(1, 41) if i % 4 in (0, 2)
         ]
+        for pushdown in (True, False):
+            assert execute_plan(plan_query(q, cat, pushdown)).rows == [
+                (i,) for i in range(4, 41, 4)
+            ]
 
 
 class TestPushdownSoundness:
@@ -345,8 +394,8 @@ class TestXmlCorpus:
 
     def test_no_pushdown_capability(self, tmp_path):
         """The XML connector takes pushed predicates like the tabular one:
-        it keeps the rows the reference predicates keep and rejects unknown
-        columns and mistyped literals."""
+        it keeps the rows the reference predicates keep, and the planner
+        refuses queries on unknown columns and with mistyped literals."""
         d = tmp_path / "c"
         os.makedirs(d)
         (d / "a.xml").write_text('<doc id="a"><meta><title>Stein</title></meta><text>x</text></doc>')
@@ -364,9 +413,13 @@ class TestXmlCorpus:
                 expected = [r for r in full if _naive_compare(r[i], pred.op, pred.literal)]
             assert expected
             assert list(handle.scan("docs", [pred])) == expected, pred
-        for bad in (Contains(len(full[0]), "x"), Compare(col("id"), "=", 1)):
-            with pytest.raises(CapabilityError):
-                list(handle.scan("docs", [bad]))
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("c", "xml_corpus", str(d), AccessMode.LIVE)
+        for where, message in (("nosuch CONTAINS 'x'", "unknown column 'nosuch'"),
+                               ("id = 1", "'id' is text, got an integer literal")):
+            for pushdown in (True, False):
+                with pytest.raises(PlanError, match=message):
+                    plan_query(parse_query(f"SELECT id FROM c.docs WHERE {where}"), cat, pushdown)
 
     @pytest.mark.parametrize("pushdown", [True, False])
     def test_empty_title_filters_like_an_empty_table_cell(self, tmp_path, pushdown):

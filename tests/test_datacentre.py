@@ -266,8 +266,8 @@ class TestPersistence:
             reads.append(path)
             return real_read(path)
 
-        def no_open(desc):
-            raise AssertionError(f"load opened source {desc.source_id!r}")
+        def no_open(source_id, kind, path):
+            raise AssertionError(f"load opened source {source_id!r}")
 
         monkeypatch.setattr(connectors, "read_utf8", counting_read)
         monkeypatch.setattr(mediation, "read_utf8", counting_read)
@@ -289,6 +289,7 @@ class TestPersistence:
             ("XLATE x {dir}/gone.csv", "cannot read translation table: "),
             ("XLATE x {dir}/bad.csv", "translation table must start with header"),
             ("SOURCE s tabular live {dir}", "duplicate source 's'"),
+            ("SOURCE u csv live {dir}", "unknown source kind 'csv'"),
             ("COLL finds s/t/1,ghost/t/1", "no source 'ghost'"),
             ("BOGUS 1", "unknown catalogue record 'BOGUS'"),
         ],

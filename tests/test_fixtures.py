@@ -6,8 +6,7 @@ import os
 
 import pytest
 
-from vdc.connectors import SourceDescriptor, open_source, parse_sidecar
-from vdc.datacentre import AccessMode
+from vdc.connectors import open_source, parse_sidecar
 from vdc.errors import VdcError
 from vdc.fixtures import (
     NEAR_PAIRS,
@@ -133,9 +132,7 @@ class TestSchemaFidelity:
             ("volterra", "tabular", ["legal_texts"]),
             ("iaph", "xml_corpus", ["docs"]),
         ):
-            handle = open_source(
-                SourceDescriptor(sub, kind, os.path.join(fx, sub), AccessMode.LIVE)
-            )
+            handle = open_source(sub, kind, os.path.join(fx, sub))
             assert [t.name for t in handle.list_tables()] == tables
 
 
@@ -144,9 +141,7 @@ class TestDateRealism:
         fx, _ = desk_fixtures
         texts = []
         for sub, table, col in (("hgv", "papyri", "Datierung"), ("volterra", "legal_texts", "date")):
-            handle = open_source(
-                SourceDescriptor(sub, "tabular", os.path.join(fx, sub), AccessMode.LIVE)
-            )
+            handle = open_source(sub, "tabular", os.path.join(fx, sub))
             idx = handle.schema(table).index_of(col)
             texts += [r[idx] for r in handle.scan(table) if r[idx]]
 
@@ -166,9 +161,7 @@ class TestDateRealism:
 
     def test_some_dates_are_deliberately_bad(self, desk_fixtures):
         fx, _ = desk_fixtures
-        handle = open_source(
-            SourceDescriptor("hgv", "tabular", os.path.join(fx, "hgv"), AccessMode.LIVE)
-        )
+        handle = open_source("hgv", "tabular", os.path.join(fx, "hgv"))
         idx = handle.schema("papyri").index_of("Datierung")
         bad = [r[idx] for r in handle.scan("papyri") if r[idx] and not _parses(r[idx])]
         assert bad  # coercion warning paths stay exercised

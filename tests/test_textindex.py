@@ -623,9 +623,9 @@ class TestCollections:
         opened = []
         real_open = connectors.open_source
 
-        def counting_open(desc):
-            opened.append(desc.source_id)
-            return real_open(desc)
+        def counting_open(source_id, kind, path):
+            opened.append(source_id)
+            return real_open(source_id, kind, path)
 
         monkeypatch.setattr(connectors, "open_source", counting_open)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("4", "2", "3", "1")]
