@@ -127,14 +127,16 @@ def _load_catalogue(path: str) -> Catalogue:
 
 
 def _mutate(args, fn) -> int:
-    """Run a catalogue mutation under the non-blocking lock and persist."""
+    """Run a catalogue mutation under the non-blocking lock and persist;
+    the line ``fn`` returns reports it once it is persisted."""
     with catalogue_lock(args.catalogue, blocking=False):
         if os.path.exists(args.catalogue):
             cat = Catalogue.load(args.catalogue)
         else:
             cat = Catalogue(args.catalogue)
-        fn(cat)
+        done = fn(cat)
         cat.persist(take_lock=False)
+    print(done, file=sys.stderr)
     return EXIT_OK
 
 
@@ -143,7 +145,7 @@ def _cmd_source_add(args) -> int:
         desc = cat.register_source(
             args.id, _KIND_FLAGS[args.kind], args.path, AccessMode(args.mode)
         )
-        print(f"registered {desc.source_id} ({desc.kind}, {desc.mode.value})", file=sys.stderr)
+        return f"registered {desc.source_id} ({desc.kind}, {desc.mode.value})"
 
     return _mutate(args, fn)
 
@@ -151,7 +153,7 @@ def _cmd_source_add(args) -> int:
 def _cmd_view_define(args) -> int:
     def fn(cat: Catalogue):
         view = cat.define_view(args.file)
-        print(f"defined view {view.name}", file=sys.stderr)
+        return f"defined view {view.name}"
 
     return _mutate(args, fn)
 
@@ -159,8 +161,7 @@ def _cmd_view_define(args) -> int:
 def _cmd_xlate_add(args) -> int:
     def fn(cat: Catalogue):
         table = cat.add_translation(args.id, args.file)
-        print(f"registered translation table {table.id} ({len(table.entries)} terms)",
-              file=sys.stderr)
+        return f"registered translation table {table.id} ({len(table.entries)} terms)"
 
     return _mutate(args, fn)
 
@@ -179,7 +180,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cat = _load_catalogue(args.catalogue)
-    recipe = cat.register_recipe(args.recipe)  # in memory: ingest persists nothing
+    recipe = cat.read_recipe(args.recipe)
     if recipe.source.source_id != args.source:
         raise VdcError(f"recipe reads {recipe.source.source_id!r}, not {args.source!r}")
     docs, warnings = cat.ingest(recipe)
@@ -193,11 +194,11 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_index_build(args) -> int:
     def fn(cat: Catalogue):
-        recipe = cat.register_recipe(args.recipe)
+        recipe = cat.read_recipe(args.recipe)
         path, warnings = cat.build_index(args.collection, recipe)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        print(f"published index {args.collection} at {path}", file=sys.stderr)
+        return f"published index {args.collection} at {path}"
 
     return _mutate(args, fn)
 
@@ -238,7 +239,7 @@ def _cmd_coll_update(args) -> int:
 
     def fn(cat: Catalogue):
         members = cat.update_collection(args.name, refs)
-        print(f"collection {args.name}: {len(members)} refs", file=sys.stderr)
+        return f"collection {args.name}: {len(members)} refs"
 
     return _mutate(args, fn)
 

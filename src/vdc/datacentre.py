@@ -16,9 +16,9 @@ A virtual collection is a named list of item refs across sources: it links
 items so they can be explored as a unity without copying any content, and
 each ref resolves under its own source's mode.
 
-The catalogue file is line-based UTF-8 and references view/recipe/xlate
-definition files by path; persistence is atomic (temp file + rename) and
-serialized by an advisory file lock.
+The catalogue file is UTF-8, one record per LF-terminated line, and
+references view and translation-table files by path; persistence is atomic
+(temp file + rename) and serialized by an advisory file lock.
 """
 
 from __future__ import annotations
@@ -194,12 +194,6 @@ class _XlateEntry:
 
 
 @dataclass
-class _RecipeEntry:
-    path: str
-    recipe: IngestRecipe
-
-
-@dataclass
 class ResolvedItem:
     """One collection ref, resolved under its source's mode."""
 
@@ -217,7 +211,6 @@ class Catalogue:
         self.sources: dict[str, SourceDescriptor] = {}
         self.views: dict[str, _ViewEntry] = {}
         self.xlates: dict[str, _XlateEntry] = {}
-        self.recipes: dict[str, _RecipeEntry] = {}
         self.indexes: dict[str, str] = {}  # collection -> index file path
         # collection -> its index's source relation, once built or read
         self._index_relations: dict[str, str] = {}
@@ -259,14 +252,6 @@ class Catalogue:
             shutil.rmtree(tmp, ignore_errors=True)
             raise SourceError(f"vault snapshot failed: {e}", path=original) from e
         return final
-
-    def remove_source(self, source_id: str) -> None:
-        """Deregister a source.  Collections keep their refs (they are
-        metadata); resolving them reports dangling items per ref."""
-        if source_id not in self.sources:
-            raise NotFound(f"no source {source_id!r}")
-        del self.sources[source_id]
-        self._vault_handles.pop(source_id, None)
 
     def _descriptor(self, source_id: str) -> SourceDescriptor:
         try:
@@ -487,10 +472,11 @@ class Catalogue:
         return None
 
     # -- recipes and indexes -------------------------------------------------
-    def register_recipe(self, path: str) -> IngestRecipe:
+    def read_recipe(self, path: str) -> IngestRecipe:
+        """Read and check a recipe file; the catalogue records nothing of
+        it, since every command that runs a recipe names its file."""
         recipe = mediation.parse_recipe_file(_read_definition(path, "recipe file"))
         self._descriptor(recipe.source.source_id)  # must be registered
-        self.recipes[recipe.name] = _RecipeEntry(path, recipe)
         return recipe
 
     def ingest(self, recipe: IngestRecipe, privileged: bool = False):
@@ -538,12 +524,13 @@ class Catalogue:
             lines.append(f"VIEWFILE {entry.path}")
         for xid, entry in self.xlates.items():
             lines.append(f"XLATE {xid} {entry.path}")
-        for entry in self.recipes.values():
-            lines.append(f"RECIPE {entry.path}")
         for collection, path in self.indexes.items():
             lines.append(f"INDEX {collection} {path}")
         for name, refs in self.collections.items():
             lines.append(f"COLL {name} {','.join(r.text() for r in refs)}")
+        for line in lines:  # a path may hold one; names and refs cannot
+            if "\n" in line:
+                raise IntegrityError(f"a catalogue record cannot hold a line feed: {line!r}")
         return "\n".join(lines) + "\n"
 
     def persist(self, take_lock: bool = True) -> None:
@@ -571,7 +558,7 @@ class Catalogue:
             text = connectors.read_utf8(path)
         except (OSError, SourceError) as e:
             raise IntegrityError(f"cannot read catalogue: {e}") from e
-        lines = text.splitlines()
+        lines = text.split("\n")  # as serialize writes them
         if not lines or lines[0] != CATALOGUE_MAGIC:
             raise IntegrityError(
                 f"bad catalogue header {(lines[0] if lines else '')!r}"
@@ -612,7 +599,7 @@ class Catalogue:
             xid, _, p = rest.partition(" ")
             self.xlates[xid] = _XlateEntry(p, mediation.load_translation_table(xid, p))
         elif tag == "RECIPE":
-            self.register_recipe(rest)  # recipes replace one another by name
+            pass  # written by older catalogues; the next persist drops it
         elif tag == "INDEX":
             collection, _, p = rest.partition(" ")
             if not os.path.isfile(p):

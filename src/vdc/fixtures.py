@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from . import connectors
@@ -157,7 +157,6 @@ class ManifestEntry:
 
 @dataclass
 class OverlapManifest:
-    spec: FixtureSpec
     entries: list[ManifestEntry]
 
     def of_kind(self, kind: str) -> list[ManifestEntry]:
@@ -165,22 +164,6 @@ class OverlapManifest:
 
     def near_pairs(self) -> list[ManifestEntry]:
         return [e for e in self.entries if e.kind == "homonym" and e.near5]
-
-
-@dataclass
-class ClassReport:
-    kind: str
-    manifest_count: int
-    derived_count: int
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class VerificationReport:
-    ok: bool
-    classes: list[ClassReport] = field(default_factory=list)
-    message: str = ""
 
 
 # -- generation ---------------------------------------------------------------
@@ -216,12 +199,12 @@ def _random_date_text(rng: SplitMix64) -> str:
 
 @dataclass
 class _Planted:
+    """Homonym pair ``i``: volterra row ``i + 1`` and iaph doc ``i{i:04d}``."""
+
     person: str
-    volterra_id: int
-    iaph_id: str
     volterra_date: str
     iaph_year: int
-    near: bool
+    gap: int
 
 
 def _plan_pairs(rng: SplitMix64) -> list[_Planted]:
@@ -233,12 +216,8 @@ def _plan_pairs(rng: SplitMix64) -> list[_Planted]:
             f"{_NOMINA[(i * 3) % len(_NOMINA)]} {_COG_PLANTED[i]}"
         )
         v_year = rng.randint(150, 350)
-        if near:
-            delta = rng.randint(0, 4)
-            day_precise = rng.chance(1, 3)
-        else:
-            delta = rng.randint(6, 40)
-            day_precise = rng.chance(1, 3)
+        delta = rng.randint(0, 4) if near else rng.randint(6, 40)
+        day_precise = rng.chance(1, 3)
         i_year = v_year + (delta if rng.chance(1, 2) else -delta)
         if day_precise:
             v_date = f"{_year_text(v_year)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
@@ -248,7 +227,7 @@ def _plan_pairs(rng: SplitMix64) -> list[_Planted]:
             parse_uncertain_date(v_date), parse_uncertain_date(_year_text(i_year))
         )
         assert (gap <= NEAR_LIMIT_DAYS) == near, "planted pair violates its intent"
-        pairs.append(_Planted(person, -1, "", v_date, i_year, near))
+        pairs.append(_Planted(person, v_date, i_year, gap))
     return pairs
 
 
@@ -279,25 +258,20 @@ def generate_fixtures(spec: FixtureSpec) -> OverlapManifest:
     for i in range(n_vol):
         rid = i + 1
         if i < len(pairs):
-            p = pairs[i]
-            p.volterra_id = rid
-            person, date = p.person, p.volterra_date
-            findspot = rng.choice(_FINDSPOTS_VOLTERRA)
-        elif i in shared_rows:
-            person = _compose(rng, _COG_VOLTERRA)
-            date = _random_date_text(rng)
-            findspot = _FINDSPOTS_SHARED[i - shared_rows.start]
-        elif i in branch_rows:
-            person = _compose(rng, _COG_VOLTERRA)
-            date = branch_dates[i - branch_rows.start]
-            findspot = rng.choice(_FINDSPOTS_VOLTERRA)
-        elif i in bad_rows:
-            person = _compose(rng, _COG_VOLTERRA)
-            date = "unknown date"
-            findspot = rng.choice(_FINDSPOTS_VOLTERRA)
+            person, date = pairs[i].person, pairs[i].volterra_date
         else:
             person = _compose(rng, _COG_VOLTERRA)
-            date = "" if rng.chance(1, 20) else _random_date_text(rng)
+            if i in shared_rows:
+                date = _random_date_text(rng)
+            elif i in branch_rows:
+                date = branch_dates[i - branch_rows.start]
+            elif i in bad_rows:
+                date = "unknown date"
+            else:
+                date = "" if rng.chance(1, 20) else _random_date_text(rng)
+        if i in shared_rows:
+            findspot = _FINDSPOTS_SHARED[i - shared_rows.start]
+        else:
             findspot = rng.choice(_FINDSPOTS_VOLTERRA)
         category = (
             _CATEGORIES_EN_VOLTERRA[i % len(_CATEGORIES_EN_VOLTERRA)]
@@ -383,10 +357,8 @@ def generate_fixtures(spec: FixtureSpec) -> OverlapManifest:
         persons: list[str] = []
         date_attr: str | None = None
         if i < len(pairs):
-            p = pairs[i]
-            p.iaph_id = doc_id
-            persons = [p.person]
-            date_attr = _year_text(p.iaph_year)
+            persons = [pairs[i].person]
+            date_attr = _year_text(pairs[i].iaph_year)
             category = rng.choice(_CATEGORIES_EN_IAPH)
         else:
             if i in iaph_cat_rows:
@@ -413,16 +385,11 @@ def generate_fixtures(spec: FixtureSpec) -> OverlapManifest:
     _write_views_and_recipes(out)
 
     # ---- manifest
-    for p in pairs:
-        gap = date_gap_days(
-            parse_uncertain_date(p.volterra_date),
-            parse_uncertain_date(_year_text(p.iaph_year)),
-        )
+    for i, p in enumerate(pairs):
         entries.append(
             ManifestEntry(
-                "homonym", p.person, "",
-                f"volterra/legal_texts/{p.volterra_id}", f"iaph/docs/{p.iaph_id}",
-                gap, gap <= NEAR_LIMIT_DAYS,
+                "homonym", p.person, "", f"volterra/legal_texts/{i + 1}", f"iaph/docs/i{i:04d}",
+                p.gap, p.gap <= NEAR_LIMIT_DAYS,
             )
         )
     for j, spot in enumerate(_FINDSPOTS_SHARED[:SHARED_FINDSPOTS]):
@@ -441,12 +408,12 @@ def generate_fixtures(spec: FixtureSpec) -> OverlapManifest:
             )
         )
 
-    manifest = OverlapManifest(spec, entries)
+    manifest = OverlapManifest(entries)
     _write_manifest(os.path.join(out, "manifest.csv"), manifest)
 
-    report = verify_manifest(out)
-    if not report.ok:
-        raise VdcError(f"fixture self-check failed: {report.message}")
+    faults = verify_manifest(out)
+    if faults:
+        raise VdcError(f"fixture self-check failed: {'; '.join(faults)}")
     return manifest
 
 
@@ -583,12 +550,14 @@ def _try_date(text: str | None) -> UncertainDate | None:
         return None
 
 
-def verify_manifest(fixture_dir: str) -> VerificationReport:
+def verify_manifest(fixture_dir: str) -> list[str]:
     """Re-derive all overlap classes from the emitted files, by brute force,
-    and compare against manifest.csv.  Any mismatch is a generator bug."""
+    and compare against manifest.csv.  Returns the faults, one per class
+    that differs, empty when the tree matches; any fault is a generator
+    bug."""
     manifest_path = os.path.join(fixture_dir, "manifest.csv")
     if not os.path.isfile(manifest_path):
-        return VerificationReport(False, [], "no fixture in " + fixture_dir)
+        return ["no fixture in " + fixture_dir]
     entries = load_manifest(manifest_path)
 
     def open_dir(name: str, kind: str):
@@ -634,42 +603,28 @@ def verify_manifest(fixture_dir: str) -> VerificationReport:
                 continue
             derived_pairs[(vref, f"iaph/docs/{doc[di]}")] = date_gap_days(v_date, d_date)
 
-    classes = []
+    faults = []
 
     # homonym pairs: person equality between volterra.person and iaph.persons,
     # gap measured volterra date vs the document's notBefore year.
     manifest_pairs = {
         (e.ref_a, e.ref_b): e.gap_days for e in entries if e.kind == "homonym"
     }
-    ok = derived_pairs == manifest_pairs and all(
+    if derived_pairs != manifest_pairs or not all(
         (e.near5 == (e.gap_days <= NEAR_LIMIT_DAYS))
         for e in entries
         if e.kind == "homonym"
-    )
-    classes.append(
-        ClassReport("homonym", len(manifest_pairs), len(derived_pairs), ok,
-                    "" if ok else "pair sets or gaps differ")
-    )
+    ):
+        faults.append("homonym: pair sets or gaps differ")
 
     # shared findspots: values occurring in both tabular sources.
     derived_spots = hgv_spots & vol_spots
-    manifest_spots = {e.value for e in entries if e.kind == "shared_findspot"}
-    ok = derived_spots == manifest_spots
-    classes.append(
-        ClassReport("shared_findspot", len(manifest_spots), len(derived_spots), ok,
-                    "" if ok else f"derived {sorted(derived_spots)}")
-    )
+    if derived_spots != {e.value for e in entries if e.kind == "shared_findspot"}:
+        faults.append(f"shared_findspot: derived {sorted(derived_spots)}")
 
     # shared categories: English categories reachable from both hgv (through
     # the translation table) and iaph.
     derived_cats = hgv_en & iaph_en
-    manifest_cats = {e.value for e in entries if e.kind == "shared_category"}
-    ok = derived_cats == manifest_cats
-    classes.append(
-        ClassReport("shared_category", len(manifest_cats), len(derived_cats), ok,
-                    "" if ok else f"derived {sorted(derived_cats)}")
-    )
-
-    all_ok = all(c.ok for c in classes)
-    message = "; ".join(f"{c.kind}: {c.detail}" for c in classes if not c.ok)
-    return VerificationReport(all_ok, classes, message)
+    if derived_cats != {e.value for e in entries if e.kind == "shared_category"}:
+        faults.append(f"shared_category: derived {sorted(derived_cats)}")
+    return faults

@@ -335,7 +335,7 @@ class TestAcceptance:
             encoding="utf-8",
         )
         cat.register_source("sec", "tabular", str(sec), AccessMode.INDEX_ONLY)
-        recipe = cat.register_recipe(str(recipe_path))
+        recipe = cat.read_recipe(str(recipe_path))
         cat.build_index("sec_texts", recipe)
         cat.persist()
 
@@ -377,7 +377,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
-        recipe = cat.register_recipe(os.path.join(fx, "recipes", "hgv.recipe"))
+        recipe = cat.read_recipe(os.path.join(fx, "recipes", "hgv.recipe"))
         cat.build_index("hgv_texts", recipe)
         t_build = time.perf_counter() - t0
 
@@ -426,7 +426,7 @@ class TestAcceptance:
             ("hgv_texts", "hgv.recipe"),
             ("iaph_texts", "iaph.recipe"),
         ):
-            recipe = cat.register_recipe(os.path.join(fx, "recipes", recipe_file))
+            recipe = cat.read_recipe(os.path.join(fx, "recipes", recipe_file))
             cat.build_index(coll, recipe)
         cat.update_collection(
             "finds",

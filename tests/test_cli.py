@@ -4,6 +4,7 @@ CSV round-trip invariant, and pushdown byte-identity at the CLI surface."""
 import csv
 import io
 import os
+import shutil
 
 import pytest
 
@@ -437,6 +438,92 @@ class TestNames:
         assert message in err
         assert _tree(tmp_path) == before
         assert cli("query", "SELECT id FROM papyri_en LIMIT 1")[0] == 0
+
+
+class TestCatalogueLines:
+    """The catalogue reads back exactly the lines it writes: one record per
+    line feed, whatever other line breaks its paths and refs hold."""
+
+    @pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_live_path_with_another_line_break(self, centre, tmp_path, brk):
+        cli, cat, fx, _ = centre
+        odd = tmp_path / f"odd{brk}dir"
+        shutil.copytree(os.path.join(fx, "hgv"), odd)
+        assert cli("source", "add", "odd", "--kind", "tabular", "--path", str(odd),
+                   "--mode", "live")[0] == 0
+        want = cli("query", "SELECT * FROM hgv.papyri LIMIT 3")
+        assert want[0] == 0
+        assert cli("query", "SELECT * FROM odd.papyri LIMIT 3") == want
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1e", "\x85", "\u2028"])
+    def test_ref_with_another_line_break(self, centre, brk):
+        cli, cat, fx, _ = centre
+        assert cli("source", "add", "sealed", "--kind", "xml", "--path",
+                   os.path.join(fx, "iaph"), "--mode", "index-only")[0] == 0
+        ref = f"sealed/docs/a{brk}b"
+        assert cli("coll", "update", "odd", "--add", ref)[0] == 0
+        code, out, err = cli("coll", "resolve", "odd")
+        assert (code, out) == (0, "")
+        assert err == f"error: {ref}: ref {ref} not present in any published index\n"
+        assert cli("query", "SELECT id FROM papyri_en LIMIT 1")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("source", "add", "odd", "--kind", "tabular", "--path", "{odd}", "--mode", "live"),
+        ("source", "add", "odd", "--kind", "tabular", "--path", "{odd}", "--mode", "index-only"),
+        ("xlate", "add", "odd", "{defs}/de_en.csv"),
+        ("view", "define", "{defs}/odd.view"),
+    ], ids=["live", "index-only", "xlate", "view"])
+    def test_line_feed_in_a_path_refused_before_anything_is_written(self, centre, tmp_path,
+                                                                     argv):
+        cli, cat, fx, _ = centre
+        odd, defs = tmp_path / "odd\nSOURCE", tmp_path / "defs\nSOURCE"
+        shutil.copytree(os.path.join(fx, "hgv"), odd)
+        defs.mkdir()
+        shutil.copy(os.path.join(fx, "xlate", "de_en.csv"), defs)
+        (defs / "odd.view").write_text("view odd\nfrom hgv.papyri\nend\n", encoding="utf-8")
+        before = _tree(tmp_path)
+        code, out, err = cli(*(a.format(odd=odd, defs=defs) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a catalogue record cannot hold a line feed: ")
+        assert _tree(tmp_path) == before
+
+    def test_vault_add_from_a_path_with_a_line_feed(self, centre, tmp_path):
+        """The catalogue records the snapshot's path, not the original's."""
+        cli, cat, fx, _ = centre
+        odd = tmp_path / "odd\nSOURCE"
+        shutil.copytree(os.path.join(fx, "hgv"), odd)
+        assert cli("source", "add", "odd", "--kind", "tabular", "--path", str(odd),
+                   "--mode", "vault")[0] == 0
+        want = cli("query", "SELECT * FROM hgv.papyri LIMIT 3")
+        assert cli("query", "SELECT * FROM odd.papyri LIMIT 3") == want
+
+    def test_index_build_records_no_recipe(self, centre, tmp_path):
+        cli, cat, fx, _ = centre
+        recipe = tmp_path / "copy.recipe"
+        shutil.copy(os.path.join(fx, "recipes", "hgv.recipe"), recipe)
+        assert cli("index", "build", "hgv_texts", "--recipe", str(recipe))[0] == 0
+        os.remove(recipe)
+        assert "RECIPE" not in open(cat, encoding="utf-8").read()
+        assert cli("query", "SELECT id FROM volterra.legal_texts LIMIT 1")[0] == 0
+        assert cli("search", "hgv_texts", "quittung", "--limit", "1")[0] == 0
+
+    @pytest.mark.parametrize("content,message", [
+        (b"recipe r\nfrom hgv.papyri\nid id\nend\n",
+         "recipe needs at least one 'body' column"),
+        (b"recipe g\nfrom ghost.t\nid id\nbody b\nend\n", "no source 'ghost'"),
+        (b"recipe r\nfrom hgv.papyri\n# \xff\nend\n", "invalid UTF-8 (invalid start byte) [{path}:3]"),
+        (None, "cannot read recipe file: [Errno 2] No such file or directory"),
+    ], ids=["no-body", "ghost-source", "invalid-utf8", "missing"])
+    def test_recipe_fault_at_index_build(self, centre, tmp_path, content, message):
+        cli, cat, fx, _ = centre
+        path = tmp_path / "r.recipe"
+        if content is not None:
+            path.write_bytes(content)
+        before = _tree(tmp_path)
+        code, out, err = cli("index", "build", "r_texts", "--recipe", str(path))
+        assert (code, out) == (2, "")
+        assert message.format(path=path) in err
+        assert _tree(tmp_path) == before
 
 
 class TestUsageAndLocking:

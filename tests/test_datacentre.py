@@ -158,7 +158,7 @@ class TestIndexOnlyMode:
         write_secret_source(src)
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("volterra", "tabular", os.path.join(fx, "volterra"), AccessMode.LIVE)
-        recipe = cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+        recipe = cat.read_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
         cat.build_index("vol_texts", recipe)  # listed first, other relation
         cat.register_source("sec", "tabular", str(src), AccessMode.INDEX_ONLY)
         cat.build_index("secrets", parse_recipe_file(RECIPE))
@@ -219,8 +219,7 @@ class TestPersistence:
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
-        cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
-        cat.build_index("vol_texts", cat.recipes["volterra_ingest"].recipe)
+        cat.build_index("vol_texts", cat.read_recipe(os.path.join(fx, "recipes", "volterra.recipe")))
         cat.update_collection("finds", [ItemRef("volterra", "legal_texts", "1")])
         cat.persist()
         first = open(cat.path, "rb").read()
@@ -257,7 +256,6 @@ class TestPersistence:
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
-        cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
         cat.persist()
         reads = []
         real_read = connectors.read_utf8
@@ -273,8 +271,7 @@ class TestPersistence:
         monkeypatch.setattr(mediation, "read_utf8", counting_read)
         monkeypatch.setattr(connectors, "open_source", no_open)
         loaded = Catalogue.load(cat.path)
-        definitions = [e.path for kind in (cat.views, cat.xlates, cat.recipes)
-                       for e in kind.values()]
+        definitions = [e.path for kind in (cat.views, cat.xlates) for e in kind.values()]
         assert sorted(reads) == sorted([cat.path, *definitions])
         assert loaded.serialize() == cat.serialize()
 
@@ -284,8 +281,6 @@ class TestPersistence:
             ("VIEWFILE {dir}/v.view", "unknown rule keyword 'frob' (line 3)"),
             ("VIEWFILE {dir}/ghost.view", "no source 'ghost'"),
             ("VIEWFILE {dir}/gone.view", "cannot read view file: "),
-            ("RECIPE {dir}/r.recipe", "recipe needs at least one 'body' column"),
-            ("RECIPE {dir}/ghost.recipe", "no source 'ghost'"),
             ("XLATE x {dir}/gone.csv", "cannot read translation table: "),
             ("XLATE x {dir}/bad.csv", "translation table must start with header"),
             ("SOURCE s tabular live {dir}", "duplicate source 's'"),
@@ -298,8 +293,6 @@ class TestPersistence:
         files = {
             "v.view": "view v\nfrom s.t\nfrob\nend\n",
             "ghost.view": "view g\nfrom ghost.t\nend\n",
-            "r.recipe": "recipe r\nfrom s.t\nid id\nend\n",
-            "ghost.recipe": "recipe g\nfrom ghost.t\nid id\nbody b\nend\n",
             "bad.csv": "a,b\n",
         }
         for name, text in files.items():
@@ -325,7 +318,7 @@ class TestPersistence:
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
-        recipe = cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+        recipe = cat.read_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
         path, _ = cat.build_index("vol_texts", recipe)
         cat.persist()
         with open(path, "w", encoding="utf-8") as f:
@@ -356,14 +349,41 @@ class TestPersistence:
         with pytest.raises(IntegrityError):
             Catalogue.load(str(p))
 
-    def test_remove_source_then_resolve_reports_dangling(self, tmp_path, desk_fixtures):
+    def test_withdrawn_live_source_then_resolve_reports_each_ref(self, tmp_path, desk_fixtures):
+        """A catalogue whose live source was withdrawn still loads; each of
+        its refs resolves to an error, and every other ref still resolves."""
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
-        cat.update_collection("finds", [ItemRef("volterra", "legal_texts", "1")])
-        cat.remove_source("volterra")
-        items = cat.resolve_refs(cat.collections["finds"])
-        assert items[0].kind == "error"
+        shutil.copytree(os.path.join(fx, "volterra"), tmp_path / "lent")
+        cat.register_source("lent", "tabular", str(tmp_path / "lent"), AccessMode.LIVE)
+        refs = [ItemRef("lent", "legal_texts", "1"), ItemRef("hgv", "papyri", "1"),
+                ItemRef("lent", "legal_texts", "2"), ItemRef("iaph", "docs", "i0000")]
+        cat.update_collection("finds", refs)
+        cat.persist()
+        os.rename(tmp_path / "lent", tmp_path / "withdrawn")
+        loaded = Catalogue.load(cat.path)
+        items = loaded.resolve_refs(loaded.collections["finds"])
+        assert [i.ref for i in items] == refs
+        assert [i.kind for i in items] == ["error", "row", "error", "doc"]
+        assert str(tmp_path / "lent") in items[0].payload
+
+    def test_recipe_line_of_an_older_catalogue_is_dropped(self, tmp_path, desk_fixtures):
+        """Older catalogues recorded every recipe; such a line loads without
+        its file being opened, and the next persist drops it."""
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        register_desk(cat, fx)
+        cat.persist()
+        current = open(cat.path, "rb").read()
+        assert current.endswith(b"\nXLATE de_en " + os.path.join(fx, "xlate", "de_en.csv").encode() + b"\n")
+        with open(cat.path, "ab") as f:  # where older catalogues wrote it
+            f.write(f"RECIPE {tmp_path}/gone.recipe\n".encode())
+        loaded = Catalogue.load(cat.path)
+        rs = execute_plan(plan_query(parse_query("SELECT id FROM papyri_en LIMIT 2"), loaded))
+        assert len(rs.rows) == 2
+        loaded.persist()
+        assert open(cat.path, "rb").read() == current
 
 
 class TestInvalidUtf8:
@@ -378,8 +398,6 @@ class TestInvalidUtf8:
                          lambda cat, p: Catalogue.load(p), IntegrityError, id="catalogue"),
             pytest.param(b"view v\nfrom s.t\n# caf\xe9\nend\n",
                          lambda cat, p: cat.define_view(p), SourceError, id="view"),
-            pytest.param(b"recipe r\nfrom s.t\n# \xff\nend\n",
-                         lambda cat, p: cat.register_recipe(p), SourceError, id="recipe"),
             pytest.param(b"source_term,target_term\na,b\n\xc3(,c\n",
                          lambda cat, p: cat.add_translation("t", p), LoadError,
                          id="translation-table"),

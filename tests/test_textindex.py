@@ -5,6 +5,7 @@ and virtual collections."""
 import errno
 import os
 import random
+import shutil
 import unicodedata
 import zlib
 
@@ -390,7 +391,7 @@ class TestFaultInjection:
         cat = Catalogue(str(tmp_path_factory.mktemp("faults") / "c.vdc"))
         register_desk(cat, fx)
         path, _ = cat.build_index(
-            "hgv_texts", cat.register_recipe(os.path.join(fx, "recipes", "hgv.recipe"))
+            "hgv_texts", cat.read_recipe(os.path.join(fx, "recipes", "hgv.recipe"))
         )
         return open(path, "rb").read()
 
@@ -582,15 +583,20 @@ class TestCollections:
         items = cat.resolve_refs(cat.collections["finds"])
         assert [i.kind for i in items] == ["row", "doc"]
 
-    def test_dangling_source_reported_per_ref(self, tmp_path, desk_fixtures):
+    def test_withdrawn_source_reported_per_ref(self, tmp_path, desk_fixtures):
+        fx, _ = desk_fixtures
         cat = self.centre(tmp_path, desk_fixtures)
-        cat.update_collection(
-            "finds",
-            [ItemRef("volterra", "legal_texts", "1"), ItemRef("iaph", "docs", "i0000")],
-        )
-        cat.remove_source("iaph")
+        shutil.copytree(os.path.join(fx, "iaph"), tmp_path / "lent")
+        cat.register_source("lent", "xml_corpus", str(tmp_path / "lent"), AccessMode.LIVE)
+        cat.update_collection("finds", [
+            ItemRef("lent", "docs", "i0000"), ItemRef("volterra", "legal_texts", "1"),
+            ItemRef("lent", "docs", "i0001"),
+        ])
+        os.rename(tmp_path / "lent", tmp_path / "withdrawn")
         items = cat.resolve_refs(cat.collections["finds"])
-        assert [i.kind for i in items] == ["row", "error"]
+        assert [i.kind for i in items] == ["error", "row", "error"]
+        assert items[0].payload == items[2].payload
+        assert str(tmp_path / "lent") in items[0].payload
 
     def test_one_scan_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch):
         """Two refs into one table, given in reverse order, and a missing

@@ -36,8 +36,8 @@ def centre(desk_fixtures, tmp_path_factory):
     recipe = open(os.path.join(fx, "recipes", "iaph.recipe"), encoding="utf-8").read()
     recipe = recipe.replace("from iaph.docs", "from sealed.docs", 1)
     (d / "sealed.recipe").write_text(recipe, encoding="utf-8")
-    cat.build_index("sealed_texts", cat.register_recipe(str(d / "sealed.recipe")))
-    volterra = cat.register_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
+    cat.build_index("sealed_texts", cat.read_recipe(str(d / "sealed.recipe")))
+    volterra = cat.read_recipe(os.path.join(fx, "recipes", "volterra.recipe"))
     cat.build_index("vol_texts", volterra)
     cat.update_collection("finds", [
         ItemRef("hgv", "papyri", "1"), ItemRef("iaph", "docs", "i0000"),
@@ -89,7 +89,7 @@ _PROBE = (
 ], ids=["query", "search"])
 def test_only_index_commands_import_the_index_code(centre, argv, imported):
     catalogue = (centre / "catalogue.vdc").read_bytes()
-    assert b"\nRECIPE " in catalogue and b"\nINDEX " in catalogue
+    assert b"\nINDEX " in catalogue
     run = _run(centre, argv, "-c", _PROBE)
     assert run.returncode == 0, run.stderr
     assert run.stderr.endswith(f"textindex imported: {imported}\n".encode())
