@@ -14,7 +14,7 @@ import sys
 
 from .datacentre import AccessMode, Catalogue, catalogue_lock
 from .errors import AccessDenied, LockedError, NotFound, VdcError
-from .model import ItemRef
+from .model import ItemRef, cell_text
 from .query import (
     execute_plan,
     parse_query,
@@ -22,7 +22,6 @@ from .query import (
     result_to_csv,
     result_to_jsonl,
 )
-from .query.executor import cell_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,7 +104,7 @@ def _build_parser() -> _Parser:
     )
     c_upd = coll.add_parser("update", help="add refs to a collection")
     c_upd.add_argument("name")
-    c_upd.add_argument("--add", nargs="+", required=True, metavar="REF")
+    c_upd.add_argument("--add", nargs="+", action="extend", required=True, metavar="REF")
     c_res = coll.add_parser("resolve", help="resolve a collection's refs")
     c_res.add_argument("name")
 

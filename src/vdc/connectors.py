@@ -279,6 +279,11 @@ def _int_cell(text: str) -> int | None:
 # --------------------------------------------------------------------------
 # xml corpus sources
 
+# the elements each parent may hold outside <text>; all but persName at
+# most once
+_CHILDREN = {"doc": ("meta", "text"), "meta": ("title", "findspot", "date", "category", "persName")}
+
+
 class _DocBuilder:
     """Expat handlers collecting one document of the subset grammar."""
 
@@ -286,88 +291,64 @@ class _DocBuilder:
         self.id: str | None = None
         self.meta: dict[str, str | None] = {}
         self.persons: list[str] = []
-        self.body_parts: list[str] = []
+        self.body: list[str] = []
         self.stack: list[str] = []
-        self.meta_seen = False
-        self.text_seen = False
-        self.date_seen = False
-        self.in_text = False
-        self.cur_meta_field: str | None = None
-        self.cur_meta_text: list[str] = []
+        self.seen: set[str] = set()  # the once-only elements met so far
+        # the character data of the open metadata element, or the body
+        # inside <text>; None where character data is dropped
+        self.chars: list[str] | None = None
         self.parser = xml.parsers.expat.ParserCreate()
         self.parser.StartElementHandler = self.start
         self.parser.EndElementHandler = self.end
-        self.parser.CharacterDataHandler = self.chars
+        self.parser.CharacterDataHandler = self.char_data
 
     def fail(self, message: str):
         raise ParseError(message, line=self.parser.CurrentLineNumber)
 
     def start(self, name: str, attrs: dict):
-        depth = len(self.stack)
-        if depth == 0:
+        if not self.stack:
             if name != "doc":
                 self.fail(f"root element must be <doc>, got <{name}>")
             if not attrs.get("id"):
                 self.fail("<doc> is missing its id attribute")
             self.id = nfc(attrs["id"])
-        elif self.in_text:
-            pass  # arbitrary markup inside <text> is stripped
-        elif depth == 1:
-            if name == "meta":
-                if self.meta_seen:
-                    self.fail("duplicate <meta> element")
-                self.meta_seen = True
-            elif name == "text":
-                if self.text_seen:
-                    self.fail("duplicate <text> element")
-                self.text_seen = True
-                self.in_text = True
-            else:
-                self.fail(f"unexpected element <{name}> under <doc>")
-        elif depth == 2 and self.stack[-1] == "meta":
-            if name == "persName":
-                self.cur_meta_field = "persName"
-                self.cur_meta_text = []
-            elif name == "date":
-                if self.date_seen:
-                    self.fail("duplicate <date> element")
-                self.date_seen = True
-                nb, na = attrs.get("notBefore"), attrs.get("notAfter")
-                if nb:
-                    self.meta["not_before"] = nfc(nb)
-                if na:
-                    self.meta["not_after"] = nfc(na)
-                self.cur_meta_field = "date"
-            elif name in ("title", "findspot", "category"):
-                if name in self.meta:
+        elif self.chars is not self.body:  # markup inside <text> is stripped
+            parent = self.stack[-1]
+            if parent not in _CHILDREN:
+                self.fail(f"unexpected element <{name}>")
+            if name not in _CHILDREN[parent]:
+                self.fail(f"unexpected element <{name}> under <{parent}>")
+            if name != "persName":
+                if name in self.seen:
                     self.fail(f"duplicate <{name}> element")
-                self.cur_meta_field = name
-                self.cur_meta_text = []
-            else:
-                self.fail(f"unexpected element <{name}> under <meta>")
-        else:
-            self.fail(f"unexpected element <{name}>")
+                self.seen.add(name)
+            if name == "text":
+                self.chars = self.body
+            elif name == "date":
+                for attr, key in (("notBefore", "not_before"), ("notAfter", "not_after")):
+                    if attrs.get(attr):
+                        self.meta[key] = nfc(attrs[attr])
+            elif parent == "meta":
+                self.chars = []
         self.stack.append(name)
 
     def end(self, name: str):
         self.stack.pop()
-        if name == "text" and len(self.stack) == 1:
-            self.in_text = False
-        elif len(self.stack) == 2 and self.stack[-1] == "meta":
+        if self.chars is self.body:
+            if len(self.stack) == 1:  # </text>
+                self.chars = None
+        elif self.chars is not None:
             # an empty element is a null cell, as an empty table cell is
-            text = _text_cell("".join(self.cur_meta_text).strip())
-            if name == "persName":
-                if text is not None:
-                    self.persons.append(text)
-            elif name in ("title", "findspot", "category"):
+            text = _text_cell("".join(self.chars).strip())
+            if name != "persName":
                 self.meta[name] = text
-            self.cur_meta_field = None
+            elif text is not None:
+                self.persons.append(text)
+            self.chars = None
 
-    def chars(self, data: str):
-        if self.in_text:
-            self.body_parts.append(data)
-        elif self.cur_meta_field in ("title", "findspot", "category", "persName"):
-            self.cur_meta_text.append(data)
+    def char_data(self, data: str):
+        if self.chars is not None:
+            self.chars.append(data)
 
 
 def parse_xml_doc(data: bytes) -> Row:
@@ -389,8 +370,6 @@ def parse_xml_doc(data: bytes) -> Row:
         raise ParseError(f"not well-formed: {e}", line=e.lineno) from e
     except LookupError as e:  # the declared encoding has no codec
         raise ParseError(f"not well-formed: {e}", line=1) from e
-    if b.id is None:
-        raise ParseError("document has no <doc> root")
     meta = b.meta
     if b.persons:
         meta["persons"] = "|".join(b.persons)
@@ -400,7 +379,7 @@ def parse_xml_doc(data: bytes) -> Row:
                 parse_uncertain_date(meta[key])
             except ParseError as e:
                 raise ParseError(f"{key}={meta[key]!r} is not a valid date: {e}") from e
-    body = nfc(re.sub(r"\s+", " ", "".join(b.body_parts)).strip())
+    body = nfc(re.sub(r"\s+", " ", "".join(b.body)).strip())
     return (b.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
 
 

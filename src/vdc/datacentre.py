@@ -80,14 +80,17 @@ class SourceDescriptor:
     path: str
     mode: AccessMode
 
-    def __post_init__(self):
-        if self.kind not in (connectors.TABULAR, connectors.XML_CORPUS):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-
     def open(self) -> SourceHandle:
         """Open the source read-only; its mode is ``Catalogue.open_handle``'s
         to apply."""
         return connectors.open_source(self.source_id, self.kind, self.path)
+
+
+def _one_line(text: str) -> None:
+    """A catalogue record is one LF-ended line, so neither a record nor a
+    path it is to hold may contain a line feed."""
+    if "\n" in text:
+        raise IntegrityError(f"a catalogue record cannot hold a line feed: {text!r}")
 
 
 def _check_name(name: str, what: str, error: type[VdcError] = IntegrityError) -> None:
@@ -237,8 +240,9 @@ class Catalogue:
     def _snapshot(self, source_id: str, original: str) -> str:
         """Copy a source byte-for-byte into the centre's storage directory."""
         vault_root = os.path.join(self.store_dir, "vault")
-        os.makedirs(vault_root, exist_ok=True)
         final = os.path.join(vault_root, source_id)
+        _one_line(final)  # the catalogue is to record it: check before any write
+        os.makedirs(vault_root, exist_ok=True)
         if os.path.exists(final):
             raise IntegrityError(f"vault snapshot for {source_id!r} already exists")
         tmp = tempfile.mkdtemp(prefix=source_id + ".", dir=vault_root)
@@ -497,8 +501,9 @@ class Catalogue:
         whitelist = MANIFEST_FIELDS if desc.mode is AccessMode.INDEX_ONLY else None
         index = textindex.build_index(docs, recipe, stored_whitelist=whitelist)
         index_dir = os.path.join(self.store_dir, "index")
-        os.makedirs(index_dir, exist_ok=True)
         path = os.path.join(index_dir, collection + ".idx")
+        _one_line(path)  # the catalogue is to record it: check before any write
+        os.makedirs(index_dir, exist_ok=True)
         textindex.write_index(index, path)
         self.indexes[collection] = path
         self._index_relations[collection] = index.relation
@@ -529,8 +534,7 @@ class Catalogue:
         for name, refs in self.collections.items():
             lines.append(f"COLL {name} {','.join(r.text() for r in refs)}")
         for line in lines:  # a path may hold one; names and refs cannot
-            if "\n" in line:
-                raise IntegrityError(f"a catalogue record cannot hold a line feed: {line!r}")
+            _one_line(line)
         return "\n".join(lines) + "\n"
 
     def persist(self, take_lock: bool = True) -> None:
@@ -586,6 +590,12 @@ class Catalogue:
     def _load_line(self, tag: str, rest: str) -> None:
         if tag == "SOURCE":
             sid, kind, mode_s, path = rest.split(" ", 3)
+            # kind first: a space in an older catalogue's source id shifts
+            # the kind into the mode field
+            if kind not in (connectors.TABULAR, connectors.XML_CORPUS):
+                raise IntegrityError(f"unknown source kind {kind!r}")
+            if mode_s not in {m.value for m in AccessMode}:
+                raise IntegrityError(f"unknown access mode {mode_s!r}")
             mode = AccessMode(mode_s)
             if sid in self.sources:
                 raise IntegrityError(f"duplicate source {sid!r}")

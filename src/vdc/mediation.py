@@ -200,9 +200,8 @@ def _definition_lines(
     lineno, words, _ = first
     if words[0] != kind:
         raise ParseError(f"{kind} file must start with '{kind} <name>'", line=lineno)
-    if len(words) != 2:
-        raise ParseError(f"usage: {kind} <name>", line=lineno)
-    return _ident_token(words[1], lineno), _body_lines(lines, kind, keywords, noun)
+    (name,) = _match(f"{kind} <name>", words, lineno)
+    return name, _body_lines(lines, kind, keywords, noun)
 
 
 def _body_lines(
@@ -223,7 +222,28 @@ def _body_lines(
         raise ParseError("missing 'end'")
 
 
-_VIEW_KEYWORDS = ("from", "union", "rename", "coerce", "translate")
+# how a definition line reads the argument at each word of its usage line;
+# any other word in angle brackets is an identifier, and any word without
+# them a literal that the line repeats
+_ARGUMENTS = {"<source>.<table>": _relation_token, '"<original>"': _unquote}
+
+
+def _match(usage: str, words: list[str], lineno: int) -> list:
+    """The arguments of a line whose words have the shape of ``usage``."""
+    shape = usage.split()
+    if len(words) != len(shape) or any(w != s for w, s in zip(words, shape) if "<" not in s):
+        raise ParseError(f"usage: {usage}", line=lineno)
+    return [_ARGUMENTS.get(s, _ident_token)(w, lineno) for w, s in zip(words, shape) if "<" in s]
+
+
+_VIEW_USAGE = {
+    "from": "from <source>.<table>",
+    "union": "union <source>.<table>",
+    "rename": 'rename "<original>" -> <ident>',
+    "coerce": "coerce <column> date",
+    "translate": "translate <column> using <table>",
+}
+_VIEW_RULES = {"rename": Rename, "coerce": Coerce, "translate": Translate}
 
 
 def parse_view_file(text: str) -> ViewDefinition:
@@ -239,52 +259,30 @@ def parse_view_file(text: str) -> ViewDefinition:
         translate <ident> using <ident>
         end
     """
-    name, lines = _definition_lines(text, "view", _VIEW_KEYWORDS, "rule")
+    name, lines = _definition_lines(text, "view", _VIEW_USAGE, "rule")
     base: list[RelationRef] = []
     rules: list[MappingRule] = []
 
     for lineno, words, line in lines:
         keyword = words[0]
+        if keyword == "rename":  # the quoted original may hold spaces
+            left, arrow, right = line[len(keyword):].rpartition("->")
+            words = [keyword, left.strip(), arrow, right.strip()]
+        args = [] if keyword == "end" else _match(_VIEW_USAGE[keyword], words, lineno)
         if keyword == "from":
             if base:
                 raise ParseError("duplicate 'from' (use 'union' for more relations)", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: from <source>.<table>", line=lineno)
-            base.append(_relation_token(words[1], lineno))
+            base += args
+        elif not base:
+            if keyword in _VIEW_RULES:
+                raise ParseError("rules must follow 'from'", line=lineno)
+            raise ParseError(f"'{keyword}' before 'from'", line=lineno)
         elif keyword == "union":
-            if not base:
-                raise ParseError("'union' before 'from'", line=lineno)
             if rules:
                 raise ParseError("'union' must precede mapping rules", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: union <source>.<table>", line=lineno)
-            base.append(_relation_token(words[1], lineno))
-        elif keyword == "rename":
-            # rename "<original>" -> <ident>; the original may contain spaces,
-            # so re-split on the arrow rather than on whitespace.
-            body = line[len("rename"):].strip()
-            left, arrow, right = body.rpartition("->")
-            if not arrow:
-                raise ParseError("usage: rename \"<original>\" -> <ident>", line=lineno)
-            if not base:
-                raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(
-                Rename(_unquote(left.strip(), lineno), _ident_token(right.strip(), lineno))
-            )
-        elif keyword == "coerce":
-            if len(words) != 3 or words[2] != "date":
-                raise ParseError("usage: coerce <column> date", line=lineno)
-            if not base:
-                raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(Coerce(_ident_token(words[1], lineno)))
-        elif keyword == "translate":
-            if len(words) != 4 or words[2] != "using":
-                raise ParseError("usage: translate <column> using <table>", line=lineno)
-            if not base:
-                raise ParseError("rules must follow 'from'", line=lineno)
-            rules.append(Translate(_ident_token(words[1], lineno), _ident_token(words[3], lineno)))
-        elif not base:  # end
-            raise ParseError("'end' before 'from'", line=lineno)
+            base += args
+        elif keyword != "end":
+            rules.append(_VIEW_RULES[keyword](*args))
     return ViewDefinition(name, tuple(base), tuple(rules))
 
 
@@ -302,7 +300,14 @@ class IngestRecipe:
     indexed: tuple[str, ...]
 
 
-_RECIPE_KEYWORDS = ("from", "id", "field", "body", "geo", "index")
+_RECIPE_USAGE = {
+    "from": "from <source>.<table>",
+    "id": "id <column>",
+    "field": "field <ident> = <column>",
+    "body": "body <column>",
+    "geo": "geo <latcol> <loncol>",
+    "index": "index <field>",
+}
 
 
 def parse_recipe_file(text: str) -> IngestRecipe:
@@ -319,7 +324,7 @@ def parse_recipe_file(text: str) -> IngestRecipe:
         index <ident>              # zero or more, over fields and "body"
         end
     """
-    name, lines = _definition_lines(text, "recipe", _RECIPE_KEYWORDS, "recipe")
+    name, lines = _definition_lines(text, "recipe", _RECIPE_USAGE, "recipe")
     source = None
     id_column = None
     fields: list[tuple[str, str]] = []
@@ -329,42 +334,31 @@ def parse_recipe_file(text: str) -> IngestRecipe:
 
     for lineno, words, _ in lines:
         keyword = words[0]
+        if keyword == "end":
+            continue
+        args = _match(_RECIPE_USAGE[keyword], words, lineno)
         if keyword == "from":
             if source is not None:
                 raise ParseError("duplicate 'from' line", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: from <source>.<table>", line=lineno)
-            source = _relation_token(words[1], lineno)
+            (source,) = args
         elif keyword == "id":
             if id_column is not None:
                 raise ParseError("duplicate 'id' line", line=lineno)
-            if len(words) != 2:
-                raise ParseError("usage: id <column>", line=lineno)
-            id_column = _ident_token(words[1], lineno)
+            (id_column,) = args
         elif keyword == "field":
-            if len(words) != 4 or words[2] != "=":
-                raise ParseError("usage: field <ident> = <column>", line=lineno)
-            fname = _ident_token(words[1], lineno)
-            if fname == "body" or any(f == fname for f, _ in fields):
-                raise ParseError(f"duplicate field {fname!r}", line=lineno)
-            fields.append((fname, _ident_token(words[3], lineno)))
+            if args[0] == "body" or any(f == args[0] for f, _ in fields):
+                raise ParseError(f"duplicate field {args[0]!r}", line=lineno)
+            fields.append(tuple(args))
         elif keyword == "body":
-            if len(words) != 2:
-                raise ParseError("usage: body <column>", line=lineno)
-            body.append(_ident_token(words[1], lineno))
+            body += args
         elif keyword == "geo":
             if geo is not None:
                 raise ParseError("duplicate 'geo' line", line=lineno)
-            if len(words) != 3:
-                raise ParseError("usage: geo <latcol> <loncol>", line=lineno)
-            geo = (_ident_token(words[1], lineno), _ident_token(words[2], lineno))
-        elif keyword == "index":
-            if len(words) != 2:
-                raise ParseError("usage: index <field>", line=lineno)
-            f = _ident_token(words[1], lineno)
-            if f in indexed:
-                raise ParseError(f"duplicate index field {f!r}", line=lineno)
-            indexed.append(f)
+            geo = tuple(args)
+        else:  # index
+            if args[0] in indexed:
+                raise ParseError(f"duplicate index field {args[0]!r}", line=lineno)
+            indexed += args
 
     if source is None or id_column is None:
         raise ParseError("recipe needs 'from' and 'id' lines")

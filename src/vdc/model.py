@@ -203,6 +203,16 @@ def format_uncertain_date(d: UncertainDate) -> str:
     return "/".join(parts)
 
 
+def cell_text(v) -> str:
+    """Canonical textual form of a cell (nulls are empty), as the query
+    results and ``coll resolve`` print it."""
+    if v is None:
+        return ""
+    if isinstance(v, UncertainDate):
+        return format_uncertain_date(v)
+    return v if isinstance(v, str) else str(v)
+
+
 def date_gap_days(a: UncertainDate, b: UncertainDate) -> int:
     """0 when the intervals intersect, else the distance between the
     nearest endpoints.  Symmetric."""

@@ -2,7 +2,6 @@
 
 from .executor import (
     ResultSet,
-    cell_text,
     execute_plan,
     result_to_csv,
     result_to_jsonl,
@@ -14,7 +13,6 @@ __all__ = [
     "Plan",
     "QueryAst",
     "ResultSet",
-    "cell_text",
     "execute_plan",
     "parse_query",
     "plan_query",

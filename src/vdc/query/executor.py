@@ -25,8 +25,8 @@ from ..model import (
     Row,
     TableSchema,
     UncertainDate,
+    cell_text,
     date_near,
-    format_uncertain_date,
     row_sort_key,
     value_sort_key,
 )
@@ -121,15 +121,6 @@ def execute_plan(plan: Plan) -> ResultSet:
 
 # -- result serialization ------------------------------------------------------
 
-def cell_text(v) -> str:
-    """Canonical textual form of a cell (nulls are empty)."""
-    if v is None:
-        return ""
-    if isinstance(v, UncertainDate):
-        return format_uncertain_date(v)
-    return v if isinstance(v, str) else str(v)
-
-
 def result_to_csv(rs: ResultSet) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -143,11 +134,6 @@ def result_to_jsonl(rs: ResultSet) -> str:
     names = rs.schema.column_names()
     lines = []
     for row in rs.rows:
-        obj = {}
-        for name, v in zip(names, row):
-            if isinstance(v, UncertainDate):
-                obj[name] = format_uncertain_date(v)
-            else:
-                obj[name] = v
+        obj = {n: cell_text(v) if isinstance(v, UncertainDate) else v for n, v in zip(names, row)}
         lines.append(json.dumps(obj, ensure_ascii=False))
     return "\n".join(lines) + ("\n" if lines else "")

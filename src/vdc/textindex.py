@@ -425,14 +425,21 @@ class InvertedIndex:
             self._lines = lines
         return [self._lines[o] for o in ordinals]
 
-    # A DOCS line has at least four cells; unpacking a shorter one raises
-    # ValueError, which the three readers below report as a format error.
+    def _doc_cells(
+        self, ordinals: Sequence[int], split: int = -1, fault: str = "bad DOCS line"
+    ) -> list[list[str]]:
+        """The cells of the DOCS lines of ``ordinals``, each line split at
+        its first ``split`` tabs (all by default).  A line has at least four
+        cells, or all ``split + 1`` when fewer; a shorter one raises ``fault``."""
+        rows = [line.split("\t", split) for line in self._doc_lines(ordinals)]
+        least = 4 if split < 0 else min(4, split + 1)
+        if any(len(cells) < least for cells in rows):
+            raise IndexFormatError(fault)
+        return rows
 
     def doc(self, o: int) -> DocEntry:
-        try:
-            ref, doc_id, lat, lon, *stored_cells = self._doc_lines([o])[0].split("\t")
-        except ValueError as e:
-            raise IndexFormatError(f"bad DOCS line for document {o}") from e
+        fault = f"bad DOCS line for document {o}"
+        [[ref, doc_id, lat, lon, *stored_cells]] = self._doc_cells([o], fault=fault)
         stored = {}
         for cell in stored_cells:
             name, sep, value = cell.partition("=")
@@ -443,24 +450,10 @@ class InvertedIndex:
 
     def hits(self, ordinals: Sequence[int]) -> list[tuple[str, str]]:
         """(doc_id, ref) of each ordinal."""
-        lines = self._doc_lines(ordinals)
-        try:
-            return [
-                (_unescape(doc_id), _unescape(ref))
-                for ref, doc_id, _ in (line.split("\t", 2) for line in lines)
-            ]
-        except ValueError as e:
-            raise IndexFormatError("bad DOCS line") from e
+        return [(_unescape(c[1]), _unescape(c[0])) for c in self._doc_cells(ordinals, 2)]
 
     def geos(self, ordinals: Sequence[int]) -> list[tuple[float, float] | None]:
-        lines = self._doc_lines(ordinals)
-        try:
-            return [
-                _geo(lat, lon, o)
-                for o, (_, _, lat, lon, *_) in zip(ordinals, (line.split("\t", 4) for line in lines))
-            ]
-        except ValueError as e:
-            raise IndexFormatError("bad DOCS line") from e
+        return [_geo(c[2], c[3], o) for o, c in zip(ordinals, self._doc_cells(ordinals, 4))]
 
     def find_ref(self, ref: str) -> DocEntry | None:
         """The first document whose ref is ``ref``: a byte search of the

@@ -203,6 +203,14 @@ class TestCollectionsViaCli:
         cli, *_ = centre
         assert cli("coll", "update", "finds", "--add", "notaref")[0] == 2
 
+    def test_repeated_add_keeps_every_ref(self, centre):
+        cli, cat, *_ = centre
+        assert cli("coll", "update", "r", "--add", "volterra/legal_texts/1",
+                   "--add", "volterra/legal_texts/2", "volterra/legal_texts/3") == (
+            0, "", "collection r: 3 refs\n")
+        refs = ",".join(f"volterra/legal_texts/{i}" for i in (1, 2, 3))
+        assert f"\nCOLL r {refs}\n" in open(cat, encoding="utf-8").read()
+
 
 class TestXmlRegistration:
     BAD = b'<?xml version="1.0" encoding="TTF-8"?><doc id="i1"/>'
@@ -496,6 +504,34 @@ class TestCatalogueLines:
                    "--mode", "vault")[0] == 0
         want = cli("query", "SELECT * FROM hgv.papyri LIMIT 3")
         assert cli("query", "SELECT * FROM odd.papyri LIMIT 3") == want
+
+    @pytest.mark.parametrize("argv", [
+        ("source", "add", "v", "--kind", "tabular", "--path", "{fx}/volterra", "--mode", "vault"),
+        ("index", "build", "hgv_texts", "--recipe", "{fx}/recipes/hgv.recipe"),
+    ], ids=["vault", "index"])
+    def test_line_feed_in_the_catalogue_path_leaves_no_side_file(self, desk_fixtures, tmp_path,
+                                                                  capsys, argv):
+        """The store lies beside the catalogue, so the paths of a snapshot
+        and an index hold the catalogue path's line feed: the command is
+        refused before it writes either, and a rerun fails the same way."""
+        fx, _ = desk_fixtures
+        home = tmp_path / "a\nb"
+        home.mkdir()
+        cat = str(home / "c.vdc")
+        assert run(["--catalogue", cat, "source", "add", "hgv", "--kind", "tabular",
+                    "--path", os.path.join(fx, "hgv"), "--mode", "live"]) == 0
+        capsys.readouterr()
+        before = open(cat, "rb").read()
+        errors = []
+        for _ in range(2):
+            code = run(["--catalogue", cat, *(a.format(fx=fx) for a in argv)])
+            out = capsys.readouterr()
+            assert (code, out.out) == (2, "")
+            assert out.err.startswith("error: a catalogue record cannot hold a line feed: ")
+            assert not os.path.exists(cat + ".store")
+            assert open(cat, "rb").read() == before
+            errors.append(out.err)
+        assert errors[0] == errors[1]
 
     def test_index_build_records_no_recipe(self, centre, tmp_path):
         cli, cat, fx, _ = centre

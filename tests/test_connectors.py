@@ -364,6 +364,49 @@ class TestXmlDoc:
         with pytest.raises(ParseError):
             parse_xml_doc(b'<doc id="i1"><meta><weird>x</weird></meta></doc>')
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"<text>x</text>", "root element must be <doc>, got <text> (line 1)"),
+            (b"<doc>\n<text>x</text></doc>", "<doc> is missing its id attribute (line 1)"),
+            (b'<doc id="">\n</doc>', "<doc> is missing its id attribute (line 1)"),
+            (b'<doc id="a">\n<title>x</title></doc>',
+             "unexpected element <title> under <doc> (line 2)"),
+            (b'<doc id="a">\n<meta/>\n<meta/></doc>', "duplicate <meta> element (line 3)"),
+            (b'<doc id="a">\n<text/>\n<text>y</text></doc>', "duplicate <text> element (line 3)"),
+            (b'<doc id="a"><meta>\n<weird>x</weird></meta></doc>',
+             "unexpected element <weird> under <meta> (line 2)"),
+            (b'<doc id="a"><meta>\n<text>x</text></meta></doc>',
+             "unexpected element <text> under <meta> (line 2)"),
+            (b'<doc id="a"><meta><title>a</title>\n<title>b</title></meta></doc>',
+             "duplicate <title> element (line 2)"),
+            (b'<doc id="a"><meta><findspot/>\n<findspot/></meta></doc>',
+             "duplicate <findspot> element (line 2)"),
+            (b'<doc id="a"><meta><category>c</category>\n<category/></meta></doc>',
+             "duplicate <category> element (line 2)"),
+            (b'<doc id="a"><meta><date notBefore="0100"/>\n<date/></meta></doc>',
+             "duplicate <date> element (line 2)"),
+            (b'<doc id="a"><meta><title>\n<hi>x</hi></title></meta></doc>',
+             "unexpected element <hi> (line 2)"),
+            (b'<doc id="a"><meta><date>\n<x/></date></meta></doc>',
+             "unexpected element <x> (line 2)"),
+            (b'<doc id="a"><meta><persName>\n<b/></persName></meta></doc>',
+             "unexpected element <b> (line 2)"),
+            (b'<doc id="a"><meta><date notBefore="sometime"/></meta></doc>',
+             "not_before='sometime' is not a valid date: malformed date 'sometime' (byte 0)"),
+            (b'<doc id="a"><meta><date notAfter="0100-13"/></meta></doc>',
+             "not_after='0100-13' is not a valid date: month 13 out of range (byte 5)"),
+            (b'<doc id="a">\n<meta>\n</doc>',
+             "not well-formed: mismatched tag: line 3, column 2 (line 3)"),
+        ],
+    )
+    def test_each_fault_names_itself_and_its_line(self, data, message):
+        """A document with one fault of the subset grammar fails with this
+        exact text, which ends with the fault's line where it has one."""
+        with pytest.raises(ParseError) as e:
+            parse_xml_doc(data)
+        assert str(e.value) == message
+
 
 class TestXmlCorpus:
     def test_exposes_docs_table(self, tmp_path):

@@ -285,6 +285,8 @@ class TestPersistence:
             ("XLATE x {dir}/bad.csv", "translation table must start with header"),
             ("SOURCE s tabular live {dir}", "duplicate source 's'"),
             ("SOURCE u csv live {dir}", "unknown source kind 'csv'"),
+            ("SOURCE v x tabular live {dir}", "unknown source kind 'x'"),
+            ("SOURCE u tabular sealed {dir}", "unknown access mode 'sealed'"),
             ("COLL finds s/t/1,ghost/t/1", "no source 'ghost'"),
             ("BOGUS 1", "unknown catalogue record 'BOGUS'"),
         ],

@@ -148,6 +148,84 @@ def test_view_and_recipe_files_share_one_line_reader(kind, parse, text, message)
     assert str(e.value).startswith(message.format(kind=kind))
 
 
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        ("from a.t b", "usage: from <source>.<table> (line 2)"),
+        ("from a", "malformed relation ref 'a' (line 2)"),
+        ("from a.t\nfrom b.t", "duplicate 'from' (use 'union' for more relations) (line 3)"),
+        ("union a.t\nfrom b.t", "'union' before 'from' (line 2)"),
+        ('from a.t\nrename "x" -> y\nunion b.t', "'union' must precede mapping rules (line 4)"),
+        ("from a.t\nunion b.t c", "usage: union <source>.<table> (line 3)"),
+        ("from a.t\nunion b", "malformed relation ref 'b' (line 3)"),
+        ('from a.t\nrename "x" y', 'usage: rename "<original>" -> <ident> (line 3)'),
+        ("from a.t\nrename x -> y", "expected a quoted name, got x (line 3)"),
+        ('from a.t\nrename "x" -> 9y', "expected an identifier, got '9y' (line 3)"),
+        ('rename "x" -> y\nfrom a.t', "rules must follow 'from' (line 2)"),
+        ("coerce d date\nfrom a.t", "rules must follow 'from' (line 2)"),
+        ("translate c using t\nfrom a.t", "rules must follow 'from' (line 2)"),
+        ("from a.t\ncoerce d", "usage: coerce <column> date (line 3)"),
+        ("from a.t\ncoerce d text", "usage: coerce <column> date (line 3)"),
+        ("from a.t\ncoerce 9d date", "expected an identifier, got '9d' (line 3)"),
+        ("from a.t\ntranslate c with t", "usage: translate <column> using <table> (line 3)"),
+        ("from a.t\ntranslate c using", "usage: translate <column> using <table> (line 3)"),
+        ("from a.t\ntranslate c using t u", "usage: translate <column> using <table> (line 3)"),
+        ("from a.t\ntranslate 9c using t", "expected an identifier, got '9c' (line 3)"),
+        ("from a.t\ntranslate c using 9t", "expected an identifier, got '9t' (line 3)"),
+        ("from a.t\nfrobnicate x", "unknown rule keyword 'frobnicate' (line 3)"),
+        ("", "'end' before 'from' (line 3)"),
+    ],
+)
+def test_each_view_line_fault_has_its_own_text(lines, message):
+    """A view file with one faulty line fails with this exact text."""
+    with pytest.raises(ParseError) as e:
+        parse_view_file(f"view v\n{lines}\nend\n")
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        ("from a.t b\nid i\nbody b", "usage: from <source>.<table> (line 2)"),
+        ("from a\nid i\nbody b", "malformed relation ref 'a' (line 2)"),
+        ("from a.t\nfrom b.t\nid i\nbody b", "duplicate 'from' line (line 3)"),
+        ("from a.t\nid\nbody b", "usage: id <column> (line 3)"),
+        ("from a.t\nid a b\nbody b", "usage: id <column> (line 3)"),
+        ("from a.t\nid 9a\nbody b", "expected an identifier, got '9a' (line 3)"),
+        ("from a.t\nid a\nid b\nbody b", "duplicate 'id' line (line 4)"),
+        ("from a.t\nid i\nbody b\nfield t title", "usage: field <ident> = <column> (line 5)"),
+        ("from a.t\nid i\nbody b\nfield t =", "usage: field <ident> = <column> (line 5)"),
+        ("from a.t\nid i\nbody b\nfield t : x", "usage: field <ident> = <column> (line 5)"),
+        ("from a.t\nid i\nbody b\nfield 9t = x", "expected an identifier, got '9t' (line 5)"),
+        ("from a.t\nid i\nbody b\nfield t = 9x", "expected an identifier, got '9x' (line 5)"),
+        ("from a.t\nid i\nbody b\nfield body = x", "duplicate field 'body' (line 5)"),
+        ("from a.t\nid i\nbody b\nfield t = x\nfield t = y", "duplicate field 't' (line 6)"),
+        ("from a.t\nid i\nbody b\nbody", "usage: body <column> (line 5)"),
+        ("from a.t\nid i\nbody b\nbody a b", "usage: body <column> (line 5)"),
+        ("from a.t\nid i\nbody b\nbody 9x", "expected an identifier, got '9x' (line 5)"),
+        ("from a.t\nid i\nbody b\ngeo lat", "usage: geo <latcol> <loncol> (line 5)"),
+        ("from a.t\nid i\nbody b\ngeo lat lon x", "usage: geo <latcol> <loncol> (line 5)"),
+        ("from a.t\nid i\nbody b\ngeo 9lat lon", "expected an identifier, got '9lat' (line 5)"),
+        ("from a.t\nid i\nbody b\ngeo lat 9lon", "expected an identifier, got '9lon' (line 5)"),
+        ("from a.t\nid i\nbody b\ngeo a b\ngeo c d", "duplicate 'geo' line (line 6)"),
+        ("from a.t\nid i\nbody b\nindex", "usage: index <field> (line 5)"),
+        ("from a.t\nid i\nbody b\nindex a b", "usage: index <field> (line 5)"),
+        ("from a.t\nid i\nbody b\nindex 9x", "expected an identifier, got '9x' (line 5)"),
+        ("from a.t\nid i\nbody b\nindex body\nindex body", "duplicate index field 'body' (line 6)"),
+        ("from a.t\nid i\nbody b\nfrob x", "unknown recipe keyword 'frob' (line 5)"),
+        ("id i\nbody b", "recipe needs 'from' and 'id' lines"),
+        ("from a.t\nbody b", "recipe needs 'from' and 'id' lines"),
+        ("from a.t\nid i", "recipe needs at least one 'body' column"),
+        ("from a.t\nid i\nbody b\nindex t", "indexed field 't' is not declared"),
+    ],
+)
+def test_each_recipe_line_fault_has_its_own_text(lines, message):
+    """A recipe file with one fault fails with this exact text."""
+    with pytest.raises(ParseError) as e:
+        parse_recipe_file(f"recipe r\n{lines}\nend\n")
+    assert str(e.value) == message
+
+
 def schema(name, *cols):
     return TableSchema(name, tuple(cols))
 

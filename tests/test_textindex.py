@@ -373,6 +373,30 @@ class TestIndexFormat:
             search(idx, SearchQuery(("a",)))
         assert "out of order" in str(e.value)
 
+    @pytest.mark.parametrize(
+        "line,hits_fault",
+        [(b"s/t/e\te\t- -\n", None), (b"s/t/e\te - -\n", "bad DOCS line")],
+    )
+    def test_short_docs_line_rejected_where_read(self, tmp_path, line, hits_fault):
+        """A checksum-valid DOCS line with three cells serves a hit but not
+        its document or location; with two cells it serves neither."""
+        data = build_index([doc("d", "a"), doc("e", "a")], mini_recipe()).data
+        assert data.count(b"\ns/t/e\te\t-\t-\n") == 1
+        p = str(tmp_path / "s.idx")
+        with open(p, "wb") as f:
+            f.write(resign(data.replace(b"s/t/e\te\t-\t-\n", line)))
+        idx = read_index(p)
+        assert idx.hits([0]) == [("d", "s/t/d")]
+        if hits_fault is None:
+            assert idx.hits([1]) == [("e", "s/t/e")]
+        else:
+            with pytest.raises(IndexFormatError, match=f"^{hits_fault}$"):
+                idx.hits([1])
+        with pytest.raises(IndexFormatError, match="^bad DOCS line for document 1$"):
+            idx.doc(1)
+        with pytest.raises(IndexFormatError, match="^bad DOCS line$"):
+            idx.geos([0, 1])
+
 
 def resign(data: bytes) -> bytes:
     """Recompute the END footer's checksum after an edit that keeps every
