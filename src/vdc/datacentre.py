@@ -267,7 +267,7 @@ class Catalogue:
         """Open a source under its mode rules.
 
         This is the one place that denies index-only content: it is
-        reachable only with ``for_ingest`` (the ingest+index run).  Vault
+        reachable only with ``for_ingest`` (an index build).  Vault
         handles are cached (snapshots are immutable), live sources are
         re-opened every time.
         """
@@ -483,23 +483,27 @@ class Catalogue:
         self._descriptor(recipe.source.source_id)  # must be registered
         return recipe
 
-    def ingest(self, recipe: IngestRecipe, privileged: bool = False):
-        """Run a recipe.  ``privileged`` marks the ingest+index run, the one
-        path allowed to read index-only content."""
+    def ingest(self, recipe: IngestRecipe):
+        """Run a recipe: (documents, warnings).  An index-only source is
+        denied; only its index build reads it."""
         from . import textindex
 
-        handle = self.open_handle(recipe.source.source_id, for_ingest=privileged)
+        handle = self.open_handle(recipe.source.source_id)
         return textindex.ingest_documents(handle, recipe)
 
     def build_index(self, collection: str, recipe: IngestRecipe) -> tuple[str, list[str]]:
-        """Ingest + index + publish: returns (index path, ingest warnings)."""
+        """Ingest + index + publish: returns (index path, ingest warnings).
+        The scanned rows stream into the index as documents; none is kept."""
         from . import textindex
 
         _check_name(collection, "collection name", CollectionError)
         desc = self._descriptor(recipe.source.source_id)
-        docs, warnings = self.ingest(recipe, privileged=True)
+        handle = self.open_handle(desc.source_id, for_ingest=True)
+        warnings: list[str] = []
         whitelist = MANIFEST_FIELDS if desc.mode is AccessMode.INDEX_ONLY else None
-        index = textindex.build_index(docs, recipe, stored_whitelist=whitelist)
+        index = textindex.build_index(
+            textindex.iter_documents(handle, recipe, warnings), recipe, stored_whitelist=whitelist
+        )
         index_dir = os.path.join(self.store_dir, "index")
         path = os.path.join(index_dir, collection + ".idx")
         _one_line(path)  # the catalogue is to record it: check before any write
@@ -589,7 +593,7 @@ class Catalogue:
 
     def _load_line(self, tag: str, rest: str) -> None:
         if tag == "SOURCE":
-            sid, kind, mode_s, path = rest.split(" ", 3)
+            sid, kind, mode_s, path = _record_fields(tag, rest)
             # kind first: a space in an older catalogue's source id shifts
             # the kind into the mode field
             if kind not in (connectors.TABULAR, connectors.XML_CORPUS):
@@ -606,23 +610,44 @@ class Catalogue:
             view = self._read_view(rest)
             self.views[view.name] = _ViewEntry(rest, view)
         elif tag == "XLATE":
-            xid, _, p = rest.partition(" ")
+            xid, p = _record_fields(tag, rest)
             self.xlates[xid] = _XlateEntry(p, mediation.load_translation_table(xid, p))
         elif tag == "RECIPE":
             pass  # written by older catalogues; the next persist drops it
         elif tag == "INDEX":
-            collection, _, p = rest.partition(" ")
+            collection, p = _record_fields(tag, rest)
             if not os.path.isfile(p):
                 raise IntegrityError(f"index file missing for {collection!r}: {p}")
             self.indexes[collection] = p
         elif tag == "COLL":
-            name, _, refs_s = rest.partition(" ")
+            name, refs_s = _record_fields(tag, rest)
             refs = [ItemRef.parse(text) for text in refs_s.split(",")]
             for ref in refs:
                 self._descriptor(ref.source_id)
             self.collections[name] = refs
         else:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
+
+
+# the fields of each catalogue record that has more than one, as serialize
+# writes them; the last may hold spaces
+_RECORD_FIELDS = {
+    "SOURCE": "id kind mode path",
+    "XLATE": "id path",
+    "INDEX": "collection path",
+    "COLL": "name refs",
+}
+
+
+def _record_fields(tag: str, rest: str) -> list[str]:
+    """The fields of a catalogue record, after its tag; a record with too
+    few names the fields it needs."""
+    names = _RECORD_FIELDS[tag]
+    n = names.count(" ") + 1
+    fields = rest.split(" ", n - 1) if rest else []
+    if len(fields) != n:
+        raise IntegrityError(f"{tag} record needs {n} fields ({names}), got {len(fields)}")
+    return fields
 
 
 def _read_definition(path: str, what: str) -> str:

@@ -354,7 +354,7 @@ class ItemRef:
         ):
             if not part:
                 raise ValueError(f"empty {label} in item ref")
-            if _REF_FORBIDDEN & set(part):
+            if not _REF_FORBIDDEN.isdisjoint(part):
                 raise ValueError(f"{label} contains a forbidden character: {part!r}")
         if "/" in self.source_id or "/" in self.container:
             raise ValueError("source_id and container must not contain '/'")

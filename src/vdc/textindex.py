@@ -19,7 +19,8 @@ import unicodedata
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_atomic
 from .errors import IndexFormatError, IngestError, NotFound
@@ -82,12 +83,23 @@ def _as_text(v) -> str | None:
 def ingest_documents(
     handle: SourceHandle, recipe: IngestRecipe
 ) -> tuple[list[Document], list[str]]:
-    """Map every row of the recipe's table to a Document.
+    """Map every row of the recipe's table to a Document: (documents,
+    warnings), as ``iter_documents`` yields and collects them."""
+    warnings: list[str] = []
+    return list(iter_documents(handle, recipe, warnings)), warnings
 
-    Returns (documents, warnings); warnings report rows whose geo
-    coordinates were present but unusable.  Only the cells the recipe
-    reads are decoded (the item key, id, field, body and geo columns);
-    the scan still checks every record in full.
+
+def iter_documents(
+    handle: SourceHandle, recipe: IngestRecipe, warnings: list[str]
+) -> Iterator[Document]:
+    """Map the rows of the recipe's table to Documents, one at a time in
+    scan order.
+
+    Rows whose geo coordinates are present but unusable are reported by
+    appending to ``warnings`` as they are met.  Only the cells the recipe
+    reads are decoded (the item key, id, field, body and geo columns); the
+    scan still checks every record in full.  A null id, an unusable item
+    key or a repeated doc id raises IngestError at its row.
     """
     schema = handle.schema(recipe.source.table)
     names = schema.column_names()
@@ -104,28 +116,29 @@ def ingest_documents(
     body_is = [col(c) for c in recipe.body_columns]
     geo_is = (col(recipe.geo[0]), col(recipe.geo[1])) if recipe.geo else None
 
-    docs: list[Document] = []
-    warnings: list[str] = []
-    seen: dict[str, str] = {}
+    source_id, table = recipe.source.source_id, recipe.source.table
+    seen: dict[str, str] = {}  # doc id -> the item key of its row
     reads = {0, id_i, *(i for _, i in field_is), *body_is, *(geo_is or ())}
-    for n, row in enumerate(handle.scan(recipe.source.table, columns=reads), start=1):
+    for n, row in enumerate(handle.scan(table, columns=reads), start=1):
         id_cell = _as_text(row[id_i])
         if id_cell is None:
             raise IngestError(
                 f"recipe {recipe.name!r}: null id in column {recipe.id_column!r}"
             )
+        key = row_item_key(row)
         try:
-            ref = ItemRef(recipe.source.source_id, recipe.source.table, row_item_key(row))
+            ref = ItemRef(source_id, table, key)
         except ValueError as e:  # the item key (first cell) is empty or unusable
             raise IngestError(
                 f"recipe {recipe.name!r}: row {n} of {recipe.source.text()} "
                 f"(id {id_cell!r}): {e}"
             ) from e
         if id_cell in seen:
+            first = ItemRef(source_id, table, seen[id_cell])
             raise IngestError(
-                f"duplicate doc id {id_cell!r}: {seen[id_cell]} and {ref.text()}"
+                f"duplicate doc id {id_cell!r}: {first.text()} and {ref.text()}"
             )
-        seen[id_cell] = ref.text()
+        seen[id_cell] = key
 
         fields = {}
         for f, i in field_is:
@@ -143,8 +156,7 @@ def ingest_documents(
                     warnings.append(
                         f"{ref.text()}: unusable coordinates ({lat_t!r}, {lon_t!r})"
                     )
-        docs.append(Document(id_cell, ref, fields, body, geo))
-    return docs, warnings
+        yield Document(id_cell, ref, fields, body, geo)
 
 
 def _parse_geo(lat_t: str | None, lon_t: str | None) -> tuple[float, float] | None:
@@ -221,10 +233,6 @@ def _text(b: bytes) -> str:
         raise IndexFormatError(f"invalid UTF-8 in index: {e}") from e
 
 
-def _fmt_coord(x: float | None) -> str:
-    return "-" if x is None else repr(x)
-
-
 def _geo(lat: str, lon: str, ordinal: int) -> tuple[float, float] | None:
     if lat == "-" and lon == "-":
         return None
@@ -279,10 +287,11 @@ class InvertedIndex:
     and a DOCS line when its document is returned or filtered by location;
     decoded parts are kept, so an index held in memory decodes each once.
     Structural faults surface as ``IndexFormatError`` when the faulty part
-    is decoded.
+    is decoded.  The image is a file's bytes, or the bytearray a build
+    encoded it into, which nothing writes to afterwards.
     """
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes | bytearray):
         self.data = data
         first = data.find(b"\n")
         self.relation = _header_relation(data[:first] if first >= 0 else data)
@@ -466,67 +475,104 @@ class InvertedIndex:
 
 
 def build_index(
-    docs: Sequence[Document],
+    docs: Iterable[Document],
     recipe: IngestRecipe,
     stored_whitelist: Iterable[str] | None = None,
 ) -> InvertedIndex:
     """Index documents deterministically: ordinals follow ascending doc_id.
 
-    ``stored_whitelist`` masks manifest field values for sources that only
-    publish their index: non-whitelisted fields keep their name but store
-    ``-``.  Postings are unaffected (published terms are the point).  The
-    image is encoded as it is built, one field's postings at a time.
+    ``docs`` is read once.  Each document leaves only its encoded DOCS line
+    and, per indexed field, (input position, tf) on the postings of each of
+    its terms; ordinals are assigned after the pass, so the input may be in
+    any order and is never held whole.  ``stored_whitelist`` masks manifest
+    field values for sources that only publish their index:
+    non-whitelisted fields keep their name but store ``-``.  Postings are
+    unaffected (published terms are the point).
     """
-    ids = [d.doc_id for d in docs]
-    if len(set(ids)) != len(ids):
-        dup = sorted(i for i in set(ids) if ids.count(i) > 1)[0]
-        raise IngestError(f"duplicate doc id {dup!r} in index input")
-    ordered = sorted(docs, key=lambda d: d.doc_id)
     allow = None if stored_whitelist is None else set(stored_whitelist)
+    fields = sorted(recipe.indexed)
+    postings: list[dict[str, list[int]]] = [{} for _ in fields]  # term -> pos, tf, pos, tf, ...
+    ids: list[str] = []
+    lines: list[bytes] = []  # DOCS lines by input position
+    for pos, doc in enumerate(docs):
+        ids.append(doc.doc_id)
+        lines.append(_docs_line(doc, allow))
+        for field, terms in zip(fields, postings):
+            counts: dict[str, int] = {}
+            for term in tokenize(doc.body if field == "body" else doc.fields.get(field, "")):
+                counts[term] = counts.get(term, 0) + 1
+            for term, tf in counts.items():
+                flat = terms.get(term)
+                if flat is None:
+                    terms[term] = [pos, tf]
+                else:
+                    flat += (pos, tf)
+
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # input positions by ordinal
+    for p, q in zip(order, order[1:]):
+        if ids[p] == ids[q]:  # the first equal neighbours hold the smallest repeated id
+            raise IngestError(f"duplicate doc id {ids[p]!r} in index input")
+    del ids
 
     out = bytearray(f"{INDEX_MAGIC} {recipe.source.text()}\n".encode("utf-8"))
     sections = [len(out)]
-    out += f"DOCS {len(ordered)}\n".encode("utf-8")
+    out += f"DOCS {len(order)}\n".encode("utf-8")
     doc_offsets = []
-    for doc in ordered:
+    for p in order:
         doc_offsets.append(len(out))
-        lat = _fmt_coord(doc.geo[0] if doc.geo else None)
-        lon = _fmt_coord(doc.geo[1] if doc.geo else None)
-        stored = "".join(
-            f"\t{f}={_escape(v) if allow is None or f in allow else '-'}"
-            for f, v in doc.fields.items()
-        )
-        line = f"{_escape(doc.ref.text())}\t{_escape(doc.doc_id)}\t{lat}\t{lon}{stored}\n"
-        out += line.encode("utf-8")
+        out += lines[p]
     docs_end = len(out)
+    del lines
 
+    ordinal = [0] * len(order)  # input position -> ordinal
+    for o, p in enumerate(order):
+        ordinal[p] = o
     n_terms = 0
-    for field in sorted(recipe.indexed):
-        postings: dict[str, list[int]] = {}  # term -> ordinal, tf, ordinal, tf, ...
-        for ordinal, doc in enumerate(ordered):
-            text = doc.body if field == "body" else doc.fields.get(field, "")
-            for term, tf in Counter(tokenize(text)).items():
-                postings.setdefault(term, []).extend((ordinal, tf))
-        sections.append(len(out))
-        out += f"POSTINGS {field}\n".encode("utf-8")
-        dictionary = []
-        for term in sorted(postings):
-            flat = postings.pop(term)
-            line = ",".join(map("{}:{}".format, flat[0::2], flat[1::2]))
-            dictionary.append(f"{term}\t{len(out)}\t{len(line)}\n")
-            out += line.encode("ascii") + b"\n"
-        sections.append(len(out))
-        out += f"TERMS {field} {len(dictionary)}\n".encode("utf-8")
-        out += "".join(dictionary).encode("utf-8")
-        n_terms += len(dictionary)
+    for field, terms in zip(fields, postings):
+        n_terms += _field_sections(out, sections, field, terms, ordinal)
 
     width = len(str(docs_end))
     sections.append(len(out))
     out += f"DOCOFFSETS {width}\n".encode("utf-8")
     out += "".join(str(o).zfill(width) for o in doc_offsets).encode("ascii") + b"\n"
     out += ("TOC " + " ".join(map(str, sections)) + "\n").encode("ascii")
-    out += f"END {len(ordered)} {n_terms} {zlib.crc32(out):08x}\n".encode("ascii")
-    return InvertedIndex(bytes(out))
+    out += f"END {len(order)} {n_terms} {zlib.crc32(out):08x}\n".encode("ascii")
+    return InvertedIndex(out)
+
+
+def _docs_line(doc: Document, allow: set[str] | None) -> bytes:
+    """A document's DOCS line: ref, doc_id, lat, lon and the stored fields
+    (``-`` for a value ``allow`` masks)."""
+    coords = f"{doc.geo[0]!r}\t{doc.geo[1]!r}" if doc.geo else "-\t-"
+    stored = "".join(
+        f"\t{f}={_escape(v) if allow is None or f in allow else '-'}"
+        for f, v in doc.fields.items()
+    )
+    return f"{_escape(doc.ref.text())}\t{_escape(doc.doc_id)}\t{coords}{stored}\n".encode("utf-8")
+
+
+def _field_sections(
+    out: bytearray, sections: list[int], field: str, terms: dict[str, list[int]],
+    ordinal: list[int],
+) -> int:
+    """Append a field's POSTINGS section (one line per term, in term order:
+    ``ord:tf`` by ascending ordinal, from the term's flat (input position,
+    tf) list, which is dropped) and its TERMS section (the byte span of
+    each line) to ``out``; records both header offsets in ``sections`` and
+    returns the term count."""
+    sections.append(len(out))
+    out += f"POSTINGS {field}\n".encode("utf-8")
+    dictionary = []
+    for term in sorted(terms):
+        flat = terms.pop(term)
+        pairs = sorted(zip(map(ordinal.__getitem__, flat[0::2]), flat[1::2]))
+        line = ",".join(["%d:%d"] * len(pairs)) % tuple(chain.from_iterable(pairs))
+        dictionary.append(f"{term}\t{len(out)}\t{len(line)}\n")
+        out += line.encode("ascii") + b"\n"
+    sections.append(len(out))
+    out += f"TERMS {field} {len(dictionary)}\n".encode("utf-8")
+    out += "".join(dictionary).encode("utf-8")
+    return len(dictionary)
 
 
 def write_index(index: InvertedIndex, path: str) -> None:

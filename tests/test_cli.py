@@ -318,6 +318,21 @@ class TestSearchViaCli:
         assert code == 2 and out == ""
         assert f"{src / 't.csv'}:3]" in err
 
+    def test_ingest_prints_nothing_before_a_failing_scan(self, centre, tmp_path):
+        """The documents are listed only once the whole table has been
+        scanned: a doc id repeated on the last row leaves stdout empty."""
+        cli, *_ = centre
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.schema").write_text("id : int\ntitle : text\n")
+        (src / "t.csv").write_text("id,title\n1,first\n2,second\n3,third\n2,again\n")
+        recipe = tmp_path / "t.recipe"
+        recipe.write_text("recipe t_ingest\nfrom src.t\nid id\nbody title\nend\n")
+        assert cli("source", "add", "src", "--kind", "tabular", "--path", str(src),
+                   "--mode", "live")[0] == 0
+        code, out, err = cli("ingest", "src", "--recipe", str(recipe))
+        assert (code, out, err) == (2, "", "error: duplicate doc id '2': src/t/2 and src/t/2\n")
+
     def test_v1_index_is_rebuilt_by_index_build(self, centre):
         cli, cat, fx, _ = centre
         recipe = os.path.join(fx, "recipes", "volterra.recipe")

@@ -289,6 +289,10 @@ class TestPersistence:
             ("SOURCE u tabular sealed {dir}", "unknown access mode 'sealed'"),
             ("COLL finds s/t/1,ghost/t/1", "no source 'ghost'"),
             ("BOGUS 1", "unknown catalogue record 'BOGUS'"),
+            ("SOURCE v tabular", "SOURCE record needs 4 fields (id kind mode path), got 2"),
+            ("XLATE onlyid", "XLATE record needs 2 fields (id path), got 1"),
+            ("INDEX c", "INDEX record needs 2 fields (collection path), got 1"),
+            ("COLL c", "COLL record needs 2 fields (name refs), got 1"),
         ],
     )
     def test_load_fault_is_one_integrity_error_naming_the_line(self, tmp_path, entry, message):
