@@ -36,6 +36,7 @@ from .model import (
     ColumnKind,
     Row,
     TableSchema,
+    cell_text,
     nfc,
     parse_uncertain_date,
 )
@@ -59,15 +60,12 @@ DOCS_TABLE_COLUMNS = (
 
 
 def row_item_key(row: Row) -> str:
-    """The item key of a tabular row: its first cell, stringified.
+    """The item key of a tabular row: its first cell's text.
 
     Tables are addressed by convention through their first column; fixture
     tables put their id column first.
     """
-    v = row[0]
-    if v is None:
-        return ""
-    return v if isinstance(v, str) else str(v)
+    return cell_text(row[0])
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +109,8 @@ def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
 # --------------------------------------------------------------------------
 # tabular sources
 
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"-?\d+\Z")
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 
 def _utf8_error(path: str, e: UnicodeDecodeError) -> SourceError:
@@ -233,7 +232,7 @@ class TabularSource:
                         raise SourceError(
                             f"row arity {len(record)} != {width}",
                             path=path,
-                            line=reader.line_num,
+                            line=_first_line(reader, record),
                         )
                     for i in ints:
                         text = record[i]
@@ -241,7 +240,7 @@ class TabularSource:
                             raise SourceError(
                                 f"bad int {text!r} in column {schema.columns[i].name!r}",
                                 path=path,
-                                line=reader.line_num,
+                                line=_first_line(reader, record),
                             )
                     for i, conv, p in tests:
                         if not holds(p, conv(record[i])):
@@ -261,6 +260,12 @@ class TabularSource:
             raise SourceError(f"table vanished during the scan: {e}", path=path) from e
         if after != before:
             raise SourceError("table changed on disk during the scan", path=path)
+
+
+def _first_line(reader, record: list[str]) -> int:
+    """The line a CSV record starts on: the reader's line, which is the
+    record's last, less the line breaks quoted inside its cells."""
+    return reader.line_num - sum(len(_LINE_BREAK_RE.findall(cell)) for cell in record)
 
 
 def _identity(st: os.stat_result) -> tuple[int, int, int]:

@@ -641,12 +641,15 @@ _RECORD_FIELDS = {
 
 def _record_fields(tag: str, rest: str) -> list[str]:
     """The fields of a catalogue record, after its tag; a record with too
-    few names the fields it needs."""
+    few names the fields it needs, and one with an empty field names it."""
     names = _RECORD_FIELDS[tag]
     n = names.count(" ") + 1
     fields = rest.split(" ", n - 1) if rest else []
     if len(fields) != n:
         raise IntegrityError(f"{tag} record needs {n} fields ({names}), got {len(fields)}")
+    for name, field in zip(names.split(), fields):
+        if not field:
+            raise IntegrityError(f"{tag} record has an empty {name}")
     return fields
 
 

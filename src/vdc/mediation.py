@@ -17,9 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import re
-import unicodedata
 from dataclasses import dataclass, replace
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 from .connectors import read_utf8, row_item_key
 from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
@@ -29,6 +28,7 @@ from .model import (
     Row,
     TableSchema,
     UncertainDate,
+    fold,
     nfc,
     parse_uncertain_date,
 )
@@ -58,10 +58,6 @@ class RelationRef:
 # --------------------------------------------------------------------------
 # translation tables
 
-def _fold(term: str) -> str:
-    return unicodedata.normalize("NFC", term).casefold()
-
-
 class TranslationTable:
     """Two-column term lookup; key matching is NFC + case folding."""
 
@@ -70,7 +66,7 @@ class TranslationTable:
         self.entries = list(entries)
         self._map: dict[str, str] = {}
         for source_term, target_term in self.entries:
-            key = _fold(source_term)
+            key = fold(source_term)
             if key in self._map:
                 raise LoadError(
                     f"duplicate source term {source_term!r} in translation table {table_id!r}"
@@ -79,7 +75,7 @@ class TranslationTable:
 
     def translate(self, term: str) -> str:
         """Mapped target term, or the input unchanged when unmapped."""
-        return self._map.get(_fold(term), term)
+        return self._map.get(fold(term), term)
 
 
 def load_translation_table(table_id: str, path: str) -> TranslationTable:
@@ -377,19 +373,17 @@ def parse_recipe_file(text: str) -> IngestRecipe:
 # rule resolution and row application
 
 class _CellOp:
-    """One value transform bound to a column position, the same in every
-    base of the view."""
+    """One transform of a raw cell bound to a column position, the same in
+    every base of the view: a translation table's ``translate``, or the
+    view's memoized date coercion, which maps a text that does not coerce
+    to None."""
 
-    __slots__ = ("kind", "index", "column", "table")
+    __slots__ = ("index", "column", "transform")
 
-    def __init__(self, kind: str, index: int, column: str, table: TranslationTable | None = None):
-        self.kind = kind  # "coerce" | "translate"
+    def __init__(self, index: int, column: str, transform: Callable):
         self.index = index
         self.column = column
-        self.table = table
-
-
-_UNSEEN = object()  # a date text not coerced yet
+        self.transform = transform
 
 
 class CompiledView:
@@ -401,7 +395,8 @@ class CompiledView:
     transforms keep positions and a union's bases agree on them, so view
     column ``i`` is raw column ``i`` of every base and one list of cell ops,
     in rule order, serves every base.  A raw table is the identity view
-    over itself: no rules, so ``apply`` returns its rows unchanged.
+    over itself: no rules, so ``apply`` returns its rows unchanged.  No
+    source table has a date column, so the view's are the coerced ones.
 
     Date coercion is memoized per distinct text for the life of the
     compiled view, one memo for ``apply`` and the coercing predicates of
@@ -414,37 +409,32 @@ class CompiledView:
         self.schema = schema
         self.base_schemas = base_schemas
         self._ops = ops
-        self._dates: dict[str, UncertainDate | None] = {}
+        self._date_columns = {i for i, c in enumerate(schema.columns) if c.kind is ColumnKind.DATE}
 
     def mediation_reads(self) -> set[int]:
         """Columns that mediation reads on every row whatever a query reads:
         each coerced column, for its warnings, and column 0, the item key
         those warnings name, when there is any coercion."""
-        coerced = {op.index for op in self._ops if op.kind == "coerce"}
-        return coerced | {0} if coerced else coerced
+        return self._date_columns | {0} if self._date_columns else set()
 
     def raw_form(
         self, pred: Compare | Contains | DateWithin
     ) -> Compare | Contains | DateWithin | None:
         """``pred`` in the form that tests raw rows, or None when it needs
         mediated values.  Unchanged when no rule transforms its column;
-        carrying the table when one translation does; carrying the view's
-        coercion when one coercion does and no other column is coerced.
-        The coercing form keeps texts that do not coerce, so it is only a
-        prefilter: the exact predicate must still run on mediated rows.
-        It cuts no row that would warn, because a row's only warning can
-        come from the column it tests; with a second coerced column it
-        could, so such a view gets None."""
+        carrying the transform when one rule does, unless that coerces and
+        the view coerces another column too.  On a date column the form
+        keeps texts that do not coerce, so it is only a prefilter: the
+        exact predicate must still run on mediated rows.  It cuts no row
+        that would warn, because a row's only warning can come from the
+        column it tests; with a second coerced column it could, so such a
+        view gets None."""
         ops = [op for op in self._ops if op.index == pred.index]
         if not ops:
             return pred
-        if len(ops) > 1:
+        if len(ops) > 1 or (pred.index in self._date_columns and len(self._date_columns) > 1):
             return None
-        if ops[0].kind == "translate":
-            return replace(pred, xlate=ops[0].table)
-        if sum(op.kind == "coerce" for op in self._ops) == 1:
-            return replace(pred, coerce=self.coerce_date)
-        return None
+        return replace(pred, transform=ops[0].transform)
 
     def apply(self, base_index: int, row: Row) -> tuple[Row, list[CoercionError]]:
         ops = self._ops
@@ -456,26 +446,10 @@ class CompiledView:
             cell = cells[op.index]
             if cell is None:
                 continue
-            if op.kind == "translate":
-                cells[op.index] = op.table.translate(cell)
-            else:
-                date = self.coerce_date(cell)
-                if date is None:
-                    warnings.append(CoercionError(self._ref(base_index, row), op.column, cell))
-                cells[op.index] = date
+            cells[op.index] = op.transform(cell)
+            if cells[op.index] is None:  # a date text that does not coerce
+                warnings.append(CoercionError(self._ref(base_index, row), op.column, cell))
         return tuple(cells), warnings
-
-    def coerce_date(self, text: str) -> UncertainDate | None:
-        """The date of a date text, or None when it does not parse; each
-        distinct text is parsed once."""
-        date = self._dates.get(text, _UNSEEN)
-        if date is _UNSEEN:
-            try:
-                date = parse_uncertain_date(text)
-            except ParseError:
-                date = None
-            self._dates[text] = date
-        return date
 
     def _ref(self, base_index: int, row: Row) -> str:
         """Item-ref text of a base row, for its coercion warnings; ``?``
@@ -502,6 +476,17 @@ def compile_view(
     # Per base: the evolving (name, descriptor) list rules operate on.
     states: list[list[ColumnDescriptor]] = [list(s.columns) for s in base_schemas]
     ops: list[_CellOp] = []
+    dates: dict[str, UncertainDate | None] = {}
+
+    def coerce_date(text: str) -> UncertainDate | None:
+        """The date of a date text, or None when it does not parse; each
+        distinct text is parsed once."""
+        if text not in dates:
+            try:
+                dates[text] = parse_uncertain_date(text)
+            except ParseError:
+                dates[text] = None
+        return dates[text]
 
     def find(cols: list[ColumnDescriptor], name: str) -> int | None:
         for i, c in enumerate(cols):
@@ -552,14 +537,14 @@ def compile_view(
             i = locate(rule.column, "coerce", lambda c: c.date_text, "non-date_text")
             for cols in states:
                 cols[i] = ColumnDescriptor(rule.column, ColumnKind.DATE)
-            ops.append(_CellOp("coerce", i, rule.column))
+            ops.append(_CellOp(i, rule.column, coerce_date))
         elif isinstance(rule, Translate):
             if rule.table_id not in xlates:
                 raise PlanError(
                     f"view {view.name!r}: unknown translation table {rule.table_id!r}"
                 )
             i = locate(rule.column, "translate", lambda c: c.kind is ColumnKind.TEXT, "non-text")
-            ops.append(_CellOp("translate", i, rule.column, xlates[rule.table_id]))
+            ops.append(_CellOp(i, rule.column, xlates[rule.table_id].translate))
 
     first = states[0]
     for b, cols in enumerate(states[1:], start=1):

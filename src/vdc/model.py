@@ -241,6 +241,11 @@ def nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
+def fold(s: str) -> str:
+    """NFC then case folding: texts match blind to case and composition."""
+    return nfc(s).casefold()
+
+
 def value_sort_key(v: Value) -> tuple:
     """Sort key realizing the canonical total order over values.
 

@@ -28,7 +28,6 @@ from ..model import (
     cell_text,
     date_near,
     row_sort_key,
-    value_sort_key,
 )
 from ..predicates import holds, matches
 from .planner import BDateNear, Plan, Term
@@ -56,8 +55,8 @@ def eval_bound(pred, row: Row) -> bool:
 # -- the pipeline -------------------------------------------------------------
 
 def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> list[Row]:
-    """Equi-join on canonical key equality, building on the smaller side;
-    output rows are always ``left + right``.  Null keys match nothing."""
+    """Equi-join on the key cells' own equality, building on the smaller
+    side; output rows are always ``left + right``.  Null keys match nothing."""
     build_left = len(left) < len(right)
     build, build_i, probe, probe_i = (
         (left, li, right, ri) if build_left else (right, ri, left, li)
@@ -70,13 +69,13 @@ def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> list[Row]
     for b in build:
         key_cell = b[build_i]
         if key_cell is not None:
-            table.setdefault(value_sort_key(key_cell), []).append(b)
+            table.setdefault(key_cell, []).append(b)
     out = []
     for p in probe:
         key_cell = p[probe_i]
         if key_cell is None:
             continue
-        for b in table.get(value_sort_key(key_cell), ()):
+        for b in table.get(key_cell, ()):
             out.append(b + p if build_left else p + b)
     return out
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ParseError
 from ..model import UncertainDate, byte_offset, nfc, parse_uncertain_date
+from ..predicates import COMPARE_OPS
 
 KEYWORDS = {"select", "from", "join", "on", "where", "and", "limit", "contains"}
 FUNCTIONS = {"date_near", "date_within"}
@@ -230,7 +231,7 @@ class _Parser:
             needle = self.string("a quoted string after CONTAINS")
             return ContainsAst(col, needle, col.offset)
         op_tok = self.peek()
-        if op_tok.kind != "symbol" or op_tok.text not in ("=", "!=", "<", ">", "<=", ">="):
+        if op_tok.kind != "symbol" or op_tok.text not in COMPARE_OPS:
             self.fail("expected a comparison operator or CONTAINS")
         self.next()
         lit_tok = self.peek()

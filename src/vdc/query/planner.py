@@ -8,8 +8,8 @@ canonical sort and LIMIT.
 Every predicate is bound once, to a position in the row it filters.  A
 Term's scan predicates are single-relation predicates in the form that
 tests raw rows (``CompiledView.raw_form``): positions in the relation's
-row, which is also every base's raw row, carrying the one translation or
-the one coercion their column passes through.  They are evaluated either
+row, which is also every base's raw row, carrying the one transform
+(a translation or a coercion) their column passes through.  They are evaluated either
 by the connector (when pushdown is enabled; every connector takes them) or
 centrally by the engine on the raw rows.  Both routes see identical values
 and run the same evaluator (``vdc.predicates``), so enabling or disabling

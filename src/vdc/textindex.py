@@ -27,7 +27,7 @@ from .errors import IndexFormatError, IngestError, NotFound
 from .connectors import SourceHandle, row_item_key
 # perfbench/oracle.py imports parse_recipe_file from this module
 from .mediation import IDENT_RE, IngestRecipe, RelationRef, parse_recipe_file
-from .model import ItemRef
+from .model import ItemRef, cell_text
 
 
 # --------------------------------------------------------------------------
@@ -75,9 +75,7 @@ class Document:
 
 
 def _as_text(v) -> str | None:
-    if v is None:
-        return None
-    return v if isinstance(v, str) else str(v)
+    return None if v is None else cell_text(v)
 
 
 def ingest_documents(

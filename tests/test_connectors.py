@@ -206,9 +206,9 @@ class TestTabular:
         handle = self._dated(tmp_path)
         window = parse_uncertain_date("0150"), parse_uncertain_date("0250")
         for pred, ids in (
-            (Compare(1, "=", "x", xlate=TranslationTable("t", [("a", "x")])),
+            (Compare(1, "=", "x", transform=TranslationTable("t", [("a", "x")]).translate),
              [i for i in range(1, 41) if i % 2 == 0]),
-            (DateWithin(2, *window, coerce=self._coerce),
+            (DateWithin(2, *window, transform=self._coerce),
              [i for i in range(1, 41) if i % 4 in (0, 2)]),
             (Compare(1, "=", "a"), [i for i in range(1, 41) if i % 2 == 0]),
         ):
@@ -242,7 +242,7 @@ class TestTabular:
         q = parse_query("SELECT id FROM v WHERE when = '0200'")
         (pred,) = plan_query(q, cat).terms[0].scan_preds
         assert (pred.index, pred.literal) == (2, parse_uncertain_date("0200"))
-        assert pred.coerce is not None
+        assert pred.transform("0200") == pred.literal and pred.transform("bad") is None
         assert [r[0] for r in handle.scan("texts", [pred])] == [
             i for i in range(1, 41) if i % 4 in (0, 2)
         ]
@@ -518,6 +518,7 @@ class TestLateDecoding:
         "bad_int": b"0,x,drop,b\n",
         "arity": b"0,6,drop\n",
         "invalid_utf8": b"0,6,drop,\xff\n",
+        "int_line_feed": b'0,"6\n",drop,b\n',
     }
     # rows before the bad one: past the decoder's first read-ahead block,
     # so opening the source (which reads only the header) succeeds

@@ -293,6 +293,10 @@ class TestPersistence:
             ("XLATE onlyid", "XLATE record needs 2 fields (id path), got 1"),
             ("INDEX c", "INDEX record needs 2 fields (collection path), got 1"),
             ("COLL c", "COLL record needs 2 fields (name refs), got 1"),
+            ("XLATE x ", "XLATE record has an empty path"),
+            ("INDEX c ", "INDEX record has an empty path"),
+            ("COLL c ", "COLL record has an empty refs"),
+            ("SOURCE v tabular live ", "SOURCE record has an empty path"),
         ],
     )
     def test_load_fault_is_one_integrity_error_naming_the_line(self, tmp_path, entry, message):

@@ -2,6 +2,7 @@
 and row mapping, union shape checks."""
 
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from vdc.model import (
     UncertainDate,
     parse_uncertain_date,
 )
+from vdc.predicates import COMPARE_OPS, Compare, Contains, DateWithin, holds
 
 
 def make_xlate():
@@ -445,6 +447,83 @@ class TestRowMapping:
         out_a = sorted(repr(cv.apply(0, r)) for r in rows)
         out_b = sorted(repr(cv.apply(0, r)) for r in shuffled)
         assert out_a == out_b
+
+
+_TERMS = ["Quittung", "Brief", "\u00c9dikt", "letter", "receipt", "Vertrag", "x"]
+_DATE_TEXTS = ["0213", "0213-01-01/0213-12-31", "0150-03", "0150-03-31", "0200/0210",
+               "ca. 0200", "bad", "0213-02-30", "-0045"]
+
+
+def _spelling(draw, term: str) -> str:
+    """``term`` in a drawn case and Unicode normalization form."""
+    term = draw(st.sampled_from([str, str.upper, str.lower, str.swapcase]))(term)
+    return unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), term)
+
+
+@st.composite
+def _translated_case(draw):
+    """A cell of the translated column and a predicate on it."""
+    cell = None if draw(st.integers(0, 6)) == 0 else _spelling(draw, draw(st.sampled_from(_TERMS)))
+    if draw(st.booleans()):
+        needle = draw(st.sampled_from(["", "e", "TT", "dik", "\u00e9", "let", "zz"]))
+        pred = Contains(3, _spelling(draw, needle))
+    else:
+        literal = _spelling(draw, draw(st.sampled_from(_TERMS)))
+        pred = Compare(3, draw(st.sampled_from(sorted(COMPARE_OPS))), literal)
+    return cell, pred
+
+
+@st.composite
+def _coerced_case(draw):
+    """A cell of the coerced column and a predicate on it."""
+    cell = draw(st.none() | st.sampled_from(_DATE_TEXTS))
+    if draw(st.booleans()):
+        pred = Compare(2, draw(st.sampled_from(["=", "!="])),
+                       parse_uncertain_date(draw(st.sampled_from(_DATE_TEXTS[:5]))))
+    else:
+        lo, hi = sorted(draw(st.lists(st.integers(140, 220), min_size=2, max_size=2)))
+        pred = DateWithin(2, parse_uncertain_date(f"{lo:04d}"), parse_uncertain_date(f"{hi:04d}"))
+    return cell, pred
+
+
+class TestRawForm:
+    """A scan predicate carries the view's transform of a raw cell.  On a
+    translated column it answers exactly as the exact predicate does on
+    the mediated cell; on a coerced column it answers so for a text that
+    coerces, and keeps every text that does not, so it never drops a row
+    that the exact predicate keeps."""
+
+    def compiled(self):
+        v = parse_view_file(
+            "view v\nfrom a.t\ncoerce datierung date\n"
+            "translate kategorie using de_en\nend\n"
+        )
+        table = parse_translation_table(
+            "de_en", "source_term,target_term\nQuittung,receipt\nBrief,letter\n\u00c9dikt,edict\n"
+        )
+        return compile_view(v, [BASE], {"de_en": table})
+
+    @given(case=_translated_case())
+    @settings(max_examples=300, deadline=None)
+    def test_translated_column_answers_exactly(self, case):
+        cell, pred = case
+        cv = self.compiled()
+        raw = cv.raw_form(pred)
+        mediated, _ = cv.apply(0, (1, "Memphis", None, cell))
+        assert raw is not None
+        assert holds(raw, cell) == holds(pred, mediated[3])
+
+    @given(case=_coerced_case())
+    @settings(max_examples=300, deadline=None)
+    def test_coerced_column_keeps_every_row_the_exact_predicate_keeps(self, case):
+        cell, pred = case
+        cv = self.compiled()
+        raw = cv.raw_form(pred)
+        mediated, warns = cv.apply(0, (1, "Memphis", cell, None))
+        assert raw is not None
+        date = mediated[2]
+        assert bool(warns) == (cell is not None and date is None)
+        assert holds(raw, cell) == (cell is not None and (date is None or holds(pred, date)))
 
 
 class TestUnionCardinality:

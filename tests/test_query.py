@@ -13,7 +13,7 @@ import pytest
 
 from vdc.datacentre import Catalogue
 from vdc.errors import ParseError, PlanError, VdcError
-from vdc.model import UncertainDate
+from vdc.model import ColumnKind, UncertainDate
 from vdc.predicates import Compare, DateWithin
 from vdc.query import (
     execute_plan,
@@ -149,13 +149,14 @@ class TestPlanner:
         assert plan.pushdown
         (base,) = term.relation.compiled.base_schemas
         assert (pred.index, pred.op, pred.literal) == (base.index_of("Kategorie"), "=", "letter")
-        assert pred.xlate is not None and pred.xlate.id == "de_en"
+        assert pred.transform == cat.xlates["de_en"].table.translate
         plan = plan_query(parse_query("SELECT * FROM papyri_en WHERE date = '0200'"), cat)
         (term,) = plan.terms
         assert [type(p) for p in term.filters] == [Compare]
-        assert term.filters[0].xlate is None
+        assert term.filters[0].transform is None
         (pre,) = term.scan_preds
-        assert pre.coerce is not None and pre.literal == term.filters[0].literal
+        assert pre.transform("0200") == pre.literal == term.filters[0].literal
+        assert pre.transform("ca. 02x") is None
 
     def test_bad_date_literal_reports_its_offset_in_the_query(self, desk_centre):
         cat, _, _ = desk_centre
@@ -186,16 +187,17 @@ class TestPlanner:
             (term,) = plan_query(parse_query(q), cat).terms
             (pre,) = term.scan_preds
             (exact,) = term.filters
-            assert pre.coerce is not None and exact.coerce is None, q
+            assert pre.transform is not None and exact.transform is None, q
+            assert term.relation.schema.columns[pre.index].kind is ColumnKind.DATE, q
             assert type(pre) is type(exact) and pre.index == exact.index, q
-            assert pre == replace(exact, coerce=pre.coerce), q
+            assert pre == replace(exact, transform=pre.transform), q
         for q in (
             "SELECT id FROM iaph_docs WHERE DATE_WITHIN(not_before, '0150', '0159')",
             "SELECT id FROM iaph_docs WHERE not_after = '0150'",
         ):
             (term,) = plan_query(parse_query(q), cat).terms
             assert term.scan_preds == (), q
-            assert [p.coerce for p in term.filters] == [None], q
+            assert [p.transform for p in term.filters] == [None], q
 
     def test_contains_on_xml_connector_is_engine_evaluated(self, desk_centre):
         """Every connector takes pushed CONTAINS: on the XML corpus it lands
@@ -600,6 +602,7 @@ class TestTranslatedPushdown:
 
     def test_engine_equals_reference_and_pushdown_is_transparent(self, xlate_centre):
         cat = xlate_centre
+        tx = cat.xlates["tx"].table.translate
         queries = self._queries(random.Random(17))
         hits = 0
         for q in queries:
@@ -607,7 +610,7 @@ class TestTranslatedPushdown:
             plan = plan_query(ast, cat)
             (term,) = plan.terms
             assert term.filters == (), q
-            assert plan.pushdown and term.scan_preds[0].xlate is not None, q
+            assert plan.pushdown and term.scan_preds[0].transform == tx, q
             on = execute_plan(plan)
             off = execute_plan(plan_query(ast, cat, pushdown=False))
             assert on.rows == reference_eval(ast, cat).rows, q
@@ -674,14 +677,17 @@ class TestDatePrefilter:
             ast = parse_query(q)
             plan = plan_query(ast, cat)
             (term,) = plan.terms
-            assert any(isinstance(p, (Compare, DateWithin)) and p.coerce is not None
-                       for p in term.scan_preds), q
-            assert any(p.coerce is None for p in term.filters), q
+            columns = term.relation.schema.columns
+            dates = {i for i, c in enumerate(columns) if c.kind is ColumnKind.DATE}
+            assert any(isinstance(p, (Compare, DateWithin)) and p.index in dates
+                       and p.transform is not None for p in term.scan_preds), q
+            assert any(isinstance(p, (Compare, DateWithin)) and p.index in dates
+                       and p.transform is None for p in term.filters), q
             on = execute_plan(plan)
             off = execute_plan(plan_query(ast, cat, pushdown=False))
             ref = reference_eval(ast, cat)
             assert on.rows == ref.rows, q
-            if all(getattr(p, "coerce", None) is not None for p in term.scan_preds):
+            if all(p.index in dates for p in term.scan_preds):
                 assert [str(w) for w in on.warnings] == [str(w) for w in ref.warnings], q
             assert result_to_csv(on).encode() == result_to_csv(off).encode(), q
             assert [str(w) for w in on.warnings] == [str(w) for w in off.warnings], q
@@ -737,6 +743,45 @@ class TestDatePrefilter:
         assert [type(p) for p in term.filters] == [DateWithin]
         rows = execute_plan(plan).rows
         assert rows and rows == reference_eval(ast, cat).rows
+
+
+def test_join_on_dates_equal_by_interval_but_written_differently(tmp_path):
+    """A join on two coerced date columns matches the texts whose intervals
+    are equal however they are written; a null key and a text that does
+    not coerce match nothing.  The engine equals the reference evaluator,
+    and pushdown on and off print the same bytes and warnings."""
+    from vdc.datacentre import AccessMode
+
+    src = tmp_path / "src"
+    os.makedirs(src)
+    tables = {
+        "a": ["1,0213", "2,0213-01-01/0213-12-31", "3,", "4,0150-03", "5,bad"],
+        "b": ["10,0213-01-01/0213-12-31", "11,0213", "12,", "13,0150-03-01/0150-03-31",
+              "14,0214"],
+    }
+    for t, rows in tables.items():
+        (src / f"{t}.csv").write_text("id,when\n" + "".join(r + "\n" for r in rows))
+        (src / f"{t}.schema").write_text("id : int\nwhen : date_text\n")
+        (tmp_path / f"v{t}.view").write_text(f"view v{t}\nfrom s.{t}\ncoerce when date\nend\n")
+    cat = Catalogue(str(tmp_path / "c.vdc"))
+    cat.register_source("s", "tabular", str(src), AccessMode.LIVE)
+    for t in tables:
+        cat.define_view(str(tmp_path / f"v{t}.view"))
+    for q in (
+        "SELECT x.id, y.id FROM va x JOIN vb y ON x.when = y.when",
+        "SELECT x.id, y.when FROM vb y JOIN va x ON y.when = x.when WHERE x.id < 5",
+    ):
+        ast = parse_query(q)
+        ref = reference_eval(ast, cat)
+        on, off = (execute_plan(plan_query(ast, cat, pushdown)) for pushdown in (True, False))
+        assert on.rows == off.rows == ref.rows, q
+        assert result_to_csv(on).encode() == result_to_csv(off).encode(), q
+        assert [str(w) for w in on.warnings] == [str(w) for w in off.warnings], q
+        if "WHERE" not in q:
+            assert [str(w) for w in on.warnings] == [str(w) for w in ref.warnings], q
+    rows = execute_plan(plan_query(parse_query(
+        "SELECT x.id, y.id FROM va x JOIN vb y ON x.when = y.when"), cat)).rows
+    assert rows == [(1, 10), (1, 11), (2, 10), (2, 11), (4, 13)]
 
 
 def test_query_package_serves_the_oracle_lazily():
