@@ -27,7 +27,8 @@ import csv
 import os
 import re
 import xml.parsers.expat
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 from unicodedata import normalize
 
 from .errors import NotFound, ParseError, SourceError
@@ -109,18 +110,19 @@ def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
 # --------------------------------------------------------------------------
 # tabular sources
 
-_INT_RE = re.compile(r"-?\d+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 
-def _utf8_error(path: str, e: UnicodeDecodeError) -> SourceError:
+def _utf8_error(path: str, e: UnicodeDecodeError, data: bytes | None = None) -> SourceError:
     """A SourceError for invalid UTF-8 in ``path``, at the line of its first
     bad byte.  The decoder reads ahead in blocks, so the line is found by
-    decoding the file's bytes again."""
+    decoding the file's bytes again: ``data`` when given, else read anew."""
     line = None
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        if data is None:
+            with open(path, "rb") as f:
+                data = f.read()
         data.decode("utf-8")
     except UnicodeDecodeError as again:
         line = data.count(b"\n", 0, again.start) + 1
@@ -138,7 +140,7 @@ def read_utf8(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise _utf8_error(path, e) from e
+        raise _utf8_error(path, e, data) from e
 
 
 class TabularSource:
@@ -163,11 +165,11 @@ class TabularSource:
             self._validate_header(name, schema)
             self._schemas[name] = schema
 
-    def _csv_path(self, table: str) -> str:
+    def table_path(self, table: str) -> str:
         return os.path.join(self.path, table + ".csv")
 
     def _validate_header(self, table: str, schema: TableSchema):
-        path = self._csv_path(table)
+        path = self.table_path(table)
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
             try:
@@ -194,14 +196,24 @@ class TabularSource:
         except KeyError:
             raise NotFound(f"no table {table!r} in source {self.source_id!r}") from None
 
+    def read_table(self, table: str) -> bytes:
+        """The bytes of ``table``'s file, for the one-record reads of
+        :func:`record_spans` and :func:`read_record`."""
+        path = self.table_path(table)
+        try:
+            with open(path, "rb") as f:
+                return f.read()
+        except OSError as e:
+            raise SourceError(f"cannot read table: {e}", path=path) from e
+
     def scan(
         self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
     ) -> Iterator[Row]:
         """The typed rows of ``table`` that satisfy every ``pushed``
         predicate, decoded late.
 
-        Every record is checked in full whatever is read: its arity, the
-        syntax of each int cell, and (by the text decoder) the UTF-8 of the
+        Every record is checked in full whatever is read: by
+        :func:`_record_check`, and (by the text decoder) the UTF-8 of the
         whole file.  The pushed predicates are tested on their own decoded
         cells first; the cells at positions ``columns`` (all, when None)
         are decoded only for rows that pass, and every other cell is None.
@@ -211,12 +223,11 @@ class TabularSource:
         schema = self.schema(table)
         preds = tuple(pushed or ())
         width = len(schema.columns)
-        convert = [_int_cell if c.kind is ColumnKind.INT else _text_cell for c in schema.columns]
-        ints = [i for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
+        convert = _converters(schema)
+        check = _record_check(schema)
         tests = [(p.index, convert[p.index], p) for p in preds]
         decode = [(i, convert[i]) for i in (range(width) if columns is None else sorted(set(columns)))]
-        int_syntax = _INT_RE.match
-        path = self._csv_path(table)
+        path = self.table_path(table)
         try:
             f = open(path, "r", encoding="utf-8", newline="")
         except OSError as e:
@@ -228,20 +239,9 @@ class TabularSource:
                 if next(reader, None) is None:  # header, validated at open time
                     raise SourceError("empty csv (missing header)", path=path, line=1)
                 for record in reader:
-                    if len(record) != width:
-                        raise SourceError(
-                            f"row arity {len(record)} != {width}",
-                            path=path,
-                            line=_first_line(reader, record),
-                        )
-                    for i in ints:
-                        text = record[i]
-                        if text and not int_syntax(text):
-                            raise SourceError(
-                                f"bad int {text!r} in column {schema.columns[i].name!r}",
-                                path=path,
-                                line=_first_line(reader, record),
-                            )
+                    fault = check(record)
+                    if fault is not None:
+                        raise SourceError(fault, path=path, line=_first_line(reader, record))
                     for i, conv, p in tests:
                         if not holds(p, conv(record[i])):
                             break
@@ -262,6 +262,90 @@ class TabularSource:
             raise SourceError("table changed on disk during the scan", path=path)
 
 
+def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
+    """The checks every reader of a table file applies to each CSV record,
+    as one function: the record's first fault (its arity, then the syntax
+    of each non-empty int cell), or None."""
+    width = len(schema.columns)
+    ints = [(i, c.name) for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
+    int_syntax = _INT_RE.match
+
+    def check(record: list[str]) -> str | None:
+        if len(record) != width:
+            return f"row arity {len(record)} != {width}"
+        for i, name in ints:
+            text = record[i]
+            if text and not int_syntax(text):
+                return f"bad int {text!r} in column {name!r}"
+        return None
+
+    return check
+
+
+def _converters(schema: TableSchema) -> list[Callable[[str], object]]:
+    """The decoder of each column's checked cell text."""
+    return [_int_cell if c.kind is ColumnKind.INT else _text_cell for c in schema.columns]
+
+
+def _decoded_lines(lines: list[bytes], data: bytes, path: str) -> Iterator[str]:
+    for line in lines:
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise _utf8_error(path, e, data) from e
+
+
+def record_spans(data: bytes, schema: TableSchema, path: str) -> Iterator[tuple[str, int, int]]:
+    """The item key (see :func:`row_item_key`) and byte span (offset,
+    length) of each record of a table file after its header.
+
+    ``data`` is the file's bytes.  It is split into lines at ``\\r\\n``,
+    ``\\r`` and ``\\n``, as ``scan``'s reader sees the file, so a record
+    with quoted line breaks spans all its lines; each record is checked as
+    ``scan`` checks it, and a fault raises SourceError naming ``path`` and
+    the record's first line.
+    """
+    lines = data.splitlines(keepends=True)
+    starts = list(accumulate(map(len, lines), initial=0))
+    check = _record_check(schema)
+    key_cell = _converters(schema)[0]
+    reader = csv.reader(_decoded_lines(lines, data, path))
+    try:
+        if next(reader, None) is None:
+            raise SourceError("empty csv (missing header)", path=path, line=1)
+        first = reader.line_num  # lines before the record
+        for record in reader:
+            fault = check(record)
+            if fault is not None:
+                raise SourceError(fault, path=path, line=first + 1)
+            end = reader.line_num
+            yield cell_text(key_cell(record[0])), starts[first], starts[end] - starts[first]
+            first = end
+    except csv.Error as e:
+        raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
+
+
+def read_record(data: bytes, offset: int, length: int, schema: TableSchema, path: str) -> Row:
+    """The row of the one record at ``data[offset:offset + length]``, a
+    span :func:`record_spans` gave: split, parsed and checked as there, and
+    every cell decoded as ``scan`` decodes it.  A span that does not hold
+    exactly one good record raises SourceError naming ``path``."""
+    if length <= 0 or offset + length > len(data):
+        raise SourceError(f"record span {offset}+{length} lies outside the file", path=path)
+    lines = data[offset:offset + length].splitlines(keepends=True)
+    reader = csv.reader(_decoded_lines(lines, data, path))
+    try:
+        record = next(reader)
+    except csv.Error as e:
+        raise SourceError(f"bad csv: {e}", path=path) from e
+    if reader.line_num != len(lines):
+        raise SourceError(f"record span {offset}+{length} holds more than one record", path=path)
+    fault = _record_check(schema)(record)
+    if fault is not None:
+        raise SourceError(fault, path=path)
+    return tuple(conv(text) for conv, text in zip(_converters(schema), record))
+
+
 def _first_line(reader, record: list[str]) -> int:
     """The line a CSV record starts on: the reader's line, which is the
     record's last, less the line breaks quoted inside its cells."""
@@ -277,7 +361,7 @@ def _text_cell(text: str) -> str | None:
 
 
 def _int_cell(text: str) -> int | None:
-    """An int cell whose syntax the scan has checked."""
+    """An int cell whose syntax :func:`_record_check` has checked."""
     return int(text) if text else None
 
 

@@ -232,16 +232,26 @@ class Catalogue:
         if mode is not AccessMode.INDEX_ONLY and kind == connectors.XML_CORPUS:
             handle.documents()
         if mode is AccessMode.VAULT:
-            path = self._snapshot(source_id, path)
+            path = self._snapshot(source_id, kind, path)
         desc = SourceDescriptor(source_id, kind, path, mode)
         self.sources[source_id] = desc
         return desc
 
-    def _snapshot(self, source_id: str, original: str) -> str:
-        """Copy a source byte-for-byte into the centre's storage directory."""
+    def _snapshot(self, source_id: str, kind: str, original: str) -> str:
+        """Copy a source byte-for-byte into the centre's storage directory.
+        A tabular copy also gets its key map, from one checked pass over
+        each copied table, so a malformed record fails the registration;
+        one rename publishes the copy and its map, and any failure before
+        it leaves neither."""
+        from . import keymap
+
         vault_root = os.path.join(self.store_dir, "vault")
         final = os.path.join(vault_root, source_id)
         _one_line(final)  # the catalogue is to record it: check before any write
+        if os.path.isfile(os.path.join(original, keymap.KEY_MAP)):
+            raise SourceError(
+                f"a vault source may not hold a file named {keymap.KEY_MAP!r}", path=original
+            )
         os.makedirs(vault_root, exist_ok=True)
         if os.path.exists(final):
             raise IntegrityError(f"vault snapshot for {source_id!r} already exists")
@@ -251,10 +261,14 @@ class Catalogue:
                 src = os.path.join(original, name)
                 if os.path.isfile(src):
                     shutil.copyfile(src, os.path.join(tmp, name))
+            if kind == connectors.TABULAR:
+                keymap.write(connectors.TabularSource(source_id, tmp), original)
             os.replace(tmp, final)
-        except OSError as e:
+        except BaseException as e:
             shutil.rmtree(tmp, ignore_errors=True)
-            raise SourceError(f"vault snapshot failed: {e}", path=original) from e
+            if isinstance(e, OSError):
+                raise SourceError(f"vault snapshot failed: {e}", path=original) from e
+            raise
         return final
 
     def _descriptor(self, source_id: str) -> SourceDescriptor:
@@ -364,18 +378,24 @@ class Catalogue:
         self, source_id: str, container: str, item_ids: Sequence[str]
     ) -> tuple[TableSchema, dict[str, Row]]:
         """The container's schema and the first row of each item id in it,
-        from one opening of the source and a single pass that stops once
-        every id has been found."""
+        from one opening of the source.  A vault table with a key map reads
+        only those rows' records; any other container is scanned to its end,
+        so a live table's change check runs."""
         handle = self.open_handle(source_id)
         schema = handle.schema(container)
+        desc = self.sources[source_id]
+        if desc.mode is AccessMode.VAULT and desc.kind == connectors.TABULAR:
+            from . import keymap
+
+            looked_up = keymap.lookup(desc.path, handle, schema, item_ids)
+            if looked_up is not None:
+                return schema, looked_up
         wanted = set(item_ids)
         found: dict[str, Row] = {}
         for row in handle.scan(container):
             key = row_item_key(row)
-            if key in wanted and key not in found:
-                found[key] = row
-                if len(found) == len(wanted):
-                    break
+            if key in wanted:
+                found.setdefault(key, row)
         return schema, found
 
     # -- virtual collections -------------------------------------------------

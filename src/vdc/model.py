@@ -110,7 +110,7 @@ class UncertainDate:
 
 Value = int | str | UncertainDate | None
 
-_BOUND_RE = re.compile(r"^(-?\d+)(?:-(\d{2}))?(?:-(\d{2}))?$")
+_BOUND_RE = re.compile(r"(-?[0-9]+)(?:-([0-9]{2}))?(?:-([0-9]{2}))?\Z")
 
 
 def byte_offset(s: str, char_offset: int) -> int:
@@ -339,6 +339,11 @@ Row = tuple  # ordered cell values, positionally aligned with a TableSchema
 _REF_FORBIDDEN = set("\t\n\r,")
 
 
+def refable(part: str) -> bool:
+    """Whether ``part`` may be one part of an item ref."""
+    return bool(part) and _REF_FORBIDDEN.isdisjoint(part)
+
+
 @dataclass(frozen=True)
 class ItemRef:
     """A reference to one item in one container of one source.
@@ -359,7 +364,7 @@ class ItemRef:
         ):
             if not part:
                 raise ValueError(f"empty {label} in item ref")
-            if not _REF_FORBIDDEN.isdisjoint(part):
+            if not refable(part):
                 raise ValueError(f"{label} contains a forbidden character: {part!r}")
         if "/" in self.source_id or "/" in self.container:
             raise ValueError("source_id and container must not contain '/'")

@@ -519,6 +519,8 @@ class TestLateDecoding:
         "arity": b"0,6,drop\n",
         "invalid_utf8": b"0,6,drop,\xff\n",
         "int_line_feed": b'0,"6\n",drop,b\n',
+        "int_arabic_indic": b"0,\xd9\xa3,drop,b\n",  # U+0663, a digit int() reads
+        "int_full_width": b"0,\xef\xbc\x95,drop,b\n",  # U+FF15
     }
     # rows before the bad one: past the decoder's first read-ahead block,
     # so opening the source (which reads only the header) succeeds

@@ -2,12 +2,19 @@
 persistence round trips, integrity checks, locking."""
 
 import os
+import random
 import shutil
+import tempfile
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdc import connectors, mediation, textindex
+from vdc.connectors import row_item_key
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
+from vdc.keymap import KEY_MAP
 from vdc.errors import (
     AccessDenied,
     IndexFormatError,
@@ -17,7 +24,7 @@ from vdc.errors import (
     NotFound,
     SourceError,
 )
-from vdc.model import ItemRef
+from vdc.model import ItemRef, refable
 from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
 from vdc.mediation import parse_recipe_file
 from vdc.textindex import SearchQuery, search
@@ -104,8 +111,271 @@ class TestLiveMode:
         with pytest.raises(NotFound):
             cat.fetch_record(ItemRef("vol", "legal_texts", "does-not-exist"))
 
+    @pytest.mark.parametrize("wanted", [["2"], ["2", "nope"]])
+    def test_lookup_scans_to_the_end_so_a_change_is_caught(self, tmp_path, monkeypatch, wanted):
+        """A row appended while a lookup scans fails the lookup, even when
+        every wanted key was found before it."""
+        d = tmp_path / "big"
+        d.mkdir()
+        (d / "t.schema").write_text("id : int\nv : text\n")
+        (d / "t.csv").write_text("id,v\n" + "".join(f"{i},x{i}\n" for i in range(1, 20001)))
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("big", "tabular", str(d), AccessMode.LIVE)
+        real_scan = connectors.TabularSource.scan
 
-class TestIndexOnlyMode:
+        def appending_scan(self, table, *args, **kwargs):
+            for n, row in enumerate(real_scan(self, table, *args, **kwargs), start=1):
+                yield row
+                if n == 2:
+                    with open(d / "t.csv", "a") as f:
+                        f.write("20001,late\n")
+
+        monkeypatch.setattr(connectors.TabularSource, "scan", appending_scan)
+        with pytest.raises(SourceError, match="table changed on disk during the scan"):
+            cat._fetch_records("big", "t", wanted)
+
+
+def _write_table(d, header: str, schema: str, rows, terminator: str = "\n") -> None:
+    """One table ``t``; a cell that holds a comma, a quote or a line break
+    is quoted."""
+    def cell(text: str) -> str:
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    os.makedirs(d, exist_ok=True)
+    lines = [header] + [",".join(map(cell, row)) for row in rows]
+    with open(os.path.join(d, "t.csv"), "w", encoding="utf-8", newline="") as f:
+        f.write("".join(line + terminator for line in lines))
+    with open(os.path.join(d, "t.schema"), "w", encoding="utf-8") as f:
+        f.write(schema)
+
+
+def _first_rows(cat: Catalogue, source_id: str, table: str) -> dict:
+    """Each item key's first row, by a full scan."""
+    first: dict = {}
+    for row in cat.open_handle(source_id).scan(table):
+        first.setdefault(row_item_key(row), row)
+    return first
+
+
+_INT_KEYS = ["007", "7", "-0", "0", "-12", "12", "", "123456789012345678901234567890"]
+_TEXT_KEYS = ["e\u0301", "\u00e9", "plain", "a b", "a,b", "a\tb", "x\ny", "x\r\ny", "", "\u00e9/\u00e9",
+              'q"q', "TABLE", "END 00000000", "sp "]
+_CELLS = ["", "v", "multi\nline", "crlf\r\ncell", "cr\rcell", "comma, here", 'quote "q"', "\u00fc"]
+
+
+class TestKeyMap:
+    """A tabular vault's key map answers every lookup as a full scan does,
+    and a table that a scan would refuse is refused at registration."""
+
+    @given(
+        int_keys=st.booleans(),
+        keys=st.data(),
+        terminator=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_equals_the_first_match_of_a_scan(self, int_keys, keys, terminator):
+        pool = _INT_KEYS if int_keys else _TEXT_KEYS
+        rows = keys.draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from(_CELLS)), min_size=1, max_size=25,
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_table(os.path.join(tmp, "src"), "id,v",
+                         f"id : {'int' if int_keys else 'text'}\nv : text\n", rows, terminator)
+            cat = Catalogue(os.path.join(tmp, "c.vdc"))
+            cat.register_source("s", "tabular", os.path.join(tmp, "src"), AccessMode.VAULT)
+            first = _first_rows(cat, "s", "t")
+            wanted = [k for k in first if refable(k)] + ["absent", "07"]
+            _, looked_up = cat._fetch_records("s", "t", wanted)
+            assert looked_up == {k: first[k] for k in wanted if k in first}
+            for key in wanted:
+                if key not in first:
+                    with pytest.raises(NotFound, match=f"no item {key!r} in s/t"):
+                        cat.fetch_record(ItemRef("s", "t", key))
+            os.remove(os.path.join(tmp, "c.vdc.store", "vault", "s", KEY_MAP))
+            assert cat._fetch_records("s", "t", wanted)[1] == looked_up
+
+    @pytest.mark.parametrize("bad", [
+        b"2,ok\n3\n",  # arity
+        b"2,ok\nx,bad int\n",
+        b"2,ok\n\xd9\xa3,arabic-indic digit\n",
+        b"2,ok\n3,\xff\n",  # invalid UTF-8
+        b"2,ok\n\n",  # an empty line is a record of no cells
+    ])
+    def test_malformed_table_fails_registration_and_leaves_nothing(self, tmp_path, bad, capsys):
+        from vdc.cli import run
+
+        d = tmp_path / "src"
+        d.mkdir()
+        (d / "t.schema").write_text("id : int\nv : text\n")
+        (d / "t.csv").write_bytes(b"id,v\n1,one\n" + bad)
+        with pytest.raises(SourceError) as e:
+            list(connectors.open_source("s", "tabular", str(d)).scan("t"))
+        scan_error = str(e.value)
+        cat_path = str(tmp_path / "c.vdc")
+        os.makedirs(tmp_path / "good")
+        shutil.copy(d / "t.schema", tmp_path / "good")
+        (tmp_path / "good" / "t.csv").write_bytes(b"id,v\n1,one\n")
+        assert run(["--catalogue", cat_path, "source", "add", "g", "--kind", "tabular",
+                    "--path", str(tmp_path / "good"), "--mode", "vault"]) == 0
+        before = open(cat_path, "rb").read()
+        capsys.readouterr()
+        assert run(["--catalogue", cat_path, "source", "add", "s", "--kind", "tabular",
+                    "--path", str(d), "--mode", "vault"]) == 2
+        _, err = capsys.readouterr()
+        assert err == f"error: {scan_error}\n"  # the scan's fault, naming the original
+        assert open(cat_path, "rb").read() == before
+        assert sorted(os.listdir(tmp_path / "c.vdc.store" / "vault")) == ["g"]
+
+    def test_quoted_line_breaks_and_crlf_spans(self, tmp_path):
+        d = tmp_path / "src"
+        d.mkdir()
+        (d / "t.schema").write_text("id : text\nv : text\n")
+        (d / "t.csv").write_bytes(
+            b'id,v\r\n"a\r\nb",one\r\nc,"two\nlines"\rd,three\ne,"x\r"\n'
+        )
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(d), AccessMode.VAULT)
+        assert cat._fetch_records("s", "t", ["c", "d", "e"])[1] == {
+            "c": ("c", "two\nlines"), "d": ("d", "three"), "e": ("e", "x\r"),
+        }
+        vault_map = open(tmp_path / "c.vdc.store" / "vault" / "s" / KEY_MAP, "rb").read()
+        assert b"\na\r\nb\t" not in vault_map  # a key no ref can name
+        assert vault_map.split(b"\n")[2:5] == [b"c\t18\t14", b"d\t32\t8", b"e\t40\t7"]
+        assert cat._fetch_records("s", "t", ["\udcff", "c\udcff"])[1] == {}
+
+    def test_table_name_that_is_not_utf8(self, tmp_path):
+        d = tmp_path / "src"
+        d.mkdir()
+        name = os.fsencode(str(d)) + b"/t\xff"
+        with open(name + b".schema", "wb") as f:
+            f.write(b"id : int\nv : text\n")
+        with open(name + b".csv", "wb") as f:
+            f.write(b"id,v\n1,one\n2,two\n")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(d), AccessMode.VAULT)
+        assert cat.fetch_record(ItemRef("s", "t\udcff", "2")) == (2, "two")
+
+    def test_original_holding_the_map_name_is_refused(self, tmp_path, desk_fixtures):
+        fx, _ = desk_fixtures
+        original = tmp_path / "orig"
+        shutil.copytree(os.path.join(fx, "volterra"), original)
+        (original / KEY_MAP).write_bytes(b"")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        with pytest.raises(SourceError, match=f"may not hold a file named '{KEY_MAP}'"):
+            cat.register_source("vol", "tabular", str(original), AccessMode.VAULT)
+        assert cat.sources == {}
+        assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "vol")
+
+    def test_xml_vault_has_no_map(self, tmp_path, desk_fixtures):
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("iaph", "xml_corpus", os.path.join(fx, "iaph"), AccessMode.VAULT)
+        assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "iaph" / KEY_MAP)
+        assert cat.fetch_record(ItemRef("iaph", "docs", "i0000"))[0] == "i0000"
+
+
+def _resign(data: bytes) -> bytes:
+    """Recompute a key map's END checksum after an edit, so only the edited
+    structure is wrong."""
+    foot = len(data) - 13
+    return data[:foot] + b"END %08x\n" % zlib.crc32(data[:foot])
+
+
+class TestKeyMapFaults:
+    """Every damaged key map, and every vault table changed after its map
+    was written, fails a lookup with an IntegrityError naming the file."""
+
+    KEYS = ["1", "17", "40"]
+
+    @pytest.fixture(scope="class")
+    def vault(self, desk_fixtures, tmp_path_factory):
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path_factory.mktemp("keymap") / "c.vdc"))
+        cat.register_source("hgv", "tabular", os.path.join(fx, "hgv"), AccessMode.VAULT)
+        vault_dir = cat.sources["hgv"].path
+        image = open(os.path.join(vault_dir, KEY_MAP), "rb").read()
+        table = open(os.path.join(vault_dir, "papyri.csv"), "rb").read()
+        expected = _first_rows(cat, "hgv", "papyri")
+        return cat, vault_dir, image, table, {k: expected[k] for k in self.KEYS}
+
+    def lookup(self, vault, map_data: bytes | None = None, table: bytes | None = None):
+        cat, vault_dir, image, original_table, _ = vault
+        with open(os.path.join(vault_dir, KEY_MAP), "wb") as f:
+            f.write(image if map_data is None else map_data)
+        with open(os.path.join(vault_dir, "papyri.csv"), "wb") as f:
+            f.write(original_table if table is None else table)
+        return cat._fetch_records("hgv", "papyri", self.KEYS)[1]
+
+    def rejected(self, vault, **damage) -> bool:
+        try:
+            self.lookup(vault, **damage)
+        except IntegrityError as e:
+            assert KEY_MAP in str(e) or "papyri.csv" in str(e)
+            return True
+        return False
+
+    def test_intact_map_answers(self, vault):
+        assert self.lookup(vault) == vault[4]
+
+    def test_missing_map_falls_back_to_the_scan(self, vault, monkeypatch):
+        cat, vault_dir, *_ = vault
+        self.lookup(vault)
+        os.remove(os.path.join(vault_dir, KEY_MAP))
+        scans = []
+        real_scan = connectors.TabularSource.scan
+
+        def counting_scan(self, table, *args, **kwargs):
+            scans.append(table)
+            return real_scan(self, table, *args, **kwargs)
+
+        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+        assert cat._fetch_records("hgv", "papyri", self.KEYS)[1] == vault[4]
+        assert scans == ["papyri"]
+
+    def test_cut_at_every_line_boundary(self, vault):
+        image = vault[2]
+        cuts = [0] + [i + 1 for i in range(len(image) - 1) if image[i] == 0x0A]
+        assert len(cuts) > 500
+        assert [n for n in cuts if not self.rejected(vault, map_data=image[:n])] == []
+
+    def test_one_flipped_byte(self, vault):
+        image = vault[2]
+        rng = random.Random(33)
+        tail = image.rindex(b"\n", 0, len(image) - 1)
+        positions = list(range(0, 60)) + list(range(tail, len(image)))
+        positions += rng.sample(range(len(image)), 200)
+        accepted = []
+        for at in positions:
+            damaged = bytearray(image)
+            damaged[at] ^= 1 << rng.randrange(8)
+            if not self.rejected(vault, map_data=bytes(damaged)):
+                accepted.append(at)
+        assert accepted == []
+
+    def test_table_changed_after_registration(self, vault):
+        table = vault[3]
+        flipped = bytearray(table)
+        flipped[len(table) // 2] ^= 0x01
+        assert self.rejected(vault, table=bytes(flipped))
+        assert self.rejected(vault, table=table + b"99999,late,,,,,,,\n")
+        assert self.rejected(vault, table=table[:-1])
+
+    def test_resigned_map_with_a_wrong_span(self, vault):
+        """A span the checksum cannot catch still fails the record checks."""
+        image = vault[2]
+        line_17 = image.index(b"\n17\t") + 1
+        end = image.index(b"\n", line_17)
+        offset, length = map(int, image[line_17:end].split(b"\t")[1:])
+        for span in [(offset + length, length),  # another key's record
+                     (offset, length * 2),  # two records
+                     (offset + 1, length - 1),  # not at a record's start
+                     (len(vault[3]), 5)]:  # outside the file
+            wrong = b"17\t%d\t%d" % span
+            damaged = _resign(image[:line_17] + wrong + image[end:])
+            assert self.rejected(vault, map_data=damaged), span
+
     def build(self, tmp_path):
         src = tmp_path / "secret_src"
         write_secret_source(src)

@@ -103,7 +103,9 @@ class TestParseDates:
     @pytest.mark.parametrize(
         "text",
         ["", "   ", "ca. ", "0199-02-30", "0200-13", "0200-00-01", "abc",
-         "0249/0200", "0200/0249/0300", "02-2-05", "0200-5", "0200--05"],
+         "0249/0200", "0200/0249/0300", "02-2-05", "0200-5", "0200--05",
+         # ASCII digits only, and a bound ends where its text ends
+         "\u0660\u0661\u0665\u0660", "0150-03\n/0151"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):

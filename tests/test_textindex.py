@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdc import connectors
+from vdc import connectors, keymap
 from vdc.cli import run as cli_run
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import (
@@ -722,11 +722,38 @@ class TestSearch:
 
 
 class TestCollections:
-    def centre(self, tmp_path, desk_fixtures):
+    def centre(self, tmp_path, desk_fixtures, mode=AccessMode.LIVE):
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
-        register_desk(cat, fx)
+        register_desk(cat, fx, mode)
         return cat
+
+    @staticmethod
+    def count_reads(monkeypatch) -> dict[str, list]:
+        """The tables each record read touches: ``scan`` for a scan, and
+        for a key-map lookup ``table`` for the one read of the file and
+        ``record`` for each record parsed from it."""
+        reads: dict[str, list] = {"scan": [], "table": [], "record": []}
+        real_scan = connectors.TabularSource.scan
+        real_read_table = connectors.TabularSource.read_table
+        real_read_record = keymap.read_record
+
+        def counting_scan(self, table, *args, **kwargs):
+            reads["scan"].append(table)
+            return real_scan(self, table, *args, **kwargs)
+
+        def counting_read_table(self, table):
+            reads["table"].append(table)
+            return real_read_table(self, table)
+
+        def counting_read_record(data, offset, length, schema, path):
+            reads["record"].append(schema.name)
+            return real_read_record(data, offset, length, schema, path)
+
+        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+        monkeypatch.setattr(connectors.TabularSource, "read_table", counting_read_table)
+        monkeypatch.setattr(keymap, "read_record", counting_read_record)
+        return reads
 
     def test_dedup_preserves_first_insertion_order(self, tmp_path, desk_fixtures):
         cat = self.centre(tmp_path, desk_fixtures)
@@ -769,24 +796,22 @@ class TestCollections:
         assert items[0].payload == items[2].payload
         assert str(tmp_path / "lent") in items[0].payload
 
-    def test_one_scan_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch):
+    @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
+    def test_one_read_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch, mode):
         """Two refs into one table, given in reverse order, and a missing
-        one: one scan of the table, output in collection order, and a
+        one: one scan of a live table, or one read of a vault table and one
+        record read per key found; output in collection order, and a
         per-ref error for the missing key."""
-        cat = self.centre(tmp_path, desk_fixtures)
+        cat = self.centre(tmp_path, desk_fixtures, mode)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "99999")]
         refs.insert(1, ItemRef("iaph", "docs", "i0000"))
         cat.collections["finds"] = refs
-        scans = []
-        real_scan = connectors.TabularSource.scan
-
-        def counting_scan(self, table, *args, **kwargs):
-            scans.append(table)
-            return real_scan(self, table, *args, **kwargs)
-
-        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+        reads = self.count_reads(monkeypatch)
         items = cat.resolve_refs(cat.collections["finds"])
-        assert scans == ["legal_texts"]
+        if mode is AccessMode.LIVE:
+            assert reads == {"scan": ["legal_texts"], "table": [], "record": []}
+        else:
+            assert reads == {"scan": [], "table": ["legal_texts"], "record": ["legal_texts"] * 2}
         assert [i.kind for i in items] == ["row", "doc", "row", "error"]
         assert [i.ref for i in items] == refs
         assert items[0].payload[1][0] == 3 and items[2].payload[1][0] == 1
@@ -812,37 +837,36 @@ class TestCollections:
         assert [i.payload[1][0] for i in items] == [4, 2, 3, 1]
         assert opened == ["volterra"]
 
-    def test_update_checks_refs_with_one_scan_per_table(self, tmp_path, desk_fixtures, monkeypatch):
-        """Three refs into one table are checked by one scan of it; an
-        unknown key fails the update naming the first unresolvable ref in
-        the order given, and leaves the collection unchanged."""
-        cat = self.centre(tmp_path, desk_fixtures)
-        scans = []
-        real_scan = connectors.TabularSource.scan
-
-        def counting_scan(self, table, *args, **kwargs):
-            scans.append(table)
-            return real_scan(self, table, *args, **kwargs)
-
-        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+    @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
+    def test_update_checks_refs_with_one_read_per_table(self, tmp_path, desk_fixtures, monkeypatch, mode):
+        """Three refs into one table are checked by one scan of a live
+        table, or one read of a vault table; an unknown key fails the update
+        naming the first unresolvable ref in the order given, and leaves the
+        collection unchanged."""
+        cat = self.centre(tmp_path, desk_fixtures, mode)
+        reads = self.count_reads(monkeypatch)
+        read_kind = "scan" if mode is AccessMode.LIVE else "table"
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "2")]
         assert cat.update_collection("finds", refs) == refs
-        assert scans == ["legal_texts"]
-        scans.clear()
+        assert reads[read_kind] == ["legal_texts"]
+        assert len(reads["scan"] + reads["table"]) == 1
+        reads[read_kind].clear()
         bad = [ItemRef("volterra", "legal_texts", "5"), ItemRef("volterra", "legal_texts", "99999"),
                ItemRef("hgv", "papyri", "88888"), ItemRef("volterra", "legal_texts", "77777")]
         with pytest.raises(CollectionError) as e:
             cat.update_collection("finds", bad)
         assert "volterra/legal_texts/99999" in str(e.value)
         assert "77777" not in str(e.value) and "88888" not in str(e.value)
-        assert sorted(scans) == ["legal_texts", "papyri"]
+        assert sorted(reads[read_kind]) == ["legal_texts", "papyri"]
+        assert len(reads["scan"] + reads["table"]) == 2
         assert cat.collections["finds"] == refs
 
-    def test_duplicate_keys_resolve_to_the_first_row(self, tmp_path):
+    @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
+    def test_duplicate_keys_resolve_to_the_first_row(self, tmp_path, mode):
         d = tmp_path / "src"
-        write_tabular(d, ["1,first,M,x,,", "2,other,M,y,,", "1,second,T,z,,"])
+        write_tabular(d, ["1,first,M,x,,", "2,other,M,y,,", "1,second,T,z,,", "01,third,T,z,,"])
         cat = Catalogue(str(tmp_path / "c.vdc"))
-        cat.register_source("src", "tabular", str(d), AccessMode.LIVE)
+        cat.register_source("src", "tabular", str(d), mode)
         cat.update_collection("finds", [ItemRef("src", "t", "2"), ItemRef("src", "t", "1")])
         items = cat.resolve_refs(cat.collections["finds"])
         assert [i.payload[1][1] for i in items] == ["other", "first"]
