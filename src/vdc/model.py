@@ -357,6 +357,12 @@ class ItemRef:
     item_id: str
 
     def __post_init__(self):
+        source_id, container = self.source_id, self.container
+        if (
+            refable(source_id) and refable(container) and refable(self.item_id)
+            and "/" not in source_id and "/" not in container
+        ):
+            return
         for part, label in (
             (self.source_id, "source_id"),
             (self.container, "container"),

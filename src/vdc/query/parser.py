@@ -38,7 +38,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<symbol><=|>=|!=|[*,.()=<>-])
     """,

@@ -19,7 +19,6 @@ import unicodedata
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_atomic
@@ -37,8 +36,9 @@ class _SeparatorMap(dict):
     """str.translate mapping that classifies code points lazily.
 
     Letters and decimal digits pass through; everything else becomes a
-    space.  Caching per code point keeps tokenization fast over large
-    corpora without precomputing a table for all of Unicode.
+    space.  ``tokenize`` translates only the words that hold some other
+    code point; caching per code point keeps that fast over large corpora
+    without precomputing a table for all of Unicode.
     """
 
     def __missing__(self, cp: int) -> str:
@@ -56,10 +56,20 @@ def tokenize(text: str) -> list[str]:
     """NFC-normalize, lowercase, and split on every non letter/digit.
 
     Lowercasing is the simple, locale-independent Unicode mapping (so Greek
-    final sigma survives: "Λόγος" tokenizes to "λόγος").
+    final sigma survives: "Λόγος" tokenizes to "λόγος").  The whole text is
+    folded at once and then split at white space, which the separator map
+    would turn into spaces anyway.  A word of letters (the categories L*)
+    or of ASCII letters and digits is one token as it stands; only the
+    other words are translated.
     """
     folded = unicodedata.normalize("NFC", text).lower()
-    return folded.translate(_SEPARATORS).split()
+    tokens = []
+    for word in folded.split():
+        if word.isalpha() or (word.isascii() and word.isalnum()):
+            tokens.append(word)
+        else:
+            tokens += word.translate(_SEPARATORS).split()
+    return tokens
 
 
 # --------------------------------------------------------------------------
@@ -75,6 +85,8 @@ class Document:
 
 
 def _as_text(v) -> str | None:
+    if type(v) is str:
+        return v
     return None if v is None else cell_text(v)
 
 
@@ -123,7 +135,7 @@ def iter_documents(
             raise IngestError(
                 f"recipe {recipe.name!r}: null id in column {recipe.id_column!r}"
             )
-        key = row_item_key(row)
+        key = id_cell if id_i == 0 else row_item_key(row)
         try:
             ref = ItemRef(source_id, table, key)
         except ValueError as e:  # the item key (first cell) is empty or unusable
@@ -201,6 +213,8 @@ _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 
 
 def _escape(v: str) -> str:
+    if v.isprintable() and "\\" not in v:  # tab, LF and CR are not printable
+        return v
     return v.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
 
 
@@ -555,18 +569,23 @@ def _field_sections(
 ) -> int:
     """Append a field's POSTINGS section (one line per term, in term order:
     ``ord:tf`` by ascending ordinal, from the term's flat (input position,
-    tf) list, which is dropped) and its TERMS section (the byte span of
-    each line) to ``out``; records both header offsets in ``sections`` and
-    returns the term count."""
+    tf) list, which is reordered in place and dropped) and its TERMS
+    section (the byte span of each line) to ``out``; records both header
+    offsets in ``sections`` and returns the term count."""
     sections.append(len(out))
     out += f"POSTINGS {field}\n".encode("utf-8")
     dictionary = []
     for term in sorted(terms):
         flat = terms.pop(term)
-        pairs = sorted(zip(map(ordinal.__getitem__, flat[0::2]), flat[1::2]))
-        line = ",".join(["%d:%d"] * len(pairs)) % tuple(chain.from_iterable(pairs))
-        dictionary.append(f"{term}\t{len(out)}\t{len(line)}\n")
-        out += line.encode("ascii") + b"\n"
+        if len(flat) == 2:
+            line = b"%d:%d\n" % (ordinal[flat[0]], flat[1])
+        else:
+            tf = dict(zip(map(ordinal.__getitem__, flat[0::2]), flat[1::2]))
+            flat[0::2] = sorted(tf)  # now ordinal, tf, ordinal, tf, ... by ordinal
+            flat[1::2] = map(tf.__getitem__, flat[0::2])
+            line = (",".join(["%d:%d"] * len(tf)) % tuple(flat) + "\n").encode("ascii")
+        dictionary.append(f"{term}\t{len(out)}\t{len(line) - 1}\n")
+        out += line
     sections.append(len(out))
     out += f"TERMS {field} {len(dictionary)}\n".encode("utf-8")
     out += "".join(dictionary).encode("utf-8")

@@ -263,3 +263,44 @@ class TestItemRef:
             ItemRef("s", "t", "a,b")
         with pytest.raises(ValueError):
             ItemRef("s", "t", "a\tb")
+
+    @pytest.mark.parametrize("parts, message", [
+        (("", "t", "k"), "empty source_id in item ref"),
+        (("s", "", "k"), "empty container in item ref"),
+        (("s", "t", ""), "empty item_id in item ref"),
+        (("s,x", "t", "k"), "source_id contains a forbidden character: 's,x'"),
+        (("s", "t\nx", "k"), "container contains a forbidden character: 't\\nx'"),
+        (("s", "t", "k\r"), "item_id contains a forbidden character: 'k\\r'"),
+        (("s/x", "t", "k"), "source_id and container must not contain '/'"),
+        (("s", "t/x", "k"), "source_id and container must not contain '/'"),
+        (("s/x", "", "k"), "empty container in item ref"),
+        (("s/x", "t", "k\t"), "item_id contains a forbidden character: 'k\\t'"),
+    ])
+    def test_rejection_messages(self, parts, message):
+        with pytest.raises(ValueError) as e:
+            ItemRef(*parts)
+        assert str(e.value) == message
+
+    @given(st.tuples(*[st.text(alphabet="ab/é\t\n\r, ", max_size=4)] * 3))
+    @settings(max_examples=400)
+    def test_accepts_or_rejects_as_the_part_rules_say(self, parts):
+        """The first rule a part breaks, in part order, names the fault;
+        a slash in the source id or the container only after that."""
+        expected = None
+        for part, label in zip(parts, ("source_id", "container", "item_id")):
+            if not part:
+                expected = f"empty {label} in item ref"
+            elif set(part) & set("\t\n\r,"):
+                expected = f"{label} contains a forbidden character: {part!r}"
+            if expected:
+                break
+        else:
+            if "/" in parts[0] or "/" in parts[1]:
+                expected = "source_id and container must not contain '/'"
+        if expected is None:
+            ref = ItemRef(*parts)
+            assert ItemRef.parse(ref.text()) == ref
+        else:
+            with pytest.raises(ValueError) as e:
+                ItemRef(*parts)
+            assert str(e.value) == expected

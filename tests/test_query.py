@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from vdc.cli import run
 from vdc.datacentre import Catalogue
 from vdc.errors import ParseError, PlanError, VdcError
 from vdc.model import ColumnKind, UncertainDate
@@ -97,6 +98,18 @@ class TestParser:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_query(text)
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff15"])  # Arabic-Indic three, fullwidth five
+    def test_int_literals_are_ascii_digits(self, digit, tmp_path, capsys):
+        text = f"SELECT id FROM t WHERE id = {digit}"
+        with pytest.raises(ParseError) as e:
+            parse_query(text)
+        assert str(e.value) == f"unexpected character {digit!r} (byte {len(text) - 1})"
+        cat = Catalogue(str(tmp_path / "catalogue.vdc"))
+        cat.persist()
+        assert run(["--catalogue", cat.path, "query", text]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "unexpected character" in out.err
 
     def test_bad_date_within_literal_reports_its_offset_in_the_query(self):
         text = "SELECT id FROM papyri_en WHERE DATE_WITHIN(date, 'ca. 0100', '0100/0090')"

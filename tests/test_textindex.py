@@ -30,6 +30,8 @@ from vdc.model import ColumnDescriptor, ColumnKind, ItemRef, TableSchema
 from vdc.textindex import (
     Document,
     SearchQuery,
+    _escape,
+    _unescape,
     build_index,
     ingest_documents,
     read_index,
@@ -57,6 +59,27 @@ def oracle_tokenize(text: str) -> list[str]:
     return out
 
 
+# Whole words, which tokenize keeps without translating, and the code
+# points around them that test the cuts: Latin, Greek with both sigmas,
+# dotted capital I (which lowercases to i and a combining dot), and
+# Arabic-Indic digits (Nd, so part of a token, but not ASCII); separators
+# that str.split() also cuts at (NBSP, NEL, LINE SEPARATOR, EN QUAD, which
+# NFC maps to EN SPACE) and ones it does not (a combining acute after a
+# space, superscript two and one half, which are No, underscore, backslash).
+_WORDS = st.one_of(
+    st.text(alphabet="aeiKQzZéÉß", min_size=1, max_size=8),
+    st.text(alphabet="ΛΌΓΟΣσςλόγ", min_size=1, max_size=8),
+    st.text(alphabet="İIiı", min_size=1, max_size=4),
+    st.text(alphabet="0123456789az", min_size=1, max_size=6),
+    st.text(alphabet="\u0660\u0663\u0669ab7", min_size=1, max_size=6),
+)
+_SEPARATOR_RUNS = st.lists(
+    st.sampled_from([" ", "\u00a0", "\u0085", "\u2028", "\u2000", " \u0301", "\u00b2",
+                     "\u00bd", "_", "\\", "-", "\t"]),
+    min_size=1, max_size=3,
+).map("".join)
+
+
 class TestTokenize:
     def test_split_and_fold(self):
         assert tokenize("Marcus Aurelius") == ["marcus", "aurelius"]
@@ -77,6 +100,20 @@ class TestTokenize:
     @settings(max_examples=400)
     def test_matches_character_class_oracle(self, text):
         assert tokenize(text) == oracle_tokenize(text)
+
+    @given(st.lists(st.one_of(_WORDS, _SEPARATOR_RUNS), max_size=12).map("".join))
+    @settings(max_examples=400)
+    def test_word_by_word_matches_the_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+
+class TestEscape:
+    @given(st.one_of(st.text(), st.text(alphabet="a\\\t\n\r\x00\x85\xa0\u2028é ")))
+    @settings(max_examples=400)
+    def test_equals_the_replace_chain_and_round_trips(self, v):
+        replaced = v.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+        assert _escape(v) == replaced
+        assert _unescape(_escape(v)) == v
 
 
 RECIPE = """recipe demo
