@@ -9,6 +9,7 @@ error or lock contention, 2 data/parse error, 3 access denied.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -183,9 +184,10 @@ def _cmd_ingest(args) -> int:
     if recipe.source.source_id != args.source:
         raise VdcError(f"recipe reads {recipe.source.source_id!r}, not {args.source!r}")
     docs, warnings = cat.ingest(recipe)
-    print("doc_id,ref")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("doc_id", "ref"))
     for d in docs:
-        print(f"{d.doc_id},{d.ref.text()}")
+        out.writerow((d.doc_id, d.ref.text()))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
@@ -222,9 +224,9 @@ def _cmd_search(args) -> int:
     except ValueError as e:
         raise VdcError(str(e)) from e
     hits = textindex.search(index, q)
-    print("doc_id,ref,score")
-    for hit in hits:
-        print(f"{hit.doc_id},{hit.ref},{hit.score}")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("doc_id", "ref", "score"))
+    out.writerows(hits)
     return EXIT_OK
 
 

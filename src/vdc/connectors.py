@@ -173,19 +173,11 @@ class TabularSource:
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
             try:
-                header = next(reader, None)
+                _check_header(next(reader, None), schema, path)
             except UnicodeDecodeError as e:
                 raise _utf8_error(path, e) from e
             except csv.Error as e:
                 raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
-        if header is None:
-            raise SourceError("empty csv (missing header)", path=path, line=1)
-        if [nfc(h) for h in header] != schema.column_names():
-            raise SourceError(
-                f"csv header {header!r} does not match sidecar columns",
-                path=path,
-                line=1,
-            )
 
     def list_tables(self) -> list[TableSchema]:
         return [self._schemas[n] for n in sorted(self._schemas)]
@@ -236,8 +228,7 @@ class TabularSource:
             before = _identity(os.fstat(f.fileno()))
             reader = csv.reader(f)
             try:
-                if next(reader, None) is None:  # header, validated at open time
-                    raise SourceError("empty csv (missing header)", path=path, line=1)
+                _check_header(next(reader, None), schema, path)
                 for record in reader:
                     fault = check(record)
                     if fault is not None:
@@ -260,6 +251,19 @@ class TabularSource:
             raise SourceError(f"table vanished during the scan: {e}", path=path) from e
         if after != before:
             raise SourceError("table changed on disk during the scan", path=path)
+
+
+def _check_header(header: list[str] | None, schema: TableSchema, path: str) -> None:
+    """The header rule every reader of a table file applies: the file has a
+    header, and it names the sidecar's columns in order.  Checked on each
+    read, so a file rewritten since its source was opened is not read by
+    the old column positions."""
+    if header is None:
+        raise SourceError("empty csv (missing header)", path=path, line=1)
+    if [nfc(h) for h in header] != schema.column_names():
+        raise SourceError(
+            f"csv header {header!r} does not match sidecar columns", path=path, line=1
+        )
 
 
 def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
@@ -311,8 +315,7 @@ def record_spans(data: bytes, schema: TableSchema, path: str) -> Iterator[tuple[
     key_cell = _converters(schema)[0]
     reader = csv.reader(_decoded_lines(lines, data, path))
     try:
-        if next(reader, None) is None:
-            raise SourceError("empty csv (missing header)", path=path, line=1)
+        _check_header(next(reader, None), schema, path)
         first = reader.line_num  # lines before the record
         for record in reader:
             fault = check(record)

@@ -191,12 +191,6 @@ class _ViewEntry:
 
 
 @dataclass
-class _XlateEntry:
-    path: str
-    table: TranslationTable
-
-
-@dataclass
 class ResolvedItem:
     """One collection ref, resolved under its source's mode."""
 
@@ -213,7 +207,7 @@ class Catalogue:
         self.store_dir = path + ".store"
         self.sources: dict[str, SourceDescriptor] = {}
         self.views: dict[str, _ViewEntry] = {}
-        self.xlates: dict[str, _XlateEntry] = {}
+        self.xlates: dict[str, TranslationTable] = {}
         self.indexes: dict[str, str] = {}  # collection -> index file path
         # collection -> its index's source relation, once built or read
         self._index_relations: dict[str, str] = {}
@@ -309,7 +303,7 @@ class Catalogue:
             raise IntegrityError(f"translation table {xlate_id!r} already registered")
         _check_name(xlate_id, "translation table id")
         table = mediation.load_translation_table(xlate_id, path)
-        self.xlates[xlate_id] = _XlateEntry(path, table)
+        self.xlates[xlate_id] = table
         return table
 
     def define_view(self, path: str) -> ViewDefinition:
@@ -328,8 +322,7 @@ class Catalogue:
 
     def _compile_view(self, view: ViewDefinition) -> CompiledView:
         schemas = [self.open_handle(ref.source_id).schema(ref.table) for ref in view.base]
-        xlates = {xid: e.table for xid, e in self.xlates.items()}
-        return mediation.compile_view(view, schemas, xlates)
+        return mediation.compile_view(view, schemas, self.xlates)
 
     # -- relation resolution -------------------------------------------------
     def resolve_relation(self, name: str) -> Relation:
@@ -551,8 +544,8 @@ class Catalogue:
             lines.append(f"SOURCE {sid} {desc.kind} {desc.mode.value} {desc.path}")
         for entry in self.views.values():
             lines.append(f"VIEWFILE {entry.path}")
-        for xid, entry in self.xlates.items():
-            lines.append(f"XLATE {xid} {entry.path}")
+        for xid, table in self.xlates.items():
+            lines.append(f"XLATE {xid} {table.path}")
         for collection, path in self.indexes.items():
             lines.append(f"INDEX {collection} {path}")
         for name, refs in self.collections.items():
@@ -631,7 +624,7 @@ class Catalogue:
             self.views[view.name] = _ViewEntry(rest, view)
         elif tag == "XLATE":
             xid, p = _record_fields(tag, rest)
-            self.xlates[xid] = _XlateEntry(p, mediation.load_translation_table(xid, p))
+            self.xlates[xid] = mediation.load_translation_table(xid, p)
         elif tag == "RECIPE":
             pass  # written by older catalogues; the next persist drops it
         elif tag == "INDEX":

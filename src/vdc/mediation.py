@@ -59,10 +59,12 @@ class RelationRef:
 # translation tables
 
 class TranslationTable:
-    """Two-column term lookup; key matching is NFC + case folding."""
+    """Two-column term lookup, read from ``path``; key matching is NFC +
+    case folding."""
 
-    def __init__(self, table_id: str, entries: list[tuple[str, str]]):
+    def __init__(self, table_id: str, entries: list[tuple[str, str]], path: str):
         self.id = table_id
+        self.path = path
         self.entries = list(entries)
         self._map: dict[str, str] = {}
         for source_term, target_term in self.entries:
@@ -103,7 +105,7 @@ def parse_translation_table(table_id: str, text: str, path: str = "-") -> Transl
             entries.append((nfc(record[0]), nfc(record[1])))
     except csv.Error as e:
         raise LoadError(f"bad csv in translation table: {e} [{path}:{reader.line_num}]") from e
-    return TranslationTable(table_id, entries)
+    return TranslationTable(table_id, entries, path)
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Dates live on the proleptic Julian calendar with astronomical year numbering
 (year 0 = 1 BC, year -1 = 2 BC, ...).  Day numbers count from day 0 =
 1 January of year 1; leap years are exactly the years divisible by 4,
 including year 0 and negative multiples of 4.  An uncertain date is an
-inclusive interval of day numbers: width 0 for a day-precise date, up to
-decades for a vague one.
+inclusive interval of day numbers and nothing else: width 0 for a
+day-precise date, up to decades for a vague one.
 
 Cell values are plain Python objects: ``None`` (null), ``int``, ``str``
 (always NFC-normalized at the point of ingest) and :class:`UncertainDate`.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParseError
@@ -38,10 +38,6 @@ def days_in_month(year: int, month: int) -> int:
     if month == 2 and is_leap_year(year):
         return 29
     return _MONTH_DAYS[month - 1]
-
-
-def days_in_year(year: int) -> int:
-    return 366 if is_leap_year(year) else 365
 
 
 def day_number(year: int, month: int, day: int) -> int:
@@ -86,26 +82,17 @@ def _format_year(year: int) -> str:
 
 @dataclass(frozen=True)
 class UncertainDate:
-    """An inclusive day-number interval, possibly spanning decades.
-
-    ``source_text`` preserves the textual form the interval was parsed from
-    (or a canonical rendering for programmatically built intervals); it is
-    carried along but excluded from equality, which is interval equality.
-    """
+    """An inclusive day-number interval, possibly spanning decades; the
+    interval is all it holds, so equality is interval equality."""
 
     earliest_day: int
     latest_day: int
-    source_text: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.earliest_day > self.latest_day:
             raise ValueError(
                 f"reversed interval: {self.earliest_day} > {self.latest_day}"
             )
-
-    @property
-    def width_days(self) -> int:
-        return self.latest_day - self.earliest_day
 
 
 Value = int | str | UncertainDate | None
@@ -191,7 +178,7 @@ def parse_uncertain_date(s: str) -> UncertainDate:
     if circa:
         lo -= CIRCA_WIDENING_DAYS
         hi += CIRCA_WIDENING_DAYS
-    return UncertainDate(lo, hi, source_text=s)
+    return UncertainDate(lo, hi)
 
 
 def format_uncertain_date(d: UncertainDate) -> str:

@@ -12,13 +12,13 @@ so that mediation still warns on it; on a date column it is therefore a
 prefilter, and the exact predicate, which stays a central filter, drops it.
 Only the planner makes scan predicates, and it checks each one as it binds
 it: its column exists and its literal or test fits the column's kind.
-``compare``, ``contains`` and ``holds`` are the engine's single
-implementation of these meanings, and values compare by their own
-equality (a date's is its interval's): the connectors apply them to pushed
-predicates without checking them again, the executor to scan predicates
-it keeps for itself and to filters.  Pushdown therefore cannot change an
-answer by construction; the independent check of what the meanings should
-be is ``query/reference.py``, which keeps its own code.
+``holds`` is the engine's one evaluator of these meanings (``matches``
+applies it to a row), and values compare by their own equality (a date's
+is its interval's): the connectors apply it to pushed predicates without
+checking them again, the executor to scan predicates it keeps for itself
+and to filters.  Pushdown therefore cannot change an answer by
+construction; the independent check of what the meanings should be is
+``query/reference.py``, which keeps its own code.
 """
 
 from __future__ import annotations
@@ -64,20 +64,11 @@ class DateWithin:
     transform: Callable | None = None
 
 
-def contains(cell: str, needle: str) -> bool:
-    """Substring test after NFC normalization and case folding."""
-    return fold(needle) in fold(cell)
-
-
-def compare(cell, op: str, literal) -> bool:
-    """``cell op literal`` on a non-null cell."""
-    return COMPARE_OPS[op](cell, literal)
-
-
 def holds(p: Compare | Contains | DateWithin, cell) -> bool:
     """True when one cell satisfies ``p``; a null cell satisfies nothing.
     A predicate with a transform tests the cell's transform, and keeps a
-    cell that the transform maps to None."""
+    cell that the transform maps to None.  CONTAINS is a substring test
+    after NFC normalization and case folding."""
     if cell is None:
         return False
     if p.transform is not None:
@@ -85,10 +76,10 @@ def holds(p: Compare | Contains | DateWithin, cell) -> bool:
         if cell is None:
             return True  # mediation warns on it; the exact filter drops it
     if isinstance(p, Contains):
-        return contains(cell, p.needle)
+        return fold(p.needle) in fold(cell)
     if isinstance(p, DateWithin):
         return date_within(cell, p.lo, p.hi)
-    return compare(cell, p.op, p.literal)
+    return COMPARE_OPS[p.op](cell, p.literal)
 
 
 def matches(preds: Sequence, row: Row) -> bool:

@@ -68,7 +68,6 @@ def tokenize_query(text: str) -> list[Token]:
 class ColumnRef:
     qualifier: str | None
     name: str
-    offset: int
 
     def text(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
@@ -78,7 +77,6 @@ class ColumnRef:
 class RelationTerm:
     name: str  # "view_or_table" or "source.table"
     alias: str | None
-    offset: int
 
     def display(self) -> str:
         return self.alias or self.name.split(".")[-1]
@@ -95,9 +93,7 @@ class JoinSpec:
 class CompareAst:
     column: ColumnRef
     op: str
-    literal: int | str
-    literal_is_string: bool
-    offset: int
+    literal: int | str  # a str only from a quoted literal
     literal_offset: int  # char offset of the literal's first character
 
 
@@ -105,7 +101,6 @@ class CompareAst:
 class ContainsAst:
     column: ColumnRef
     needle: str
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,6 @@ class DateNearAst:
     column_a: ColumnRef
     column_b: ColumnRef
     k_years: int
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,6 @@ class DateWithinAst:
     column: ColumnRef
     lo: UncertainDate
     hi: UncertainDate
-    offset: int
 
 
 PredicateAst = CompareAst | ContainsAst | DateNearAst | DateWithinAst
@@ -202,8 +195,8 @@ class _Parser:
         if self.peek().kind == "symbol" and self.peek().text == ".":
             self.next()
             second = self.ident("a column name after '.'")
-            return ColumnRef(first.text, second.text, first.offset)
-        return ColumnRef(None, first.text, first.offset)
+            return ColumnRef(first.text, second.text)
+        return ColumnRef(None, first.text)
 
     def relation(self) -> RelationTerm:
         first = self.ident("a relation name")
@@ -216,7 +209,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "ident" and t.text.lower() not in KEYWORDS and t.text.lower() not in FUNCTIONS:
             alias = self.next().text
-        return RelationTerm(name, alias, first.offset)
+        return RelationTerm(name, alias)
 
     def predicate(self) -> PredicateAst:
         t = self.peek()
@@ -229,7 +222,7 @@ class _Parser:
         if self.at_keyword("contains"):
             self.next()
             needle = self.string("a quoted string after CONTAINS")
-            return ContainsAst(col, needle, col.offset)
+            return ContainsAst(col, needle)
         op_tok = self.peek()
         if op_tok.kind != "symbol" or op_tok.text not in COMPARE_OPS:
             self.fail("expected a comparison operator or CONTAINS")
@@ -237,11 +230,9 @@ class _Parser:
         lit_tok = self.peek()
         if lit_tok.kind == "string":
             literal: int | str = self.string("a literal")
-            is_string = True
         else:
             literal = self.integer("a literal")
-            is_string = False
-        return CompareAst(col, op_tok.text, literal, is_string, col.offset, lit_tok.offset)
+        return CompareAst(col, op_tok.text, literal, lit_tok.offset)
 
     def function_predicate(self) -> PredicateAst:
         fn = self.next()
@@ -257,7 +248,7 @@ class _Parser:
             if k < 0:
                 self.fail("DATE_NEAR year count must be >= 0", k_tok)
             self.expect_symbol(")")
-            return DateNearAst(a, b, k, fn.offset)
+            return DateNearAst(a, b, k)
         col = self.column()
         self.expect_symbol(",")
         lo_tok = self.peek()
@@ -268,7 +259,7 @@ class _Parser:
         if lo.earliest_day > hi.latest_day:
             self.fail("empty DATE_WITHIN range", lo_tok)
         self.expect_symbol(")")
-        return DateWithinAst(col, lo, hi, fn.offset)
+        return DateWithinAst(col, lo, hi)
 
     def _date_literal(self, text: str, tok: Token) -> UncertainDate:
         try:

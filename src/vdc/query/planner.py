@@ -108,20 +108,20 @@ def _typed_literal(ast: CompareAst, kind: ColumnKind, text: str) -> int | str | 
     """Check and convert a Compare literal against its column kind; a bad
     date literal is reported at its byte offset in the query ``text``."""
     if kind is ColumnKind.INT:
-        if ast.literal_is_string:
+        if isinstance(ast.literal, str):
             raise PlanError(
                 f"column {ast.column.text()!r} is int, got a string literal"
             )
         return ast.literal
     if kind is ColumnKind.TEXT:
-        if not ast.literal_is_string:
+        if not isinstance(ast.literal, str):
             raise PlanError(
                 f"column {ast.column.text()!r} is text, got an integer literal"
             )
         return ast.literal
     # date column: literal must be a date text, and only exact interval
     # equality is meaningful; ranges go through DATE_WITHIN / DATE_NEAR.
-    if not ast.literal_is_string:
+    if not isinstance(ast.literal, str):
         raise PlanError(f"column {ast.column.text()!r} is date, got an integer literal")
     if ast.op not in ("=", "!="):
         raise PlanError(

@@ -87,12 +87,12 @@ def reference_eval(ast: QueryAst, catalogue: "Catalogue") -> ResultSet:
             si = binding.bind(p.column)
             kind = binding.slots[si].column.kind
             literal = p.literal
-            if kind is ColumnKind.INT and p.literal_is_string:
+            if kind is ColumnKind.INT and isinstance(p.literal, str):
                 raise PlanError(f"column {p.column.text()!r} is int, got a string literal")
-            if kind is ColumnKind.TEXT and not p.literal_is_string:
+            if kind is ColumnKind.TEXT and not isinstance(p.literal, str):
                 raise PlanError(f"column {p.column.text()!r} is text, got an integer literal")
             if kind is ColumnKind.DATE:
-                if not p.literal_is_string or p.op not in ("=", "!="):
+                if not isinstance(p.literal, str) or p.op not in ("=", "!="):
                     raise PlanError(f"bad date comparison on {p.column.text()!r}")
                 try:
                     literal = parse_uncertain_date(p.literal)

@@ -333,6 +333,27 @@ class TestSearchViaCli:
         code, out, err = cli("ingest", "src", "--recipe", str(recipe))
         assert (code, out, err) == (2, "", "error: duplicate doc id '2': src/t/2 and src/t/2\n")
 
+    def test_search_and_ingest_quote_their_csv(self, centre, tmp_path):
+        """A doc id with a comma, a quote and a line break is one CSV field
+        in the output of both commands."""
+        cli, *_ = centre
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.schema").write_text("k : int\nname : text\nbody : text\n")
+        (src / "t.csv").write_text('k,name,body\n1,"a,""b\nc",quittung\n')
+        recipe = tmp_path / "t.recipe"
+        recipe.write_text("recipe t_ingest\nfrom src.t\nid name\nbody body\nindex body\nend\n")
+        assert cli("source", "add", "src", "--kind", "tabular", "--path", str(src),
+                   "--mode", "live")[0] == 0
+        code, out, _ = cli("ingest", "src", "--recipe", str(recipe))
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["doc_id", "ref"], ['a,"b\nc', "src/t/1"]]
+        assert cli("index", "build", "t_texts", "--recipe", str(recipe))[0] == 0
+        code, out, _ = cli("search", "t_texts", "quittung")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["doc_id", "ref", "score"], ['a,"b\nc', "src/t/1", "1"]]
+
     def test_v1_index_is_rebuilt_by_index_build(self, centre):
         cli, cat, fx, _ = centre
         recipe = os.path.join(fx, "recipes", "volterra.recipe")

@@ -17,6 +17,7 @@ from vdc.connectors import (
     open_source,
     parse_sidecar,
     parse_xml_doc,
+    record_spans,
     row_item_key,
 )
 from vdc.datacentre import AccessMode, Catalogue
@@ -206,7 +207,7 @@ class TestTabular:
         handle = self._dated(tmp_path)
         window = parse_uncertain_date("0150"), parse_uncertain_date("0250")
         for pred, ids in (
-            (Compare(1, "=", "x", transform=TranslationTable("t", [("a", "x")]).translate),
+            (Compare(1, "=", "x", transform=TranslationTable("t", [("a", "x")], "-").translate),
              [i for i in range(1, 41) if i % 2 == 0]),
             (DateWithin(2, *window, transform=self._coerce),
              [i for i in range(1, 41) if i % 4 in (0, 2)]),
@@ -601,6 +602,22 @@ class TestLiveChanges:
             os.replace(d / "new.tmp", target)
         with pytest.raises(SourceError, match="changed on disk"):
             list(rows)
+
+    def test_header_rewritten_after_open_fails_the_read(self, tmp_path):
+        """A table whose header no longer names the sidecar's columns in
+        order is refused by a scan and by a record-span read of a handle
+        opened before the rewrite, not read by the old column positions."""
+        d = tmp_path / "s"
+        write_source(d, table="t", header="a,b", schema="a : text\nb : text\n", rows=["x,y"])
+        handle = live("s", d)
+        (d / "t.csv").write_text("b,a\ny,x\n", encoding="utf-8")
+        with pytest.raises(SourceError, match="does not match sidecar columns") as e:
+            list(handle.scan("t"))
+        assert e.value.line == 1
+        data, path = handle.read_table("t"), handle.table_path("t")
+        with pytest.raises(SourceError, match="does not match sidecar columns") as e:
+            list(record_spans(data, handle.schema("t"), path))
+        assert e.value.line == 1
 
     def test_unchanged_live_and_vault_scans_succeed(self, tmp_path):
         from vdc.datacentre import Catalogue

@@ -414,7 +414,7 @@ class TestRowMapping:
         assert warns == []
         assert row[3] == "receipt"
         assert isinstance(row[2], UncertainDate)
-        assert row[2].width_days == 364  # 213 is not a leap year
+        assert row[2].latest_day - row[2].earliest_day == 364  # 213 is not a leap year
 
     def test_null_date_stays_null(self):
         cv = self.compiled()

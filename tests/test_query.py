@@ -162,7 +162,7 @@ class TestPlanner:
         assert plan.pushdown
         (base,) = term.relation.compiled.base_schemas
         assert (pred.index, pred.op, pred.literal) == (base.index_of("Kategorie"), "=", "letter")
-        assert pred.transform == cat.xlates["de_en"].table.translate
+        assert pred.transform == cat.xlates["de_en"].translate
         plan = plan_query(parse_query("SELECT * FROM papyri_en WHERE date = '0200'"), cat)
         (term,) = plan.terms
         assert [type(p) for p in term.filters] == [Compare]
@@ -615,7 +615,7 @@ class TestTranslatedPushdown:
 
     def test_engine_equals_reference_and_pushdown_is_transparent(self, xlate_centre):
         cat = xlate_centre
-        tx = cat.xlates["tx"].table.translate
+        tx = cat.xlates["tx"].translate
         queries = self._queries(random.Random(17))
         hits = 0
         for q in queries:
