@@ -9,13 +9,12 @@ error or lock contention, 2 data/parse error, 3 access denied.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from .datacentre import AccessMode, Catalogue, catalogue_lock
 from .errors import AccessDenied, LockedError, NotFound, VdcError
-from .model import ItemRef, cell_text
+from .model import ItemRef, cell_text, csv_text
 from .query import (
     execute_plan,
     parse_query,
@@ -184,10 +183,7 @@ def _cmd_ingest(args) -> int:
     if recipe.source.source_id != args.source:
         raise VdcError(f"recipe reads {recipe.source.source_id!r}, not {args.source!r}")
     docs, warnings = cat.ingest(recipe)
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(("doc_id", "ref"))
-    for d in docs:
-        out.writerow((d.doc_id, d.ref.text()))
+    sys.stdout.write(csv_text([("doc_id", "ref"), *((d.doc_id, d.ref.text()) for d in docs)]))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
@@ -224,9 +220,8 @@ def _cmd_search(args) -> int:
     except ValueError as e:
         raise VdcError(str(e)) from e
     hits = textindex.search(index, q)
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(("doc_id", "ref", "score"))
-    out.writerows(hits)
+    rows = ((doc_id, ref, str(score)) for doc_id, ref, score in hits)
+    sys.stdout.write(csv_text([("doc_id", "ref", "score"), *rows]))
     return EXIT_OK
 
 

@@ -475,6 +475,49 @@ def parse_xml_doc(data: bytes) -> Row:
     return (b.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
 
 
+class _RootSeen(Exception):
+    """Stops :func:`root_doc_id`'s parser at the root start tag."""
+
+
+def root_doc_id(data: bytes) -> str | None:
+    """The id of a document's root ``<doc>`` as :func:`parse_xml_doc`
+    gives it (NFC), read by expat up to the root start tag only, so with
+    the full parse's entities, character references, attribute-value
+    normalization, declared encoding and BOM.  None when the root is not a
+    ``<doc>`` with a non-empty id, or the bytes before it do not parse:
+    the full parse of such a document fails."""
+
+    def start(name: str, attrs: dict):
+        raise _RootSeen(nfc(attrs["id"]) if name == "doc" and attrs.get("id") else None)
+
+    parser = xml.parsers.expat.ParserCreate()
+    parser.StartElementHandler = start
+    try:
+        parser.Parse(data, True)
+    except _RootSeen as seen:
+        return seen.args[0]
+    except (xml.parsers.expat.ExpatError, LookupError, ValueError):
+        pass
+    return None
+
+
+def _parse_document(path: str, data: bytes) -> Row:
+    """:func:`parse_xml_doc` of the file ``path`` holding ``data``; a
+    parse error is a SourceError naming the file and line."""
+    try:
+        return parse_xml_doc(data)
+    except ParseError as e:
+        raise SourceError(str(e), path=path, line=e.line) from e
+
+
+def _claim_id(seen: dict[str, str], doc_id: str, name: str, path: str) -> None:
+    """Record that the file ``name`` (at ``path``) holds ``doc_id``; a
+    second file with that id fails, naming itself and the first."""
+    if doc_id in seen:
+        raise SourceError(f"duplicate doc id {doc_id!r} (also in {seen[doc_id]})", path=path)
+    seen[doc_id] = name
+
+
 class XmlCorpusSource:
     """Directory of ``*.xml`` documents, exposed as one table ``docs``."""
 
@@ -493,27 +536,48 @@ class XmlCorpusSource:
         """The ``docs`` row of every document, in sorted file order;
         parsed once and cached."""
         if self._docs is None:
-            docs = []
             seen: dict[str, str] = {}
-            for name in self._files:
-                full = os.path.join(self.path, name)
-                try:
-                    with open(full, "rb") as f:
-                        row = parse_xml_doc(f.read())
-                except ParseError as e:
-                    raise SourceError(str(e), path=full, line=e.line) from e
-                except OSError as e:
-                    raise SourceError(f"cannot read document: {e}", path=full) from e
-                doc_id = row[0]
-                if doc_id in seen:
-                    raise SourceError(
-                        f"duplicate doc id {doc_id!r} (also in {seen[doc_id]})",
-                        path=full,
-                    )
-                seen[doc_id] = name
+            docs = []
+            for name, full, data in self._read_files():
+                row = _parse_document(full, data)
+                _claim_id(seen, row[0], name, full)
                 docs.append(row)
             self._docs = docs
         return self._docs
+
+    def lookup(self, doc_ids: Iterable[str]) -> dict[str, Row]:
+        """The row of each of ``doc_ids`` that the corpus holds.
+
+        Every file is read, and its id taken from its root start tag
+        (:func:`root_doc_id`), so the duplicate-id check covers every file
+        as a scan's does.  Only the files whose id is wanted are parsed
+        whole, and the files with no readable root id, whose full parse
+        raises their error.  So unlike a scan, a lookup does not fail on
+        another document's malformed body.
+        """
+        wanted = set(doc_ids)
+        seen: dict[str, str] = {}
+        found: dict[str, Row] = {}
+        for name, full, data in self._read_files():
+            doc_id = root_doc_id(data)
+            if doc_id is None or doc_id in wanted:
+                row = _parse_document(full, data)
+                doc_id = row[0]
+                if doc_id in wanted:
+                    found[doc_id] = row
+            _claim_id(seen, doc_id, name, full)
+        return found
+
+    def _read_files(self) -> Iterator[tuple[str, str, bytes]]:
+        """The name, path and bytes of each document, in sorted order."""
+        for name in self._files:
+            full = os.path.join(self.path, name)
+            try:
+                with open(full, "rb") as f:
+                    data = f.read()
+            except OSError as e:
+                raise SourceError(f"cannot read document: {e}", path=full) from e
+            yield name, full, data
 
     def list_tables(self) -> list[TableSchema]:
         return [self._schema]

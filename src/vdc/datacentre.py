@@ -372,11 +372,16 @@ class Catalogue:
     ) -> tuple[TableSchema, dict[str, Row]]:
         """The container's schema and the first row of each item id in it,
         from one opening of the source.  A vault table with a key map reads
-        only those rows' records; any other container is scanned to its end,
-        so a live table's change check runs."""
+        only those rows' records.  An XML corpus, live or vault, reads every
+        file's root tag and parses only the documents it returns
+        (``XmlCorpusSource.lookup``), so another document's malformed body
+        does not fail the lookup.  Any other container is scanned to its
+        end, so a live table's change check runs."""
         handle = self.open_handle(source_id)
         schema = handle.schema(container)
         desc = self.sources[source_id]
+        if desc.kind == connectors.XML_CORPUS:
+            return schema, handle.lookup(item_ids)
         if desc.mode is AccessMode.VAULT and desc.kind == connectors.TABULAR:
             from . import keymap
 

@@ -15,10 +15,13 @@ Cell values are plain Python objects: ``None`` (null), ``int``, ``str``
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -198,6 +201,28 @@ def cell_text(v) -> str:
     if isinstance(v, UncertainDate):
         return format_uncertain_date(v)
     return v if isinstance(v, str) else str(v)
+
+
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """``rows`` of text cells as every command prints CSV: LF line ends,
+    and a field holding a carriage return quoted, as one holding a line
+    feed is.  ``csv`` quotes a field only for the line terminator's
+    characters, so under LF ends a lone CR would go out bare and a reader
+    would split the row there; a row holding one is written under CRLF
+    ends, which quote it, and given its LF."""
+    out = io.StringIO()
+    lf = csv.writer(out, lineterminator="\n")
+    line = io.StringIO()
+    crlf = csv.writer(line, lineterminator="\r\n")
+    for row in rows:
+        if "\r" in "".join(row):
+            line.seek(0)
+            line.truncate()
+            crlf.writerow(row)
+            out.write(line.getvalue()[:-2] + "\n")
+        else:
+            lf.writerow(row)
+    return out.getvalue()
 
 
 def date_gap_days(a: UncertainDate, b: UncertainDate) -> int:

@@ -13,11 +13,10 @@ unrelated queries.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ..errors import CoercionError, ExecutionError
@@ -26,6 +25,7 @@ from ..model import (
     TableSchema,
     UncertainDate,
     cell_text,
+    csv_text,
     date_near,
     row_sort_key,
 )
@@ -121,12 +121,8 @@ def execute_plan(plan: Plan) -> ResultSet:
 # -- result serialization ------------------------------------------------------
 
 def result_to_csv(rs: ResultSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rs.schema.column_names())
-    for row in rs.rows:
-        writer.writerow([cell_text(v) for v in row])
-    return buf.getvalue()
+    cells = ([cell_text(v) for v in row] for row in rs.rows)
+    return csv_text(chain([rs.schema.column_names()], cells))
 
 
 def result_to_jsonl(rs: ResultSet) -> str:

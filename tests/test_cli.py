@@ -354,6 +354,33 @@ class TestSearchViaCli:
         assert list(csv.reader(io.StringIO(out))) == [
             ["doc_id", "ref", "score"], ['a,"b\nc', "src/t/1", "1"]]
 
+    def test_a_lone_carriage_return_is_quoted(self, centre, tmp_path):
+        """A cell holding a lone CR is one quoted CSV field in the output
+        of query, ingest and search, so a reader does not split its row;
+        the other fields print bare, as before."""
+        cli, *_ = centre
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.schema").write_text("k : int\nname : text\nbody : text\n")
+        (src / "t.csv").write_bytes(b'k,name,body\n1,"a\rb",quittung\n2,plain,quittung\n')
+        recipe = tmp_path / "t.recipe"
+        recipe.write_text("recipe t_ingest\nfrom src.t\nid name\nbody body\nindex body\nend\n")
+        assert cli("source", "add", "src", "--kind", "tabular", "--path", str(src),
+                   "--mode", "live")[0] == 0
+        code, out, _ = cli("query", "SELECT k, name FROM src.t")
+        assert (code, out) == (0, 'k,name\n1,"a\rb"\n2,plain\n')
+        assert list(csv.reader(io.StringIO(out))) == [["k", "name"], ["1", "a\rb"], ["2", "plain"]]
+        code, out, _ = cli("ingest", "src", "--recipe", str(recipe))
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["doc_id", "ref"], ["a\rb", "src/t/1"], ["plain", "src/t/2"]]
+        assert cli("index", "build", "t_texts", "--recipe", str(recipe))[0] == 0
+        code, out, _ = cli("search", "t_texts", "quittung")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["doc_id", "ref", "score"]
+        assert sorted(r[:2] for r in rows[1:]) == [["a\rb", "src/t/1"], ["plain", "src/t/2"]]
+
     def test_v1_index_is_rebuilt_by_index_build(self, centre):
         cli, cat, fx, _ = centre
         recipe = os.path.join(fx, "recipes", "volterra.recipe")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdc import connectors
 from vdc.cli import run
 from vdc.connectors import (
     DOCS_TABLE_COLUMNS,
@@ -18,12 +19,13 @@ from vdc.connectors import (
     parse_sidecar,
     parse_xml_doc,
     record_spans,
+    root_doc_id,
     row_item_key,
 )
 from vdc.datacentre import AccessMode, Catalogue
-from vdc.errors import NotFound, ParseError, PlanError, SourceError
+from vdc.errors import CollectionError, NotFound, ParseError, PlanError, SourceError
 from vdc.mediation import TranslationTable
-from vdc.model import ColumnKind, parse_uncertain_date
+from vdc.model import ColumnKind, ItemRef, parse_uncertain_date
 from vdc.predicates import Compare, Contains, DateWithin
 from vdc.query import execute_plan, parse_query, plan_query
 from vdc.query.reference import _naive_compare, _naive_contains
@@ -429,12 +431,21 @@ class TestXmlCorpus:
         assert rows[0][0] == "i0"
 
     def test_duplicate_doc_id_across_files(self, tmp_path):
+        """Two files with one id fail a scan and every lookup, whichever
+        ids it wants, with one message naming the later file."""
         d = tmp_path / "c"
         os.makedirs(d)
         (d / "a.xml").write_text('<doc id="same"><text>x</text></doc>')
         (d / "b.xml").write_text('<doc id="same"><text>y</text></doc>')
-        with pytest.raises(SourceError):
+        (d / "c.xml").write_text('<doc id="other"><text>z</text></doc>')
+        message = f"duplicate doc id 'same' (also in a.xml) [{d / 'b.xml'}]"
+        with pytest.raises(SourceError) as e:
             list(live("c", d, kind="xml_corpus").scan("docs"))
+        assert str(e.value) == message
+        for wanted in (["same"], ["other"], ["absent"], []):
+            with pytest.raises(SourceError) as e:
+                live("c", d, kind="xml_corpus").lookup(wanted)
+            assert str(e.value) == message, wanted
 
     def test_no_pushdown_capability(self, tmp_path):
         """The XML connector takes pushed predicates like the tabular one:
@@ -757,8 +768,10 @@ _DATES = ["", "0206", "0150-03", "0150-03-07", "ca. 0200", "0100/0150", "-0020"]
 
 
 @st.composite
-def _subset_docs(draw, doc_id: str = "") -> bytes:
-    parts = [f"<doc id={quoteattr(doc_id or 'd' + draw(_TEXT).strip())}>"]
+def _subset_docs(draw, doc_id: str = "", id_attr: str = "") -> bytes:
+    """A document; its id is ``doc_id`` quoted, else ``id_attr`` as
+    written, else drawn."""
+    parts = [f"<doc id={id_attr or quoteattr(doc_id or 'd' + draw(_TEXT).strip())}>"]
     if draw(st.booleans()):
         meta = [f"<persName>{escape(draw(_TEXT))}</persName>"
                 for _ in range(draw(st.integers(0, 3)))]
@@ -803,3 +816,149 @@ class TestXmlDifferential:
                     f.write(doc)
             rows = list(live("c", d, "xml_corpus").scan("docs"))
         assert rows == [etree_docs_row(doc) for doc in docs]
+
+
+# an id attribute as it may be written: character and entity references,
+# and literal tabs and line breaks, which attribute-value normalization
+# turns into spaces
+_ID_PIECES = st.sampled_from(
+    ["a", "Z", " ", "\u03bb", "e\u0301", "&amp;", "&lt;", "&quot;", "'", "&#38;", "&#x3bb;",
+     "&#101;&#x301;", "&#9;", "&#10;", "&#xD;", "\t", "\n", "\r\n", "\r"]
+)
+_WRITTEN_IDS = st.lists(_ID_PIECES, max_size=6).map(lambda pieces: '"d' + "".join(pieces) + '"')
+# how a file holds its text: UTF-8 with or without a BOM, or a declared
+# encoding, with the characters it lacks written as references
+_ENCODINGS = st.sampled_from(["utf-8", "utf-8-sig", "iso-8859-1", "windows-1252", "utf-16"])
+
+
+def _encoded(doc: bytes, encoding: str) -> bytes:
+    if encoding.startswith("utf-8"):
+        return doc if encoding == "utf-8" else b"\xef\xbb\xbf" + doc
+    text = f'<?xml version="1.0" encoding="{encoding}"?>\n' + doc.decode("utf-8")
+    return text.encode(encoding, "xmlcharrefreplace")
+
+
+def _write_corpus(dirpath, docs: dict[str, bytes]) -> None:
+    os.makedirs(dirpath, exist_ok=True)
+    for name, data in docs.items():
+        with open(os.path.join(dirpath, name), "wb") as f:
+            f.write(data)
+
+
+# documents with no readable root id: a root that is not <doc>, no id, an
+# empty id, an unknown encoding, bytes before the root that do not parse
+_NO_ROOT_ID = [
+    b"<text>x</text>",
+    b"<doc>\n<text>x</text></doc>",
+    b'<doc id="">\n</doc>',
+    b'<?xml version="1.0" encoding="TTF-8"?><doc id="i1"/>',
+    b'<!-- open\n<doc id="i1"/>',
+    b"",
+]
+
+
+class TestRootDocId:
+    """The id pass of a lookup: expat up to the root start tag."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_reading(self, data):
+        doc = data.draw(_subset_docs(id_attr=data.draw(_WRITTEN_IDS)))
+        raw = _encoded(doc, data.draw(_ENCODINGS))
+        assert root_doc_id(raw) == etree_docs_row(raw)[0] == parse_xml_doc(raw)[0]
+
+    @pytest.mark.parametrize(
+        "data", [*_NO_ROOT_ID, b'<?xml version="1.0" encoding="shift_jis"?><doc id="i1"/>']
+    )
+    def test_no_readable_root_id(self, data):
+        assert root_doc_id(data) is None
+
+    def test_stops_at_the_root(self):
+        """What follows the root start tag is not read."""
+        assert root_doc_id(b'<doc id="a"><text>\xff</txt>') == "a"
+
+
+class TestXmlLookup:
+    """``XmlCorpusSource.lookup``, which coll resolve and coll update use:
+    the answer a scan gives, from the documents it returns alone."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scan(self, data):
+        n = data.draw(st.integers(1, 5))
+        docs = {f"{i:02}.xml": data.draw(_subset_docs(f"doc{i}")) for i in range(n)}
+        wanted = data.draw(st.lists(st.sampled_from([f"doc{i}" for i in range(n + 2)])))
+        with tempfile.TemporaryDirectory() as d:
+            _write_corpus(d, docs)
+            rows = list(live("c", d, "xml_corpus").scan("docs"))
+            found = live("c", d, "xml_corpus").lookup(wanted)
+        assert found == {row[0]: row for row in rows if row[0] in wanted}
+
+    @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_parses_only_the_documents_it_returns(self, tmp_path, monkeypatch, mode, k):
+        n = 8
+        _write_corpus(tmp_path / "c", {
+            f"{i}.xml": f'<doc id="i{i}"><text>body {i}</text></doc>'.encode() for i in range(n)
+        })
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("c", "xml_corpus", str(tmp_path / "c"), mode)
+        parsed = []
+
+        def counting(data):
+            parsed.append(data)
+            return parse_xml_doc(data)
+
+        monkeypatch.setattr(connectors, "parse_xml_doc", counting)
+        refs = [ItemRef("c", "docs", f"i{i}") for i in range(k)]
+        items = cat.resolve_refs(refs)
+        assert [item.kind for item in items] == ["doc"] * k
+        assert [item.payload[1][7] for item in items] == [f"body {i}" for i in range(k)]
+        assert len(parsed) == k
+
+    BROKEN = b'<doc id="b">\n<text>broken</txt></doc>'
+
+    def _broken_centre(self, tmp_path):
+        """A live corpus whose b.xml is malformed after <doc id="b">; it
+        was registered (which parses every document) before it broke."""
+        corpus = tmp_path / "c"
+        _write_corpus(corpus, {name: f'<doc id="{name[0]}"><text>{name}</text></doc>'.encode()
+                               for name in ("a.xml", "b.xml", "c.xml")})
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("c", "xml_corpus", str(corpus), AccessMode.LIVE)
+        (corpus / "b.xml").write_bytes(self.BROKEN)
+        message = ("not well-formed: mismatched tag: line 2, column 14 (line 2) "
+                   f"[{corpus / 'b.xml'}:2]")
+        return cat, message
+
+    def test_another_documents_malformed_body_does_not_fail_a_lookup(self, tmp_path):
+        cat, message = self._broken_centre(tmp_path)
+        items = cat.resolve_refs([ItemRef("c", "docs", "a"), ItemRef("c", "docs", "c")])
+        assert [(item.kind, item.payload[1][0]) for item in items] == [("doc", "a"), ("doc", "c")]
+        ref = ItemRef("c", "docs", "c")
+        assert cat.update_collection("k", [ref]) == [ref]
+        with pytest.raises(SourceError) as e:
+            list(cat.open_handle("c").scan("docs"))
+        assert str(e.value) == message
+
+    def test_a_lookup_of_the_malformed_document_fails_as_a_scan_does(self, tmp_path):
+        cat, message = self._broken_centre(tmp_path)
+        [item] = cat.resolve_refs([ItemRef("c", "docs", "b")])
+        assert (item.kind, item.payload) == ("error", message)
+        with pytest.raises(CollectionError) as e:
+            cat.update_collection("k", [ItemRef("c", "docs", "b")])
+        assert str(e.value) == f"unresolvable ref c/docs/b: {message}"
+        assert "k" not in cat.collections
+
+    @pytest.mark.parametrize("bad", _NO_ROOT_ID)
+    def test_a_file_with_no_readable_root_id_fails_every_lookup(self, tmp_path, bad):
+        """Such a file is parsed whole, so a lookup of any id fails with
+        the scan's error for it."""
+        _write_corpus(tmp_path / "c", {"a.xml": b'<doc id="a"/>', "b.xml": bad})
+        with pytest.raises(SourceError) as scanned:
+            list(live("c", tmp_path / "c", "xml_corpus").scan("docs"))
+        assert "b.xml" in str(scanned.value)
+        for wanted in (["a"], []):
+            with pytest.raises(SourceError) as e:
+                live("c", tmp_path / "c", "xml_corpus").lookup(wanted)
+            assert str(e.value) == str(scanned.value)
