@@ -6,7 +6,9 @@ as uniform relational tables.  Tabular sources are RFC-4180-style CSV files
 ``<table>.schema`` sidecar describing column names and kinds; the first CSV
 record must repeat the sidecar's column names.  XML corpora are directories
 of ``*.xml`` documents in the subset grammar parsed by :func:`parse_xml_doc`
-and always surface as a single table named ``docs``.
+and always surface as a single table named ``docs``; a scan parses every
+document whole, a lookup by id parses every document up to its root start
+tag and only the documents it returns past it.
 
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
@@ -376,10 +378,15 @@ def _int_cell(text: str) -> int | None:
 _CHILDREN = {"doc": ("meta", "text"), "meta": ("title", "findspot", "date", "category", "persName")}
 
 
+class _RootOnly(Exception):
+    """Stops a :class:`_DocBuilder` at a root whose id is not wanted."""
+
+
 class _DocBuilder:
     """Expat handlers collecting one document of the subset grammar."""
 
-    def __init__(self):
+    def __init__(self, wanted: set[str] | None):
+        self.wanted = wanted
         self.id: str | None = None
         self.meta: dict[str, str | None] = {}
         self.persons: list[str] = []
@@ -404,6 +411,8 @@ class _DocBuilder:
             if not attrs.get("id"):
                 self.fail("<doc> is missing its id attribute")
             self.id = nfc(attrs["id"])
+            if self.wanted is not None and self.id not in self.wanted:
+                raise _RootOnly
         elif self.chars is not self.body:  # markup inside <text> is stripped
             parent = self.stack[-1]
             if parent not in _CHILDREN:
@@ -443,7 +452,7 @@ class _DocBuilder:
             self.chars.append(data)
 
 
-def parse_xml_doc(data: bytes) -> Row:
+def parse_xml_doc(data: bytes, wanted: set[str] | None = None) -> Row:
     """Parse one corpus document into its ``docs`` row.
 
     Grammar: root ``<doc id="...">`` containing an optional ``<meta>``
@@ -454,13 +463,19 @@ def parse_xml_doc(data: bytes) -> Row:
     absent metadata, a metadata element that is empty or all whitespace, and
     an empty body are null cells; the non-empty persons are joined with
     ``|``.
+
+    With ``wanted``, a document whose id is not in it is parsed only up to
+    its root start tag, raising every error met there, and its row is the
+    id alone.
     """
-    b = _DocBuilder()
+    b = _DocBuilder(wanted)
     try:
         b.parser.Parse(data, True)
+    except _RootOnly:
+        return (b.id,)
     except xml.parsers.expat.ExpatError as e:
         raise ParseError(f"not well-formed: {e}", line=e.lineno) from e
-    except LookupError as e:  # the declared encoding has no codec
+    except (LookupError, ValueError) as e:  # a declared encoding expat cannot read
         raise ParseError(f"not well-formed: {e}", line=1) from e
     meta = b.meta
     if b.persons:
@@ -473,49 +488,6 @@ def parse_xml_doc(data: bytes) -> Row:
                 raise ParseError(f"{key}={meta[key]!r} is not a valid date: {e}") from e
     body = nfc(re.sub(r"\s+", " ", "".join(b.body)).strip())
     return (b.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
-
-
-class _RootSeen(Exception):
-    """Stops :func:`root_doc_id`'s parser at the root start tag."""
-
-
-def root_doc_id(data: bytes) -> str | None:
-    """The id of a document's root ``<doc>`` as :func:`parse_xml_doc`
-    gives it (NFC), read by expat up to the root start tag only, so with
-    the full parse's entities, character references, attribute-value
-    normalization, declared encoding and BOM.  None when the root is not a
-    ``<doc>`` with a non-empty id, or the bytes before it do not parse:
-    the full parse of such a document fails."""
-
-    def start(name: str, attrs: dict):
-        raise _RootSeen(nfc(attrs["id"]) if name == "doc" and attrs.get("id") else None)
-
-    parser = xml.parsers.expat.ParserCreate()
-    parser.StartElementHandler = start
-    try:
-        parser.Parse(data, True)
-    except _RootSeen as seen:
-        return seen.args[0]
-    except (xml.parsers.expat.ExpatError, LookupError, ValueError):
-        pass
-    return None
-
-
-def _parse_document(path: str, data: bytes) -> Row:
-    """:func:`parse_xml_doc` of the file ``path`` holding ``data``; a
-    parse error is a SourceError naming the file and line."""
-    try:
-        return parse_xml_doc(data)
-    except ParseError as e:
-        raise SourceError(str(e), path=path, line=e.line) from e
-
-
-def _claim_id(seen: dict[str, str], doc_id: str, name: str, path: str) -> None:
-    """Record that the file ``name`` (at ``path``) holds ``doc_id``; a
-    second file with that id fails, naming itself and the first."""
-    if doc_id in seen:
-        raise SourceError(f"duplicate doc id {doc_id!r} (also in {seen[doc_id]})", path=path)
-    seen[doc_id] = name
 
 
 class XmlCorpusSource:
@@ -536,40 +508,24 @@ class XmlCorpusSource:
         """The ``docs`` row of every document, in sorted file order;
         parsed once and cached."""
         if self._docs is None:
-            seen: dict[str, str] = {}
-            docs = []
-            for name, full, data in self._read_files():
-                row = _parse_document(full, data)
-                _claim_id(seen, row[0], name, full)
-                docs.append(row)
-            self._docs = docs
+            self._docs = list(self._parsed())
         return self._docs
 
     def lookup(self, doc_ids: Iterable[str]) -> dict[str, Row]:
         """The row of each of ``doc_ids`` that the corpus holds.
 
-        Every file is read, and its id taken from its root start tag
-        (:func:`root_doc_id`), so the duplicate-id check covers every file
-        as a scan's does.  Only the files whose id is wanted are parsed
-        whole, and the files with no readable root id, whose full parse
-        raises their error.  So unlike a scan, a lookup does not fail on
-        another document's malformed body.
+        Every file is parsed up to its root start tag, so the duplicate-id
+        check and every error up to there cover every file, as a scan's
+        do; only the wanted documents are parsed past it, so a lookup does
+        not fail on another document's malformed body.
         """
         wanted = set(doc_ids)
-        seen: dict[str, str] = {}
-        found: dict[str, Row] = {}
-        for name, full, data in self._read_files():
-            doc_id = root_doc_id(data)
-            if doc_id is None or doc_id in wanted:
-                row = _parse_document(full, data)
-                doc_id = row[0]
-                if doc_id in wanted:
-                    found[doc_id] = row
-            _claim_id(seen, doc_id, name, full)
-        return found
+        return {row[0]: row for row in self._parsed(wanted) if row[0] in wanted}
 
-    def _read_files(self) -> Iterator[tuple[str, str, bytes]]:
-        """The name, path and bytes of each document, in sorted order."""
+    def _parsed(self, wanted: set[str] | None = None) -> Iterator[Row]:
+        """:func:`parse_xml_doc` of each file, in sorted order; any fault,
+        a second file with one id too, is a SourceError naming the file."""
+        seen: dict[str, str] = {}
         for name in self._files:
             full = os.path.join(self.path, name)
             try:
@@ -577,7 +533,14 @@ class XmlCorpusSource:
                     data = f.read()
             except OSError as e:
                 raise SourceError(f"cannot read document: {e}", path=full) from e
-            yield name, full, data
+            try:
+                row = parse_xml_doc(data, wanted)
+            except ParseError as e:
+                raise SourceError(str(e), path=full, line=e.line) from e
+            if row[0] in seen:
+                raise SourceError(f"duplicate doc id {row[0]!r} (also in {seen[row[0]]})", path=full)
+            seen[row[0]] = name
+            yield row
 
     def list_tables(self) -> list[TableSchema]:
         return [self._schema]

@@ -21,6 +21,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -206,22 +207,14 @@ def cell_text(v) -> str:
 def csv_text(rows: Iterable[Sequence[str]]) -> str:
     """``rows`` of text cells as every command prints CSV: LF line ends,
     and a field holding a carriage return quoted, as one holding a line
-    feed is.  ``csv`` quotes a field only for the line terminator's
-    characters, so under LF ends a lone CR would go out bare and a reader
-    would split the row there; a row holding one is written under CRLF
-    ends, which quote it, and given its LF."""
+    feed is.  ``csv`` quotes a field only for the delimiter, the quote and
+    the line terminator's characters, so the rows are written under CRLF
+    ends, which quote both, and each line is then given its LF (the writer
+    writes each row with one call)."""
     out = io.StringIO()
-    lf = csv.writer(out, lineterminator="\n")
-    line = io.StringIO()
-    crlf = csv.writer(line, lineterminator="\r\n")
-    for row in rows:
-        if "\r" in "".join(row):
-            line.seek(0)
-            line.truncate()
-            crlf.writerow(row)
-            out.write(line.getvalue()[:-2] + "\n")
-        else:
-            lf.writerow(row)
+    write = out.write
+    lf_lines = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
+    csv.writer(lf_lines, lineterminator="\r\n").writerows(rows)
     return out.getvalue()
 
 

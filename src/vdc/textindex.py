@@ -283,7 +283,6 @@ def index_relation(path: str) -> str:
 
 @dataclass
 class DocEntry:
-    ordinal: int
     doc_id: str
     ref: str  # ItemRef text form
     geo: tuple[float, float] | None
@@ -467,7 +466,7 @@ class InvertedIndex:
             if not sep:
                 raise IndexFormatError(f"bad stored field for document {o}")
             stored[name] = _unescape(value)
-        return DocEntry(o, _unescape(doc_id), _unescape(ref), _geo(lat, lon, o), stored)
+        return DocEntry(_unescape(doc_id), _unescape(ref), _geo(lat, lon, o), stored)
 
     def hits(self, ordinals: Sequence[int]) -> list[tuple[str, str]]:
         """(doc_id, ref) of each ordinal."""

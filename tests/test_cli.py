@@ -233,6 +233,21 @@ class TestXmlRegistration:
         assert open(cat, "rb").read() == before
         assert not os.path.exists(cat + ".store/vault/bad")
 
+    def test_a_multi_byte_encoding_is_refused_naming_the_file(self, centre, tmp_path):
+        """expat reads no multi-byte encoding: such a declaration is a
+        parse error of that document, at line 1."""
+        cli, cat, *_ = centre
+        corpus = tmp_path / "sj"
+        corpus.mkdir()
+        (corpus / "s1.xml").write_bytes(b'<?xml version="1.0" encoding="shift_jis"?><doc id="s1"/>')
+        before = open(cat, "rb").read()
+        code, out, err = cli("source", "add", "sj", "--kind", "xml",
+                             "--path", str(corpus), "--mode", "live")
+        assert (code, out) == (2, "")
+        assert err == ("error: not well-formed: multi-byte encodings are not supported "
+                       f"(line 1) [{corpus / 's1.xml'}:1]\n")
+        assert open(cat, "rb").read() == before
+
     def test_index_only_corpus_is_read_only_by_its_index_build(self, centre, tmp_path):
         cli, cat, *_ = centre
         corpus = tmp_path / "bad"

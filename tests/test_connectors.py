@@ -19,7 +19,6 @@ from vdc.connectors import (
     parse_sidecar,
     parse_xml_doc,
     record_spans,
-    root_doc_id,
     row_item_key,
 )
 from vdc.datacentre import AccessMode, Catalogue
@@ -845,8 +844,9 @@ def _write_corpus(dirpath, docs: dict[str, bytes]) -> None:
             f.write(data)
 
 
-# documents with no readable root id: a root that is not <doc>, no id, an
-# empty id, an unknown encoding, bytes before the root that do not parse
+# documents whose parse fails at or before the root start tag: a root
+# that is not <doc>, no id, an empty id, an unknown encoding, bytes before
+# the root that do not parse
 _NO_ROOT_ID = [
     b"<text>x</text>",
     b"<doc>\n<text>x</text></doc>",
@@ -855,27 +855,40 @@ _NO_ROOT_ID = [
     b'<!-- open\n<doc id="i1"/>',
     b"",
 ]
+# an encoding Python has a codec for but expat cannot read
+_SHIFT_JIS = b'<?xml version="1.0" encoding="shift_jis"?><doc id="i1"/>'
 
 
-class TestRootDocId:
-    """The id pass of a lookup: expat up to the root start tag."""
+class TestParseStoppedAtTheRoot:
+    """``parse_xml_doc(data, wanted)``, which a lookup runs on every file:
+    a document whose id is not wanted is read up to its root start tag."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_full_reading(self, data):
         doc = data.draw(_subset_docs(id_attr=data.draw(_WRITTEN_IDS)))
         raw = _encoded(doc, data.draw(_ENCODINGS))
-        assert root_doc_id(raw) == etree_docs_row(raw)[0] == parse_xml_doc(raw)[0]
+        [doc_id] = parse_xml_doc(raw, set())
+        assert doc_id == etree_docs_row(raw)[0]
+        assert parse_xml_doc(raw, {doc_id}) == parse_xml_doc(raw)
 
-    @pytest.mark.parametrize(
-        "data", [*_NO_ROOT_ID, b'<?xml version="1.0" encoding="shift_jis"?><doc id="i1"/>']
-    )
-    def test_no_readable_root_id(self, data):
-        assert root_doc_id(data) is None
+    @pytest.mark.parametrize("data", [*_NO_ROOT_ID, _SHIFT_JIS])
+    def test_errors_at_or_before_the_root_are_the_full_parses(self, data):
+        with pytest.raises(ParseError) as full:
+            parse_xml_doc(data)
+        for wanted in (set(), {"i1"}):
+            with pytest.raises(ParseError) as stopped:
+                parse_xml_doc(data, wanted)
+            assert (str(stopped.value), stopped.value.line) == (str(full.value), full.value.line)
+
+    def test_a_multi_byte_encoding_is_a_parse_error(self):
+        with pytest.raises(ParseError) as e:
+            parse_xml_doc(_SHIFT_JIS)
+        assert str(e.value) == "not well-formed: multi-byte encodings are not supported (line 1)"
 
     def test_stops_at_the_root(self):
         """What follows the root start tag is not read."""
-        assert root_doc_id(b'<doc id="a"><text>\xff</txt>') == "a"
+        assert parse_xml_doc(b'<doc id="a"><text>\xff</txt>', set()) == ("a",)
 
 
 class TestXmlLookup:
@@ -903,11 +916,13 @@ class TestXmlLookup:
         })
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("c", "xml_corpus", str(tmp_path / "c"), mode)
-        parsed = []
+        parsed = []  # the rows of documents parsed past their root
 
-        def counting(data):
-            parsed.append(data)
-            return parse_xml_doc(data)
+        def counting(data, wanted=None):
+            row = parse_xml_doc(data, wanted)
+            if len(row) > 1:
+                parsed.append(row)
+            return row
 
         monkeypatch.setattr(connectors, "parse_xml_doc", counting)
         refs = [ItemRef("c", "docs", f"i{i}") for i in range(k)]
@@ -950,10 +965,10 @@ class TestXmlLookup:
         assert str(e.value) == f"unresolvable ref c/docs/b: {message}"
         assert "k" not in cat.collections
 
-    @pytest.mark.parametrize("bad", _NO_ROOT_ID)
+    @pytest.mark.parametrize("bad", [*_NO_ROOT_ID, _SHIFT_JIS])
     def test_a_file_with_no_readable_root_id_fails_every_lookup(self, tmp_path, bad):
-        """Such a file is parsed whole, so a lookup of any id fails with
-        the scan's error for it."""
+        """A lookup parses every file as far as its root start tag, so a
+        lookup of any id fails with the scan's error for such a file."""
         _write_corpus(tmp_path / "c", {"a.xml": b'<doc id="a"/>', "b.xml": bad})
         with pytest.raises(SourceError) as scanned:
             list(live("c", tmp_path / "c", "xml_corpus").scan("docs"))

@@ -1,6 +1,8 @@
 """Value system tests: the calendar against a brute-force day-counting
-oracle, the date grammar, and the canonical value order."""
+oracle, the date grammar, the canonical value order and CSV output."""
 
+import csv
+import io
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from vdc.model import (
     ItemRef,
     UncertainDate,
     compare_values,
+    csv_text,
     date_gap_days,
     date_near,
     date_within,
@@ -309,3 +312,25 @@ class TestItemRef:
             with pytest.raises(ValueError) as e:
                 ItemRef(*parts)
             assert str(e.value) == expected
+
+
+_LF_CHARS = ["a", "λ", ",", '"', " ", "\n"]
+
+
+def _tables(chars: list[str]):
+    return st.lists(st.lists(st.lists(st.sampled_from(chars), max_size=4).map("".join),
+                             max_size=4), max_size=5)
+
+
+class TestCsvText:
+    @given(rows=_tables([*_LF_CHARS, "\r", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_reader_reads_the_rows_back(self, rows):
+        assert list(csv.reader(io.StringIO(csv_text(rows), newline=""))) == rows
+
+    @given(rows=_tables(_LF_CHARS))
+    @settings(max_examples=300, deadline=None)
+    def test_without_a_carriage_return_the_bytes_of_an_lf_writer(self, rows):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        assert csv_text(rows) == out.getvalue()

@@ -450,9 +450,9 @@ class TestIndexFormat:
         idx, p = self.make(tmp_path)
         back = read_index(p)
         expected_docs = [
-            {"ordinal": 0, "doc_id": "d1", "ref": "s/t/d1", "geo": (31.5, 29.25),
+            {"doc_id": "d1", "ref": "s/t/d1", "geo": (31.5, 29.25),
              "stored": {"title": "T=1;x"}},
-            {"ordinal": 1, "doc_id": "d2", "ref": "s/t/d2", "geo": None,
+            {"doc_id": "d2", "ref": "s/t/d2", "geo": None,
              "stored": {"title": "two\nlines"}},
         ]
         expected_postings = {
