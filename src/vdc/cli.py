@@ -62,6 +62,8 @@ def _build_parser() -> _Parser:
     s_add.add_argument("--kind", choices=sorted(_KIND_FLAGS), required=True)
     s_add.add_argument("--path", required=True)
     s_add.add_argument("--mode", choices=[m.value for m in AccessMode], required=True)
+    s_verify = source.add_parser("verify", help="check a source's content against its checksums")
+    s_verify.add_argument("id")
 
     view = sub.add_parser("view", help="manage views").add_subparsers(
         dest="sub", required=True
@@ -147,6 +149,12 @@ def _cmd_source_add(args) -> int:
         return f"registered {desc.source_id} ({desc.kind}, {desc.mode.value})"
 
     return _mutate(args, fn)
+
+
+def _cmd_source_verify(args) -> int:
+    cat = _load_catalogue(args.catalogue)
+    print(f"verified {args.id}: {cat.verify_source(args.id)}", file=sys.stderr)
+    return EXIT_OK
 
 
 def _cmd_view_define(args) -> int:
@@ -304,6 +312,7 @@ def run(argv: list[str]) -> int:
         return int(e.code or 0)
     handlers = {
         ("source", "add"): _cmd_source_add,
+        ("source", "verify"): _cmd_source_verify,
         ("view", "define"): _cmd_view_define,
         ("xlate", "add"): _cmd_xlate_add,
         ("query", None): _cmd_query,

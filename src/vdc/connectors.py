@@ -8,7 +8,8 @@ record must repeat the sidecar's column names.  XML corpora are directories
 of ``*.xml`` documents in the subset grammar parsed by :func:`parse_xml_doc`
 and always surface as a single table named ``docs``; a scan parses every
 document whole, a lookup by id parses every document up to its root start
-tag and only the documents it returns past it.
+tag and only the documents it returns past it, and answers each id with
+its row or the error of its document.
 
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
@@ -19,8 +20,12 @@ as given, with the engine's one evaluator, :func:`vdc.predicates.holds`:
 the query planner alone makes them, checking each against the table's
 schema as it binds it, and the catalogue confirms that schema before the
 scan.  The tabular connector tests them before it decodes the rest of a
-row, and decodes only the columns it is asked for.  Connectors know
-nothing of trust modes: the catalogue decides which sources may be read.
+row, and decodes only the columns it is asked for.  A tabular handle that
+carries a column image (:mod:`vdc.colimage`, a vault's, attached by the
+catalogue) scans the image instead of the CSV, with the same rows: there a
+predicate is tested once per distinct cell of each row group.  Connectors
+know nothing of trust modes: the catalogue decides which sources may be
+read.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import csv
 import os
 import re
 import xml.parsers.expat
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 from unicodedata import normalize
 
@@ -146,13 +150,19 @@ def read_utf8(path: str) -> str:
 
 
 class TabularSource:
-    """Directory of ``<table>.csv`` + ``<table>.schema`` pairs."""
+    """Directory of ``<table>.csv`` + ``<table>.schema`` pairs.
+
+    ``image`` is None, or the column image of a vault snapshot (see
+    :mod:`vdc.colimage`), which the catalogue attaches to the snapshot's
+    handle; scans then read the image in place of the files.
+    """
 
     kind = TABULAR
 
     def __init__(self, source_id: str, path: str):
         self.source_id = source_id
         self.path = path
+        self.image = None
         self._schemas: dict[str, TableSchema] = {}
         names = sorted(
             f[:-4] for f in os.listdir(path) if f.endswith(".csv")
@@ -190,16 +200,6 @@ class TabularSource:
         except KeyError:
             raise NotFound(f"no table {table!r} in source {self.source_id!r}") from None
 
-    def read_table(self, table: str) -> bytes:
-        """The bytes of ``table``'s file, for the one-record reads of
-        :func:`record_spans` and :func:`read_record`."""
-        path = self.table_path(table)
-        try:
-            with open(path, "rb") as f:
-                return f.read()
-        except OSError as e:
-            raise SourceError(f"cannot read table: {e}", path=path) from e
-
     def scan(
         self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
     ) -> Iterator[Row]:
@@ -213,9 +213,13 @@ class TabularSource:
         are decoded only for rows that pass, and every other cell is None.
         A file that changes on disk during the scan (its size, mtime or
         inode differ at the end) raises SourceError: its rows may be cut.
+        With an ``image``, the same rows come from it instead.
         """
         schema = self.schema(table)
         preds = tuple(pushed or ())
+        if self.image is not None:
+            yield from self.image.scan(table, preds, columns)
+            return
         width = len(schema.columns)
         convert = _converters(schema)
         check = _record_check(schema)
@@ -291,64 +295,6 @@ def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
 def _converters(schema: TableSchema) -> list[Callable[[str], object]]:
     """The decoder of each column's checked cell text."""
     return [_int_cell if c.kind is ColumnKind.INT else _text_cell for c in schema.columns]
-
-
-def _decoded_lines(lines: list[bytes], data: bytes, path: str) -> Iterator[str]:
-    for line in lines:
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise _utf8_error(path, e, data) from e
-
-
-def record_spans(data: bytes, schema: TableSchema, path: str) -> Iterator[tuple[str, int, int]]:
-    """The item key (see :func:`row_item_key`) and byte span (offset,
-    length) of each record of a table file after its header.
-
-    ``data`` is the file's bytes.  It is split into lines at ``\\r\\n``,
-    ``\\r`` and ``\\n``, as ``scan``'s reader sees the file, so a record
-    with quoted line breaks spans all its lines; each record is checked as
-    ``scan`` checks it, and a fault raises SourceError naming ``path`` and
-    the record's first line.
-    """
-    lines = data.splitlines(keepends=True)
-    starts = list(accumulate(map(len, lines), initial=0))
-    check = _record_check(schema)
-    key_cell = _converters(schema)[0]
-    reader = csv.reader(_decoded_lines(lines, data, path))
-    try:
-        _check_header(next(reader, None), schema, path)
-        first = reader.line_num  # lines before the record
-        for record in reader:
-            fault = check(record)
-            if fault is not None:
-                raise SourceError(fault, path=path, line=first + 1)
-            end = reader.line_num
-            yield cell_text(key_cell(record[0])), starts[first], starts[end] - starts[first]
-            first = end
-    except csv.Error as e:
-        raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
-
-
-def read_record(data: bytes, offset: int, length: int, schema: TableSchema, path: str) -> Row:
-    """The row of the one record at ``data[offset:offset + length]``, a
-    span :func:`record_spans` gave: split, parsed and checked as there, and
-    every cell decoded as ``scan`` decodes it.  A span that does not hold
-    exactly one good record raises SourceError naming ``path``."""
-    if length <= 0 or offset + length > len(data):
-        raise SourceError(f"record span {offset}+{length} lies outside the file", path=path)
-    lines = data[offset:offset + length].splitlines(keepends=True)
-    reader = csv.reader(_decoded_lines(lines, data, path))
-    try:
-        record = next(reader)
-    except csv.Error as e:
-        raise SourceError(f"bad csv: {e}", path=path) from e
-    if reader.line_num != len(lines):
-        raise SourceError(f"record span {offset}+{length} holds more than one record", path=path)
-    fault = _record_check(schema)(record)
-    if fault is not None:
-        raise SourceError(fault, path=path)
-    return tuple(conv(text) for conv, text in zip(_converters(schema), record))
 
 
 def _first_line(reader, record: list[str]) -> int:
@@ -451,6 +397,28 @@ class _DocBuilder:
         if self.chars is not None:
             self.chars.append(data)
 
+    def row(self, data: bytes) -> Row:
+        """The row of the document ``data`` (see :func:`parse_xml_doc`)."""
+        try:
+            self.parser.Parse(data, True)
+        except _RootOnly:
+            return (self.id,)
+        except xml.parsers.expat.ExpatError as e:
+            raise ParseError(f"not well-formed: {e}", line=e.lineno) from e
+        except (LookupError, ValueError) as e:  # a declared encoding expat cannot read
+            raise ParseError(f"not well-formed: {e}", line=1) from e
+        meta = self.meta
+        if self.persons:
+            meta["persons"] = "|".join(self.persons)
+        for key in ("not_before", "not_after"):
+            if key in meta:
+                try:
+                    parse_uncertain_date(meta[key])
+                except ParseError as e:
+                    raise ParseError(f"{key}={meta[key]!r} is not a valid date: {e}") from e
+        body = nfc(re.sub(r"\s+", " ", "".join(self.body)).strip())
+        return (self.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
+
 
 def parse_xml_doc(data: bytes, wanted: set[str] | None = None) -> Row:
     """Parse one corpus document into its ``docs`` row.
@@ -468,26 +436,7 @@ def parse_xml_doc(data: bytes, wanted: set[str] | None = None) -> Row:
     its root start tag, raising every error met there, and its row is the
     id alone.
     """
-    b = _DocBuilder(wanted)
-    try:
-        b.parser.Parse(data, True)
-    except _RootOnly:
-        return (b.id,)
-    except xml.parsers.expat.ExpatError as e:
-        raise ParseError(f"not well-formed: {e}", line=e.lineno) from e
-    except (LookupError, ValueError) as e:  # a declared encoding expat cannot read
-        raise ParseError(f"not well-formed: {e}", line=1) from e
-    meta = b.meta
-    if b.persons:
-        meta["persons"] = "|".join(b.persons)
-    for key in ("not_before", "not_after"):
-        if key in meta:
-            try:
-                parse_uncertain_date(meta[key])
-            except ParseError as e:
-                raise ParseError(f"{key}={meta[key]!r} is not a valid date: {e}") from e
-    body = nfc(re.sub(r"\s+", " ", "".join(b.body)).strip())
-    return (b.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
+    return _DocBuilder(wanted).row(data)
 
 
 class XmlCorpusSource:
@@ -508,23 +457,26 @@ class XmlCorpusSource:
         """The ``docs`` row of every document, in sorted file order;
         parsed once and cached."""
         if self._docs is None:
-            self._docs = list(self._parsed())
+            self._docs = [row for _, row in self._parsed()]
         return self._docs
 
-    def lookup(self, doc_ids: Iterable[str]) -> dict[str, Row]:
-        """The row of each of ``doc_ids`` that the corpus holds.
+    def lookup(self, doc_ids: Iterable[str]) -> dict[str, Row | SourceError]:
+        """The row of each of ``doc_ids`` that the corpus holds, or the
+        error of the document that holds it.
 
         Every file is parsed up to its root start tag, so the duplicate-id
         check and every error up to there cover every file, as a scan's
-        do; only the wanted documents are parsed past it, so a lookup does
-        not fail on another document's malformed body.
+        do, and fail the whole lookup; only the wanted documents are parsed
+        past it, and an error met there is that document's alone.
         """
         wanted = set(doc_ids)
-        return {row[0]: row for row in self._parsed(wanted) if row[0] in wanted}
+        return {doc_id: row for doc_id, row in self._parsed(wanted) if doc_id in wanted}
 
-    def _parsed(self, wanted: set[str] | None = None) -> Iterator[Row]:
-        """:func:`parse_xml_doc` of each file, in sorted order; any fault,
-        a second file with one id too, is a SourceError naming the file."""
+    def _parsed(self, wanted: set[str] | None = None) -> Iterator[tuple[str, Row | SourceError]]:
+        """The id and :func:`parse_xml_doc` row of each file, in sorted
+        order.  Any fault, a second file with one id too, is a SourceError
+        naming the file; it is raised, except that a wanted document whose
+        id was read before the fault yields it in place of its row."""
         seen: dict[str, str] = {}
         for name in self._files:
             full = os.path.join(self.path, name)
@@ -533,14 +485,19 @@ class XmlCorpusSource:
                     data = f.read()
             except OSError as e:
                 raise SourceError(f"cannot read document: {e}", path=full) from e
+            builder = _DocBuilder(wanted)
             try:
-                row = parse_xml_doc(data, wanted)
+                row = builder.row(data)
             except ParseError as e:
-                raise SourceError(str(e), path=full, line=e.line) from e
-            if row[0] in seen:
-                raise SourceError(f"duplicate doc id {row[0]!r} (also in {seen[row[0]]})", path=full)
-            seen[row[0]] = name
-            yield row
+                error = SourceError(str(e), path=full, line=e.line)
+                if wanted is None or builder.id is None:
+                    raise error from e
+                row = error
+            doc_id = builder.id
+            if doc_id in seen:
+                raise SourceError(f"duplicate doc id {doc_id!r} (also in {seen[doc_id]})", path=full)
+            seen[doc_id] = name
+            yield doc_id, row
 
     def list_tables(self) -> list[TableSchema]:
         return [self._schema]

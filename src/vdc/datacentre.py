@@ -82,8 +82,14 @@ class SourceDescriptor:
 
     def open(self) -> SourceHandle:
         """Open the source read-only; its mode is ``Catalogue.open_handle``'s
-        to apply."""
-        return connectors.open_source(self.source_id, self.kind, self.path)
+        to apply.  A tabular vault's handle carries its snapshot's column
+        image, when it has one."""
+        handle = connectors.open_source(self.source_id, self.kind, self.path)
+        if self.mode is AccessMode.VAULT and self.kind == connectors.TABULAR:
+            from . import colimage
+
+            handle.image = colimage.open_image(handle)
+        return handle
 
 
 def _one_line(text: str) -> None:
@@ -233,18 +239,18 @@ class Catalogue:
 
     def _snapshot(self, source_id: str, kind: str, original: str) -> str:
         """Copy a source byte-for-byte into the centre's storage directory.
-        A tabular copy also gets its key map, from one checked pass over
+        A tabular copy also gets its column image, from one checked scan of
         each copied table, so a malformed record fails the registration;
-        one rename publishes the copy and its map, and any failure before
+        one rename publishes the copy and its image, and any failure before
         it leaves neither."""
-        from . import keymap
+        from . import colimage
 
         vault_root = os.path.join(self.store_dir, "vault")
         final = os.path.join(vault_root, source_id)
         _one_line(final)  # the catalogue is to record it: check before any write
-        if os.path.isfile(os.path.join(original, keymap.KEY_MAP)):
+        if os.path.isfile(os.path.join(original, colimage.IMAGE)):
             raise SourceError(
-                f"a vault source may not hold a file named {keymap.KEY_MAP!r}", path=original
+                f"a vault source may not hold a file named {colimage.IMAGE!r}", path=original
             )
         os.makedirs(vault_root, exist_ok=True)
         if os.path.exists(final):
@@ -256,7 +262,7 @@ class Catalogue:
                 if os.path.isfile(src):
                     shutil.copyfile(src, os.path.join(tmp, name))
             if kind == connectors.TABULAR:
-                keymap.write(connectors.TabularSource(source_id, tmp), original)
+                colimage.write(connectors.TabularSource(source_id, tmp), original)
             os.replace(tmp, final)
         except BaseException as e:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -369,25 +375,21 @@ class Catalogue:
 
     def _fetch_records(
         self, source_id: str, container: str, item_ids: Sequence[str]
-    ) -> tuple[TableSchema, dict[str, Row]]:
-        """The container's schema and the first row of each item id in it,
-        from one opening of the source.  A vault table with a key map reads
-        only those rows' records.  An XML corpus, live or vault, reads every
+    ) -> tuple[TableSchema, dict[str, Row | VdcError]]:
+        """The container's schema and, for each item id in it, its first
+        row, or the error of the document that holds it; from one opening
+        of the source.  A vault table with a column image reads the image
+        (``ColumnImage.lookup``).  An XML corpus, live or vault, reads every
         file's root tag and parses only the documents it returns
         (``XmlCorpusSource.lookup``), so another document's malformed body
         does not fail the lookup.  Any other container is scanned to its
         end, so a live table's change check runs."""
         handle = self.open_handle(source_id)
         schema = handle.schema(container)
-        desc = self.sources[source_id]
-        if desc.kind == connectors.XML_CORPUS:
+        if isinstance(handle, connectors.XmlCorpusSource):
             return schema, handle.lookup(item_ids)
-        if desc.mode is AccessMode.VAULT and desc.kind == connectors.TABULAR:
-            from . import keymap
-
-            looked_up = keymap.lookup(desc.path, handle, schema, item_ids)
-            if looked_up is not None:
-                return schema, looked_up
+        if handle.image is not None:
+            return schema, handle.image.lookup(handle, container, item_ids)
         wanted = set(item_ids)
         found: dict[str, Row] = {}
         for row in handle.scan(container):
@@ -395,6 +397,20 @@ class Catalogue:
             if key in wanted:
                 found.setdefault(key, row)
         return schema, found
+
+    def verify_source(self, source_id: str) -> str:
+        """Check a source's content and say what was checked.  A vault
+        with a column image is checked against it: every table file's size
+        and CRC-32, and every chunk's CRC-32.  Any other source is read in
+        full, every record or document checked as a scan checks it.  The
+        first fault raises, naming its file."""
+        handle = self.open_handle(source_id)
+        tables = handle.list_tables()
+        if isinstance(handle, connectors.TabularSource) and handle.image is not None:
+            chunks = handle.image.verify(handle)
+            return f"every table file and image chunk matches (files: {len(tables)}, chunks: {chunks})"
+        rows = sum(1 for t in tables for _ in handle.scan(t.name, columns=()))
+        return f"{rows} rows read"
 
     # -- virtual collections -------------------------------------------------
     def update_collection(self, name: str, add: Sequence[ItemRef]) -> list[ItemRef]:
@@ -679,9 +695,13 @@ def _read_definition(path: str, what: str) -> str:
         raise SourceError(f"cannot read {what}: {e}", path=path) from e
 
 
-def _pick(records: dict[str, Row], ref: ItemRef) -> Row:
-    """The record of ``ref`` among a container's fetched records."""
+def _pick(records: dict[str, Row | VdcError], ref: ItemRef) -> Row:
+    """The record of ``ref`` among a container's fetched records; the
+    error fetched in its place raises."""
     try:
-        return records[ref.item_id]
+        found = records[ref.item_id]
     except KeyError:
         raise NotFound(f"no item {ref.item_id!r} in {ref.source_id}/{ref.container}") from None
+    if isinstance(found, VdcError):
+        raise found
+    return found

@@ -34,9 +34,13 @@ class ParseError(VdcError):
 
 
 class SourceError(VdcError):
-    """A data source is missing, unreadable, or malformed on disk."""
+    """A data source is missing, unreadable, or malformed on disk.
+
+    ``message`` is the text without the path and line.
+    """
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
+        self.message = message
         self.path = path
         self.line = line
         where = ""

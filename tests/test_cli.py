@@ -212,6 +212,111 @@ class TestCollectionsViaCli:
         assert f"\nCOLL r {refs}\n" in open(cat, encoding="utf-8").read()
 
 
+    def test_a_broken_document_fails_only_its_own_ref(self, centre, tmp_path):
+        """One document that broke after registration: coll resolve prints
+        the other refs' rows and one error line naming that document, and
+        coll update fails naming the first bad ref and writes nothing."""
+        cli, cat, fx, _ = centre
+        corpus = tmp_path / "br"
+        shutil.copytree(os.path.join(fx, "iaph"), corpus)
+        assert cli("source", "add", "br", "--kind", "xml", "--path", str(corpus),
+                   "--mode", "live")[0] == 0
+        refs = [f"br/docs/i000{i}" for i in range(3)]
+        assert cli("coll", "update", "b", "--add", *refs)[0] == 0
+        _, intact, _ = cli("coll", "resolve", "b")
+        (corpus / "i0001.xml").write_bytes(b'<doc id="i0001">\n<text>broken</txt></doc>')
+        before = open(cat, "rb").read()
+        code, out, err = cli("coll", "resolve", "b")
+        message = f"not well-formed: mismatched tag: line 2, column 14 (line 2) [{corpus / 'i0001.xml'}:2]"
+        lines = intact.splitlines(keepends=True)
+        assert (code, out, err) == (0, lines[0] + lines[2], f"error: br/docs/i0001: {message}\n")
+        code, out, err = cli("coll", "update", "c", "--add", refs[0], refs[1], refs[2])
+        assert (code, out, err) == (2, "", f"error: unresolvable ref br/docs/i0001: {message}\n")
+        assert open(cat, "rb").read() == before
+
+    def test_a_duplicate_id_still_fails_every_ref(self, centre, tmp_path):
+        cli, cat, fx, _ = centre
+        corpus = tmp_path / "dup"
+        shutil.copytree(os.path.join(fx, "iaph"), corpus)
+        assert cli("source", "add", "dup", "--kind", "xml", "--path", str(corpus),
+                   "--mode", "live")[0] == 0
+        assert cli("coll", "update", "d", "--add", "dup/docs/i0000", "dup/docs/i0002")[0] == 0
+        shutil.copy(corpus / "i0000.xml", corpus / "z.xml")
+        code, out, err = cli("coll", "resolve", "d")
+        message = f"duplicate doc id 'i0000' (also in i0000.xml) [{corpus / 'z.xml'}]"
+        assert (code, out) == (0, "")
+        assert err == f"error: dup/docs/i0000: {message}\nerror: dup/docs/i0002: {message}\n"
+
+
+class TestSourceVerify:
+    """``vdc source verify`` checks a vault against its column image, and
+    reads any other source in full."""
+
+    def vault(self, centre, tmp_path, sid="hv", kind="tabular", source="hgv"):
+        cli, cat, fx, _ = centre
+        assert cli("source", "add", sid, "--kind", kind, "--path", os.path.join(fx, source),
+                   "--mode", "vault")[0] == 0
+        return cli, os.path.join(cat + ".store", "vault", sid)
+
+    def test_an_intact_vault(self, centre, tmp_path):
+        cli, _ = self.vault(centre, tmp_path)
+        assert cli("source", "verify", "hv") == (
+            0, "", "verified hv: every table file and image chunk matches (files: 1, chunks: 9)\n")
+
+    @pytest.mark.parametrize("damaged", ["papyri.csv", "vdc.cols"])
+    def test_a_changed_byte_names_its_file(self, centre, tmp_path, damaged):
+        cli, vault = self.vault(centre, tmp_path)
+        path = os.path.join(vault, damaged)
+        data = bytearray(open(path, "rb").read())
+        data[-3] ^= 0x04
+        open(path, "wb").write(bytes(data))
+        code, out, err = cli("source", "verify", "hv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f"[{path}]\n")
+
+    def test_the_table_file_is_named_before_its_chunks(self, centre, tmp_path):
+        cli, vault = self.vault(centre, tmp_path)
+        with open(os.path.join(vault, "papyri.csv"), "ab") as f:
+            f.write(b"x")
+        with open(os.path.join(vault, "vdc.cols"), "r+b") as f:
+            f.seek(-1, os.SEEK_END)
+            last = f.read(1)
+            f.seek(-1, os.SEEK_END)
+            f.write(bytes([last[0] ^ 1]))
+        code, _, err = cli("source", "verify", "hv")
+        assert code == 2
+        assert "table file differs from the column image" in err
+        assert err.endswith(f"[{os.path.join(vault, 'papyri.csv')}]\n")
+
+    def test_a_vault_without_an_image_is_read_in_full(self, centre, tmp_path):
+        cli, vault = self.vault(centre, tmp_path)
+        os.remove(os.path.join(vault, "vdc.cols"))
+        assert cli("source", "verify", "hv") == (0, "", "verified hv: 500 rows read\n")
+        with open(os.path.join(vault, "papyri.csv"), "ab") as f:
+            f.write(b"1,too few cells\n")
+        code, _, err = cli("source", "verify", "hv")
+        assert code == 2 and "row arity 2 != 9" in err and "papyri.csv:502]" in err
+
+    def test_an_xml_vault_is_read_in_full(self, centre, tmp_path):
+        cli, vault = self.vault(centre, tmp_path, "iv", "xml", "iaph")
+        assert cli("source", "verify", "iv") == (0, "", "verified iv: 500 rows read\n")
+        with open(os.path.join(vault, "i0007.xml"), "wb") as f:
+            f.write(b'<doc id="i0007"><text>cut')
+        code, _, err = cli("source", "verify", "iv")
+        assert code == 2 and f"[{os.path.join(vault, 'i0007.xml')}:1]" in err
+
+    def test_an_index_only_source_is_denied(self, centre, tmp_path):
+        cli, _, fx, _ = centre
+        assert cli("source", "add", "sealed", "--kind", "xml", "--path",
+                   os.path.join(fx, "iaph"), "--mode", "index-only")[0] == 0
+        code, _, err = cli("source", "verify", "sealed")
+        assert code == 3 and "index-only" in err
+
+    def test_an_unknown_source(self, centre):
+        cli, *_ = centre
+        assert cli("source", "verify", "nope") == (2, "", "error: no source 'nope'\n")
+
+
 class TestXmlRegistration:
     BAD = b'<?xml version="1.0" encoding="TTF-8"?><doc id="i1"/>'
 

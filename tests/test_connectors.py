@@ -18,11 +18,12 @@ from vdc.connectors import (
     open_source,
     parse_sidecar,
     parse_xml_doc,
-    record_spans,
     row_item_key,
 )
 from vdc.datacentre import AccessMode, Catalogue
-from vdc.errors import CollectionError, NotFound, ParseError, PlanError, SourceError
+from vdc.errors import (
+    CollectionError, IntegrityError, NotFound, ParseError, PlanError, SourceError,
+)
 from vdc.mediation import TranslationTable
 from vdc.model import ColumnKind, ItemRef, parse_uncertain_date
 from vdc.predicates import Compare, Contains, DateWithin
@@ -615,18 +616,26 @@ class TestLiveChanges:
 
     def test_header_rewritten_after_open_fails_the_read(self, tmp_path):
         """A table whose header no longer names the sidecar's columns in
-        order is refused by a scan and by a record-span read of a handle
-        opened before the rewrite, not read by the old column positions."""
+        order is refused by a scan of a handle opened before the rewrite,
+        not read by the old column positions.  In a vault, such a file no
+        longer matches the column image: a lookup through a handle opened
+        before the rewrite fails, and the vault no longer opens."""
         d = tmp_path / "s"
         write_source(d, table="t", header="a,b", schema="a : text\nb : text\n", rows=["x,y"])
         handle = live("s", d)
-        (d / "t.csv").write_text("b,a\ny,x\n", encoding="utf-8")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("v", "tabular", str(d), AccessMode.VAULT)
+        cat.open_handle("v")
+        for table in (d / "t.csv", tmp_path / "c.vdc.store" / "vault" / "v" / "t.csv"):
+            table.write_text("b,a\ny,x\n", encoding="utf-8")
         with pytest.raises(SourceError, match="does not match sidecar columns") as e:
             list(handle.scan("t"))
         assert e.value.line == 1
-        data, path = handle.read_table("t"), handle.table_path("t")
+        with pytest.raises(IntegrityError, match="table file differs from the column image"):
+            cat._fetch_records("v", "t", ["x"])
+        cat._vault_handles.clear()
         with pytest.raises(SourceError, match="does not match sidecar columns") as e:
-            list(record_spans(data, handle.schema("t"), path))
+            cat.open_handle("v")
         assert e.value.line == 1
 
     def test_unchanged_live_and_vault_scans_succeed(self, tmp_path):
@@ -917,14 +926,15 @@ class TestXmlLookup:
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("c", "xml_corpus", str(tmp_path / "c"), mode)
         parsed = []  # the rows of documents parsed past their root
+        real_row = connectors._DocBuilder.row
 
-        def counting(data, wanted=None):
-            row = parse_xml_doc(data, wanted)
+        def counting(self, data):
+            row = real_row(self, data)
             if len(row) > 1:
                 parsed.append(row)
             return row
 
-        monkeypatch.setattr(connectors, "parse_xml_doc", counting)
+        monkeypatch.setattr(connectors._DocBuilder, "row", counting)
         refs = [ItemRef("c", "docs", f"i{i}") for i in range(k)]
         items = cat.resolve_refs(refs)
         assert [item.kind for item in items] == ["doc"] * k
@@ -964,6 +974,11 @@ class TestXmlLookup:
             cat.update_collection("k", [ItemRef("c", "docs", "b")])
         assert str(e.value) == f"unresolvable ref c/docs/b: {message}"
         assert "k" not in cat.collections
+        items = cat.resolve_refs([ItemRef("c", "docs", i) for i in "abc"])  # one lookup
+        assert [(item.kind, item.payload if item.kind == "error" else item.payload[1][0])
+                for item in items] == [("doc", "a"), ("error", message), ("doc", "c")]
+        found = cat.open_handle("c").lookup(["a", "b"])
+        assert found["a"][0] == "a" and str(found["b"]) == message
 
     @pytest.mark.parametrize("bad", [*_NO_ROOT_ID, _SHIFT_JIS])
     def test_a_file_with_no_readable_root_id_fails_every_lookup(self, tmp_path, bad):

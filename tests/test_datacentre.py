@@ -3,9 +3,13 @@ persistence round trips, integrity checks, locking."""
 
 import os
 import random
+import re
 import shutil
+import struct
 import tempfile
 import zlib
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from vdc import connectors, mediation, textindex
 from vdc.connectors import row_item_key
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
-from vdc.keymap import KEY_MAP
+from vdc.colimage import IMAGE
 from vdc.errors import (
     AccessDenied,
     IndexFormatError,
@@ -22,9 +26,11 @@ from vdc.errors import (
     LoadError,
     LockedError,
     NotFound,
+    ParseError,
     SourceError,
 )
-from vdc.model import ItemRef, refable
+from vdc.model import ItemRef, nfc, parse_uncertain_date, refable
+from vdc.predicates import COMPARE_OPS, Compare, Contains, DateWithin
 from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
 from vdc.mediation import parse_recipe_file
 from vdc.textindex import SearchQuery, search
@@ -165,9 +171,9 @@ _TEXT_KEYS = ["e\u0301", "\u00e9", "plain", "a b", "a,b", "a\tb", "x\ny", "x\r\n
 _CELLS = ["", "v", "multi\nline", "crlf\r\ncell", "cr\rcell", "comma, here", 'quote "q"', "\u00fc"]
 
 
-class TestKeyMap:
-    """A tabular vault's key map answers every lookup as a full scan does,
-    and a table that a scan would refuse is refused at registration."""
+class TestColumnImage:
+    """A tabular vault's column image answers every lookup as a full scan
+    does, and a table that a scan would refuse is refused at registration."""
 
     @given(
         int_keys=st.booleans(),
@@ -186,14 +192,16 @@ class TestKeyMap:
             cat = Catalogue(os.path.join(tmp, "c.vdc"))
             cat.register_source("s", "tabular", os.path.join(tmp, "src"), AccessMode.VAULT)
             first = _first_rows(cat, "s", "t")
-            wanted = [k for k in first if refable(k)] + ["absent", "07"]
+            wanted = [k for k in first if refable(k)] + ["absent", "07", "+7", " 7", "٣"]
             _, looked_up = cat._fetch_records("s", "t", wanted)
             assert looked_up == {k: first[k] for k in wanted if k in first}
             for key in wanted:
                 if key not in first:
-                    with pytest.raises(NotFound, match=f"no item {key!r} in s/t"):
+                    with pytest.raises(NotFound, match=re.escape(f"no item {key!r} in s/t")):
                         cat.fetch_record(ItemRef("s", "t", key))
-            os.remove(os.path.join(tmp, "c.vdc.store", "vault", "s", KEY_MAP))
+            os.remove(os.path.join(tmp, "c.vdc.store", "vault", "s", IMAGE))
+            cat._vault_handles.clear()
+            assert cat.open_handle("s").image is None
             assert cat._fetch_records("s", "t", wanted)[1] == looked_up
 
     @pytest.mark.parametrize("bad", [
@@ -228,7 +236,7 @@ class TestKeyMap:
         assert open(cat_path, "rb").read() == before
         assert sorted(os.listdir(tmp_path / "c.vdc.store" / "vault")) == ["g"]
 
-    def test_quoted_line_breaks_and_crlf_spans(self, tmp_path):
+    def test_quoted_line_breaks_and_crlf(self, tmp_path):
         d = tmp_path / "src"
         d.mkdir()
         (d / "t.schema").write_text("id : text\nv : text\n")
@@ -237,12 +245,9 @@ class TestKeyMap:
         )
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("s", "tabular", str(d), AccessMode.VAULT)
-        assert cat._fetch_records("s", "t", ["c", "d", "e"])[1] == {
+        assert cat._fetch_records("s", "t", ["c", "d", "e", "a\r\nb"])[1] == {
             "c": ("c", "two\nlines"), "d": ("d", "three"), "e": ("e", "x\r"),
-        }
-        vault_map = open(tmp_path / "c.vdc.store" / "vault" / "s" / KEY_MAP, "rb").read()
-        assert b"\na\r\nb\t" not in vault_map  # a key no ref can name
-        assert vault_map.split(b"\n")[2:5] == [b"c\t18\t14", b"d\t32\t8", b"e\t40\t7"]
+        }  # "a\r\nb" is a key no ref can name
         assert cat._fetch_records("s", "t", ["\udcff", "c\udcff"])[1] == {}
 
     def test_table_name_that_is_not_utf8(self, tmp_path):
@@ -255,36 +260,130 @@ class TestKeyMap:
             f.write(b"id,v\n1,one\n2,two\n")
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("s", "tabular", str(d), AccessMode.VAULT)
+        assert cat.open_handle("s").image is not None
         assert cat.fetch_record(ItemRef("s", "t\udcff", "2")) == (2, "two")
 
-    def test_original_holding_the_map_name_is_refused(self, tmp_path, desk_fixtures):
+    def test_original_holding_the_image_name_is_refused(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
         original = tmp_path / "orig"
         shutil.copytree(os.path.join(fx, "volterra"), original)
-        (original / KEY_MAP).write_bytes(b"")
+        (original / IMAGE).write_bytes(b"")
         cat = Catalogue(str(tmp_path / "c.vdc"))
-        with pytest.raises(SourceError, match=f"may not hold a file named '{KEY_MAP}'"):
+        with pytest.raises(SourceError, match=f"may not hold a file named '{IMAGE}'"):
             cat.register_source("vol", "tabular", str(original), AccessMode.VAULT)
         assert cat.sources == {}
         assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "vol")
 
-    def test_xml_vault_has_no_map(self, tmp_path, desk_fixtures):
+    def test_xml_vault_has_no_image(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("iaph", "xml_corpus", os.path.join(fx, "iaph"), AccessMode.VAULT)
-        assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "iaph" / KEY_MAP)
+        assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "iaph" / IMAGE)
         assert cat.fetch_record(ItemRef("iaph", "docs", "i0000"))[0] == "i0000"
 
+    def test_a_live_table_never_reads_an_image(self, tmp_path):
+        """Only the catalogue attaches an image, and only to a vault: a
+        file of that name in a live source is not read."""
+        d = tmp_path / "src"
+        _write_table(d, "id,v", "id : int\nv : text\n", [("1", "one")])
+        (d / IMAGE).write_bytes(b"not an image")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(d), AccessMode.LIVE)
+        assert cat.open_handle("s").image is None
+        assert cat.fetch_record(ItemRef("s", "t", "1")) == (1, "one")
 
-def _resign(data: bytes) -> bytes:
-    """Recompute a key map's END checksum after an edit, so only the edited
-    structure is wrong."""
-    foot = len(data) - 13
-    return data[:foot] + b"END %08x\n" % zlib.crc32(data[:foot])
+
+# the cells of the image-scan property's tables, as CSV texts: nulls beside
+# empty strings, int64 edges and wider ints, NFD, non-BMP and NUL text, and
+# quoted line breaks
+_IMAGE_INTS = ["", "0", "-0", "007", "-1", str(2**63 - 1), str(-2**63), str(2**63),
+               str(-2**63 - 1), "123456789012345678901234567890"]
+_IMAGE_TEXTS = ["", "a", "A", "é", "é", "\U0001d11e clef", "nul\x00nul", "x\ny",
+                "x\r\ny", "cr\r", 'q"q', "a,b", " sp "]
+_IMAGE_DATES = ["", "0150", "0150-03", "0150-03-15", "ca. 0200", "0150/0160", "not a date"]
 
 
-class TestKeyMapFaults:
-    """Every damaged key map, and every vault table changed after its map
+def _coerce(text):
+    try:
+        return parse_uncertain_date(text)
+    except ParseError:
+        return None
+
+
+def _image_predicates():
+    """Pushed predicates over (id int, n int, a text, d date text), with
+    the literals the tables hold, and transforms as views push them."""
+    ints = [int(t) for t in _IMAGE_INTS if t]
+    texts = [nfc(t) for t in _IMAGE_TEXTS if t]
+    dates = [parse_uncertain_date(t) for t in _IMAGE_DATES if _coerce(t)]
+    ops = st.sampled_from(sorted(COMPARE_OPS))
+    upper = {t: t.upper() for t in texts}.get
+    return st.one_of(
+        st.builds(Compare, st.sampled_from([0, 1]), ops, st.sampled_from(ints)),
+        st.builds(Compare, st.just(2), ops, st.sampled_from(texts)),
+        st.builds(lambda op, lit: Compare(2, op, lit, lambda t: upper(t, t)),
+                  ops, st.sampled_from([t.upper() for t in texts])),
+        st.builds(Contains, st.just(2), st.sampled_from(["a", "É", "\x00", "\n", "\U0001d11e"])),
+        st.builds(lambda op, lit: Compare(3, op, lit, _coerce),
+                  st.sampled_from(["=", "!="]), st.sampled_from(dates)),
+        st.builds(lambda a, b: DateWithin(3, *sorted((a, b), key=lambda d: d.earliest_day), _coerce),
+                  st.sampled_from(dates), st.sampled_from(dates)),
+    )
+
+
+class TestImageScan:
+    @given(
+        n_rows=st.sampled_from([0, 1, 7, 30, 4095, 4096, 4097, 8193]),
+        unique_ids=st.booleans(),
+        seed=st.integers(0, 2**32),
+        pushed=st.lists(_image_predicates(), max_size=3),
+        columns=st.one_of(st.none(), st.sets(st.sampled_from(range(4)))),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_csv_scan_of_the_snapshot(self, n_rows, unique_ids, seed, pushed, columns):
+        rng = random.Random(seed)
+        rows = [(str(i) if unique_ids else rng.choice(_IMAGE_INTS), rng.choice(_IMAGE_INTS),
+                 rng.choice(_IMAGE_TEXTS), rng.choice(_IMAGE_DATES)) for i in range(n_rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_table(os.path.join(tmp, "src"), "id,n,a,d",
+                         "id : int\nn : int\na : text\nd : date_text\n", rows, "\r\n")
+            cat = Catalogue(os.path.join(tmp, "c.vdc"))
+            cat.register_source("s", "tabular", os.path.join(tmp, "src"), AccessMode.VAULT)
+            image = cat.open_handle("s")
+            plain = connectors.open_source("s", "tabular", cat.sources["s"].path)
+            assert image.image is not None and plain.image is None
+            assert list(image.scan("t")) == list(plain.scan("t"))
+            assert list(image.scan("t", pushed, columns)) == list(plain.scan("t", pushed, columns))
+
+
+def _image_layout(image: bytes) -> tuple[int, list[int]]:
+    """The end of a one-table image's directory checksum, and the end of
+    each of its chunks."""
+    length, count = struct.unpack_from("<II", image, 12)
+    assert count == 1
+    (name,) = struct.unpack_from("<I", image, 20)
+    _, _, rows, width = struct.unpack_from("<QIQI", image, 24 + name)
+    n = -(-rows // 4096) * width
+    start = 16 + length + 4
+    lengths = array("I", image[16 + length - 8 * n:16 + length])[0::2]
+    return start, list(accumulate(lengths, initial=start))[1:]
+
+
+def _resign(image: bytes, i: int, chunk: bytes) -> bytes:
+    """The image with chunk ``i`` replaced, its length and CRC-32 and the
+    directory checksum made to match, so only the chunk's structure is
+    wrong."""
+    (length,) = struct.unpack_from("<I", image, 12)
+    start, ends = _image_layout(image)
+    n = len(ends)
+    head = bytearray(image[:16 + length])
+    struct.pack_into("<II", head, 16 + length - 8 * n + 8 * i, len(chunk), zlib.crc32(chunk))
+    begin = start if i == 0 else ends[i - 1]
+    return bytes(head) + struct.pack("<I", zlib.crc32(head)) + image[start:begin] + chunk + image[ends[i]:]
+
+
+class TestColumnImageFaults:
+    """Every damaged image, and every vault table changed after its image
     was written, fails a lookup with an IntegrityError naming the file."""
 
     KEYS = ["1", "17", "40"]
@@ -292,37 +391,39 @@ class TestKeyMapFaults:
     @pytest.fixture(scope="class")
     def vault(self, desk_fixtures, tmp_path_factory):
         fx, _ = desk_fixtures
-        cat = Catalogue(str(tmp_path_factory.mktemp("keymap") / "c.vdc"))
+        cat = Catalogue(str(tmp_path_factory.mktemp("image") / "c.vdc"))
         cat.register_source("hgv", "tabular", os.path.join(fx, "hgv"), AccessMode.VAULT)
         vault_dir = cat.sources["hgv"].path
-        image = open(os.path.join(vault_dir, KEY_MAP), "rb").read()
+        image = open(os.path.join(vault_dir, IMAGE), "rb").read()
         table = open(os.path.join(vault_dir, "papyri.csv"), "rb").read()
         expected = _first_rows(cat, "hgv", "papyri")
         return cat, vault_dir, image, table, {k: expected[k] for k in self.KEYS}
 
-    def lookup(self, vault, map_data: bytes | None = None, table: bytes | None = None):
+    def lookup(self, vault, image_data: bytes | None = None, table: bytes | None = None):
         cat, vault_dir, image, original_table, _ = vault
-        with open(os.path.join(vault_dir, KEY_MAP), "wb") as f:
-            f.write(image if map_data is None else map_data)
+        with open(os.path.join(vault_dir, IMAGE), "wb") as f:
+            f.write(image if image_data is None else image_data)
         with open(os.path.join(vault_dir, "papyri.csv"), "wb") as f:
             f.write(original_table if table is None else table)
+        cat._vault_handles.clear()  # a new process reads the image anew
         return cat._fetch_records("hgv", "papyri", self.KEYS)[1]
 
-    def rejected(self, vault, **damage) -> bool:
+    def rejected(self, vault, names=IMAGE, **damage) -> bool:
         try:
             self.lookup(vault, **damage)
         except IntegrityError as e:
-            assert KEY_MAP in str(e) or "papyri.csv" in str(e)
+            assert names in str(e)
             return True
         return False
 
-    def test_intact_map_answers(self, vault):
+    def test_intact_image_answers(self, vault):
         assert self.lookup(vault) == vault[4]
 
-    def test_missing_map_falls_back_to_the_scan(self, vault, monkeypatch):
+    def test_missing_image_falls_back_to_the_scan(self, vault, monkeypatch):
         cat, vault_dir, *_ = vault
         self.lookup(vault)
-        os.remove(os.path.join(vault_dir, KEY_MAP))
+        os.remove(os.path.join(vault_dir, IMAGE))
+        cat._vault_handles.clear()
         scans = []
         real_scan = connectors.TabularSource.scan
 
@@ -333,24 +434,29 @@ class TestKeyMapFaults:
         monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
         assert cat._fetch_records("hgv", "papyri", self.KEYS)[1] == vault[4]
         assert scans == ["papyri"]
+        query = "SELECT * FROM hgv.papyri WHERE Fundort = 'Arsinoe'"
+        without = result_to_csv(execute_plan(plan_query(parse_query(query), cat)))
+        self.lookup(vault)  # the image back
+        assert result_to_csv(execute_plan(plan_query(parse_query(query), cat))) == without
 
-    def test_cut_at_every_line_boundary(self, vault):
+    def test_cut_at_every_chunk_and_header_boundary(self, vault):
         image = vault[2]
-        cuts = [0] + [i + 1 for i in range(len(image) - 1) if image[i] == 0x0A]
-        assert len(cuts) > 500
-        assert [n for n in cuts if not self.rejected(vault, map_data=image[:n])] == []
+        (length,) = struct.unpack_from("<I", image, 12)
+        start, ends = _image_layout(image)
+        cuts = [0, 1, 8, 12, 16, 20, 16 + length, start] + ends[:-1] + [len(image) - 1]
+        assert len(ends) == 9 and ends[-1] == len(image)
+        assert [n for n in cuts if not self.rejected(vault, image_data=image[:n])] == []
 
     def test_one_flipped_byte(self, vault):
         image = vault[2]
         rng = random.Random(33)
-        tail = image.rindex(b"\n", 0, len(image) - 1)
-        positions = list(range(0, 60)) + list(range(tail, len(image)))
+        positions = list(range(0, 60)) + list(range(len(image) - 60, len(image)))
         positions += rng.sample(range(len(image)), 200)
         accepted = []
         for at in positions:
             damaged = bytearray(image)
             damaged[at] ^= 1 << rng.randrange(8)
-            if not self.rejected(vault, map_data=bytes(damaged)):
+            if not self.rejected(vault, image_data=bytes(damaged)):
                 accepted.append(at)
         assert accepted == []
 
@@ -358,24 +464,37 @@ class TestKeyMapFaults:
         table = vault[3]
         flipped = bytearray(table)
         flipped[len(table) // 2] ^= 0x01
-        assert self.rejected(vault, table=bytes(flipped))
-        assert self.rejected(vault, table=table + b"99999,late,,,,,,,\n")
-        assert self.rejected(vault, table=table[:-1])
+        assert self.rejected(vault, "papyri.csv", table=bytes(flipped))
+        assert self.rejected(vault, "papyri.csv", table=table + b"99999,late,,,,,,,\n")
+        assert self.rejected(vault, "papyri.csv", table=table[:-1])
 
-    def test_resigned_map_with_a_wrong_span(self, vault):
-        """A span the checksum cannot catch still fails the record checks."""
+    def test_resigned_chunk_with_a_wrong_structure(self, vault):
+        """A chunk the checksums cannot catch still fails the structure
+        checks: codes past the dictionary, text offsets out of order or
+        past the text, another encoding, too few codes."""
         image = vault[2]
-        line_17 = image.index(b"\n17\t") + 1
-        end = image.index(b"\n", line_17)
-        offset, length = map(int, image[line_17:end].split(b"\t")[1:])
-        for span in [(offset + length, length),  # another key's record
-                     (offset, length * 2),  # two records
-                     (offset + 1, length - 1),  # not at a record's start
-                     (len(vault[3]), 5)]:  # outside the file
-            wrong = b"17\t%d\t%d" % span
-            damaged = _resign(image[:line_17] + wrong + image[end:])
-            assert self.rejected(vault, map_data=damaged), span
+        start, ends = _image_layout(image)
+        key = image[start:ends[0]]  # the id column: int64 entries
+        title = image[ends[0]:ends[1]]  # a text column
+        n_key = struct.unpack_from("<H", key, 1)[0]
+        n_title = struct.unpack_from("<H", title, 1)[0]
+        wrong = {
+            0: [key[:-2] + struct.pack("<H", n_key),  # a code past the entries
+                key[:-2],  # one code short
+                b"\x02" + key[1:],  # decimal text in place of int64
+                key[:3] + struct.pack("<H", 0) + key[5:]],  # a null code on an int
+            1: [title[:5] + struct.pack("<I", 1) + title[9:],  # offsets do not start at 0
+                title[:9] + struct.pack("<I", 10**6) + title[13:],  # an offset past the text
+                b"\x01" + title[1:],  # int64 in a text column
+                title[:1] + struct.pack("<H", n_title + 1) + title[3:]],  # one entry too many
+        }
+        for i, chunks in wrong.items():
+            for chunk in chunks:
+                assert self.rejected(vault, image_data=_resign(image, i, chunk)), chunk[:12]
+        assert not self.rejected(vault, image_data=_resign(image, 1, title))  # unchanged
 
+
+class TestIndexOnlyMode:
     def build(self, tmp_path):
         src = tmp_path / "secret_src"
         write_secret_source(src)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdc import connectors, keymap
+from vdc import colimage, connectors
 from vdc.cli import run as cli_run
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import (
@@ -767,29 +767,29 @@ class TestCollections:
 
     @staticmethod
     def count_reads(monkeypatch) -> dict[str, list]:
-        """The tables each record read touches: ``scan`` for a scan, and
-        for a key-map lookup ``table`` for the one read of the file and
-        ``record`` for each record parsed from it."""
-        reads: dict[str, list] = {"scan": [], "table": [], "record": []}
+        """The tables each read touches: ``scan`` for a scan, and for a
+        column-image lookup ``lookup`` for the lookup and ``table`` for
+        each read of a table file."""
+        reads: dict[str, list] = {"scan": [], "lookup": [], "table": []}
         real_scan = connectors.TabularSource.scan
-        real_read_table = connectors.TabularSource.read_table
-        real_read_record = keymap.read_record
+        real_lookup = colimage.ColumnImage.lookup
+        real_file_crc = colimage._file_crc
 
         def counting_scan(self, table, *args, **kwargs):
             reads["scan"].append(table)
             return real_scan(self, table, *args, **kwargs)
 
-        def counting_read_table(self, table):
-            reads["table"].append(table)
-            return real_read_table(self, table)
+        def counting_lookup(self, handle, table, item_ids):
+            reads["lookup"].append(table)
+            return real_lookup(self, handle, table, item_ids)
 
-        def counting_read_record(data, offset, length, schema, path):
-            reads["record"].append(schema.name)
-            return real_read_record(data, offset, length, schema, path)
+        def counting_file_crc(path):
+            reads["table"].append(os.path.basename(path)[:-4])
+            return real_file_crc(path)
 
         monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
-        monkeypatch.setattr(connectors.TabularSource, "read_table", counting_read_table)
-        monkeypatch.setattr(keymap, "read_record", counting_read_record)
+        monkeypatch.setattr(colimage.ColumnImage, "lookup", counting_lookup)
+        monkeypatch.setattr(colimage, "_file_crc", counting_file_crc)
         return reads
 
     def test_dedup_preserves_first_insertion_order(self, tmp_path, desk_fixtures):
@@ -836,8 +836,8 @@ class TestCollections:
     @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
     def test_one_read_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch, mode):
         """Two refs into one table, given in reverse order, and a missing
-        one: one scan of a live table, or one read of a vault table and one
-        record read per key found; output in collection order, and a
+        one: one scan of a live table, or one image lookup of a vault table
+        and one read of its file; output in collection order, and a
         per-ref error for the missing key."""
         cat = self.centre(tmp_path, desk_fixtures, mode)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "99999")]
@@ -846,9 +846,9 @@ class TestCollections:
         reads = self.count_reads(monkeypatch)
         items = cat.resolve_refs(cat.collections["finds"])
         if mode is AccessMode.LIVE:
-            assert reads == {"scan": ["legal_texts"], "table": [], "record": []}
+            assert reads == {"scan": ["legal_texts"], "lookup": [], "table": []}
         else:
-            assert reads == {"scan": [], "table": ["legal_texts"], "record": ["legal_texts"] * 2}
+            assert reads == {"scan": [], "lookup": ["legal_texts"], "table": ["legal_texts"]}
         assert [i.kind for i in items] == ["row", "doc", "row", "error"]
         assert [i.ref for i in items] == refs
         assert items[0].payload[1][0] == 3 and items[2].payload[1][0] == 1
@@ -877,17 +877,19 @@ class TestCollections:
     @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
     def test_update_checks_refs_with_one_read_per_table(self, tmp_path, desk_fixtures, monkeypatch, mode):
         """Three refs into one table are checked by one scan of a live
-        table, or one read of a vault table; an unknown key fails the update
+        table, or one image lookup of a vault table; an unknown key fails the update
         naming the first unresolvable ref in the order given, and leaves the
         collection unchanged."""
         cat = self.centre(tmp_path, desk_fixtures, mode)
         reads = self.count_reads(monkeypatch)
-        read_kind = "scan" if mode is AccessMode.LIVE else "table"
+        read_kind = "scan" if mode is AccessMode.LIVE else "lookup"
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "2")]
         assert cat.update_collection("finds", refs) == refs
         assert reads[read_kind] == ["legal_texts"]
-        assert len(reads["scan"] + reads["table"]) == 1
+        assert len(reads["scan"] + reads["lookup"]) == 1
+        assert reads["table"] == reads["lookup"]
         reads[read_kind].clear()
+        reads["table"].clear()
         bad = [ItemRef("volterra", "legal_texts", "5"), ItemRef("volterra", "legal_texts", "99999"),
                ItemRef("hgv", "papyri", "88888"), ItemRef("volterra", "legal_texts", "77777")]
         with pytest.raises(CollectionError) as e:
@@ -895,7 +897,8 @@ class TestCollections:
         assert "volterra/legal_texts/99999" in str(e.value)
         assert "77777" not in str(e.value) and "88888" not in str(e.value)
         assert sorted(reads[read_kind]) == ["legal_texts", "papyri"]
-        assert len(reads["scan"] + reads["table"]) == 2
+        assert len(reads["scan"] + reads["lookup"]) == 2
+        assert reads["table"] == reads["lookup"]
         assert cat.collections["finds"] == refs
 
     @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
