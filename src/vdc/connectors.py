@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import os
 import re
+import sys
 import xml.parsers.expat
 from typing import Callable, Iterable, Iterator, Sequence
 from unicodedata import normalize
@@ -275,18 +276,25 @@ def _check_header(header: list[str] | None, schema: TableSchema, path: str) -> N
 def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
     """The checks every reader of a table file applies to each CSV record,
     as one function: the record's first fault (its arity, then the syntax
-    of each non-empty int cell), or None."""
+    of each non-empty int cell and its number of digits, which may not
+    exceed what ``int()`` converts from text), or None."""
     width = len(schema.columns)
     ints = [(i, c.name) for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
     int_syntax = _INT_RE.match
+    # 0, or an interpreter without the limit, converts any number of digits
+    limit = getattr(sys, "get_int_max_str_digits", int)() or sys.maxsize
 
     def check(record: list[str]) -> str | None:
         if len(record) != width:
             return f"row arity {len(record)} != {width}"
         for i, name in ints:
             text = record[i]
-            if text and not int_syntax(text):
-                return f"bad int {text!r} in column {name!r}"
+            if text:
+                if not int_syntax(text):
+                    return f"bad int {text!r} in column {name!r}"
+                if len(text) > limit and len(text.lstrip("-")) > limit:
+                    return (f"int of {len(text.lstrip('-'))} digits in column {name!r} "
+                            f"exceeds the limit of {limit} digits")
         return None
 
     return check

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -118,7 +119,13 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     m = _BOUND_RE.match(part)
     if not m:
         raise ParseError(f"malformed date {part!r}", offset=byte_offset(whole, base))
-    year = int(m.group(1))
+    try:
+        year = int(m.group(1))
+    except ValueError:  # more digits than int() converts from text
+        raise ParseError(
+            f"year of {len(m.group(1).lstrip('-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits", offset=byte_offset(whole, base),
+        ) from None
     if m.group(2) is None:
         return day_number(year, 1, 1), day_number(year, 12, 31)
     month = int(m.group(2))

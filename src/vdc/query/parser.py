@@ -17,6 +17,7 @@ byte offsets into the query text.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
@@ -187,7 +188,14 @@ class _Parser:
         if t.kind != "int":
             self.fail(f"expected {what}")
         self.next()
-        return -int(t.text) if neg else int(t.text)
+        try:
+            value = int(t.text)
+        except ValueError:  # more digits than int() converts from text
+            self.fail(
+                f"integer literal of {len(t.text)} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits", t
+            )
+        return -value if neg else value
 
     # -- grammar ----------------------------------------------------------
     def column(self) -> ColumnRef:

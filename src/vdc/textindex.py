@@ -19,6 +19,7 @@ import unicodedata
 import zlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_atomic
@@ -109,7 +110,9 @@ def iter_documents(
     appending to ``warnings`` as they are met.  Only the cells the recipe
     reads are decoded (the item key, id, field, body and geo columns); the
     scan still checks every record in full.  A null id, an unusable item
-    key or a repeated doc id raises IngestError at its row.
+    key or a repeated doc id raises IngestError at its row.  Text cells
+    are taken as they are, and other cells printed as text; the body of a
+    recipe with one body column is that column's cell (empty when null).
     """
     schema = handle.schema(recipe.source.table)
     names = schema.column_names()
@@ -124,6 +127,7 @@ def iter_documents(
     id_i = col(recipe.id_column)
     field_is = [(f, col(c)) for f, c in recipe.field_map]
     body_is = [col(c) for c in recipe.body_columns]
+    one_body = body_is[0] if len(body_is) == 1 else None
     geo_is = (col(recipe.geo[0]), col(recipe.geo[1])) if recipe.geo else None
 
     source_id, table = recipe.source.source_id, recipe.source.table
@@ -152,10 +156,16 @@ def iter_documents(
 
         fields = {}
         for f, i in field_is:
-            v = _as_text(row[i])
+            v = row[i]
+            if type(v) is not str:
+                v = _as_text(v)
             if v is not None:
                 fields[f] = v
-        body = " ".join(v for v in (_as_text(row[i]) for i in body_is) if v)
+        if one_body is not None:
+            v = row[one_body]
+            body = (v if type(v) is str else _as_text(v)) or ""
+        else:
+            body = " ".join(v for v in (_as_text(row[i]) for i in body_is) if v)
 
         geo = None
         if geo_is is not None:
@@ -493,31 +503,35 @@ def build_index(
     """Index documents deterministically: ordinals follow ascending doc_id.
 
     ``docs`` is read once.  Each document leaves only its encoded DOCS line
-    and, per indexed field, (input position, tf) on the postings of each of
-    its terms; ordinals are assigned after the pass, so the input may be in
-    any order and is never held whole.  ``stored_whitelist`` masks manifest
-    field values for sources that only publish their index:
-    non-whitelisted fields keep their name but store ``-``.  Postings are
-    unaffected (published terms are the point).
+    and, per indexed field, its input position on the list of each raw
+    (white-space separated) word of the field, once per occurrence; words
+    are folded into terms and term frequencies counted at write-out, by
+    ``_field_sections``.  That gives the terms of ``tokenize`` because
+    white space splits a text the same before folding as after: no white
+    space code point is cased, case-ignorable or composes under NFC.
+    Ordinals are assigned after the pass, so the input may be in any order
+    and is never held whole.  ``stored_whitelist`` masks manifest field
+    values for sources that only publish their index: non-whitelisted
+    fields keep their name but store ``-``.  Postings are unaffected
+    (published terms are the point).
     """
     allow = None if stored_whitelist is None else set(stored_whitelist)
     fields = sorted(recipe.indexed)
-    postings: list[dict[str, list[int]]] = [{} for _ in fields]  # term -> pos, tf, pos, tf, ...
+    words: list[dict[str, list[int]]] = [{} for _ in fields]  # raw word -> input positions
     ids: list[str] = []
     lines: list[bytes] = []  # DOCS lines by input position
     for pos, doc in enumerate(docs):
         ids.append(doc.doc_id)
         lines.append(_docs_line(doc, allow))
-        for field, terms in zip(fields, postings):
-            counts: dict[str, int] = {}
-            for term in tokenize(doc.body if field == "body" else doc.fields.get(field, "")):
-                counts[term] = counts.get(term, 0) + 1
-            for term, tf in counts.items():
-                flat = terms.get(term)
-                if flat is None:
-                    terms[term] = [pos, tf]
-                else:
-                    flat += (pos, tf)
+        for field, positions in zip(fields, words):
+            text = doc.body if field == "body" else doc.fields.get(field)
+            if text:
+                for word in text.split():
+                    at = positions.get(word)
+                    if at is None:
+                        positions[word] = [pos]
+                    else:
+                        at.append(pos)
 
     order = sorted(range(len(ids)), key=ids.__getitem__)  # input positions by ordinal
     for p, q in zip(order, order[1:]):
@@ -539,8 +553,8 @@ def build_index(
     for o, p in enumerate(order):
         ordinal[p] = o
     n_terms = 0
-    for field, terms in zip(fields, postings):
-        n_terms += _field_sections(out, sections, field, terms, ordinal)
+    for field, positions in zip(fields, words):
+        n_terms += _field_sections(out, sections, field, positions, ordinal)
 
     width = len(str(docs_end))
     sections.append(len(out))
@@ -563,26 +577,41 @@ def _docs_line(doc: Document, allow: set[str] | None) -> bytes:
 
 
 def _field_sections(
-    out: bytearray, sections: list[int], field: str, terms: dict[str, list[int]],
+    out: bytearray, sections: list[int], field: str, words: dict[str, list[int]],
     ordinal: list[int],
 ) -> int:
     """Append a field's POSTINGS section (one line per term, in term order:
-    ``ord:tf`` by ascending ordinal, from the term's flat (input position,
-    tf) list, which is reordered in place and dropped) and its TERMS
-    section (the byte span of each line) to ``out``; records both header
-    offsets in ``sections`` and returns the term count."""
+    ``ord:tf`` by ascending ordinal) and its TERMS section (the byte span
+    of each line) to ``out``; records both header offsets in ``sections``
+    and returns the term count.
+
+    ``words`` maps each raw word of the field to the input position of
+    each of its occurrences, and is emptied.  Each word is tokenized once;
+    a term's occurrences are the positions of every word that yields it,
+    as many times as it does, and its tf in a document is the count of
+    that document's ordinal among them."""
+    pooled: dict[str, list[list[int]]] = {}  # term -> the position lists of its words
+    for word, at in words.items():
+        for term in tokenize(word):
+            parts = pooled.get(term)
+            if parts is None:
+                pooled[term] = [at]
+            else:
+                parts.append(at)
+    words.clear()
+
     sections.append(len(out))
     out += f"POSTINGS {field}\n".encode("utf-8")
     dictionary = []
-    for term in sorted(terms):
-        flat = terms.pop(term)
-        if len(flat) == 2:
-            line = b"%d:%d\n" % (ordinal[flat[0]], flat[1])
+    for term in sorted(pooled):
+        parts = pooled.pop(term)
+        if len(parts) == 1 and len(parts[0]) == 1:  # a single occurrence
+            line = b"%d:1\n" % ordinal[parts[0][0]]
         else:
-            tf = dict(zip(map(ordinal.__getitem__, flat[0::2]), flat[1::2]))
-            flat[0::2] = sorted(tf)  # now ordinal, tf, ordinal, tf, ... by ordinal
-            flat[1::2] = map(tf.__getitem__, flat[0::2])
-            line = (",".join(["%d:%d"] * len(tf)) % tuple(flat) + "\n").encode("ascii")
+            # ordinal -> tf, by ordinal
+            tf = Counter(sorted(map(ordinal.__getitem__, chain.from_iterable(parts))))
+            line = (",".join(["%d:%d"] * len(tf)) % tuple(chain.from_iterable(tf.items()))
+                    + "\n").encode("ascii")
         dictionary.append(f"{term}\t{len(out)}\t{len(line) - 1}\n")
         out += line
     sections.append(len(out))

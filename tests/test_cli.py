@@ -572,6 +572,39 @@ class TestCsvFieldLimit:
                        f"limit (131072) [{path}:3]\n")
 
 
+@pytest.mark.usefixtures("int_digit_limit")
+class TestIntDigitLimit:
+    """An int cell of more digits than int() converts from text is a data
+    error naming the file and line, for a query and for a vault add."""
+
+    def table(self, tmp_path):
+        src = tmp_path / "big"
+        src.mkdir()
+        (src / "t.schema").write_text("id : int\nnote : text\n", encoding="utf-8")
+        (src / "t.csv").write_text(f"id,note\n{'1' * 5000},x\n", encoding="utf-8")
+        return src
+
+    ERROR = "error: int of 5000 digits in column 'id' exceeds the limit of 4300 digits"
+
+    def test_query_of_a_live_table(self, centre, tmp_path):
+        cli, *_ = centre
+        src = self.table(tmp_path)
+        assert cli("source", "add", "big", "--kind", "tabular", "--path", str(src),
+                   "--mode", "live")[0] == 0
+        code, out, err = cli("query", "SELECT note FROM big.t")
+        assert (code, out, err) == (2, "", f"{self.ERROR} [{src / 't.csv'}:2]\n")
+
+    def test_vault_add_leaves_nothing(self, centre, tmp_path):
+        cli, cat, *_ = centre
+        src = self.table(tmp_path)
+        before = open(cat, "rb").read()
+        code, out, err = cli("source", "add", "big", "--kind", "tabular", "--path", str(src),
+                             "--mode", "vault")
+        assert (code, out, err) == (2, "", f"{self.ERROR} [{src / 't.csv'}:2]\n")
+        assert open(cat, "rb").read() == before
+        assert not os.path.exists(tmp_path / "catalogue.vdc.store" / "vault" / "big")
+
+
 class TestFixturesViaCli:
     def test_generate_and_use(self, tmp_path, capsys):
         cat = str(tmp_path / "c.vdc")

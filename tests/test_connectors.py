@@ -4,6 +4,7 @@ against the central evaluator, autonomy, determinism."""
 import os
 import random
 import stat
+import sys
 import tempfile
 from xml.sax.saxutils import escape, quoteattr
 
@@ -103,6 +104,22 @@ class TestTabular:
         with pytest.raises(SourceError) as e:
             list(handle.scan("texts"))
         assert e.value.line == 2
+
+    def test_int_over_the_digit_limit(self, tmp_path, monkeypatch, int_digit_limit):
+        """A cell of more digits than int() converts is a record fault at
+        its line; the sign is not a digit, and without a limit (0, or an
+        interpreter without the function) the cell is read."""
+        write_source(tmp_path / "s", rows=["-" + "9" * 4300 + ",a,b", "1" * 4301 + ",c,d"])
+        handle = live("s", tmp_path / "s")
+        with pytest.raises(SourceError) as e:
+            list(handle.scan("texts"))
+        assert e.value.line == 3
+        assert str(e.value).startswith(
+            "int of 4301 digits in column 'id' exceeds the limit of 4300 digits [")
+        sys.set_int_max_str_digits(0)
+        assert [r[0] for r in handle.scan("texts")] == [-int("9" * 4300), int("1" * 4301)]
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert len(list(handle.scan("texts"))) == 2
 
     def test_arity_mismatch(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,a"])

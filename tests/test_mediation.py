@@ -421,9 +421,12 @@ class TestRowMapping:
         row, warns = cv.apply(0, (1, "Memphis", None, "Brief"))
         assert row[2] is None and row[3] == "letter" and warns == []
 
-    def test_unparseable_date_collected_not_fatal(self):
+    @pytest.mark.parametrize("text", ["13th of March", "1" * 5000])
+    def test_unparseable_date_collected_not_fatal(self, text, request):
+        if len(text) > 4300:  # a year of more digits than int() converts from text
+            request.getfixturevalue("int_digit_limit")
         cv = self.compiled()
-        row, warns = cv.apply(0, (1, "Memphis", "13th of March", "Brief"))
+        row, warns = cv.apply(0, (1, "Memphis", text, "Brief"))
         assert row[2] is None
         assert len(warns) == 1
         assert isinstance(warns[0], CoercionError)

@@ -111,6 +111,32 @@ class TestParser:
         out = capsys.readouterr()
         assert out.out == "" and "unexpected character" in out.err
 
+    @pytest.mark.parametrize("template", [
+        "SELECT id FROM t WHERE id = {}", "SELECT id FROM t WHERE id > -{}",
+        "SELECT id FROM t LIMIT {}",
+    ])
+    def test_int_literal_over_the_digit_limit(self, template, tmp_path, capsys, int_digit_limit):
+        text = template.format("7" * 5000)
+        with pytest.raises(ParseError) as e:
+            parse_query(text)
+        at = text.index("7")
+        assert e.value.offset == at
+        assert str(e.value) == (
+            f"integer literal of 5000 digits exceeds the limit of 4300 digits (byte {at})")
+        cat = Catalogue(str(tmp_path / "catalogue.vdc"))
+        cat.persist()
+        assert run(["--catalogue", cat.path, "query", text]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {e.value}\n"
+        parse_query(template.format("7" * 4300))  # at the limit, it parses
+
+    def test_date_literal_year_over_the_digit_limit(self, int_digit_limit):
+        text = f"SELECT id FROM t WHERE DATE_WITHIN(d, '0100', '{'1' * 5000}')"
+        with pytest.raises(ParseError) as e:
+            parse_query(text)
+        assert e.value.offset == text.index("'1")
+        assert e.value.message.endswith(": year of 5000 digits exceeds the limit of 4300 digits")
+
     def test_bad_date_within_literal_reports_its_offset_in_the_query(self):
         text = "SELECT id FROM papyri_en WHERE DATE_WITHIN(date, 'ca. 0100', '0100/0090')"
         with pytest.raises(ParseError) as e:

@@ -7,9 +7,11 @@ import hashlib
 import os
 import random
 import shutil
+import sys
 import tracemalloc
 import unicodedata
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,20 @@ _SEPARATOR_RUNS = st.lists(
     min_size=1, max_size=3,
 ).map("".join)
 
+# The split rule an index build relies on: white space cuts a text into the
+# same terms before folding as after.  Every code point str.split() cuts at,
+# EN QUAD and EM QUAD (which NFC maps to EN SPACE and EM SPACE), combining
+# marks (the acute, and the iota subscript, which lowercases to itself),
+# the three sigmas, dotted capital I, Hangul jamo that NFC composes into a
+# syllable, and superscript two and one half, which are No.
+_WHITE_SPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+_SPLIT_RULE_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(
+        _WHITE_SPACE + list("\u2000\u2001\u0301\u0345\u03a3\u03c3\u03c2\u0130"
+                            "\u1100\u1161\u11a8\u00b2\u00bdaA-")), max_size=40),
+)
+
 
 class TestTokenize:
     def test_split_and_fold(self):
@@ -105,6 +121,11 @@ class TestTokenize:
     @settings(max_examples=400)
     def test_word_by_word_matches_the_oracle(self, text):
         assert tokenize(text) == oracle_tokenize(text)
+
+    @given(_SPLIT_RULE_TEXT)
+    @settings(max_examples=2000)
+    def test_white_space_splits_before_folding_as_after(self, text):
+        assert tokenize(text) == [t for w in text.split() for t in tokenize(w)]
 
 
 class TestEscape:
@@ -313,6 +334,59 @@ def documents(draw):
                                                   st.sampled_from([-0.5, 29.0]))))
         docs.append(Document(doc_id, ItemRef("s", "t", f"k{n}\\/x"), fields, draw(_CELL), geo))
     return docs
+
+
+# field texts for the content test: words shared across documents, case
+# variants that fold to one term, words that split into several terms (one
+# into the same term twice), and runs of white space between them
+_FIELD_TEXT = st.lists(
+    st.sampled_from(["\u039b\u03cc\u03b3\u03bf\u03c2", "\u03bb\u03cc\u03b3\u03bf\u03c2",
+                     "a-b", "x.y", "a-a", "a", "B", "b", "\u0130", "-", " ", "\t", "\u2000"]),
+    max_size=10,
+).map("".join)
+
+
+@st.composite
+def field_documents(draw):
+    """Documents with distinct ids, in a drawn order, whose body, title and
+    (stored, not indexed) place are absent, empty or drawn texts."""
+    ids = draw(st.lists(st.sampled_from(["d0", "d1", "d2", "d3", "d4", "d5"]), unique=True,
+                        max_size=6))
+    docs = []
+    for doc_id in ids:
+        fields = {}
+        for name in ("title", "place"):
+            value = draw(st.one_of(st.none(), _FIELD_TEXT))
+            if value is not None:
+                fields[name] = value
+        docs.append(Document(doc_id, ItemRef("s", "t", doc_id), fields, draw(_FIELD_TEXT)))
+    return docs
+
+
+class TestBuildContent:
+    """A build's terms and postings are those of counting each document's
+    tokens on its own, and its DOCS lines give back every document."""
+
+    @given(docs=field_documents(), whitelist=st.sampled_from([None, ("title",)]))
+    @settings(max_examples=300, deadline=None)
+    def test_terms_postings_and_docs_equal_per_document_counts(self, docs, whitelist):
+        idx = build_index((d for d in docs), mini_recipe(("body", "title")), whitelist)
+        ordered = sorted(docs, key=lambda d: d.doc_id)
+        for field in ("body", "title"):
+            counts = [Counter(tokenize(d.body if field == "body" else d.fields.get(field, "")))
+                      for d in ordered]
+            vocabulary = sorted(set().union(*counts))
+            assert list(idx.terms(field)) == vocabulary
+            for term in vocabulary:
+                postings = idx.postings(field, term)
+                assert postings == {o: c[term] for o, c in enumerate(counts) if term in c}
+                assert list(postings) == sorted(postings)
+        assert [e.__dict__ for e in index_docs(idx)] == [
+            {"doc_id": d.doc_id, "ref": d.ref.text(), "geo": None,
+             "stored": {f: v if whitelist is None or f in whitelist else "-"
+                        for f, v in d.fields.items()}}
+            for d in ordered
+        ]
 
 
 class RowsHandle:
