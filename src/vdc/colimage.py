@@ -39,6 +39,10 @@ directory (CRC-32, version, the file's size, and each table's schema
 against its sidecar); a scan checks the CRC-32 of each chunk it reads; a
 lookup checks the table's file against the directory's size and CRC-32 and
 every chunk of the table.  A fault is an IntegrityError naming the file.
+An image written under a higher int-string limit than the reading
+process's may hold a decimal entry of more digits than ``int()`` then
+converts; decoding it raises the SourceError a scan of the table raises
+for such a cell, naming the table's file, not a fault of the image.
 """
 
 from __future__ import annotations
@@ -53,7 +57,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .connectors import TabularSource
 from .errors import IntegrityError, SourceError
-from .model import ColumnDescriptor, ColumnKind, Row, TableSchema, refable
+from .model import (
+    ColumnDescriptor,
+    ColumnKind,
+    Row,
+    TableSchema,
+    int_digit_limit,
+    over_digit_limit,
+    refable,
+)
 from .predicates import holds
 
 IMAGE = "vdc.cols"
@@ -242,8 +254,16 @@ class ColumnImage:
                 else:
                     values = {c: text[offsets[c]:offsets[c + 1]] for c in only}
                 if encoding == _DECIMAL:
+                    limit = int_digit_limit()
                     for c in only:
-                        values[c] = int(values[c]) if values[c] else None
+                        v = values[c]
+                        if len(v) > limit and len(v.lstrip("-")) > limit:
+                            # written under a higher limit: the scan's fault, not damage
+                            name = t.schema.columns[column].name
+                            file = os.path.join(os.path.dirname(self.path), t.schema.name + ".csv")
+                            raise SourceError(f"{over_digit_limit('int', v)} in column {name!r}",
+                                              path=file)
+                        values[c] = int(v) if v else None
             if null != _NO_NULL:
                 values[null] = None
         except (ValueError, IndexError, struct.error) as e:
@@ -363,13 +383,16 @@ class ColumnImage:
 
 def _key_cell(key: str, int_column: bool) -> int | str | None:
     """The key cell whose text (see :func:`vdc.model.cell_text`) is
-    ``key``, or None when no cell prints as it."""
+    ``key``, or None when no cell prints as it.  A key of more digits than
+    ``int()`` converts stays text: it matches no int cell, but the key
+    chunks are decoded, so an image that holds such a cell fails the
+    lookup as a scan fails."""
     if not int_column:
         return key
     try:
         cell = int(key)
     except ValueError:
-        return None
+        return key if len(key) > int_digit_limit() else None
     return cell if str(cell) == key else None
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-import sys
 import xml.parsers.expat
 from typing import Callable, Iterable, Iterator, Sequence
 from unicodedata import normalize
@@ -45,7 +44,9 @@ from .model import (
     Row,
     TableSchema,
     cell_text,
+    int_digit_limit,
     nfc,
+    over_digit_limit,
     parse_uncertain_date,
 )
 from .predicates import holds, matches
@@ -281,8 +282,7 @@ def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
     width = len(schema.columns)
     ints = [(i, c.name) for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
     int_syntax = _INT_RE.match
-    # 0, or an interpreter without the limit, converts any number of digits
-    limit = getattr(sys, "get_int_max_str_digits", int)() or sys.maxsize
+    limit = int_digit_limit()
 
     def check(record: list[str]) -> str | None:
         if len(record) != width:
@@ -293,8 +293,7 @@ def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
                 if not int_syntax(text):
                     return f"bad int {text!r} in column {name!r}"
                 if len(text) > limit and len(text.lstrip("-")) > limit:
-                    return (f"int of {len(text.lstrip('-'))} digits in column {name!r} "
-                            f"exceeds the limit of {limit} digits")
+                    return f"{over_digit_limit('int', text)} in column {name!r}"
         return None
 
     return check

@@ -110,6 +110,19 @@ def byte_offset(s: str, char_offset: int) -> int:
     return len(s[:char_offset].encode("utf-8"))
 
 
+def int_digit_limit() -> int:
+    """The most digits ``int()`` converts from text: Python's int-string
+    limit, or ``sys.maxsize`` when it is 0 or the interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", int)() or sys.maxsize
+
+
+def over_digit_limit(what: str, text: str) -> str:
+    """The fault of ``what``, whose decimal ``text`` (an optional ``-`` and
+    digits) has more digits than :func:`int_digit_limit`."""
+    return (f"{what} of {len(text.lstrip('-'))} digits exceeds the limit of "
+            f"{int_digit_limit()} digits")
+
+
 def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     """Parse one bound (Y, Y-MM or Y-MM-DD) to its (first, last) day numbers.
 
@@ -122,10 +135,8 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     try:
         year = int(m.group(1))
     except ValueError:  # more digits than int() converts from text
-        raise ParseError(
-            f"year of {len(m.group(1).lstrip('-'))} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits", offset=byte_offset(whole, base),
-        ) from None
+        raise ParseError(over_digit_limit("year", m.group(1)),
+                         offset=byte_offset(whole, base)) from None
     if m.group(2) is None:
         return day_number(year, 1, 1), day_number(year, 12, 31)
     month = int(m.group(2))

@@ -17,11 +17,10 @@ byte offsets into the query text.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
-from ..model import UncertainDate, byte_offset, nfc, parse_uncertain_date
+from ..model import UncertainDate, byte_offset, nfc, over_digit_limit, parse_uncertain_date
 from ..predicates import COMPARE_OPS
 
 KEYWORDS = {"select", "from", "join", "on", "where", "and", "limit", "contains"}
@@ -191,10 +190,7 @@ class _Parser:
         try:
             value = int(t.text)
         except ValueError:  # more digits than int() converts from text
-            self.fail(
-                f"integer literal of {len(t.text)} digits exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits", t
-            )
+            self.fail(over_digit_limit("integer literal", t.text), t)
         return -value if neg else value
 
     # -- grammar ----------------------------------------------------------

@@ -110,9 +110,9 @@ def iter_documents(
     appending to ``warnings`` as they are met.  Only the cells the recipe
     reads are decoded (the item key, id, field, body and geo columns); the
     scan still checks every record in full.  A null id, an unusable item
-    key or a repeated doc id raises IngestError at its row.  Text cells
-    are taken as they are, and other cells printed as text; the body of a
-    recipe with one body column is that column's cell (empty when null).
+    key or a repeated doc id raises IngestError at its row.  Cells are
+    taken as their text; the body joins the non-empty body cells with a
+    space.
     """
     schema = handle.schema(recipe.source.table)
     names = schema.column_names()
@@ -127,7 +127,6 @@ def iter_documents(
     id_i = col(recipe.id_column)
     field_is = [(f, col(c)) for f, c in recipe.field_map]
     body_is = [col(c) for c in recipe.body_columns]
-    one_body = body_is[0] if len(body_is) == 1 else None
     geo_is = (col(recipe.geo[0]), col(recipe.geo[1])) if recipe.geo else None
 
     source_id, table = recipe.source.source_id, recipe.source.table
@@ -156,16 +155,10 @@ def iter_documents(
 
         fields = {}
         for f, i in field_is:
-            v = row[i]
-            if type(v) is not str:
-                v = _as_text(v)
+            v = _as_text(row[i])
             if v is not None:
                 fields[f] = v
-        if one_body is not None:
-            v = row[one_body]
-            body = (v if type(v) is str else _as_text(v)) or ""
-        else:
-            body = " ".join(v for v in (_as_text(row[i]) for i in body_is) if v)
+        body = " ".join([v for i in body_is if (v := _as_text(row[i]))])
 
         geo = None
         if geo_is is not None:

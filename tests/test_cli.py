@@ -5,6 +5,7 @@ import csv
 import io
 import os
 import shutil
+import sys
 
 import pytest
 
@@ -584,7 +585,7 @@ class TestIntDigitLimit:
         (src / "t.csv").write_text(f"id,note\n{'1' * 5000},x\n", encoding="utf-8")
         return src
 
-    ERROR = "error: int of 5000 digits in column 'id' exceeds the limit of 4300 digits"
+    ERROR = "error: int of 5000 digits exceeds the limit of 4300 digits in column 'id'"
 
     def test_query_of_a_live_table(self, centre, tmp_path):
         cli, *_ = centre
@@ -603,6 +604,24 @@ class TestIntDigitLimit:
         assert (code, out, err) == (2, "", f"{self.ERROR} [{src / 't.csv'}:2]\n")
         assert open(cat, "rb").read() == before
         assert not os.path.exists(tmp_path / "catalogue.vdc.store" / "vault" / "big")
+
+    def test_vault_written_under_a_higher_limit(self, centre, tmp_path):
+        """A vault added while the limit was off keeps the cell in its
+        column image; read under the limit, the cell is the scan's data
+        error naming the vault's table, for a query and for a lookup by
+        its key, not a damaged image."""
+        cli, *_ = centre
+        src = self.table(tmp_path)
+        sys.set_int_max_str_digits(0)
+        assert cli("source", "add", "big", "--kind", "tabular", "--path", str(src),
+                   "--mode", "vault")[0] == 0
+        sys.set_int_max_str_digits(4300)
+        snapshot = tmp_path / "catalogue.vdc.store" / "vault" / "big"
+        fault = f"{self.ERROR[len('error: '):]} [{snapshot / 't.csv'}]"
+        assert cli("query", "SELECT * FROM big.t") == (2, "", f"error: {fault}\n")
+        code, out, err = cli("coll", "update", "c", "--add", f"big/t/{'1' * 5000}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f": {fault}\n")
 
 
 class TestFixturesViaCli:

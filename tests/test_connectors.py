@@ -115,7 +115,7 @@ class TestTabular:
             list(handle.scan("texts"))
         assert e.value.line == 3
         assert str(e.value).startswith(
-            "int of 4301 digits in column 'id' exceeds the limit of 4300 digits [")
+            "int of 4301 digits exceeds the limit of 4300 digits in column 'id' [")
         sys.set_int_max_str_digits(0)
         assert [r[0] for r in handle.scan("texts")] == [-int("9" * 4300), int("1" * 4301)]
         monkeypatch.delattr(sys, "get_int_max_str_digits")
