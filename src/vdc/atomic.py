@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import tempfile
 
 
 def write_atomic(path: str, data: bytes) -> None:
@@ -14,6 +13,8 @@ def write_atomic(path: str, data: bytes) -> None:
     the new one, never a partial write.  On failure the temp file is
     removed and ``path`` is left as it was.
     """
+    import tempfile  # here: a command that writes nothing never loads it
+
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(path) + ".", dir=d)
     try:

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import fcntl
 import os
-import shutil
-import tempfile
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -54,7 +51,7 @@ from .mediation import (
     TranslationTable,
     ViewDefinition,
 )
-from .model import ItemRef, Row, TableSchema
+from .model import ItemRef, Record, Row, TableSchema, init_field
 
 if TYPE_CHECKING:  # vdc.textindex is imported by the methods that use it
     from .textindex import DocEntry, InvertedIndex
@@ -71,14 +68,16 @@ class AccessMode(Enum):
     INDEX_ONLY = "index-only"
 
 
-@dataclass(frozen=True)
-class SourceDescriptor:
+class SourceDescriptor(Record):
     """A registered source: where it is, how to read it, and its mode."""
 
-    source_id: str
-    kind: str
-    path: str
-    mode: AccessMode
+    __slots__ = ("source_id", "kind", "path", "mode")
+
+    def __init__(self, source_id: str, kind: str, path: str, mode: AccessMode):
+        init_field(self, "source_id", source_id)
+        init_field(self, "kind", kind)
+        init_field(self, "path", path)
+        init_field(self, "mode", mode)
 
     def open(self) -> SourceHandle:
         """Open the source read-only; its mode is ``Catalogue.open_handle``'s
@@ -190,19 +189,23 @@ class Relation:
 # --------------------------------------------------------------------------
 # the catalogue
 
-@dataclass
 class _ViewEntry:
-    path: str
-    definition: ViewDefinition
+    __slots__ = ("path", "definition")
+
+    def __init__(self, path: str, definition: ViewDefinition):
+        self.path = path
+        self.definition = definition
 
 
-@dataclass
 class ResolvedItem:
     """One collection ref, resolved under its source's mode."""
 
-    ref: ItemRef
-    kind: str  # "row" | "doc" | "stub" | "error"
-    payload: object
+    __slots__ = ("ref", "kind", "payload")
+
+    def __init__(self, ref: ItemRef, kind: str, payload: object):
+        self.ref = ref
+        self.kind = kind  # "row" | "doc" | "stub" | "error"
+        self.payload = payload
 
 
 class Catalogue:
@@ -243,6 +246,9 @@ class Catalogue:
         each copied table, so a malformed record fails the registration;
         one rename publishes the copy and its image, and any failure before
         it leaves neither."""
+        import shutil
+        import tempfile
+
         from . import colimage
 
         vault_root = os.path.join(self.store_dir, "vault")

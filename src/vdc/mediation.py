@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, replace
 from typing import Callable, Collection, Iterator
 
 from .connectors import read_utf8, row_item_key
@@ -25,10 +24,12 @@ from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
 from .model import (
     ColumnDescriptor,
     ColumnKind,
+    Record,
     Row,
     TableSchema,
     UncertainDate,
     fold,
+    init_field,
     nfc,
     parse_uncertain_date,
 )
@@ -37,12 +38,14 @@ from .predicates import Compare, Contains, DateWithin
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class RelationRef:
+class RelationRef(Record):
     """A ``source.table`` reference."""
 
-    source_id: str
-    table: str
+    __slots__ = ("source_id", "table")
+
+    def __init__(self, source_id: str, table: str):
+        init_field(self, "source_id", source_id)
+        init_field(self, "table", table)
 
     def text(self) -> str:
         return f"{self.source_id}.{self.table}"
@@ -111,31 +114,39 @@ def parse_translation_table(table_id: str, text: str, path: str = "-") -> Transl
 # --------------------------------------------------------------------------
 # view definitions
 
-@dataclass(frozen=True)
-class Rename:
-    original: str
-    to: str
+class Rename(Record):
+    __slots__ = ("original", "to")
+
+    def __init__(self, original: str, to: str):
+        init_field(self, "original", original)
+        init_field(self, "to", to)
 
 
-@dataclass(frozen=True)
-class Coerce:
-    column: str
+class Coerce(Record):
+    __slots__ = ("column",)
+
+    def __init__(self, column: str):
+        init_field(self, "column", column)
 
 
-@dataclass(frozen=True)
-class Translate:
-    column: str
-    table_id: str
+class Translate(Record):
+    __slots__ = ("column", "table_id")
+
+    def __init__(self, column: str, table_id: str):
+        init_field(self, "column", column)
+        init_field(self, "table_id", table_id)
 
 
 MappingRule = Rename | Coerce | Translate
 
 
-@dataclass(frozen=True)
-class ViewDefinition:
-    name: str
-    base: tuple[RelationRef, ...]  # first is primary, the rest are unioned
-    rules: tuple[MappingRule, ...]
+class ViewDefinition(Record):
+    __slots__ = ("name", "base", "rules")
+
+    def __init__(self, name: str, base: tuple[RelationRef, ...], rules: tuple[MappingRule, ...]):
+        init_field(self, "name", name)
+        init_field(self, "base", base)  # first is primary, the rest are unioned
+        init_field(self, "rules", rules)
 
 
 _QUOTED_RE = re.compile(r'^"((?:[^"]|"")*)"$')
@@ -287,15 +298,19 @@ def parse_view_file(text: str) -> ViewDefinition:
 # --------------------------------------------------------------------------
 # ingest recipes (run by vdc.textindex)
 
-@dataclass(frozen=True)
-class IngestRecipe:
-    name: str
-    source: RelationRef
-    id_column: str
-    field_map: tuple[tuple[str, str], ...]  # (document field, source column)
-    body_columns: tuple[str, ...]
-    geo: tuple[str, str] | None  # (lat column, lon column)
-    indexed: tuple[str, ...]
+class IngestRecipe(Record):
+    __slots__ = ("name", "source", "id_column", "field_map", "body_columns", "geo", "indexed")
+
+    def __init__(self, name: str, source: RelationRef, id_column: str,
+                 field_map: tuple[tuple[str, str], ...], body_columns: tuple[str, ...],
+                 geo: tuple[str, str] | None, indexed: tuple[str, ...]):
+        init_field(self, "name", name)
+        init_field(self, "source", source)
+        init_field(self, "id_column", id_column)
+        init_field(self, "field_map", field_map)  # (document field, source column)
+        init_field(self, "body_columns", body_columns)
+        init_field(self, "geo", geo)  # (lat column, lon column)
+        init_field(self, "indexed", indexed)
 
 
 _RECIPE_USAGE = {
@@ -436,7 +451,8 @@ class CompiledView:
             return pred
         if len(ops) > 1 or (pred.index in self._date_columns and len(self._date_columns) > 1):
             return None
-        return replace(pred, transform=ops[0].transform)
+        # a scan predicate's transform is its last field
+        return type(pred)(*pred.cells()[:-1], ops[0].transform)
 
     def apply(self, base_index: int, row: Row) -> tuple[Row, list[CoercionError]]:
         ops = self._ops

@@ -24,10 +24,9 @@ construction; the independent check of what the meanings should be is
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .model import Row, UncertainDate, date_within, fold
+from .model import Record, Row, UncertainDate, date_within, fold, init_field
 
 COMPARE_OPS = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -35,33 +34,39 @@ COMPARE_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Compare:
-    index: int
-    op: str
-    literal: int | str | UncertainDate
-    transform: Callable | None = None
+class Compare(Record):
+    __slots__ = ("index", "op", "literal", "transform")
 
-    def __post_init__(self):
-        if self.op not in COMPARE_OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Contains:
-    index: int
-    needle: str
-    transform: Callable | None = None
+    def __init__(self, index: int, op: str, literal: int | str | UncertainDate,
+                 transform: Callable | None = None):
+        if op not in COMPARE_OPS:
+            raise ValueError(f"bad comparison operator {op!r}")
+        init_field(self, "index", index)
+        init_field(self, "op", op)
+        init_field(self, "literal", literal)
+        init_field(self, "transform", transform)
 
 
-@dataclass(frozen=True)
-class DateWithin:
+class Contains(Record):
+    __slots__ = ("index", "needle", "transform")
+
+    def __init__(self, index: int, needle: str, transform: Callable | None = None):
+        init_field(self, "index", index)
+        init_field(self, "needle", needle)
+        init_field(self, "transform", transform)
+
+
+class DateWithin(Record):
     """DATE_WITHIN: the cell's whole interval lies inside [lo, hi]."""
 
-    index: int
-    lo: UncertainDate
-    hi: UncertainDate
-    transform: Callable | None = None
+    __slots__ = ("index", "lo", "hi", "transform")
+
+    def __init__(self, index: int, lo: UncertainDate, hi: UncertainDate,
+                 transform: Callable | None = None):
+        init_field(self, "index", index)
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
+        init_field(self, "transform", transform)
 
 
 def holds(p: Compare | Contains | DateWithin, cell) -> bool:

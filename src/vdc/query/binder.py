@@ -8,7 +8,6 @@ meant to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import PlanError
@@ -19,19 +18,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..datacentre import Catalogue, Relation
 
 
-@dataclass
 class BoundRelation:
-    alias: str  # display name: explicit alias or bare relation name
-    relation: "Relation"
-    first_slot: int
+    __slots__ = ("alias", "relation", "first_slot")
+
+    def __init__(self, alias: str, relation: Relation, first_slot: int):
+        self.alias = alias  # display name: explicit alias or bare relation name
+        self.relation = relation
+        self.first_slot = first_slot
 
 
-@dataclass
 class Slot:
-    rel_index: int
-    col_index: int  # position within the relation's schema
-    alias: str
-    column: ColumnDescriptor
+    __slots__ = ("rel_index", "col_index", "alias", "column")
+
+    def __init__(self, rel_index: int, col_index: int, alias: str, column: ColumnDescriptor):
+        self.rel_index = rel_index
+        self.col_index = col_index  # position within the relation's schema
+        self.alias = alias
+        self.column = column
 
 
 class Binding:

@@ -14,8 +14,6 @@ unrelated queries.
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -35,11 +33,13 @@ from .planner import BDateNear, Plan, Term
 HASH_BUILD_CAP = 1_000_000  # rows; guards the hash-join build side
 
 
-@dataclass
 class ResultSet:
-    schema: TableSchema
-    rows: list[Row]
-    warnings: list[CoercionError] = field(default_factory=list)
+    __slots__ = ("schema", "rows", "warnings")
+
+    def __init__(self, schema: TableSchema, rows: list[Row], warnings: list[CoercionError]):
+        self.schema = schema
+        self.rows = rows
+        self.warnings = warnings
 
 
 # -- bound predicates (filters above the scans) -------------------------------
@@ -126,6 +126,8 @@ def result_to_csv(rs: ResultSet) -> str:
 
 
 def result_to_jsonl(rs: ResultSet) -> str:
+    import json  # here: a CSV query never loads it
+
     names = rs.schema.column_names()
     lines = []
     for row in rs.rows:

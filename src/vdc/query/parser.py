@@ -20,18 +20,28 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
-from ..model import UncertainDate, byte_offset, nfc, over_digit_limit, parse_uncertain_date
+from ..model import (
+    Record,
+    UncertainDate,
+    byte_offset,
+    init_field,
+    nfc,
+    over_digit_limit,
+    parse_uncertain_date,
+)
 from ..predicates import COMPARE_OPS
 
 KEYWORDS = {"select", "from", "join", "on", "where", "and", "limit", "contains"}
 FUNCTIONS = {"date_near", "date_within"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | string | symbol | end
-    text: str
-    offset: int  # char offset into the query text
+class Token(Record):
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        init_field(self, "kind", kind)  # ident | int | string | symbol | end
+        init_field(self, "text", text)
+        init_field(self, "offset", offset)  # char offset into the query text
 
 
 _TOKEN_RE = re.compile(
@@ -64,62 +74,79 @@ def tokenize_query(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class ColumnRef:
-    qualifier: str | None
-    name: str
+class ColumnRef(Record):
+    __slots__ = ("qualifier", "name")
+
+    def __init__(self, qualifier: str | None, name: str):
+        init_field(self, "qualifier", qualifier)
+        init_field(self, "name", name)
 
     def text(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-@dataclass(frozen=True)
-class RelationTerm:
-    name: str  # "view_or_table" or "source.table"
-    alias: str | None
+class RelationTerm(Record):
+    __slots__ = ("name", "alias")
+
+    def __init__(self, name: str, alias: str | None):
+        init_field(self, "name", name)  # "view_or_table" or "source.table"
+        init_field(self, "alias", alias)
 
     def display(self) -> str:
         return self.alias or self.name.split(".")[-1]
 
 
-@dataclass(frozen=True)
-class JoinSpec:
-    relation: RelationTerm
-    left: ColumnRef
-    right: ColumnRef
+class JoinSpec(Record):
+    __slots__ = ("relation", "left", "right")
+
+    def __init__(self, relation: RelationTerm, left: ColumnRef, right: ColumnRef):
+        init_field(self, "relation", relation)
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class CompareAst:
-    column: ColumnRef
-    op: str
-    literal: int | str  # a str only from a quoted literal
-    literal_offset: int  # char offset of the literal's first character
+class CompareAst(Record):
+    __slots__ = ("column", "op", "literal", "literal_offset")
+
+    def __init__(self, column: ColumnRef, op: str, literal: int | str, literal_offset: int):
+        init_field(self, "column", column)
+        init_field(self, "op", op)
+        init_field(self, "literal", literal)  # a str only from a quoted literal
+        # char offset of the literal's first character
+        init_field(self, "literal_offset", literal_offset)
 
 
-@dataclass(frozen=True)
-class ContainsAst:
-    column: ColumnRef
-    needle: str
+class ContainsAst(Record):
+    __slots__ = ("column", "needle")
+
+    def __init__(self, column: ColumnRef, needle: str):
+        init_field(self, "column", column)
+        init_field(self, "needle", needle)
 
 
-@dataclass(frozen=True)
-class DateNearAst:
-    column_a: ColumnRef
-    column_b: ColumnRef
-    k_years: int
+class DateNearAst(Record):
+    __slots__ = ("column_a", "column_b", "k_years")
+
+    def __init__(self, column_a: ColumnRef, column_b: ColumnRef, k_years: int):
+        init_field(self, "column_a", column_a)
+        init_field(self, "column_b", column_b)
+        init_field(self, "k_years", k_years)
 
 
-@dataclass(frozen=True)
-class DateWithinAst:
-    column: ColumnRef
-    lo: UncertainDate
-    hi: UncertainDate
+class DateWithinAst(Record):
+    __slots__ = ("column", "lo", "hi")
+
+    def __init__(self, column: ColumnRef, lo: UncertainDate, hi: UncertainDate):
+        init_field(self, "column", column)
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
 
 
 PredicateAst = CompareAst | ContainsAst | DateNearAst | DateWithinAst
 
 
+# a dataclass still: the benchmark's oracle builds the unlimited AST of a
+# join with dataclasses.replace
 @dataclass(frozen=True)
 class QueryAst:
     select: tuple[ColumnRef, ...] | None  # None = SELECT *

@@ -32,15 +32,16 @@ the join keys, and what mediation reads for its coercion warnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from ..errors import ParseError, PlanError
 from ..model import (
     ColumnKind,
+    Record,
     TableSchema,
     UncertainDate,
     byte_offset,
+    init_field,
     parse_uncertain_date,
 )
 from ..predicates import Compare, Contains, DateWithin
@@ -61,11 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover
 # Compare, Contains and DateWithin (``vdc.predicates``) carry one position;
 # DATE_NEAR is evaluated only on mediated rows.
 
-@dataclass(frozen=True)
-class BDateNear:
-    index_a: int
-    index_b: int
-    k_years: int
+class BDateNear(Record):
+    __slots__ = ("index_a", "index_b", "k_years")
+
+    def __init__(self, index_a: int, index_b: int, k_years: int):
+        init_field(self, "index_a", index_a)
+        init_field(self, "index_b", index_b)
+        init_field(self, "k_years", k_years)
 
 
 BoundPredicate = Union[Compare, Contains, DateWithin, BDateNear]
@@ -73,8 +76,7 @@ BoundPredicate = Union[Compare, Contains, DateWithin, BDateNear]
 
 # -- the plan: one left-deep pipeline ---------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """One FROM/JOIN relation: the union of its bases, each scanned with
     ``scan_preds`` (run on raw rows, by the connector when the plan pushes
     down), then its own filters (indexed within the relation's row), then
@@ -83,25 +85,34 @@ class Term:
     the positions of the relation's row that the plan reads; every other
     cell may be None."""
 
-    relation: "Relation"
-    scan_preds: tuple[Compare | Contains | DateWithin, ...]
-    filters: tuple[BoundPredicate, ...]
-    join_key: tuple[int, int] | None
-    columns: tuple[int, ...]
+    __slots__ = ("relation", "scan_preds", "filters", "join_key", "columns")
+
+    def __init__(self, relation: Relation, scan_preds: tuple[Compare | Contains | DateWithin, ...],
+                 filters: tuple[BoundPredicate, ...], join_key: tuple[int, int] | None,
+                 columns: tuple[int, ...]):
+        init_field(self, "relation", relation)
+        init_field(self, "scan_preds", scan_preds)
+        init_field(self, "filters", filters)
+        init_field(self, "join_key", join_key)
+        init_field(self, "columns", columns)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record):
     """Terms joined left to right, then the cross-relation ``filters`` on
     the joined row, the ``projection``, the canonical sort and ``limit``.
     ``pushdown`` hands every term's scan predicates to the connectors."""
 
-    terms: tuple[Term, ...]
-    filters: tuple[BoundPredicate, ...]
-    projection: tuple[int, ...]
-    limit: int | None
-    schema: TableSchema
-    pushdown: bool
+    __slots__ = ("terms", "filters", "projection", "limit", "schema", "pushdown")
+
+    def __init__(self, terms: tuple[Term, ...], filters: tuple[BoundPredicate, ...],
+                 projection: tuple[int, ...], limit: int | None, schema: TableSchema,
+                 pushdown: bool):
+        init_field(self, "terms", terms)
+        init_field(self, "filters", filters)
+        init_field(self, "projection", projection)
+        init_field(self, "limit", limit)
+        init_field(self, "schema", schema)
+        init_field(self, "pushdown", pushdown)
 
 
 def _typed_literal(ast: CompareAst, kind: ColumnKind, text: str) -> int | str | UncertainDate:

@@ -18,7 +18,6 @@ import re
 import unicodedata
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,7 +26,7 @@ from .errors import IndexFormatError, IngestError, NotFound
 from .connectors import SourceHandle, row_item_key
 # perfbench/oracle.py imports parse_recipe_file from this module
 from .mediation import IDENT_RE, IngestRecipe, RelationRef, parse_recipe_file
-from .model import ItemRef, cell_text
+from .model import ItemRef, Record, cell_text, init_field
 
 
 # --------------------------------------------------------------------------
@@ -76,13 +75,16 @@ def tokenize(text: str) -> list[str]:
 # --------------------------------------------------------------------------
 # documents and ingestion
 
-@dataclass
 class Document:
-    doc_id: str
-    ref: ItemRef
-    fields: dict[str, str]  # insertion-ordered, recipe declaration order
-    body: str
-    geo: tuple[float, float] | None = None
+    __slots__ = ("doc_id", "ref", "fields", "body", "geo")
+
+    def __init__(self, doc_id: str, ref: ItemRef, fields: dict[str, str], body: str,
+                 geo: tuple[float, float] | None = None):
+        self.doc_id = doc_id
+        self.ref = ref
+        self.fields = fields  # insertion-ordered, recipe declaration order
+        self.body = body
+        self.geo = geo
 
 
 def _as_text(v) -> str | None:
@@ -284,12 +286,15 @@ def index_relation(path: str) -> str:
     return _header_relation(line.removesuffix(b"\n"))
 
 
-@dataclass
 class DocEntry:
-    doc_id: str
-    ref: str  # ItemRef text form
-    geo: tuple[float, float] | None
-    stored: dict[str, str]
+    __slots__ = ("doc_id", "ref", "geo", "stored")
+
+    def __init__(self, doc_id: str, ref: str, geo: tuple[float, float] | None,
+                 stored: dict[str, str]):
+        self.doc_id = doc_id
+        self.ref = ref  # ItemRef text form
+        self.geo = geo
+        self.stored = stored
 
 
 class InvertedIndex:
@@ -632,24 +637,26 @@ def read_index(path: str) -> InvertedIndex:
 # --------------------------------------------------------------------------
 # search
 
-@dataclass(frozen=True)
-class SearchQuery:
-    terms: tuple[str, ...]
-    field: str | None = None
-    bbox: tuple[float, float, float, float] | None = None  # min lat, min lon, max lat, max lon
-    limit: int | None = None
+class SearchQuery(Record):
+    __slots__ = ("terms", "field", "bbox", "limit")
 
-    def __post_init__(self):
-        if not self.terms and self.bbox is None:
+    # bbox: (min lat, min lon, max lat, max lon)
+    def __init__(self, terms: tuple[str, ...], field: str | None = None,
+                 bbox: tuple[float, float, float, float] | None = None, limit: int | None = None):
+        if not terms and bbox is None:
             raise ValueError("search needs at least one term or a bbox")
-        if self.bbox is not None:
-            if not all(math.isfinite(v) for v in self.bbox):
-                raise ValueError(f"bbox values must be finite numbers, got {self.bbox!r}")
-            min_lat, min_lon, max_lat, max_lon = self.bbox
+        if bbox is not None:
+            if not all(math.isfinite(v) for v in bbox):
+                raise ValueError(f"bbox values must be finite numbers, got {bbox!r}")
+            min_lat, min_lon, max_lat, max_lon = bbox
             if min_lat > max_lat or min_lon > max_lon:
                 raise ValueError("bbox minimum exceeds maximum")
-        if self.limit is not None and self.limit < 1:
+        if limit is not None and limit < 1:
             raise ValueError("limit must be positive")
+        init_field(self, "terms", terms)
+        init_field(self, "field", field)
+        init_field(self, "bbox", bbox)
+        init_field(self, "limit", limit)
 
 
 class Hit(NamedTuple):

@@ -19,6 +19,12 @@ def index_docs(index) -> list:
     return [index.doc(o) for o in range(index.n_docs)]
 
 
+def record_fields(record) -> dict:
+    """Every field of a slots record by name, as its ``__slots__`` list
+    them: a field that a record holds but does not list cannot exist."""
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
 def register_desk(cat: Catalogue, fx: str, mode: AccessMode = AccessMode.LIVE) -> Catalogue:
     cat.register_source("hgv", "tabular", os.path.join(fx, "hgv"), mode)
     cat.register_source("volterra", "tabular", os.path.join(fx, "volterra"), mode)

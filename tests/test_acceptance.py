@@ -34,7 +34,7 @@ from vdc.fixtures import FixtureSpec, generate_fixtures
 from vdc.model import ItemRef
 
 from conftest import record_acceptance
-from helpers import QueryGen, index_docs, register_desk, register_small
+from helpers import QueryGen, index_docs, record_fields, register_desk, register_small
 from test_model import oracle_day_number
 
 HOMONYM_QUERY = (
@@ -354,10 +354,10 @@ class TestAcceptance:
         cat.update_collection("finds", [ItemRef("sec", "t", "1")])
         surfaces = [
             repr(hits),
-            repr([i.__dict__ for i in cat.resolve_refs(cat.collections["finds"])]),
+            repr([record_fields(i) for i in cat.resolve_refs(cat.collections["finds"])]),
             open(cat.indexes["sec_texts"], encoding="utf-8").read(),
             open(cat.path, encoding="utf-8").read(),
-            repr([e.__dict__ for e in index_docs(cat.get_index("sec_texts"))]),
+            repr([record_fields(e) for e in index_docs(cat.get_index("sec_texts"))]),
         ]
         if any(sentinel in s for s in surfaces):
             failures.append("sentinel leaked")

@@ -35,7 +35,7 @@ from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
 from vdc.mediation import parse_recipe_file
 from vdc.textindex import SearchQuery, search
 
-from helpers import index_docs, register_desk
+from helpers import index_docs, record_fields, register_desk
 
 SENTINEL = "XYZZY::SENTINEL::73"
 
@@ -587,8 +587,8 @@ class TestIndexOnlyMode:
         idx = cat.get_index("secrets")
         surfaces.append(repr(search(idx, SearchQuery(("alpha",)))))
         surfaces.append(repr(search(idx, SearchQuery(("xyzzy",)))))
-        surfaces.append(repr([i.__dict__ for i in cat.resolve_refs(cat.collections["finds"])]))
-        surfaces.append(repr([e.__dict__ for e in index_docs(idx)]))
+        surfaces.append(repr([record_fields(i) for i in cat.resolve_refs(cat.collections["finds"])]))
+        surfaces.append(repr([record_fields(e) for e in index_docs(idx)]))
         surfaces.append(open(cat.indexes["secrets"], encoding="utf-8").read())
         surfaces.append(open(cat.path, encoding="utf-8").read())
         with pytest.raises(AccessDenied):

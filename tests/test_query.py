@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import unicodedata
-from dataclasses import replace
 
 import pytest
 
@@ -229,7 +228,7 @@ class TestPlanner:
             assert pre.transform is not None and exact.transform is None, q
             assert term.relation.schema.columns[pre.index].kind is ColumnKind.DATE, q
             assert type(pre) is type(exact) and pre.index == exact.index, q
-            assert pre == replace(exact, transform=pre.transform), q
+            assert pre == type(exact)(*exact.cells()[:-1], pre.transform), q
         for q in (
             "SELECT id FROM iaph_docs WHERE DATE_WITHIN(not_before, '0150', '0159')",
             "SELECT id FROM iaph_docs WHERE not_after = '0150'",

@@ -42,7 +42,7 @@ from vdc.textindex import (
     write_index,
 )
 
-from helpers import index_docs, register_desk
+from helpers import index_docs, record_fields, register_desk
 
 
 def oracle_tokenize(text: str) -> list[str]:
@@ -381,7 +381,7 @@ class TestBuildContent:
                 postings = idx.postings(field, term)
                 assert postings == {o: c[term] for o, c in enumerate(counts) if term in c}
                 assert list(postings) == sorted(postings)
-        assert [e.__dict__ for e in index_docs(idx)] == [
+        assert [record_fields(e) for e in index_docs(idx)] == [
             {"doc_id": d.doc_id, "ref": d.ref.text(), "geo": None,
              "stored": {f: v if whitelist is None or f in whitelist else "-"
                         for f, v in d.fields.items()}}
@@ -536,8 +536,8 @@ class TestIndexFormat:
         }  # (ordinal, tf) in ordinal order
         for index in (idx, back):
             assert index.relation == "s.t"
-            assert [e.__dict__ for e in index_docs(index)] == expected_docs
-            assert index.find_ref("s/t/d2").__dict__ == expected_docs[1]
+            assert [record_fields(e) for e in index_docs(index)] == expected_docs
+            assert record_fields(index.find_ref("s/t/d2")) == expected_docs[1]
             assert index.find_ref("s/t/d") is None
             postings = {
                 f: {t: list(index.postings(f, t).items()) for t in index.terms(f)}
