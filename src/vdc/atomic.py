@@ -12,12 +12,22 @@ def write_atomic(path: str, data: bytes) -> None:
     ``path`` with ``os.replace``: a concurrent reader sees the old file or
     the new one, never a partial write.  On failure the temp file is
     removed and ``path`` is left as it was.
+
+    A replaced file keeps its mode; a new one gets ``0o666`` less the
+    umask, as ``open`` would give it, not the temp file's private 0600.
     """
     import tempfile  # here: a command that writes nothing never loads it
 
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(path) + ".", dir=d)
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)

@@ -51,7 +51,7 @@ from .mediation import (
     TranslationTable,
     ViewDefinition,
 )
-from .model import ItemRef, Record, Row, TableSchema, init_field
+from .model import ItemRef, Record, Row, TableSchema
 
 if TYPE_CHECKING:  # vdc.textindex is imported by the methods that use it
     from .textindex import DocEntry, InvertedIndex
@@ -72,12 +72,6 @@ class SourceDescriptor(Record):
     """A registered source: where it is, how to read it, and its mode."""
 
     __slots__ = ("source_id", "kind", "path", "mode")
-
-    def __init__(self, source_id: str, kind: str, path: str, mode: AccessMode):
-        init_field(self, "source_id", source_id)
-        init_field(self, "kind", kind)
-        init_field(self, "path", path)
-        init_field(self, "mode", mode)
 
     def open(self) -> SourceHandle:
         """Open the source read-only; its mode is ``Catalogue.open_handle``'s

@@ -95,7 +95,10 @@ class NotFound(VdcError):
 
 
 class IntegrityError(VdcError):
-    """A persisted catalogue refers to entities that no longer resolve."""
+    """The centre's own state is, or would become, inconsistent: an
+    unreadable, malformed or unresolvable catalogue; a damaged column
+    image, or a vault table file that differs from its image; a duplicate
+    id, a bad name or a line feed in a catalogue record."""
 
 
 class LockedError(VdcError):

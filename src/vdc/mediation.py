@@ -29,7 +29,6 @@ from .model import (
     TableSchema,
     UncertainDate,
     fold,
-    init_field,
     nfc,
     parse_uncertain_date,
 )
@@ -42,10 +41,6 @@ class RelationRef(Record):
     """A ``source.table`` reference."""
 
     __slots__ = ("source_id", "table")
-
-    def __init__(self, source_id: str, table: str):
-        init_field(self, "source_id", source_id)
-        init_field(self, "table", table)
 
     def text(self) -> str:
         return f"{self.source_id}.{self.table}"
@@ -117,36 +112,23 @@ def parse_translation_table(table_id: str, text: str, path: str = "-") -> Transl
 class Rename(Record):
     __slots__ = ("original", "to")
 
-    def __init__(self, original: str, to: str):
-        init_field(self, "original", original)
-        init_field(self, "to", to)
-
 
 class Coerce(Record):
     __slots__ = ("column",)
 
-    def __init__(self, column: str):
-        init_field(self, "column", column)
-
 
 class Translate(Record):
     __slots__ = ("column", "table_id")
-
-    def __init__(self, column: str, table_id: str):
-        init_field(self, "column", column)
-        init_field(self, "table_id", table_id)
 
 
 MappingRule = Rename | Coerce | Translate
 
 
 class ViewDefinition(Record):
-    __slots__ = ("name", "base", "rules")
+    """A view: its ``base`` relations (the first is primary, the rest are
+    unioned) and its mapping ``rules``."""
 
-    def __init__(self, name: str, base: tuple[RelationRef, ...], rules: tuple[MappingRule, ...]):
-        init_field(self, "name", name)
-        init_field(self, "base", base)  # first is primary, the rest are unioned
-        init_field(self, "rules", rules)
+    __slots__ = ("name", "base", "rules")
 
 
 _QUOTED_RE = re.compile(r'^"((?:[^"]|"")*)"$')
@@ -299,18 +281,11 @@ def parse_view_file(text: str) -> ViewDefinition:
 # ingest recipes (run by vdc.textindex)
 
 class IngestRecipe(Record):
-    __slots__ = ("name", "source", "id_column", "field_map", "body_columns", "geo", "indexed")
+    """How rows of ``source`` become documents: ``field_map`` pairs are
+    (document field, source column), ``geo`` is (lat column, lon column)
+    or None."""
 
-    def __init__(self, name: str, source: RelationRef, id_column: str,
-                 field_map: tuple[tuple[str, str], ...], body_columns: tuple[str, ...],
-                 geo: tuple[str, str] | None, indexed: tuple[str, ...]):
-        init_field(self, "name", name)
-        init_field(self, "source", source)
-        init_field(self, "id_column", id_column)
-        init_field(self, "field_map", field_map)  # (document field, source column)
-        init_field(self, "body_columns", body_columns)
-        init_field(self, "geo", geo)  # (lat column, lon column)
-        init_field(self, "indexed", indexed)
+    __slots__ = ("name", "source", "id_column", "field_map", "body_columns", "geo", "indexed")
 
 
 _RECIPE_USAGE = {

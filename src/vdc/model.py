@@ -84,16 +84,31 @@ def _format_year(year: int) -> str:
     return str(year).zfill(4)
 
 
+init_field = object.__setattr__  # how a Record's constructor sets a field
+
+
 class Record:
-    """Base of the immutable records: a record's ``__slots__`` name its
-    fields in constructor order, and its written ``__init__`` sets each
-    once, through ``object.__setattr__``; any later assignment raises.
-    Records equal, hash and print by class and field values, so a record
-    never equals a tuple of its cells.  They are plain classes because
-    every request is a fresh process, and decorating a dataclass costs
-    about 0.45 ms of each process's import."""
+    """Base of the immutable records.  A record's ``__slots__`` name its
+    fields in constructor order, and the one constructor here takes one
+    positional cell per slot and sets each once; any later assignment
+    raises.  A record that checks its fields or has defaults writes its
+    own ``__init__`` and ends it with ``Record.__init__``; ``ItemRef`` and
+    ``UncertainDate``, built per row and per distinct date text, set their
+    fields directly.  Records equal, hash and print by class and field
+    values, so a record never equals a tuple of its cells.  They are plain
+    classes because every request is a fresh process, and decorating a
+    dataclass costs about 0.45 ms of each process's import; ``QueryAst``
+    alone is still one, since perfbench's oracle calls
+    ``dataclasses.replace`` on it."""
 
     __slots__ = ()
+
+    def __init__(self, *cells):
+        names = self.__slots__
+        if len(cells) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(cells)}")
+        for name, cell in zip(names, cells):
+            init_field(self, name, cell)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,9 +126,6 @@ class Record:
     def __repr__(self):
         cells = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({cells})"
-
-
-init_field = object.__setattr__  # how a Record's __init__ sets its fields
 
 
 class UncertainDate(Record):
@@ -365,9 +377,7 @@ class ColumnDescriptor(Record):
             raise ValueError("empty column name")
         if date_text and kind is not ColumnKind.TEXT:
             raise ValueError("date_text applies to text columns only")
-        init_field(self, "name", name)
-        init_field(self, "kind", kind)
-        init_field(self, "date_text", date_text)
+        Record.__init__(self, name, kind, date_text)
 
 
 class TableSchema(Record):
@@ -379,8 +389,7 @@ class TableSchema(Record):
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in {name!r}")
-        init_field(self, "name", name)
-        init_field(self, "columns", columns)
+        Record.__init__(self, name, columns)
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Sequence
 
-from .model import Record, Row, UncertainDate, date_within, fold, init_field
+from .model import Record, Row, UncertainDate, date_within, fold
 
 COMPARE_OPS = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -41,19 +41,14 @@ class Compare(Record):
                  transform: Callable | None = None):
         if op not in COMPARE_OPS:
             raise ValueError(f"bad comparison operator {op!r}")
-        init_field(self, "index", index)
-        init_field(self, "op", op)
-        init_field(self, "literal", literal)
-        init_field(self, "transform", transform)
+        Record.__init__(self, index, op, literal, transform)
 
 
 class Contains(Record):
     __slots__ = ("index", "needle", "transform")
 
     def __init__(self, index: int, needle: str, transform: Callable | None = None):
-        init_field(self, "index", index)
-        init_field(self, "needle", needle)
-        init_field(self, "transform", transform)
+        Record.__init__(self, index, needle, transform)
 
 
 class DateWithin(Record):
@@ -63,10 +58,7 @@ class DateWithin(Record):
 
     def __init__(self, index: int, lo: UncertainDate, hi: UncertainDate,
                  transform: Callable | None = None):
-        init_field(self, "index", index)
-        init_field(self, "lo", lo)
-        init_field(self, "hi", hi)
-        init_field(self, "transform", transform)
+        Record.__init__(self, index, lo, hi, transform)
 
 
 def holds(p: Compare | Contains | DateWithin, cell) -> bool:

@@ -24,7 +24,6 @@ from ..model import (
     Record,
     UncertainDate,
     byte_offset,
-    init_field,
     nfc,
     over_digit_limit,
     parse_uncertain_date,
@@ -36,12 +35,10 @@ FUNCTIONS = {"date_near", "date_within"}
 
 
 class Token(Record):
-    __slots__ = ("kind", "text", "offset")
+    """``kind`` is ident, int, string, symbol or end; ``offset`` is the
+    char offset into the query text."""
 
-    def __init__(self, kind: str, text: str, offset: int):
-        init_field(self, "kind", kind)  # ident | int | string | symbol | end
-        init_field(self, "text", text)
-        init_field(self, "offset", offset)  # char offset into the query text
+    __slots__ = ("kind", "text", "offset")
 
 
 _TOKEN_RE = re.compile(
@@ -77,20 +74,14 @@ def tokenize_query(text: str) -> list[Token]:
 class ColumnRef(Record):
     __slots__ = ("qualifier", "name")
 
-    def __init__(self, qualifier: str | None, name: str):
-        init_field(self, "qualifier", qualifier)
-        init_field(self, "name", name)
-
     def text(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
 class RelationTerm(Record):
-    __slots__ = ("name", "alias")
+    """``name`` is "view_or_table" or "source.table"."""
 
-    def __init__(self, name: str, alias: str | None):
-        init_field(self, "name", name)  # "view_or_table" or "source.table"
-        init_field(self, "alias", alias)
+    __slots__ = ("name", "alias")
 
     def display(self) -> str:
         return self.alias or self.name.split(".")[-1]
@@ -99,47 +90,24 @@ class RelationTerm(Record):
 class JoinSpec(Record):
     __slots__ = ("relation", "left", "right")
 
-    def __init__(self, relation: RelationTerm, left: ColumnRef, right: ColumnRef):
-        init_field(self, "relation", relation)
-        init_field(self, "left", left)
-        init_field(self, "right", right)
-
 
 class CompareAst(Record):
-    __slots__ = ("column", "op", "literal", "literal_offset")
+    """``literal`` is a str only from a quoted literal; ``literal_offset``
+    is the char offset of the literal's first character."""
 
-    def __init__(self, column: ColumnRef, op: str, literal: int | str, literal_offset: int):
-        init_field(self, "column", column)
-        init_field(self, "op", op)
-        init_field(self, "literal", literal)  # a str only from a quoted literal
-        # char offset of the literal's first character
-        init_field(self, "literal_offset", literal_offset)
+    __slots__ = ("column", "op", "literal", "literal_offset")
 
 
 class ContainsAst(Record):
     __slots__ = ("column", "needle")
 
-    def __init__(self, column: ColumnRef, needle: str):
-        init_field(self, "column", column)
-        init_field(self, "needle", needle)
-
 
 class DateNearAst(Record):
     __slots__ = ("column_a", "column_b", "k_years")
 
-    def __init__(self, column_a: ColumnRef, column_b: ColumnRef, k_years: int):
-        init_field(self, "column_a", column_a)
-        init_field(self, "column_b", column_b)
-        init_field(self, "k_years", k_years)
-
 
 class DateWithinAst(Record):
     __slots__ = ("column", "lo", "hi")
-
-    def __init__(self, column: ColumnRef, lo: UncertainDate, hi: UncertainDate):
-        init_field(self, "column", column)
-        init_field(self, "lo", lo)
-        init_field(self, "hi", hi)
 
 
 PredicateAst = CompareAst | ContainsAst | DateNearAst | DateWithinAst

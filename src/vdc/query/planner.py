@@ -32,16 +32,14 @@ the join keys, and what mediation reads for its coercion warnings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from ..errors import ParseError, PlanError
 from ..model import (
     ColumnKind,
     Record,
-    TableSchema,
     UncertainDate,
     byte_offset,
-    init_field,
     parse_uncertain_date,
 )
 from ..predicates import Compare, Contains, DateWithin
@@ -54,9 +52,6 @@ from .parser import (
     QueryAst,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..datacentre import Relation
-
 
 # -- bound predicates (relative to the row they filter) ----------------------
 # Compare, Contains and DateWithin (``vdc.predicates``) carry one position;
@@ -64,11 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class BDateNear(Record):
     __slots__ = ("index_a", "index_b", "k_years")
-
-    def __init__(self, index_a: int, index_b: int, k_years: int):
-        init_field(self, "index_a", index_a)
-        init_field(self, "index_b", index_b)
-        init_field(self, "k_years", k_years)
 
 
 BoundPredicate = Union[Compare, Contains, DateWithin, BDateNear]
@@ -87,15 +77,6 @@ class Term(Record):
 
     __slots__ = ("relation", "scan_preds", "filters", "join_key", "columns")
 
-    def __init__(self, relation: Relation, scan_preds: tuple[Compare | Contains | DateWithin, ...],
-                 filters: tuple[BoundPredicate, ...], join_key: tuple[int, int] | None,
-                 columns: tuple[int, ...]):
-        init_field(self, "relation", relation)
-        init_field(self, "scan_preds", scan_preds)
-        init_field(self, "filters", filters)
-        init_field(self, "join_key", join_key)
-        init_field(self, "columns", columns)
-
 
 class Plan(Record):
     """Terms joined left to right, then the cross-relation ``filters`` on
@@ -103,16 +84,6 @@ class Plan(Record):
     ``pushdown`` hands every term's scan predicates to the connectors."""
 
     __slots__ = ("terms", "filters", "projection", "limit", "schema", "pushdown")
-
-    def __init__(self, terms: tuple[Term, ...], filters: tuple[BoundPredicate, ...],
-                 projection: tuple[int, ...], limit: int | None, schema: TableSchema,
-                 pushdown: bool):
-        init_field(self, "terms", terms)
-        init_field(self, "filters", filters)
-        init_field(self, "projection", projection)
-        init_field(self, "limit", limit)
-        init_field(self, "schema", schema)
-        init_field(self, "pushdown", pushdown)
 
 
 def _typed_literal(ast: CompareAst, kind: ColumnKind, text: str) -> int | str | UncertainDate:

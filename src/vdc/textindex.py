@@ -26,7 +26,7 @@ from .errors import IndexFormatError, IngestError, NotFound
 from .connectors import SourceHandle, row_item_key
 # perfbench/oracle.py imports parse_recipe_file from this module
 from .mediation import IDENT_RE, IngestRecipe, RelationRef, parse_recipe_file
-from .model import ItemRef, Record, cell_text, init_field
+from .model import ItemRef, Record, cell_text
 
 
 # --------------------------------------------------------------------------
@@ -653,10 +653,7 @@ class SearchQuery(Record):
                 raise ValueError("bbox minimum exceeds maximum")
         if limit is not None and limit < 1:
             raise ValueError("limit must be positive")
-        init_field(self, "terms", terms)
-        init_field(self, "field", field)
-        init_field(self, "bbox", bbox)
-        init_field(self, "limit", limit)
+        Record.__init__(self, terms, field, bbox, limit)
 
 
 class Hit(NamedTuple):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdc import connectors, mediation, textindex
+from vdc.atomic import write_atomic
 from vdc.connectors import row_item_key
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
 from vdc.colimage import IMAGE
@@ -617,6 +618,32 @@ class TestPersistence:
         assert open(cat.path, "rb").read() == first
         assert list(loaded.views) == list(cat.views)
         assert loaded.collections["finds"] == cat.collections["finds"]
+
+    def test_published_files_take_the_umask_or_keep_their_mode(self, tmp_path, desk_fixtures):
+        fx, _ = desk_fixtures
+        old_umask = os.umask(0o022)
+        try:
+            path = str(tmp_path / "f")
+            write_atomic(path, b"one")
+            assert os.stat(path).st_mode & 0o7777 == 0o644
+            os.chmod(path, 0o640)
+            write_atomic(path, b"two")
+            assert os.stat(path).st_mode & 0o7777 == 0o640
+            assert open(path, "rb").read() == b"two"
+            cat = Catalogue(str(tmp_path / "c.vdc"))
+            register_desk(cat, fx)
+            cat.build_index("vol_texts", cat.read_recipe(os.path.join(fx, "recipes", "volterra.recipe")))
+            cat.persist()
+            published = [cat.path] + [
+                os.path.join(root, name)
+                for root, _, names in os.walk(str(tmp_path / "c.vdc.store"))
+                for name in names if name.endswith(".idx")
+            ]
+            assert len(published) == 2
+            for p in published:
+                assert os.stat(p).st_mode & 0o7777 == 0o644, p
+        finally:
+            os.umask(old_umask)
 
     def test_loaded_catalogue_answers_queries(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures

@@ -1,7 +1,8 @@
 """Record classes: plain ``__slots__`` classes rather than dataclasses (the
-query AST's root alone stays one), frozen where they are hashed or shared,
-equal by class and value but never to a tuple of their cells, and with the
-validation errors they always had."""
+query AST's root alone stays one), built by one positional constructor in
+slot order unless they check their fields, frozen where they are hashed or
+shared, equal by class and value but never to a tuple of their cells, and
+with the validation errors they always had."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from vdc.datacentre import AccessMode, ResolvedItem, SourceDescriptor
 from vdc.mediation import Coerce, IngestRecipe, RelationRef, Rename, Translate, ViewDefinition
-from vdc.model import ColumnDescriptor, ColumnKind, ItemRef, TableSchema, UncertainDate
+from vdc.model import ColumnDescriptor, ColumnKind, ItemRef, Record, TableSchema, UncertainDate
 from vdc.predicates import Compare, Contains, DateWithin
 from vdc.query.binder import BoundRelation, Slot
 from vdc.query.executor import ResultSet
@@ -102,6 +103,35 @@ def test_equal_values_compare_and_hash_equal():
         assert x.cells() == cells
         assert x != cells and cells != x, x
         assert x != list(cells)
+
+
+def test_records_rebuild_from_their_cells():
+    """Constructor order is slot order: ``CompiledView.raw_form`` rebuilds
+    a predicate from its cells."""
+    for record in frozen_records():
+        assert type(record)(*record.cells()) == record, record
+
+
+@pytest.mark.parametrize("record", [
+    RelationRef("s", "t"), Coerce("d"), SourceDescriptor("s", "tabular", "/p", AccessMode.LIVE),
+    Token("ident", "id", 7), BDateNear(0, 1, 5),
+])
+def test_wrong_cell_count_names_the_class(record):
+    cls, cells = type(record), record.cells()
+    for wrong in (cells[:-1], cells + (None,)):
+        with pytest.raises(TypeError) as e:
+            cls(*wrong)
+        assert str(e.value) == f"{cls.__name__} takes {len(cells)} fields, got {len(wrong)}"
+
+
+def test_only_records_with_checks_or_defaults_write_a_constructor():
+    records = set(Record.__subclasses__())  # no record derives from another
+    assert records == {type(r) for r in frozen_records()}
+    writers = {cls.__name__ for cls in records if "__init__" in vars(cls)}
+    assert writers == {
+        "UncertainDate", "ColumnDescriptor", "TableSchema", "ItemRef",
+        "Compare", "Contains", "DateWithin", "SearchQuery",
+    }
 
 
 def test_records_differ_by_value_and_class():
