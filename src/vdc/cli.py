@@ -15,13 +15,6 @@ import sys
 from .datacentre import AccessMode, Catalogue, catalogue_lock
 from .errors import AccessDenied, LockedError, NotFound, VdcError
 from .model import ItemRef, cell_text, csv_text
-from .query import (
-    execute_plan,
-    parse_query,
-    plan_query,
-    result_to_csv,
-    result_to_jsonl,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +29,27 @@ _ERROR_EXITS = (
 )
 
 _KIND_FLAGS = {"tabular": "tabular", "xml": "xml_corpus"}
+
+
+def _from_query_engine(name: str):
+    """``vdc.query``'s function ``name``, imported when called: only
+    ``vdc query`` pays for compiling the engine."""
+
+    def call(*args, **kwargs):
+        from . import query
+
+        return getattr(query, name)(*args, **kwargs)
+
+    return call
+
+
+# _cmd_query looks these up as module globals, so perfbench/trace_child.py can
+# replace them here with its query.* spans (until ROADMAP item 2 step B)
+parse_query = _from_query_engine("parse_query")
+plan_query = _from_query_engine("plan_query")
+execute_plan = _from_query_engine("execute_plan")
+result_to_csv = _from_query_engine("result_to_csv")
+result_to_jsonl = _from_query_engine("result_to_jsonl")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -239,7 +239,10 @@ class Catalogue:
         A tabular copy also gets its column image, from one checked scan of
         each copied table, so a malformed record fails the registration;
         one rename publishes the copy and its image, and any failure before
-        it leaves neither."""
+        it leaves neither.  A snapshot already there is an orphan, since
+        ``register_source`` refuses a registered id: an add that stopped
+        before its catalogue was renamed left it, and the new copy
+        replaces it."""
         import shutil
         import tempfile
 
@@ -253,8 +256,6 @@ class Catalogue:
                 f"a vault source may not hold a file named {colimage.IMAGE!r}", path=original
             )
         os.makedirs(vault_root, exist_ok=True)
-        if os.path.exists(final):
-            raise IntegrityError(f"vault snapshot for {source_id!r} already exists")
         tmp = tempfile.mkdtemp(prefix=source_id + ".", dir=vault_root)
         try:
             for name in sorted(os.listdir(original)):
@@ -263,6 +264,8 @@ class Catalogue:
                     shutil.copyfile(src, os.path.join(tmp, name))
             if kind == connectors.TABULAR:
                 colimage.write(connectors.TabularSource(source_id, tmp), original)
+            if os.path.lexists(final):
+                shutil.rmtree(final)
             os.replace(tmp, final)
         except BaseException as e:
             shutil.rmtree(tmp, ignore_errors=True)

@@ -2,6 +2,7 @@
 CSV round-trip invariant, and pushdown byte-identity at the CLI surface."""
 
 import csv
+import errno
 import io
 import os
 import shutil
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from vdc.cli import run
-from vdc.datacentre import catalogue_lock
+from vdc.datacentre import Catalogue, catalogue_lock
 
 from helpers import FIXTURE_VIEWS
 
@@ -316,6 +317,40 @@ class TestSourceVerify:
     def test_an_unknown_source(self, centre):
         cli, *_ = centre
         assert cli("source", "verify", "nope") == (2, "", "error: no source 'nope'\n")
+
+
+class TestRetriedVaultAdd:
+    """A vault add that stops after its snapshot is published but before
+    the catalogue is renamed leaves the snapshot as an orphan; the same
+    command, run again, replaces it."""
+
+    def test_the_retry_registers_the_source(self, centre, monkeypatch):
+        cli, cat, fx, _ = centre
+        argv = ("source", "add", "v", "--kind", "tabular", "--path", os.path.join(fx, "hgv"),
+                "--mode", "vault")
+        persist = Catalogue.persist
+
+        def full_disk(self, *args, **kwargs):  # fails once, then persists
+            monkeypatch.setattr(Catalogue, "persist", persist)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Catalogue, "persist", full_disk)
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "") and os.strerror(errno.ENOSPC) in err
+        vault_root = os.path.join(cat + ".store", "vault")
+        assert os.listdir(vault_root) == ["v"]
+        assert "SOURCE v " not in open(cat, encoding="utf-8").read()
+        open(os.path.join(vault_root, "v", "left.over"), "wb").close()
+
+        assert cli(*argv) == (0, "", "registered v (tabular, vault)\n")
+        assert "\nSOURCE v tabular vault " in open(cat, encoding="utf-8").read()
+        assert cli("source", "verify", "v") == (
+            0, "", "verified v: every table file and image chunk matches (files: 1, chunks: 9)\n")
+        code, out, err = cli("query", "SELECT id FROM v.papyri WHERE id = 7")
+        assert (code, out, err) == (0, "id\n7\n", "")
+        assert os.listdir(vault_root) == ["v"]
+        assert sorted(os.listdir(os.path.join(vault_root, "v"))) == [
+            "papyri.csv", "papyri.schema", "vdc.cols"]
 
 
 class TestXmlRegistration:

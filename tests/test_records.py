@@ -57,9 +57,10 @@ def frozen_records() -> list:
 
 def test_no_dataclass_but_the_query_ast():
     """Without site, whose hooks may load other modules first, the only
-    vdc dataclass a command's modules define is QueryAst."""
+    vdc dataclass a command's modules define is QueryAst (vdc.cli loads
+    the query engine only when ``vdc query`` runs, so it is named here)."""
     code = (
-        "import sys, vdc.cli, vdc.textindex, vdc.colimage\n"
+        "import sys, vdc.cli, vdc.query, vdc.textindex, vdc.colimage\n"
         "print(*sorted({f'{c.__module__}.{c.__qualname__}'\n"
         "    for m in list(sys.modules.values()) if m.__name__.split('.')[0] == 'vdc'\n"
         "    for c in vars(m).values()\n"

@@ -5,10 +5,13 @@ look them up (catalogue methods, connector and index functions); a name
 that moves or disappears breaks the traced run without failing any other
 test.  This runs that file as it is, on a desk centre, for one query, one
 search and one collection resolve that includes an index-only stub, and
-checks that each prints what the plain command prints.  On the same centre,
-whose catalogue names recipes and indexes, a plain query process never
-imports the index code."""
+checks that each prints what the plain command prints, and that a traced
+query still records a span for each stage of the engine.  On the same
+centre, whose catalogue names recipes and indexes, a plain query process
+never imports the index code, and no other command imports the query
+engine."""
 
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +75,9 @@ def test_traced_run_prints_what_the_plain_run_prints(centre, argv):
         kinds = [line.split(b"\t")[1] for line in plain.stdout.splitlines()]
         assert kinds == [b"row", b"doc", b"stub", b"row"]
     assert spans.stat().st_size > 0
+    if argv[0] == "query":  # the wrappers replace vdc.cli's own names
+        names = {json.loads(line)["name"] for line in spans.read_text().splitlines()}
+        assert {"query.parse", "query.plan", "query.execute", "query.serialize"} <= names
 
 
 # runs one command, then reports on stderr whether vdc.textindex was imported
@@ -93,3 +99,39 @@ def test_only_index_commands_import_the_index_code(centre, argv, imported):
     run = _run(centre, argv, "-c", _PROBE)
     assert run.returncode == 0, run.stderr
     assert run.stderr.endswith(f"textindex imported: {imported}\n".encode())
+
+
+# runs one command, then writes the names of every module it loaded as the
+# last line of stderr
+_MODULES_PROBE = (
+    "import sys, vdc.cli\n"
+    "code = vdc.cli.run(sys.argv[1:])\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+_ENGINE = ("vdc.query", "dataclasses")
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (("search", "vol_texts", "lex", "--limit", "5"), _ENGINE),
+    (("coll", "update", "probe", "--add", "hgv/papyri/3"), _ENGINE),
+    (("coll", "resolve", "finds"), _ENGINE),
+    (("index", "build", "probe_texts", "--recipe", "{fx}/recipes/volterra.recipe"), _ENGINE),
+    (("ingest", "hgv", "--recipe", "{fx}/recipes/hgv.recipe"), _ENGINE),
+    (("source", "verify", "volterra"), _ENGINE),
+    # vdc.fixtures is made of dataclasses
+    (("fixtures", "generate", "--seed", "3", "--scale", "desk", "--out", "{tmp}/fx"),
+     ("vdc.query",)),
+    (("query", "SELECT id FROM papyri LIMIT 2"), ("vdc.textindex",)),
+], ids=["search", "coll-update", "coll-resolve", "index-build", "ingest", "source-verify",
+        "fixtures-generate", "query"])
+def test_a_command_imports_only_its_part(centre, desk_fixtures, tmp_path, argv, absent):
+    """Without site, whose hooks may load modules first: only vdc query
+    loads the query engine (and with it dataclasses), and it loads no
+    index code."""
+    argv = [a.format(fx=desk_fixtures[0], tmp=tmp_path) for a in argv]
+    run = _run(centre, argv, "-S", "-c", _MODULES_PROBE)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stderr.decode().splitlines()[-1].split())
+    assert "vdc.cli" in loaded
+    assert not loaded.intersection(absent)
