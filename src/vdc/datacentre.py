@@ -530,7 +530,8 @@ class Catalogue:
 
     def build_index(self, collection: str, recipe: IngestRecipe) -> tuple[str, list[str]]:
         """Ingest + index + publish: returns (index path, ingest warnings).
-        The scanned rows stream into the index as documents; none is kept."""
+        The scanned rows stream into the index a batch at a time; none is
+        kept."""
         from . import textindex
 
         _check_name(collection, "collection name", CollectionError)
@@ -539,7 +540,7 @@ class Catalogue:
         warnings: list[str] = []
         whitelist = MANIFEST_FIELDS if desc.mode is AccessMode.INDEX_ONLY else None
         index = textindex.build_index(
-            textindex.iter_documents(handle, recipe, warnings), recipe, stored_whitelist=whitelist
+            textindex.iter_batches(handle, recipe, warnings), recipe, stored_whitelist=whitelist
         )
         index_dir = os.path.join(self.store_dir, "index")
         path = os.path.join(index_dir, collection + ".idx")

@@ -93,8 +93,8 @@ class Record:
     positional cell per slot and sets each once; any later assignment
     raises.  A record that checks its fields or has defaults writes its
     own ``__init__`` and ends it with ``Record.__init__``; ``ItemRef`` and
-    ``UncertainDate``, built per row and per distinct date text, set their
-    fields directly.  Records equal, hash and print by class and field
+    ``UncertainDate``, built per row ``vdc ingest`` lists and per distinct
+    date text, set their fields directly.  Records equal, hash and print by class and field
     values, so a record never equals a tuple of its cells.  They are plain
     classes because every request is a fresh process, and decorating a
     dataclass costs about 0.45 ms of each process's import; ``QueryAst``
@@ -406,12 +406,12 @@ Row = tuple  # ordered cell values, positionally aligned with a TableSchema
 
 # Characters that would break the textual container formats refs travel in
 # (tab-separated index lines, comma-separated catalogue lines).
-_REF_FORBIDDEN = set("\t\n\r,")
+REF_FORBIDDEN_RE = re.compile("[\t\n\r,]")
 
 
 def refable(part: str) -> bool:
     """Whether ``part`` may be one part of an item ref."""
-    return bool(part) and _REF_FORBIDDEN.isdisjoint(part)
+    return bool(part) and REF_FORBIDDEN_RE.search(part) is None
 
 
 class ItemRef(Record):

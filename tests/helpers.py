@@ -1,5 +1,6 @@
-"""Shared test machinery: fixture registration, a seeded query generator
-and a second reader of XML corpus documents."""
+"""Shared test machinery: fixture registration, index input from
+documents, a seeded query generator and a second reader of XML corpus
+documents."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import os
 import random
 import unicodedata
 import xml.etree.ElementTree as ET
+from itertools import islice
 
+from vdc import textindex
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.model import format_uncertain_date, parse_uncertain_date
 
@@ -17,6 +20,29 @@ FIXTURE_VIEWS = ("papyri_en", "volterra_texts", "iaph_docs", "all_texts")
 def index_docs(index) -> list:
     """Every DOCS entry of an index, decoded, in ordinal order."""
     return [index.doc(o) for o in range(index.n_docs)]
+
+
+def doc_batches(docs, recipe, size=None):
+    """Documents as the batches ``textindex.iter_batches`` makes of the
+    rows of ``recipe``'s table, ``size`` at a time (``BATCH_ROWS`` by
+    default), read lazily: each ref's item key, each doc id, a column per
+    recipe field and the bodies and locations.  Each ref names the recipe's
+    relation and each document holds recipe fields only, in the recipe's
+    order, as an ingested one does."""
+    names = [f for f, _ in recipe.field_map]
+    relation = (recipe.source.source_id, recipe.source.table)
+    docs = iter(docs)
+    while group := list(islice(docs, size or textindex.BATCH_ROWS)):
+        for d in group:
+            assert (d.ref.source_id, d.ref.container) == relation, d.ref
+            assert list(d.fields) == [f for f in names if f in d.fields], d.fields
+        yield textindex.Batch(
+            [d.ref.item_id for d in group],
+            [d.doc_id for d in group],
+            [(f, [d.fields.get(f) for d in group]) for f in names],
+            [d.body for d in group],
+            [d.geo for d in group],
+        )
 
 
 def record_fields(record) -> dict:

@@ -34,7 +34,9 @@ from vdc.fixtures import FixtureSpec, generate_fixtures
 from vdc.model import ItemRef
 
 from conftest import record_acceptance
-from helpers import QueryGen, index_docs, record_fields, register_desk, register_small
+from helpers import (
+    QueryGen, doc_batches, index_docs, record_fields, register_desk, register_small,
+)
 from test_model import oracle_day_number
 
 HOMONYM_QUERY = (
@@ -222,7 +224,7 @@ class TestAcceptance:
             open(os.path.join(fx, "recipes", "volterra.recipe"), encoding="utf-8").read()
         )
         docs, _ = cat.ingest(recipe)
-        index = build_index(docs, recipe)
+        index = build_index(doc_batches(docs, recipe), recipe)
 
         vocabulary = sorted({t for d in docs for t in tokenize(d.body)})
         field_text = {
@@ -277,8 +279,8 @@ class TestAcceptance:
         shuffled = docs[:]
         rng.shuffle(shuffled)
         p1, p2 = str(tmp_path / "a.idx"), str(tmp_path / "b.idx")
-        write_index(build_index(docs, recipe), p1)
-        write_index(build_index(shuffled, recipe), p2)
+        write_index(build_index(doc_batches(docs, recipe), recipe), p1)
+        write_index(build_index(doc_batches(shuffled, recipe), recipe), p2)
         identical = open(p1, "rb").read() == open(p2, "rb").read()
 
         check(

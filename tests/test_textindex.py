@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdc import colimage, connectors
+from vdc import colimage, connectors, textindex
 from vdc.cli import run as cli_run
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import (
@@ -26,23 +26,28 @@ from vdc.errors import (
     IngestError,
     NotFound,
     ParseError,
+    SourceError,
 )
 from vdc.mediation import parse_recipe_file
 from vdc.model import ColumnDescriptor, ColumnKind, ItemRef, TableSchema
 from vdc.textindex import (
+    Batch,
     Document,
     SearchQuery,
+    _docs_lines,
     _escape,
+    _escape_column,
     _unescape,
     build_index,
     ingest_documents,
+    iter_batches,
     read_index,
     search,
     tokenize,
     write_index,
 )
 
-from helpers import index_docs, record_fields, register_desk
+from helpers import doc_batches, index_docs, record_fields, register_desk
 
 
 def oracle_tokenize(text: str) -> list[str]:
@@ -128,6 +133,12 @@ class TestTokenize:
         assert tokenize(text) == [t for w in text.split() for t in tokenize(w)]
 
 
+# cells that need no escaping, and cells of the characters that do (or
+# that are not printable but stay as they are: NUL, NEL, LINE SEPARATOR)
+_PLAIN = st.text(alphabet="ab =-\u039b\u00e9%", max_size=5)
+_ESCAPED = st.text(alphabet="a\\\t\r\n\x00\x85\u2028", max_size=5)
+
+
 class TestEscape:
     @given(st.one_of(st.text(), st.text(alphabet="a\\\t\n\r\x00\x85\xa0\u2028é ")))
     @settings(max_examples=400)
@@ -135,6 +146,35 @@ class TestEscape:
         replaced = v.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
         assert _escape(v) == replaced
         assert _unescape(_escape(v)) == v
+
+    @given(st.lists(st.one_of(st.none(), _PLAIN, _ESCAPED)))
+    @settings(max_examples=400)
+    def test_column_escape_equals_each_cells(self, col):
+        assert list(_escape_column(col)) == [None if v is None else _escape(v) for v in col]
+
+    @given(data=st.data(), allow=st.sampled_from([None, {"title"}]))
+    @settings(max_examples=300)
+    def test_one_cell_to_escape_changes_its_own_column_only(self, data, allow):
+        """A batch whose ``place`` column has one cell to escape: its DOCS
+        lines are those of escaping each cell of each row, and every other
+        column is taken as it is."""
+        n = data.draw(st.integers(1, 6))
+        plain = st.lists(_PLAIN, min_size=n, max_size=n)
+        keys = data.draw(st.lists(_PLAIN.filter(bool), min_size=n, max_size=n))
+        ids, title, body = data.draw(plain), data.draw(plain), data.draw(plain)
+        place = data.draw(st.lists(st.one_of(st.none(), _PLAIN), min_size=n, max_size=n))
+        place[data.draw(st.integers(0, n - 1))] = data.draw(_ESCAPED.filter(lambda v: _escape(v) != v))
+        geo = data.draw(st.lists(st.sampled_from([None, (31.25, -0.5)]), min_size=n, max_size=n))
+        batch = Batch(keys, ids, [("title", title), ("place", place)], body, geo)
+        for col in (keys, ids, title):
+            assert _escape_column(col) is col
+        want = []
+        for key, doc_id, t, p, g in zip(keys, ids, title, place, geo):
+            stored = "".join(f"\t{f}={_escape(v) if allow is None or f in allow else '-'}"
+                             for f, v in (("title", t), ("place", p)) if v is not None)
+            coords = f"{g[0]!r}\t{g[1]!r}" if g else "-\t-"
+            want.append(f"s/t/{key}\t{doc_id}\t{coords}{stored}\n".encode("utf-8"))
+        assert _docs_lines(batch, "s/t/", allow) == want
 
 
 RECIPE = """recipe demo
@@ -258,22 +298,27 @@ def doc(doc_id, body, title="", geo=None, **fields):
 
 
 def mini_recipe(indexed=("body",)):
-    text = "recipe r\nfrom s.t\nid id\nfield title = title\nbody b\n"
+    text = "recipe r\nfrom s.t\nid id\nfield title = title\nfield place = place\nbody b\n"
     for f in indexed:
         text += f"index {f}\n"
     return parse_recipe_file(text + "end\n")
 
 
+def build(recipe, docs, whitelist=None, size=None):
+    """``build_index`` over documents, turned into batches of ``size``."""
+    return build_index(doc_batches(docs, recipe, size), recipe, whitelist)
+
+
 class TestBuildIndex:
     def test_postings_count_occurrences(self):
-        idx = build_index([doc("d1", "a b a")], mini_recipe())
+        idx = build(mini_recipe(), [doc("d1", "a b a")])
         assert idx.postings("body", "a") == {0: 2}
         assert idx.postings("body", "b") == {0: 1}
         assert idx.postings("body", "c") == {}
 
     def test_ordinals_follow_doc_id_not_input_order(self, tmp_path):
         docs = [doc("b", "x"), doc("a", "y")]
-        idx = build_index(docs, mini_recipe())
+        idx = build(mini_recipe(), docs)
         assert [e.doc_id for e in index_docs(idx)] == ["a", "b"]
 
     def test_permuted_input_gives_identical_bytes(self, tmp_path):
@@ -282,13 +327,13 @@ class TestBuildIndex:
         shuffled = docs[:]
         rng.shuffle(shuffled)
         p1, p2 = str(tmp_path / "a.idx"), str(tmp_path / "b.idx")
-        write_index(build_index(docs, mini_recipe()), p1)
-        write_index(build_index(shuffled, mini_recipe()), p2)
+        write_index(build(mini_recipe(), docs), p1)
+        write_index(build(mini_recipe(), shuffled), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_empty_index_round_trips(self, tmp_path):
         p = str(tmp_path / "e.idx")
-        write_index(build_index([], mini_recipe()), p)
+        write_index(build(mini_recipe(), []), p)
         idx = read_index(p)
         assert idx.n_docs == 0
         assert idx.indexed_fields() == ["body"] and idx.terms("body") == {}
@@ -296,7 +341,7 @@ class TestBuildIndex:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(IngestError):
-            build_index([doc("d", "x"), doc("d", "y")], mini_recipe())
+            build(mini_recipe(), [doc("d", "x"), doc("d", "y")])
 
     def test_completeness_tf_sums_equal_token_counts(self):
         rng = random.Random(9)
@@ -305,7 +350,7 @@ class TestBuildIndex:
             doc(f"d{i}", " ".join(rng.choice(words) for _ in range(rng.randint(0, 30))))
             for i in range(40)
         ]
-        idx = build_index(docs, mini_recipe())
+        idx = build(mini_recipe(), docs)
         total_tf = sum(
             tf for term in idx.terms("body") for tf in idx.postings("body", term).values()
         )
@@ -370,7 +415,7 @@ class TestBuildContent:
     @given(docs=field_documents(), whitelist=st.sampled_from([None, ("title",)]))
     @settings(max_examples=300, deadline=None)
     def test_terms_postings_and_docs_equal_per_document_counts(self, docs, whitelist):
-        idx = build_index((d for d in docs), mini_recipe(("body", "title")), whitelist)
+        idx = build(mini_recipe(("body", "title")), (d for d in docs), whitelist)
         ordered = sorted(docs, key=lambda d: d.doc_id)
         for field in ("body", "title"):
             counts = [Counter(tokenize(d.body if field == "body" else d.fields.get(field, "")))
@@ -409,18 +454,20 @@ class TestStreamedBuild:
     doc_id-sorted list gives."""
 
     @given(docs=documents(), rnd=st.randoms(use_true_random=False),
-           whitelist=st.sampled_from([None, ("title",)]))
+           whitelist=st.sampled_from([None, ("title",)]), size=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=150, deadline=None)
-    def test_generator_in_any_order_gives_the_sorted_lists_bytes(self, docs, rnd, whitelist):
+    def test_generator_in_any_order_gives_the_sorted_lists_bytes(self, docs, rnd, whitelist,
+                                                                 size):
         recipe = mini_recipe(("body", "title"))
-        want = build_index(sorted(docs, key=lambda d: d.doc_id), recipe, whitelist).data
+        want = build(recipe, sorted(docs, key=lambda d: d.doc_id), whitelist).data
         rnd.shuffle(docs)
-        assert build_index((d for d in docs), recipe, whitelist).data == want
+        assert build(recipe, (d for d in docs), whitelist, size).data == want
 
     @given(ids=st.lists(st.sampled_from(["a", "b", "c", "a\\t", "\u00e9"]), min_size=2, max_size=10)
-           .filter(lambda ids: len(set(ids)) < len(ids)), rnd=st.randoms(use_true_random=False))
+           .filter(lambda ids: len(set(ids)) < len(ids)), rnd=st.randoms(use_true_random=False),
+           size=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=100, deadline=None)
-    def test_duplicate_ids_raise_the_same_text(self, ids, rnd):
+    def test_duplicate_ids_raise_the_same_text(self, ids, rnd, size):
         """``build_index`` names the smallest repeated id whatever the input
         order; ``ingest_documents`` names the first repeat in scan order
         and the refs of both its rows."""
@@ -428,18 +475,113 @@ class TestStreamedBuild:
         docs = [doc(i, "x") for i in ids]
         rnd.shuffle(docs)
         with pytest.raises(IngestError) as e:
-            build_index((d for d in docs), mini_recipe())
+            build(mini_recipe(), (d for d in docs), size=size)
         assert str(e.value) == f"duplicate doc id {smallest!r} in index input"
 
         second = next(n for n, i in enumerate(ids) if i in ids[:n])
         first = ids.index(ids[second])
         handle = RowsHandle(("key", "id", "b"), [(f"k{n}", i, "x") for n, i in enumerate(ids)])
         recipe = parse_recipe_file("recipe r\nfrom s.t\nid id\nbody b\nend\n")
-        with pytest.raises(IngestError) as e:
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(IngestError) as e:
+            mp.setattr(textindex, "BATCH_ROWS", size or textindex.BATCH_ROWS)
             ingest_documents(handle, recipe)
         assert str(e.value) == (
             f"duplicate doc id {ids[second]!r}: s/t/k{first} and s/t/k{second}"
         )
+
+
+# the columns of the rows a batch test scans, and the recipes that read them:
+# with the id in its own column, or the item key as the id
+_ROW_NAMES = ("key", "id", "title", "b", "lat", "lon")
+_ROW_RECIPE = ("recipe r\nfrom s.t\nid {}\nfield title = title\nbody b\ngeo lat lon\n"
+               "index body\nindex title\nend\n")
+
+
+@st.composite
+def scanned_rows(draw):
+    """Rows of ``_ROW_NAMES`` as a scan yields them, some with unusable
+    coordinates, and up to two faults: a null id, a key that is empty or
+    holds a comma or a tab, or an id that repeats one at or before it."""
+    rows = []
+    for n in range(draw(st.integers(0, 12))):
+        key = draw(st.sampled_from([f"k{n}", f"k{n}\\/x"]))
+        coords = draw(st.sampled_from([(None, None), ("31.5", "-0.5"), ("91", "0"), ("x", None)]))
+        rows.append([key, f"d{n}", draw(st.one_of(st.none(), _CELL)), draw(_CELL), *coords])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        n = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["null id", "empty key", "comma", "tab", "repeat"]))
+        if fault == "null id":
+            rows[n][1] = None
+        elif fault == "repeat":
+            rows[n][1] = rows[draw(st.integers(0, n))][1]
+        else:
+            rows[n][0] = {"empty key": "", "comma": f"k{n},", "tab": f"k\t{n}"}[fault]
+    return [tuple(r) for r in rows]
+
+
+def batch_outcome(rows, recipe, size):
+    """With batches of ``size`` rows: the index bytes and warnings of a
+    build of ``rows`` and what an ingest of them gives, or the text of the
+    IngestError either raises."""
+    handle = RowsHandle(_ROW_NAMES, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textindex, "BATCH_ROWS", size)
+        try:
+            warnings = []
+            data = build_index(iter_batches(handle, recipe, warnings), recipe).data
+            docs, ingest_warnings = ingest_documents(handle, recipe)
+        except IngestError as e:
+            return str(e)
+    return data, warnings, ingest_warnings, [
+        (d.doc_id, d.ref.text(), d.fields, d.body, d.geo) for d in docs
+    ]
+
+
+class TestBatchCuts:
+    """Where the scan is cut into batches changes nothing: not the bytes,
+    not the warnings, not the fault or the row it is raised at."""
+
+    @given(rows=scanned_rows(), id_column=st.sampled_from(["id", "key"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_batch_size_gives_the_same_outcome(self, rows, id_column):
+        recipe = parse_recipe_file(_ROW_RECIPE.format(id_column))
+        want = batch_outcome(rows, recipe, textindex.BATCH_ROWS)
+        for size in (1, 2, 3):
+            assert batch_outcome(rows, recipe, size) == want
+
+    @pytest.mark.parametrize("size", [1, 2, 3, textindex.BATCH_ROWS])
+    @pytest.mark.parametrize("row,fault", [
+        (("k3", None), "recipe 'r': null id in column 'id'"),
+        (("", "d3"), "recipe 'r': row 4 of s.t (id 'd3'): empty item_id in item ref"),
+        (("k3,", "d3"),
+         "recipe 'r': row 4 of s.t (id 'd3'): item_id contains a forbidden character: 'k3,'"),
+        (("k\t3", "d3"),
+         "recipe 'r': row 4 of s.t (id 'd3'): item_id contains a forbidden character: 'k\\t3'"),
+        (("k3", "d2"), "duplicate doc id 'd2': s/t/k2 and s/t/k3"),  # the id of row 3
+        (("k3", "d0"), "duplicate doc id 'd0': s/t/k0 and s/t/k3"),  # the id of row 1
+    ])
+    def test_a_fault_in_row_4_raises_its_text(self, size, row, fault):
+        """Row 4 holds the fault (its key and id); row 6 repeats an id
+        too, and the scan fails after row 7.  Each batch size meets a
+        repeat in the batch of its first row or in a later one."""
+        rows = [(f"k{n}", f"d{n}", "t", "b", None, None) for n in range(7)]
+        rows[3] = (*row, "t", "b", None, None)
+        rows[5] = ("k5", "d4", "t", "b", None, None)
+
+        class FailingHandle(RowsHandle):
+            def scan(self, table, columns=None):
+                yield from self.rows
+                raise SourceError("the table changed during the scan")
+
+        handle = FailingHandle(_ROW_NAMES, rows)
+        recipe = parse_recipe_file(_ROW_RECIPE.format("id"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textindex, "BATCH_ROWS", size)
+            for run in (lambda: build_index(iter_batches(handle, recipe, []), recipe),
+                        lambda: ingest_documents(handle, recipe)):
+                with pytest.raises(IngestError) as e:
+                    run()
+                assert str(e.value) == fault
 
 
 # SHA-256 of the seed-42 desk indexes built as the benchmark's set-up builds
@@ -515,7 +657,7 @@ class TestIndexFormat:
             doc("d1", "alpha beta", title="T=1;x", geo=(31.5, 29.25)),
             doc("d2", "beta\tgamma", title="two\nlines"),
         ]
-        idx = build_index(docs, mini_recipe(("body", "title")))
+        idx = build(mini_recipe(("body", "title")), docs)
         p = str(tmp_path / "t.idx")
         write_index(idx, p)
         return idx, p
@@ -574,7 +716,7 @@ class TestIndexFormat:
 
         monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
         with pytest.raises(OSError):
-            write_index(build_index([doc("d3", "other words")], mini_recipe()), p)
+            write_index(build(mini_recipe(), [doc("d3", "other words")]), p)
         monkeypatch.undo()
         assert open(p, "rb").read() == before
         assert os.listdir(tmp_path) == ["t.idx"]
@@ -606,7 +748,7 @@ class TestIndexFormat:
         """A checksum-valid file whose dictionary lists zeta before beta:
         the search that decodes the dictionary rejects it."""
         p = str(tmp_path / "u.idx")
-        write_index(build_index([doc("d", "beta zeta")], mini_recipe()), p)
+        write_index(build(mini_recipe(), [doc("d", "beta zeta")]), p)
         data = open(p, "rb").read()
         swapped = (data.replace(b"\nbeta\t", b"\n____\t").replace(b"\nzeta\t", b"\nbeta\t")
                    .replace(b"\n____\t", b"\nzeta\t"))
@@ -621,7 +763,7 @@ class TestIndexFormat:
     def test_bad_ordinals_rejected(self, tmp_path):
         """A checksum-valid file whose postings list repeats ordinal 0."""
         p = str(tmp_path / "o.idx")
-        write_index(build_index([doc("d", "a"), doc("e", "a")], mini_recipe()), p)
+        write_index(build(mini_recipe(), [doc("d", "a"), doc("e", "a")]), p)
         data = open(p, "rb").read()
         assert data.count(b"\n0:1,1:1\n") == 1
         with open(p, "wb") as f:
@@ -638,7 +780,7 @@ class TestIndexFormat:
     def test_short_docs_line_rejected_where_read(self, tmp_path, line, hits_fault):
         """A checksum-valid DOCS line with three cells serves a hit but not
         its document or location; with two cells it serves neither."""
-        data = build_index([doc("d", "a"), doc("e", "a")], mini_recipe()).data
+        data = build(mini_recipe(), [doc("d", "a"), doc("e", "a")]).data
         assert data.count(b"\ns/t/e\te\t-\t-\n") == 1
         p = str(tmp_path / "s.idx")
         with open(p, "wb") as f:
@@ -732,7 +874,7 @@ class TestSearch:
             doc("d2", "beta gamma", title="south stone", geo=(-5.0, 10.0)),
             doc("d3", "alpha gamma delta", title="alpha title"),
         ]
-        return build_index(docs, mini_recipe(("body", "title")))
+        return build(mini_recipe(("body", "title")), docs)
 
     def test_single_term_scores_tf(self):
         idx = self.corpus()
@@ -793,7 +935,7 @@ class TestSearch:
         ids = data.draw(st.permutations([f"d{i:02d}" for i in range(n_docs)]))
         docs = [doc(i, data.draw(texts), title=data.draw(texts), geo=data.draw(coords))
                 for i in ids]
-        built = build_index(docs, mini_recipe(("body", "title")))
+        built = build(mini_recipe(("body", "title")), docs)
         p = str(tmp_path_factory.mktemp("oracle") / "o.idx")
         write_index(built, p)
 
