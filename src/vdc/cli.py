@@ -21,11 +21,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DENIED = 3
 
-# the exit code of each error a command may raise; the first match counts
+# the exit code of each error a command may raise; the first match counts.
+# Any other exception is a fault of the program, and shows as a traceback.
 _ERROR_EXITS = (
     (LockedError, EXIT_USAGE),
     (AccessDenied, EXIT_DENIED),
-    ((VdcError, ValueError, OSError), EXIT_DATA),
+    ((VdcError, OSError), EXIT_DATA),
 )
 
 _KIND_FLAGS = {"tabular": "tabular", "xml": "xml_corpus"}
@@ -340,7 +341,7 @@ def run(argv: list[str]) -> int:
     handler = handlers[(args.cmd, getattr(args, "sub", None))]
     try:
         return handler(args)
-    except (VdcError, ValueError, OSError) as e:
+    except (VdcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kinds, code in _ERROR_EXITS if isinstance(e, kinds))
 

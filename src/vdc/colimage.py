@@ -38,7 +38,9 @@ A vault is checked where it is read.  Opening the image checks its
 directory (CRC-32, version, the file's size, and each table's schema
 against its sidecar); a scan checks the CRC-32 of each chunk it reads; a
 lookup checks the table's file against the directory's size and CRC-32 and
-every chunk of the table.  A fault is an IntegrityError naming the file.
+every chunk of the table.  A fault is an IntegrityError naming the file,
+and so is a snapshot without an image: a tabular vault is read from its
+image or not at all.
 An image written under a higher int-string limit than the reading
 process's may hold a decimal entry of more digits than ``int()`` then
 converts; decoding it raises the SourceError a scan of the table raises
@@ -60,6 +62,7 @@ from .errors import IntegrityError, SourceError
 from .model import (
     ColumnDescriptor,
     ColumnKind,
+    Record,
     Row,
     TableSchema,
     int_digit_limit,
@@ -196,12 +199,10 @@ class _Table:
         return min(GROUP_ROWS, self.rows - g * GROUP_ROWS)
 
 
-class ColumnImage:
+class ColumnImage(Record):
     """A vault's column image, its directory read and checked."""
 
-    def __init__(self, path: str, tables: dict[str, _Table]):
-        self.path = path
-        self.tables = tables
+    __slots__ = ("path", "tables")
 
     def _fail(self, what: str) -> IntegrityError:
         return IntegrityError(f"column image is damaged: {what} [{self.path}]")
@@ -396,10 +397,11 @@ def _key_cell(key: str, int_column: bool) -> int | str | None:
     return cell if str(cell) == key else None
 
 
-def open_image(handle: TabularSource) -> ColumnImage | None:
+def open_image(handle: TabularSource) -> ColumnImage:
     """The column image of the vault snapshot ``handle`` reads, with its
-    directory checked; None for a snapshot without one (a vault registered
-    before images were written)."""
+    directory checked.  A snapshot without one (a vault registered before
+    images were written, or an image since deleted) is refused: the source
+    is to be added again."""
     path = os.path.join(handle.path, IMAGE)
     try:
         with open(path, "rb") as f:
@@ -408,7 +410,9 @@ def open_image(handle: TabularSource) -> ColumnImage | None:
             magic, version, length = _HEAD.unpack(head) if len(head) == _HEAD.size else (b"", 0, 0)
             body = f.read(length + 4) if magic == _MAGIC else b""
     except FileNotFoundError:
-        return None
+        raise IntegrityError(
+            f"vault snapshot has no column image; add the source again [{path}]"
+        ) from None
     except OSError as e:
         raise IntegrityError(f"cannot read column image: {e} [{path}]") from e
     if magic != _MAGIC or len(body) != length + 4:

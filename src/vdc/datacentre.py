@@ -75,8 +75,8 @@ class SourceDescriptor(Record):
 
     def open(self) -> SourceHandle:
         """Open the source read-only; its mode is ``Catalogue.open_handle``'s
-        to apply.  A tabular vault's handle carries its snapshot's column
-        image, when it has one."""
+        to apply.  A tabular vault's handle carries its snapshot's checked
+        column image."""
         handle = connectors.open_source(self.source_id, self.kind, self.path)
         if self.mode is AccessMode.VAULT and self.kind == connectors.TABULAR:
             from . import colimage
@@ -183,23 +183,14 @@ class Relation:
 # --------------------------------------------------------------------------
 # the catalogue
 
-class _ViewEntry:
+class _ViewEntry(Record):
     __slots__ = ("path", "definition")
 
-    def __init__(self, path: str, definition: ViewDefinition):
-        self.path = path
-        self.definition = definition
 
-
-class ResolvedItem:
-    """One collection ref, resolved under its source's mode."""
+class ResolvedItem(Record):
+    """One collection ref, resolved under its source's mode to a "row", "doc", "stub" or "error"."""
 
     __slots__ = ("ref", "kind", "payload")
-
-    def __init__(self, ref: ItemRef, kind: str, payload: object):
-        self.ref = ref
-        self.kind = kind  # "row" | "doc" | "stub" | "error"
-        self.payload = payload
 
 
 class Catalogue:
@@ -381,7 +372,7 @@ class Catalogue:
     ) -> tuple[TableSchema, dict[str, Row | VdcError]]:
         """The container's schema and, for each item id in it, its first
         row, or the error of the document that holds it; from one opening
-        of the source.  A vault table with a column image reads the image
+        of the source.  A vault table reads its column image
         (``ColumnImage.lookup``).  An XML corpus, live or vault, reads every
         file's root tag and parses only the documents it returns
         (``XmlCorpusSource.lookup``), so another document's malformed body
@@ -402,8 +393,8 @@ class Catalogue:
         return schema, found
 
     def verify_source(self, source_id: str) -> str:
-        """Check a source's content and say what was checked.  A vault
-        with a column image is checked against it: every table file's size
+        """Check a source's content and say what was checked.  A tabular
+        vault is checked against its column image: every table file's size
         and CRC-32, and every chunk's CRC-32.  Any other source is read in
         full, every record or document checked as a scan checks it.  The
         first fault raises, naming its file."""
@@ -446,7 +437,9 @@ class Catalogue:
         Index-only sources yield stubs (doc id plus stored manifest fields).
         The refs of one source container outside index-only sources are
         fetched together, in one pass.  A ref that cannot be resolved
-        becomes an ``error`` item and resolution continues.
+        becomes an ``error`` item and resolution continues, unless the
+        centre's own store is at fault: a vault's IntegrityError (a damaged
+        or missing column image, or a changed table file) raises.
         """
         groups: dict[tuple[str, str], list[str]] = {}
         for ref in refs:
@@ -456,6 +449,8 @@ class Catalogue:
         for (source_id, container), ids in groups.items():
             try:
                 fetched[source_id, container] = self._fetch_records(source_id, container, ids)
+            except IntegrityError:
+                raise
             except VdcError as e:
                 fetched[source_id, container] = e
         out = []

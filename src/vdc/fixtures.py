@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from . import connectors
 from .errors import ParseError, VdcError
 from .mediation import load_translation_table
-from .model import UncertainDate, date_gap_days, parse_uncertain_date
+from .model import Record, UncertainDate, date_gap_days, parse_uncertain_date
 
 DESK = "desk"
 PAPER = "paper"
@@ -133,31 +132,25 @@ _GERMAN_WORDS = [
 ]
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
-    seed: int
-    scale: str  # "desk" or "paper"
-    out_dir: str
+class FixtureSpec(Record):
+    """What to generate: a seed, a scale ("desk" or "paper"), a directory."""
 
-    def __post_init__(self):
-        if self.scale not in _ROWS:
-            raise ValueError(f"unknown scale {self.scale!r}")
+    __slots__ = ("seed", "scale", "out_dir")
 
-
-@dataclass
-class ManifestEntry:
-    kind: str  # homonym | shared_findspot | shared_category
-    person: str
-    value: str
-    ref_a: str
-    ref_b: str
-    gap_days: int | None
-    near5: bool | None
+    def __init__(self, seed: int, scale: str, out_dir: str):
+        if scale not in _ROWS:
+            raise ValueError(f"unknown scale {scale!r}")
+        Record.__init__(self, seed, scale, out_dir)
 
 
-@dataclass
-class OverlapManifest:
-    entries: list[ManifestEntry]
+class ManifestEntry(Record):
+    """One planted overlap, of kind homonym, shared_findspot or shared_category."""
+
+    __slots__ = ("kind", "person", "value", "ref_a", "ref_b", "gap_days", "near5")
+
+
+class OverlapManifest(Record):
+    __slots__ = ("entries",)
 
     def of_kind(self, kind: str) -> list[ManifestEntry]:
         return [e for e in self.entries if e.kind == kind]
@@ -197,14 +190,10 @@ def _random_date_text(rng: SplitMix64) -> str:
     return f"{_year_text(year)}/{_year_text(year + span - 1)}"
 
 
-@dataclass
-class _Planted:
+class _Planted(Record):
     """Homonym pair ``i``: volterra row ``i + 1`` and iaph doc ``i{i:04d}``."""
 
-    person: str
-    volterra_date: str
-    iaph_year: int
-    gap: int
+    __slots__ = ("person", "volterra_date", "iaph_year", "gap")
 
 
 def _plan_pairs(rng: SplitMix64) -> list[_Planted]:

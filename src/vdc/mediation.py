@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from typing import Callable, Collection, Iterator
+from typing import Collection, Iterator
 
 from .connectors import read_utf8, row_item_key
 from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
@@ -364,18 +364,13 @@ def parse_recipe_file(text: str) -> IngestRecipe:
 # --------------------------------------------------------------------------
 # rule resolution and row application
 
-class _CellOp:
+class _CellOp(Record):
     """One transform of a raw cell bound to a column position, the same in
     every base of the view: a translation table's ``translate``, or the
     view's memoized date coercion, which maps a text that does not coerce
     to None."""
 
     __slots__ = ("index", "column", "transform")
-
-    def __init__(self, index: int, column: str, transform: Callable):
-        self.index = index
-        self.column = column
-        self.transform = transform
 
 
 class CompiledView:

@@ -91,15 +91,16 @@ class Record:
     """Base of the immutable records.  A record's ``__slots__`` name its
     fields in constructor order, and the one constructor here takes one
     positional cell per slot and sets each once; any later assignment
-    raises.  A record that checks its fields or has defaults writes its
-    own ``__init__`` and ends it with ``Record.__init__``; ``ItemRef`` and
-    ``UncertainDate``, built per row ``vdc ingest`` lists and per distinct
-    date text, set their fields directly.  Records equal, hash and print by class and field
-    values, so a record never equals a tuple of its cells.  They are plain
-    classes because every request is a fresh process, and decorating a
-    dataclass costs about 0.45 ms of each process's import; ``QueryAst``
-    alone is still one, since perfbench's oracle calls
-    ``dataclasses.replace`` on it."""
+    raises.  A record declares only its slots, unless it checks its fields
+    or has defaults: then its own ``__init__`` ends with ``Record.__init__``,
+    or (``ItemRef`` and ``UncertainDate``, built per row ``vdc ingest``
+    lists and per distinct date text) sets its fields directly.  Records
+    equal, hash and print by class and field values, so a record never
+    equals a tuple of its cells; one holding a list or a dict does not
+    hash.  They are plain classes because every request is a fresh
+    process, and decorating a dataclass costs about 0.45 ms of each
+    process's import; ``QueryAst`` alone is still one, since perfbench's
+    oracle calls ``dataclasses.replace`` on it."""
 
     __slots__ = ()
 

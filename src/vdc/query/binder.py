@@ -11,30 +11,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import PlanError
-from ..model import ColumnDescriptor, TableSchema
+from ..model import ColumnDescriptor, Record, TableSchema
 from .parser import ColumnRef, QueryAst
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..datacentre import Catalogue, Relation
+    from ..datacentre import Catalogue
 
 
-class BoundRelation:
+class BoundRelation(Record):
+    """``alias`` is the display name: the explicit alias or the bare relation name."""
+
     __slots__ = ("alias", "relation", "first_slot")
 
-    def __init__(self, alias: str, relation: Relation, first_slot: int):
-        self.alias = alias  # display name: explicit alias or bare relation name
-        self.relation = relation
-        self.first_slot = first_slot
 
+class Slot(Record):
+    """``col_index`` is the column's position within its relation's schema."""
 
-class Slot:
     __slots__ = ("rel_index", "col_index", "alias", "column")
-
-    def __init__(self, rel_index: int, col_index: int, alias: str, column: ColumnDescriptor):
-        self.rel_index = rel_index
-        self.col_index = col_index  # position within the relation's schema
-        self.alias = alias
-        self.column = column
 
 
 class Binding:

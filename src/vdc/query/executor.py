@@ -1,10 +1,11 @@
 """Plan execution with exact multiset semantics and canonical output order.
 
 The engine runs a plan's terms left to right as one stream: a term's rows
-are materialized only where a hash join needs them (sources are
-desk-to-archive scale, not warehouse scale).  The last stage's rows pass
-the cross-relation filters and the projection, then the canonical sort, or
-with a LIMIT a bounded top-k that holds at most LIMIT rows.
+are materialized only as a hash join's inputs (sources are desk-to-archive
+scale, not warehouse scale), and the join's output streams (Graefe's
+pipelined join).  The last stage's rows pass the cross-relation filters and
+the projection, then the canonical sort, or with a LIMIT a bounded top-k
+that holds at most LIMIT rows.
 Coercion warnings collected during scans travel with the result; rows whose
 date failed to coerce carry a null in that cell, which naturally drops them
 from any predicate or join key on the column while keeping them visible to
@@ -19,8 +20,8 @@ from typing import Iterable, Iterator
 
 from ..errors import CoercionError, ExecutionError
 from ..model import (
+    Record,
     Row,
-    TableSchema,
     UncertainDate,
     cell_text,
     csv_text,
@@ -33,13 +34,8 @@ from .planner import BDateNear, Plan, Term
 HASH_BUILD_CAP = 1_000_000  # rows; guards the hash-join build side
 
 
-class ResultSet:
+class ResultSet(Record):
     __slots__ = ("schema", "rows", "warnings")
-
-    def __init__(self, schema: TableSchema, rows: list[Row], warnings: list[CoercionError]):
-        self.schema = schema
-        self.rows = rows
-        self.warnings = warnings
 
 
 # -- bound predicates (filters above the scans) -------------------------------
@@ -54,9 +50,11 @@ def eval_bound(pred, row: Row) -> bool:
 
 # -- the pipeline -------------------------------------------------------------
 
-def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> list[Row]:
+def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> Iterator[Row]:
     """Equi-join on the key cells' own equality, building on the smaller
-    side; output rows are always ``left + right``.  Null keys match nothing."""
+    side; output rows are always ``left + right``, yielded as the probe
+    side is read.  Null keys match nothing (none is built).  A build side
+    over the cap raises before the first row."""
     build_left = len(left) < len(right)
     build, build_i, probe, probe_i = (
         (left, li, right, ri) if build_left else (right, ri, left, li)
@@ -70,14 +68,9 @@ def _hash_join(left: list[Row], right: list[Row], li: int, ri: int) -> list[Row]
         key_cell = b[build_i]
         if key_cell is not None:
             table.setdefault(key_cell, []).append(b)
-    out = []
     for p in probe:
-        key_cell = p[probe_i]
-        if key_cell is None:
-            continue
-        for b in table.get(key_cell, ()):
-            out.append(b + p if build_left else p + b)
-    return out
+        for b in table.get(p[probe_i], ()):
+            yield b + p if build_left else p + b
 
 
 def _term_rows(term: Term, pushdown: bool, warnings: list[CoercionError]) -> Iterator[Row]:

@@ -76,34 +76,19 @@ def tokenize(text: str) -> list[str]:
 # --------------------------------------------------------------------------
 # documents and ingestion
 
-class Document:
+class Document(Record):
+    """One ingested row, its ``fields`` in recipe declaration order."""
+
     __slots__ = ("doc_id", "ref", "fields", "body", "geo")
 
-    def __init__(self, doc_id: str, ref: ItemRef, fields: dict[str, str], body: str,
-                 geo: tuple[float, float] | None = None):
-        self.doc_id = doc_id
-        self.ref = ref
-        self.fields = fields  # insertion-ordered, recipe declaration order
-        self.body = body
-        self.geo = geo
 
-
-class Batch:
+class Batch(Record):
     """Consecutive rows of a recipe's table, by column: the item keys, the
     doc ids, each recipe field's cells as (field, column) pairs in
     declaration order (None where a cell is null), the bodies and, for a
     recipe with geo columns, each row's usable coordinates or None."""
 
     __slots__ = ("keys", "ids", "fields", "body", "geo")
-
-    def __init__(self, keys: Sequence[str], ids: Sequence[str],
-                 fields: list[tuple[str, Sequence[str | None]]], body: Sequence[str],
-                 geo: Sequence[tuple[float, float] | None] | None = None):
-        self.keys = keys
-        self.ids = ids
-        self.fields = fields
-        self.body = body
-        self.geo = geo
 
 
 # Rows per batch.  A paper-scale hgv build takes the same time at 64 as at
@@ -318,7 +303,10 @@ def _nat(s: str | bytes) -> int:
     """A non-negative decimal written in ASCII digits."""
     if not (s.isascii() and s.isdigit()):
         raise IndexFormatError(f"bad number {s!r} in index")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # more digits than int() converts from text
+        raise IndexFormatError(f"number of {len(s)} digits in index") from None
 
 
 def _text(b: bytes) -> str:
@@ -364,15 +352,10 @@ def index_relation(path: str) -> str:
     return _header_relation(line.removesuffix(b"\n"))
 
 
-class DocEntry:
-    __slots__ = ("doc_id", "ref", "geo", "stored")
+class DocEntry(Record):
+    """One decoded DOCS line; ``ref`` is an ItemRef's text form."""
 
-    def __init__(self, doc_id: str, ref: str, geo: tuple[float, float] | None,
-                 stored: dict[str, str]):
-        self.doc_id = doc_id
-        self.ref = ref  # ItemRef text form
-        self.geo = geo
-        self.stored = stored
+    __slots__ = ("doc_id", "ref", "geo", "stored")
 
 
 class InvertedIndex:
@@ -398,7 +381,7 @@ class InvertedIndex:
         m = _FOOTER_RE.fullmatch(data, foot)
         if m is None:
             raise IndexFormatError("index file is truncated (no END footer)")
-        n_docs, n_terms = int(m[1]), int(m[2])
+        n_docs, n_terms = _nat(m[1]), _nat(m[2])
         if zlib.crc32(memoryview(data)[:foot]) != int(m[3], 16):
             raise IndexFormatError("index checksum mismatch: the file is damaged")
 
@@ -406,7 +389,7 @@ class InvertedIndex:
         m = _TOC_RE.fullmatch(data, toc, foot)
         if m is None:
             raise IndexFormatError("bad TOC line")
-        starts = [int(s) for s in m[1].split()]
+        starts = [_nat(s) for s in m[1].split()]
         if starts[0] != first + 1:
             raise IndexFormatError("DOCS section does not follow the header")
         sections = []  # (header words, first byte after the header, end)

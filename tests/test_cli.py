@@ -290,14 +290,19 @@ class TestSourceVerify:
         assert "table file differs from the column image" in err
         assert err.endswith(f"[{os.path.join(vault, 'papyri.csv')}]\n")
 
-    def test_a_vault_without_an_image_is_read_in_full(self, centre, tmp_path):
+    def test_a_vault_without_an_image_is_refused(self, centre, tmp_path):
+        """A tabular vault is read from its image or not at all: without
+        one, a verify, a query and a collection resolve each exit 2 naming
+        the missing file, and a query of another source still answers."""
         cli, vault = self.vault(centre, tmp_path)
-        os.remove(os.path.join(vault, "vdc.cols"))
-        assert cli("source", "verify", "hv") == (0, "", "verified hv: 500 rows read\n")
-        with open(os.path.join(vault, "papyri.csv"), "ab") as f:
-            f.write(b"1,too few cells\n")
-        code, _, err = cli("source", "verify", "hv")
-        assert code == 2 and "row arity 2 != 9" in err and "papyri.csv:502]" in err
+        assert cli("coll", "update", "hv_keys", "--add", "hv/papyri/1", "hv/papyri/2")[0] == 0
+        image = os.path.join(vault, "vdc.cols")
+        os.remove(image)
+        refused = (2, "", f"error: vault snapshot has no column image; add the source again [{image}]\n")
+        assert cli("source", "verify", "hv") == refused
+        assert cli("query", "SELECT id FROM hv.papyri WHERE id < 3") == refused
+        assert cli("coll", "resolve", "hv_keys") == refused
+        assert cli("query", "SELECT id FROM volterra.legal_texts WHERE id < 3")[:2] == (0, "id\n1\n2\n")
 
     def test_an_xml_vault_is_read_in_full(self, centre, tmp_path):
         cli, vault = self.vault(centre, tmp_path, "iv", "xml", "iaph")
@@ -839,6 +844,22 @@ class TestUsageAndLocking:
         assert run(["source", "add", "x", "--kind", "nope", "--path", "p",
                     "--mode", "live"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("source", "verify", "hgv"),
+        ("query", "SELECT id FROM papyri LIMIT 1"),
+    ])
+    def test_a_fault_of_the_program_is_no_data_error(self, centre, monkeypatch, argv):
+        """Only a VdcError or an OSError maps to an exit code: a ValueError
+        raised inside a command propagates out of run(), as a traceback."""
+        cli, *_ = centre
+
+        def fault(*args, **kwargs):
+            raise ValueError("a fault of the program")
+
+        monkeypatch.setattr(Catalogue, "load", fault)
+        with pytest.raises(ValueError, match="a fault of the program"):
+            cli(*argv)
 
     def test_mutator_fails_fast_when_locked(self, tmp_path, desk_fixtures, capsys):
         fx, _ = desk_fixtures

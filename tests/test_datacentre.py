@@ -192,7 +192,8 @@ class TestColumnImage:
                          f"id : {'int' if int_keys else 'text'}\nv : text\n", rows, terminator)
             cat = Catalogue(os.path.join(tmp, "c.vdc"))
             cat.register_source("s", "tabular", os.path.join(tmp, "src"), AccessMode.VAULT)
-            first = _first_rows(cat, "s", "t")
+            cat.register_source("live", "tabular", os.path.join(tmp, "src"), AccessMode.LIVE)
+            first = _first_rows(cat, "live", "t")  # a scan of the CSV, not the image
             wanted = [k for k in first if refable(k)] + ["absent", "07", "+7", " 7", "٣"]
             _, looked_up = cat._fetch_records("s", "t", wanted)
             assert looked_up == {k: first[k] for k in wanted if k in first}
@@ -200,10 +201,6 @@ class TestColumnImage:
                 if key not in first:
                     with pytest.raises(NotFound, match=re.escape(f"no item {key!r} in s/t")):
                         cat.fetch_record(ItemRef("s", "t", key))
-            os.remove(os.path.join(tmp, "c.vdc.store", "vault", "s", IMAGE))
-            cat._vault_handles.clear()
-            assert cat.open_handle("s").image is None
-            assert cat._fetch_records("s", "t", wanted)[1] == looked_up
 
     @pytest.mark.parametrize("bad", [
         b"2,ok\n3\n",  # arity
@@ -420,25 +417,24 @@ class TestColumnImageFaults:
     def test_intact_image_answers(self, vault):
         assert self.lookup(vault) == vault[4]
 
-    def test_missing_image_falls_back_to_the_scan(self, vault, monkeypatch):
+    def test_missing_image_is_refused(self, vault):
+        """Without its image, a vault is neither looked up, scanned nor
+        resolved from its table files: each raises, naming the image."""
         cat, vault_dir, *_ = vault
+        image = os.path.join(vault_dir, IMAGE)
         self.lookup(vault)
-        os.remove(os.path.join(vault_dir, IMAGE))
-        cat._vault_handles.clear()
-        scans = []
-        real_scan = connectors.TabularSource.scan
-
-        def counting_scan(self, table, *args, **kwargs):
-            scans.append(table)
-            return real_scan(self, table, *args, **kwargs)
-
-        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
-        assert cat._fetch_records("hgv", "papyri", self.KEYS)[1] == vault[4]
-        assert scans == ["papyri"]
-        query = "SELECT * FROM hgv.papyri WHERE Fundort = 'Arsinoe'"
-        without = result_to_csv(execute_plan(plan_query(parse_query(query), cat)))
+        os.remove(image)
+        message = re.escape(f"vault snapshot has no column image; add the source again [{image}]")
+        query = parse_query("SELECT * FROM hgv.papyri WHERE Fundort = 'Arsinoe'")
+        for read in (
+            lambda: cat._fetch_records("hgv", "papyri", self.KEYS),
+            lambda: execute_plan(plan_query(query, cat)),
+            lambda: cat.resolve_refs([ItemRef("hgv", "papyri", k) for k in self.KEYS]),
+        ):
+            cat._vault_handles.clear()
+            with pytest.raises(IntegrityError, match=message):
+                read()
         self.lookup(vault)  # the image back
-        assert result_to_csv(execute_plan(plan_query(parse_query(query), cat))) == without
 
     def test_cut_at_every_chunk_and_header_boundary(self, vault):
         image = vault[2]

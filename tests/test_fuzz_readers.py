@@ -3,8 +3,8 @@ recipe, a translation table, and a CSV table with its ``.schema`` sidecar.
 
 Each input is a valid file of the desk centre after a few cuts, inserted
 bytes, bit flips and spliced spans.  Every one must load (or scan), or
-raise a ``VdcError`` subclass: a bare exception would reach the CLI's
-``ValueError``/``OSError`` fallback, which hides it as a data error.  The
+raise a ``VdcError`` subclass: the CLI maps only those (and ``OSError``)
+to an exit code, so any other exception would show as a traceback.  The
 XML reader and the column image have their own fuzz tests."""
 
 import csv

@@ -333,23 +333,35 @@ class TestExecutor:
         limited = execute_plan(plan_query(parse_query("SELECT id FROM papyri LIMIT 3"), cat))
         assert limited.rows == full.rows[:3]
 
+    @staticmethod
+    def traced_peak(cat, q: str) -> int:
+        """The traced peak of executing ``q``, planned beforehand."""
+        plan = plan_query(parse_query(q), cat)
+        execute_plan(plan)  # first-use allocations stay out of the measure
+        tracemalloc.start()
+        try:
+            execute_plan(plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_one_relation_limit_holds_only_k_rows(self, desk_centre):
         """A one-relation LIMIT streams into a bounded top-k: its traced
         peak is under half that of the same query without LIMIT, which
         holds every row."""
         cat, _, _ = desk_centre
+        peak = self.traced_peak
+        assert peak(cat, "SELECT * FROM all_texts LIMIT 5") < peak(cat, "SELECT * FROM all_texts") / 2
 
-        def peak(q: str) -> int:
-            plan = plan_query(parse_query(q), cat)
-            execute_plan(plan)  # first-use allocations stay out of the measure
-            tracemalloc.start()
-            try:
-                execute_plan(plan)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak("SELECT * FROM all_texts LIMIT 5") < peak("SELECT * FROM all_texts") / 2
+    def test_a_join_under_limit_holds_its_inputs_and_k_rows(self, desk_centre):
+        """The hash join's output streams into the top-k: a self-join of
+        the desk papyri on their findspot (about 49,000 rows from two
+        inputs of 500) peaks, under LIMIT 5, at less than a quarter of the
+        same join without LIMIT, which holds every joined row."""
+        cat, _, _ = desk_centre
+        join = "SELECT a.id, b.id FROM hgv.papyri a JOIN hgv.papyri b ON a.Fundort = b.Fundort"
+        assert len(execute_plan(plan_query(parse_query(join), cat)).rows) > 40_000
+        assert self.traced_peak(cat, join + " LIMIT 5") < self.traced_peak(cat, join) / 4
 
     def test_join_method_equivalence(self, small_centre):
         """The hash join equals the reference's nested loops whichever side

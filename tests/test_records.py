@@ -1,17 +1,24 @@
 """Record classes: plain ``__slots__`` classes rather than dataclasses (the
 query AST's root alone stays one), built by one positional constructor in
-slot order unless they check their fields, frozen where they are hashed or
-shared, equal by class and value but never to a tuple of their cells, and
-with the validation errors they always had."""
+slot order unless they check their fields or give defaults, frozen, equal
+by class and value but never to a tuple of their cells, and with the
+validation errors they always had."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from vdc.datacentre import AccessMode, ResolvedItem, SourceDescriptor
-from vdc.mediation import Coerce, IngestRecipe, RelationRef, Rename, Translate, ViewDefinition
+import vdc
+from vdc.colimage import ColumnImage
+from vdc.datacentre import AccessMode, ResolvedItem, SourceDescriptor, _ViewEntry
+from vdc.fixtures import FixtureSpec, ManifestEntry, OverlapManifest, _Planted
+from vdc.mediation import (
+    Coerce, IngestRecipe, RelationRef, Rename, Translate, ViewDefinition, _CellOp,
+)
 from vdc.model import ColumnDescriptor, ColumnKind, ItemRef, Record, TableSchema, UncertainDate
 from vdc.predicates import Compare, Contains, DateWithin
 from vdc.query.binder import BoundRelation, Slot
@@ -27,40 +34,54 @@ from vdc.query.parser import (
     Token,
 )
 from vdc.query.planner import BDateNear, Plan, Term
-from vdc.textindex import DocEntry, Document, SearchQuery
+from vdc.textindex import Batch, DocEntry, Document, SearchQuery
 
 RELATION = object()  # stands in for a Relation, which equals only itself
 
 
 def frozen_records() -> list:
-    """One of each frozen record, built afresh on every call."""
+    """One of each record, built afresh on every call.  Cells that are
+    lists or dicts in use are tuples here, so that every record hashes."""
     date = UncertainDate(0, 9)
     col = ColumnDescriptor("id", ColumnKind.INT)
     schema = TableSchema("t", (col, ColumnDescriptor("d", ColumnKind.TEXT, date_text=True)))
     ref = RelationRef("s", "t")
+    item = ItemRef("s", "t", "k/1")
     a, b = ColumnRef("a", "x"), ColumnRef(None, "y")
     term = Term(RELATION, (Compare(0, "=", 1),), (BDateNear(0, 1, 5),), None, (0, 1))
+    view = ViewDefinition("v", (ref,), (Coerce("d"),))
+    homonym = ManifestEntry("homonym", "P. Q", "", "a/t/1", "b/t/1", 365, True)
     return [
-        date, col, schema, ItemRef("s", "t", "k/1"),
+        date, col, schema, item,
         Compare(0, "<", 5), Contains(1, "x", str.upper), DateWithin(1, date, date),
-        ref, Rename("Ort", "place"), Coerce("d"), Translate("c", "de_en"),
-        ViewDefinition("v", (ref,), (Coerce("d"),)),
+        ref, Rename("Ort", "place"), Coerce("d"), Translate("c", "de_en"), view,
         IngestRecipe("r", ref, "id", (("title", "t"),), ("body",), None, ("body",)),
+        _CellOp(1, "d", str.upper),
         SourceDescriptor("s", "tabular", "/p", AccessMode.LIVE),
+        _ViewEntry("/p/v.view", view), ResolvedItem(item, "row", (schema, (1, date))),
         SearchQuery(("a",), field="body", limit=3),
+        Document("d", item, (("title", "T"),), "body", (31.25, -0.5)),
+        Batch(("k/1",), ("d",), (("title", ("T",)),), ("body",), None),
+        DocEntry("d", "s/t/k/1", None, (("title", "T"),)),
+        ColumnImage("/p/vdc.cols", (("t", None),)),
         Token("ident", "id", 7), a, RelationTerm("s.t", "x"),
         JoinSpec(RelationTerm("v", None), a, b), CompareAst(a, "=", "x", 9),
         ContainsAst(a, "n"), DateNearAst(a, b, 5), DateWithinAst(a, date, date),
+        BoundRelation("x", RELATION, 0), Slot(0, 1, "x", col),
         BDateNear(0, 1, 5), term, Plan((term,), (), (0,), None, schema, True),
+        ResultSet(schema, ((1, date),), ()),
+        FixtureSpec(42, "desk", "/out"), homonym, OverlapManifest((homonym,)),
+        _Planted("P. Q", "0150-03-01", 151, 365),
     ]
 
 
 def test_no_dataclass_but_the_query_ast():
     """Without site, whose hooks may load other modules first, the only
     vdc dataclass a command's modules define is QueryAst (vdc.cli loads
-    the query engine only when ``vdc query`` runs, so it is named here)."""
+    the query engine only when ``vdc query`` runs, and the fixtures only
+    when ``vdc fixtures generate`` does, so both are named here)."""
     code = (
-        "import sys, vdc.cli, vdc.query, vdc.textindex, vdc.colimage\n"
+        "import sys, vdc.cli, vdc.query, vdc.textindex, vdc.colimage, vdc.fixtures\n"
         "print(*sorted({f'{c.__module__}.{c.__qualname__}'\n"
         "    for m in list(sys.modules.values()) if m.__name__.split('.')[0] == 'vdc'\n"
         "    for c in vars(m).values()\n"
@@ -75,14 +96,7 @@ def test_no_dataclass_but_the_query_ast():
 
 def test_records_hold_no_dict():
     """Every field of a record is one of its slots."""
-    ref = ItemRef("s", "t", "1")
-    col = ColumnDescriptor("id", ColumnKind.INT)
-    mutable = [
-        ResolvedItem(ref, "row", None), DocEntry("d", "s/t/1", None, {}),
-        Document("d", ref, {}, "body"), ResultSet(TableSchema("r", (col,)), [], []),
-        Slot(0, 0, "t", col), BoundRelation("t", RELATION, 0),
-    ]
-    for record in frozen_records() + mutable:
+    for record in frozen_records():
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
@@ -131,8 +145,65 @@ def test_only_records_with_checks_or_defaults_write_a_constructor():
     writers = {cls.__name__ for cls in records if "__init__" in vars(cls)}
     assert writers == {
         "UncertainDate", "ColumnDescriptor", "TableSchema", "ItemRef",
-        "Compare", "Contains", "DateWithin", "SearchQuery",
+        "Compare", "Contains", "DateWithin", "SearchQuery", "FixtureSpec",
     }
+
+
+def _only_copies(init: ast.FunctionDef) -> bool:
+    """True when a constructor's every statement but its docstring copies
+    a parameter into the attribute of its name (``self.x = x``, or
+    ``init_field(self, "x", x)``), or it only hands its parameters, in
+    order and with no defaults, to ``Record.__init__``."""
+    params = [a.arg for a in init.args.args[1:]]
+    body = [s for s in init.body
+            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+
+    def copies(s: ast.stmt) -> bool:
+        if isinstance(s, (ast.Assign, ast.AnnAssign)):
+            [target] = s.targets if isinstance(s, ast.Assign) else [s.target]
+            return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                    and target.value.id == "self" and isinstance(s.value, ast.Name)
+                    and s.value.id == target.attr and target.attr in params)
+        if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call):
+            call = s.value
+            names = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+            if ast.unparse(call.func) == "Record.__init__":
+                return names == ["self", *params] and not init.args.defaults
+            return (len(call.args) == 3 and names[0] == "self"
+                    and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value == names[2] and names[2] in params)
+        return False
+
+    return bool(body) and all(copies(s) for s in body)
+
+
+def test_no_constructor_only_copies_its_parameters():
+    """A class whose fields are its constructor's parameters is a Record
+    that declares its slots; a constructor of its own must do more."""
+    src = Path(vdc.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__" \
+                        and _only_copies(init):
+                    found.append(f"{path.relative_to(src)}:{init.lineno} {cls.name}")
+    assert found == []
+
+
+@pytest.mark.parametrize("source,copies", [
+    ("def __init__(self, a, b):\n    self.a = a\n    self.b = b", True),
+    ("def __init__(self, a):\n    'doc'\n    init_field(self, 'a', a)", True),
+    ("def __init__(self, a, b):\n    Record.__init__(self, a, b)", True),
+    ("def __init__(self, a, b=None):\n    Record.__init__(self, a, b)", False),
+    ("def __init__(self, a, b):\n    self.a = a\n    self.c = b", False),
+    ("def __init__(self, a):\n    self.a = a\n    self.n = len(a)", False),
+    ("def __init__(self, a):\n    if not a:\n        raise ValueError\n    self.a = a", False),
+])
+def test_the_copy_check_tells_a_copy(source, copies):
+    assert _only_copies(ast.parse(source).body[0]) is copies
 
 
 def test_records_differ_by_value_and_class():
@@ -168,6 +239,7 @@ def test_repr_spells_every_field():
     (lambda: SearchQuery(()), "search needs at least one term or a bbox"),
     (lambda: SearchQuery(("a",), limit=0), "limit must be positive"),
     (lambda: SearchQuery((), bbox=(1.0, 0.0, 0.0, 1.0)), "bbox minimum exceeds maximum"),
+    (lambda: FixtureSpec(1, "huge", "/out"), "unknown scale 'huge'"),
 ])
 def test_validation_errors_are_unchanged(build, message):
     with pytest.raises(ValueError) as e:

@@ -404,7 +404,7 @@ def field_documents(draw):
             value = draw(st.one_of(st.none(), _FIELD_TEXT))
             if value is not None:
                 fields[name] = value
-        docs.append(Document(doc_id, ItemRef("s", "t", doc_id), fields, draw(_FIELD_TEXT)))
+        docs.append(Document(doc_id, ItemRef("s", "t", doc_id), fields, draw(_FIELD_TEXT), None))
     return docs
 
 
@@ -772,6 +772,18 @@ class TestIndexFormat:
         with pytest.raises(IndexFormatError) as e:
             search(idx, SearchQuery(("a",)))
         assert "out of order" in str(e.value)
+
+    @pytest.mark.parametrize("section", [b"END ", b"TOC "])
+    def test_a_number_of_more_digits_than_int_converts(self, tmp_path, int_digit_limit, section):
+        """A footer or section table number longer than ``int()`` converts
+        from text is a format error, not a ValueError."""
+        data = build(mini_recipe(), [doc("d", "a")]).data
+        at = data.rindex(b"\n" + section) + 1 + len(section)
+        p = str(tmp_path / "n.idx")
+        with open(p, "wb") as f:
+            f.write(resign(data[:at] + b"9" * (int_digit_limit + 1) + data[at:]))
+        with pytest.raises(IndexFormatError, match=r"^number of \d+ digits in index$"):
+            read_index(p)
 
     @pytest.mark.parametrize(
         "line,hits_fault",

@@ -119,9 +119,7 @@ _ENGINE = ("vdc.query", "dataclasses")
     (("index", "build", "probe_texts", "--recipe", "{fx}/recipes/volterra.recipe"), _ENGINE),
     (("ingest", "hgv", "--recipe", "{fx}/recipes/hgv.recipe"), _ENGINE),
     (("source", "verify", "volterra"), _ENGINE),
-    # vdc.fixtures is made of dataclasses
-    (("fixtures", "generate", "--seed", "3", "--scale", "desk", "--out", "{tmp}/fx"),
-     ("vdc.query",)),
+    (("fixtures", "generate", "--seed", "3", "--scale", "desk", "--out", "{tmp}/fx"), _ENGINE),
     (("query", "SELECT id FROM papyri LIMIT 2"), ("vdc.textindex",)),
 ], ids=["search", "coll-update", "coll-resolve", "index-build", "ingest", "source-verify",
         "fixtures-generate", "query"])
