@@ -145,13 +145,13 @@ def _load_catalogue(path: str) -> Catalogue:
 def _mutate(args, fn) -> int:
     """Run a catalogue mutation under the non-blocking lock and persist;
     the line ``fn`` returns reports it once it is persisted."""
-    with catalogue_lock(args.catalogue, blocking=False):
+    with catalogue_lock(args.catalogue):
         if os.path.exists(args.catalogue):
             cat = Catalogue.load(args.catalogue)
         else:
             cat = Catalogue(args.catalogue)
         done = fn(cat)
-        cat.persist(take_lock=False)
+        cat.persist()
     print(done, file=sys.stderr)
     return EXIT_OK
 

@@ -261,9 +261,8 @@ class ColumnImage(Record):
                         if len(v) > limit and len(v.lstrip("-")) > limit:
                             # written under a higher limit: the scan's fault, not damage
                             name = t.schema.columns[column].name
-                            file = os.path.join(os.path.dirname(self.path), t.schema.name + ".csv")
                             raise SourceError(f"{over_digit_limit('int', v)} in column {name!r}",
-                                              path=file)
+                                              path=self._table_file(t))
                         values[c] = int(v) if v else None
             if null != _NO_NULL:
                 values[null] = None
@@ -328,8 +327,12 @@ class ColumnImage(Record):
         for g in range(t.groups):
             yield [self._chunk(f, t, g, c) for c in range(t.width)]
 
-    def _check_file(self, handle: TabularSource, t: _Table) -> None:
-        path = handle.table_path(t.schema.name)
+    def _table_file(self, t: _Table) -> str:
+        """The snapshot's ``.csv`` file of table ``t``, beside the image."""
+        return os.path.join(os.path.dirname(self.path), t.schema.name + ".csv")
+
+    def _check_file(self, t: _Table) -> None:
+        path = self._table_file(t)
         try:
             size, crc = _file_crc(path)
         except OSError as e:
@@ -337,7 +340,7 @@ class ColumnImage(Record):
         if (size, crc) != (t.size, t.crc):
             raise IntegrityError(f"table file differs from the column image {self.path} [{path}]")
 
-    def lookup(self, handle: TabularSource, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
+    def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
         """The first row of each of ``item_ids`` that is a refable key of
         ``table`` (see :func:`vdc.connectors.row_item_key`).
 
@@ -345,7 +348,7 @@ class ColumnImage(Record):
         CRC-32, and every chunk of the table against its CRC-32, so a
         lookup fails on any change to the vault's copy of the table."""
         t = self.tables[table]
-        self._check_file(handle, t)
+        self._check_file(t)
         int_keys = t.schema.columns[0].kind is ColumnKind.INT
         targets = {}  # key cell -> key
         for key in item_ids:
@@ -369,14 +372,14 @@ class ColumnImage(Record):
                         found[key] = tuple(values[codes[r]] for values, codes in group)
         return found
 
-    def verify(self, handle: TabularSource) -> int:
+    def verify(self) -> int:
         """Check every table file against the directory's size and CRC-32
         and every chunk against its CRC-32, table by table; the first that
         differs raises, naming its file.  Returns the number of chunks."""
         n = 0
         with self._open() as f:
             for t in self.tables.values():
-                self._check_file(handle, t)
+                self._check_file(t)
                 for chunks in self._groups(f, t):
                     n += len(chunks)
         return n

@@ -6,10 +6,10 @@ as uniform relational tables.  Tabular sources are RFC-4180-style CSV files
 ``<table>.schema`` sidecar describing column names and kinds; the first CSV
 record must repeat the sidecar's column names.  XML corpora are directories
 of ``*.xml`` documents in the subset grammar parsed by :func:`parse_xml_doc`
-and always surface as a single table named ``docs``; a scan parses every
-document whole, a lookup by id parses every document up to its root start
-tag and only the documents it returns past it, and answers each id with
-its row or the error of its document.
+and always surface as a single table named ``docs``.  Each handle answers
+the point lookups of collection refs itself, ``lookup(table, item_ids)``:
+each wanted key's first row as a scan gives it, or the error of the XML
+document that holds it.
 
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
@@ -48,6 +48,7 @@ from .model import (
     nfc,
     over_digit_limit,
     parse_uncertain_date,
+    refable,
 )
 from .predicates import holds, matches
 
@@ -201,6 +202,22 @@ class TabularSource:
             return self._schemas[table]
         except KeyError:
             raise NotFound(f"no table {table!r} in source {self.source_id!r}") from None
+
+    def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
+        """The first row of each of ``item_ids`` that is a refable key of
+        ``table`` (see :func:`row_item_key`).  With an ``image``, the image
+        answers; otherwise the table is scanned to its end, so a change on
+        disk during the lookup raises as it does for a scan."""
+        self.schema(table)  # NotFound for an unknown table
+        if self.image is not None:
+            return self.image.lookup(table, item_ids)
+        wanted = {key for key in item_ids if refable(key)}
+        found: dict[str, Row] = {}
+        for row in self.scan(table):
+            key = row_item_key(row)
+            if key in wanted:
+                found.setdefault(key, row)
+        return found
 
     def scan(
         self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
@@ -467,7 +484,7 @@ class XmlCorpusSource:
             self._docs = [row for _, row in self._parsed()]
         return self._docs
 
-    def lookup(self, doc_ids: Iterable[str]) -> dict[str, Row | SourceError]:
+    def lookup(self, table: str, doc_ids: Iterable[str]) -> dict[str, Row | SourceError]:
         """The row of each of ``doc_ids`` that the corpus holds, or the
         error of the document that holds it.
 
@@ -476,6 +493,7 @@ class XmlCorpusSource:
         do, and fail the whole lookup; only the wanted documents are parsed
         past it, and an error met there is that document's alone.
         """
+        self.schema(table)  # NotFound for any table but docs
         wanted = set(doc_ids)
         return {doc_id: row for doc_id, row in self._parsed(wanted) if doc_id in wanted}
 

@@ -1,6 +1,5 @@
-"""The catalogue: source registration under trust modes, record fetching,
-relation resolution for the query engine, virtual collections, and
-persistence.
+"""The catalogue: source registration under trust modes, relation
+resolution for the query engine, virtual collections, and persistence.
 
 Trust modes fix what the centre may do with a source:
 
@@ -14,24 +13,27 @@ Trust modes fix what the centre may do with a source:
 
 A virtual collection is a named list of item refs across sources: it links
 items so they can be explored as a unity without copying any content, and
-each ref resolves under its own source's mode.
+each ref resolves under its own source's mode.  The catalogue decides only
+whether a source may be read; how a ref is read is the source handle's
+``lookup`` (:mod:`vdc.connectors`).
 
 The catalogue file is UTF-8, one record per LF-terminated line, and
 references view and translation-table files by path; persistence is atomic
-(temp file + rename) and serialized by an advisory file lock.
+(temp file + rename) and serialized by an advisory file lock, which the
+CLI takes around each mutation (``vdc.cli._mutate``).
 """
 
 from __future__ import annotations
 
 import fcntl
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import connectors, mediation
 from .atomic import write_atomic
-from .connectors import SourceHandle, row_item_key
+from .connectors import SourceHandle
 from .errors import (
     AccessDenied,
     CollectionError,
@@ -51,7 +53,8 @@ from .mediation import (
     TranslationTable,
     ViewDefinition,
 )
-from .model import ItemRef, Record, Row, TableSchema
+from .model import ItemRef, Record, Row
+from .predicates import matches
 
 if TYPE_CHECKING:  # vdc.textindex is imported by the methods that use it
     from .textindex import DocEntry, InvertedIndex
@@ -100,13 +103,14 @@ def _check_name(name: str, what: str, error: type[VdcError] = IntegrityError) ->
 
 
 @contextmanager
-def catalogue_lock(catalogue_path: str, blocking: bool = True):
-    """Advisory exclusive lock guarding catalogue mutation and persistence."""
+def catalogue_lock(catalogue_path: str):
+    """Advisory exclusive lock guarding catalogue mutation and persistence;
+    LockedError at once if another holds it."""
     lock_path = catalogue_path + ".lock"
     fd = open(lock_path, "a+")
     try:
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | (0 if blocking else fcntl.LOCK_NB))
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as e:
             raise LockedError(f"catalogue {catalogue_path} is locked") from e
         yield
@@ -145,20 +149,17 @@ class Relation:
         base_index: int,
         preds: Sequence,
         pushdown: bool,
-        raw_eval: Callable | None,
         columns: Iterable[int] | None = None,
     ) -> Iterator[tuple[Row, list]]:
         """Yield (mediated row, coercion warnings) for one base relation.
 
         ``preds`` are scan predicates, by position in the raw row (which is
         the view's row); the connector applies them when ``pushdown``,
-        otherwise ``raw_eval`` does, on the raw rows, before mediation.
-        Both routes run the one evaluator of ``vdc.predicates``: the
-        connector calls it itself and the executor passes
-        ``predicates.matches`` as ``raw_eval``.  ``columns`` are the
-        positions the caller reads (all when None); the connector may leave
-        every other cell None, so they must cover the columns of ``preds``
-        and of ``compiled.mediation_reads()``.
+        otherwise they are tested here, on the raw rows, before mediation;
+        both routes run the one evaluator of ``vdc.predicates``.
+        ``columns`` are the positions the caller reads (all when None); the
+        connector may leave every other cell None, so they must cover the
+        columns of ``preds`` and of ``compiled.mediation_reads()``.
 
         Every position here was bound against the base's schema when the
         view was compiled, so a base whose schema has changed since (a live
@@ -169,12 +170,9 @@ class Relation:
         handle = self._catalogue.open_handle(ref.source_id)
         if handle.schema(ref.table) != self.compiled.base_schemas[base_index]:
             raise SourceError(f"table {ref.text()} changed its schema since the query was planned")
-        if pushdown and preds:
-            rows = handle.scan(ref.table, pushed=preds, columns=columns)
-        else:
-            rows = handle.scan(ref.table, columns=columns)
-            if preds:
-                rows = (r for r in rows if raw_eval(preds, r))
+        rows = handle.scan(ref.table, pushed=preds if pushdown else None, columns=columns)
+        if preds and not pushdown:
+            rows = (r for r in rows if matches(preds, r))
         apply = self.compiled.apply
         for raw_row in rows:
             yield apply(base_index, raw_row)
@@ -196,15 +194,13 @@ class ResolvedItem(Record):
 class Catalogue:
     """All registrations of one data centre, backed by one catalogue file."""
 
-    def __init__(self, path: str = "./catalogue.vdc"):
+    def __init__(self, path: str):
         self.path = path
         self.store_dir = path + ".store"
         self.sources: dict[str, SourceDescriptor] = {}
         self.views: dict[str, _ViewEntry] = {}
         self.xlates: dict[str, TranslationTable] = {}
         self.indexes: dict[str, str] = {}  # collection -> index file path
-        # collection -> its index's source relation, once built or read
-        self._index_relations: dict[str, str] = {}
         self.collections: dict[str, list[ItemRef]] = {}  # name -> refs
         self._vault_handles: dict[str, SourceHandle] = {}
         self._index_cache: dict[str, InvertedIndex] = {}
@@ -364,33 +360,7 @@ class Catalogue:
     # -- record fetching -------------------------------------------------------
     def fetch_record(self, ref: ItemRef) -> Row:
         """Fetch one item under its source's mode (vault/live only)."""
-        _, records = self._fetch_records(ref.source_id, ref.container, [ref.item_id])
-        return _pick(records, ref)
-
-    def _fetch_records(
-        self, source_id: str, container: str, item_ids: Sequence[str]
-    ) -> tuple[TableSchema, dict[str, Row | VdcError]]:
-        """The container's schema and, for each item id in it, its first
-        row, or the error of the document that holds it; from one opening
-        of the source.  A vault table reads its column image
-        (``ColumnImage.lookup``).  An XML corpus, live or vault, reads every
-        file's root tag and parses only the documents it returns
-        (``XmlCorpusSource.lookup``), so another document's malformed body
-        does not fail the lookup.  Any other container is scanned to its
-        end, so a live table's change check runs."""
-        handle = self.open_handle(source_id)
-        schema = handle.schema(container)
-        if isinstance(handle, connectors.XmlCorpusSource):
-            return schema, handle.lookup(item_ids)
-        if handle.image is not None:
-            return schema, handle.image.lookup(handle, container, item_ids)
-        wanted = set(item_ids)
-        found: dict[str, Row] = {}
-        for row in handle.scan(container):
-            key = row_item_key(row)
-            if key in wanted:
-                found.setdefault(key, row)
-        return schema, found
+        return _pick(self.open_handle(ref.source_id).lookup(ref.container, [ref.item_id]), ref)
 
     def verify_source(self, source_id: str) -> str:
         """Check a source's content and say what was checked.  A tabular
@@ -401,7 +371,7 @@ class Catalogue:
         handle = self.open_handle(source_id)
         tables = handle.list_tables()
         if isinstance(handle, connectors.TabularSource) and handle.image is not None:
-            chunks = handle.image.verify(handle)
+            chunks = handle.image.verify()
             return f"every table file and image chunk matches (files: {len(tables)}, chunks: {chunks})"
         rows = sum(1 for t in tables for _ in handle.scan(t.name, columns=()))
         return f"{rows} rows read"
@@ -436,10 +406,11 @@ class Catalogue:
 
         Index-only sources yield stubs (doc id plus stored manifest fields).
         The refs of one source container outside index-only sources are
-        fetched together, in one pass.  A ref that cannot be resolved
-        becomes an ``error`` item and resolution continues, unless the
-        centre's own store is at fault: a vault's IntegrityError (a damaged
-        or missing column image, or a changed table file) raises.
+        fetched together, by one ``lookup`` of its source's handle.  A ref
+        that cannot be resolved becomes an ``error`` item and resolution
+        continues, unless the centre's own store is at fault: a vault's
+        IntegrityError (a damaged or missing column image, or a changed
+        table file) raises.
         """
         groups: dict[tuple[str, str], list[str]] = {}
         for ref in refs:
@@ -448,7 +419,8 @@ class Catalogue:
         fetched: dict[tuple[str, str], tuple | VdcError] = {}
         for (source_id, container), ids in groups.items():
             try:
-                fetched[source_id, container] = self._fetch_records(source_id, container, ids)
+                handle = self.open_handle(source_id)
+                fetched[source_id, container] = (handle.schema(container), handle.lookup(container, ids))
             except IntegrityError:
                 raise
             except VdcError as e:
@@ -493,16 +465,15 @@ class Catalogue:
         relation = RelationRef(ref.source_id, ref.container).text()
         unread = None
         for collection, path in self.indexes.items():
-            if collection not in self._index_relations:
-                try:
-                    self._index_relations[collection] = textindex.index_relation(path)
-                except IndexFormatError as e:
-                    unread = unread or IndexFormatError(f"index {collection!r}: {e}")
+            try:
+                if textindex.index_relation(path) != relation:
                     continue
-            if self._index_relations[collection] == relation:
-                entry = self.get_index(collection).find_ref(ref.text())
-                if entry is not None:
-                    return entry
+            except IndexFormatError as e:
+                unread = unread or IndexFormatError(f"index {collection!r}: {e}")
+                continue
+            entry = self.get_index(collection).find_ref(ref.text())
+            if entry is not None:
+                return entry
         if unread is not None:
             raise unread
         return None
@@ -543,8 +514,7 @@ class Catalogue:
         os.makedirs(index_dir, exist_ok=True)
         textindex.write_index(index, path)
         self.indexes[collection] = path
-        self._index_relations[collection] = index.relation
-        self._index_cache[collection] = index
+        self._index_cache.pop(collection, None)  # get_index reads the new file
         return path, warnings
 
     def get_index(self, collection: str) -> InvertedIndex:
@@ -574,14 +544,10 @@ class Catalogue:
             _one_line(line)
         return "\n".join(lines) + "\n"
 
-    def persist(self, take_lock: bool = True) -> None:
-        """Atomically write the catalogue file (temp file + rename).
-
-        ``take_lock=False`` is for callers already holding the catalogue
-        lock (flock is not reentrant across file descriptors).
-        """
-        with catalogue_lock(self.path) if take_lock else nullcontext():
-            write_atomic(self.path, self.serialize().encode("utf-8"))
+    def persist(self) -> None:
+        """Atomically write the catalogue file (temp file + rename); the
+        CLI holds the catalogue lock around the mutation and this write."""
+        write_atomic(self.path, self.serialize().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "Catalogue":

@@ -451,16 +451,14 @@ def compile_view(
     base_schemas: list[TableSchema],
     xlates: dict[str, TranslationTable],
 ) -> CompiledView:
-    """Resolve a view's rules against its base schemas.
+    """Resolve a view's rules against its base schemas, one per base, in
+    order.
 
     Raises PlanError when a rule does not apply (unknown column, coercion of
     a non-date_text column, union shape mismatch, duplicate rename target).
     A coerced or translated column must sit at the same position in every
     base, or the bases do not match.
     """
-    if len(base_schemas) != len(view.base):
-        raise ValueError("one schema per base relation required")
-
     # Per base: the evolving (name, descriptor) list rules operate on.
     states: list[list[ColumnDescriptor]] = [list(s.columns) for s in base_schemas]
     ops: list[_CellOp] = []

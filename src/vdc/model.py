@@ -20,6 +20,7 @@ import io
 import re
 import sys
 import unicodedata
+from bisect import bisect_right
 from enum import Enum
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -61,20 +62,17 @@ def day_to_date(n: int) -> tuple[int, int, int]:
     """Inverse of :func:`day_number`.
 
     Works on the 1461-day leap cycle anchored at year 1; the leap year is
-    the last year of each cycle.
+    the last year of each cycle, and its day 59 is 29 February.
     """
     cycle, rem = divmod(n, 1461)
-    year = 4 * cycle + 1
-    for length in (365, 365, 365, 366):
-        if rem < length:
-            break
-        rem -= length
-        year += 1
-    month = 1
-    while rem >= days_in_month(year, month):
-        rem -= days_in_month(year, month)
-        month += 1
-    return year, month, rem + 1
+    years = min(rem // 365, 3)
+    year, rem = 4 * cycle + 1 + years, rem - 365 * years
+    if years == 3 and rem >= 59:
+        if rem == 59:
+            return year, 2, 29
+        rem -= 1
+    month = bisect_right(_MONTH_START, rem)
+    return year, month, rem - _MONTH_START[month - 1] + 1
 
 
 def _format_year(year: int) -> str:

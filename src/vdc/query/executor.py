@@ -28,7 +28,7 @@ from ..model import (
     date_near,
     row_sort_key,
 )
-from ..predicates import holds, matches
+from ..predicates import holds
 from .planner import BDateNear, Plan, Term
 
 HASH_BUILD_CAP = 1_000_000  # rows; guards the hash-join build side
@@ -79,9 +79,7 @@ def _term_rows(term: Term, pushdown: bool, warnings: list[CoercionError]) -> Ite
     it passes."""
     filters = term.filters
     for b in range(len(term.relation.bases)):
-        for row, warns in term.relation.scan_base(
-            b, term.scan_preds, pushdown, matches, columns=term.columns
-        ):
+        for row, warns in term.relation.scan_base(b, term.scan_preds, pushdown, term.columns):
             warnings.extend(warns)
             if all(eval_bound(p, row) for p in filters):
                 yield row

@@ -47,7 +47,6 @@ from .binder import Binding
 from .parser import (
     CompareAst,
     ContainsAst,
-    DateNearAst,
     DateWithinAst,
     QueryAst,
 )
@@ -167,7 +166,7 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                 scan_preds[r].append(raw)
             if raw is None or kind is ColumnKind.DATE:
                 term_filters[r].append(pred)
-        elif isinstance(p, DateNearAst):
+        else:  # DateNearAst: the parser makes no other shape
             sa, sb = binding.bind(p.column_a), binding.bind(p.column_b)
             for si, ref in ((sa, p.column_a), (sb, p.column_b)):
                 if binding.slots[si].column.kind is not ColumnKind.DATE:
@@ -181,8 +180,6 @@ def plan_query(ast: QueryAst, catalogue, pushdown: bool = True) -> Plan:
                 term_filters[ra].append(BDateNear(ca, cb, p.k_years))
             else:
                 join_filters.append(BDateNear(sa, sb, p.k_years))
-        else:  # pragma: no cover - parser produces no other shapes
-            raise PlanError(f"unsupported predicate {p!r}")
 
     indices, schema = binding.output()
     for si in indices:

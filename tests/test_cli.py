@@ -864,7 +864,7 @@ class TestUsageAndLocking:
     def test_mutator_fails_fast_when_locked(self, tmp_path, desk_fixtures, capsys):
         fx, _ = desk_fixtures
         cat = str(tmp_path / "c.vdc")
-        with catalogue_lock(cat, blocking=True):
+        with catalogue_lock(cat):
             code = run(["--catalogue", cat, "source", "add", "hgv", "--kind", "tabular",
                         "--path", os.path.join(fx, "hgv"), "--mode", "live"])
         captured = capsys.readouterr()

@@ -461,7 +461,7 @@ class TestXmlCorpus:
         assert str(e.value) == message
         for wanted in (["same"], ["other"], ["absent"], []):
             with pytest.raises(SourceError) as e:
-                live("c", d, kind="xml_corpus").lookup(wanted)
+                live("c", d, kind="xml_corpus").lookup("docs", wanted)
             assert str(e.value) == message, wanted
 
     def test_no_pushdown_capability(self, tmp_path):
@@ -649,7 +649,7 @@ class TestLiveChanges:
             list(handle.scan("t"))
         assert e.value.line == 1
         with pytest.raises(IntegrityError, match="table file differs from the column image"):
-            cat._fetch_records("v", "t", ["x"])
+            cat.open_handle("v").lookup("t", ["x"])
         cat._vault_handles.clear()
         with pytest.raises(SourceError, match="does not match sidecar columns") as e:
             cat.open_handle("v")
@@ -930,7 +930,7 @@ class TestXmlLookup:
         with tempfile.TemporaryDirectory() as d:
             _write_corpus(d, docs)
             rows = list(live("c", d, "xml_corpus").scan("docs"))
-            found = live("c", d, "xml_corpus").lookup(wanted)
+            found = live("c", d, "xml_corpus").lookup("docs", wanted)
         assert found == {row[0]: row for row in rows if row[0] in wanted}
 
     @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
@@ -994,7 +994,7 @@ class TestXmlLookup:
         items = cat.resolve_refs([ItemRef("c", "docs", i) for i in "abc"])  # one lookup
         assert [(item.kind, item.payload if item.kind == "error" else item.payload[1][0])
                 for item in items] == [("doc", "a"), ("error", message), ("doc", "c")]
-        found = cat.open_handle("c").lookup(["a", "b"])
+        found = cat.open_handle("c").lookup("docs", ["a", "b"])
         assert found["a"][0] == "a" and str(found["b"]) == message
 
     @pytest.mark.parametrize("bad", [*_NO_ROOT_ID, _SHIFT_JIS])
@@ -1007,5 +1007,44 @@ class TestXmlLookup:
         assert "b.xml" in str(scanned.value)
         for wanted in (["a"], []):
             with pytest.raises(SourceError) as e:
-                live("c", tmp_path / "c", "xml_corpus").lookup(wanted)
+                live("c", tmp_path / "c", "xml_corpus").lookup("docs", wanted)
             assert str(e.value) == str(scanned.value)
+
+
+class TestLookupContract:
+    """Every handle answers ``lookup(table, item_ids)`` itself: the first
+    row of each key a ref can name.  A vault answers from its column image
+    as a live scan of the same files does."""
+
+    @pytest.fixture
+    def centre(self, tmp_path):
+        d = tmp_path / "s"
+        write_source(d, table="t", header="id,v", schema="id : int\nv : text\n",
+                     rows=["7,first", "007,second", "12,twelve", "-0,zero"])
+        write_source(d, table="u", header="id,v", schema="id : text\nv : text\n",
+                     rows=["x,first", "x,second", "007,padded", "a\tb,tab"])
+        _write_corpus(tmp_path / "c", {"a.xml": b'<doc id="a"/>'})
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("live", "tabular", str(d), AccessMode.LIVE)
+        cat.register_source("vault", "tabular", str(d), AccessMode.VAULT)
+        cat.register_source("xml", "xml_corpus", str(tmp_path / "c"), AccessMode.LIVE)
+        return cat
+
+    @pytest.mark.parametrize("source_id", ["live", "vault", "xml"])
+    def test_an_unknown_table_is_not_found(self, centre, source_id):
+        with pytest.raises(NotFound, match=f"no table 'nope' in source '{source_id}'"):
+            centre.open_handle(source_id).lookup("nope", ["a", "7"])
+
+    @pytest.mark.parametrize("table,keys,expected", [
+        # duplicated 7 (first row wins), zero-padded 007 and -0, missing 99
+        ("t", ["7", "12", "007", "0", "-0", "99"],
+         {"7": (7, "first"), "12": (12, "twelve"), "0": (0, "zero")}),
+        # duplicated x, a text key 007, missing 7, and a key holding a tab
+        ("u", ["x", "007", "7", "a\tb", "missing"],
+         {"x": ("x", "first"), "007": ("007", "padded")}),
+    ])
+    def test_a_vault_answers_as_a_live_scan(self, centre, table, keys, expected):
+        assert ("a\tb", "tab") in centre.open_handle("live").scan("u")  # no ref names it
+        assert centre.open_handle("vault").image is not None
+        live_found = centre.open_handle("live").lookup(table, keys)
+        assert centre.open_handle("vault").lookup(table, keys) == live_found == expected

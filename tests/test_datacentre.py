@@ -139,7 +139,7 @@ class TestLiveMode:
 
         monkeypatch.setattr(connectors.TabularSource, "scan", appending_scan)
         with pytest.raises(SourceError, match="table changed on disk during the scan"):
-            cat._fetch_records("big", "t", wanted)
+            cat.open_handle("big").lookup("t", wanted)
 
 
 def _write_table(d, header: str, schema: str, rows, terminator: str = "\n") -> None:
@@ -195,7 +195,7 @@ class TestColumnImage:
             cat.register_source("live", "tabular", os.path.join(tmp, "src"), AccessMode.LIVE)
             first = _first_rows(cat, "live", "t")  # a scan of the CSV, not the image
             wanted = [k for k in first if refable(k)] + ["absent", "07", "+7", " 7", "٣"]
-            _, looked_up = cat._fetch_records("s", "t", wanted)
+            looked_up = cat.open_handle("s").lookup("t", wanted)
             assert looked_up == {k: first[k] for k in wanted if k in first}
             for key in wanted:
                 if key not in first:
@@ -243,10 +243,10 @@ class TestColumnImage:
         )
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("s", "tabular", str(d), AccessMode.VAULT)
-        assert cat._fetch_records("s", "t", ["c", "d", "e", "a\r\nb"])[1] == {
+        assert cat.open_handle("s").lookup("t", ["c", "d", "e", "a\r\nb"]) == {
             "c": ("c", "two\nlines"), "d": ("d", "three"), "e": ("e", "x\r"),
         }  # "a\r\nb" is a key no ref can name
-        assert cat._fetch_records("s", "t", ["\udcff", "c\udcff"])[1] == {}
+        assert cat.open_handle("s").lookup("t", ["\udcff", "c\udcff"]) == {}
 
     def test_table_name_that_is_not_utf8(self, tmp_path):
         d = tmp_path / "src"
@@ -404,7 +404,7 @@ class TestColumnImageFaults:
         with open(os.path.join(vault_dir, "papyri.csv"), "wb") as f:
             f.write(original_table if table is None else table)
         cat._vault_handles.clear()  # a new process reads the image anew
-        return cat._fetch_records("hgv", "papyri", self.KEYS)[1]
+        return cat.open_handle("hgv").lookup("papyri", self.KEYS)
 
     def rejected(self, vault, names=IMAGE, **damage) -> bool:
         try:
@@ -427,7 +427,7 @@ class TestColumnImageFaults:
         message = re.escape(f"vault snapshot has no column image; add the source again [{image}]")
         query = parse_query("SELECT * FROM hgv.papyri WHERE Fundort = 'Arsinoe'")
         for read in (
-            lambda: cat._fetch_records("hgv", "papyri", self.KEYS),
+            lambda: cat.open_handle("hgv").lookup("papyri", self.KEYS),
             lambda: execute_plan(plan_query(query, cat)),
             lambda: cat.resolve_refs([ItemRef("hgv", "papyri", k) for k in self.KEYS]),
         ):
@@ -913,14 +913,14 @@ class TestRegistrationIntegrity:
 class TestLocking:
     def test_non_blocking_lock_fails_fast_when_held(self, tmp_path):
         path = str(tmp_path / "c.vdc")
-        with catalogue_lock(path, blocking=True):
+        with catalogue_lock(path):
             with pytest.raises(LockedError):
-                with catalogue_lock(path, blocking=False):
+                with catalogue_lock(path):
                     pass
 
     def test_lock_released_after_use(self, tmp_path):
         path = str(tmp_path / "c.vdc")
-        with catalogue_lock(path, blocking=False):
+        with catalogue_lock(path):
             pass
-        with catalogue_lock(path, blocking=False):
+        with catalogue_lock(path):
             pass

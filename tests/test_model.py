@@ -60,6 +60,19 @@ class TestCalendar:
             assert day_number(y, m, d) == oracle_day_number(y, m, d)
             assert day_to_date(day_number(y, m, d)) == (y, m, d)
 
+    @pytest.mark.parametrize("years", [range(-12, 13), range(100, 421)])
+    def test_every_day_round_trips(self, years):
+        """Every date of these years, in order, has the next day number,
+        and converts back to itself: each cycle position, leap day and
+        month end, on both sides of year 1."""
+        n = day_number(years[0], 1, 1)
+        for y in years:
+            for m in range(1, 13):
+                for d in range(1, days_in_month(y, m) + 1):
+                    assert day_number(y, m, d) == n
+                    assert day_to_date(n) == (y, m, d)
+                    n += 1
+
     def test_leap_rule_includes_year_zero_and_negatives(self):
         def year_length(y):
             return day_number(y + 1, 1, 1) - day_number(y, 1, 1)

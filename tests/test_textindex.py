@@ -289,6 +289,16 @@ class TestIngest:
         assert "recipe 'demo'" in str(e.value)
         assert "row 2 of src.t" in str(e.value)
 
+    def test_a_rebuilt_index_is_read_anew(self, demo_source, tmp_path):
+        """A catalogue that read an index before rebuilding it answers from
+        the new file."""
+        cat = demo_source
+        cat.build_index("texts", parse_recipe_file(RECIPE))
+        assert [e.doc_id for e in index_docs(cat.get_index("texts"))] == ["1", "2", "3"]
+        write_tabular(tmp_path / "src", ["4,Delta stone,Memphis,epsilon,,"])
+        cat.build_index("texts", parse_recipe_file(RECIPE))
+        assert [e.doc_id for e in index_docs(cat.get_index("texts"))] == ["4"]
+
 
 def doc(doc_id, body, title="", geo=None, **fields):
     f = dict(fields)
@@ -1007,9 +1017,9 @@ class TestCollections:
             reads["scan"].append(table)
             return real_scan(self, table, *args, **kwargs)
 
-        def counting_lookup(self, handle, table, item_ids):
+        def counting_lookup(self, table, item_ids):
             reads["lookup"].append(table)
-            return real_lookup(self, handle, table, item_ids)
+            return real_lookup(self, table, item_ids)
 
         def counting_file_crc(path):
             reads["table"].append(os.path.basename(path)[:-4])
