@@ -1,15 +1,17 @@
-"""The column image of a tabular vault snapshot: every table's checked,
-decoded cells, written once at registration, from which the vault's scans
-and lookups read.
+"""The column image of a vault snapshot: every table's checked, decoded
+cells, written once at registration, from which the vault's scans and
+lookups read.
 
-The image is one file, ``vdc.cols``, beside the snapshot's tables.  Its
-layout is PAX (Ailamaki et al., VLDB 2001): after one directory, each
-table's rows are cut into row groups of ``GROUP_ROWS`` rows, and each row
-group stores its columns one after the other as chunks.  Every chunk is
-dictionary coded (Abadi, Madden and Ferreira, SIGMOD 2006): the chunk's
-distinct cells, null among them, then one uint16 code per row.  A scan
-therefore tests a pushed predicate once per dictionary entry, not once per
-row, and decodes the other columns only for the rows that pass.
+The image is one file, ``vdc.cols``, beside the snapshot's files; a table's
+files are those its handle's ``files(table)`` lists, a tabular table's
+``.csv`` file or a corpus's documents in sorted order.  Its layout is PAX
+(Ailamaki et al., VLDB 2001): after one directory, each table's rows are
+cut into row groups of ``GROUP_ROWS`` rows, and each row group stores its
+columns one after the other as chunks.  Every chunk is dictionary coded
+(Abadi, Madden and Ferreira, SIGMOD 2006): the chunk's distinct cells, null
+among them, then one uint16 code per row.  A scan therefore tests a pushed
+predicate once per dictionary entry, not once per row, and decodes the
+other columns only for the rows that pass.
 
 All integers are little-endian.  The file is::
 
@@ -18,14 +20,14 @@ All integers are little-endian.  The file is::
     crc32 u32 of every byte above
     chunks, in directory order
 
-The directory holds a table count (u32) and, for each table: its name
-(u32 length, then UTF-8 bytes, with the undecodable bytes of a file name as
-they were), the size (u64) and CRC-32 (u32) of its ``.csv`` file, its row
-count (u64), its column count (u32) and each column's kind (u8: 0 text,
-1 int, 2 date text) and name (u32 length, UTF-8), then each of its chunks'
-length and CRC-32 (two u32), group by group and column by column.  The
-chunks lie in that order, table by table, so each chunk's offset is the sum
-of the lengths before it and the file ends at the last one.
+The directory holds a table count (u32) and, for each table: its name (u32
+length, then UTF-8 bytes, with the undecodable bytes of a file name as they
+were), the size (u64) and CRC-32 (u32) of its files read one after another,
+its row count (u64), its column count (u32) and each column's kind (u8: 0
+text, 1 int, 2 date text) and name (u32 length, UTF-8), then each of its
+chunks' length and CRC-32 (two u32), group by group and column by column.
+The chunks lie in that order, table by table, so each chunk's offset is the
+sum of the lengths before it and the file ends at the last one.
 
 A chunk is its encoding (u8: 0 text, 1 int64, 2 decimal text, for an int
 chunk with a value outside int64), its entry count (u16), the code of its
@@ -36,11 +38,11 @@ text that follows them.  The null entry is an empty text, or the int 0.
 
 A vault is checked where it is read.  Opening the image checks its
 directory (CRC-32, version, the file's size, and each table's schema
-against its sidecar); a scan checks the CRC-32 of each chunk it reads; a
-lookup checks the table's file against the directory's size and CRC-32 and
-every chunk of the table.  A fault is an IntegrityError naming the file,
-and so is a snapshot without an image: a tabular vault is read from its
-image or not at all.
+against its source's); a scan checks the CRC-32 of each chunk it reads; a
+lookup checks the table's files against the directory's size and CRC-32
+and every chunk of the table.  A fault is an IntegrityError naming the
+file (a table's one file, or else the snapshot directory), and so is a
+snapshot without an image: a vault is read from its image or not at all.
 An image written under a higher int-string limit than the reading
 process's may hold a decimal entry of more digits than ``int()`` then
 converts; decoding it raises the SourceError a scan of the table raises
@@ -54,10 +56,11 @@ import struct
 import sys
 import zlib
 from array import array
+from functools import reduce
 from itertools import accumulate, compress, islice, pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .connectors import TabularSource
+from .connectors import SourceHandle
 from .errors import IntegrityError, SourceError
 from .model import (
     ColumnDescriptor,
@@ -114,14 +117,13 @@ def _name(text: str) -> bytes:
 # writing
 
 
-def write(snapshot: TabularSource, original: str) -> None:
+def write(snapshot: SourceHandle, original: str) -> None:
     """Scan every table of ``snapshot`` (a full, checked decode) and write
     its image beside them; a fault of a table names the original's file."""
     schemas = snapshot.list_tables()
     directory = [struct.pack("<I", len(schemas))]
     chunks: list[bytes] = []
     for schema in schemas:
-        path = snapshot.table_path(schema.name)
         kinds = [c.kind for c in schema.columns]
         table_chunks = array("I")
         rows = 0
@@ -134,9 +136,9 @@ def write(snapshot: TabularSource, original: str) -> None:
                     table_chunks += array("I", (len(chunk), zlib.crc32(chunk)))
                 rows += len(group)
         except SourceError as e:
-            named = os.path.join(original, os.path.basename(path))
+            named = os.path.join(original, os.path.basename(e.path))
             raise SourceError(e.message, path=named, line=e.line) from e
-        size, crc = _file_crc(path)
+        size, crc = _files_crc(snapshot.files(schema.name))
         directory += [_name(schema.name), _TABLE.pack(size, crc, rows, len(schema.columns))]
         for c in schema.columns:
             directory += [bytes((_KINDS.index((c.kind, c.date_text)),)), _name(c.name)]
@@ -165,14 +167,18 @@ def _encode(cells: Sequence, kind: ColumnKind) -> bytes:
     return _CHUNK.pack(encoding, len(entries), null) + values + _le(codes)
 
 
-def _file_crc(path: str) -> tuple[int, int]:
-    """(size, CRC-32) of a file, read in blocks."""
-    size = crc = 0
+def _file_crc(path: str, size: int = 0, crc: int = 0) -> tuple[int, int]:
+    """(size, CRC-32) of ``size`` bytes of CRC-32 ``crc``, then a file."""
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(1 << 20), b""):
             size += len(block)
             crc = zlib.crc32(block, crc)
     return size, crc
+
+
+def _files_crc(paths: Sequence[str]) -> tuple[int, int]:
+    """(size, CRC-32) of files read one after another."""
+    return reduce(lambda running, path: _file_crc(path, *running), paths, (0, 0))
 
 
 # --------------------------------------------------------------------------
@@ -200,9 +206,9 @@ class _Table:
 
 
 class ColumnImage(Record):
-    """A vault's column image, its directory read and checked."""
+    """A vault's column image, its directory read and checked, and each table's files."""
 
-    __slots__ = ("path", "tables")
+    __slots__ = ("path", "tables", "files")
 
     def _fail(self, what: str) -> IntegrityError:
         return IntegrityError(f"column image is damaged: {what} [{self.path}]")
@@ -262,7 +268,7 @@ class ColumnImage(Record):
                             # written under a higher limit: the scan's fault, not damage
                             name = t.schema.columns[column].name
                             raise SourceError(f"{over_digit_limit('int', v)} in column {name!r}",
-                                              path=self._table_file(t))
+                                              path=self.files[t.schema.name][0])
                         values[c] = int(v) if v else None
             if null != _NO_NULL:
                 values[null] = None
@@ -327,14 +333,11 @@ class ColumnImage(Record):
         for g in range(t.groups):
             yield [self._chunk(f, t, g, c) for c in range(t.width)]
 
-    def _table_file(self, t: _Table) -> str:
-        """The snapshot's ``.csv`` file of table ``t``, beside the image."""
-        return os.path.join(os.path.dirname(self.path), t.schema.name + ".csv")
-
     def _check_file(self, t: _Table) -> None:
-        path = self._table_file(t)
+        files = self.files[t.schema.name]
+        path = files[0] if len(files) == 1 else os.path.dirname(self.path)
         try:
-            size, crc = _file_crc(path)
+            size, crc = _files_crc(files)
         except OSError as e:
             raise IntegrityError(f"cannot read table: {e} [{path}]") from e
         if (size, crc) != (t.size, t.crc):
@@ -400,7 +403,7 @@ def _key_cell(key: str, int_column: bool) -> int | str | None:
     return cell if str(cell) == key else None
 
 
-def open_image(handle: TabularSource) -> ColumnImage:
+def open_image(handle: SourceHandle) -> ColumnImage:
     """The column image of the vault snapshot ``handle`` reads, with its
     directory checked.  A snapshot without one (a vault registered before
     images were written, or an image since deleted) is refused: the source
@@ -434,7 +437,7 @@ def open_image(handle: TabularSource) -> ColumnImage:
     schemas = {s.name: s for s in handle.list_tables()}
     if {name: t.schema for name, t in tables.items()} != schemas:
         raise IntegrityError(f"column image does not match the tables' sidecars [{path}]")
-    return ColumnImage(path, tables)
+    return ColumnImage(path, tables, {name: handle.files(name) for name in tables})
 
 
 def _directory(data: bytes, start: int) -> dict[str, _Table]:

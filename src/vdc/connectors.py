@@ -20,12 +20,12 @@ as given, with the engine's one evaluator, :func:`vdc.predicates.holds`:
 the query planner alone makes them, checking each against the table's
 schema as it binds it, and the catalogue confirms that schema before the
 scan.  The tabular connector tests them before it decodes the rest of a
-row, and decodes only the columns it is asked for.  A tabular handle that
-carries a column image (:mod:`vdc.colimage`, a vault's, attached by the
-catalogue) scans the image instead of the CSV, with the same rows: there a
-predicate is tested once per distinct cell of each row group.  Connectors
-know nothing of trust modes: the catalogue decides which sources may be
-read.
+row, and decodes only the columns it is asked for.  A handle of either
+kind may carry a column image (:mod:`vdc.colimage`, a vault's, attached by
+the catalogue); it then scans and looks up in the image instead of its
+files, with the same rows: there a predicate is tested once per distinct
+cell of each row group.  Connectors know nothing of trust modes: the
+catalogue decides which sources may be read.
 """
 
 from __future__ import annotations
@@ -182,6 +182,9 @@ class TabularSource:
 
     def table_path(self, table: str) -> str:
         return os.path.join(self.path, table + ".csv")
+
+    def files(self, table: str) -> list[str]:
+        return [self.table_path(table)]
 
     def _validate_header(self, table: str, schema: TableSchema):
         path = self.table_path(table)
@@ -464,29 +467,30 @@ def parse_xml_doc(data: bytes, wanted: set[str] | None = None) -> Row:
 
 
 class XmlCorpusSource:
-    """Directory of ``*.xml`` documents, exposed as one table ``docs``."""
+    """Directory of ``*.xml`` documents, exposed as one table ``docs``;
+    ``image`` is as :class:`TabularSource`'s."""
 
     kind = XML_CORPUS
 
     def __init__(self, source_id: str, path: str):
         self.source_id = source_id
         self.path = path
-        self._files = sorted(f for f in os.listdir(path) if f.endswith(".xml"))
+        self.image = None
+        self._files = sorted(f.path for f in os.scandir(path) if f.is_file() and f.name.endswith(".xml"))
         if not self._files:
             raise SourceError("xml corpus has no .xml documents", path=path)
-        self._docs: list[Row] | None = None
         self._schema = TableSchema("docs", DOCS_TABLE_COLUMNS)
 
+    def files(self, table: str) -> list[str]:
+        return list(self._files)
+
     def documents(self) -> list[Row]:
-        """The ``docs`` row of every document, in sorted file order;
-        parsed once and cached."""
-        if self._docs is None:
-            self._docs = [row for _, row in self._parsed()]
-        return self._docs
+        """The ``docs`` row of every document, in sorted file order."""
+        return [row for _, row in self._parsed()]
 
     def lookup(self, table: str, doc_ids: Iterable[str]) -> dict[str, Row | SourceError]:
-        """The row of each of ``doc_ids`` that the corpus holds, or the
-        error of the document that holds it.
+        """The row of each refable id of ``doc_ids`` that the corpus (or its
+        ``image``, with one) holds, or the error of the document holding it.
 
         Every file is parsed up to its root start tag, so the duplicate-id
         check and every error up to there cover every file, as a scan's
@@ -494,7 +498,9 @@ class XmlCorpusSource:
         past it, and an error met there is that document's alone.
         """
         self.schema(table)  # NotFound for any table but docs
-        wanted = set(doc_ids)
+        if self.image is not None:
+            return self.image.lookup(table, doc_ids)
+        wanted = {doc_id for doc_id in doc_ids if refable(doc_id)}
         return {doc_id: row for doc_id, row in self._parsed(wanted) if doc_id in wanted}
 
     def _parsed(self, wanted: set[str] | None = None) -> Iterator[tuple[str, Row | SourceError]]:
@@ -503,8 +509,7 @@ class XmlCorpusSource:
         naming the file; it is raised, except that a wanted document whose
         id was read before the fault yields it in place of its row."""
         seen: dict[str, str] = {}
-        for name in self._files:
-            full = os.path.join(self.path, name)
+        for full in self._files:
             try:
                 with open(full, "rb") as f:
                     data = f.read()
@@ -521,7 +526,7 @@ class XmlCorpusSource:
             doc_id = builder.id
             if doc_id in seen:
                 raise SourceError(f"duplicate doc id {doc_id!r} (also in {seen[doc_id]})", path=full)
-            seen[doc_id] = name
+            seen[doc_id] = os.path.basename(full)
             yield doc_id, row
 
     def list_tables(self) -> list[TableSchema]:
@@ -537,9 +542,13 @@ class XmlCorpusSource:
     ) -> Iterator[Row]:
         """The documents' rows that satisfy every ``pushed`` predicate;
         ``columns`` is accepted for the connectors' common shape, but
-        documents are parsed whole, once, so every cell is filled."""
+        documents are parsed whole, so every cell is filled; as for
+        :meth:`TabularSource.scan`, an ``image`` gives the rows instead."""
         self.schema(table)  # NotFound for any table but docs
         preds = tuple(pushed or ())
+        if self.image is not None:
+            yield from self.image.scan(table, preds, columns)
+            return
         for row in self.documents():
             if not preds or matches(preds, row):
                 yield row

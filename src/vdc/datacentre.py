@@ -3,9 +3,9 @@ resolution for the query engine, virtual collections, and persistence.
 
 Trust modes fix what the centre may do with a source:
 
-* vault — the source is snapshotted byte-for-byte into the centre's storage
-  directory at registration; every later read hits the snapshot, so the
-  original may move or vanish without affecting results.
+* vault — the source is snapshotted byte-for-byte, with its column image,
+  into the centre's store at registration; every later read hits the
+  snapshot, so the original may move or vanish without affecting results.
 * live — every read passes through to the original path, read-only; if the
   owner withdraws the source, the next scan fails cleanly.
 * index-only — the content is readable solely while building a text index;
@@ -78,10 +78,10 @@ class SourceDescriptor(Record):
 
     def open(self) -> SourceHandle:
         """Open the source read-only; its mode is ``Catalogue.open_handle``'s
-        to apply.  A tabular vault's handle carries its snapshot's checked
-        column image."""
+        to apply.  A vault's handle carries its snapshot's checked column
+        image."""
         handle = connectors.open_source(self.source_id, self.kind, self.path)
-        if self.mode is AccessMode.VAULT and self.kind == connectors.TABULAR:
+        if self.mode is AccessMode.VAULT:
             from . import colimage
 
             handle.image = colimage.open_image(handle)
@@ -211,9 +211,9 @@ class Catalogue:
             raise IntegrityError(f"source id {source_id!r} already registered")
         _check_name(source_id, "source id")
         # validate before accepting (and before snapshotting): the layout,
-        # and every document of a corpus whose content the centre may read
+        # and every document of a live corpus (a vault's, as its image is written)
         handle = connectors.open_source(source_id, kind, path)
-        if mode is not AccessMode.INDEX_ONLY and kind == connectors.XML_CORPUS:
+        if mode is AccessMode.LIVE and kind == connectors.XML_CORPUS:
             handle.documents()
         if mode is AccessMode.VAULT:
             path = self._snapshot(source_id, kind, path)
@@ -223,8 +223,8 @@ class Catalogue:
 
     def _snapshot(self, source_id: str, kind: str, original: str) -> str:
         """Copy a source byte-for-byte into the centre's storage directory.
-        A tabular copy also gets its column image, from one checked scan of
-        each copied table, so a malformed record fails the registration;
+        The copy also gets its column image, from one checked scan of each
+        copied table, so a malformed record or document fails the registration;
         one rename publishes the copy and its image, and any failure before
         it leaves neither.  A snapshot already there is an orphan, since
         ``register_source`` refuses a registered id: an add that stopped
@@ -249,8 +249,7 @@ class Catalogue:
                 src = os.path.join(original, name)
                 if os.path.isfile(src):
                     shutil.copyfile(src, os.path.join(tmp, name))
-            if kind == connectors.TABULAR:
-                colimage.write(connectors.TabularSource(source_id, tmp), original)
+            colimage.write(connectors.open_source(source_id, kind, tmp), original)
             if os.path.lexists(final):
                 shutil.rmtree(final)
             os.replace(tmp, final)
@@ -363,16 +362,17 @@ class Catalogue:
         return _pick(self.open_handle(ref.source_id).lookup(ref.container, [ref.item_id]), ref)
 
     def verify_source(self, source_id: str) -> str:
-        """Check a source's content and say what was checked.  A tabular
-        vault is checked against its column image: every table file's size
-        and CRC-32, and every chunk's CRC-32.  Any other source is read in
-        full, every record or document checked as a scan checks it.  The
+        """Check a source's content and say what was checked.  A vault is
+        checked against its column image: the size and CRC-32 of each
+        table's files, and every chunk's CRC-32.  Any other source is read
+        in full, every record or document checked as a scan checks it.  The
         first fault raises, naming its file."""
         handle = self.open_handle(source_id)
         tables = handle.list_tables()
-        if isinstance(handle, connectors.TabularSource) and handle.image is not None:
+        if handle.image is not None:
             chunks = handle.image.verify()
-            return f"every table file and image chunk matches (files: {len(tables)}, chunks: {chunks})"
+            files = sum(len(handle.files(t.name)) for t in tables)
+            return f"every table file and image chunk matches (files: {files}, chunks: {chunks})"
         rows = sum(1 for t in tables for _ in handle.scan(t.name, columns=()))
         return f"{rows} rows read"
 

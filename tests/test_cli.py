@@ -304,13 +304,46 @@ class TestSourceVerify:
         assert cli("coll", "resolve", "hv_keys") == refused
         assert cli("query", "SELECT id FROM volterra.legal_texts WHERE id < 3")[:2] == (0, "id\n1\n2\n")
 
-    def test_an_xml_vault_is_read_in_full(self, centre, tmp_path):
+    def test_an_xml_vault_is_checked_against_its_image(self, centre, tmp_path):
+        """An XML vault's documents, read one after another, are checked
+        against the size and CRC-32 its image holds; a fault names the
+        snapshot directory."""
         cli, vault = self.vault(centre, tmp_path, "iv", "xml", "iaph")
-        assert cli("source", "verify", "iv") == (0, "", "verified iv: 500 rows read\n")
+        assert cli("source", "verify", "iv") == (
+            0, "", "verified iv: every table file and image chunk matches (files: 500, chunks: 8)\n")
         with open(os.path.join(vault, "i0007.xml"), "wb") as f:
             f.write(b'<doc id="i0007"><text>cut')
-        code, _, err = cli("source", "verify", "iv")
-        assert code == 2 and f"[{os.path.join(vault, 'i0007.xml')}:1]" in err
+        image = os.path.join(vault, "vdc.cols")
+        assert cli("source", "verify", "iv") == (
+            2, "", f"error: table file differs from the column image {image} [{vault}]\n")
+
+    @pytest.mark.parametrize("fault", ["edit a title", "append a byte", "cut a file",
+                                       "add a document", "delete a document"])
+    def test_a_changed_xml_vault_is_refused_where_checked(self, centre, tmp_path, fault):
+        """Any change to the documents of an XML vault fails a collection
+        resolve and a verify, naming the snapshot directory, while a query,
+        which reads the image alone, still prints the registered rows."""
+        cli, vault = self.vault(centre, tmp_path, "iv", "xml", "iaph")
+        assert cli("coll", "update", "k", "--add", "iv/docs/i0001", "iv/docs/i0002")[0] == 0
+        code, rows, _ = cli("query", "SELECT * FROM iv.docs")
+        assert code == 0 and rows.count("\n") == 501
+        path = os.path.join(vault, "i0001.xml")
+        data = open(path, "rb").read()
+        if fault == "edit a title":
+            assert data.count(b"<title>") == 1
+            open(path, "wb").write(data.replace(b"<title>", b"<title>Forged "))
+        elif fault == "append a byte":
+            open(path, "ab").write(b"\n")
+        elif fault == "cut a file":
+            open(path, "wb").write(data[:len(data) // 2])
+        elif fault == "add a document":
+            open(os.path.join(vault, "z.xml"), "wb").write(b'<doc id="z"/>')
+        else:
+            os.remove(path)
+        message = f"error: table file differs from the column image {vault}/vdc.cols [{vault}]\n"
+        assert cli("coll", "resolve", "k") == (2, "", message)
+        assert cli("source", "verify", "iv") == (2, "", message)
+        assert cli("query", "SELECT * FROM iv.docs") == (0, rows, "")
 
     def test_an_index_only_source_is_denied(self, centre, tmp_path):
         cli, _, fx, _ = centre

@@ -234,6 +234,40 @@ class TestColumnImage:
         assert open(cat_path, "rb").read() == before
         assert sorted(os.listdir(tmp_path / "c.vdc.store" / "vault")) == ["g"]
 
+    @pytest.mark.parametrize("bad", [b'<doc id="b">\n<text>x</txt></doc>', b'<doc id="a"/>'])
+    def test_malformed_corpus_fails_a_vault_add_as_a_live_add(self, tmp_path, bad):
+        """A vault corpus is parsed in full as its image is written: a
+        document that does not parse, or a second one with an id, fails
+        the add with a live add's error, naming the original's file and
+        line, and leaves no snapshot."""
+        d = tmp_path / "src"
+        d.mkdir()
+        (d / "a.xml").write_bytes(b'<doc id="a"/>')
+        (d / "b.xml").write_bytes(bad)
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        errors = []
+        for mode in (AccessMode.LIVE, AccessMode.VAULT):
+            with pytest.raises(SourceError) as e:
+                cat.register_source("s", "xml_corpus", str(d), mode)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1] and f"[{d / 'b.xml'}" in errors[0]
+        assert cat.sources == {}
+        assert os.listdir(tmp_path / "c.vdc.store" / "vault") == []
+
+    def test_a_directory_named_like_a_document_is_not_one(self, tmp_path):
+        """A corpus lists its regular ``*.xml`` files, as a vault snapshot
+        copies them: a live and a vault registration of a directory that
+        also holds a subdirectory ``d.xml`` both succeed, with one row."""
+        d = tmp_path / "src"
+        (d / "d.xml").mkdir(parents=True)
+        (d / "a.xml").write_bytes(b'<doc id="a"/>')
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        for mode in (AccessMode.LIVE, AccessMode.VAULT):
+            cat.register_source(mode.name, "xml_corpus", str(d), mode)
+            handle = cat.open_handle(mode.name)
+            assert [os.path.basename(f) for f in handle.files("docs")] == ["a.xml"]
+            assert list(handle.scan("docs")) == [("a",) + (None,) * 7]
+
     def test_quoted_line_breaks_and_crlf(self, tmp_path):
         d = tmp_path / "src"
         d.mkdir()
@@ -272,11 +306,20 @@ class TestColumnImage:
         assert cat.sources == {}
         assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "vol")
 
-    def test_xml_vault_has_no_image(self, tmp_path, desk_fixtures):
+    def test_xml_vault_has_an_image(self, tmp_path, desk_fixtures):
+        """An XML vault, like a tabular one, is read from its image: its
+        handle carries it, and its scan and lookups give the rows of a
+        live registration of the same documents."""
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("iaph", "xml_corpus", os.path.join(fx, "iaph"), AccessMode.VAULT)
-        assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "iaph" / IMAGE)
+        cat.register_source("live", "xml_corpus", os.path.join(fx, "iaph"), AccessMode.LIVE)
+        assert os.path.isfile(tmp_path / "c.vdc.store" / "vault" / "iaph" / IMAGE)
+        vault, live = cat.open_handle("iaph"), cat.open_handle("live")
+        assert vault.image is not None and live.image is None
+        assert list(vault.scan("docs")) == list(live.scan("docs"))
+        assert cat.fetch_record(ItemRef("iaph", "docs", "i0000")) == \
+            cat.fetch_record(ItemRef("live", "docs", "i0000"))
         assert cat.fetch_record(ItemRef("iaph", "docs", "i0000"))[0] == "i0000"
 
     def test_a_live_table_never_reads_an_image(self, tmp_path):
@@ -489,6 +532,28 @@ class TestColumnImageFaults:
             for chunk in chunks:
                 assert self.rejected(vault, image_data=_resign(image, i, chunk)), chunk[:12]
         assert not self.rejected(vault, image_data=_resign(image, 1, title))  # unchanged
+
+    def test_an_xml_vault_image_with_one_flipped_bit(self, desk_fixtures, tmp_path):
+        """An XML vault's image is checked as a tabular one is: a scan and
+        a lookup of it fail on any flipped bit, naming the image."""
+        fx, _ = desk_fixtures
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("iaph", "xml_corpus", os.path.join(fx, "iaph"), AccessMode.VAULT)
+        image = os.path.join(cat.sources["iaph"].path, IMAGE)
+        intact = open(image, "rb").read()
+        rng = random.Random(34)
+        for at in [0, 20, len(intact) // 2, len(intact) - 1] + rng.sample(range(len(intact)), 30):
+            damaged = bytearray(intact)
+            damaged[at] ^= 1 << rng.randrange(8)
+            open(image, "wb").write(bytes(damaged))
+            for read in (lambda h: list(h.scan("docs")),
+                         lambda h: h.lookup("docs", ["i0000", "i0499"])):
+                cat._vault_handles.clear()  # a new process reads the image anew
+                with pytest.raises(IntegrityError, match=re.escape(f"[{image}]")):
+                    read(cat.open_handle("iaph"))
+        open(image, "wb").write(intact)
+        cat._vault_handles.clear()
+        assert len(list(cat.open_handle("iaph").scan("docs"))) == 500
 
 
 class TestIndexOnlyMode:

@@ -63,7 +63,7 @@ def frozen_records() -> list:
         Document("d", item, (("title", "T"),), "body", (31.25, -0.5)),
         Batch(("k/1",), ("d",), (("title", ("T",)),), ("body",), None),
         DocEntry("d", "s/t/k/1", None, (("title", "T"),)),
-        ColumnImage("/p/vdc.cols", (("t", None),)),
+        ColumnImage("/p/vdc.cols", (("t", None),), (("t", ("/p/t.csv",)),)),
         Token("ident", "id", 7), a, RelationTerm("s.t", "x"),
         JoinSpec(RelationTerm("v", None), a, b), CompareAst(a, "=", "x", 9),
         ContainsAst(a, "n"), DateNearAst(a, b, 5), DateWithinAst(a, date, date),

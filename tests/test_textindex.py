@@ -1007,7 +1007,8 @@ class TestCollections:
     def count_reads(monkeypatch) -> dict[str, list]:
         """The tables each read touches: ``scan`` for a scan, and for a
         column-image lookup ``lookup`` for the lookup and ``table`` for
-        each read of a table file."""
+        each read of one of the table's files, by the file's name less
+        its extension."""
         reads: dict[str, list] = {"scan": [], "lookup": [], "table": []}
         real_scan = connectors.TabularSource.scan
         real_lookup = colimage.ColumnImage.lookup
@@ -1021,9 +1022,9 @@ class TestCollections:
             reads["lookup"].append(table)
             return real_lookup(self, table, item_ids)
 
-        def counting_file_crc(path):
+        def counting_file_crc(path, *running):
             reads["table"].append(os.path.basename(path)[:-4])
-            return real_file_crc(path)
+            return real_file_crc(path, *running)
 
         monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
         monkeypatch.setattr(colimage.ColumnImage, "lookup", counting_lookup)
@@ -1075,8 +1076,10 @@ class TestCollections:
     def test_one_read_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch, mode):
         """Two refs into one table, given in reverse order, and a missing
         one: one scan of a live table, or one image lookup of a vault table
-        and one read of its file; output in collection order, and a
-        per-ref error for the missing key."""
+        and one read of its file; a ref into a vault corpus is one image
+        lookup too, reading each document once; output in collection
+        order, and a per-ref error for the missing key."""
+        fx, _ = desk_fixtures
         cat = self.centre(tmp_path, desk_fixtures, mode)
         refs = [ItemRef("volterra", "legal_texts", k) for k in ("3", "1", "99999")]
         refs.insert(1, ItemRef("iaph", "docs", "i0000"))
@@ -1086,7 +1089,10 @@ class TestCollections:
         if mode is AccessMode.LIVE:
             assert reads == {"scan": ["legal_texts"], "lookup": [], "table": []}
         else:
-            assert reads == {"scan": [], "lookup": ["legal_texts"], "table": ["legal_texts"]}
+            documents = sorted(f[:-4] for f in os.listdir(os.path.join(fx, "iaph")))
+            assert len(documents) == 500
+            assert reads == {"scan": [], "lookup": ["legal_texts", "docs"],
+                             "table": ["legal_texts", *documents]}
         assert [i.kind for i in items] == ["row", "doc", "row", "error"]
         assert [i.ref for i in items] == refs
         assert items[0].payload[1][0] == 3 and items[2].payload[1][0] == 1
