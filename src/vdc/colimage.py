@@ -70,7 +70,6 @@ from .model import (
     TableSchema,
     int_digit_limit,
     over_digit_limit,
-    refable,
 )
 from .predicates import holds
 
@@ -287,7 +286,7 @@ class ColumnImage(Record):
 
     def scan(self, table: str, pushed: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
         """The rows of ``table`` that satisfy every ``pushed`` predicate, in
-        file order, as :meth:`TabularSource.scan` gives them: the cells at
+        file order, as a scan of the files gives them: the cells at
         positions ``columns`` (all, when None) are filled and every other
         cell is None.  Row group by row group, each predicate is tested
         once per entry of its column's dictionary, and only the chunks of
@@ -344,8 +343,9 @@ class ColumnImage(Record):
             raise IntegrityError(f"table file differs from the column image {self.path} [{path}]")
 
     def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
-        """The first row of each of ``item_ids`` that is a refable key of
-        ``table`` (see :func:`vdc.connectors.row_item_key`).
+        """The first row of each of ``item_ids`` that is a key of ``table``
+        (see :func:`vdc.connectors.row_item_key`); the handle has already
+        kept only the refable keys.
 
         The table's file is checked against the directory's size and
         CRC-32, and every chunk of the table against its CRC-32, so a
@@ -355,7 +355,7 @@ class ColumnImage(Record):
         int_keys = t.schema.columns[0].kind is ColumnKind.INT
         targets = {}  # key cell -> key
         for key in item_ids:
-            cell = _key_cell(key, int_keys) if refable(key) else None
+            cell = _key_cell(key, int_keys)
             if cell is not None:
                 targets[cell] = key
         found: dict[str, Row] = {}

@@ -6,10 +6,14 @@ as uniform relational tables.  Tabular sources are RFC-4180-style CSV files
 ``<table>.schema`` sidecar describing column names and kinds; the first CSV
 record must repeat the sidecar's column names.  XML corpora are directories
 of ``*.xml`` documents in the subset grammar parsed by :func:`parse_xml_doc`
-and always surface as a single table named ``docs``.  Each handle answers
-the point lookups of collection refs itself, ``lookup(table, item_ids)``:
-each wanted key's first row as a scan gives it, or the error of the XML
-document that holds it.
+and always surface as a single table named ``docs``.
+
+Every handle has one shape, :class:`SourceHandle`: its tables, ``scan``,
+and ``lookup(table, item_ids)``, which answers the point lookups of
+collection refs with each wanted key's first row as a scan gives it, or
+the error of the XML document that holds it.  A lookup keeps only the keys
+:func:`vdc.model.refable` accepts, in that one place.  Each kind reads only
+its own files.
 
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
@@ -27,7 +31,6 @@ files, with the same rows: there a predicate is tested once per distinct
 cell of each row group.  Connectors know nothing of trust modes: the
 catalogue decides which sources may be read.
 """
-
 from __future__ import annotations
 
 import csv
@@ -152,21 +155,65 @@ def read_utf8(path: str) -> str:
         raise _utf8_error(path, e, data) from e
 
 
-class TabularSource:
-    """Directory of ``<table>.csv`` + ``<table>.schema`` pairs.
+class SourceHandle:
+    """A source opened read-only: its tables, their scans and the lookups
+    of collection refs, the same for every kind.
 
     ``image`` is None, or the column image of a vault snapshot (see
     :mod:`vdc.colimage`), which the catalogue attaches to the snapshot's
-    handle; scans then read the image in place of the files.
+    handle; scans and lookups then read the image in place of the files.
+    A kind reads only its own files: ``_scan(schema, preds, columns)``,
+    ``_lookup(table, wanted)`` and ``files(table)``, the files the image
+    checks a table against.
     """
 
-    kind = TABULAR
+    image = None
 
     def __init__(self, source_id: str, path: str):
         self.source_id = source_id
         self.path = path
-        self.image = None
         self._schemas: dict[str, TableSchema] = {}
+
+    def list_tables(self) -> list[TableSchema]:
+        return [self._schemas[n] for n in sorted(self._schemas)]
+
+    def schema(self, table: str) -> TableSchema:
+        try:
+            return self._schemas[table]
+        except KeyError:
+            raise NotFound(f"no table {table!r} in source {self.source_id!r}") from None
+
+    def scan(
+        self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
+    ) -> Iterator[Row]:
+        """The rows of ``table`` that satisfy every ``pushed`` predicate,
+        the cells at positions ``columns`` (all, when None) filled; the
+        image's rows when there is one, else the kind's read of its files.
+        An unknown table raises NotFound here, not at the first row."""
+        schema = self.schema(table)
+        preds = tuple(pushed or ())
+        if self.image is not None:
+            return self.image.scan(table, preds, columns)
+        return self._scan(schema, preds, columns)
+
+    def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row | SourceError]:
+        """The first row, as a scan gives it, of each of ``item_ids`` that
+        is a refable key of ``table`` (see :func:`row_item_key`), or the
+        error of the XML document that holds it.  Only here are the keys
+        that :func:`vdc.model.refable` refuses dropped, for every kind and
+        for the image alike."""
+        self.schema(table)  # NotFound for an unknown table
+        wanted = {key for key in item_ids if refable(key)}
+        if self.image is not None:
+            return self.image.lookup(table, wanted)
+        return self._lookup(table, wanted)
+
+
+class TabularSource(SourceHandle):
+    """Directory of ``<table>.csv`` + ``<table>.schema`` pairs."""
+
+    def __init__(self, source_id: str, path: str):
+        super().__init__(source_id, path)
         names = sorted(
             f[:-4] for f in os.listdir(path) if f.endswith(".csv")
         )
@@ -197,24 +244,9 @@ class TabularSource:
             except csv.Error as e:
                 raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
 
-    def list_tables(self) -> list[TableSchema]:
-        return [self._schemas[n] for n in sorted(self._schemas)]
-
-    def schema(self, table: str) -> TableSchema:
-        try:
-            return self._schemas[table]
-        except KeyError:
-            raise NotFound(f"no table {table!r} in source {self.source_id!r}") from None
-
-    def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
-        """The first row of each of ``item_ids`` that is a refable key of
-        ``table`` (see :func:`row_item_key`).  With an ``image``, the image
-        answers; otherwise the table is scanned to its end, so a change on
-        disk during the lookup raises as it does for a scan."""
-        self.schema(table)  # NotFound for an unknown table
-        if self.image is not None:
-            return self.image.lookup(table, item_ids)
-        wanted = {key for key in item_ids if refable(key)}
+    def _lookup(self, table: str, wanted: set[str]) -> dict[str, Row]:
+        """The table scanned to its end, so a change on disk during the
+        lookup raises as it does for a scan."""
         found: dict[str, Row] = {}
         for row in self.scan(table):
             key = row_item_key(row)
@@ -222,32 +254,23 @@ class TabularSource:
                 found.setdefault(key, row)
         return found
 
-    def scan(
-        self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
-    ) -> Iterator[Row]:
-        """The typed rows of ``table`` that satisfy every ``pushed``
-        predicate, decoded late.
+    def _scan(self, schema: TableSchema, preds: tuple, columns: Iterable[int] | None) -> Iterator[Row]:
+        """The table's typed rows, decoded late.
 
         Every record is checked in full whatever is read: by
         :func:`_record_check`, and (by the text decoder) the UTF-8 of the
         whole file.  The pushed predicates are tested on their own decoded
-        cells first; the cells at positions ``columns`` (all, when None)
-        are decoded only for rows that pass, and every other cell is None.
-        A file that changes on disk during the scan (its size, mtime or
-        inode differ at the end) raises SourceError: its rows may be cut.
-        With an ``image``, the same rows come from it instead.
+        cells first; the cells at positions ``columns`` are decoded only
+        for rows that pass, and every other cell is None.  A file that
+        changes on disk during the scan (its size, mtime or inode differ at
+        the end) raises SourceError: its rows may be cut.
         """
-        schema = self.schema(table)
-        preds = tuple(pushed or ())
-        if self.image is not None:
-            yield from self.image.scan(table, preds, columns)
-            return
         width = len(schema.columns)
         convert = _converters(schema)
         check = _record_check(schema)
         tests = [(p.index, convert[p.index], p) for p in preds]
         decode = [(i, convert[i]) for i in (range(width) if columns is None else sorted(set(columns)))]
-        path = self.table_path(table)
+        path = self.table_path(schema.name)
         try:
             f = open(path, "r", encoding="utf-8", newline="")
         except OSError as e:
@@ -466,20 +489,15 @@ def parse_xml_doc(data: bytes, wanted: set[str] | None = None) -> Row:
     return _DocBuilder(wanted).row(data)
 
 
-class XmlCorpusSource:
-    """Directory of ``*.xml`` documents, exposed as one table ``docs``;
-    ``image`` is as :class:`TabularSource`'s."""
-
-    kind = XML_CORPUS
+class XmlCorpusSource(SourceHandle):
+    """Directory of ``*.xml`` documents, exposed as one table ``docs``."""
 
     def __init__(self, source_id: str, path: str):
-        self.source_id = source_id
-        self.path = path
-        self.image = None
+        super().__init__(source_id, path)
         self._files = sorted(f.path for f in os.scandir(path) if f.is_file() and f.name.endswith(".xml"))
         if not self._files:
             raise SourceError("xml corpus has no .xml documents", path=path)
-        self._schema = TableSchema("docs", DOCS_TABLE_COLUMNS)
+        self._schemas["docs"] = TableSchema("docs", DOCS_TABLE_COLUMNS)
 
     def files(self, table: str) -> list[str]:
         return list(self._files)
@@ -488,19 +506,12 @@ class XmlCorpusSource:
         """The ``docs`` row of every document, in sorted file order."""
         return [row for _, row in self._parsed()]
 
-    def lookup(self, table: str, doc_ids: Iterable[str]) -> dict[str, Row | SourceError]:
-        """The row of each refable id of ``doc_ids`` that the corpus (or its
-        ``image``, with one) holds, or the error of the document holding it.
-
-        Every file is parsed up to its root start tag, so the duplicate-id
-        check and every error up to there cover every file, as a scan's
-        do, and fail the whole lookup; only the wanted documents are parsed
-        past it, and an error met there is that document's alone.
-        """
-        self.schema(table)  # NotFound for any table but docs
-        if self.image is not None:
-            return self.image.lookup(table, doc_ids)
-        wanted = {doc_id for doc_id in doc_ids if refable(doc_id)}
+    def _lookup(self, table: str, wanted: set[str]) -> dict[str, Row | SourceError]:
+        """Every file is parsed up to its root start tag, so the
+        duplicate-id check and every error up to there cover every file, as
+        a scan's do, and fail the whole lookup; only the wanted documents
+        are parsed past it, and an error met there is that document's
+        alone."""
         return {doc_id: row for doc_id, row in self._parsed(wanted) if doc_id in wanted}
 
     def _parsed(self, wanted: set[str] | None = None) -> Iterator[tuple[str, Row | SourceError]]:
@@ -529,32 +540,12 @@ class XmlCorpusSource:
             seen[doc_id] = os.path.basename(full)
             yield doc_id, row
 
-    def list_tables(self) -> list[TableSchema]:
-        return [self._schema]
-
-    def schema(self, table: str) -> TableSchema:
-        if table != "docs":
-            raise NotFound(f"no table {table!r} in source {self.source_id!r}")
-        return self._schema
-
-    def scan(
-        self, table: str, pushed: Sequence | None = None, columns: Iterable[int] | None = None
-    ) -> Iterator[Row]:
-        """The documents' rows that satisfy every ``pushed`` predicate;
-        ``columns`` is accepted for the connectors' common shape, but
-        documents are parsed whole, so every cell is filled; as for
-        :meth:`TabularSource.scan`, an ``image`` gives the rows instead."""
-        self.schema(table)  # NotFound for any table but docs
-        preds = tuple(pushed or ())
-        if self.image is not None:
-            yield from self.image.scan(table, preds, columns)
-            return
+    def _scan(self, schema: TableSchema, preds: tuple, columns: Iterable[int] | None) -> Iterator[Row]:
+        """The documents' rows; documents are parsed whole, so every cell
+        is filled whatever ``columns`` asks for."""
         for row in self.documents():
             if not preds or matches(preds, row):
                 yield row
-
-
-SourceHandle = TabularSource | XmlCorpusSource
 
 
 def open_source(source_id: str, kind: str, path: str) -> SourceHandle:

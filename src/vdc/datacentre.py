@@ -202,7 +202,6 @@ class Catalogue:
         self.xlates: dict[str, TranslationTable] = {}
         self.indexes: dict[str, str] = {}  # collection -> index file path
         self.collections: dict[str, list[ItemRef]] = {}  # name -> refs
-        self._vault_handles: dict[str, SourceHandle] = {}
         self._index_cache: dict[str, InvertedIndex] = {}
 
     # -- sources -----------------------------------------------------------
@@ -270,9 +269,8 @@ class Catalogue:
         """Open a source under its mode rules.
 
         This is the one place that denies index-only content: it is
-        reachable only with ``for_ingest`` (an index build).  Vault
-        handles are cached (snapshots are immutable), live sources are
-        re-opened every time.
+        reachable only with ``for_ingest`` (an index build).  Every call
+        opens the source anew.
         """
         desc = self._descriptor(source_id)
         if desc.mode is AccessMode.INDEX_ONLY and not for_ingest:
@@ -280,10 +278,6 @@ class Catalogue:
                 f"source {source_id!r} is index-only: its content is readable "
                 "only while building its index"
             )
-        if desc.mode is AccessMode.VAULT:
-            if source_id not in self._vault_handles:
-                self._vault_handles[source_id] = desc.open()
-            return self._vault_handles[source_id]
         return desc.open()
 
     # -- views and translation tables ---------------------------------------
@@ -333,16 +327,15 @@ class Catalogue:
             return Relation(self._compile_view(self.views[name].definition), self)
         candidates = []
         for source_id, desc in self.sources.items():
-            if desc.mode is AccessMode.INDEX_ONLY:
-                # Table names are metadata: a bare-name match on an
-                # index-only source is reported as denied (by open_handle,
-                # when the relation is compiled), not hidden.
-                try:
-                    handle = desc.open()
-                except SourceError:
+            # Table names are metadata: a bare-name match on an index-only
+            # source is reported as denied (by open_handle, when the
+            # relation is compiled), not hidden.
+            try:
+                handle = desc.open()
+            except SourceError:
+                if desc.mode is AccessMode.INDEX_ONLY:
                     continue  # original withdrawn; only its index remains
-            else:
-                handle = self.open_handle(source_id)
+                raise
             if any(schema.name == name for schema in handle.list_tables()):
                 candidates.append(RelationRef(source_id, name))
         if not candidates:

@@ -498,15 +498,12 @@ _MANIFEST_HEADER = ["kind", "person", "value", "ref_a", "ref_b", "gap_days", "ne
 
 
 def _write_manifest(path: str, manifest: OverlapManifest) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_MANIFEST_HEADER)
-        for e in manifest.entries:
-            writer.writerow([
-                e.kind, e.person, e.value, e.ref_a, e.ref_b,
-                "" if e.gap_days is None else str(e.gap_days),
-                "" if e.near5 is None else ("yes" if e.near5 else "no"),
-            ])
+    _write_csv(path, _MANIFEST_HEADER, [
+        [e.kind, e.person, e.value, e.ref_a, e.ref_b,
+         "" if e.gap_days is None else str(e.gap_days),
+         "" if e.near5 is None else ("yes" if e.near5 else "no")]
+        for e in manifest.entries
+    ])
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:

@@ -12,6 +12,7 @@ import pytest
 
 from vdc.cli import run
 from vdc.datacentre import Catalogue, catalogue_lock
+from vdc.errors import PlanError
 
 from helpers import FIXTURE_VIEWS
 
@@ -250,6 +251,53 @@ class TestCollectionsViaCli:
         assert err == f"error: dup/docs/i0000: {message}\nerror: dup/docs/i0002: {message}\n"
 
 
+class TestBareTableNames:
+    """A bare table name in a query names the one source that holds such
+    a table.  An index-only source whose original is gone is passed over;
+    any other source that no longer opens fails the query."""
+
+    def test_a_name_two_sources_hold_is_ambiguous(self, centre):
+        cli, cat, fx, _ = centre
+        assert cli("source", "add", "iv", "--kind", "xml", "--path", os.path.join(fx, "iaph"),
+                   "--mode", "vault")[0] == 0
+        message = "table 'docs' is ambiguous across sources: iaph, iv"
+        with pytest.raises(PlanError, match=f"^{message}$"):
+            Catalogue.load(cat).resolve_relation("docs")
+        assert cli("query", "SELECT id FROM docs") == (2, "", f"error: {message}\n")
+
+    def test_a_withdrawn_index_only_source_is_passed_over(self, centre, tmp_path):
+        cli, _, fx, _ = centre
+        corpus = tmp_path / "sealed"
+        shutil.copytree(os.path.join(fx, "iaph"), corpus)
+        assert cli("source", "add", "sealed", "--kind", "xml", "--path", str(corpus),
+                   "--mode", "index-only")[0] == 0
+        recipe = tmp_path / "sealed.recipe"
+        text = open(os.path.join(fx, "recipes", "iaph.recipe"), encoding="utf-8").read()
+        recipe.write_text(text.replace("recipe iaph_ingest", "recipe sealed_ingest")
+                          .replace("from iaph.docs", "from sealed.docs"), encoding="utf-8")
+        assert cli("index", "build", "sealed_texts", "--recipe", str(recipe))[0] == 0
+        assert cli("coll", "update", "finds", "--add", "sealed/docs/i0001")[0] == 0
+        code, stub, _ = cli("coll", "resolve", "finds")
+        assert code == 0 and stub.startswith("sealed/docs/i0001\tstub\t")
+        query = "SELECT id FROM docs WHERE id = 'i0001'"
+        assert cli("query", query) == (
+            2, "", "error: table 'docs' is ambiguous across sources: iaph, sealed\n")
+        shutil.rmtree(corpus)
+        assert cli("query", query) == (0, "id\ni0001\n", "")
+        assert cli("query", "SELECT id FROM legal_texts WHERE id < 3") == (0, "id\n1\n2\n", "")
+        assert cli("coll", "resolve", "finds") == (0, stub, "")
+
+    def test_a_withdrawn_live_source_fails_the_query(self, centre, tmp_path):
+        cli, _, fx, _ = centre
+        copy = tmp_path / "vc"
+        shutil.copytree(os.path.join(fx, "volterra"), copy)
+        assert cli("source", "add", "vc", "--kind", "tabular", "--path", str(copy),
+                   "--mode", "live")[0] == 0
+        shutil.rmtree(copy)
+        assert cli("query", "SELECT id FROM papyri WHERE id < 3") == (
+            2, "", f"error: source path is not a readable directory [{copy}]\n")
+
+
 class TestSourceVerify:
     """``vdc source verify`` checks a vault against its column image, and
     reads any other source in full."""
@@ -344,6 +392,27 @@ class TestSourceVerify:
         assert cli("coll", "resolve", "k") == (2, "", message)
         assert cli("source", "verify", "iv") == (2, "", message)
         assert cli("query", "SELECT * FROM iv.docs") == (0, rows, "")
+
+    @pytest.mark.parametrize("sid", ["volterra", "iaph"])
+    def test_a_live_source_is_read_in_full(self, centre, sid):
+        cli, *_ = centre
+        assert cli("source", "verify", sid) == (0, "", f"verified {sid}: 500 rows read\n")
+
+    def test_a_malformed_live_record_names_its_line(self, centre, tmp_path):
+        """A record that breaks after registration fails the verify,
+        naming its file and line."""
+        cli, _, fx, _ = centre
+        copy = tmp_path / "vol"
+        shutil.copytree(os.path.join(fx, "volterra"), copy)
+        assert cli("source", "add", "vc", "--kind", "tabular", "--path", str(copy),
+                   "--mode", "live")[0] == 0
+        table = copy / "legal_texts.csv"
+        line = table.read_bytes().count(b"\n") + 1
+        with open(table, "a", encoding="utf-8") as f:
+            f.write("501,too few\n")
+        code, out, err = cli("source", "verify", "vc")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: row arity 2 != ") and err.endswith(f"[{table}:{line}]\n")
 
     def test_an_index_only_source_is_denied(self, centre, tmp_path):
         cli, _, fx, _ = centre

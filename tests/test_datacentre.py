@@ -423,6 +423,81 @@ def _resign(image: bytes, i: int, chunk: bytes) -> bytes:
     return bytes(head) + struct.pack("<I", zlib.crc32(head)) + image[start:begin] + chunk + image[ends[i]:]
 
 
+def _redirect(image: bytes, edit) -> bytes:
+    """The image with its header and directory (the bytes its checksum
+    covers) replaced by ``edit`` of them, their length and checksum made
+    to match."""
+    (length,) = struct.unpack_from("<I", image, 12)
+    head = bytearray(edit(image[:16 + length]))
+    struct.pack_into("<I", head, 12, len(head) - 16)
+    return bytes(head) + struct.pack("<I", zlib.crc32(head)) + image[16 + length + 4:]
+
+
+def _text_chunk(offsets: list[int], text: bytes) -> bytes:
+    """A text chunk of three rows, coded 0, 1, 2, whose entry 1 is null."""
+    n = len(offsets) - 1
+    return struct.pack(f"<BHH{n + 1}I", 0, n, 1, *offsets) + text + struct.pack("<3H", 0, 1, 2)
+
+
+def _int_chunk(values: list[int]) -> bytes:
+    """An int64 chunk of three rows, coded 0, 1, 2, of three entries whose
+    entry 2 is null."""
+    return struct.pack(f"<BHH{len(values)}q", 1, 3, 2, *values) + struct.pack("<3H", 0, 1, 2)
+
+
+# (case, fault, the message of its check); table t's name ends at byte 21
+# and its row count is the u64 at byte 37
+IMAGE_FAULTS = [
+    ("version", lambda i: _redirect(i, lambda h: h[:8] + struct.pack("<I", 2) + h[12:]),
+     "column image has unsupported version 2"),
+    ("sidecars", lambda i: _redirect(i, lambda h: h.replace(b"note", b"nope")),
+     "column image does not match the tables' sidecars"),
+    ("name-length", lambda i: _redirect(i, lambda h: h[:20] + struct.pack("<I", 1000) + h[24:]),
+     "column image is damaged: directory: a name runs past the directory"),
+    ("directory-end", lambda i: _redirect(i, lambda h: h + bytes(4)),
+     "column image is damaged: directory: the directory does not end where its tables do"),
+    ("chunk-count", lambda i: _redirect(i, lambda h: h[:37] + struct.pack("<Q", 4099) + h[45:]),
+     "column image is damaged: directory: chunk count does not match the row count"),
+    ("null-text", lambda i: _resign(i, 1, _text_chunk([0, 1, 2, 3], b"xzy")),
+     "column image is damaged: chunk 1 of row group 0 of table 't': the null entry is not empty"),
+    ("null-int", lambda i: _resign(i, 2, _int_chunk([5, 6, 7])),
+     "column image is damaged: chunk 2 of row group 0 of table 't': the null entry is not 0"),
+    ("int64-entries", lambda i: _resign(i, 2, _int_chunk([5, 6])),
+     "column image is damaged: chunk 2 of row group 0 of table 't': bad int64 entries"),
+]
+
+
+class TestColumnImageStructure:
+    """Each structure check of an image behind its checksums, met by a
+    fault whose directory or chunk CRC-32 was recomputed: the open (for a
+    directory fault) or the scan (for a chunk fault) raises that check's
+    IntegrityError, naming the image."""
+
+    @pytest.fixture()
+    def vault(self, tmp_path):
+        _write_table(tmp_path / "src", "id,note,num", "id : int\nnote : text\nnum : int\n",
+                     [("1", "x", "5"), ("2", "", "6"), ("3", "y", "")])
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(tmp_path / "src"), AccessMode.VAULT)
+        return cat, os.path.join(cat.sources["s"].path, IMAGE)
+
+    def test_the_intact_image(self, vault):
+        cat, image = vault
+        data = open(image, "rb").read()
+        _, ends = _image_layout(data)
+        assert data[ends[0]:] == _text_chunk([0, 1, 1, 2], b"xy") + _int_chunk([5, 6, 0])
+        assert list(cat.open_handle("s").scan("t")) == [(1, "x", 5), (2, None, 6), (3, "y", None)]
+
+    @pytest.mark.parametrize("fault,message", [c[1:] for c in IMAGE_FAULTS],
+                             ids=[c[0] for c in IMAGE_FAULTS])
+    def test_a_fault_fails_its_check(self, vault, fault, message):
+        cat, image = vault
+        intact = open(image, "rb").read()
+        open(image, "wb").write(fault(intact))
+        with pytest.raises(IntegrityError, match=f"^{re.escape(f'{message} [{image}]')}$"):
+            list(cat.open_handle("s").scan("t"))
+
+
 class TestColumnImageFaults:
     """Every damaged image, and every vault table changed after its image
     was written, fails a lookup with an IntegrityError naming the file."""
@@ -446,7 +521,6 @@ class TestColumnImageFaults:
             f.write(image if image_data is None else image_data)
         with open(os.path.join(vault_dir, "papyri.csv"), "wb") as f:
             f.write(original_table if table is None else table)
-        cat._vault_handles.clear()  # a new process reads the image anew
         return cat.open_handle("hgv").lookup("papyri", self.KEYS)
 
     def rejected(self, vault, names=IMAGE, **damage) -> bool:
@@ -474,7 +548,6 @@ class TestColumnImageFaults:
             lambda: execute_plan(plan_query(query, cat)),
             lambda: cat.resolve_refs([ItemRef("hgv", "papyri", k) for k in self.KEYS]),
         ):
-            cat._vault_handles.clear()
             with pytest.raises(IntegrityError, match=message):
                 read()
         self.lookup(vault)  # the image back
@@ -548,11 +621,9 @@ class TestColumnImageFaults:
             open(image, "wb").write(bytes(damaged))
             for read in (lambda h: list(h.scan("docs")),
                          lambda h: h.lookup("docs", ["i0000", "i0499"])):
-                cat._vault_handles.clear()  # a new process reads the image anew
                 with pytest.raises(IntegrityError, match=re.escape(f"[{image}]")):
                     read(cat.open_handle("iaph"))
         open(image, "wb").write(intact)
-        cat._vault_handles.clear()
         assert len(list(cat.open_handle("iaph").scan("docs"))) == 500
 
 

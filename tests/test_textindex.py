@@ -6,6 +6,7 @@ import errno
 import hashlib
 import os
 import random
+import re
 import shutil
 import sys
 import tracemalloc
@@ -887,6 +888,132 @@ class TestFaultInjection:
                      (docs, terms - 1), (0, 0)):
             damaged = image[:foot] + b"END %d %d %s\n" % (d, t, crc)
             assert self.rejected(tmp_path, damaged), (d, t)
+
+
+def _swap(data: bytes, old: bytes, new: bytes) -> bytes:
+    """``data`` with its one ``old`` replaced by ``new``, of the same length."""
+    assert data.count(old) == 1 and len(old) == len(new)
+    return data.replace(old, new)
+
+
+def _put(data: bytes, at: int, new: bytes) -> bytes:
+    return data[:at] + new + data[at + len(new):]
+
+
+def _toc(data: bytes, i: int, shift: int | None) -> bytes:
+    """``data`` with the TOC's ``i``-th section offset moved by ``shift``
+    bytes, or dropped when ``shift`` is None."""
+    toc = data.rindex(b"\nTOC ") + 1
+    end = data.index(b"\n", toc)
+    starts = [int(n) for n in data[toc + 4:end].split()]
+    if shift is None:
+        del starts[i]
+    else:
+        starts[i] += shift
+    return data[:toc] + b"TOC " + b" ".join(b"%d" % n for n in starts) + data[end:]
+
+
+def _alpha_offset(data: bytes, change) -> bytes:
+    """``data`` with the offset digits of alpha's TERMS entry changed."""
+    m = re.search(rb"\nalpha\t(\d+)\t", data)
+    return data[:m.start(1)] + change(m[1]) + data[m.end(1):]
+
+
+def _postings_at(data: bytes, term: str) -> int:
+    """Where ``term``'s postings line in field body starts."""
+    return int(textindex.InvertedIndex(data).terms("body")[term][0])
+
+
+def _move_doc_offset(data: bytes, o: int, shift: int) -> bytes:
+    """``data`` with the DOCOFFSETS entry (width 3) of ordinal ``o`` moved."""
+    at = data.index(b"\nDOCOFFSETS 3\n") + len(b"\nDOCOFFSETS 3\n") + 3 * o
+    return _put(data, at, b"%03d" % (int(data[at:at + 3]) + shift))
+
+
+def _opened(idx):
+    pass  # the fault is met when the file is opened
+
+
+def _searched(*terms):
+    return lambda idx: search(idx, SearchQuery(terms))
+
+
+# (case, fault, the read that meets it, the message of its check); each
+# fault keeps the footer's counts, and its checksum is recomputed
+INDEX_FAULTS = [
+    ("toc-line", lambda d: _swap(d, b"\nTOC ", b"\nTOX "), _opened, "bad TOC line"),
+    ("docs-after-header", lambda d: _toc(d, 0, 1), _opened,
+     "DOCS section does not follow the header"),
+    ("section-offset", lambda d: _toc(d, 1, 1), _opened, r"bad section offset \d+"),
+    ("unpaired", lambda d: _toc(d, 2, None), _opened, "unpaired POSTINGS/TERMS sections"),
+    ("docs-count", lambda d: _swap(d, b"\nDOCS 17\n", b"\nDOCS 18\n"), _opened,
+     "DOCS section disagrees with the footer's doc count"),
+    ("field-sections", lambda d: _swap(d, b"\nPOSTINGS title\n", b"\nPOSTINGS tItle\n"),
+     _opened, "bad sections for field 'tItle'"),
+    ("terms-count", lambda d: _swap(d, b"\nTERMS body 19\n", b"\nTERMS body 18\n"), _opened,
+     "TERMS sections disagree with the footer's term count"),
+    ("docoffsets", lambda d: _swap(d, b"\nDOCOFFSETS 3\n", b"\nDOCOFFSETS 4\n"), _opened,
+     "bad DOCOFFSETS section"),
+    ("terms-section", lambda d: _swap(d, b"\nw10\t", b"\nw\t0\t"), _searched("alpha"),
+     "bad TERMS section for field 'body'"),
+    ("terms-utf8", lambda d: _swap(d, b"\nalpha\t", b"\nalph\xff\t"), _searched("beta"),
+     "invalid UTF-8 in index: .*"),
+    ("postings-number", lambda d: _alpha_offset(d, lambda o: o[:-1] + b"x"), _searched("alpha"),
+     r"bad number '\d+x' in index"),
+    ("postings-span", lambda d: _alpha_offset(d, lambda o: b"%d" % (int(o) + 1)),
+     _searched("alpha"), "bad postings span for 'alpha' in field 'body'"),
+    ("postings", lambda d: _put(d, _postings_at(d, "w0"), b"0:0"), _searched("w0"),
+     "bad postings for 'w0' in field 'body'"),
+    ("postings-ordinal", lambda d: _put(d, _postings_at(d, "w10"), b"17:1"), _searched("w10"),
+     "ordinals out of order or range for 'w10' in field 'body'"),
+    ("docs-offset", lambda d: _move_doc_offset(d, 5, 1),
+     lambda idx: idx.find_ref("s/t/d05"), "bad DOCS offset for document 5"),
+    ("docs-lines", lambda d: _swap(d, b"\ns/t/d05\td05\t", b"\ns/t/d05\nd05\t"),
+     lambda idx: idx.hits([0, 1]), "DOCS section disagrees with its doc count"),
+    ("stored-field", lambda d: _swap(d, b"\ttitle=t ab 3\n", b"\ttitle_t ab 3\n"),
+     lambda idx: idx.doc(3), "bad stored field for document 3"),
+    ("escape", lambda d: _swap(d, b"\ttitle=t ab 3\n", b"\ttitle=t\\qb 3\n"),
+     lambda idx: idx.doc(3), r"bad escape in 't\\\\qb 3'"),
+    ("coordinates", lambda d: _swap(d, b"\td03\t1.5\t", b"\td03\t1.x\t"),
+     lambda idx: idx.geos([3]), "bad coordinates for document 3"),
+]
+
+
+class TestStructureChecks:
+    """Each structure check behind the checksum, met by a fault whose
+    checksum was recomputed: the read that decodes the faulty part raises
+    that check's IndexFormatError, where the intact index answers it."""
+
+    @pytest.fixture(scope="class")
+    def intact(self) -> bytes:
+        docs = [doc(f"d{i:02d}", f"alpha beta w{i}", title=f"t ab {i}",
+                    geo=(1.5, 2.5) if i % 2 else None) for i in range(17)]
+        return bytes(build(mini_recipe(("body", "title")), docs).data)
+
+    def opened(self, tmp_path, data: bytes):
+        p = tmp_path / "f.idx"
+        p.write_bytes(data)
+        return read_index(str(p))
+
+    def test_the_intact_index_answers_every_read(self, tmp_path, intact):
+        idx = self.opened(tmp_path, intact)
+        for _, _, read, _ in INDEX_FAULTS:
+            read(idx)
+        assert idx.doc(3).stored == {"title": "t ab 3"}
+
+    @pytest.mark.parametrize("fault,read,message", [c[1:] for c in INDEX_FAULTS],
+                             ids=[c[0] for c in INDEX_FAULTS])
+    def test_a_fault_fails_its_check(self, tmp_path, intact, fault, read, message):
+        damaged = resign(fault(intact))
+        assert damaged != intact
+        with pytest.raises(IndexFormatError, match=f"^{message}$"):
+            read(self.opened(tmp_path, damaged))
+
+    def test_an_ordinal_past_the_last_document(self, tmp_path, intact):
+        """No fault of the file reaches this check: every ordinal the file
+        gives is checked where it is read.  Only a caller's ordinal does."""
+        with pytest.raises(IndexFormatError, match="^ordinal 17 out of range$"):
+            self.opened(tmp_path, intact).doc(17)
 
 
 class TestSearch:
