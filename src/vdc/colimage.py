@@ -1,6 +1,6 @@
 """The column image of a vault snapshot: every table's checked, decoded
-cells, written once at registration, from which the vault's scans and
-lookups read.
+cells, written once at registration (by :mod:`vdc.colwriter`), from which
+the vault's scans and lookups read.
 
 The image is one file, ``vdc.cols``, beside the snapshot's files; a table's
 files are those its handle's ``files(table)`` lists, a tabular table's
@@ -11,7 +11,9 @@ columns one after the other as chunks.  Every chunk is dictionary coded
 (Abadi, Madden and Ferreira, SIGMOD 2006): the chunk's distinct cells, null
 among them, then one uint16 code per row.  A scan therefore tests a pushed
 predicate once per dictionary entry, not once per row, and decodes the
-other columns only for the rows that pass.
+other columns only for the rows that pass.  A date text chunk also stores
+its entries' days, parsed at registration; decoding it seeds the process's
+coercion memo (:data:`vdc.model.DATE_MEMO`), so no query parses them.
 
 All integers are little-endian.  The file is::
 
@@ -22,12 +24,13 @@ All integers are little-endian.  The file is::
 
 The directory holds a table count (u32) and, for each table: its name (u32
 length, then UTF-8 bytes, with the undecodable bytes of a file name as they
-were), the size (u64) and CRC-32 (u32) of its files read one after another,
-its row count (u64), its column count (u32) and each column's kind (u8: 0
-text, 1 int, 2 date text) and name (u32 length, UTF-8), then each of its
-chunks' length and CRC-32 (two u32), group by group and column by column.
-The chunks lie in that order, table by table, so each chunk's offset is the
-sum of the lengths before it and the file ends at the last one.
+were), its file count (u32), each file's size (u64), each file's CRC-32
+(u32), its row count (u64), its column count (u32) and each column's kind
+(u8: 0 text, 1 int, 2 date text) and name (u32 length, UTF-8), then each of
+its chunks' length and CRC-32 (two u32), group by group and column by
+column.  The chunks lie in that order, table by table, so each chunk's
+offset is the sum of the lengths before it and the file ends at the last
+one.
 
 A chunk is its encoding (u8: 0 text, 1 int64, 2 decimal text, for an int
 chunk with a value outside int64), its entry count (u16), the code of its
@@ -35,39 +38,45 @@ null entry (u16, 0xFFFF when it has none), the entries, and the group's
 codes (uint16 each).  Int64 entries are int64s; text and decimal entries
 are the code-point offsets (u32, entry count + 1) of each entry in a UTF-8
 text that follows them.  The null entry is an empty text, or the int 0.
+A date text chunk's text is followed by two int64 arrays, each entry's
+earliest day, then each entry's latest day; two reversed pairs are
+sentinels: ``NO_DATE``, a text that does not parse, and ``PARSE_AT_READ``.
 
 A vault is checked where it is read.  Opening the image checks its
 directory (CRC-32, version, the file's size, and each table's schema
 against its source's); a scan checks the CRC-32 of each chunk it reads; a
-lookup checks the table's files against the directory's size and CRC-32
-and every chunk of the table.  A fault is an IntegrityError naming the
-file (a table's one file, or else the snapshot directory), and so is a
-snapshot without an image: a vault is read from its image or not at all.
-An image written under a higher int-string limit than the reading
-process's may hold a decimal entry of more digits than ``int()`` then
-converts; decoding it raises the SourceError a scan of the table raises
-for such a cell, naming the table's file, not a fault of the image.
+lookup checks each of the table's files against its size and CRC-32 and
+every chunk of the table.  A fault is an IntegrityError naming the file (a
+changed file, or the snapshot directory of a corpus that gained or lost a
+document), and so is a snapshot without an image or with an image of
+another version: a vault is read from its image or not at all.  An image
+written under a higher int-string limit than the reading process's may
+hold a decimal entry of more digits than ``int()`` then converts; decoding
+it raises the SourceError a scan of the table raises for such a cell,
+naming the table's file, not a fault of the image.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import sys
 import zlib
 from array import array
-from functools import reduce
-from itertools import accumulate, compress, islice, pairwise, repeat
+from itertools import accumulate, compress, pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .connectors import SourceHandle
 from .errors import IntegrityError, SourceError
 from .model import (
+    DATE_MEMO,
     ColumnDescriptor,
     ColumnKind,
     Record,
     Row,
     TableSchema,
+    UncertainDate,
     int_digit_limit,
     over_digit_limit,
 )
@@ -75,15 +84,19 @@ from .predicates import holds
 
 IMAGE = "vdc.cols"
 GROUP_ROWS = 4096
-VERSION = 1
+VERSION = 2
+# a date text entry's stored days when it has no interval to store; a
+# valid interval never has earliest > latest
+NO_DATE = (1, 0)  # the text does not parse
+PARSE_AT_READ = (2, 0)  # left for the reader's parser: see colwriter.stored_days
 
+# the layout, shared with vdc.colwriter
 _MAGIC = b"VDCCOLS\n"
 _HEAD = struct.Struct("<8sII")  # magic, version, directory length
-_TABLE = struct.Struct("<QIQI")  # file size, file crc32, rows, columns
+_TABLE = struct.Struct("<QI")  # rows, columns
 _CHUNK = struct.Struct("<BHH")  # encoding, entries, null code
 _NO_NULL = 0xFFFF
 _TEXT, _INT64, _DECIMAL = 0, 1, 2
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # a column's kind byte: text, int, date text
 _KINDS = (
     (ColumnKind.TEXT, False),
@@ -100,84 +113,14 @@ def _array(typecode: str, data=b"") -> array:
     return a
 
 
-def _le(a: array) -> bytes:
-    if sys.byteorder == "big":
-        a = array(a.typecode, a)
-        a.byteswap()
-    return a.tobytes()
-
-
-def _name(text: str) -> bytes:
-    data = text.encode("utf-8", "surrogateescape")
-    return struct.pack("<I", len(data)) + data
-
-
-# --------------------------------------------------------------------------
-# writing
-
-
-def write(snapshot: SourceHandle, original: str) -> None:
-    """Scan every table of ``snapshot`` (a full, checked decode) and write
-    its image beside them; a fault of a table names the original's file."""
-    schemas = snapshot.list_tables()
-    directory = [struct.pack("<I", len(schemas))]
-    chunks: list[bytes] = []
-    for schema in schemas:
-        kinds = [c.kind for c in schema.columns]
-        table_chunks = array("I")
-        rows = 0
-        scan = snapshot.scan(schema.name)
-        try:
-            for group in iter(lambda: list(islice(scan, GROUP_ROWS)), []):
-                for kind, cells in zip(kinds, zip(*group)):
-                    chunk = _encode(cells, kind)
-                    chunks.append(chunk)
-                    table_chunks += array("I", (len(chunk), zlib.crc32(chunk)))
-                rows += len(group)
-        except SourceError as e:
-            named = os.path.join(original, os.path.basename(e.path))
-            raise SourceError(e.message, path=named, line=e.line) from e
-        size, crc = _files_crc(snapshot.files(schema.name))
-        directory += [_name(schema.name), _TABLE.pack(size, crc, rows, len(schema.columns))]
-        for c in schema.columns:
-            directory += [bytes((_KINDS.index((c.kind, c.date_text)),)), _name(c.name)]
-        directory.append(_le(table_chunks))
-    body = b"".join(directory)
-    head = _HEAD.pack(_MAGIC, VERSION, len(body)) + body
-    with open(os.path.join(snapshot.path, IMAGE), "wb") as f:
-        f.write(head + struct.pack("<I", zlib.crc32(head)))
-        f.writelines(chunks)
-
-
-def _encode(cells: Sequence, kind: ColumnKind) -> bytes:
-    """One chunk: the dictionary of ``cells`` and each cell's code."""
-    index: dict = {}
-    codes = array("H", [index.setdefault(v, len(index)) for v in cells])
-    entries = list(index)
-    null = index.get(None, _NO_NULL)
-    if kind is ColumnKind.INT and all(_INT64_MIN <= v <= _INT64_MAX for v in entries if v is not None):
-        encoding = _INT64
-        values = _le(array("q", [0 if v is None else v for v in entries]))
-    else:
-        encoding = _DECIMAL if kind is ColumnKind.INT else _TEXT
-        texts = ["" if v is None else str(v) for v in entries]
-        offsets = array("I", accumulate(map(len, texts), initial=0))
-        values = _le(offsets) + "".join(texts).encode("utf-8")
-    return _CHUNK.pack(encoding, len(entries), null) + values + _le(codes)
-
-
-def _file_crc(path: str, size: int = 0, crc: int = 0) -> tuple[int, int]:
-    """(size, CRC-32) of ``size`` bytes of CRC-32 ``crc``, then a file."""
+def _file_crc(path: str) -> tuple[int, int]:
+    """(size, CRC-32) of a file."""
+    size = crc = 0
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(1 << 20), b""):
             size += len(block)
             crc = zlib.crc32(block, crc)
     return size, crc
-
-
-def _files_crc(paths: Sequence[str]) -> tuple[int, int]:
-    """(size, CRC-32) of files read one after another."""
-    return reduce(lambda running, path: _file_crc(path, *running), paths, (0, 0))
 
 
 # --------------------------------------------------------------------------
@@ -187,10 +130,10 @@ def _files_crc(paths: Sequence[str]) -> tuple[int, int]:
 class _Table:
     """One table's entry in the directory."""
 
-    def __init__(self, schema: TableSchema, size: int, crc: int, rows: int, chunks: array, start: int):
+    def __init__(self, schema: TableSchema, files: list[tuple[int, int]], rows: int,
+                 chunks: array, start: int):
         self.schema = schema
-        self.size = size
-        self.crc = crc
+        self.files = files  # each file's (size, CRC-32)
         self.rows = rows
         self.width = len(schema.columns)
         self.groups = -(-rows // GROUP_ROWS)
@@ -227,7 +170,9 @@ class ColumnImage(Record):
         """(dictionary, codes) of a checked chunk; with ``rows``, positions
         in the group, the dictionary is a dict of just their entries.  A
         chunk whose structure does not hold raises, though its CRC-32
-        matched."""
+        matched.  The stored days of a date text chunk's decoded entries
+        seed :data:`vdc.model.DATE_MEMO`, so a view's coercion of them
+        parses nothing."""
         size = t.group_rows(g)
         try:
             encoding, n, null = _CHUNK.unpack_from(data)
@@ -237,7 +182,8 @@ class ColumnImage(Record):
             if end < at or len(codes) != size or (size and max(codes) >= n) \
                     or (null != _NO_NULL and null >= n):
                 raise ValueError("bad codes")
-            kind = t.schema.columns[column].kind
+            col = t.schema.columns[column]
+            kind = col.kind
             if encoding not in ((_INT64, _DECIMAL) if kind is ColumnKind.INT else (_TEXT,)):
                 raise ValueError(f"encoding {encoding} in a column of kind {kind}")
             if encoding == _INT64:
@@ -247,8 +193,11 @@ class ColumnImage(Record):
                 if null != _NO_NULL and values[null] != 0:
                     raise ValueError("the null entry is not 0")
             else:
-                offsets = _array("I", data[at:at + 4 * (n + 1)]).tolist()
-                text = data[at + 4 * (n + 1):end].decode("utf-8")
+                text_at, days_at = at + 4 * (n + 1), end - 16 * n if col.date_text else end
+                if days_at < text_at:
+                    raise ValueError("bad date arrays")
+                offsets = _array("I", data[at:text_at]).tolist()
+                text = data[text_at:days_at].decode("utf-8")
                 if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(text) \
                         or offsets != sorted(offsets):
                     raise ValueError("bad text offsets")
@@ -265,10 +214,11 @@ class ColumnImage(Record):
                         v = values[c]
                         if len(v) > limit and len(v.lstrip("-")) > limit:
                             # written under a higher limit: the scan's fault, not damage
-                            name = t.schema.columns[column].name
-                            raise SourceError(f"{over_digit_limit('int', v)} in column {name!r}",
+                            raise SourceError(f"{over_digit_limit('int', v)} in column {col.name!r}",
                                               path=self.files[t.schema.name][0])
                         values[c] = int(v) if v else None
+                if col.date_text:
+                    _seed_dates(values, only, _array("q", data[days_at:end]), n)
             if null != _NO_NULL:
                 values[null] = None
         except (ValueError, IndexError, struct.error) as e:
@@ -332,26 +282,33 @@ class ColumnImage(Record):
         for g in range(t.groups):
             yield [self._chunk(f, t, g, c) for c in range(t.width)]
 
-    def _check_file(self, t: _Table) -> None:
+    def _check_files(self, t: _Table) -> None:
+        """Each of the table's files against its size and CRC-32 in the
+        directory; a fault names the file, or the snapshot directory when
+        the table has another number of files."""
         files = self.files[t.schema.name]
-        path = files[0] if len(files) == 1 else os.path.dirname(self.path)
-        try:
-            size, crc = _files_crc(files)
-        except OSError as e:
-            raise IntegrityError(f"cannot read table: {e} [{path}]") from e
-        if (size, crc) != (t.size, t.crc):
-            raise IntegrityError(f"table file differs from the column image {self.path} [{path}]")
+        if len(files) != len(t.files):
+            raise IntegrityError(f"table {t.schema.name!r} has {len(files)} files, not "
+                                 f"{len(t.files)} as in the column image {self.path} "
+                                 f"[{os.path.dirname(self.path)}]")
+        for path, expected in zip(files, t.files):
+            try:
+                found = _file_crc(path)
+            except OSError as e:
+                raise IntegrityError(f"cannot read table: {e} [{path}]") from e
+            if found != expected:
+                raise IntegrityError(f"table file differs from the column image {self.path} [{path}]")
 
     def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
         """The first row of each of ``item_ids`` that is a key of ``table``
         (see :func:`vdc.connectors.row_item_key`); the handle has already
         kept only the refable keys.
 
-        The table's file is checked against the directory's size and
-        CRC-32, and every chunk of the table against its CRC-32, so a
-        lookup fails on any change to the vault's copy of the table."""
+        Each of the table's files is checked against its size and CRC-32
+        in the directory, and every chunk of the table against its CRC-32,
+        so a lookup fails on any change to the vault's copy of the table."""
         t = self.tables[table]
-        self._check_file(t)
+        self._check_files(t)
         int_keys = t.schema.columns[0].kind is ColumnKind.INT
         targets = {}  # key cell -> key
         for key in item_ids:
@@ -382,10 +339,29 @@ class ColumnImage(Record):
         n = 0
         with self._open() as f:
             for t in self.tables.values():
-                self._check_file(t)
+                self._check_files(t)
                 for chunks in self._groups(f, t):
                     n += len(chunks)
         return n
+
+
+def _seed_dates(values: list | dict, only: Iterable[int], days: array, n: int) -> None:
+    """Check a date text chunk's stored days (each entry's earliest, then
+    each entry's latest) and put the dates of the ``only`` entries of
+    ``values`` into :data:`vdc.model.DATE_MEMO`, where it has none."""
+    earliest, latest = days[:n], days[n:]
+    for c in compress(range(n), map(operator.gt, earliest, latest)):
+        if (earliest[c], latest[c]) not in (NO_DATE, PARSE_AT_READ):
+            raise ValueError(f"entry {c} has reversed days that are no sentinel")
+    memo = DATE_MEMO
+    for c in only:
+        text = values[c]
+        if text not in memo:
+            lo, hi = earliest[c], latest[c]
+            if lo <= hi:
+                memo[text] = UncertainDate(lo, hi)
+            elif (lo, hi) == NO_DATE:
+                memo[text] = None
 
 
 def _key_cell(key: str, int_column: bool) -> int | str | None:
@@ -426,7 +402,9 @@ def open_image(handle: SourceHandle) -> ColumnImage:
     if zlib.crc32(head + body[:length]) != struct.unpack("<I", body[length:])[0]:
         raise IntegrityError(f"column image is damaged: directory checksum [{path}]")
     if version != VERSION:
-        raise IntegrityError(f"column image has unsupported version {version} [{path}]")
+        raise IntegrityError(
+            f"column image has version {version}, not {VERSION}; add the source again [{path}]"
+        )
     try:
         tables = _directory(body[:length], len(head) + len(body))
         end = max(t.offsets[-1] for t in tables.values()) if tables else len(head) + len(body)
@@ -458,7 +436,13 @@ def _directory(data: bytes, start: int) -> dict[str, _Table]:
     tables: dict[str, _Table] = {}
     for _ in range(count):
         table = name()
-        size, crc, rows, width = _TABLE.unpack_from(data, at)
+        (n_files,) = struct.unpack_from("<I", data, at)
+        at += 4 + 12 * n_files
+        if at > len(data):
+            raise ValueError("a file list runs past the directory")
+        sizes = _array("Q", data[at - 12 * n_files:at - 4 * n_files])
+        crcs = _array("I", data[at - 4 * n_files:at])
+        rows, width = _TABLE.unpack_from(data, at)
         at += _TABLE.size
         columns = []
         for _ in range(width):
@@ -468,7 +452,7 @@ def _directory(data: bytes, start: int) -> dict[str, _Table]:
         n = 2 * -(-rows // GROUP_ROWS) * width
         chunks = _array("I", data[at:at + 4 * n])
         at += 4 * n
-        t = _Table(TableSchema(table, tuple(columns)), size, crc, rows, chunks, start)
+        t = _Table(TableSchema(table, tuple(columns)), list(zip(sizes, crcs)), rows, chunks, start)
         tables[table] = t
         start = t.offsets[-1]
     if at != len(data):

@@ -1,0 +1,115 @@
+"""Writing a vault snapshot's column image (:mod:`vdc.colimage` gives its
+layout and reads it).  Only a vault registration writes one, so a query
+process compiles none of this.
+
+A date text column's chunks store each entry's days, parsed here once per
+distinct text of the table (the dictionary-coded image's rule: do the
+expensive work once per entry, as it is written), so that no query parses
+a vault's date text.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+import sys
+import zlib
+from array import array
+from itertools import accumulate, islice
+from typing import Sequence
+
+from .colimage import (
+    GROUP_ROWS, IMAGE, NO_DATE, PARSE_AT_READ, VERSION, _CHUNK, _DECIMAL, _HEAD, _INT64,
+    _KINDS, _MAGIC, _NO_NULL, _TABLE, _TEXT, _file_crc,
+)
+from .connectors import SourceHandle
+from .errors import ParseError, SourceError
+from .model import ColumnKind, int_digit_limit, parse_uncertain_date
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _le(a: array) -> bytes:
+    if sys.byteorder == "big":
+        a = array(a.typecode, a)
+        a.byteswap()
+    return a.tobytes()
+
+
+def _name(text: str) -> bytes:
+    data = text.encode("utf-8", "surrogateescape")
+    return struct.pack("<I", len(data)) + data
+
+
+def write(snapshot: SourceHandle, original: str) -> None:
+    """Scan every table of ``snapshot`` (a full, checked decode) and write
+    its image beside them; a fault of a table names the original's file."""
+    schemas = snapshot.list_tables()
+    directory = [struct.pack("<I", len(schemas))]
+    chunks: list[bytes] = []
+    for schema in schemas:
+        days: dict[str, tuple[int, int]] = {}  # each distinct date text's, parsed once
+        columns = [(c.kind, days if c.date_text else None) for c in schema.columns]
+        table_chunks = array("I")
+        rows = 0
+        scan = snapshot.scan(schema.name)
+        try:
+            for group in iter(lambda: list(islice(scan, GROUP_ROWS)), []):
+                for (kind, dates), cells in zip(columns, zip(*group)):
+                    chunk = _encode(cells, kind, dates)
+                    chunks.append(chunk)
+                    table_chunks += array("I", (len(chunk), zlib.crc32(chunk)))
+                rows += len(group)
+        except SourceError as e:
+            named = os.path.join(original, os.path.basename(e.path))
+            raise SourceError(e.message, path=named, line=e.line) from e
+        files = [_file_crc(path) for path in snapshot.files(schema.name)]
+        directory += [_name(schema.name), struct.pack("<I", len(files)),
+                      _le(array("Q", [size for size, _ in files])),
+                      _le(array("I", [crc for _, crc in files])),
+                      _TABLE.pack(rows, len(schema.columns))]
+        for c in schema.columns:
+            directory += [bytes((_KINDS.index((c.kind, c.date_text)),)), _name(c.name)]
+        directory.append(_le(table_chunks))
+    body = b"".join(directory)
+    head = _HEAD.pack(_MAGIC, VERSION, len(body)) + body
+    with open(os.path.join(snapshot.path, IMAGE), "wb") as f:
+        f.write(head + struct.pack("<I", zlib.crc32(head)))
+        f.writelines(chunks)
+
+
+def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]] | None) -> bytes:
+    """One chunk: the dictionary of ``cells``, with each entry's stored
+    days when ``dates`` (the table's memo of them) is given, and each
+    cell's code."""
+    index: dict = {}
+    codes = array("H", [index.setdefault(v, len(index)) for v in cells])
+    entries = list(index)
+    null = index.get(None, _NO_NULL)
+    if kind is ColumnKind.INT and all(_INT64_MIN <= v <= _INT64_MAX for v in entries if v is not None):
+        encoding = _INT64
+        values = _le(array("q", [0 if v is None else v for v in entries]))
+    else:
+        encoding = _DECIMAL if kind is ColumnKind.INT else _TEXT
+        texts = ["" if v is None else str(v) for v in entries]
+        offsets = array("I", accumulate(map(len, texts), initial=0))
+        values = _le(offsets) + "".join(texts).encode("utf-8")
+        if dates is not None:
+            pairs = [dates[t] if t in dates else dates.setdefault(t, stored_days(t)) for t in texts]
+            values += _le(array("q", [lo for lo, _ in pairs] + [hi for _, hi in pairs]))
+    return _CHUNK.pack(encoding, len(entries), null) + values + _le(codes)
+
+
+def stored_days(text: str) -> tuple[int, int]:
+    """The (earliest, latest) day an image stores for a date text: its
+    interval, or a sentinel.  A text that does not parse gets
+    ``NO_DATE``.  An interval outside int64 gets ``PARSE_AT_READ``, and so
+    does a text longer than the int-string limit that does not parse,
+    since a reader under a higher limit may parse its year."""
+    try:
+        d = parse_uncertain_date(text)
+    except ParseError:
+        return PARSE_AT_READ if len(text) > int_digit_limit() else NO_DATE
+    if _INT64_MIN <= d.earliest_day and d.latest_day <= _INT64_MAX:
+        return d.earliest_day, d.latest_day
+    return PARSE_AT_READ

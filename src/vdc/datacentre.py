@@ -232,14 +232,14 @@ class Catalogue:
         import shutil
         import tempfile
 
-        from . import colimage
+        from . import colwriter
 
         vault_root = os.path.join(self.store_dir, "vault")
         final = os.path.join(vault_root, source_id)
         _one_line(final)  # the catalogue is to record it: check before any write
-        if os.path.isfile(os.path.join(original, colimage.IMAGE)):
+        if os.path.isfile(os.path.join(original, colwriter.IMAGE)):
             raise SourceError(
-                f"a vault source may not hold a file named {colimage.IMAGE!r}", path=original
+                f"a vault source may not hold a file named {colwriter.IMAGE!r}", path=original
             )
         os.makedirs(vault_root, exist_ok=True)
         tmp = tempfile.mkdtemp(prefix=source_id + ".", dir=vault_root)
@@ -248,7 +248,7 @@ class Catalogue:
                 src = os.path.join(original, name)
                 if os.path.isfile(src):
                     shutil.copyfile(src, os.path.join(tmp, name))
-            colimage.write(connectors.open_source(source_id, kind, tmp), original)
+            colwriter.write(connectors.open_source(source_id, kind, tmp), original)
             if os.path.lexists(final):
                 shutil.rmtree(final)
             os.replace(tmp, final)

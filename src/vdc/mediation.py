@@ -22,6 +22,7 @@ from typing import Collection, Iterator
 from .connectors import read_utf8, row_item_key
 from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
 from .model import (
+    DATE_MEMO,
     ColumnDescriptor,
     ColumnKind,
     Record,
@@ -364,6 +365,22 @@ def parse_recipe_file(text: str) -> IngestRecipe:
 # --------------------------------------------------------------------------
 # rule resolution and row application
 
+def coerce_date(text: str) -> UncertainDate | None:
+    """The date of a date text, or None when it does not parse, from the
+    process's memo (:data:`vdc.model.DATE_MEMO`): a text is parsed only
+    when no earlier coercion and no decoded vault image put it there."""
+    try:
+        return DATE_MEMO[text]
+    except KeyError:
+        pass
+    try:
+        date = parse_uncertain_date(text)
+    except ParseError:
+        date = None
+    DATE_MEMO[text] = date
+    return date
+
+
 class _CellOp(Record):
     """One transform of a raw cell bound to a column position, the same in
     every base of the view: a translation table's ``translate``, or the
@@ -385,9 +402,10 @@ class CompiledView:
     over itself: no rules, so ``apply`` returns its rows unchanged.  No
     source table has a date column, so the view's are the coerced ones.
 
-    Date coercion is memoized per distinct text for the life of the
-    compiled view, one memo for ``apply`` and the coercing predicates of
-    ``raw_form``; each row whose text fails still gets its own warning.
+    Date coercion (:func:`coerce_date`) is memoized per distinct text in
+    the process, one memo for ``apply``, the coercing predicates of
+    ``raw_form`` and the vault images that seed it; each row whose text
+    fails still gets its own warning.
     """
 
     def __init__(self, view: ViewDefinition, schema: TableSchema,
@@ -462,17 +480,6 @@ def compile_view(
     # Per base: the evolving (name, descriptor) list rules operate on.
     states: list[list[ColumnDescriptor]] = [list(s.columns) for s in base_schemas]
     ops: list[_CellOp] = []
-    dates: dict[str, UncertainDate | None] = {}
-
-    def coerce_date(text: str) -> UncertainDate | None:
-        """The date of a date text, or None when it does not parse; each
-        distinct text is parsed once."""
-        if text not in dates:
-            try:
-                dates[text] = parse_uncertain_date(text)
-            except ParseError:
-                dates[text] = None
-        return dates[text]
 
     def find(cols: list[ColumnDescriptor], name: str) -> int | None:
         for i, c in enumerate(cols):

@@ -151,6 +151,12 @@ class UncertainDate(Record):
 
 Value = int | str | UncertainDate | None
 
+# The process's one date coercion memo: date text -> its date, or None
+# when it does not parse.  A vault's column image seeds it with the days
+# stored at registration as it decodes a date text chunk, and a view's
+# coercion (``vdc.mediation.coerce_date``) parses only the texts it lacks.
+DATE_MEMO: dict[str, UncertainDate | None] = {}
+
 _BOUND_RE = re.compile(r"(-?[0-9]+)(?:-([0-9]{2}))?(?:-([0-9]{2}))?\Z")
 
 

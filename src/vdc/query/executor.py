@@ -5,7 +5,7 @@ are materialized only as a hash join's inputs (sources are desk-to-archive
 scale, not warehouse scale), and the join's output streams (Graefe's
 pipelined join).  The last stage's rows pass the cross-relation filters and
 the projection, then the canonical sort, or with a LIMIT a bounded top-k
-that holds at most LIMIT rows.
+that holds at most twice LIMIT rows.
 Coercion warnings collected during scans travel with the result; rows whose
 date failed to coerce carry a null in that cell, which naturally drops them
 from any predicate or join key on the column while keeping them visible to
@@ -14,8 +14,8 @@ unrelated queries.
 
 from __future__ import annotations
 
-import heapq
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..errors import CoercionError, ExecutionError
@@ -27,6 +27,7 @@ from ..model import (
     csv_text,
     date_near,
     row_sort_key,
+    value_sort_key,
 )
 from ..predicates import holds
 from .planner import BDateNear, Plan, Term
@@ -85,6 +86,23 @@ def _term_rows(term: Term, pushdown: bool, warnings: list[CoercionError]) -> Ite
                 yield row
 
 
+def top_k(rows: Iterable[Row], k: int) -> list[Row]:
+    """``sorted(rows, key=row_sort_key)[:k]`` for k >= 1, holding at most
+    2k rows: a row's full key is computed only when its leading cell sorts
+    no later than the k-th kept row's."""
+    full_key = itemgetter(0)
+    kept: list[tuple[tuple, Row]] = []  # (full key, row); after a cut, the least k so far
+    bound = None  # the k-th kept row's leading key, once k rows are kept
+    for row in rows:
+        if bound is not None and value_sort_key(row[0]) > bound:
+            continue
+        kept.append((row_sort_key(row), row))
+        if len(kept) >= 2 * k:
+            kept = sorted(kept, key=full_key)[:k]
+            bound = kept[-1][0][0]
+    return [row for _, row in sorted(kept, key=full_key)[:k]]
+
+
 def execute_plan(plan: Plan) -> ResultSet:
     """Run a plan: each term's base scans, its filters and its join with the
     rows so far; then cross-relation filters, projection, canonical sort
@@ -101,10 +119,7 @@ def execute_plan(plan: Plan) -> ResultSet:
     rows = (
         tuple(r[i] for i in project) for r in rows if all(eval_bound(p, r) for p in filters)
     )
-    if plan.limit is None:
-        rows = sorted(rows, key=row_sort_key)
-    else:  # documented equal to sorted(rows, key=...)[:limit], ties included
-        rows = heapq.nsmallest(plan.limit, rows, key=row_sort_key)
+    rows = sorted(rows, key=row_sort_key) if plan.limit is None else top_k(rows, plan.limit)
     warnings.sort(key=lambda w: (w.ref, w.column, w.text))
     return ResultSet(plan.schema, rows, warnings)
 

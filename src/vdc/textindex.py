@@ -486,8 +486,6 @@ class InvertedIndex:
 
     def _doc_line(self, o: int) -> str:
         """The DOCS line of ordinal ``o``, found through the offset table."""
-        if not 0 <= o < self.n_docs:
-            raise IndexFormatError(f"ordinal {o} out of range")
         data, w = self.data, self._width
         at = self._table + o * w
         start = _nat(data[at : at + w])
@@ -504,7 +502,11 @@ class InvertedIndex:
         """The DOCS lines of ``ordinals``: ref, doc_id, lat, lon, then the
         stored fields, tab-separated.  Lines are sought one by one through
         the offset table; for more than one document in sixteen, decoding
-        the whole section in one pass is cheaper, and it is kept."""
+        the whole section in one pass is cheaper, and it is kept.  An
+        ordinal outside the index raises on either path."""
+        for o in ordinals:
+            if not 0 <= o < self.n_docs:
+                raise IndexFormatError(f"ordinal {o} out of range")
         if self._lines is None:
             if len(ordinals) * 16 <= self.n_docs:
                 return [self._doc_line(o) for o in ordinals]

@@ -10,9 +10,11 @@ import sys
 
 import pytest
 
+from vdc import mediation
 from vdc.cli import run
 from vdc.datacentre import Catalogue, catalogue_lock
 from vdc.errors import PlanError
+from vdc.model import DATE_MEMO
 
 from helpers import FIXTURE_VIEWS
 
@@ -177,6 +179,58 @@ class TestModesViaCli:
         assert cli("coll", "resolve", "finds") == (0, "", (
             "error: sec2/t/7: index 'sec2_texts': index has format v1, which is no longer read: "
             "rebuild it with `vdc index build`\n"))
+
+
+class TestVaultDates:
+    """A vault's date texts are parsed at registration and a query reads
+    their days from its image, with the same bytes as a live registration
+    parsing them, warnings included."""
+
+    QUERIES = [
+        "SELECT id, date FROM papyri_en WHERE DATE_WITHIN(date, '0150', '0159')",
+        "SELECT id, date FROM papyri_en WHERE date = '0150'",
+        "SELECT p.id, q.id FROM papyri_en p JOIN papyri_en q ON p.findspot = q.findspot "
+        "WHERE p.id < 40 AND DATE_NEAR(p.date, q.date, 2)",
+        "SELECT id, date FROM papyri_en",
+    ]
+
+    def test_a_vault_answers_as_a_live_registration(self, centre, tmp_path, capsys):
+        live, _, fx, _ = centre
+        vault_cat = str(tmp_path / "vault.vdc")
+
+        def vault(*argv):
+            code = run(["--catalogue", vault_cat, *argv])
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        for sid, kind, mode in (("hgv", "tabular", "vault"), ("volterra", "tabular", "live"),
+                                ("iaph", "xml", "live")):
+            assert vault("source", "add", sid, "--kind", kind, "--path", os.path.join(fx, sid),
+                         "--mode", mode)[0] == 0
+        assert vault("xlate", "add", "de_en", os.path.join(fx, "xlate", "de_en.csv"))[0] == 0
+        for name in FIXTURE_VIEWS:
+            assert vault("view", "define", os.path.join(fx, "views", name + ".view"))[0] == 0
+        parses = []
+        real_parse = mediation.parse_uncertain_date
+
+        def counting_parse(text):
+            parses.append(text)
+            return real_parse(text)
+
+        for q in self.QUERIES:
+            for fmt in ("csv", "json"):
+                answers = []
+                for cli in (vault, live):
+                    DATE_MEMO.clear()  # the memo lives as long as the process
+                    parses.clear()
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(mediation, "parse_uncertain_date", counting_parse)
+                        answers.append(cli("query", q, "--format", fmt))
+                    assert answers[-1][0] == 0 and answers[-1][1].count("\n") > (fmt == "csv"), q
+                    if cli is vault:
+                        assert parses == [], q  # every text came from the image
+                assert answers[0] == answers[1], q
+                assert "warning" in answers[0][2] or "DATE_NEAR" in q
 
 
 class TestCollectionsViaCli:
@@ -353,9 +407,8 @@ class TestSourceVerify:
         assert cli("query", "SELECT id FROM volterra.legal_texts WHERE id < 3")[:2] == (0, "id\n1\n2\n")
 
     def test_an_xml_vault_is_checked_against_its_image(self, centre, tmp_path):
-        """An XML vault's documents, read one after another, are checked
-        against the size and CRC-32 its image holds; a fault names the
-        snapshot directory."""
+        """An XML vault's documents are each checked against the size and
+        CRC-32 its image holds; a fault names the document."""
         cli, vault = self.vault(centre, tmp_path, "iv", "xml", "iaph")
         assert cli("source", "verify", "iv") == (
             0, "", "verified iv: every table file and image chunk matches (files: 500, chunks: 8)\n")
@@ -363,13 +416,15 @@ class TestSourceVerify:
             f.write(b'<doc id="i0007"><text>cut')
         image = os.path.join(vault, "vdc.cols")
         assert cli("source", "verify", "iv") == (
-            2, "", f"error: table file differs from the column image {image} [{vault}]\n")
+            2, "", f"error: table file differs from the column image {image} "
+                   f"[{os.path.join(vault, 'i0007.xml')}]\n")
 
     @pytest.mark.parametrize("fault", ["edit a title", "append a byte", "cut a file",
                                        "add a document", "delete a document"])
     def test_a_changed_xml_vault_is_refused_where_checked(self, centre, tmp_path, fault):
         """Any change to the documents of an XML vault fails a collection
-        resolve and a verify, naming the snapshot directory, while a query,
+        resolve and a verify, naming the changed document, or the snapshot
+        directory when a document was added or deleted, while a query,
         which reads the image alone, still prints the registered rows."""
         cli, vault = self.vault(centre, tmp_path, "iv", "xml", "iaph")
         assert cli("coll", "update", "k", "--add", "iv/docs/i0001", "iv/docs/i0002")[0] == 0
@@ -388,7 +443,13 @@ class TestSourceVerify:
             open(os.path.join(vault, "z.xml"), "wb").write(b'<doc id="z"/>')
         else:
             os.remove(path)
-        message = f"error: table file differs from the column image {vault}/vdc.cols [{vault}]\n"
+        image = os.path.join(vault, "vdc.cols")
+        if fault.endswith("document"):
+            files = 501 if fault.startswith("add") else 499
+            message = (f"error: table 'docs' has {files} files, not 500 as in the column image "
+                       f"{image} [{vault}]\n")
+        else:
+            message = f"error: table file differs from the column image {image} [{path}]\n"
         assert cli("coll", "resolve", "k") == (2, "", message)
         assert cli("source", "verify", "iv") == (2, "", message)
         assert cli("query", "SELECT * FROM iv.docs") == (0, rows, "")

@@ -12,14 +12,15 @@ from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdc import connectors, mediation, textindex
 from vdc.atomic import write_atomic
 from vdc.connectors import row_item_key
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
-from vdc.colimage import IMAGE
+from vdc.colimage import IMAGE, NO_DATE, PARSE_AT_READ
+from vdc.colwriter import stored_days
 from vdc.errors import (
     AccessDenied,
     IndexFormatError,
@@ -30,7 +31,7 @@ from vdc.errors import (
     ParseError,
     SourceError,
 )
-from vdc.model import ItemRef, nfc, parse_uncertain_date, refable
+from vdc.model import DATE_MEMO, ItemRef, day_number, nfc, parse_uncertain_date, refable
 from vdc.predicates import COMPARE_OPS, Compare, Contains, DateWithin
 from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
 from vdc.mediation import parse_recipe_file
@@ -403,7 +404,8 @@ def _image_layout(image: bytes) -> tuple[int, list[int]]:
     length, count = struct.unpack_from("<II", image, 12)
     assert count == 1
     (name,) = struct.unpack_from("<I", image, 20)
-    _, _, rows, width = struct.unpack_from("<QIQI", image, 24 + name)
+    (files,) = struct.unpack_from("<I", image, 24 + name)
+    rows, width = struct.unpack_from("<QI", image, 28 + name + 12 * files)
     n = -(-rows // 4096) * width
     start = 16 + length + 4
     lengths = array("I", image[16 + length - 8 * n:16 + length])[0::2]
@@ -439,24 +441,39 @@ def _text_chunk(offsets: list[int], text: bytes) -> bytes:
     return struct.pack(f"<BHH{n + 1}I", 0, n, 1, *offsets) + text + struct.pack("<3H", 0, 1, 2)
 
 
+def _date_chunk(offsets: list[int], text: bytes, days: list[tuple[int, int]]) -> bytes:
+    """A date text chunk of three rows, coded 0, 1, 2, whose entry 1 is
+    null, with ``days`` as its entries' stored (earliest, latest) days."""
+    n = len(offsets) - 1
+    return (struct.pack(f"<BHH{n + 1}I", 0, n, 1, *offsets) + text
+            + struct.pack(f"<{2 * len(days)}q", *[lo for lo, _ in days], *[hi for _, hi in days])
+            + struct.pack("<3H", 0, 1, 2))
+
+
+_DAYS_0150 = (day_number(150, 1, 1), day_number(150, 12, 31))
+
+
 def _int_chunk(values: list[int]) -> bytes:
     """An int64 chunk of three rows, coded 0, 1, 2, of three entries whose
     entry 2 is null."""
     return struct.pack(f"<BHH{len(values)}q", 1, 3, 2, *values) + struct.pack("<3H", 0, 1, 2)
 
 
-# (case, fault, the message of its check); table t's name ends at byte 21
-# and its row count is the u64 at byte 37
+# (case, fault, the message of its check); table t's name ends at byte 25,
+# its one file's size and CRC-32 follow its file count, and its row count
+# is the u64 at byte 41
 IMAGE_FAULTS = [
-    ("version", lambda i: _redirect(i, lambda h: h[:8] + struct.pack("<I", 2) + h[12:]),
-     "column image has unsupported version 2"),
+    ("version", lambda i: _redirect(i, lambda h: h[:8] + struct.pack("<I", 1) + h[12:]),
+     "column image has version 1, not 2; add the source again"),
     ("sidecars", lambda i: _redirect(i, lambda h: h.replace(b"note", b"nope")),
      "column image does not match the tables' sidecars"),
     ("name-length", lambda i: _redirect(i, lambda h: h[:20] + struct.pack("<I", 1000) + h[24:]),
      "column image is damaged: directory: a name runs past the directory"),
     ("directory-end", lambda i: _redirect(i, lambda h: h + bytes(4)),
      "column image is damaged: directory: the directory does not end where its tables do"),
-    ("chunk-count", lambda i: _redirect(i, lambda h: h[:37] + struct.pack("<Q", 4099) + h[45:]),
+    ("file-list", lambda i: _redirect(i, lambda h: h[:25] + struct.pack("<I", 9) + h[29:]),
+     "column image is damaged: directory: a file list runs past the directory"),
+    ("chunk-count", lambda i: _redirect(i, lambda h: h[:41] + struct.pack("<Q", 4099) + h[49:]),
      "column image is damaged: directory: chunk count does not match the row count"),
     ("null-text", lambda i: _resign(i, 1, _text_chunk([0, 1, 2, 3], b"xzy")),
      "column image is damaged: chunk 1 of row group 0 of table 't': the null entry is not empty"),
@@ -464,6 +481,15 @@ IMAGE_FAULTS = [
      "column image is damaged: chunk 2 of row group 0 of table 't': the null entry is not 0"),
     ("int64-entries", lambda i: _resign(i, 2, _int_chunk([5, 6])),
      "column image is damaged: chunk 2 of row group 0 of table 't': bad int64 entries"),
+    ("date-arrays-short", lambda i: _resign(i, 3, _date_chunk([0, 4, 4, 5], b"0150x",
+                                                             [_DAYS_0150, NO_DATE])),
+     "column image is damaged: chunk 3 of row group 0 of table 't': bad date arrays"),
+    ("date-arrays-long", lambda i: _resign(i, 3, _date_chunk([0, 4, 4, 5], b"0150x", [NO_DATE] * 4)),
+     "column image is damaged: chunk 3 of row group 0 of table 't': bad text offsets"),
+    ("date-reversed", lambda i: _resign(i, 3, _date_chunk([0, 4, 4, 5], b"0150x",
+                                                         [_DAYS_0150, NO_DATE, (5, 4)])),
+     "column image is damaged: chunk 3 of row group 0 of table 't': "
+     "entry 2 has reversed days that are no sentinel"),
 ]
 
 
@@ -475,8 +501,9 @@ class TestColumnImageStructure:
 
     @pytest.fixture()
     def vault(self, tmp_path):
-        _write_table(tmp_path / "src", "id,note,num", "id : int\nnote : text\nnum : int\n",
-                     [("1", "x", "5"), ("2", "", "6"), ("3", "y", "")])
+        _write_table(tmp_path / "src", "id,note,num,d",
+                     "id : int\nnote : text\nnum : int\nd : date_text\n",
+                     [("1", "x", "5", "0150"), ("2", "", "6", ""), ("3", "y", "", "x")])
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("s", "tabular", str(tmp_path / "src"), AccessMode.VAULT)
         return cat, os.path.join(cat.sources["s"].path, IMAGE)
@@ -485,8 +512,10 @@ class TestColumnImageStructure:
         cat, image = vault
         data = open(image, "rb").read()
         _, ends = _image_layout(data)
-        assert data[ends[0]:] == _text_chunk([0, 1, 1, 2], b"xy") + _int_chunk([5, 6, 0])
-        assert list(cat.open_handle("s").scan("t")) == [(1, "x", 5), (2, None, 6), (3, "y", None)]
+        assert data[ends[0]:] == _text_chunk([0, 1, 1, 2], b"xy") + _int_chunk([5, 6, 0]) \
+            + _date_chunk([0, 4, 4, 5], b"0150x", [_DAYS_0150, NO_DATE, NO_DATE])
+        assert list(cat.open_handle("s").scan("t")) == \
+            [(1, "x", 5, "0150"), (2, None, 6, None), (3, "y", None, "x")]
 
     @pytest.mark.parametrize("fault,message", [c[1:] for c in IMAGE_FAULTS],
                              ids=[c[0] for c in IMAGE_FAULTS])
@@ -496,6 +525,73 @@ class TestColumnImageStructure:
         open(image, "wb").write(fault(intact))
         with pytest.raises(IntegrityError, match=f"^{re.escape(f'{message} [{image}]')}$"):
             list(cat.open_handle("s").scan("t"))
+
+
+def _date_entries(chunk: bytes, rows: int) -> dict[str, tuple[int, int]]:
+    """Each non-null entry of a date text chunk of ``rows`` rows, and its
+    stored (earliest, latest) days."""
+    _, n, null = struct.unpack_from("<BHH", chunk)
+    offsets = struct.unpack_from(f"<{n + 1}I", chunk, 5)
+    days_at = len(chunk) - 2 * rows - 16 * n
+    days = struct.unpack_from(f"<{2 * n}q", chunk, days_at)
+    text = chunk[5 + 4 * (n + 1):days_at].decode("utf-8")
+    return {text[a:b]: (days[c], days[n + c])
+            for c, (a, b) in enumerate(zip(offsets, offsets[1:])) if c != null}
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+# years near 0, and years whose days pass the int64 range (about +-2.5e16)
+_YEAR = st.one_of(st.integers(-3000, 3000), st.integers(-3 * 10**16, 3 * 10**16),
+                  st.integers(-10**30, 10**30))
+_BOUND = st.builds(
+    lambda y, m, d: f"{y:04d}" + ("" if m is None else f"-{m:02d}" + ("" if d is None else f"-{d:02d}")),
+    _YEAR, st.none() | st.integers(0, 13), st.none() | st.integers(0, 32))
+_DATE_TEXT = st.one_of(
+    st.builds(lambda pad, ca, lo, hi, end: pad + ("ca. " if ca else "") + lo
+              + ("" if hi is None else "/" + hi) + end,
+              _PAD, st.booleans(), _BOUND, st.none() | _BOUND, _PAD),
+    st.text(alphabet="0123456789-/ .cax", max_size=12),
+)
+
+
+class TestStoredDays:
+    """A date text column's image stores each entry's days as parsed at
+    registration, and decoding them seeds the coercion memo."""
+
+    @given(texts=st.lists(_DATE_TEXT, min_size=1, max_size=30))
+    @example(texts=["0150", f"{10**16}", f"ca. -{10**16}", f"{10**17}", f"-{10**17}-02",
+                    f"0001/{10**17}", " 0150-02-29 ", "0150/0140", "ca. ", ""])
+    @settings(max_examples=80, deadline=None)
+    def test_each_entry_stores_its_parse(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_table(os.path.join(tmp, "src"), "id,d", "id : int\nd : date_text\n",
+                         [(str(i), t) for i, t in enumerate(texts)])
+            cat = Catalogue(os.path.join(tmp, "c.vdc"))
+            cat.register_source("s", "tabular", os.path.join(tmp, "src"), AccessMode.VAULT)
+            image = open(os.path.join(cat.sources["s"].path, IMAGE), "rb").read()
+            _, ends = _image_layout(image)
+            stored = _date_entries(image[ends[0]:ends[1]], len(texts))
+            DATE_MEMO.clear()
+            cells = [d for _, d in cat.open_handle("s").scan("t")]
+        assert set(stored) == set(cells) - {None}
+        for text, days in stored.items():
+            try:
+                date = parse_uncertain_date(text)
+            except ParseError:
+                assert days == NO_DATE and DATE_MEMO[text] is None, text
+                continue
+            if -2**63 <= date.earliest_day and date.latest_day < 2**63:
+                assert days == (date.earliest_day, date.latest_day) and DATE_MEMO[text] == date
+            else:  # the reader parses it
+                assert days == PARSE_AT_READ and text not in DATE_MEMO, text
+            assert mediation.coerce_date(text) == date
+
+    def test_a_year_past_the_digit_limit_is_parsed_at_read(self, int_digit_limit):
+        """A year of more digits than ``int()`` converts fails the parse
+        here, but a reader under a higher limit would parse it."""
+        year = "1" * (int_digit_limit + 1)
+        assert stored_days(year) == stored_days(f"ca. {year}") == PARSE_AT_READ
+        assert stored_days("x" * 20) == NO_DATE
 
 
 class TestColumnImageFaults:

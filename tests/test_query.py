@@ -9,11 +9,13 @@ import tracemalloc
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdc.cli import run
 from vdc.datacentre import Catalogue
 from vdc.errors import ParseError, PlanError, VdcError
-from vdc.model import ColumnKind, UncertainDate
+from vdc.model import ColumnKind, UncertainDate, row_sort_key
 from vdc.predicates import Compare, DateWithin
 from vdc.query import (
     execute_plan,
@@ -332,6 +334,21 @@ class TestExecutor:
         full = execute_plan(plan_query(parse_query("SELECT id FROM papyri"), cat))
         limited = execute_plan(plan_query(parse_query("SELECT id FROM papyri LIMIT 3"), cat))
         assert limited.rows == full.rows[:3]
+
+    # cells of every kind; a leading cell is one of few, so that many tie
+    _CELL = st.one_of(
+        st.none(), st.integers(-2, 2), st.sampled_from(["", "a", "b", "B", "é"]),
+        st.builds(lambda lo, width: UncertainDate(lo, lo + width),
+                  st.integers(0, 3), st.integers(0, 2)),
+    )
+    _LEADING = st.sampled_from([None, 0, 1, "a", UncertainDate(0, 1)])
+
+    @given(rows=st.lists(st.tuples(_LEADING, _CELL, _CELL), max_size=60),
+           width=st.integers(1, 3), k=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_equals_the_head_of_the_sort(self, rows, width, k):
+        rows = [row[:width] for row in rows]
+        assert executor.top_k(iter(rows), k) == sorted(rows, key=row_sort_key)[:k]
 
     @staticmethod
     def traced_peak(cat, q: str) -> int:

@@ -81,7 +81,7 @@ def test_no_dataclass_but_the_query_ast():
     the query engine only when ``vdc query`` runs, and the fixtures only
     when ``vdc fixtures generate`` does, so both are named here)."""
     code = (
-        "import sys, vdc.cli, vdc.query, vdc.textindex, vdc.colimage, vdc.fixtures\n"
+        "import sys, vdc.cli, vdc.query, vdc.textindex, vdc.colimage, vdc.colwriter, vdc.fixtures\n"
         "print(*sorted({f'{c.__module__}.{c.__qualname__}'\n"
         "    for m in list(sys.modules.values()) if m.__name__.split('.')[0] == 'vdc'\n"
         "    for c in vars(m).values()\n"

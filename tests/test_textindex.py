@@ -1009,11 +1009,23 @@ class TestStructureChecks:
         with pytest.raises(IndexFormatError, match=f"^{message}$"):
             read(self.opened(tmp_path, damaged))
 
-    def test_an_ordinal_past_the_last_document(self, tmp_path, intact):
+    @pytest.mark.parametrize("n_docs", [3, 17])
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_an_ordinal_outside_the_index(self, n_docs, decoded):
         """No fault of the file reaches this check: every ordinal the file
-        gives is checked where it is read.  Only a caller's ordinal does."""
-        with pytest.raises(IndexFormatError, match="^ordinal 17 out of range$"):
-            self.opened(tmp_path, intact).doc(17)
+        gives is checked where it is read.  Only a caller's ordinal does,
+        and it fails alike whether the DOCS lines are sought one by one
+        (a large index) or decoded whole (a small one, or once most
+        documents were read)."""
+        idx = build(mini_recipe(("body",)), [doc(f"d{i:02d}", "alpha") for i in range(n_docs)])
+        if decoded:
+            idx.hits(range(n_docs))
+        for o in (n_docs, n_docs + 1, -1):
+            with pytest.raises(IndexFormatError, match=f"^ordinal {o} out of range$"):
+                idx.doc(o)
+            with pytest.raises(IndexFormatError, match=f"^ordinal {o} out of range$"):
+                idx.hits([0, o])
+        assert idx.doc(n_docs - 1).doc_id == f"d{n_docs - 1:02d}"
 
 
 class TestSearch:
