@@ -23,24 +23,24 @@ All integers are little-endian.  The file is::
     chunks, in directory order
 
 The directory holds a table count (u32) and, for each table: its name (u32
-length, then UTF-8 bytes, with the undecodable bytes of a file name as they
-were), its file count (u32), each file's size (u64), each file's CRC-32
-(u32), its row count (u64), its column count (u32) and each column's kind
-(u8: 0 text, 1 int, 2 date text) and name (u32 length, UTF-8), then each of
-its chunks' length and CRC-32 (two u32), group by group and column by
-column.  The chunks lie in that order, table by table, so each chunk's
+length, then UTF-8 bytes), its file count (u32), each file's size (u64),
+each file's CRC-32 (u32), its row count (u64), its column count (u32) and
+each column's kind (u8: 0 text, 1 int, 2 date text) and name (u32 length,
+UTF-8), then each of its chunks' length and CRC-32 (two u32), group by
+group and column by column.  The chunks lie in that order, table by table, so each chunk's
 offset is the sum of the lengths before it and the file ends at the last
 one.
 
-A chunk is its encoding (u8: 0 text, 1 int64, 2 decimal text, for an int
-chunk with a value outside int64), its entry count (u16), the code of its
-null entry (u16, 0xFFFF when it has none), the entries, and the group's
-codes (uint16 each).  Int64 entries are int64s; text and decimal entries
-are the code-point offsets (u32, entry count + 1) of each entry in a UTF-8
-text that follows them.  The null entry is an empty text, or the int 0.
-A date text chunk's text is followed by two int64 arrays, each entry's
-earliest day, then each entry's latest day; two reversed pairs are
-sentinels: ``NO_DATE``, a text that does not parse, and ``PARSE_AT_READ``.
+A chunk is its encoding (u8: 0 text, 1 int64, as its column's kind), its
+entry count (u16), the code of its null entry (u16, 0xFFFF when it has
+none), the entries, and the group's codes (uint16 each).  Int64 entries
+are int64s; text entries are the code-point offsets (u32, entry count + 1)
+of each entry in a UTF-8 text that follows them.  The null entry is an
+empty text, or the int 0.  A date text chunk's text is followed by two
+int64 arrays, each entry's earliest day, then each entry's latest day; the
+reversed pair ``NO_DATE`` marks a text that does not parse.  Every cell
+int and every date's days are int64s (see :mod:`vdc.model`), so an image
+holds every value it is given.
 
 A vault is checked where it is read.  Opening the image checks its
 directory (CRC-32, version, the file's size, and each table's schema
@@ -49,11 +49,7 @@ lookup checks each of the table's files against its size and CRC-32 and
 every chunk of the table.  A fault is an IntegrityError naming the file (a
 changed file, or the snapshot directory of a corpus that gained or lost a
 document), and so is a snapshot without an image or with an image of
-another version: a vault is read from its image or not at all.  An image
-written under a higher int-string limit than the reading process's may
-hold a decimal entry of more digits than ``int()`` then converts; decoding
-it raises the SourceError a scan of the table raises for such a cell,
-naming the table's file, not a fault of the image.
+another version: a vault is read from its image or not at all.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ from itertools import accumulate, compress, pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .connectors import SourceHandle
-from .errors import IntegrityError, SourceError
+from .errors import IntegrityError
 from .model import (
     DATE_MEMO,
     ColumnDescriptor,
@@ -77,18 +73,16 @@ from .model import (
     Row,
     TableSchema,
     UncertainDate,
-    int_digit_limit,
-    over_digit_limit,
+    int64,
 )
 from .predicates import holds
 
 IMAGE = "vdc.cols"
 GROUP_ROWS = 4096
-VERSION = 2
-# a date text entry's stored days when it has no interval to store; a
-# valid interval never has earliest > latest
-NO_DATE = (1, 0)  # the text does not parse
-PARSE_AT_READ = (2, 0)  # left for the reader's parser: see colwriter.stored_days
+VERSION = 3
+# a date text entry's stored days when the text does not parse; a valid
+# interval never has earliest > latest
+NO_DATE = (1, 0)
 
 # the layout, shared with vdc.colwriter
 _MAGIC = b"VDCCOLS\n"
@@ -96,7 +90,7 @@ _HEAD = struct.Struct("<8sII")  # magic, version, directory length
 _TABLE = struct.Struct("<QI")  # rows, columns
 _CHUNK = struct.Struct("<BHH")  # encoding, entries, null code
 _NO_NULL = 0xFFFF
-_TEXT, _INT64, _DECIMAL = 0, 1, 2
+_TEXT, _INT64 = 0, 1
 # a column's kind byte: text, int, date text
 _KINDS = (
     (ColumnKind.TEXT, False),
@@ -184,7 +178,7 @@ class ColumnImage(Record):
                 raise ValueError("bad codes")
             col = t.schema.columns[column]
             kind = col.kind
-            if encoding not in ((_INT64, _DECIMAL) if kind is ColumnKind.INT else (_TEXT,)):
+            if encoding != (_INT64 if kind is ColumnKind.INT else _TEXT):
                 raise ValueError(f"encoding {encoding} in a column of kind {kind}")
             if encoding == _INT64:
                 if at + 8 * n != end:
@@ -208,15 +202,6 @@ class ColumnImage(Record):
                     values = [text[a:b] for a, b in pairwise(offsets)]
                 else:
                     values = {c: text[offsets[c]:offsets[c + 1]] for c in only}
-                if encoding == _DECIMAL:
-                    limit = int_digit_limit()
-                    for c in only:
-                        v = values[c]
-                        if len(v) > limit and len(v.lstrip("-")) > limit:
-                            # written under a higher limit: the scan's fault, not damage
-                            raise SourceError(f"{over_digit_limit('int', v)} in column {col.name!r}",
-                                              path=self.files[t.schema.name][0])
-                        values[c] = int(v) if v else None
                 if col.date_text:
                     _seed_dates(values, only, _array("q", data[days_at:end]), n)
             if null != _NO_NULL:
@@ -351,32 +336,23 @@ def _seed_dates(values: list | dict, only: Iterable[int], days: array, n: int) -
     ``values`` into :data:`vdc.model.DATE_MEMO`, where it has none."""
     earliest, latest = days[:n], days[n:]
     for c in compress(range(n), map(operator.gt, earliest, latest)):
-        if (earliest[c], latest[c]) not in (NO_DATE, PARSE_AT_READ):
-            raise ValueError(f"entry {c} has reversed days that are no sentinel")
+        if (earliest[c], latest[c]) != NO_DATE:
+            raise ValueError(f"entry {c} has reversed days that are not NO_DATE")
     memo = DATE_MEMO
     for c in only:
         text = values[c]
         if text not in memo:
             lo, hi = earliest[c], latest[c]
-            if lo <= hi:
-                memo[text] = UncertainDate(lo, hi)
-            elif (lo, hi) == NO_DATE:
-                memo[text] = None
+            memo[text] = UncertainDate(lo, hi) if lo <= hi else None
 
 
 def _key_cell(key: str, int_column: bool) -> int | str | None:
     """The key cell whose text (see :func:`vdc.model.cell_text`) is
-    ``key``, or None when no cell prints as it.  A key of more digits than
-    ``int()`` converts stays text: it matches no int cell, but the key
-    chunks are decoded, so an image that holds such a cell fails the
-    lookup as a scan fails."""
+    ``key``, or None when no cell prints as it."""
     if not int_column:
         return key
-    try:
-        cell = int(key)
-    except ValueError:
-        return key if len(key) > int_digit_limit() else None
-    return cell if str(cell) == key else None
+    cell = int64(key)
+    return cell if cell is not None and str(cell) == key else None
 
 
 def open_image(handle: SourceHandle) -> ColumnImage:
@@ -429,7 +405,7 @@ def _directory(data: bytes, start: int) -> dict[str, _Table]:
         at += 4 + n
         if at > len(data):
             raise ValueError("a name runs past the directory")
-        return data[at - n:at].decode("utf-8", "surrogateescape")
+        return data[at - n:at].decode("utf-8")
 
     (count,) = struct.unpack_from("<I", data)
     at = 4

@@ -19,14 +19,12 @@ from itertools import accumulate, islice
 from typing import Sequence
 
 from .colimage import (
-    GROUP_ROWS, IMAGE, NO_DATE, PARSE_AT_READ, VERSION, _CHUNK, _DECIMAL, _HEAD, _INT64,
-    _KINDS, _MAGIC, _NO_NULL, _TABLE, _TEXT, _file_crc,
+    GROUP_ROWS, IMAGE, NO_DATE, VERSION, _CHUNK, _HEAD, _INT64, _KINDS, _MAGIC, _NO_NULL,
+    _TABLE, _TEXT, _file_crc,
 )
 from .connectors import SourceHandle
 from .errors import ParseError, SourceError
-from .model import ColumnKind, int_digit_limit, parse_uncertain_date
-
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+from .model import ColumnKind, parse_uncertain_date
 
 
 def _le(a: array) -> bytes:
@@ -37,7 +35,7 @@ def _le(a: array) -> bytes:
 
 
 def _name(text: str) -> bytes:
-    data = text.encode("utf-8", "surrogateescape")
+    data = text.encode("utf-8")
     return struct.pack("<I", len(data)) + data
 
 
@@ -86,12 +84,12 @@ def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]]
     codes = array("H", [index.setdefault(v, len(index)) for v in cells])
     entries = list(index)
     null = index.get(None, _NO_NULL)
-    if kind is ColumnKind.INT and all(_INT64_MIN <= v <= _INT64_MAX for v in entries if v is not None):
+    if kind is ColumnKind.INT:
         encoding = _INT64
         values = _le(array("q", [0 if v is None else v for v in entries]))
     else:
-        encoding = _DECIMAL if kind is ColumnKind.INT else _TEXT
-        texts = ["" if v is None else str(v) for v in entries]
+        encoding = _TEXT
+        texts = ["" if v is None else v for v in entries]
         offsets = array("I", accumulate(map(len, texts), initial=0))
         values = _le(offsets) + "".join(texts).encode("utf-8")
         if dates is not None:
@@ -102,14 +100,9 @@ def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]]
 
 def stored_days(text: str) -> tuple[int, int]:
     """The (earliest, latest) day an image stores for a date text: its
-    interval, or a sentinel.  A text that does not parse gets
-    ``NO_DATE``.  An interval outside int64 gets ``PARSE_AT_READ``, and so
-    does a text longer than the int-string limit that does not parse,
-    since a reader under a higher limit may parse its year."""
+    interval, or ``NO_DATE`` when it does not parse."""
     try:
         d = parse_uncertain_date(text)
     except ParseError:
-        return PARSE_AT_READ if len(text) > int_digit_limit() else NO_DATE
-    if _INT64_MIN <= d.earliest_day and d.latest_day <= _INT64_MAX:
-        return d.earliest_day, d.latest_day
-    return PARSE_AT_READ
+        return NO_DATE
+    return d.earliest_day, d.latest_day

@@ -42,15 +42,14 @@ from unicodedata import normalize
 
 from .errors import NotFound, ParseError, SourceError
 from .model import (
+    IDENT_RE,
     ColumnDescriptor,
     ColumnKind,
     Row,
     TableSchema,
     cell_text,
-    int_digit_limit,
+    int64,
     nfc,
-    over_digit_limit,
-    parse_uncertain_date,
     refable,
 )
 from .predicates import holds, matches
@@ -122,7 +121,6 @@ def parse_sidecar(text: str, table: str, path: str) -> TableSchema:
 # --------------------------------------------------------------------------
 # tabular sources
 
-_INT_RE = re.compile(r"-?[0-9]+\Z")
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 
@@ -220,6 +218,9 @@ class TabularSource(SourceHandle):
         if not names:
             raise SourceError("tabular source has no .csv tables", path=path)
         for name in names:
+            if not IDENT_RE.match(name):
+                raise SourceError("table name is not an identifier ([A-Za-z_][A-Za-z0-9_]*)",
+                                  path=self.table_path(name))
             sidecar = os.path.join(path, name + ".schema")
             if not os.path.exists(sidecar):
                 raise SourceError("missing schema sidecar", path=sidecar)
@@ -319,24 +320,19 @@ def _check_header(header: list[str] | None, schema: TableSchema, path: str) -> N
 
 def _record_check(schema: TableSchema) -> Callable[[list[str]], str | None]:
     """The checks every reader of a table file applies to each CSV record,
-    as one function: the record's first fault (its arity, then the syntax
-    of each non-empty int cell and its number of digits, which may not
-    exceed what ``int()`` converts from text), or None."""
+    as one function: the record's first fault (its arity, then each
+    non-empty int cell that is no int64 text, see :func:`vdc.model.int64`),
+    or None."""
     width = len(schema.columns)
     ints = [(i, c.name) for i, c in enumerate(schema.columns) if c.kind is ColumnKind.INT]
-    int_syntax = _INT_RE.match
-    limit = int_digit_limit()
 
     def check(record: list[str]) -> str | None:
         if len(record) != width:
             return f"row arity {len(record)} != {width}"
         for i, name in ints:
             text = record[i]
-            if text:
-                if not int_syntax(text):
-                    return f"bad int {text!r} in column {name!r}"
-                if len(text) > limit and len(text.lstrip("-")) > limit:
-                    return f"{over_digit_limit('int', text)} in column {name!r}"
+            if text and int64(text) is None:
+                return f"bad int {text!r} in column {name!r}: not an int64"
         return None
 
     return check
@@ -460,12 +456,6 @@ class _DocBuilder:
         meta = self.meta
         if self.persons:
             meta["persons"] = "|".join(self.persons)
-        for key in ("not_before", "not_after"):
-            if key in meta:
-                try:
-                    parse_uncertain_date(meta[key])
-                except ParseError as e:
-                    raise ParseError(f"{key}={meta[key]!r} is not a valid date: {e}") from e
         body = nfc(re.sub(r"\s+", " ", "".join(self.body)).strip())
         return (self.id, *(meta.get(c.name) for c in DOCS_TABLE_COLUMNS[1:-1]), body or None)
 

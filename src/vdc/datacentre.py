@@ -46,14 +46,13 @@ from .errors import (
     VdcError,
 )
 from .mediation import (
-    IDENT_RE,
     CompiledView,
     IngestRecipe,
     RelationRef,
     TranslationTable,
     ViewDefinition,
 )
-from .model import ItemRef, Record, Row
+from .model import IDENT_RE, ItemRef, Record, Row
 from .predicates import matches
 
 if TYPE_CHECKING:  # vdc.textindex is imported by the methods that use it

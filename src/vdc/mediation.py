@@ -23,6 +23,7 @@ from .connectors import read_utf8, row_item_key
 from .errors import CoercionError, LoadError, ParseError, PlanError, SourceError
 from .model import (
     DATE_MEMO,
+    IDENT_RE,
     ColumnDescriptor,
     ColumnKind,
     Record,
@@ -34,8 +35,6 @@ from .model import (
     parse_uncertain_date,
 )
 from .predicates import Compare, Contains, DateWithin
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class RelationRef(Record):

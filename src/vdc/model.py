@@ -11,6 +11,9 @@ day-precise date, up to decades for a vague one.
 
 Cell values are plain Python objects: ``None`` (null), ``int``, ``str``
 (always NFC-normalized at the point of ingest) and :class:`UncertainDate`.
+A cell's int is an int64 (see :func:`int64`), and a date's year has at
+most 16 digits, so every interval's days, ``ca.`` widening included, are
+int64s too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-import sys
 import unicodedata
 from bisect import bisect_right
 from enum import Enum
@@ -165,17 +167,18 @@ def byte_offset(s: str, char_offset: int) -> int:
     return len(s[:char_offset].encode("utf-8"))
 
 
-def int_digit_limit() -> int:
-    """The most digits ``int()`` converts from text: Python's int-string
-    limit, or ``sys.maxsize`` when it is 0 or the interpreter has none."""
-    return getattr(sys, "get_int_max_str_digits", int)() or sys.maxsize
+_INT64_RE = re.compile(r"-?[0-9]{1,19}\Z")
 
 
-def over_digit_limit(what: str, text: str) -> str:
-    """The fault of ``what``, whose decimal ``text`` (an optional ``-`` and
-    digits) has more digits than :func:`int_digit_limit`."""
-    return (f"{what} of {len(text.lstrip('-'))} digits exceeds the limit of "
-            f"{int_digit_limit()} digits")
+def int64(text: str) -> int | None:
+    """The value of ``text`` as an int that vdc reads from outside (a
+    table's int cell, a ref's key, a query's integer literal): an optional
+    ``-`` and at most 19 ASCII digits whose value fits int64.  None for any
+    other text."""
+    if _INT64_RE.match(text) is None:
+        return None
+    value = int(text)
+    return value if -(1 << 63) <= value < 1 << 63 else None
 
 
 def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
@@ -187,11 +190,11 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
     m = _BOUND_RE.match(part)
     if not m:
         raise ParseError(f"malformed date {part!r}", offset=byte_offset(whole, base))
-    try:
-        year = int(m.group(1))
-    except ValueError:  # more digits than int() converts from text
-        raise ParseError(over_digit_limit("year", m.group(1)),
-                         offset=byte_offset(whole, base)) from None
+    digits = len(m.group(1).lstrip("-"))
+    if digits > 16:  # the most for which every interval has int64 days
+        raise ParseError(f"year of {digits} digits exceeds 16 digits",
+                         offset=byte_offset(whole, base))
+    year = int(m.group(1))
     if m.group(2) is None:
         return day_number(year, 1, 1), day_number(year, 12, 31)
     month = int(m.group(2))
@@ -216,7 +219,8 @@ def _parse_bound(part: str, whole: str, base: int) -> tuple[int, int]:
 def parse_uncertain_date(s: str) -> UncertainDate:
     """Parse a date text to an interval.
 
-    Accepted forms (Y = astronomical year, optionally negative):
+    Accepted forms (Y = astronomical year of at most 16 ASCII digits,
+    optionally negative):
     ``Y-MM-DD`` (zero width), ``Y-MM`` (whole month), ``Y`` (whole year),
     and ``lo/hi`` ranges whose bounds are any of those forms — which covers
     both the year-range form ``Y/Y`` and the canonical rendering emitted by
@@ -408,6 +412,9 @@ class TableSchema(Record):
 
 Row = tuple  # ordered cell values, positionally aligned with a TableSchema
 
+
+# An identifier: a name as queries, views and recipes spell it unquoted.
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Characters that would break the textual container formats refs travel in
 # (tab-separated index lines, comma-separated catalogue lines).

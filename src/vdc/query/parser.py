@@ -24,8 +24,8 @@ from ..model import (
     Record,
     UncertainDate,
     byte_offset,
+    int64,
     nfc,
-    over_digit_limit,
     parse_uncertain_date,
 )
 from ..predicates import COMPARE_OPS
@@ -173,20 +173,20 @@ class _Parser:
         return nfc(t.text[1:-1].replace("''", "'"))
 
     def integer(self, what: str) -> int:
-        neg = False
+        sign = ""
         t = self.peek()
         if t.kind == "symbol" and t.text == "-":
             self.next()
-            neg = True
+            sign = "-"
             t = self.peek()
         if t.kind != "int":
             self.fail(f"expected {what}")
         self.next()
-        try:
-            value = int(t.text)
-        except ValueError:  # more digits than int() converts from text
-            self.fail(over_digit_limit("integer literal", t.text), t)
-        return -value if neg else value
+        text = sign + t.text
+        value = int64(text)
+        if value is None:
+            self.fail(f"integer literal {text} is not an int64", t)
+        return value
 
     # -- grammar ----------------------------------------------------------
     def column(self) -> ColumnRef:

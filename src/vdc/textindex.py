@@ -26,8 +26,8 @@ from .atomic import write_atomic
 from .errors import IndexFormatError, IngestError, NotFound
 from .connectors import SourceHandle
 # perfbench/oracle.py imports parse_recipe_file from this module
-from .mediation import IDENT_RE, IngestRecipe, RelationRef, parse_recipe_file
-from .model import REF_FORBIDDEN_RE, ItemRef, Record, Row, cell_text
+from .mediation import IngestRecipe, RelationRef, parse_recipe_file
+from .model import IDENT_RE, REF_FORBIDDEN_RE, ItemRef, Record, Row, cell_text
 
 
 # --------------------------------------------------------------------------
@@ -300,13 +300,12 @@ def _unescape(v: str) -> str:
 
 
 def _nat(s: str | bytes) -> int:
-    """A non-negative decimal written in ASCII digits."""
+    """A non-negative decimal of at most 19 ASCII digits."""
     if not (s.isascii() and s.isdigit()):
         raise IndexFormatError(f"bad number {s!r} in index")
-    try:
-        return int(s)
-    except ValueError:  # more digits than int() converts from text
-        raise IndexFormatError(f"number of {len(s)} digits in index") from None
+    if len(s) > 19:
+        raise IndexFormatError(f"number of {len(s)} digits in index")
+    return int(s)
 
 
 def _text(b: bytes) -> str:

@@ -25,19 +25,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture()
-def int_digit_limit():
-    """Python's limit on the digits ``int()`` converts from text, set to
-    its default, 4,300, for the test and restored after it; the test is
-    skipped on an interpreter without the limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int digit limit in this interpreter")
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(before)
-
-
 @pytest.fixture(scope="session")
 def desk_fixtures(tmp_path_factory):
     """Seed-42 desk fixtures, generated once per session (read-only)."""

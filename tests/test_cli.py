@@ -10,10 +10,10 @@ import sys
 
 import pytest
 
-from vdc import mediation
+from vdc import mediation, model
 from vdc.cli import run
 from vdc.datacentre import Catalogue, catalogue_lock
-from vdc.errors import PlanError
+from vdc.errors import ParseError, PlanError
 from vdc.model import DATE_MEMO
 
 from helpers import FIXTURE_VIEWS
@@ -776,19 +776,46 @@ class TestCsvFieldLimit:
                        f"limit (131072) [{path}:3]\n")
 
 
-@pytest.mark.usefixtures("int_digit_limit")
-class TestIntDigitLimit:
-    """An int cell of more digits than int() converts from text is a data
-    error naming the file and line, for a query and for a vault add."""
+class TestXmlDateText:
+    def test_a_bad_date_attribute_is_a_coercion_warning(self, centre, tmp_path):
+        """A corpus date attribute is a date_text cell, as a table's is: a
+        text that does not parse is read as written, and a view's coercion
+        warns of it, live and vault alike; no scan of the corpus fails."""
+        cli, _, fx, _ = centre
+        src = tmp_path / "corpus"
+        shutil.copytree(os.path.join(fx, "iaph"), src)
+        doc = src / "i0000.xml"
+        data = doc.read_text(encoding="utf-8")
+        doc.write_text(data.replace('notBefore="0206"', 'notBefore="sometime"'), encoding="utf-8")
+        for mode in ("live", "vault"):
+            assert cli("source", "add", f"c_{mode}", "--kind", "xml", "--path", str(src),
+                       "--mode", mode)[0] == 0
+            view = tmp_path / f"{mode}.view"
+            view.write_text(f"view d_{mode}\nfrom c_{mode}.docs\ncoerce not_before date\nend\n")
+            assert cli("view", "define", str(view))[0] == 0
+            raw = cli("query", f"SELECT id, not_before FROM c_{mode}.docs WHERE id = 'i0000'")
+            assert raw == (0, "id,not_before\ni0000,sometime\n", "")
+            coerced = cli("query", f"SELECT id, not_before FROM d_{mode} WHERE id = 'i0000'")
+            assert coerced == (0, "id,not_before\ni0000,\n", "warning: cannot coerce "
+                               f"not_before='sometime' to date at c_{mode}/docs/i0000\n")
+            code, out, _ = cli("query", f"SELECT id FROM d_{mode}")
+            assert code == 0 and out.count("\n") == 1 + len(os.listdir(src))
+
+
+class TestInt64Boundary:
+    """An int is read from outside as an int64, and a date's year has at
+    most 16 digits, by every reader alike and whatever Python's int-string
+    limit: a cell out of range is a data error naming the file and line,
+    for a query and for a vault add."""
 
     def table(self, tmp_path):
         src = tmp_path / "big"
         src.mkdir()
         (src / "t.schema").write_text("id : int\nnote : text\n", encoding="utf-8")
-        (src / "t.csv").write_text(f"id,note\n{'1' * 5000},x\n", encoding="utf-8")
+        (src / "t.csv").write_text("id,note\n9223372036854775808,x\n", encoding="utf-8")
         return src
 
-    ERROR = "error: int of 5000 digits exceeds the limit of 4300 digits in column 'id'"
+    ERROR = "error: bad int '9223372036854775808' in column 'id': not an int64"
 
     def test_query_of_a_live_table(self, centre, tmp_path):
         cli, *_ = centre
@@ -808,23 +835,99 @@ class TestIntDigitLimit:
         assert open(cat, "rb").read() == before
         assert not os.path.exists(tmp_path / "catalogue.vdc.store" / "vault" / "big")
 
-    def test_vault_written_under_a_higher_limit(self, centre, tmp_path):
-        """A vault added while the limit was off keeps the cell in its
-        column image; read under the limit, the cell is the scan's data
-        error naming the vault's table, for a query and for a lookup by
-        its key, not a damaged image."""
-        cli, *_ = centre
-        src = self.table(tmp_path)
-        sys.set_int_max_str_digits(0)
-        assert cli("source", "add", "big", "--kind", "tabular", "--path", str(src),
-                   "--mode", "vault")[0] == 0
-        sys.set_int_max_str_digits(4300)
-        snapshot = tmp_path / "catalogue.vdc.store" / "vault" / "big"
-        fault = f"{self.ERROR[len('error: '):]} [{snapshot / 't.csv'}]"
-        assert cli("query", "SELECT * FROM big.t") == (2, "", f"error: {fault}\n")
-        code, out, err = cli("coll", "update", "c", "--add", f"big/t/{'1' * 5000}")
-        assert (code, out) == (2, "")
-        assert err.endswith(f": {fault}\n")
+    # an int cell's text: its value, or None where every reader refuses it
+    INTS = {
+        "9223372036854775807": 2**63 - 1,
+        "9223372036854775808": None,
+        "-9223372036854775808": -2**63,
+        "-9223372036854775809": None,
+        "00000000000000000007": None,  # 20 digits, though its value fits
+        "-0": 0,
+        "1" * 5000: None,  # past the int-string limit's default too
+    }
+    # a year's text, and whether it parses: at most 16 digits
+    YEARS = {"9" * 16: True, "-" + "9" * 16: True, "1" + "0" * 16: False, "-0" + "9" * 16: False,
+             "1" * 5000: False}
+
+    def readers(self, d, capsys) -> dict:
+        """What each reader makes of each text of ``INTS`` and ``YEARS``, in
+        a new catalogue under ``d``: exit codes, stdout and stderr, with
+        ``d`` written as ``<d>``."""
+        d.mkdir()
+
+        def cli(*argv):
+            code = run(["--catalogue", str(d / "c.vdc"), *argv])
+            out = capsys.readouterr()
+            return code, out.out, out.err.replace(str(d), "<d>")
+
+        def source(name, schema, lines):
+            (d / name).mkdir()
+            (d / name / "t.schema").write_text(schema, encoding="utf-8")
+            (d / name / "t.csv").write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+            return [cli("source", "add", f"{name}_{mode}", "--kind", "tabular",
+                        "--path", str(d / name), "--mode", mode) for mode in ("live", "vault")]
+
+        seen: dict = {}
+        for i, text in enumerate(self.INTS):
+            seen["add", text] = source(f"i{i}", "id : int\nnote : text\n", ["id,note", f"{text},x"])
+            seen["scan", text] = [cli("query", f"SELECT id, note FROM i{i}_{mode}.t")
+                                  for mode in ("live", "vault")]
+        keys = [str(v) for v in self.INTS.values() if v is not None]
+        source("keys", "id : int\nnote : text\n", ["id,note", *(f"{k},{k}" for k in keys)])
+        for text in self.INTS:
+            seen["key", text] = [cli("coll", "update", f"c_{mode}", "--add", f"keys_{mode}/t/{text}")
+                                 for mode in ("live", "vault")]
+            seen["literal", text] = cli("query", f"SELECT note FROM keys_live.t WHERE id = {text}")
+        source("dates", "id : int\nd : date_text\n",
+               ["id,d", *(f"{i},{y}" for i, y in enumerate(self.YEARS))])
+        for mode in ("live", "vault"):
+            view = d / f"{mode}.view"
+            view.write_text(f"view v_{mode}\nfrom dates_{mode}.t\ncoerce d date\nend\n")
+            assert cli("view", "define", str(view))[0] == 0
+            seen["coerce", mode] = cli("query", f"SELECT id, d FROM v_{mode}")
+        for year in self.YEARS:
+            seen["date literal", year] = cli(
+                "query", f"SELECT id FROM v_live WHERE DATE_WITHIN(d, '{year}', 'ca. {year}')")
+            try:
+                seen["parse", year] = model.parse_uncertain_date(f"ca. {year}")
+            except ParseError as e:
+                seen["parse", year] = str(e)
+        return seen
+
+    def test_every_reader_accepts_the_same_texts(self, tmp_path, capsys):
+        seen = self.readers(tmp_path / "default", capsys)
+        for text, value in self.INTS.items():
+            live, vault = seen["add", text]
+            assert live[0] == 0 and vault[0] == (0 if value is not None else 2), text
+            if value is None:
+                error = f"{text!r} in column 'id': not an int64 [<d>/i"
+                assert error in vault[2] and vault[2].endswith("/t.csv:2]\n"), vault
+                live_scan, vault_scan = seen["scan", text]
+                assert live_scan[0] == 2 and error in live_scan[2]
+                assert vault_scan == (2, "", f"error: no source 'i{list(self.INTS).index(text)}_vault'\n")
+                assert "integer literal" in seen["literal", text][2]
+            else:
+                assert [s[1] for s in seen["scan", text]] == [f"id,note\n{value},x\n"] * 2
+                assert seen["literal", text][:2] == (0, f"note\n{value}\n")
+            # a key names a cell by its text, so "-0" names the cell 0 no more than "00" would
+            resolves = value is not None and str(value) == text
+            assert [k[0] for k in seen["key", text]] == [0 if resolves else 2] * 2, text
+        live, vault = seen["coerce", "live"], seen["coerce", "vault"]
+        assert (live[0], live[1]) == (vault[0], vault[1])
+        assert live[2].replace("dates_live/", "dates_vault/") == vault[2]
+        for i, (year, parses) in enumerate(self.YEARS.items()):
+            row = next(line for line in live[1].splitlines() if line.startswith(f"{i},"))
+            assert (row != f"{i},") == parses, row
+            assert (f"dates_live/t/{i}" in live[2]) != parses
+            assert seen["date literal", year][0] == (0 if parses else 2), year
+            assert isinstance(seen["parse", year], str) != parses
+        if hasattr(sys, "set_int_max_str_digits"):  # the limit decides none of it
+            before = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)
+            try:
+                assert self.readers(tmp_path / "640", capsys) == seen
+            finally:
+                sys.set_int_max_str_digits(before)
 
 
 class TestFixturesViaCli:

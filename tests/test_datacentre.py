@@ -6,6 +6,7 @@ import random
 import re
 import shutil
 import struct
+import sys
 import tempfile
 import zlib
 from array import array
@@ -19,7 +20,7 @@ from vdc import connectors, mediation, textindex
 from vdc.atomic import write_atomic
 from vdc.connectors import row_item_key
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
-from vdc.colimage import IMAGE, NO_DATE, PARSE_AT_READ
+from vdc.colimage import IMAGE, NO_DATE
 from vdc.colwriter import stored_days
 from vdc.errors import (
     AccessDenied,
@@ -167,7 +168,8 @@ def _first_rows(cat: Catalogue, source_id: str, table: str) -> dict:
     return first
 
 
-_INT_KEYS = ["007", "7", "-0", "0", "-12", "12", "", "123456789012345678901234567890"]
+_INT_KEYS = ["007", "7", "-0", "0", "-12", "12", "", "9223372036854775807", "-9223372036854775808",
+             "0000000000000000007"]
 _TEXT_KEYS = ["e\u0301", "\u00e9", "plain", "a b", "a,b", "a\tb", "x\ny", "x\r\ny", "", "\u00e9/\u00e9",
               'q"q', "TABLE", "END 00000000", "sp "]
 _CELLS = ["", "v", "multi\nline", "crlf\r\ncell", "cr\rcell", "comma, here", 'quote "q"', "\u00fc"]
@@ -195,7 +197,8 @@ class TestColumnImage:
             cat.register_source("s", "tabular", os.path.join(tmp, "src"), AccessMode.VAULT)
             cat.register_source("live", "tabular", os.path.join(tmp, "src"), AccessMode.LIVE)
             first = _first_rows(cat, "live", "t")  # a scan of the CSV, not the image
-            wanted = [k for k in first if refable(k)] + ["absent", "07", "+7", " 7", "٣"]
+            wanted = [k for k in first if refable(k)] + ["absent", "07", "+7", " 7", "٣",
+                                                         "9223372036854775808"]
             looked_up = cat.open_handle("s").lookup("t", wanted)
             assert looked_up == {k: first[k] for k in wanted if k in first}
             for key in wanted:
@@ -283,18 +286,44 @@ class TestColumnImage:
         }  # "a\r\nb" is a key no ref can name
         assert cat.open_handle("s").lookup("t", ["\udcff", "c\udcff"]) == {}
 
-    def test_table_name_that_is_not_utf8(self, tmp_path):
+    def test_table_name_that_is_not_utf8(self, tmp_path, capsys):
+        """A table is named by its file's stem, which must be an identifier,
+        as a query, recipe or ref spells it: a stem that is not UTF-8 is
+        refused at the open, naming the file, and ``source add`` exits 2
+        with the catalogue and the store unchanged."""
+        self.refuses(tmp_path, capsys, b"t\xff")
+
+    @pytest.mark.parametrize("stem", [b"a b", b"x,y", b"1t", b"t-2", b"t.v", "\u00e9".encode()])
+    def test_table_name_that_is_no_identifier(self, tmp_path, capsys, stem):
+        self.refuses(tmp_path, capsys, stem)
+
+    @staticmethod
+    def refuses(tmp_path, capsys, stem: bytes):
+        from vdc.cli import run
+
         d = tmp_path / "src"
         d.mkdir()
-        name = os.fsencode(str(d)) + b"/t\xff"
+        name = os.fsencode(str(d)) + b"/" + stem
         with open(name + b".schema", "wb") as f:
             f.write(b"id : int\nv : text\n")
         with open(name + b".csv", "wb") as f:
             f.write(b"id,v\n1,one\n2,two\n")
+        path = os.fsdecode(name + b".csv")
+        with pytest.raises(SourceError) as e:
+            connectors.open_source("s", "tabular", str(d))
+        assert e.value.path == path and "not an identifier" in e.value.message
         cat = Catalogue(str(tmp_path / "c.vdc"))
-        cat.register_source("s", "tabular", str(d), AccessMode.VAULT)
-        assert cat.open_handle("s").image is not None
-        assert cat.fetch_record(ItemRef("s", "t\udcff", "2")) == (2, "two")
+        cat.persist()
+        before = open(cat.path, "rb").read()
+        sys.stderr.reconfigure(errors="backslashreplace")  # as a process's stderr is
+        shown = str(e.value).encode("utf-8", "backslashreplace").decode("utf-8")
+        for mode in ("live", "vault"):
+            code = run(["--catalogue", cat.path, "source", "add", "s", "--kind", "tabular",
+                        "--path", str(d), "--mode", mode])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {shown}\n"
+            assert open(cat.path, "rb").read() == before
+        assert not os.path.exists(tmp_path / "c.vdc.store" / "vault" / "s")
 
     def test_original_holding_the_image_name_is_refused(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
@@ -338,8 +367,7 @@ class TestColumnImage:
 # the cells of the image-scan property's tables, as CSV texts: nulls beside
 # empty strings, int64 edges and wider ints, NFD, non-BMP and NUL text, and
 # quoted line breaks
-_IMAGE_INTS = ["", "0", "-0", "007", "-1", str(2**63 - 1), str(-2**63), str(2**63),
-               str(-2**63 - 1), "123456789012345678901234567890"]
+_IMAGE_INTS = ["", "0", "-0", "007", "-1", str(2**63 - 1), str(-2**63), "0000000000000000001"]
 _IMAGE_TEXTS = ["", "a", "A", "é", "é", "\U0001d11e clef", "nul\x00nul", "x\ny",
                 "x\r\ny", "cr\r", 'q"q', "a,b", " sp "]
 _IMAGE_DATES = ["", "0150", "0150-03", "0150-03-15", "ca. 0200", "0150/0160", "not a date"]
@@ -463,8 +491,8 @@ def _int_chunk(values: list[int]) -> bytes:
 # its one file's size and CRC-32 follow its file count, and its row count
 # is the u64 at byte 41
 IMAGE_FAULTS = [
-    ("version", lambda i: _redirect(i, lambda h: h[:8] + struct.pack("<I", 1) + h[12:]),
-     "column image has version 1, not 2; add the source again"),
+    ("version", lambda i: _redirect(i, lambda h: h[:8] + struct.pack("<I", 2) + h[12:]),
+     "column image has version 2, not 3; add the source again"),
     ("sidecars", lambda i: _redirect(i, lambda h: h.replace(b"note", b"nope")),
      "column image does not match the tables' sidecars"),
     ("name-length", lambda i: _redirect(i, lambda h: h[:20] + struct.pack("<I", 1000) + h[24:]),
@@ -489,7 +517,7 @@ IMAGE_FAULTS = [
     ("date-reversed", lambda i: _resign(i, 3, _date_chunk([0, 4, 4, 5], b"0150x",
                                                          [_DAYS_0150, NO_DATE, (5, 4)])),
      "column image is damaged: chunk 3 of row group 0 of table 't': "
-     "entry 2 has reversed days that are no sentinel"),
+     "entry 2 has reversed days that are not NO_DATE"),
 ]
 
 
@@ -540,7 +568,7 @@ def _date_entries(chunk: bytes, rows: int) -> dict[str, tuple[int, int]]:
 
 
 _PAD = st.sampled_from(["", " ", "\t", "  "])
-# years near 0, and years whose days pass the int64 range (about +-2.5e16)
+# years near 0, and years on both sides of the 16-digit cap
 _YEAR = st.one_of(st.integers(-3000, 3000), st.integers(-3 * 10**16, 3 * 10**16),
                   st.integers(-10**30, 10**30))
 _BOUND = st.builds(
@@ -559,8 +587,8 @@ class TestStoredDays:
     registration, and decoding them seeds the coercion memo."""
 
     @given(texts=st.lists(_DATE_TEXT, min_size=1, max_size=30))
-    @example(texts=["0150", f"{10**16}", f"ca. -{10**16}", f"{10**17}", f"-{10**17}-02",
-                    f"0001/{10**17}", " 0150-02-29 ", "0150/0140", "ca. ", ""])
+    @example(texts=["0150", f"{10**16}", f"ca. -{10**16 - 1}", f"ca. {10**16 - 1}-12-31",
+                    f"-{10**17}-02", f"0001/{10**17}", " 0150-02-29 ", "0150/0140", "ca. ", ""])
     @settings(max_examples=80, deadline=None)
     def test_each_entry_stores_its_parse(self, texts):
         with tempfile.TemporaryDirectory() as tmp:
@@ -580,18 +608,19 @@ class TestStoredDays:
             except ParseError:
                 assert days == NO_DATE and DATE_MEMO[text] is None, text
                 continue
-            if -2**63 <= date.earliest_day and date.latest_day < 2**63:
-                assert days == (date.earliest_day, date.latest_day) and DATE_MEMO[text] == date
-            else:  # the reader parses it
-                assert days == PARSE_AT_READ and text not in DATE_MEMO, text
+            assert days == (date.earliest_day, date.latest_day) and DATE_MEMO[text] == date
             assert mediation.coerce_date(text) == date
 
-    def test_a_year_past_the_digit_limit_is_parsed_at_read(self, int_digit_limit):
-        """A year of more digits than ``int()`` converts fails the parse
-        here, but a reader under a higher limit would parse it."""
-        year = "1" * (int_digit_limit + 1)
-        assert stored_days(year) == stored_days(f"ca. {year}") == PARSE_AT_READ
-        assert stored_days("x" * 20) == NO_DATE
+    def test_every_interval_that_parses_has_int64_days(self):
+        """A year has at most 16 digits, so the widest interval, ``ca.``
+        widening included, has int64 days; a year of 17 digits does not
+        parse, whatever its value."""
+        year = "9" * 16
+        lo, hi = stored_days(f"ca. -{year}/{year}")
+        assert -2**63 <= lo < -3 * 10**18 and 3 * 10**18 < hi < 2**63
+        assert stored_days("0" * 15 + "1") == stored_days("0001")
+        for text in ("1" * 17, f"ca. -{'0' * 17}", f"0001/{'1' * 17}-01", "x" * 20):
+            assert stored_days(text) == NO_DATE, text
 
 
 class TestColumnImageFaults:
@@ -690,7 +719,7 @@ class TestColumnImageFaults:
         wrong = {
             0: [key[:-2] + struct.pack("<H", n_key),  # a code past the entries
                 key[:-2],  # one code short
-                b"\x02" + key[1:],  # decimal text in place of int64
+                b"\x02" + key[1:],  # an encoding no image version 3 writes
                 key[:3] + struct.pack("<H", 0) + key[5:]],  # a null code on an int
             1: [title[:5] + struct.pack("<I", 1) + title[9:],  # offsets do not start at 0
                 title[:9] + struct.pack("<I", 10**6) + title[13:],  # an offset past the text

@@ -421,10 +421,8 @@ class TestRowMapping:
         row, warns = cv.apply(0, (1, "Memphis", None, "Brief"))
         assert row[2] is None and row[3] == "letter" and warns == []
 
-    @pytest.mark.parametrize("text", ["13th of March", "1" * 5000])
-    def test_unparseable_date_collected_not_fatal(self, text, request):
-        if len(text) > 4300:  # a year of more digits than int() converts from text
-            request.getfixturevalue("int_digit_limit")
+    @pytest.mark.parametrize("text", ["13th of March", "1" * 17, "1" * 5000])
+    def test_unparseable_date_collected_not_fatal(self, text):
         cv = self.compiled()
         row, warns = cv.apply(0, (1, "Memphis", text, "Brief"))
         assert row[2] is None

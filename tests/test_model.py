@@ -143,14 +143,15 @@ class TestParseDates:
         assert e.value.offset == 12
 
     @pytest.mark.parametrize("prefix, offset", [("", 0), ("-", 0), ("ca. ", 4), ("-0100/", 6)])
-    def test_year_over_the_digit_limit(self, prefix, offset, int_digit_limit):
-        """A year of more digits than int() converts from text (the sign is
-        not a digit) is a ParseError at its bound."""
-        with pytest.raises(ParseError) as e:
-            parse_uncertain_date(prefix + "1" * 4301 + "-01")
-        assert e.value.message == "year of 4301 digits exceeds the limit of 4300 digits"
-        assert e.value.offset == offset
-        assert parse_uncertain_date(prefix + "1" * 4300 + "-01")
+    def test_year_of_more_than_16_digits(self, prefix, offset):
+        """A year has at most 16 digits (the sign is not a digit, a leading
+        zero is): more is a ParseError at its bound."""
+        for year in ("1" * 17, "0" * 16 + "1", "1" * 5000):
+            with pytest.raises(ParseError) as e:
+                parse_uncertain_date(prefix + year + "-01")
+            assert e.value.message == f"year of {len(year)} digits exceeds 16 digits"
+            assert e.value.offset == offset
+        assert parse_uncertain_date(prefix + "9" * 16 + "-01")
 
     def test_whitespace_trimmed(self):
         assert parse_uncertain_date("  0213 ") == parse_uncertain_date("0213")

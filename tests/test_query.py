@@ -116,27 +116,31 @@ class TestParser:
         "SELECT id FROM t WHERE id = {}", "SELECT id FROM t WHERE id > -{}",
         "SELECT id FROM t LIMIT {}",
     ])
-    def test_int_literal_over_the_digit_limit(self, template, tmp_path, capsys, int_digit_limit):
-        text = template.format("7" * 5000)
+    @pytest.mark.parametrize("digits", ["9223372036854775809", "0" * 19 + "1", "7" * 5000],
+                             ids=["2^63+1", "20 digits", "5000 digits"])
+    def test_int_literal_outside_int64(self, template, digits, tmp_path, capsys):
+        text = template.format(digits)
         with pytest.raises(ParseError) as e:
             parse_query(text)
-        at = text.index("7")
+        at = text.index(digits)
+        literal = text[at - 1:at + len(digits)].lstrip(" =>")
         assert e.value.offset == at
-        assert str(e.value) == (
-            f"integer literal of 5000 digits exceeds the limit of 4300 digits (byte {at})")
+        assert str(e.value) == f"integer literal {literal} is not an int64 (byte {at})"
         cat = Catalogue(str(tmp_path / "catalogue.vdc"))
         cat.persist()
         assert run(["--catalogue", cat.path, "query", text]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {e.value}\n"
-        parse_query(template.format("7" * 4300))  # at the limit, it parses
+        parse_query(template.format("9223372036854775807"))  # at the bound, it parses
+        parse_query(template.format("0" * 18 + "1"))
 
-    def test_date_literal_year_over_the_digit_limit(self, int_digit_limit):
-        text = f"SELECT id FROM t WHERE DATE_WITHIN(d, '0100', '{'1' * 5000}')"
+    def test_date_literal_year_of_more_than_16_digits(self):
+        text = f"SELECT id FROM t WHERE DATE_WITHIN(d, '0100', '{'1' * 17}')"
         with pytest.raises(ParseError) as e:
             parse_query(text)
         assert e.value.offset == text.index("'1")
-        assert e.value.message.endswith(": year of 5000 digits exceeds the limit of 4300 digits")
+        assert e.value.message.endswith(": year of 17 digits exceeds 16 digits")
+        parse_query(text.replace("1" * 17, "1" * 16))
 
     def test_bad_date_within_literal_reports_its_offset_in_the_query(self):
         text = "SELECT id FROM papyri_en WHERE DATE_WITHIN(date, 'ca. 0100', '0100/0090')"

@@ -785,16 +785,22 @@ class TestIndexFormat:
         assert "out of order" in str(e.value)
 
     @pytest.mark.parametrize("section", [b"END ", b"TOC "])
-    def test_a_number_of_more_digits_than_int_converts(self, tmp_path, int_digit_limit, section):
-        """A footer or section table number longer than ``int()`` converts
-        from text is a format error, not a ValueError."""
+    def test_a_number_of_more_than_19_digits(self, tmp_path, section):
+        """A footer or section table number of more than 19 digits, leading
+        zeros among them, is a format error, not a ValueError; one of 19
+        digits reads as its value."""
         data = build(mini_recipe(), [doc("d", "a")]).data
         at = data.rindex(b"\n" + section) + 1 + len(section)
+        width = len(re.match(rb"[0-9]+", data[at:]).group())
         p = str(tmp_path / "n.idx")
-        with open(p, "wb") as f:
-            f.write(resign(data[:at] + b"9" * (int_digit_limit + 1) + data[at:]))
-        with pytest.raises(IndexFormatError, match=r"^number of \d+ digits in index$"):
-            read_index(p)
+        for digits in (19, 20, 5000):
+            with open(p, "wb") as f:
+                f.write(resign(data[:at] + b"0" * (digits - width) + data[at:]))
+            if digits == 19:
+                assert search(read_index(p), SearchQuery(("a",)))
+                continue
+            with pytest.raises(IndexFormatError, match=rf"^number of {digits} digits in index$"):
+                read_index(p)
 
     @pytest.mark.parametrize(
         "line,hits_fault",
