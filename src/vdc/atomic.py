@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import os
+from typing import BinaryIO, Callable
 
 
-def write_atomic(path: str, data: bytes) -> None:
+def write_atomic(path: str, data: bytes | Callable[[BinaryIO], object]) -> None:
     """Write ``data`` to ``path`` all at once.
 
-    The bytes go to a temp file in the same directory, which then replaces
-    ``path`` with ``os.replace``: a concurrent reader sees the old file or
-    the new one, never a partial write.  On failure the temp file is
-    removed and ``path`` is left as it was.
+    ``data`` is the bytes, or a function that writes them, in as many
+    calls as it likes, to the binary file it is given; the file is open
+    for reading too, so the function may check what it wrote.  The bytes
+    go to a temp file in the same directory, which then replaces ``path``
+    with ``os.replace``: a concurrent reader sees the old file or the new
+    one, never a partial write.  On failure, of the write or of the
+    function, the temp file is removed and ``path`` is left as it was.
 
     A replaced file keeps its mode; a new one gets ``0o666`` less the
     umask, as ``open`` would give it, not the temp file's private 0600.
@@ -29,7 +33,10 @@ def write_atomic(path: str, data: bytes) -> None:
     try:
         os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            if callable(data):
+                data(f)
+            else:
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -488,8 +488,9 @@ class Catalogue:
 
     def build_index(self, collection: str, recipe: IngestRecipe) -> tuple[str, list[str]]:
         """Ingest + index + publish: returns (index path, ingest warnings).
-        The scanned rows stream into the index a batch at a time; none is
-        kept."""
+        The scanned rows stream into the build's pass one a batch at a
+        time, none kept, so an ingest fault raises before any file is made;
+        the image is then written to the file as it is encoded."""
         from . import textindex
 
         _check_name(collection, "collection name", CollectionError)

@@ -4,7 +4,9 @@ Rows and corpus documents are mapped into a generic document model by small
 declarative recipes (their grammar is in ``vdc.mediation``), a batch of rows
 at a time, indexed into per-field postings lists, and searched by keyword
 conjunctions, optionally restricted to one field or a geographic bounding
-box.
+box.  A build reads its rows once into a compact pass-one state, then
+encodes the index image and writes it to the file as it is encoded, a
+block at a time, so the whole image is never held.
 
 Index files are deterministic: the same document set always produces the
 same bytes, regardless of input order, so a published index can be compared,
@@ -18,9 +20,10 @@ import math
 import re
 import unicodedata
 import zlib
+from array import array
 from collections import Counter
 from itertools import chain, count, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_atomic
 from .errors import IndexFormatError, IngestError, NotFound
@@ -266,9 +269,10 @@ def _parse_geo(lat_t: str | None, lon_t: str | None) -> tuple[float, float] | No
 #   TOC <byte offset of each section header line>...
 #   END <doc count> <term count> <crc32 of all preceding bytes, 8 hex digits>
 #
-# Values escape backslash, tab, LF and CR as \\ \t \n \r.  Opening an image
-# checks the footer, the checksum and the section table; the rest is decoded
-# on demand, by the same code whether the image was just built or read.
+# Values escape backslash, tab, LF and CR as \\ \t \n \r.  The encoder
+# writes an image in file order as it encodes it.  Opening an image checks
+# the footer, the checksum and the section table; the rest is decoded on
+# demand, by the same code whether the image was just encoded or read.
 
 INDEX_MAGIC = "VDCIDX 2"
 _V1_MAGIC = "VDCIDX 1"
@@ -366,15 +370,16 @@ class InvertedIndex:
     and a DOCS line when its document is returned or filtered by location;
     decoded parts are kept, so an index held in memory decodes each once.
     Structural faults surface as ``IndexFormatError`` when the faulty part
-    is decoded.  The image is a file's bytes, or the bytearray a build
-    encoded it into, which nothing writes to afterwards.
+    is decoded.  The image is a file's bytes, the bytearray a build was
+    encoded into, or a just-written file mapped for its check; nothing
+    writes to it afterwards.
     """
 
     def __init__(self, data: bytes | bytearray):
         self.data = data
         first = data.find(b"\n")
         self.relation = _header_relation(data[:first] if first >= 0 else data)
-        if not data.endswith(b"\n"):
+        if data[-1:] != b"\n":
             raise IndexFormatError("index file is truncated (no final newline)")
         foot = data.rfind(b"\n", 0, len(data) - 1) + 1
         m = _FOOTER_RE.fullmatch(data, foot)
@@ -555,80 +560,75 @@ class InvertedIndex:
         return self.doc(self.data.count(b"\n", self._docs_start, at + 1))
 
 
+class IndexBuild(Record):
+    """What pass one of an index build keeps, for the encoder to write.
+
+    ``relation`` is the source relation's text.  ``lines`` holds the DOCS
+    lines in input order, one after the other, and ``starts`` where each
+    begins, then where the last ends.  ``order`` lists the input positions
+    by ordinal.  ``fields`` pairs each indexed field, in name order, with
+    its raw words: each maps to the input position of its one occurrence,
+    or to an ``array("I")`` of the position of each of its occurrences.
+    Encoding empties the containers as it writes them, so a build is
+    encoded once."""
+
+    __slots__ = ("relation", "lines", "starts", "order", "fields")
+
+
 def build_index(
     batches: Iterable[Batch],
     recipe: IngestRecipe,
     stored_whitelist: Iterable[str] | None = None,
-) -> InvertedIndex:
-    """Index the rows of ``batches`` deterministically: ordinals follow
-    ascending doc_id.
+) -> IndexBuild:
+    """Pass one of an index build: read ``batches`` once into an
+    ``IndexBuild``, whose ordinals follow ascending doc_id.
 
-    ``batches`` is read once.  Each row leaves only its encoded DOCS line
-    and, per indexed field, its input position on the list of each raw
-    (white-space separated) word of the field, once per occurrence; words
-    are folded into terms and term frequencies counted at write-out, by
-    ``_field_sections``.  That gives the terms of ``tokenize`` because
-    white space splits a text the same before folding as after: no white
-    space code point is cased, case-ignorable or composes under NFC.
-    Ordinals are assigned after the pass, so the input may be in any order
-    and is never held whole.  The refs are the item keys under the
-    recipe's relation.  ``stored_whitelist`` masks manifest field values
-    for sources that only publish their index: non-whitelisted fields keep
-    their name but store ``-``.  Postings are unaffected (published terms
-    are the point).
+    Each row leaves only its encoded DOCS line and, per indexed field, its
+    input position on the entry of each raw (white-space separated) word
+    of the field, once per occurrence; words are folded into terms and
+    term frequencies counted as the postings are encoded.  That gives the
+    terms of ``tokenize`` because white space splits a text the same
+    before folding as after: no white space code point is cased,
+    case-ignorable or composes under NFC.  Ordinals are assigned after the
+    pass, so the input may be in any order and is never held whole; a
+    repeated doc id raises IngestError here, before anything is written.
+    The refs are the item keys under the recipe's relation.
+    ``stored_whitelist`` masks manifest field values for sources that only
+    publish their index: non-whitelisted fields keep their name but store
+    ``-``.  Postings are unaffected (published terms are the point).
     """
     allow = None if stored_whitelist is None else set(stored_whitelist)
     head = _escape(f"{recipe.source.source_id}/{recipe.source.table}/")
     fields = sorted(recipe.indexed)
-    words: list[dict[str, list[int]]] = [{} for _ in fields]  # raw word -> input positions
+    words: list[dict[str, int | array]] = [{} for _ in fields]  # raw word -> input position(s)
     ids: list[str] = []
-    lines: list[bytes] = []  # DOCS lines by input position
+    lines = bytearray()  # DOCS lines by input position
+    starts = array("Q", [0])  # where each line starts, then the end of the last
     for batch in batches:
-        # one int object per position, shared by every field's word lists
-        positions = list(range(len(ids), len(ids) + len(batch.ids)))
+        first = len(ids)
         ids += batch.ids
-        lines += _docs_lines(batch, head, allow)
+        for line in _docs_lines(batch, head, allow):
+            lines += line
+            starts.append(len(lines))
         columns = dict(batch.fields, body=batch.body)
         for field, found in zip(fields, words):
-            for pos, text in zip(positions, columns.get(field, ())):
+            for pos, text in zip(count(first), columns.get(field, ())):
                 if text:
                     for word in text.split():
                         at = found.get(word)
                         if at is None:
-                            found[word] = [pos]
+                            found[word] = pos
                         else:
-                            at.append(pos)
+                            try:
+                                at.append(pos)
+                            except AttributeError:  # the word's second occurrence
+                                found[word] = array("I", (at, pos))
 
-    order = sorted(range(len(ids)), key=ids.__getitem__)  # input positions by ordinal
+    order = array("I", sorted(range(len(ids)), key=ids.__getitem__))
     for p, q in zip(order, order[1:]):
         if ids[p] == ids[q]:  # the first equal neighbours hold the smallest repeated id
             raise IngestError(f"duplicate doc id {ids[p]!r} in index input")
-    del ids
-
-    out = bytearray(f"{INDEX_MAGIC} {recipe.source.text()}\n".encode("utf-8"))
-    sections = [len(out)]
-    out += f"DOCS {len(order)}\n".encode("utf-8")
-    doc_offsets = []
-    for p in order:
-        doc_offsets.append(len(out))
-        out += lines[p]
-    docs_end = len(out)
-    del lines
-
-    ordinal = [0] * len(order)  # input position -> ordinal
-    for o, p in enumerate(order):
-        ordinal[p] = o
-    n_terms = 0
-    for field, positions in zip(fields, words):
-        n_terms += _field_sections(out, sections, field, positions, ordinal)
-
-    width = len(str(docs_end))
-    sections.append(len(out))
-    out += f"DOCOFFSETS {width}\n".encode("utf-8")
-    out += "".join(str(o).zfill(width) for o in doc_offsets).encode("ascii") + b"\n"
-    out += ("TOC " + " ".join(map(str, sections)) + "\n").encode("ascii")
-    out += f"END {len(order)} {n_terms} {zlib.crc32(out):08x}\n".encode("ascii")
-    return InvertedIndex(out)
+    return IndexBuild(recipe.source.text(), lines, starts, order, list(zip(fields, words)))
 
 
 def _escape_column(col: Sequence[str | None]) -> Sequence[str | None]:
@@ -662,21 +662,91 @@ def _docs_lines(batch: Batch, head: str, allow: set[str] | None) -> list[bytes]:
     return list(map(str.encode, map("".join(fmt).__mod__, zip(*cols))))
 
 
+# The encoder passes an image on in blocks of about this many bytes.
+_BLOCK = 1 << 16
+
+
+class _Blocks:
+    """The bytes of an image as they are encoded.  ``buf`` takes them;
+    ``spill`` passes what it holds to ``write`` and empties it, keeping
+    the CRC-32 and the count of the bytes passed on.  The encoder spills
+    once ``buf`` holds ``_BLOCK`` bytes, so ``write`` must copy what it
+    keeps."""
+
+    def __init__(self, write: Callable[[bytearray], object]):
+        self.buf = bytearray()
+        self.write = write
+        self.crc = 0
+        self.passed = 0
+
+    def offset(self) -> int:
+        return self.passed + len(self.buf)
+
+    def spill(self) -> None:
+        self.crc = zlib.crc32(self.buf, self.crc)
+        self.passed += len(self.buf)
+        self.write(self.buf)
+        self.buf.clear()
+
+
+def _encode(build: IndexBuild, write: Callable[[bytearray], object]) -> None:
+    """Encode a build's image, passing it to ``write`` block by block in
+    file order; each part of the build is released once it is written.
+    The byte offsets that the DOCOFFSETS, TERMS and TOC sections record
+    and the CRC-32 that the END line ends with are kept as the bytes go,
+    so no block is held once it is passed on."""
+    lines, starts, order = build.lines, build.starts, build.order
+    n_docs = len(order)
+    out = _Blocks(write)
+    buf = out.buf
+    buf += f"{INDEX_MAGIC} {build.relation}\n".encode("utf-8")
+    sections = [out.offset()]
+    buf += f"DOCS {n_docs}\n".encode("utf-8")
+    at = out.offset()  # of the next DOCS line
+    doc_offsets = array("Q")
+    for p in order:
+        doc_offsets.append(at)
+        line = lines[starts[p] : starts[p + 1]]
+        at += len(line)
+        buf += line
+        if len(buf) >= _BLOCK:
+            out.spill()
+    lines.clear()
+    del starts[:]
+
+    ordinal = [0] * n_docs  # input position -> ordinal
+    for o, p in enumerate(order):
+        ordinal[p] = o
+    del order[:]
+    n_terms = 0
+    for field, words in build.fields:
+        n_terms += _field_sections(out, sections, field, words, ordinal)
+
+    width = len(str(at))  # at is the end of the DOCS lines
+    sections.append(out.offset())
+    buf += f"DOCOFFSETS {width}\n".encode("utf-8")
+    buf += "".join([str(o).zfill(width) for o in doc_offsets]).encode("ascii") + b"\n"
+    buf += ("TOC " + " ".join(map(str, sections)) + "\n").encode("ascii")
+    out.spill()
+    buf += f"END {n_docs} {n_terms} {out.crc:08x}\n".encode("ascii")
+    out.spill()
+
+
 def _field_sections(
-    out: bytearray, sections: list[int], field: str, words: dict[str, list[int]],
+    out: _Blocks, sections: list[int], field: str, words: dict[str, int | array],
     ordinal: list[int],
 ) -> int:
-    """Append a field's POSTINGS section (one line per term, in term order:
+    """Encode a field's POSTINGS section (one line per term, in term order:
     ``ord:tf`` by ascending ordinal) and its TERMS section (the byte span
-    of each line) to ``out``; records both header offsets in ``sections``
-    and returns the term count.
+    of each line) into ``out``; records both header offsets in
+    ``sections`` and returns the term count.
 
-    ``words`` maps each raw word of the field to the input position of
-    each of its occurrences, and is emptied.  Each word is tokenized once;
-    a term's occurrences are the positions of every word that yields it,
-    as many times as it does, and its tf in a document is the count of
-    that document's ordinal among them."""
-    pooled: dict[str, list[list[int]]] = {}  # term -> the position lists of its words
+    ``words`` maps each raw word of the field to the input position of its
+    occurrence or positions of its occurrences, and is emptied.  Each word
+    is tokenized once; a term's occurrences are the positions of every
+    word that yields it, as many times as it does, and its tf in a
+    document is the count of that document's ordinal among them."""
+    pooled: dict[str, list[int | array]] = {}  # term -> the positions of its words
     for word, at in words.items():
         for term in tokenize(word):
             parts = pooled.get(term)
@@ -686,29 +756,55 @@ def _field_sections(
                 parts.append(at)
     words.clear()
 
-    sections.append(len(out))
-    out += f"POSTINGS {field}\n".encode("utf-8")
-    dictionary = []
-    for term in sorted(pooled):
+    buf = out.buf
+    sections.append(out.offset())
+    buf += f"POSTINGS {field}\n".encode("utf-8")
+    at = out.offset()  # of the next postings line
+    dictionary = bytearray()
+    terms = sorted(pooled)
+    for term in terms:
         parts = pooled.pop(term)
-        if len(parts) == 1 and len(parts[0]) == 1:  # a single occurrence
-            line = b"%d:1\n" % ordinal[parts[0][0]]
+        if len(parts) == 1 and type(parts[0]) is int:  # a single occurrence
+            line = b"%d:1\n" % ordinal[parts[0]]
         else:
+            positions = chain.from_iterable((p,) if type(p) is int else p for p in parts)
             # ordinal -> tf, by ordinal
-            tf = Counter(sorted(map(ordinal.__getitem__, chain.from_iterable(parts))))
+            tf = Counter(sorted(map(ordinal.__getitem__, positions)))
             line = (",".join(["%d:%d"] * len(tf)) % tuple(chain.from_iterable(tf.items()))
                     + "\n").encode("ascii")
-        dictionary.append(f"{term}\t{len(out)}\t{len(line) - 1}\n")
-        out += line
-    sections.append(len(out))
-    out += f"TERMS {field} {len(dictionary)}\n".encode("utf-8")
-    out += "".join(dictionary).encode("utf-8")
-    return len(dictionary)
+        dictionary += f"{term}\t{at}\t{len(line) - 1}\n".encode("utf-8")
+        at += len(line)
+        buf += line
+        if len(buf) >= _BLOCK:
+            out.spill()
+    sections.append(out.offset())
+    buf += f"TERMS {field} {len(terms)}\n".encode("utf-8") + dictionary
+    return len(terms)
 
 
-def write_index(index: InvertedIndex, path: str) -> None:
-    """Publish an index's image atomically."""
-    write_atomic(path, index.data)
+def encode_index(build: IndexBuild) -> InvertedIndex:
+    """A build's index in memory, its image encoded by the encoder that
+    ``write_index`` writes a file with."""
+    image = bytearray()
+    _encode(build, image.extend)
+    return InvertedIndex(image)
+
+
+def write_index(build: IndexBuild, path: str) -> None:
+    """Publish a build's index at ``path`` atomically.  The image is
+    written to the temp file as it is encoded, a block at a time; the
+    written file is then checked as ``InvertedIndex`` checks an image
+    (footer, checksum, section table and headers) before it replaces
+    ``path``, and a fault raises IndexFormatError with ``path`` as it was."""
+    import mmap  # here: only an index build maps its file
+
+    def write(f: BinaryIO) -> None:
+        _encode(build, f.write)
+        f.flush()
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as written:
+            InvertedIndex(written)
+
+    write_atomic(path, write)
 
 
 def read_index(path: str) -> InvertedIndex:
@@ -720,7 +816,6 @@ def read_index(path: str) -> InvertedIndex:
     except OSError as e:
         raise IndexFormatError(f"cannot read index: {e}") from e
     return InvertedIndex(data)
-
 
 # --------------------------------------------------------------------------
 # search

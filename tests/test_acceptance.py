@@ -10,6 +10,7 @@ import random
 import shutil
 import time
 
+from vdc.atomic import write_atomic
 from vdc.cli import run as cli_run
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import AccessDenied, SourceError
@@ -25,6 +26,7 @@ from vdc.mediation import parse_recipe_file
 from vdc.textindex import (
     SearchQuery,
     build_index,
+    encode_index,
     read_index,
     search,
     tokenize,
@@ -224,7 +226,7 @@ class TestAcceptance:
             open(os.path.join(fx, "recipes", "volterra.recipe"), encoding="utf-8").read()
         )
         docs, _ = cat.ingest(recipe)
-        index = build_index(doc_batches(docs, recipe), recipe)
+        index = encode_index(build_index(doc_batches(docs, recipe), recipe))
 
         vocabulary = sorted({t for d in docs for t in tokenize(d.body)})
         field_text = {
@@ -443,7 +445,7 @@ class TestAcceptance:
         index_ok = True
         for coll, path in cat.indexes.items():
             rewritten = str(tmp_path / (coll + ".rewrite"))
-            write_index(read_index(path), rewritten)
+            write_atomic(rewritten, read_index(path).data)
             if open(path, "rb").read() != open(rewritten, "rb").read():
                 index_ok = False
 

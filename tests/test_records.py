@@ -34,7 +34,7 @@ from vdc.query.parser import (
     Token,
 )
 from vdc.query.planner import BDateNear, Plan, Term
-from vdc.textindex import Batch, DocEntry, Document, SearchQuery
+from vdc.textindex import Batch, DocEntry, Document, IndexBuild, SearchQuery
 
 RELATION = object()  # stands in for a Relation, which equals only itself
 
@@ -63,6 +63,7 @@ def frozen_records() -> list:
         Document("d", item, (("title", "T"),), "body", (31.25, -0.5)),
         Batch(("k/1",), ("d",), (("title", ("T",)),), ("body",), None),
         DocEntry("d", "s/t/k/1", None, (("title", "T"),)),
+        IndexBuild("s.t", b"s/t/k/1\td\t-\t-\n", (0, 12), (0,), (("body", (("b", 0),)),)),
         ColumnImage("/p/vdc.cols", (("t", None),), (("t", ("/p/t.csv",)),)),
         Token("ident", "id", 7), a, RelationTerm("s.t", "x"),
         JoinSpec(RelationTerm("v", None), a, b), CompareAst(a, "=", "x", 9),

@@ -9,6 +9,7 @@ import random
 import re
 import shutil
 import sys
+import threading
 import tracemalloc
 import unicodedata
 import zlib
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdc import colimage, connectors, textindex
+from vdc.atomic import write_atomic
 from vdc.cli import run as cli_run
 from vdc.datacentre import AccessMode, Catalogue
 from vdc.errors import (
@@ -40,6 +42,7 @@ from vdc.textindex import (
     _escape_column,
     _unescape,
     build_index,
+    encode_index,
     ingest_documents,
     iter_batches,
     read_index,
@@ -316,8 +319,15 @@ def mini_recipe(indexed=("body",)):
 
 
 def build(recipe, docs, whitelist=None, size=None):
-    """``build_index`` over documents, turned into batches of ``size``."""
-    return build_index(doc_batches(docs, recipe, size), recipe, whitelist)
+    """The index of documents, turned into batches of ``size``, encoded
+    into memory."""
+    return encode_index(build_index(doc_batches(docs, recipe, size), recipe, whitelist))
+
+
+def publish(recipe, docs, path, whitelist=None, size=None):
+    """The index of documents, turned into batches of ``size``, written to
+    ``path`` as an index build publishes it."""
+    write_index(build_index(doc_batches(docs, recipe, size), recipe, whitelist), path)
 
 
 class TestBuildIndex:
@@ -338,13 +348,13 @@ class TestBuildIndex:
         shuffled = docs[:]
         rng.shuffle(shuffled)
         p1, p2 = str(tmp_path / "a.idx"), str(tmp_path / "b.idx")
-        write_index(build(mini_recipe(), docs), p1)
-        write_index(build(mini_recipe(), shuffled), p2)
+        publish(mini_recipe(), docs, p1)
+        publish(mini_recipe(), shuffled, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_empty_index_round_trips(self, tmp_path):
         p = str(tmp_path / "e.idx")
-        write_index(build(mini_recipe(), []), p)
+        publish(mini_recipe(), [], p)
         idx = read_index(p)
         assert idx.n_docs == 0
         assert idx.indexed_fields() == ["body"] and idx.terms("body") == {}
@@ -539,7 +549,7 @@ def batch_outcome(rows, recipe, size):
         mp.setattr(textindex, "BATCH_ROWS", size)
         try:
             warnings = []
-            data = build_index(iter_batches(handle, recipe, warnings), recipe).data
+            data = encode_index(build_index(iter_batches(handle, recipe, warnings), recipe)).data
             docs, ingest_warnings = ingest_documents(handle, recipe)
         except IngestError as e:
             return str(e)
@@ -588,7 +598,7 @@ class TestBatchCuts:
         recipe = parse_recipe_file(_ROW_RECIPE.format("id"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textindex, "BATCH_ROWS", size)
-            for run in (lambda: build_index(iter_batches(handle, recipe, []), recipe),
+            for run in (lambda: encode_index(build_index(iter_batches(handle, recipe, []), recipe)),
                         lambda: ingest_documents(handle, recipe)):
                 with pytest.raises(IngestError) as e:
                     run()
@@ -670,7 +680,7 @@ class TestIndexFormat:
         ]
         idx = build(mini_recipe(("body", "title")), docs)
         p = str(tmp_path / "t.idx")
-        write_index(idx, p)
+        publish(mini_recipe(("body", "title")), docs, p)
         return idx, p
 
     def test_round_trip_structural_equality(self, tmp_path):
@@ -701,7 +711,7 @@ class TestIndexFormat:
     def test_rewrite_is_byte_identical(self, tmp_path):
         idx, p = self.make(tmp_path)
         p2 = str(tmp_path / "t2.idx")
-        write_index(read_index(p), p2)
+        write_atomic(p2, read_index(p).data)
         assert open(p, "rb").read() == open(p2, "rb").read()
 
     def test_failed_write_keeps_previous_index(self, tmp_path, monkeypatch):
@@ -727,7 +737,7 @@ class TestIndexFormat:
 
         monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
         with pytest.raises(OSError):
-            write_index(build(mini_recipe(), [doc("d3", "other words")]), p)
+            publish(mini_recipe(), [doc("d3", "other words")], p)
         monkeypatch.undo()
         assert open(p, "rb").read() == before
         assert os.listdir(tmp_path) == ["t.idx"]
@@ -759,7 +769,7 @@ class TestIndexFormat:
         """A checksum-valid file whose dictionary lists zeta before beta:
         the search that decodes the dictionary rejects it."""
         p = str(tmp_path / "u.idx")
-        write_index(build(mini_recipe(), [doc("d", "beta zeta")]), p)
+        publish(mini_recipe(), [doc("d", "beta zeta")], p)
         data = open(p, "rb").read()
         swapped = (data.replace(b"\nbeta\t", b"\n____\t").replace(b"\nzeta\t", b"\nbeta\t")
                    .replace(b"\n____\t", b"\nzeta\t"))
@@ -774,7 +784,7 @@ class TestIndexFormat:
     def test_bad_ordinals_rejected(self, tmp_path):
         """A checksum-valid file whose postings list repeats ordinal 0."""
         p = str(tmp_path / "o.idx")
-        write_index(build(mini_recipe(), [doc("d", "a"), doc("e", "a")]), p)
+        publish(mini_recipe(), [doc("d", "a"), doc("e", "a")], p)
         data = open(p, "rb").read()
         assert data.count(b"\n0:1,1:1\n") == 1
         with open(p, "wb") as f:
@@ -825,6 +835,260 @@ class TestIndexFormat:
             idx.doc(1)
         with pytest.raises(IndexFormatError, match="^bad DOCS line$"):
             idx.geos([0, 1])
+
+
+# documents whose cells escape, whose words are seen once, twice and many
+# times, some with a location, for the tests of the two sinks
+_SINK_DOCS = [
+    Document(f"d{i:03d}", ItemRef("s", "t", f"d{i:03d}"),
+             {"title": f"T {i}\tx\n=" if i % 5 == 0 else f"title {i % 4}",
+              "place": "back\\slash" if i % 7 == 0 else "p"},
+             f"many{' twice' if i in (3, 40) else ''} once{i} "
+             + ("Λόγος λόγος" if i % 3 else "a\\b"),
+             (31.25, -0.5) if i % 2 else None)
+    for i in range(300)
+]
+
+
+def two_sinks(recipe, docs, path, whitelist=None, size=None) -> tuple[bytes, bytes]:
+    """The image of one build encoded into memory and that of another of
+    the same documents written to ``path``."""
+    image = build(recipe, docs, whitelist, size).data
+    publish(recipe, docs, path, whitelist, size)
+    with open(path, "rb") as f:
+        return bytes(image), f.read()
+
+
+class TestTwoSinks:
+    """One encoder writes an image into memory and into the published
+    file: the two are equal byte for byte, and the written file is whole
+    however the encoder's blocks fall."""
+
+    @pytest.mark.parametrize("block", [1, 100, textindex._BLOCK])
+    @pytest.mark.parametrize("whitelist", [None, ("title",)])
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_memory_and_file_are_equal(self, tmp_path, monkeypatch, block, whitelist, size):
+        monkeypatch.setattr(textindex, "_BLOCK", block)
+        recipe = mini_recipe(("body", "title"))
+        shuffled = _SINK_DOCS[:]
+        random.Random(size).shuffle(shuffled)
+        p = str(tmp_path / "s.idx")
+        image, written = two_sinks(recipe, shuffled, p, whitelist, size)
+        assert image == written
+        assert two_sinks(recipe, _SINK_DOCS, p, whitelist) == (image, image)
+        idx = read_index(p)
+        assert idx.postings("body", "many") == {o: 1 for o in range(300)}
+        assert idx.postings("body", "twice") == {3: 1, 40: 1}
+        assert idx.postings("body", "once7") == {7: 1}
+        assert idx.postings("body", "λόγος") == {o: 2 for o in range(300) if o % 3}
+        assert idx.doc(5).stored == {"title": "T 5\tx\n=", "place": "-" if whitelist else "p"}
+        assert idx.doc(0).stored["place"] == ("-" if whitelist else "back\\slash")
+
+    @given(docs=documents(), rnd=st.randoms(use_true_random=False),
+           whitelist=st.sampled_from([None, ("title",)]), size=st.sampled_from([1, 2, 3, None]),
+           block=st.sampled_from([1, 5, 64, textindex._BLOCK]))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_documents(self, tmp_path_factory, docs, rnd, whitelist, size, block):
+        rnd.shuffle(docs)
+        p = str(tmp_path_factory.mktemp("sinks") / "g.idx")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textindex, "_BLOCK", block)
+            image, written = two_sinks(mini_recipe(("body", "title")), docs, p, whitelist, size)
+        assert image == written
+        assert read_index(p).n_docs == len(docs)
+
+    def test_encoding_empties_the_build(self):
+        recipe = mini_recipe(("body", "title"))
+        state = build_index(doc_batches(_SINK_DOCS, recipe), recipe)
+        assert state.lines and state.order and all(words for _, words in state.fields)
+        assert encode_index(state).n_docs == 300
+        assert (not state.lines and not state.starts and not state.order
+                and not any(words for _, words in state.fields))
+
+    def test_words_seen_once_keep_no_array(self):
+        """A word seen once holds its input position; from its second
+        occurrence, an array of one position per occurrence."""
+        recipe = mini_recipe(("body",))
+        docs = [doc("a", "x y y"), doc("b", "y z"), doc("c", "y")]
+        [(field, words)] = build_index(doc_batches(docs, recipe), recipe).fields
+        assert field == "body"
+        assert words["x"] == 0 and words["z"] == 1
+        assert words["y"].typecode == "I" and list(words["y"]) == [0, 0, 1, 2]
+
+
+DEMO_ROWS = [
+    "1,Alpha stone,Memphis,alpha beta alpha,31.2,29.9",
+    "2,Beta papyrus,Thebes,beta gamma,91.0,20.0",
+    "3,Gamma list,Memphis,delta,,",
+]
+
+
+class TestStreamedPublish:
+    """An index build writes its image as it encodes it, to a temp file
+    beside the published one: a failure leaves the published index, the
+    store and the catalogue as they were, and a reader sees the old index
+    or the new one."""
+
+    @pytest.fixture()
+    def centre(self, tmp_path, capsys):
+        """A catalogue on disk with a live source and its published index
+        ``texts``: (catalogue path, recipe path, index path)."""
+        write_tabular(tmp_path / "src", DEMO_ROWS)
+        c = str(tmp_path / "c.vdc")
+        recipe = tmp_path / "demo.recipe"
+        recipe.write_text(RECIPE, encoding="utf-8")
+        assert cli_run(["--catalogue", c, "source", "add", "src", "--kind", "tabular",
+                        "--path", str(tmp_path / "src"), "--mode", "live"]) == 0
+        assert cli_run(["--catalogue", c, "index", "build", "texts",
+                        "--recipe", str(recipe)]) == 0
+        capsys.readouterr()
+        return c, str(recipe), str(tmp_path / "c.vdc.store" / "index" / "texts.idx")
+
+    def failed_build(self, centre, capsys) -> str:
+        """Run an index build that is to fail; check that it exits 2 and
+        that the index, its directory and the catalogue are unchanged.
+        Returns the error line."""
+        c, recipe, idx = centre
+        before = {p: open(p, "rb").read() for p in (c, idx)}
+        code = cli_run(["--catalogue", c, "index", "build", "texts", "--recipe", recipe])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert {p: open(p, "rb").read() for p in (c, idx)} == before
+        assert os.listdir(os.path.dirname(idx)) == ["texts.idx"]
+        return err
+
+    def test_a_write_failing_partway(self, tmp_path, centre, capsys, monkeypatch):
+        """The disk fills after two blocks of a new image: the temp file
+        goes, and the published index stays as it was."""
+        write_tabular(tmp_path / "src", DEMO_ROWS + ["4,Delta stone,Thebes,epsilon zeta,,"])
+        monkeypatch.setattr(textindex, "_BLOCK", 64)
+        real_fdopen = os.fdopen
+        blocks = []
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def write(self, data):
+                if len(blocks) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                blocks.append(bytes(data))
+                return self.f.write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FullDisk(real_fdopen(*a, **kw)))
+        err = self.failed_build(centre, capsys)
+        assert "No space left on device" in err
+        assert len(blocks) == 2 and blocks[0].startswith(b"VDCIDX 2 src.t\nDOCS 4\n")
+        monkeypatch.undo()
+        c, recipe, idx = centre
+        assert cli_run(["--catalogue", c, "index", "build", "texts", "--recipe", recipe]) == 0
+        assert sum(map(len, blocks)) < os.path.getsize(idx)  # the failure was partway
+        assert read_index(idx).n_docs == 4
+
+    def test_a_lost_block_is_caught_before_publish(self, tmp_path, centre, capsys,
+                                                   monkeypatch):
+        """A block the file never got, with no error from the write: the
+        check of the written file refuses it before it replaces the
+        index."""
+        write_tabular(tmp_path / "src", DEMO_ROWS + ["4,Delta stone,Thebes,epsilon zeta,,"])
+        monkeypatch.setattr(textindex, "_BLOCK", 64)
+        real_fdopen = os.fdopen
+
+        class LosingFile:
+            def __init__(self, f):
+                self.f = f
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def write(self, data):
+                self.writes += 1
+                return len(data) if self.writes == 2 else self.f.write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: LosingFile(real_fdopen(*a, **kw)))
+        assert self.failed_build(centre, capsys) == (
+            "error: index checksum mismatch: the file is damaged\n")
+
+    @pytest.mark.parametrize("row,fault", [
+        ("2,Again,Thebes,x,,", "duplicate doc id '2'"),
+        ("x4,Bad,Thebes,x,,", "not an int64"),
+    ])
+    def test_an_ingest_fault(self, tmp_path, centre, capsys, monkeypatch, row, fault):
+        """A fault of the batches raises in pass one, before any file is
+        made."""
+        import tempfile
+
+        write_tabular(tmp_path / "src", DEMO_ROWS + [row])
+        made = []
+        real_mkstemp = tempfile.mkstemp
+        monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **kw: made.append(a) or
+                            real_mkstemp(*a, **kw))
+        assert fault in self.failed_build(centre, capsys)
+        assert made == []
+
+    def test_a_reader_during_a_build(self, tmp_path, centre, capsys, monkeypatch):
+        """A build paused after its first block: ``read_index`` and ``vdc
+        search`` see the old bytes, and see the new ones once it has
+        published."""
+        c, recipe, idx = centre
+        old = open(idx, "rb").read()
+
+        def search(term):
+            assert cli_run(["--catalogue", c, "search", "texts", term]) == 0
+            return capsys.readouterr().out
+
+        old_hits = search("alpha")
+        assert "1,src/t/1" in old_hits
+        write_tabular(tmp_path / "src", ["7,Other stone,Thebes,alpha omega,,"])
+        monkeypatch.setattr(textindex, "_BLOCK", 32)
+        paused, resume = threading.Event(), threading.Event()
+        real_encode = textindex._encode
+
+        def paused_encode(state, write):
+            def hooked(block):
+                write(block)
+                if not paused.is_set():
+                    paused.set()
+                    assert resume.wait(30)
+
+            real_encode(state, hooked)
+
+        monkeypatch.setattr(textindex, "_encode", paused_encode)
+        codes = []
+        builder = threading.Thread(target=lambda: codes.append(cli_run(
+            ["--catalogue", c, "index", "build", "texts", "--recipe", recipe])))
+        builder.start()
+        try:
+            assert paused.wait(30)
+            [temp] = [n for n in os.listdir(os.path.dirname(idx)) if n != "texts.idx"]
+            assert temp.startswith(".texts.idx.")
+            assert read_index(idx).data == old
+            assert search("alpha") == old_hits
+        finally:
+            resume.set()
+            builder.join(30)
+        assert codes == [0]
+        assert open(idx, "rb").read() != old
+        assert read_index(idx).n_docs == 1
+        assert search("alpha") == "doc_id,ref,score\n7,src/t/7,1\n"
+        assert os.listdir(os.path.dirname(idx)) == ["texts.idx"]
 
 
 def resign(data: bytes) -> bytes:
@@ -1104,7 +1368,7 @@ class TestSearch:
                 for i in ids]
         built = build(mini_recipe(("body", "title")), docs)
         p = str(tmp_path_factory.mktemp("oracle") / "o.idx")
-        write_index(built, p)
+        publish(mini_recipe(("body", "title")), docs, p)
 
         terms = tuple(
             tokenize(data.draw(st.sampled_from(words)))[0]
