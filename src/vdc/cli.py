@@ -108,6 +108,8 @@ def _build_parser() -> _Parser:
     i_build = index.add_parser("build", help="ingest + build + publish an index")
     i_build.add_argument("collection")
     i_build.add_argument("--recipe", required=True)
+    i_verify = index.add_parser("verify", help="decode and check all of a published index")
+    i_verify.add_argument("collection")
 
     se = sub.add_parser("search", help="search a published index")
     se.add_argument("collection")
@@ -223,6 +225,13 @@ def _cmd_index_build(args) -> int:
     return _mutate(args, fn)
 
 
+def _cmd_index_verify(args) -> int:
+    cat = _load_catalogue(args.catalogue)
+    print(f"verified {args.collection}: {cat.get_index(args.collection).verify()}",
+          file=sys.stderr)
+    return EXIT_OK
+
+
 def _cmd_search(args) -> int:
     from . import textindex  # only the index commands load it
 
@@ -333,6 +342,7 @@ def run(argv: list[str]) -> int:
         ("query", None): _cmd_query,
         ("ingest", None): _cmd_ingest,
         ("index", "build"): _cmd_index_build,
+        ("index", "verify"): _cmd_index_verify,
         ("search", None): _cmd_search,
         ("coll", "update"): _cmd_coll_update,
         ("coll", "resolve"): _cmd_coll_resolve,

@@ -23,7 +23,8 @@ import zlib
 from array import array
 from collections import Counter
 from itertools import chain, count, islice
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import eq
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_atomic
 from .errors import IndexFormatError, IngestError, NotFound
@@ -31,6 +32,9 @@ from .connectors import SourceHandle
 # perfbench/oracle.py imports parse_recipe_file from this module
 from .mediation import IngestRecipe, RelationRef, parse_recipe_file
 from .model import IDENT_RE, REF_FORBIDDEN_RE, ItemRef, Record, Row, cell_text
+
+if TYPE_CHECKING:  # only an index build maps a file
+    import mmap
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +323,28 @@ def _text(b: bytes) -> str:
         raise IndexFormatError(f"invalid UTF-8 in index: {e}") from e
 
 
+# An image's CRC-32 is computed in blocks of this many bytes, a multiple of
+# the page size.
+_CRC_BLOCK = 1 << 18
+
+
+def _crc32(data: bytes | bytearray | mmap.mmap, end: int) -> int:
+    """The CRC-32 of ``data[:end]``, computed a block at a time.  Where
+    ``data`` maps a file, each block's pages are let go once the CRC has
+    passed them, so checking a written index never holds all of it."""
+    release = getattr(data, "madvise", None)
+    if release is not None:
+        from mmap import MADV_DONTNEED  # here: only an index build maps its file
+    crc = 0
+    with memoryview(data) as view:
+        for at in range(0, end, _CRC_BLOCK):
+            n = min(_CRC_BLOCK, end - at)
+            crc = zlib.crc32(view[at : at + n], crc)
+            if release is not None:
+                release(MADV_DONTNEED, at, n)
+    return crc
+
+
 def _geo(lat: str, lon: str, ordinal: int) -> tuple[float, float] | None:
     if lat == "-" and lon == "-":
         return None
@@ -365,14 +391,16 @@ class InvertedIndex:
     """Per-field postings over a fixed document set, held as one VDCIDX 2
     image and decoded on demand.
 
-    Ordinals follow ascending doc_id.  A field's term dictionary is decoded
-    the first time the field is searched, a postings line when its term is,
-    and a DOCS line when its document is returned or filtered by location;
-    decoded parts are kept, so an index held in memory decodes each once.
-    Structural faults surface as ``IndexFormatError`` when the faulty part
-    is decoded.  The image is a file's bytes, the bytearray a build was
-    encoded into, or a just-written file mapped for its check; nothing
-    writes to it afterwards.
+    Ordinals follow ascending doc_id.  A search finds each of its terms by
+    bisecting the field's sorted TERMS section in place, reading a few of
+    its lines; a postings line is decoded when its term is searched, and a
+    DOCS line when its document is returned or filtered by location.
+    Decoded postings and DOCS lines are kept, so an index held in memory
+    decodes each once.  Only ``terms``, which ``verify`` calls, decodes a
+    whole dictionary.  Structural faults surface as ``IndexFormatError`` when the
+    faulty part is decoded.  The image is a file's bytes, the bytearray a
+    build was encoded into, or a just-written file mapped for its check;
+    nothing writes to it afterwards.
     """
 
     def __init__(self, data: bytes | bytearray):
@@ -386,7 +414,7 @@ class InvertedIndex:
         if m is None:
             raise IndexFormatError("index file is truncated (no END footer)")
         n_docs, n_terms = _nat(m[1]), _nat(m[2])
-        if zlib.crc32(memoryview(data)[:foot]) != int(m[3], 16):
+        if _crc32(data, foot) != int(m[3], 16):
             raise IndexFormatError("index checksum mismatch: the file is damaged")
 
         toc = data.rfind(b"\n", 0, foot - 1) + 1
@@ -434,9 +462,9 @@ class InvertedIndex:
             or (n_docs and _nat(data[self._table : self._table + self._width]) != self._docs_start)
         ):
             raise IndexFormatError("bad DOCOFFSETS section")
-        # decoded on first use and kept: term dictionaries by field,
-        # postings by (field, term), and all DOCS lines
-        self._decoded_terms: dict[str, dict[str, tuple[str, str]]] = {}
+        # kept once checked or decoded: the fields whose TERMS sections
+        # were counted, postings by (field, term), and all DOCS lines
+        self._counted: set[str] = set()
         self._decoded_postings: dict[tuple[str, str], dict[int, int]] = {}
         self._lines: list[str] | None = None
 
@@ -444,19 +472,86 @@ class InvertedIndex:
         return list(self._postings_spans)
 
     def terms(self, field: str) -> dict[str, tuple[str, str]]:
-        """A field's term dictionary, decoded on first use: term -> the
-        (offset, length) digits of its postings line."""
-        d = self._decoded_terms.get(field)
-        if d is None:
-            start, end, count = self._terms_spans[field]
-            cells = _text(self.data[start:end]).replace("\n", "\t").split("\t")
-            if len(cells) != 3 * count + 1:
+        """A field's whole term dictionary, decoded and checked in full:
+        term -> the (offset, length) digits of its postings line.  A
+        search never calls it; see ``term_span``."""
+        start, end, count = self._terms_spans[field]
+        cells = _text(self.data[start:end]).replace("\n", "\t").split("\t")
+        if len(cells) != 3 * count + 1:
+            raise IndexFormatError(f"bad TERMS section for field {field!r}")
+        names = cells[0:-1:3]
+        if (names and not names[0]) or not all(map(str.__lt__, names, names[1:])):
+            raise IndexFormatError(f"terms out of order in field {field!r}")
+        return dict(zip(names, zip(cells[1::3], cells[2::3])))
+
+    def term_span(self, field: str, term: str) -> tuple[str, str] | None:
+        """``terms(field).get(term)``, found by bisecting the field's
+        TERMS section in place.
+
+        The section's lines are sorted by name, and UTF-8 byte order is
+        code point order, so the bisection compares encoded names.  It
+        reads one line per step: the line that holds the middle byte of
+        the span left.  Its checks: the section holds as many newlines as
+        the header counts terms and twice as many tabs; every name read is
+        UTF-8, is not empty, and sorts strictly between the names already
+        read on either side of it; the line where the bisection ends (the
+        term's line, the first after it or, past the end, the last) sorts
+        strictly between its two neighbours; and the term's line has three
+        cells."""
+        start, end, count = self._terms_spans[field]
+        data = self.data
+        if field not in self._counted:
+            if data.count(b"\n", start, end) != count or data.count(b"\t", start, end) != 2 * count:
                 raise IndexFormatError(f"bad TERMS section for field {field!r}")
-            names = cells[0:-1:3]
-            if (names and not names[0]) or not all(map(str.__lt__, names, names[1:])):
+            self._counted.add(field)
+        if not count:
+            return None
+        key = term.encode("utf-8")
+        # lines before lo sort before the term, lines from hi on do not;
+        # low and high are the names of the lines just before lo and at hi
+        lo, hi, low, high = start, end, None, None
+        while lo < hi:
+            at = self._line_start(lo, (lo + hi) // 2)
+            line_end = data.find(b"\n", at, hi)
+            name = self._term_name(field, at, line_end)
+            if (low is not None and name <= low) or (high is not None and name >= high):
                 raise IndexFormatError(f"terms out of order in field {field!r}")
-            d = self._decoded_terms[field] = dict(zip(names, zip(cells[1::3], cells[2::3])))
-        return d
+            if name < key:
+                lo, low = line_end + 1, name
+            else:
+                hi, high = at, name
+        if lo == end:  # past the last line: check the last
+            lo = self._line_start(start, end - 1)
+        line_end = data.find(b"\n", lo, end)
+        name = self._term_name(field, lo, line_end)
+        if lo > start and self._term_name(field, self._line_start(start, lo - 1), lo - 1) >= name:
+            raise IndexFormatError(f"terms out of order in field {field!r}")
+        after = line_end + 1
+        if after < end and name >= self._term_name(field, after, data.find(b"\n", after, end)):
+            raise IndexFormatError(f"terms out of order in field {field!r}")
+        if name != key:
+            return None
+        cells = _text(data[lo:line_end]).split("\t")
+        if len(cells) != 3:
+            raise IndexFormatError(f"bad TERMS section for field {field!r}")
+        return cells[1], cells[2]
+
+    def _line_start(self, lo: int, at: int) -> int:
+        """Where the line holding byte ``at`` starts, given that a line
+        starts at ``lo``, no later than ``at``."""
+        return max(lo, self.data.rfind(b"\n", lo, at) + 1)
+
+    def _term_name(self, field: str, start: int, end: int) -> bytes:
+        """The name of the TERMS line ``data[start:end]``, checked to be
+        UTF-8 and not empty."""
+        tab = self.data.find(b"\t", start, end)
+        if tab < 0:
+            raise IndexFormatError(f"bad TERMS section for field {field!r}")
+        name = self.data[start:tab]
+        _text(name)
+        if not name:
+            raise IndexFormatError(f"terms out of order in field {field!r}")
+        return name
 
     def postings(self, field: str, term: str) -> dict[int, int]:
         """Term frequency of ``term`` in ``field`` by ordinal, in ascending
@@ -464,13 +559,14 @@ class InvertedIndex:
         kept for later calls, so callers must not modify it."""
         key = (field, term)
         if key not in self._decoded_postings:
-            self._decoded_postings[key] = self._decode_postings(field, term)
+            span = self.term_span(field, term)
+            self._decoded_postings[key] = {} if span is None else self._postings_line(
+                field, term, span)
         return self._decoded_postings[key]
 
-    def _decode_postings(self, field: str, term: str) -> dict[int, int]:
-        span = self.terms(field).get(term)
-        if span is None:
-            return {}
+    def _postings_line(self, field: str, term: str, span: tuple[str, str]) -> dict[int, int]:
+        """The postings line of ``term`` in ``field``, at the ``span`` its
+        TERMS line gives, decoded and checked."""
         start = _nat(span[0])
         end = start + _nat(span[1])
         lo, hi = self._postings_spans[field]
@@ -487,6 +583,29 @@ class InvertedIndex:
                 f"ordinals out of order or range for {term!r} in field {field!r}"
             )
         return dict(zip(ordinals, nums[1::2]))
+
+    def verify(self) -> str:
+        """Decode every part of the index, each checked as a read checks
+        it, and say what was checked: every field's whole dictionary (its
+        order and UTF-8), every postings line, the DOCS section whole, each
+        offset of the DOCOFFSETS table against the line it should point at,
+        and every DOCS line with its stored fields and coordinates.  The
+        first fault raises."""
+        n_terms = n_postings = 0
+        for field in self.indexed_fields():
+            terms = self.terms(field)
+            for term, span in terms.items():
+                n_postings += len(self._postings_line(field, term, span))
+            n_terms += len(terms)
+        self._doc_lines(range(self.n_docs))  # the section splits into its doc count
+        data, w, at = self.data, self._width, self._docs_start
+        for o in range(self.n_docs):
+            if _nat(data[self._table + o * w : self._table + (o + 1) * w]) != at:
+                raise IndexFormatError(f"bad DOCS offset for document {o}")
+            at = data.index(b"\n", at) + 1
+        for o in range(self.n_docs):
+            self.doc(o)
+        return f"{self.n_docs} documents, {n_terms} terms, {n_postings} postings"
 
     def _doc_line(self, o: int) -> str:
         """The DOCS line of ordinal ``o``, found through the offset table."""
@@ -738,48 +857,83 @@ def _field_sections(
 ) -> int:
     """Encode a field's POSTINGS section (one line per term, in term order:
     ``ord:tf`` by ascending ordinal) and its TERMS section (the byte span
-    of each line) into ``out``; records both header offsets in
-    ``sections`` and returns the term count.
+    of each line, from the lengths kept as the lines are written) into
+    ``out``; records both header offsets in ``sections`` and returns the
+    term count.
 
     ``words`` maps each raw word of the field to the input position of its
-    occurrence or positions of its occurrences, and is emptied.  Each word
-    is tokenized once; a term's occurrences are the positions of every
-    word that yields it, as many times as it does, and its tf in a
-    document is the count of that document's ordinal among them."""
-    pooled: dict[str, list[int | array]] = {}  # term -> the positions of its words
-    for word, at in words.items():
+    occurrence or positions of its occurrences; it is emptied word by word
+    as each is tokenized, once.  A term's occurrences are the positions of
+    every word that yields it, as many times as it does, and its tf in a
+    document is the count of that document's ordinal among them.  Each
+    term keeps one slot: its word's own int or array while one word yields
+    it, a list of them once a second does.  A line whose sorted ordinals
+    never repeat is formatted from them as they stand; only a term that
+    some document repeats is counted with a ``Counter``.  Lines go into
+    ``out`` a few thousand cells at a time (``_cells``)."""
+    pooled: dict[str, int | array | list[int | array]] = {}  # term -> its slot
+    while words:
+        word, at = words.popitem()
         for term in tokenize(word):
-            parts = pooled.get(term)
-            if parts is None:
-                pooled[term] = [at]
-            else:
-                parts.append(at)
-    words.clear()
+            slot = pooled.get(term)
+            if slot is None:
+                pooled[term] = at
+            elif type(slot) is list:
+                slot.append(at)
+            else:  # the term's second word, or its word's second token of it
+                pooled[term] = [slot, at]
 
     buf = out.buf
     sections.append(out.offset())
     buf += f"POSTINGS {field}\n".encode("utf-8")
-    at = out.offset()  # of the next postings line
-    dictionary = bytearray()
+    first = out.offset()  # of the first postings line
+    lengths = array("Q")  # of each postings line, its LF left out
     terms = sorted(pooled)
     for term in terms:
-        parts = pooled.pop(term)
-        if len(parts) == 1 and type(parts[0]) is int:  # a single occurrence
-            line = b"%d:1\n" % ordinal[parts[0]]
+        slot = pooled.pop(term)
+        begin = out.offset()
+        if type(slot) is int:  # a single occurrence
+            buf += b"%d:1" % ordinal[slot]
         else:
+            parts = slot if type(slot) is list else (slot,)
             positions = chain.from_iterable((p,) if type(p) is int else p for p in parts)
-            # ordinal -> tf, by ordinal
-            tf = Counter(sorted(map(ordinal.__getitem__, positions)))
-            line = (",".join(["%d:%d"] * len(tf)) % tuple(chain.from_iterable(tf.items()))
-                    + "\n").encode("ascii")
-        dictionary += f"{term}\t{at}\t{len(line) - 1}\n".encode("utf-8")
-        at += len(line)
-        buf += line
+            ords = sorted(map(ordinal.__getitem__, positions))
+            if any(map(eq, ords, islice(ords, 1, None))):  # a document repeats the term
+                tf = Counter(ords)  # ordinal -> tf, by ordinal
+                _cells(out, b"%d:%d", list(chain.from_iterable(tf.items())), 2)
+            else:
+                _cells(out, b"%d:1", ords, 1)
+        buf += b"\n"
+        lengths.append(out.offset() - begin - 1)
         if len(buf) >= _BLOCK:
             out.spill()
     sections.append(out.offset())
-    buf += f"TERMS {field} {len(terms)}\n".encode("utf-8") + dictionary
+    buf += f"TERMS {field} {len(terms)}\n".encode("utf-8")
+    at = first
+    for term, n in zip(terms, lengths):
+        buf += f"{term}\t{at}\t{n}\n".encode("utf-8")
+        at += n + 1
+        if len(buf) >= _BLOCK:
+            out.spill()
     return len(terms)
+
+
+# A postings line is formatted this many cells at a time, so that a term
+# found in most documents is never held as one line.
+_LINE_CELLS = 4096
+
+
+def _cells(out: _Blocks, fmt: bytes, values: list[int], per: int) -> None:
+    """Format ``values``, ``per`` to a cell, into ``out`` as the
+    comma-separated cells of a postings line, ``_LINE_CELLS`` at a time."""
+    step = _LINE_CELLS * per
+    for i in range(0, len(values), step):
+        part = values[i : i + step] if len(values) > step else values
+        if i:
+            out.buf += b","
+        out.buf += b",".join([fmt] * (len(part) // per)) % tuple(part)
+        if len(out.buf) >= _BLOCK:
+            out.spill()
 
 
 def encode_index(build: IndexBuild) -> InvertedIndex:

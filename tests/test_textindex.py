@@ -869,6 +869,7 @@ class TestTwoSinks:
     @pytest.mark.parametrize("size", [1, 7, 256])
     def test_memory_and_file_are_equal(self, tmp_path, monkeypatch, block, whitelist, size):
         monkeypatch.setattr(textindex, "_BLOCK", block)
+        monkeypatch.setattr(textindex, "_LINE_CELLS", min(block, 4096))
         recipe = mini_recipe(("body", "title"))
         shuffled = _SINK_DOCS[:]
         random.Random(size).shuffle(shuffled)
@@ -916,6 +917,42 @@ class TestTwoSinks:
         assert words["y"].typecode == "I" and list(words["y"]) == [0, 0, 1, 2]
 
 
+    # (documents' bodies, by doc id order, and each line's text by term):
+    # one word or several words folding to a term; ordinals repeated at a
+    # line's start, at its end, or never; terms found in every document
+    @pytest.mark.parametrize("bodies,lines", [
+        (["x", "x", "x"], {"x": "0:1,1:1,2:1"}),
+        (["Ab ab", "AB, x"], {"ab": "0:2,1:1", "x": "1:1"}),
+        (["a-a b", "b"], {"a": "0:2", "b": "0:1,1:1"}),
+        (["s s e n", "s e n", "e e n"], {"e": "0:1,1:1,2:2", "n": "0:1,1:1,2:1",
+                                           "s": "0:2,1:1"}),
+        (["m q", "q m", "q", "m m m q"], {"m": "0:1,1:1,3:3", "q": "0:1,1:1,2:1,3:1"}),
+    ])
+    @pytest.mark.parametrize("cells", [1, 2, textindex._LINE_CELLS])
+    def test_slots_and_lines(self, tmp_path, bodies, lines, cells):
+        """Each line holds the per-document counts of its term, in both
+        sinks, however many cells are formatted at a time; a term with no
+        repeated ordinal is written without a ``Counter``, and one with a
+        repeated ordinal through one."""
+        docs = [doc(f"d{i}", body) for i, body in enumerate(bodies)]
+        counted = []
+        real_counter = textindex.Counter
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textindex, "_LINE_CELLS", cells)
+            mp.setattr(textindex, "Counter", lambda ords: counted.append(list(ords))
+                       or real_counter(ords))
+            image, written = two_sinks(mini_recipe(), docs, str(tmp_path / "l.idx"))
+        assert image == written
+        idx = textindex.InvertedIndex(image)
+        assert idx.terms("body") == {t: idx.term_span("body", t) for t in lines}
+        for term, line in lines.items():
+            start, length = map(int, idx.term_span("body", term))
+            assert image[start:start + length].decode() == line
+            assert idx.postings("body", term) == {
+                o: Counter(tokenize(b))[term] for o, b in enumerate(bodies) if term in tokenize(b)}
+        repeated = [t for t, line in lines.items() if re.search(r":[^1]", line)]
+        assert len(counted) == 2 * len(repeated)  # one a sink
+
 DEMO_ROWS = [
     "1,Alpha stone,Memphis,alpha beta alpha,31.2,29.9",
     "2,Beta papyrus,Thebes,beta gamma,91.0,20.0",
@@ -923,26 +960,27 @@ DEMO_ROWS = [
 ]
 
 
+@pytest.fixture()
+def centre(tmp_path, capsys):
+    """A catalogue on disk with a live source and its published index
+    ``texts``: (catalogue path, recipe path, index path)."""
+    write_tabular(tmp_path / "src", DEMO_ROWS)
+    c = str(tmp_path / "c.vdc")
+    recipe = tmp_path / "demo.recipe"
+    recipe.write_text(RECIPE, encoding="utf-8")
+    assert cli_run(["--catalogue", c, "source", "add", "src", "--kind", "tabular",
+                    "--path", str(tmp_path / "src"), "--mode", "live"]) == 0
+    assert cli_run(["--catalogue", c, "index", "build", "texts",
+                    "--recipe", str(recipe)]) == 0
+    capsys.readouterr()
+    return c, str(recipe), str(tmp_path / "c.vdc.store" / "index" / "texts.idx")
+
+
 class TestStreamedPublish:
     """An index build writes its image as it encodes it, to a temp file
     beside the published one: a failure leaves the published index, the
     store and the catalogue as they were, and a reader sees the old index
     or the new one."""
-
-    @pytest.fixture()
-    def centre(self, tmp_path, capsys):
-        """A catalogue on disk with a live source and its published index
-        ``texts``: (catalogue path, recipe path, index path)."""
-        write_tabular(tmp_path / "src", DEMO_ROWS)
-        c = str(tmp_path / "c.vdc")
-        recipe = tmp_path / "demo.recipe"
-        recipe.write_text(RECIPE, encoding="utf-8")
-        assert cli_run(["--catalogue", c, "source", "add", "src", "--kind", "tabular",
-                        "--path", str(tmp_path / "src"), "--mode", "live"]) == 0
-        assert cli_run(["--catalogue", c, "index", "build", "texts",
-                        "--recipe", str(recipe)]) == 0
-        capsys.readouterr()
-        return c, str(recipe), str(tmp_path / "c.vdc.store" / "index" / "texts.idx")
 
     def failed_build(self, centre, capsys) -> str:
         """Run an index build that is to fail; check that it exits 2 and
@@ -1089,6 +1127,26 @@ class TestStreamedPublish:
         assert read_index(idx).n_docs == 1
         assert search("alpha") == "doc_id,ref,score\n7,src/t/7,1\n"
         assert os.listdir(os.path.dirname(idx)) == ["texts.idx"]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_the_crc_of_blocks_equals_zlibs(tmp_path, extra):
+    """The CRC-32 that the check of an image computes a block at a time,
+    letting a mapped file's pages go as it passes them, is zlib's over the
+    same bytes, whether they are held or mapped."""
+    import mmap
+
+    block = textindex._CRC_BLOCK
+    data = random.Random(7).randbytes(2 * block + 3)
+    p = tmp_path / "c.bin"
+    p.write_bytes(data)
+    with open(p, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        for end in (0, 1, block + extra, 2 * block + extra):
+            want = zlib.crc32(data[:end])
+            assert textindex._crc32(data, end) == want
+            assert textindex._crc32(bytearray(data), end) == want
+            assert textindex._crc32(mapped, end) == want
+        assert mapped[:] == data  # released pages read back from the file
 
 
 def resign(data: bytes) -> bytes:
@@ -1279,6 +1337,31 @@ class TestStructureChecks:
         with pytest.raises(IndexFormatError, match=f"^{message}$"):
             read(self.opened(tmp_path, damaged))
 
+    def verified(self, centre, capsys, data: bytes) -> tuple[int, str, str]:
+        """``vdc index verify`` of ``data`` published as the index ``texts``."""
+        c, _, idx = centre
+        with open(idx, "wb") as f:
+            f.write(data)
+        code = cli_run(["--catalogue", c, "index", "verify", "texts"])
+        return (code, *capsys.readouterr())
+
+    def test_index_verify_passes_the_intact_index(self, centre, capsys, intact):
+        idx = textindex.InvertedIndex(intact)
+        n_terms = sum(len(idx.terms(f)) for f in ("body", "title"))
+        n_postings = sum(len(idx.postings(f, t)) for f in ("body", "title") for t in idx.terms(f))
+        assert (n_terms, n_postings) == (2 + 17 + 2 + 17, 17 * (2 + 1 + 2 + 1))
+        assert self.verified(centre, capsys, intact) == (
+            0, "", f"verified texts: 17 documents, {n_terms} terms, {n_postings} postings\n")
+        assert cli_run(["--catalogue", centre[0], "index", "verify", "nope"]) == 2
+        assert capsys.readouterr() == ("", "error: no index for collection 'nope'\n")
+
+    @pytest.mark.parametrize("fault,message", [(c[1], c[3]) for c in INDEX_FAULTS],
+                             ids=[c[0] for c in INDEX_FAULTS])
+    def test_index_verify_meets_every_fault(self, centre, capsys, intact, fault, message):
+        code, out, err = self.verified(centre, capsys, resign(fault(intact)))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"error: {message}\n", err), err
+
     @pytest.mark.parametrize("n_docs", [3, 17])
     @pytest.mark.parametrize("decoded", [False, True])
     def test_an_ordinal_outside_the_index(self, n_docs, decoded):
@@ -1296,6 +1379,97 @@ class TestStructureChecks:
             with pytest.raises(IndexFormatError, match=f"^ordinal {o} out of range$"):
                 idx.hits([0, o])
         assert idx.doc(n_docs - 1).doc_id == f"d{n_docs - 1:02d}"
+
+
+# terms that sort by code point across scripts and by length: ASCII
+# letters and digits, Greek with diacritics, and prefixes of one another
+_TERM = st.text(alphabet="ab09\u03b1\u03ac\u1f00\u1f70\u1ff6\u03c3\u03c2", min_size=1,
+                max_size=4)
+
+
+class TestTermBisection:
+    """A search finds its term by bisecting the TERMS section in place:
+    the span it finds is the one the whole decoded dictionary gives, and
+    no search decodes a whole dictionary."""
+
+    @given(vocabulary=st.one_of(st.lists(_TERM, max_size=2), st.lists(_TERM, max_size=80)),
+           absent=st.lists(_TERM, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_equals_the_dictionary(self, vocabulary, absent):
+        docs = [doc(f"d{i:02d}", " ".join(vocabulary[i:])) for i in range(len(vocabulary))]
+        idx = build(mini_recipe(), docs)
+        terms = idx.terms("body")
+        assert list(terms) == sorted(set(vocabulary))
+        assert sorted(terms, key=lambda t: t.encode("utf-8")) == list(terms)
+        probes = set(terms) | set(absent) | {"!", "\uff5a"}  # before and after all
+        probes |= {t[:-1] for t in terms if len(t) > 1} | {t + "0" for t in terms}
+        for term in sorted(probes):
+            assert idx.term_span("body", term) == terms.get(term), term
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 40])
+    def test_every_term_and_gap(self, size):
+        """Every term of a dictionary of ``size`` terms is found, and each
+        gap before, between and after them is empty."""
+        vocabulary = [f"t{i:03d}" for i in range(size)]
+        idx = build(mini_recipe(), [doc("d", " ".join(vocabulary))])
+        for i, term in enumerate(vocabulary):
+            start, length = idx.term_span("body", term)
+            assert idx.data[int(start):int(start) + int(length)] == b"0:1"
+        for gap in ["a", "t", *(t + "a" for t in vocabulary), "u"]:
+            assert idx.term_span("body", gap) is None
+
+    def test_a_line_read_out_of_order_far_from_the_term(self):
+        """Two names of t00..t15 swapped (t04 and t12, the lines a quarter
+        and three quarters in, one of which every bisection reads): each
+        lookup raises, also those whose term and neighbours are in order
+        (t00-t02 meet t12 below a bound it set, t14-t15 meet t04 above
+        one)."""
+        data = build(mini_recipe(), [doc("d", " ".join(f"t{i:02d}" for i in range(16)))]).data
+        swapped = (bytes(data).replace(b"\nt04\t", b"\n___\t").replace(b"\nt12\t", b"\nt04\t")
+                   .replace(b"\n___\t", b"\nt12\t"))
+        idx = textindex.InvertedIndex(resign(swapped))
+        for i in range(16):
+            with pytest.raises(IndexFormatError, match="^terms out of order in field 'body'$"):
+                idx.term_span("body", f"t{i:02d}")
+
+    @pytest.mark.parametrize("damage,term,message", [
+        # names rotated to b, c, a: the term's line sorts after the next one
+        (lambda a, b, c: [("b",) + a[1:], ("c",) + b[1:], ("a",) + c[1:]], "c",
+         "terms out of order"),
+        # a tab for a digit of a's offset, a digit for a tab of b's line:
+        # a's line has four cells
+        (lambda a, b, c: [("a", a[1][0], a[1][2:], a[2]), ("b", b[1] + "0" + b[2]), c], "a",
+         "bad TERMS section for field 'body'"),
+        # a's name moved into its offset, as a leading zero: an empty name
+        (lambda a, b, c: [("", "0" + a[1], a[2]), b, c], "b", "terms out of order"),
+    ], ids=["next-line", "cells", "empty-name"])
+    def test_a_damaged_line_of_three(self, damage, term, message):
+        """A checksum-valid dictionary of a, b and c with one fault that
+        keeps every byte offset: the lookup of ``term`` meets it."""
+        data = bytes(build(mini_recipe(), [doc("d", "a b c")]).data)
+        start = data.index(b"\nTERMS body 3\n") + len(b"\nTERMS body 3\n")
+        end = data.index(b"\nDOCOFFSETS ") + 1
+        lines = [tuple(line.split("\t")) for line in data[start:end].decode().splitlines()]
+        damaged = "".join("\t".join(cells) + "\n" for cells in damage(*lines)).encode()
+        assert len(damaged) == end - start
+        idx = textindex.InvertedIndex(resign(data[:start] + damaged + data[end:]))
+        with pytest.raises(IndexFormatError, match=f"^{message}"):
+            idx.term_span("body", term)
+
+    def test_no_search_decodes_a_dictionary(self, tmp_path, monkeypatch):
+        p = str(tmp_path / "n.idx")
+        publish(mini_recipe(("body", "title")), _SINK_DOCS, p)
+
+        def whole(self, field):
+            raise AssertionError(f"terms({field!r}) decoded")
+
+        monkeypatch.setattr(textindex.InvertedIndex, "terms", whole)
+        idx = read_index(p)
+        assert len(search(idx, SearchQuery(("many",)))) == 300
+        assert len(search(idx, SearchQuery(("λόγος", "many"), field="body", limit=3))) == 3
+        assert search(idx, SearchQuery(("title", "2"), field="title")) != []
+        assert search(idx, SearchQuery(("absent",))) == []
+        assert search(idx, SearchQuery(("many",), bbox=(31.0, -1.0, 32.0, 0.0))) != []
 
 
 class TestSearch:
