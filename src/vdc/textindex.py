@@ -397,10 +397,10 @@ class InvertedIndex:
     DOCS line when its document is returned or filtered by location.
     Decoded postings and DOCS lines are kept, so an index held in memory
     decodes each once.  Only ``terms``, which ``verify`` calls, decodes a
-    whole dictionary.  Structural faults surface as ``IndexFormatError`` when the
-    faulty part is decoded.  The image is a file's bytes, the bytearray a
-    build was encoded into, or a just-written file mapped for its check;
-    nothing writes to it afterwards.
+    whole dictionary.  Structural faults surface as ``IndexFormatError``
+    when the faulty part is decoded.  The image is a file's bytes, the
+    bytearray a build was encoded into, or a just-written file mapped for
+    its check; nothing writes to it afterwards.
     """
 
     def __init__(self, data: bytes | bytearray):

@@ -916,7 +916,6 @@ class TestTwoSinks:
         assert words["x"] == 0 and words["z"] == 1
         assert words["y"].typecode == "I" and list(words["y"]) == [0, 0, 1, 2]
 
-
     # (documents' bodies, by doc id order, and each line's text by term):
     # one word or several words folding to a term; ordinals repeated at a
     # line's start, at its end, or never; terms found in every document
@@ -952,6 +951,7 @@ class TestTwoSinks:
                 o: Counter(tokenize(b))[term] for o, b in enumerate(bodies) if term in tokenize(b)}
         repeated = [t for t, line in lines.items() if re.search(r":[^1]", line)]
         assert len(counted) == 2 * len(repeated)  # one a sink
+
 
 DEMO_ROWS = [
     "1,Alpha stone,Memphis,alpha beta alpha,31.2,29.9",
