@@ -11,7 +11,6 @@ from .model import (
     ItemRef,
     TableSchema,
     UncertainDate,
-    compare_values,
     date_gap_days,
     date_near,
     date_within,
@@ -25,7 +24,6 @@ __all__ = [
     "ItemRef",
     "TableSchema",
     "UncertainDate",
-    "compare_values",
     "date_gap_days",
     "date_near",
     "date_within",

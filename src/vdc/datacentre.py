@@ -281,10 +281,11 @@ class Catalogue:
 
     # -- views and translation tables ---------------------------------------
     # Each kind of definition file has one reader, used both to register a
-    # file and to load the catalogue line that names it: it reads the file,
-    # parses it and checks that the sources it names are registered.  Only
-    # registration rejects a duplicate name and compiles a view against its
-    # sources' schemas.
+    # file and to load the catalogue line that names it: it reads the file
+    # and parses it.  Only registration rejects a duplicate name.  A view's
+    # references to sources and translation tables are checked where it is
+    # compiled against its sources' schemas: at registration, and by each
+    # query that names it.
 
     def add_translation(self, xlate_id: str, path: str) -> TranslationTable:
         if xlate_id in self.xlates:
@@ -303,10 +304,7 @@ class Catalogue:
         return view
 
     def _read_view(self, path: str) -> ViewDefinition:
-        view = mediation.parse_view_file(_read_definition(path, "view file"))
-        for ref in view.base:
-            self._descriptor(ref.source_id)
-        return view
+        return mediation.parse_view_file(_read_definition(path, "view file"))
 
     def _compile_view(self, view: ViewDefinition) -> CompiledView:
         schemas = [self.open_handle(ref.source_id).schema(ref.table) for ref in view.base]
@@ -546,13 +544,17 @@ class Catalogue:
     def load(cls, path: str) -> "Catalogue":
         """Load and integrity-check a catalogue file.
 
-        Referenced definition files are re-read by the readers that
-        registered them; entries that name unregistered sources or missing
-        centre-owned files fail the load, each fault as one IntegrityError
-        naming the catalogue line.  Sources are opened lazily (a live source
-        may be temporarily unreachable without invalidating the catalogue),
-        and so are index files: an index of an older format loads, fails
-        where it is read, and is replaced by `vdc index build`.
+        Each record is checked as it is read, and referenced definition
+        files are re-read and parsed by the readers that registered them;
+        a malformed record, a collection naming an unregistered source or a
+        missing centre-owned file fails the load, each fault as one
+        IntegrityError naming the catalogue line.  A view's references to
+        sources and translation tables are not checked here: compiling the
+        view checks them, so only a query naming the view fails.  Sources
+        are opened lazily (a live source may be temporarily unreachable
+        without invalidating the catalogue), and so are index files: an
+        index of an older format loads, fails where it is read, and is
+        replaced by `vdc index build`.
         """
         try:
             text = connectors.read_utf8(path)
@@ -572,15 +574,6 @@ class Catalogue:
                 cat._load_line(tag, rest)
             except Exception as e:
                 raise IntegrityError(f"catalogue line {lineno}: {e}") from e
-        # cross-entity integrity: views may precede their translation tables
-        # in the file, so check the references after everything is loaded
-        for entry in cat.views.values():
-            for rule in entry.definition.rules:
-                if isinstance(rule, mediation.Translate) and rule.table_id not in cat.xlates:
-                    raise IntegrityError(
-                        f"view {entry.definition.name!r} references unregistered "
-                        f"translation table {rule.table_id!r}"
-                    )
         return cat
 
     def _load_line(self, tag: str, rest: str) -> None:

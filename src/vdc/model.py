@@ -352,16 +352,6 @@ def row_sort_key(row: tuple) -> tuple:
     return tuple(value_sort_key(v) for v in row)
 
 
-def compare_values(a: Value, b: Value) -> int:
-    """-1/0/1 per the canonical total order."""
-    ka, kb = value_sort_key(a), value_sort_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 class ColumnKind(str, Enum):
     INT = "int"
     TEXT = "text"

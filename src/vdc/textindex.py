@@ -119,7 +119,9 @@ def ingest_documents(
     handle: SourceHandle, recipe: IngestRecipe
 ) -> tuple[list[Document], list[str]]:
     """Map every row of the recipe's table to a Document: (documents,
-    warnings), built from the batches ``iter_batches`` yields."""
+    warnings), built from the batches ``iter_batches`` yields.  Once the
+    scan has ended, a repeated doc id raises the IngestError that an index
+    build of the same rows raises (see ``_doc_order``)."""
     warnings: list[str] = []
     source_id, table = recipe.source.source_id, recipe.source.table
     docs = []
@@ -131,6 +133,7 @@ def ingest_documents(
         ):
             fields = {f: v for f, v in zip(names, cells) if v is not None}
             docs.append(Document(doc_id, ItemRef(source_id, table, key), fields, body, g))
+    _doc_order([d.doc_id for d in docs], lambda p: docs[p].ref.text())
     return docs, warnings
 
 
@@ -143,10 +146,11 @@ def iter_batches(
     Rows whose geo coordinates are present but unusable are reported by
     appending to ``warnings`` as their batch is made.  Only the cells the
     recipe reads are decoded (the item key, id, field, body and geo
-    columns); the scan still checks every record in full.  A null id, an
-    unusable item key or a repeated doc id raises IngestError at its row,
-    before any fault of the scan after it.  Cells are taken as their text;
-    the body joins the non-empty body cells with a space.
+    columns); the scan still checks every record in full.  A null id or
+    an unusable item key raises IngestError at its row, before any fault
+    of the scan after it.  Cells are taken as their text; the body joins
+    the non-empty body cells with a space.  Repeated doc ids are left to
+    the consumer, which sees every id (``_doc_order``).
 
     The ids and keys are checked a batch at a time; a batch that fails is
     checked again row by row, which names the first faulty row.
@@ -172,21 +176,17 @@ def iter_batches(
         refable_relation = True
     except ValueError:  # every ref fails: the row check names the first
         refable_relation = False
-    seen: dict[str, str] = {}  # doc id -> the item key of its row
     reads = {0, id_i, *(i for _, i in field_is), *body_is, *(geo_is or ())}
     first = 1  # the row number of the batch's first row
     for group in _groups(handle.scan(table, columns=reads)):
         cols = list(zip(*group))
         ids = _texts(cols[id_i])
         keys = ids if id_i == 0 else _texts(cols[0])
-        distinct = set(ids)
         if not (
-            refable_relation and None not in distinct and all(keys)
+            refable_relation and None not in ids and all(keys)
             and REF_FORBIDDEN_RE.search("".join(keys)) is None
-            and len(distinct) == len(ids) and seen.keys().isdisjoint(distinct)
         ):
-            _check_rows(recipe, first, ids, keys, seen)
-        seen.update(zip(ids, keys))
+            _check_rows(recipe, first, ids, keys)
         first += len(group)
 
         geo = None
@@ -219,10 +219,10 @@ def _groups(rows: Iterator[Row]) -> Iterator[list[Row]]:
 
 
 def _check_rows(recipe: IngestRecipe, first: int, ids: Sequence[str | None],
-                keys: Sequence[str | None], seen: dict[str, str]) -> None:
+                keys: Sequence[str | None]) -> None:
     """Check a batch one row at a time, from row number ``first``: raise
-    the IngestError of its first row with a null id, an item key that
-    makes no ref, or an id in ``seen`` or earlier in the batch."""
+    the IngestError of its first row with a null id or an item key that
+    makes no ref."""
     source_id, table = recipe.source.source_id, recipe.source.table
     for n, id_cell, key in zip(count(first), ids, keys):
         if id_cell is None:
@@ -230,18 +230,24 @@ def _check_rows(recipe: IngestRecipe, first: int, ids: Sequence[str | None],
                 f"recipe {recipe.name!r}: null id in column {recipe.id_column!r}"
             )
         try:
-            ref = ItemRef(source_id, table, key or "")
+            ItemRef(source_id, table, key or "")
         except ValueError as e:  # the item key (first cell) is empty or unusable
             raise IngestError(
                 f"recipe {recipe.name!r}: row {n} of {recipe.source.text()} "
                 f"(id {id_cell!r}): {e}"
             ) from e
-        if id_cell in seen:
-            earlier = ItemRef(source_id, table, seen[id_cell])
-            raise IngestError(
-                f"duplicate doc id {id_cell!r}: {earlier.text()} and {ref.text()}"
-            )
-        seen[id_cell] = key
+
+
+def _doc_order(ids: Sequence[str], ref: Callable[[int], str]) -> array:
+    """The input positions of ``ids`` by ascending id.  Equal ids stay in
+    input order, so the first equal neighbours hold the smallest repeated
+    id at its first two rows: they raise ``duplicate doc id '<id>': <ref>
+    and <ref>``, ``ref`` giving the ref text of an input position."""
+    order = array("I", sorted(range(len(ids)), key=ids.__getitem__))
+    for p, q in zip(order, islice(order, 1, None)):
+        if ids[p] == ids[q]:
+            raise IngestError(f"duplicate doc id {ids[p]!r}: {ref(p)} and {ref(q)}")
+    return order
 
 
 def _parse_geo(lat_t: str | None, lon_t: str | None) -> tuple[float, float] | None:
@@ -276,7 +282,7 @@ def _parse_geo(lat_t: str | None, lon_t: str | None) -> tuple[float, float] | No
 # Values escape backslash, tab, LF and CR as \\ \t \n \r.  The encoder
 # writes an image in file order as it encodes it.  Opening an image checks
 # the footer, the checksum and the section table; the rest is decoded on
-# demand, by the same code whether the image was just encoded or read.
+# demand, by the same code whether the file was just written or read.
 
 INDEX_MAGIC = "VDCIDX 2"
 _V1_MAGIC = "VDCIDX 1"
@@ -328,10 +334,11 @@ def _text(b: bytes) -> str:
 _CRC_BLOCK = 1 << 18
 
 
-def _crc32(data: bytes | bytearray | mmap.mmap, end: int) -> int:
+def _crc32(data: bytes | mmap.mmap, end: int) -> int:
     """The CRC-32 of ``data[:end]``, computed a block at a time.  Where
-    ``data`` maps a file, each block's pages are let go once the CRC has
-    passed them, so checking a written index never holds all of it."""
+    ``data`` maps a file (the check of a just-written index), each block's
+    pages are let go once the CRC has passed them, so that check never
+    holds all of the file."""
     release = getattr(data, "madvise", None)
     if release is not None:
         from mmap import MADV_DONTNEED  # here: only an index build maps its file
@@ -398,12 +405,12 @@ class InvertedIndex:
     Decoded postings and DOCS lines are kept, so an index held in memory
     decodes each once.  Only ``terms``, which ``verify`` calls, decodes a
     whole dictionary.  Structural faults surface as ``IndexFormatError``
-    when the faulty part is decoded.  The image is a file's bytes, the
-    bytearray a build was encoded into, or a just-written file mapped for
-    its check; nothing writes to it afterwards.
+    when the faulty part is decoded.  The image is a file's bytes
+    (``read_index``) or a just-written file mapped for its check
+    (``write_index``); nothing writes to it afterwards.
     """
 
-    def __init__(self, data: bytes | bytearray):
+    def __init__(self, data: bytes | mmap.mmap):
         self.data = data
         first = data.find(b"\n")
         self.relation = _header_relation(data[:first] if first >= 0 else data)
@@ -710,8 +717,10 @@ def build_index(
     before folding as after: no white space code point is cased,
     case-ignorable or composes under NFC.  Ordinals are assigned after the
     pass, so the input may be in any order and is never held whole; a
-    repeated doc id raises IngestError here, before anything is written.
-    The refs are the item keys under the recipe's relation.
+    repeated doc id is found where they are assigned and raises
+    IngestError here, before anything is written, naming the refs its
+    first two rows' DOCS lines hold (``_doc_order``).  The refs are the
+    item keys under the recipe's relation.
     ``stored_whitelist`` masks manifest field values for sources that only
     publish their index: non-whitelisted fields keep their name but store
     ``-``.  Postings are unaffected (published terms are the point).
@@ -743,10 +752,10 @@ def build_index(
                             except AttributeError:  # the word's second occurrence
                                 found[word] = array("I", (at, pos))
 
-    order = array("I", sorted(range(len(ids)), key=ids.__getitem__))
-    for p, q in zip(order, order[1:]):
-        if ids[p] == ids[q]:  # the first equal neighbours hold the smallest repeated id
-            raise IngestError(f"duplicate doc id {ids[p]!r} in index input")
+    def ref(p: int) -> str:
+        return _unescape(lines[starts[p] : starts[p + 1]].partition(b"\t")[0].decode("utf-8"))
+
+    order = _doc_order(ids, ref)
     return IndexBuild(recipe.source.text(), lines, starts, order, list(zip(fields, words)))
 
 
@@ -934,14 +943,6 @@ def _cells(out: _Blocks, fmt: bytes, values: list[int], per: int) -> None:
         out.buf += b",".join([fmt] * (len(part) // per)) % tuple(part)
         if len(out.buf) >= _BLOCK:
             out.spill()
-
-
-def encode_index(build: IndexBuild) -> InvertedIndex:
-    """A build's index in memory, its image encoded by the encoder that
-    ``write_index`` writes a file with."""
-    image = bytearray()
-    _encode(build, image.extend)
-    return InvertedIndex(image)
 
 
 def write_index(build: IndexBuild, path: str) -> None:

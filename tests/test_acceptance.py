@@ -26,7 +26,6 @@ from vdc.mediation import parse_recipe_file
 from vdc.textindex import (
     SearchQuery,
     build_index,
-    encode_index,
     read_index,
     search,
     tokenize,
@@ -226,7 +225,9 @@ class TestAcceptance:
             open(os.path.join(fx, "recipes", "volterra.recipe"), encoding="utf-8").read()
         )
         docs, _ = cat.ingest(recipe)
-        index = encode_index(build_index(doc_batches(docs, recipe), recipe))
+        path = str(tmp_path / "vol.idx")
+        write_index(build_index(doc_batches(docs, recipe), recipe), path)
+        index = read_index(path)
 
         vocabulary = sorted({t for d in docs for t in tokenize(d.body)})
         field_text = {

@@ -657,6 +657,25 @@ class TestSearchViaCli:
         code, out, err = cli("ingest", "src", "--recipe", str(recipe))
         assert (code, out, err) == (2, "", "error: duplicate doc id '2': src/t/2 and src/t/2\n")
 
+    def test_ingest_and_index_build_name_the_same_repeat(self, centre, tmp_path):
+        """Both commands find repeated doc ids once the scan has ended and
+        print one line: the smallest repeated id, not the first repeat met,
+        with the refs of its first two rows.  The build writes no index."""
+        cli, cat, *_ = centre
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.schema").write_text("key : text\nid : int\ntitle : text\n")
+        (src / "t.csv").write_text("key,id,title\nk1,3,a\nk2,2,b\nk3,3,c\nk4,2,d\nk5,1,e\n")
+        recipe = tmp_path / "t.recipe"
+        recipe.write_text("recipe t_ingest\nfrom src.t\nid id\nbody title\nindex body\nend\n")
+        assert cli("source", "add", "src", "--kind", "tabular", "--path", str(src),
+                   "--mode", "live")[0] == 0
+        line = "error: duplicate doc id '2': src/t/k2 and src/t/k4\n"
+        assert cli("ingest", "src", "--recipe", str(recipe)) == (2, "", line)
+        assert cli("index", "build", "t_texts", "--recipe", str(recipe)) == (2, "", line)
+        index_dir = cat + ".store/index"
+        assert not os.path.exists(index_dir) or os.listdir(index_dir) == []
+
     def test_search_and_ingest_quote_their_csv(self, centre, tmp_path):
         """A doc id with a comma, a quote and a line break is one CSV field
         in the output of both commands."""
@@ -1101,6 +1120,42 @@ class TestCatalogueLines:
         assert (code, out) == (2, "")
         assert message.format(path=path) in err
         assert _tree(tmp_path) == before
+
+
+class TestBrokenView:
+    """A view whose translation table or source is not registered fails
+    only the queries naming it."""
+
+    @pytest.mark.parametrize("broken,view,message", [
+        ("drop XLATE", "papyri_en", "view 'papyri_en': unknown translation table 'de_en'"),
+        ("add ghost", "g", "no source 'ghost'"),
+    ])
+    def test_only_a_query_naming_the_view_fails(self, centre, tmp_path, broken, view, message):
+        cli, cat, fx, _ = centre
+        assert cli("index", "build", "vol_texts", "--recipe",
+                   os.path.join(fx, "recipes", "volterra.recipe"))[0] == 0
+        assert cli("coll", "update", "finds", "--add", "hgv/papyri/1",
+                   "volterra/legal_texts/2", "iaph/docs/i0001")[0] == 0
+        commands = [
+            ("search", "vol_texts", "imperator", "--limit", "5"),
+            ("coll", "resolve", "finds"),
+            ("source", "verify", "volterra"),
+            ("query", "SELECT id, date FROM volterra_texts WHERE id < 20"),
+        ]
+        intact = [cli(*argv) for argv in commands]
+        assert all(code == 0 and out for code, out, _ in intact[:2] + intact[3:])
+        with open(cat, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        if broken == "drop XLATE":
+            lines = [line for line in lines if not line.startswith("XLATE ")]
+        else:
+            ghost = tmp_path / "ghost.view"
+            ghost.write_text("view g\nfrom ghost.t\nend\n", encoding="utf-8")
+            lines.append(f"VIEWFILE {ghost}")
+        with open(cat, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        assert [cli(*argv) for argv in commands] == intact
+        assert cli("query", f"SELECT * FROM {view}") == (2, "", f"error: {message}\n")
 
 
 class TestUsageAndLocking:

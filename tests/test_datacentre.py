@@ -30,6 +30,7 @@ from vdc.errors import (
     LockedError,
     NotFound,
     ParseError,
+    PlanError,
     SourceError,
 )
 from vdc.model import DATE_MEMO, ItemRef, day_number, nfc, parse_uncertain_date, refable
@@ -952,7 +953,6 @@ class TestPersistence:
         "entry,message",
         [
             ("VIEWFILE {dir}/v.view", "unknown rule keyword 'frob' (line 3)"),
-            ("VIEWFILE {dir}/ghost.view", "no source 'ghost'"),
             ("VIEWFILE {dir}/gone.view", "cannot read view file: "),
             ("XLATE x {dir}/gone.csv", "cannot read translation table: "),
             ("XLATE x {dir}/bad.csv", "translation table must start with header"),
@@ -975,7 +975,6 @@ class TestPersistence:
     def test_load_fault_is_one_integrity_error_naming_the_line(self, tmp_path, entry, message):
         files = {
             "v.view": "view v\nfrom s.t\nfrob\nend\n",
-            "ghost.view": "view g\nfrom ghost.t\nend\n",
             "bad.csv": "a,b\n",
         }
         for name, text in files.items():
@@ -986,6 +985,30 @@ class TestPersistence:
         with pytest.raises(IntegrityError) as e:
             Catalogue.load(str(path))
         assert str(e.value).startswith(f"catalogue line 4: {message}")
+
+    def test_a_view_naming_an_unregistered_source_loads(self, tmp_path):
+        """A view's sources are checked where it is compiled: the catalogue
+        loads, only resolving that view fails, and defining its file still
+        fails."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "t.csv").write_text("id,name\n1,a\n", encoding="utf-8")
+        (src / "t.schema").write_text("id : int\nname : text\n", encoding="utf-8")
+        ghost, ok = tmp_path / "ghost.view", tmp_path / "ok.view"
+        ghost.write_text("view g\nfrom ghost.t\nend\n", encoding="utf-8")
+        ok.write_text("view ok\nfrom s.t\nend\n", encoding="utf-8")
+        path = tmp_path / "c.vdc"
+        path.write_text(f"VDCCAT 1\nSOURCE s tabular live {src}\n\nVIEWFILE {ghost}\n"
+                        f"VIEWFILE {ok}\n", encoding="utf-8")
+        cat = Catalogue.load(str(path))
+        with pytest.raises(NotFound, match="^no source 'ghost'$"):
+            cat.resolve_relation("g")
+        for name in ("s.t", "t", "ok"):
+            assert cat.resolve_relation(name).schema.column_names() == ["id", "name"]
+        fresh = Catalogue(str(tmp_path / "fresh.vdc"))
+        fresh.register_source("s", "tabular", str(src), AccessMode.LIVE)
+        with pytest.raises(NotFound, match="^no source 'ghost'$"):
+            fresh.define_view(str(ghost))
 
     def test_load_missing_index_file_fails(self, tmp_path, desk_fixtures):
         fx, _ = desk_fixtures
@@ -1124,7 +1147,10 @@ class TestRegistrationIntegrity:
         with pytest.raises(IntegrityError):
             cat.add_translation("de_en", path)
 
-    def test_load_rejects_view_with_missing_xlate(self, tmp_path, desk_fixtures):
+    def test_load_keeps_a_view_with_missing_xlate(self, tmp_path, desk_fixtures):
+        """A view's translation tables are checked where it is compiled: a
+        catalogue without the table its views name loads, only resolving
+        those views fails, and defining their files still fails."""
         fx, _ = desk_fixtures
         cat = Catalogue(str(tmp_path / "c.vdc"))
         register_desk(cat, fx)
@@ -1132,9 +1158,20 @@ class TestRegistrationIntegrity:
         data = open(cat.path, encoding="utf-8").read()
         with open(cat.path, "w", encoding="utf-8") as f:
             f.write("\n".join(l for l in data.splitlines() if not l.startswith("XLATE")) + "\n")
-        with pytest.raises(IntegrityError) as e:
-            Catalogue.load(cat.path)
-        assert "translation table" in str(e.value)
+        loaded = Catalogue.load(cat.path)
+        assert loaded.xlates == {}
+        for name in ("papyri_en", "all_texts"):
+            message = f"^view {name!r}: unknown translation table 'de_en'$"
+            with pytest.raises(PlanError, match=message):
+                loaded.resolve_relation(name)
+        for name in ("volterra_texts", "iaph_docs", "hgv.papyri", "volterra.legal_texts"):
+            assert (loaded.resolve_relation(name).schema
+                    == cat.resolve_relation(name).schema)
+        fresh = Catalogue(str(tmp_path / "fresh.vdc"))
+        for sid, desc in cat.sources.items():
+            fresh.register_source(sid, desc.kind, desc.path, desc.mode)
+        with pytest.raises(PlanError, match="^view 'papyri_en': unknown translation table"):
+            fresh.define_view(os.path.join(fx, "views", "papyri_en.view"))
 
     def test_view_over_keys_that_are_not_item_ids(self, tmp_path):
         """A first-column key an ItemRef cannot hold (here a comma) does not

@@ -14,7 +14,6 @@ from vdc.model import (
     CIRCA_WIDENING_DAYS,
     ItemRef,
     UncertainDate,
-    compare_values,
     csv_text,
     date_gap_days,
     date_near,
@@ -252,28 +251,28 @@ _VALUES = st.one_of(
 
 class TestValueOrder:
     def test_kind_ranks(self):
-        assert compare_values(None, 0) == -1
-        assert compare_values(0, "") == -1
-        assert compare_values("z", UncertainDate(0, 0)) == -1
+        assert value_sort_key(None) < value_sort_key(0)
+        assert value_sort_key(0) < value_sort_key("")
+        assert value_sort_key("z") < value_sort_key(UncertainDate(0, 0))
 
     def test_text_code_point_order(self):
-        assert compare_values("a", "b") == -1
-        assert compare_values("B", "a") == -1  # code points, not locale
+        assert value_sort_key("a") < value_sort_key("b")
+        assert value_sort_key("B") < value_sort_key("a")  # code points, not locale
 
     def test_date_order_by_bounds(self):
-        assert compare_values(
-            parse_uncertain_date("0213"), parse_uncertain_date("0213-03-15")
-        ) == -1
+        assert value_sort_key(parse_uncertain_date("0213")) < value_sort_key(
+            parse_uncertain_date("0213-03-15")
+        )
 
     @given(a=_VALUES, b=_VALUES, c=_VALUES)
     @settings(max_examples=400)
     def test_total_order(self, a, b, c):
         # totality + antisymmetry
-        ab, ba = compare_values(a, b), compare_values(b, a)
-        assert ab in (-1, 0, 1)
-        assert ab == -ba
+        ka, kb = value_sort_key(a), value_sort_key(b)
+        assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+        assert (ka < kb, ka == kb) == (kb > ka, kb == ka)
         # transitivity via the sort key (a total preorder by construction)
-        ks = sorted([value_sort_key(a), value_sort_key(b), value_sort_key(c)])
+        ks = sorted([ka, kb, value_sort_key(c)])
         assert ks[0] <= ks[1] <= ks[2]
 
     def test_interval_equality_ignores_source_text(self):

@@ -9,6 +9,7 @@ import random
 import re
 import shutil
 import sys
+import tempfile
 import threading
 import tracemalloc
 import unicodedata
@@ -42,7 +43,6 @@ from vdc.textindex import (
     _escape_column,
     _unescape,
     build_index,
-    encode_index,
     ingest_documents,
     iter_batches,
     read_index,
@@ -319,9 +319,18 @@ def mini_recipe(indexed=("body",)):
 
 
 def build(recipe, docs, whitelist=None, size=None):
-    """The index of documents, turned into batches of ``size``, encoded
-    into memory."""
-    return encode_index(build_index(doc_batches(docs, recipe, size), recipe, whitelist))
+    """The index of documents, turned into batches of ``size``, published
+    to a temporary directory and read back."""
+    return read_back(build_index(doc_batches(docs, recipe, size), recipe, whitelist))
+
+
+def read_back(state):
+    """A build published with ``write_index`` to a temporary directory and
+    read back with ``read_index``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "b.idx")
+        write_index(state, path)
+        return read_index(path)
 
 
 def publish(recipe, docs, path, whitelist=None, size=None):
@@ -485,30 +494,30 @@ class TestStreamedBuild:
         assert build(recipe, (d for d in docs), whitelist, size).data == want
 
     @given(ids=st.lists(st.sampled_from(["a", "b", "c", "a\\t", "\u00e9"]), min_size=2, max_size=10)
-           .filter(lambda ids: len(set(ids)) < len(ids)), rnd=st.randoms(use_true_random=False),
-           size=st.sampled_from([1, 2, 3, None]))
+           .filter(lambda ids: len(set(ids)) < len(ids)), size=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=100, deadline=None)
-    def test_duplicate_ids_raise_the_same_text(self, ids, rnd, size):
-        """``build_index`` names the smallest repeated id whatever the input
-        order; ``ingest_documents`` names the first repeat in scan order
-        and the refs of both its rows."""
+    def test_duplicate_ids_raise_the_same_text(self, ids, size):
+        """Whatever the input order and batch size, a build over documents,
+        a build over a scan's batches and an ingest raise one text: the
+        smallest repeated id and the refs of its first two rows, in input
+        order."""
+        keys = [f"k\\{n}" for n in range(len(ids))]  # escaped in the DOCS lines
         smallest = min(i for i in ids if ids.count(i) > 1)
-        docs = [doc(i, "x") for i in ids]
-        rnd.shuffle(docs)
-        with pytest.raises(IngestError) as e:
-            build(mini_recipe(), (d for d in docs), size=size)
-        assert str(e.value) == f"duplicate doc id {smallest!r} in index input"
-
-        second = next(n for n, i in enumerate(ids) if i in ids[:n])
-        first = ids.index(ids[second])
-        handle = RowsHandle(("key", "id", "b"), [(f"k{n}", i, "x") for n, i in enumerate(ids)])
-        recipe = parse_recipe_file("recipe r\nfrom s.t\nid id\nbody b\nend\n")
-        with pytest.MonkeyPatch.context() as mp, pytest.raises(IngestError) as e:
+        first = ids.index(smallest)
+        want = (f"duplicate doc id {smallest!r}: "
+                f"s/t/{keys[first]} and s/t/{keys[ids.index(smallest, first + 1)]}")
+        docs = [Document(i, ItemRef("s", "t", k), {}, "x", None) for k, i in zip(keys, ids)]
+        handle = RowsHandle(("key", "id", "b"), [(k, i, "x") for k, i in zip(keys, ids)])
+        recipe = parse_recipe_file("recipe r\nfrom s.t\nid id\nbody b\nindex body\nend\n")
+        runs = (lambda: build_index(doc_batches(docs, recipe, size), recipe),
+                lambda: build_index(iter_batches(handle, recipe, []), recipe),
+                lambda: ingest_documents(handle, recipe))
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textindex, "BATCH_ROWS", size or textindex.BATCH_ROWS)
-            ingest_documents(handle, recipe)
-        assert str(e.value) == (
-            f"duplicate doc id {ids[second]!r}: s/t/k{first} and s/t/k{second}"
-        )
+            for run in runs:
+                with pytest.raises(IngestError) as e:
+                    run()
+                assert str(e.value) == want
 
 
 # the columns of the rows a batch test scans, and the recipes that read them:
@@ -549,7 +558,7 @@ def batch_outcome(rows, recipe, size):
         mp.setattr(textindex, "BATCH_ROWS", size)
         try:
             warnings = []
-            data = encode_index(build_index(iter_batches(handle, recipe, warnings), recipe)).data
+            data = read_back(build_index(iter_batches(handle, recipe, warnings), recipe)).data
             docs, ingest_warnings = ingest_documents(handle, recipe)
         except IngestError as e:
             return str(e)
@@ -571,20 +580,27 @@ class TestBatchCuts:
             assert batch_outcome(rows, recipe, size) == want
 
     @pytest.mark.parametrize("size", [1, 2, 3, textindex.BATCH_ROWS])
-    @pytest.mark.parametrize("row,fault", [
-        (("k3", None), "recipe 'r': null id in column 'id'"),
-        (("", "d3"), "recipe 'r': row 4 of s.t (id 'd3'): empty item_id in item ref"),
-        (("k3,", "d3"),
+    @pytest.mark.parametrize("row,scan_fails,error,fault", [
+        (("k3", None), True, IngestError, "recipe 'r': null id in column 'id'"),
+        (("", "d3"), True, IngestError,
+         "recipe 'r': row 4 of s.t (id 'd3'): empty item_id in item ref"),
+        (("k3,", "d3"), True, IngestError,
          "recipe 'r': row 4 of s.t (id 'd3'): item_id contains a forbidden character: 'k3,'"),
-        (("k\t3", "d3"),
+        (("k\t3", "d3"), True, IngestError,
          "recipe 'r': row 4 of s.t (id 'd3'): item_id contains a forbidden character: 'k\\t3'"),
-        (("k3", "d2"), "duplicate doc id 'd2': s/t/k2 and s/t/k3"),  # the id of row 3
-        (("k3", "d0"), "duplicate doc id 'd0': s/t/k0 and s/t/k3"),  # the id of row 1
+        # a repeat is found once the scan has ended: the scan's fault first
+        (("k3", "d2"), True, SourceError, "the table changed during the scan"),
+        (("k3", "d0"), True, SourceError, "the table changed during the scan"),
+        (("k3", "d2"), False, IngestError, "duplicate doc id 'd2': s/t/k2 and s/t/k3"),
+        (("k3", "d0"), False, IngestError, "duplicate doc id 'd0': s/t/k0 and s/t/k3"),
+        (("k3", "d3"), False, IngestError, "duplicate doc id 'd4': s/t/k4 and s/t/k5"),
     ])
-    def test_a_fault_in_row_4_raises_its_text(self, size, row, fault):
+    def test_a_fault_in_row_4_raises_its_text(self, size, row, scan_fails, error, fault):
         """Row 4 holds the fault (its key and id); row 6 repeats an id
-        too, and the scan fails after row 7.  Each batch size meets a
-        repeat in the batch of its first row or in a later one."""
+        too, and the scan fails after row 7 where ``scan_fails``.  A null
+        id or an unusable key raises at its row, before the scan's fault;
+        a repeat raises once the scan has ended without one, naming the
+        smallest repeated id, whichever batch its rows fall in."""
         rows = [(f"k{n}", f"d{n}", "t", "b", None, None) for n in range(7)]
         rows[3] = (*row, "t", "b", None, None)
         rows[5] = ("k5", "d4", "t", "b", None, None)
@@ -592,15 +608,16 @@ class TestBatchCuts:
         class FailingHandle(RowsHandle):
             def scan(self, table, columns=None):
                 yield from self.rows
-                raise SourceError("the table changed during the scan")
+                if scan_fails:
+                    raise SourceError("the table changed during the scan")
 
         handle = FailingHandle(_ROW_NAMES, rows)
         recipe = parse_recipe_file(_ROW_RECIPE.format("id"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textindex, "BATCH_ROWS", size)
-            for run in (lambda: encode_index(build_index(iter_batches(handle, recipe, []), recipe)),
+            for run in (lambda: build_index(iter_batches(handle, recipe, []), recipe),
                         lambda: ingest_documents(handle, recipe)):
-                with pytest.raises(IngestError) as e:
+                with pytest.raises(error) as e:
                     run()
                 assert str(e.value) == fault
 
@@ -838,8 +855,8 @@ class TestIndexFormat:
 
 
 # documents whose cells escape, whose words are seen once, twice and many
-# times, some with a location, for the tests of the two sinks
-_SINK_DOCS = [
+# times, some with a location, for the tests of the encoder's block sizes
+_BLOCK_DOCS = [
     Document(f"d{i:03d}", ItemRef("s", "t", f"d{i:03d}"),
              {"title": f"T {i}\tx\n=" if i % 5 == 0 else f"title {i % 4}",
               "place": "back\\slash" if i % 7 == 0 else "p"},
@@ -850,34 +867,44 @@ _SINK_DOCS = [
 ]
 
 
-def two_sinks(recipe, docs, path, whitelist=None, size=None) -> tuple[bytes, bytes]:
-    """The image of one build encoded into memory and that of another of
-    the same documents written to ``path``."""
-    image = build(recipe, docs, whitelist, size).data
+# the encoder's block and cell counts as the module sets them
+_DEFAULT_SIZES = {"_BLOCK": textindex._BLOCK, "_LINE_CELLS": textindex._LINE_CELLS}
+
+
+def two_files(recipe, docs, path, whitelist=None, size=None) -> tuple[bytes, bytes]:
+    """The bytes of a build of ``docs`` written to ``path`` with the
+    encoder's block and cell counts as they are set, and those of another
+    build of the same documents written with the counts the module sets."""
     publish(recipe, docs, path, whitelist, size)
     with open(path, "rb") as f:
-        return bytes(image), f.read()
+        written = f.read()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _DEFAULT_SIZES.items():
+            mp.setattr(textindex, name, value)
+        return written, build(recipe, docs, whitelist, size).data
 
 
-class TestTwoSinks:
-    """One encoder writes an image into memory and into the published
-    file: the two are equal byte for byte, and the written file is whole
-    however the encoder's blocks fall."""
+class TestBlockSizes:
+    """The encoder writes the published file a block at a time: files
+    written with different block and cell counts are equal byte for byte,
+    and each reads back whole however the blocks and cells fall."""
 
     @pytest.mark.parametrize("block", [1, 100, textindex._BLOCK])
     @pytest.mark.parametrize("whitelist", [None, ("title",)])
     @pytest.mark.parametrize("size", [1, 7, 256])
-    def test_memory_and_file_are_equal(self, tmp_path, monkeypatch, block, whitelist, size):
+    def test_every_block_size_writes_the_same_file(self, tmp_path, monkeypatch, block,
+                                                   whitelist, size):
         monkeypatch.setattr(textindex, "_BLOCK", block)
         monkeypatch.setattr(textindex, "_LINE_CELLS", min(block, 4096))
         recipe = mini_recipe(("body", "title"))
-        shuffled = _SINK_DOCS[:]
+        shuffled = _BLOCK_DOCS[:]
         random.Random(size).shuffle(shuffled)
         p = str(tmp_path / "s.idx")
-        image, written = two_sinks(recipe, shuffled, p, whitelist, size)
-        assert image == written
-        assert two_sinks(recipe, _SINK_DOCS, p, whitelist) == (image, image)
+        written, default = two_files(recipe, shuffled, p, whitelist, size)
+        assert written == default
+        assert two_files(recipe, _BLOCK_DOCS, p, whitelist) == (written, written)
         idx = read_index(p)
+        assert idx.verify().startswith("300 documents, ")
         assert idx.postings("body", "many") == {o: 1 for o in range(300)}
         assert idx.postings("body", "twice") == {3: 1, 40: 1}
         assert idx.postings("body", "once7") == {7: 1}
@@ -887,22 +914,30 @@ class TestTwoSinks:
 
     @given(docs=documents(), rnd=st.randoms(use_true_random=False),
            whitelist=st.sampled_from([None, ("title",)]), size=st.sampled_from([1, 2, 3, None]),
-           block=st.sampled_from([1, 5, 64, textindex._BLOCK]))
+           block=st.sampled_from([1, 5, 64, textindex._BLOCK]),
+           cells=st.sampled_from([1, 2, textindex._LINE_CELLS]))
     @settings(max_examples=150, deadline=None)
-    def test_generated_documents(self, tmp_path_factory, docs, rnd, whitelist, size, block):
+    def test_generated_documents(self, tmp_path_factory, docs, rnd, whitelist, size, block,
+                                 cells):
         rnd.shuffle(docs)
-        p = str(tmp_path_factory.mktemp("sinks") / "g.idx")
+        p = str(tmp_path_factory.mktemp("blocks") / "g.idx")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textindex, "_BLOCK", block)
-            image, written = two_sinks(mini_recipe(("body", "title")), docs, p, whitelist, size)
-        assert image == written
-        assert read_index(p).n_docs == len(docs)
+            mp.setattr(textindex, "_LINE_CELLS", cells)
+            written, default = two_files(mini_recipe(("body", "title")), docs, p, whitelist,
+                                         size)
+        assert written == default
+        idx = read_index(p)
+        assert idx.n_docs == len(docs)
+        assert idx.verify().startswith(f"{len(docs)} documents, ")
 
-    def test_encoding_empties_the_build(self):
+    def test_encoding_empties_the_build(self, tmp_path):
         recipe = mini_recipe(("body", "title"))
-        state = build_index(doc_batches(_SINK_DOCS, recipe), recipe)
+        state = build_index(doc_batches(_BLOCK_DOCS, recipe), recipe)
         assert state.lines and state.order and all(words for _, words in state.fields)
-        assert encode_index(state).n_docs == 300
+        p = str(tmp_path / "e.idx")
+        write_index(state, p)
+        assert read_index(p).n_docs == 300
         assert (not state.lines and not state.starts and not state.order
                 and not any(words for _, words in state.fields))
 
@@ -929,10 +964,10 @@ class TestTwoSinks:
     ])
     @pytest.mark.parametrize("cells", [1, 2, textindex._LINE_CELLS])
     def test_slots_and_lines(self, tmp_path, bodies, lines, cells):
-        """Each line holds the per-document counts of its term, in both
-        sinks, however many cells are formatted at a time; a term with no
-        repeated ordinal is written without a ``Counter``, and one with a
-        repeated ordinal through one."""
+        """Each line holds the per-document counts of its term, however
+        many cells are formatted at a time; a term with no repeated ordinal
+        is written without a ``Counter``, and one with a repeated ordinal
+        through one."""
         docs = [doc(f"d{i}", body) for i, body in enumerate(bodies)]
         counted = []
         real_counter = textindex.Counter
@@ -940,17 +975,17 @@ class TestTwoSinks:
             mp.setattr(textindex, "_LINE_CELLS", cells)
             mp.setattr(textindex, "Counter", lambda ords: counted.append(list(ords))
                        or real_counter(ords))
-            image, written = two_sinks(mini_recipe(), docs, str(tmp_path / "l.idx"))
-        assert image == written
-        idx = textindex.InvertedIndex(image)
+            written, default = two_files(mini_recipe(), docs, str(tmp_path / "l.idx"))
+        assert written == default
+        idx = textindex.InvertedIndex(written)
         assert idx.terms("body") == {t: idx.term_span("body", t) for t in lines}
         for term, line in lines.items():
             start, length = map(int, idx.term_span("body", term))
-            assert image[start:start + length].decode() == line
+            assert written[start:start + length].decode() == line
             assert idx.postings("body", term) == {
                 o: Counter(tokenize(b))[term] for o, b in enumerate(bodies) if term in tokenize(b)}
         repeated = [t for t, line in lines.items() if re.search(r":[^1]", line)]
-        assert len(counted) == 2 * len(repeated)  # one a sink
+        assert len(counted) == 2 * len(repeated)  # one a file
 
 
 DEMO_ROWS = [
@@ -1458,7 +1493,7 @@ class TestTermBisection:
 
     def test_no_search_decodes_a_dictionary(self, tmp_path, monkeypatch):
         p = str(tmp_path / "n.idx")
-        publish(mini_recipe(("body", "title")), _SINK_DOCS, p)
+        publish(mini_recipe(("body", "title")), _BLOCK_DOCS, p)
 
         def whole(self, field):
             raise AssertionError(f"terms({field!r}) decoded")
