@@ -57,7 +57,6 @@ from __future__ import annotations
 import operator
 import os
 import struct
-import sys
 import zlib
 from array import array
 from itertools import accumulate, compress, pairwise, repeat
@@ -74,6 +73,7 @@ from .model import (
     TableSchema,
     UncertainDate,
     int64,
+    little_endian,
 )
 from .predicates import holds
 
@@ -99,12 +99,9 @@ _KINDS = (
 )
 
 
-def _array(typecode: str, data=b"") -> array:
+def _array(typecode: str, data: bytes) -> array:
     """A little-endian array of ``typecode`` read from ``data``."""
-    a = array(typecode, data)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a
+    return little_endian(array(typecode, data))
 
 
 def _file_crc(path: str) -> tuple[int, int]:

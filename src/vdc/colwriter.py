@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import zlib
 from array import array
 from itertools import accumulate, islice
@@ -24,14 +23,7 @@ from .colimage import (
 )
 from .connectors import SourceHandle
 from .errors import ParseError, SourceError
-from .model import ColumnKind, parse_uncertain_date
-
-
-def _le(a: array) -> bytes:
-    if sys.byteorder == "big":
-        a = array(a.typecode, a)
-        a.byteswap()
-    return a.tobytes()
+from .model import ColumnKind, little_endian, parse_uncertain_date
 
 
 def _name(text: str) -> bytes:
@@ -63,12 +55,12 @@ def write(snapshot: SourceHandle, original: str) -> None:
             raise SourceError(e.message, path=named, line=e.line) from e
         files = [_file_crc(path) for path in snapshot.files(schema.name)]
         directory += [_name(schema.name), struct.pack("<I", len(files)),
-                      _le(array("Q", [size for size, _ in files])),
-                      _le(array("I", [crc for _, crc in files])),
+                      little_endian(array("Q", [size for size, _ in files])).tobytes(),
+                      little_endian(array("I", [crc for _, crc in files])).tobytes(),
                       _TABLE.pack(rows, len(schema.columns))]
         for c in schema.columns:
             directory += [bytes((_KINDS.index((c.kind, c.date_text)),)), _name(c.name)]
-        directory.append(_le(table_chunks))
+        directory.append(little_endian(table_chunks).tobytes())
     body = b"".join(directory)
     head = _HEAD.pack(_MAGIC, VERSION, len(body)) + body
     with open(os.path.join(snapshot.path, IMAGE), "wb") as f:
@@ -86,16 +78,17 @@ def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]]
     null = index.get(None, _NO_NULL)
     if kind is ColumnKind.INT:
         encoding = _INT64
-        values = _le(array("q", [0 if v is None else v for v in entries]))
+        values = little_endian(array("q", [0 if v is None else v for v in entries])).tobytes()
     else:
         encoding = _TEXT
         texts = ["" if v is None else v for v in entries]
         offsets = array("I", accumulate(map(len, texts), initial=0))
-        values = _le(offsets) + "".join(texts).encode("utf-8")
+        values = little_endian(offsets).tobytes() + "".join(texts).encode("utf-8")
         if dates is not None:
             pairs = [dates[t] if t in dates else dates.setdefault(t, stored_days(t)) for t in texts]
-            values += _le(array("q", [lo for lo, _ in pairs] + [hi for _, hi in pairs]))
-    return _CHUNK.pack(encoding, len(entries), null) + values + _le(codes)
+            days = array("q", [lo for lo, _ in pairs] + [hi for _, hi in pairs])
+            values += little_endian(days).tobytes()
+    return _CHUNK.pack(encoding, len(entries), null) + values + little_endian(codes).tobytes()
 
 
 def stored_days(text: str) -> tuple[int, int]:

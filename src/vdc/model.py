@@ -21,13 +21,17 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 import unicodedata
 from bisect import bisect_right
 from enum import Enum
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ParseError
+
+if TYPE_CHECKING:  # only index and column image code makes arrays
+    from array import array
 
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 # days before the first of each month in a common year
@@ -454,3 +458,22 @@ class ItemRef(Record):
 
     def __str__(self) -> str:
         return self.text()
+
+
+# the width in bytes of the items of each array type an image stores
+_ITEM_BYTES = {"H": 2, "I": 4, "q": 8, "Q": 8}
+
+
+def little_endian(a: array) -> array:
+    """``a`` with its items in little-endian byte order, the order of every
+    array an index or column image stores: swapped in place where the
+    platform is big-endian.  A reader passes the array it made of an
+    image's bytes, a writer the array whose bytes it is about to write.  A
+    platform whose items of that type have another width cannot read or
+    write an image: it raises."""
+    if a.itemsize != _ITEM_BYTES[a.typecode]:
+        raise RuntimeError(f"array({a.typecode!r}) items are {a.itemsize} bytes on this "
+                           f"platform, where images store {_ITEM_BYTES[a.typecode]}")
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a

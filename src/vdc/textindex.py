@@ -22,8 +22,8 @@ import unicodedata
 import zlib
 from array import array
 from collections import Counter
-from itertools import chain, count, islice
-from operator import eq
+from itertools import accumulate, chain, count, islice
+from operator import gt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import write_atomic
@@ -31,7 +31,7 @@ from .errors import IndexFormatError, IngestError, NotFound
 from .connectors import SourceHandle
 # perfbench/oracle.py imports parse_recipe_file from this module
 from .mediation import IngestRecipe, RelationRef, parse_recipe_file
-from .model import IDENT_RE, REF_FORBIDDEN_RE, ItemRef, Record, Row, cell_text
+from .model import IDENT_RE, REF_FORBIDDEN_RE, ItemRef, Record, Row, cell_text, little_endian
 
 if TYPE_CHECKING:  # only an index build maps a file
     import mmap
@@ -265,31 +265,35 @@ def _parse_geo(lat_t: str | None, lon_t: str | None) -> tuple[float, float] | No
 # --------------------------------------------------------------------------
 # the inverted index and its file format
 #
-# An index is one VDCIDX 2 image: UTF-8 text lines with LF line ends,
+# An index is one VDCIDX 3 image: UTF-8 text lines with LF line ends,
+# but for the postings runs, which are binary,
 #
-#   VDCIDX 2 <source relation>
+#   VDCIDX 3 <source relation>
 #   DOCS <n>
 #   <ref>TAB<doc_id>TAB<lat>TAB<lon>[TAB<name>=<value>]...   n lines, by ordinal
 #   POSTINGS <field>                      then, per indexed field in name order:
-#   <ord>:<tf>,<ord>:<tf>,...             one line per term, in term order
+#   <run><run>...<run>LF                  one run per term, in term order
 #   TERMS <field> <count>
-#   <term>TAB<offset>TAB<length>          byte span of the term's postings line
+#   <term>TAB<offset>TAB<length>          byte span of the term's run
 #   DOCOFFSETS <width>
 #   <byte offset of each DOCS line, zero-padded to width digits, unseparated>
 #   TOC <byte offset of each section header line>...
 #   END <doc count> <term count> <crc32 of all preceding bytes, 8 hex digits>
 #
+# A run holds the ordinals of the documents that hold its term, ascending,
+# each as many times as the document holds the term (its tf), as
+# little-endian uint32: 4 bytes per occurrence, so a field that repeats one
+# word N times costs 4N bytes.  The runs tile their section up to its LF.
 # Values escape backslash, tab, LF and CR as \\ \t \n \r.  The encoder
 # writes an image in file order as it encodes it.  Opening an image checks
 # the footer, the checksum and the section table; the rest is decoded on
 # demand, by the same code whether the file was just written or read.
 
-INDEX_MAGIC = "VDCIDX 2"
-_V1_MAGIC = "VDCIDX 1"
+INDEX_MAGIC = "VDCIDX 3"
+_RETIRED_MAGICS = ("VDCIDX 1", "VDCIDX 2")
 
 _FOOTER_RE = re.compile(rb"END (\d+) (\d+) ([0-9a-f]{8})\n")
 _TOC_RE = re.compile(rb"TOC((?: \d+)+)\n")
-_POSTINGS_RE = re.compile(rb"\d+:[1-9]\d*(?:,\d+:[1-9]\d*)*")
 _ESCAPE_RE = re.compile(r"\\(.?)", re.S)
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 
@@ -364,11 +368,12 @@ def _geo(lat: str, lon: str, ordinal: int) -> tuple[float, float] | None:
 def _header_relation(line: bytes) -> str:
     """The source relation that an index's first line (without LF) names."""
     text = line.decode("utf-8", "replace")
-    if text == _V1_MAGIC:
-        raise IndexFormatError(
-            "index has format v1, which is no longer read: "
-            "rebuild it with `vdc index build`"
-        )
+    for magic in _RETIRED_MAGICS:
+        if text == magic or text.startswith(magic + " "):
+            raise IndexFormatError(
+                f"index has format v{magic[-1]}, which is no longer read: "
+                "rebuild it with `vdc index build`"
+            )
     prefix = INDEX_MAGIC + " "
     if text.startswith(prefix):
         try:
@@ -395,19 +400,20 @@ class DocEntry(Record):
 
 
 class InvertedIndex:
-    """Per-field postings over a fixed document set, held as one VDCIDX 2
+    """Per-field postings over a fixed document set, held as one VDCIDX 3
     image and decoded on demand.
 
     Ordinals follow ascending doc_id.  A search finds each of its terms by
     bisecting the field's sorted TERMS section in place, reading a few of
-    its lines; a postings line is decoded when its term is searched, and a
-    DOCS line when its document is returned or filtered by location.
-    Decoded postings and DOCS lines are kept, so an index held in memory
-    decodes each once.  Only ``terms``, which ``verify`` calls, decodes a
-    whole dictionary.  Structural faults surface as ``IndexFormatError``
-    when the faulty part is decoded.  The image is a file's bytes
-    (``read_index``) or a just-written file mapped for its check
-    (``write_index``); nothing writes to it afterwards.
+    its lines.  A term's postings are a binary run of ordinals, decoded
+    when the term is searched; a document's tf is the multiplicity of its
+    ordinal in the run.  A DOCS line is decoded when its document is
+    returned or filtered by location.  Decoded postings and DOCS lines are
+    kept, so an index held in memory decodes each once.  Only ``terms``,
+    which ``verify`` calls, decodes a whole dictionary.  Structural faults
+    surface as ``IndexFormatError`` when the faulty part is decoded.  The
+    image is a file's bytes (``read_index``) or a just-written file mapped
+    for its check (``write_index``); nothing writes to it afterwards.
     """
 
     def __init__(self, data: bytes | mmap.mmap):
@@ -443,7 +449,7 @@ class InvertedIndex:
         if words != ["DOCS", str(n_docs)]:
             raise IndexFormatError("DOCS section disagrees with the footer's doc count")
         self.n_docs = n_docs
-        self._postings_spans: dict[str, tuple[int, int]] = {}  # field -> postings lines span
+        self._postings_spans: dict[str, tuple[int, int]] = {}  # field -> its runs and LF
         self._terms_spans: dict[str, tuple[int, int, int]] = {}  # + term count
         pairs = sections[1:-1]
         if len(pairs) % 2:
@@ -480,7 +486,7 @@ class InvertedIndex:
 
     def terms(self, field: str) -> dict[str, tuple[str, str]]:
         """A field's whole term dictionary, decoded and checked in full:
-        term -> the (offset, length) digits of its postings line.  A
+        term -> the (offset, length) digits of its postings run.  A
         search never calls it; see ``term_span``."""
         start, end, count = self._terms_spans[field]
         cells = _text(self.data[start:end]).replace("\n", "\t").split("\t")
@@ -567,42 +573,46 @@ class InvertedIndex:
         key = (field, term)
         if key not in self._decoded_postings:
             span = self.term_span(field, term)
-            self._decoded_postings[key] = {} if span is None else self._postings_line(
+            self._decoded_postings[key] = {} if span is None else self._postings_run(
                 field, term, span)
         return self._decoded_postings[key]
 
-    def _postings_line(self, field: str, term: str, span: tuple[str, str]) -> dict[int, int]:
-        """The postings line of ``term`` in ``field``, at the ``span`` its
-        TERMS line gives, decoded and checked."""
-        start = _nat(span[0])
-        end = start + _nat(span[1])
+    def _postings_run(self, field: str, term: str, span: tuple[str, str]) -> dict[int, int]:
+        """The postings run of ``term`` in ``field``, at the ``span`` its
+        TERMS line gives, decoded and checked: the span lies inside the
+        field's runs (its POSTINGS section up to the final LF) and its
+        length is a positive multiple of 4; the ordinals never descend and
+        stay below the doc count."""
+        start, size = _nat(span[0]), _nat(span[1])
         lo, hi = self._postings_spans[field]
-        data = self.data
-        if not lo <= start < end < hi or data[start - 1] != 0x0A or data[end] != 0x0A:
+        if not (lo <= start and start + size < hi and size and not size % 4):
             raise IndexFormatError(f"bad postings span for {term!r} in field {field!r}")
-        line = data[start:end]
-        if _POSTINGS_RE.fullmatch(line) is None:
-            raise IndexFormatError(f"bad postings for {term!r} in field {field!r}")
-        nums = list(map(int, line.replace(b":", b",").split(b",")))
-        ordinals = nums[0::2]
-        if ordinals[-1] >= self.n_docs or not all(map(int.__lt__, ordinals, ordinals[1:])):
+        ordinals = little_endian(array("I", self.data[start : start + size]))
+        if ordinals[-1] >= self.n_docs or any(map(gt, ordinals, islice(ordinals, 1, None))):
             raise IndexFormatError(
                 f"ordinals out of order or range for {term!r} in field {field!r}"
             )
-        return dict(zip(ordinals, nums[1::2]))
+        return Counter(ordinals)
 
     def verify(self) -> str:
         """Decode every part of the index, each checked as a read checks
         it, and say what was checked: every field's whole dictionary (its
-        order and UTF-8), every postings line, the DOCS section whole, each
-        offset of the DOCOFFSETS table against the line it should point at,
-        and every DOCS line with its stored fields and coordinates.  The
-        first fault raises."""
+        order and UTF-8), every postings run and that the runs tile their
+        section in term order, the DOCS section whole, each offset of the
+        DOCOFFSETS table against the line it should point at, and every
+        DOCS line with its stored fields and coordinates.  The first fault
+        raises."""
         n_terms = n_postings = 0
         for field in self.indexed_fields():
             terms = self.terms(field)
+            at, hi = self._postings_spans[field]
             for term, span in terms.items():
-                n_postings += len(self._postings_line(field, term, span))
+                n_postings += len(self._postings_run(field, term, span))
+                if int(span[0]) != at:
+                    raise IndexFormatError(f"postings runs do not tile field {field!r}")
+                at += int(span[1])
+            if at != hi - 1:
+                raise IndexFormatError(f"postings runs do not tile field {field!r}")
             n_terms += len(terms)
         self._doc_lines(range(self.n_docs))  # the section splits into its doc count
         data, w, at = self.data, self._width, self._docs_start
@@ -864,22 +874,21 @@ def _field_sections(
     out: _Blocks, sections: list[int], field: str, words: dict[str, int | array],
     ordinal: list[int],
 ) -> int:
-    """Encode a field's POSTINGS section (one line per term, in term order:
-    ``ord:tf`` by ascending ordinal) and its TERMS section (the byte span
-    of each line, from the lengths kept as the lines are written) into
-    ``out``; records both header offsets in ``sections`` and returns the
-    term count.
+    """Encode a field's POSTINGS section (one run per term, in term order:
+    its ordinals, ascending, each repeated tf times) and its TERMS section
+    (the byte span of each run, from the lengths kept as the runs are
+    written) into ``out``; records both header offsets in ``sections`` and
+    returns the term count.
 
     ``words`` maps each raw word of the field to the input position of its
     occurrence or positions of its occurrences; it is emptied word by word
     as each is tokenized, once.  A term's occurrences are the positions of
-    every word that yields it, as many times as it does, and its tf in a
-    document is the count of that document's ordinal among them.  Each
-    term keeps one slot: its word's own int or array while one word yields
-    it, a list of them once a second does.  A line whose sorted ordinals
-    never repeat is formatted from them as they stand; only a term that
-    some document repeats is counted with a ``Counter``.  Lines go into
-    ``out`` a few thousand cells at a time (``_cells``)."""
+    every word that yields it, as many times as it does, so its run is the
+    sorted ordinals of those positions.  Each term keeps one slot: its
+    word's own int or array while one word yields it, a list of them once a
+    second does; the slot is let go as its run is written.  Runs go into
+    ``out`` whole, gathered until a few thousand ordinals wait, and TERMS
+    lines a few thousand at a time (``_RUN_CELLS``)."""
     pooled: dict[str, int | array | list[int | array]] = {}  # term -> its slot
     while words:
         word, at = words.popitem()
@@ -895,54 +904,48 @@ def _field_sections(
     buf = out.buf
     sections.append(out.offset())
     buf += f"POSTINGS {field}\n".encode("utf-8")
-    first = out.offset()  # of the first postings line
-    lengths = array("Q")  # of each postings line, its LF left out
+    first = out.offset()  # of the first run
+    sizes = array("Q")  # of each run, in bytes
+    runs = array("I")  # ordinals of the runs not yet passed to ``buf``
     terms = sorted(pooled)
     for term in terms:
         slot = pooled.pop(term)
-        begin = out.offset()
         if type(slot) is int:  # a single occurrence
-            buf += b"%d:1" % ordinal[slot]
+            runs.append(ordinal[slot])
+            sizes.append(4)
         else:
             parts = slot if type(slot) is list else (slot,)
             positions = chain.from_iterable((p,) if type(p) is int else p for p in parts)
             ords = sorted(map(ordinal.__getitem__, positions))
-            if any(map(eq, ords, islice(ords, 1, None))):  # a document repeats the term
-                tf = Counter(ords)  # ordinal -> tf, by ordinal
-                _cells(out, b"%d:%d", list(chain.from_iterable(tf.items())), 2)
-            else:
-                _cells(out, b"%d:1", ords, 1)
-        buf += b"\n"
-        lengths.append(out.offset() - begin - 1)
-        if len(buf) >= _BLOCK:
-            out.spill()
+            runs.fromlist(ords)
+            sizes.append(4 * len(ords))
+        if len(runs) >= _RUN_CELLS:
+            _pass_runs(out, runs)
+    _pass_runs(out, runs)
+    buf += b"\n"
     sections.append(out.offset())
     buf += f"TERMS {field} {len(terms)}\n".encode("utf-8")
-    at = first
-    for term, n in zip(terms, lengths):
-        buf += f"{term}\t{at}\t{n}\n".encode("utf-8")
-        at += n + 1
+    lines = map("%s\t%d\t%d\n".__mod__, zip(terms, accumulate(sizes, initial=first), sizes))
+    while part := "".join(islice(lines, _RUN_CELLS)):
+        buf += part.encode("utf-8")
         if len(buf) >= _BLOCK:
             out.spill()
     return len(terms)
 
 
-# A postings line is formatted this many cells at a time, so that a term
-# found in most documents is never held as one line.
-_LINE_CELLS = 4096
+# Runs go into the encoder's buffer, each whole, once this many ordinals
+# wait; TERMS lines go in this many at a time.  So the runs and lines of
+# the many terms found once go in a few thousand at a time, not one by
+# one, and no dictionary is held whole as text.
+_RUN_CELLS = 4096
 
 
-def _cells(out: _Blocks, fmt: bytes, values: list[int], per: int) -> None:
-    """Format ``values``, ``per`` to a cell, into ``out`` as the
-    comma-separated cells of a postings line, ``_LINE_CELLS`` at a time."""
-    step = _LINE_CELLS * per
-    for i in range(0, len(values), step):
-        part = values[i : i + step] if len(values) > step else values
-        if i:
-            out.buf += b","
-        out.buf += b",".join([fmt] * (len(part) // per)) % tuple(part)
-        if len(out.buf) >= _BLOCK:
-            out.spill()
+def _pass_runs(out: _Blocks, runs: array) -> None:
+    """Pass ``runs`` into ``out`` as little-endian bytes, and empty it."""
+    out.buf += little_endian(runs)
+    del runs[:]
+    if len(out.buf) >= _BLOCK:
+        out.spill()
 
 
 def write_index(build: IndexBuild, path: str) -> None:

@@ -360,7 +360,8 @@ class TestAcceptance:
         surfaces = [
             repr(hits),
             repr([record_fields(i) for i in cat.resolve_refs(cat.collections["finds"])]),
-            open(cat.indexes["sec_texts"], encoding="utf-8").read(),
+            # the index's postings runs are binary, the rest UTF-8
+            open(cat.indexes["sec_texts"], "rb").read().decode("utf-8", "replace"),
             open(cat.path, encoding="utf-8").read(),
             repr([record_fields(e) for e in index_docs(cat.get_index("sec_texts"))]),
         ]

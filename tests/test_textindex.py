@@ -8,6 +8,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import sys
 import tempfile
 import threading
@@ -438,6 +439,30 @@ def field_documents(draw):
     return docs
 
 
+# field texts for the round-trip property: words repeated within a field,
+# NFD (its combining acute composes under NFC), final sigma, dotted capital
+# I, punctuation-joined words, and white space alone
+_RUN_TEXTS = ["Λόγος λόγος ΛΌΓΟΣ", "Λο\u0301γος", "İstanbul İ", "a-b.c a,b",
+              "x x x x", "x", "papyrus Papyrus-x", " \t "]
+
+
+@st.composite
+def run_documents(draw):
+    """1 to 300 documents, by doc id, each body holding ``every`` and
+    drawn texts, each title absent, empty or drawn; the last document's
+    body alone holds ``only``."""
+    n = draw(st.integers(1, 300))
+    rnd = draw(st.randoms(use_true_random=False))
+    docs = []
+    for i in range(n):
+        body = " ".join(["every"] + rnd.choices(_RUN_TEXTS, k=rnd.randrange(4)))
+        title = rnd.choice([None, "", *_RUN_TEXTS])
+        fields = {} if title is None else {"title": title}
+        docs.append(Document(f"d{i:03d}", ItemRef("s", "t", f"d{i:03d}"), fields,
+                             body + (" only" if i == n - 1 else ""), None))
+    return docs, rnd
+
+
 class TestBuildContent:
     """A build's terms and postings are those of counting each document's
     tokens on its own, and its DOCS lines give back every document."""
@@ -462,6 +487,31 @@ class TestBuildContent:
                         for f, v in d.fields.items()}}
             for d in ordered
         ]
+
+    @given(drawn=run_documents())
+    @settings(max_examples=25, deadline=None)
+    def test_runs_read_back_as_each_documents_counts(self, tmp_path_factory, drawn):
+        """The postings each run of a written file decodes to are the
+        ``Counter`` of ``tokenize`` over each document's field, and two
+        input orders write the same bytes."""
+        docs, rnd = drawn
+        recipe = mini_recipe(("body", "title"))
+        p = str(tmp_path_factory.mktemp("runs") / "r.idx")
+        publish(recipe, docs, p)
+        idx = read_index(p)
+        for field in ("body", "title"):
+            counts = [Counter(tokenize(d.body if field == "body" else d.fields.get(field) or ""))
+                      for d in docs]
+            vocabulary = set().union(*counts)
+            assert list(idx.terms(field)) == sorted(vocabulary)
+            for term in vocabulary:
+                assert idx.postings(field, term) == {
+                    o: c[term] for o, c in enumerate(counts) if term in c}
+        assert idx.postings("body", "every") == {o: 1 for o in range(len(docs))}
+        assert idx.postings("body", "only") == {len(docs) - 1: 1}
+        shuffled = docs[:]
+        rnd.shuffle(shuffled)
+        assert build(recipe, shuffled).data == open(p, "rb").read()
 
 
 class RowsHandle:
@@ -626,10 +676,10 @@ class TestBatchCuts:
 # them (see perfbench/run.py): pinned so that a change to the build code
 # cannot change a byte unnoticed
 DESK_INDEX_SHA256 = {
-    "hgv_texts": "1242455d541df3b0cb43449deba58f8f990b7fb98997a857ad4a62586a8f3c21",
-    "vol_texts": "4c05f6a21f2cd2efee444aaa1de61e5cb821336ba586c628c0bfe627e5bc497e",
-    "iaph_texts": "0227c090b6da5a463456c9a586d69c7dd5b72ed633e4a444a91a188eeeae7dbb",
-    "sealed_texts": "91ae340d181027ff7f724d0c21fa7a5dc3555b5a377d04df70d6378c256cb79e",
+    "hgv_texts": "90d0b36caad2ea54dff73585220b60f97acab05a059108a32d7e2afdb3c67c78",
+    "vol_texts": "2859195fa426ec48a09c710baefff0ba1e248551f93c7ce85fd15fe87c9c8f82",
+    "iaph_texts": "734290920be8f5a9b4c9461cfe931c3f65e003638dde36d61b674e5fe1d0aac0",
+    "sealed_texts": "6a0bebec697379e9470df7a8a1a91e9da44b22b1206def7fa7cae0b8e0e4eb53",
 }
 
 
@@ -658,6 +708,37 @@ def test_desk_index_bytes_are_pinned(tmp_path, desk_fixtures):
         with open(path, "rb") as f:
             digests[collection] = hashlib.sha256(f.read()).hexdigest()
     assert digests == DESK_INDEX_SHA256
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="pretends a big-endian platform")
+def test_a_big_endian_platform_reads_back_what_it_wrote(tmp_path, desk_fixtures, monkeypatch):
+    """Where the platform is big-endian (pretended here, on a little-endian
+    one, so that each array is byte-swapped as it is written and again as
+    it is read), a column image and an index give back the rows, keys and
+    postings that they give without the swaps, from files of the same
+    size whose arrays the pretence swapped."""
+    fx, _ = desk_fixtures
+
+    def centre(name):
+        cat = Catalogue(str(tmp_path / name / "c.vdc"))
+        cat.register_source("hgv", "tabular", os.path.join(fx, "hgv"), AccessMode.VAULT)
+        path, _ = cat.build_index(
+            "hgv_texts", cat.read_recipe(os.path.join(fx, "recipes", "hgv.recipe")))
+        idx = read_index(path)
+        handle = cat.open_handle("hgv")
+        assert handle.image is not None
+        with open(handle.image.path, "rb") as f:
+            files = [f.read(), idx.data]
+        return files, list(handle.scan("papyri")), handle.lookup("papyri", ["1", "7", "x"]), {
+            f: {t: idx.postings(f, t) for t in idx.terms(f)} for f in idx.indexed_fields()}
+
+    little = centre("little")
+    with monkeypatch.context() as mp:
+        mp.setattr(sys, "byteorder", "big")
+        big = centre("big")
+    assert big[1:] == little[1:]
+    assert [len(f) for f in big[0]] == [len(f) for f in little[0]]
+    assert all(b != f for b, f in zip(big[0], little[0]))
 
 
 # The tracemalloc peak of an index build over the size of the image it
@@ -774,13 +855,20 @@ class TestIndexFormat:
         with pytest.raises(IndexFormatError):
             read_index(p)
 
-    def test_v1_file_names_the_rebuild(self, tmp_path):
-        p = str(tmp_path / "v1.idx")
+    @pytest.mark.parametrize("version,text", [
+        (1, "VDCIDX 1\nDOCS\n0\td\ts/t/d\t-\t-\t\nFIELD body\nx\t0:1\n"),
+        # the image the v2 encoder wrote of one document "x", checksum and all
+        (2, "VDCIDX 2 s.t\nDOCS 1\ns/t/d\td\t-\t-\nPOSTINGS body\n0:1\nTERMS body 1\n"
+            "x\t46\t3\nDOCOFFSETS 2\n20\nTOC 13 32 50 70\nEND 1 1 ef079d68\n"),
+    ])
+    def test_a_retired_format_names_the_rebuild(self, tmp_path, version, text):
+        p = str(tmp_path / f"v{version}.idx")
         with open(p, "w") as f:
-            f.write("VDCIDX 1\nDOCS\n0\td\ts/t/d\t-\t-\t\nFIELD body\nx\t0:1\n")
-        with pytest.raises(IndexFormatError) as e:
+            f.write(text)
+        with pytest.raises(IndexFormatError, match=(
+                f"^index has format v{version}, which is no longer read: "
+                "rebuild it with `vdc index build`$")):
             read_index(p)
-        assert "vdc index build" in str(e.value)
 
     def test_unsorted_terms_rejected(self, tmp_path):
         """A checksum-valid file whose dictionary lists zeta before beta:
@@ -799,13 +887,14 @@ class TestIndexFormat:
         assert "out of order" in str(e.value)
 
     def test_bad_ordinals_rejected(self, tmp_path):
-        """A checksum-valid file whose postings list repeats ordinal 0."""
+        """A checksum-valid file whose postings run descends, from 1 to 0."""
         p = str(tmp_path / "o.idx")
         publish(mini_recipe(), [doc("d", "a"), doc("e", "a")], p)
         data = open(p, "rb").read()
-        assert data.count(b"\n0:1,1:1\n") == 1
+        run = b"\nPOSTINGS body\n" + struct.pack("<2I", 0, 1) + b"\n"
+        assert data.count(run) == 1
         with open(p, "wb") as f:
-            f.write(resign(data.replace(b"\n0:1,1:1\n", b"\n0:1,0:2\n")))
+            f.write(resign(data.replace(run, run.replace(b"\0\0\0\0\1", b"\1\0\0\0\0"))))
         idx = read_index(p)
         with pytest.raises(IndexFormatError) as e:
             search(idx, SearchQuery(("a",)))
@@ -868,7 +957,7 @@ _BLOCK_DOCS = [
 
 
 # the encoder's block and cell counts as the module sets them
-_DEFAULT_SIZES = {"_BLOCK": textindex._BLOCK, "_LINE_CELLS": textindex._LINE_CELLS}
+_DEFAULT_SIZES = {"_BLOCK": textindex._BLOCK, "_RUN_CELLS": textindex._RUN_CELLS}
 
 
 def two_files(recipe, docs, path, whitelist=None, size=None) -> tuple[bytes, bytes]:
@@ -889,13 +978,17 @@ class TestBlockSizes:
     written with different block and cell counts are equal byte for byte,
     and each reads back whole however the blocks and cells fall."""
 
-    @pytest.mark.parametrize("block", [1, 100, textindex._BLOCK])
+    @pytest.mark.parametrize("block,cells", [(1, 1), (100, 7), (100, 100),
+                                             (textindex._BLOCK, textindex._RUN_CELLS)])
     @pytest.mark.parametrize("whitelist", [None, ("title",)])
     @pytest.mark.parametrize("size", [1, 7, 256])
-    def test_every_block_size_writes_the_same_file(self, tmp_path, monkeypatch, block,
+    def test_every_block_size_writes_the_same_file(self, tmp_path, monkeypatch, block, cells,
                                                    whitelist, size):
+        """A run is passed on whole: with blocks smaller than the
+        1,200-byte run of ``many``, the run straddles the point where its
+        block is due to be passed on, and the block holds all of it."""
         monkeypatch.setattr(textindex, "_BLOCK", block)
-        monkeypatch.setattr(textindex, "_LINE_CELLS", min(block, 4096))
+        monkeypatch.setattr(textindex, "_RUN_CELLS", cells)
         recipe = mini_recipe(("body", "title"))
         shuffled = _BLOCK_DOCS[:]
         random.Random(size).shuffle(shuffled)
@@ -903,6 +996,16 @@ class TestBlockSizes:
         written, default = two_files(recipe, shuffled, p, whitelist, size)
         assert written == default
         assert two_files(recipe, _BLOCK_DOCS, p, whitelist) == (written, written)
+        spills = [0]  # where each block passed on ends in the file
+        real_spill = textindex._Blocks.spill
+        monkeypatch.setattr(textindex._Blocks, "spill", lambda out: (
+            real_spill(out), spills.append(out.passed)))
+        publish(recipe, shuffled, p, whitelist, size)
+        start, length = map(int, textindex.InvertedIndex(written).term_span("body", "many"))
+        assert length == 1200
+        first = max(at for at in spills if at <= start)  # of the block that holds the run
+        assert spills[spills.index(first) + 1] >= start + length
+        assert (start < first + block < start + length) == (block < length)
         idx = read_index(p)
         assert idx.verify().startswith("300 documents, ")
         assert idx.postings("body", "many") == {o: 1 for o in range(300)}
@@ -915,7 +1018,7 @@ class TestBlockSizes:
     @given(docs=documents(), rnd=st.randoms(use_true_random=False),
            whitelist=st.sampled_from([None, ("title",)]), size=st.sampled_from([1, 2, 3, None]),
            block=st.sampled_from([1, 5, 64, textindex._BLOCK]),
-           cells=st.sampled_from([1, 2, textindex._LINE_CELLS]))
+           cells=st.sampled_from([1, 2, textindex._RUN_CELLS]))
     @settings(max_examples=150, deadline=None)
     def test_generated_documents(self, tmp_path_factory, docs, rnd, whitelist, size, block,
                                  cells):
@@ -923,7 +1026,7 @@ class TestBlockSizes:
         p = str(tmp_path_factory.mktemp("blocks") / "g.idx")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textindex, "_BLOCK", block)
-            mp.setattr(textindex, "_LINE_CELLS", cells)
+            mp.setattr(textindex, "_RUN_CELLS", cells)
             written, default = two_files(mini_recipe(("body", "title")), docs, p, whitelist,
                                          size)
         assert written == default
@@ -951,41 +1054,35 @@ class TestBlockSizes:
         assert words["x"] == 0 and words["z"] == 1
         assert words["y"].typecode == "I" and list(words["y"]) == [0, 0, 1, 2]
 
-    # (documents' bodies, by doc id order, and each line's text by term):
-    # one word or several words folding to a term; ordinals repeated at a
-    # line's start, at its end, or never; terms found in every document
-    @pytest.mark.parametrize("bodies,lines", [
-        (["x", "x", "x"], {"x": "0:1,1:1,2:1"}),
-        (["Ab ab", "AB, x"], {"ab": "0:2,1:1", "x": "1:1"}),
-        (["a-a b", "b"], {"a": "0:2", "b": "0:1,1:1"}),
-        (["s s e n", "s e n", "e e n"], {"e": "0:1,1:1,2:2", "n": "0:1,1:1,2:1",
-                                           "s": "0:2,1:1"}),
-        (["m q", "q m", "q", "m m m q"], {"m": "0:1,1:1,3:3", "q": "0:1,1:1,2:1,3:1"}),
+    # (documents' bodies, by doc id order, and each run's ordinals by
+    # term): one word or several words folding to a term; ordinals
+    # repeated at a run's start, at its end, or never; terms found in every
+    # document
+    @pytest.mark.parametrize("bodies,runs", [
+        (["x", "x", "x"], {"x": [0, 1, 2]}),
+        (["Ab ab", "AB, x"], {"ab": [0, 0, 1], "x": [1]}),
+        (["a-a b", "b"], {"a": [0, 0], "b": [0, 1]}),
+        (["s s e n", "s e n", "e e n"], {"e": [0, 1, 2, 2], "n": [0, 1, 2], "s": [0, 0, 1]}),
+        (["m q", "q m", "q", "m m m q"], {"m": [0, 1, 3, 3, 3], "q": [0, 1, 2, 3]}),
     ])
-    @pytest.mark.parametrize("cells", [1, 2, textindex._LINE_CELLS])
-    def test_slots_and_lines(self, tmp_path, bodies, lines, cells):
-        """Each line holds the per-document counts of its term, however
-        many cells are formatted at a time; a term with no repeated ordinal
-        is written without a ``Counter``, and one with a repeated ordinal
-        through one."""
+    @pytest.mark.parametrize("cells", [1, 2, textindex._RUN_CELLS])
+    def test_slots_and_runs(self, tmp_path, bodies, runs, cells):
+        """Each run holds its term's ordinals, each as many times as its
+        document holds the term, as little-endian uint32, however many
+        ordinals are passed on at a time; read back, they are the
+        per-document counts of the term."""
         docs = [doc(f"d{i}", body) for i, body in enumerate(bodies)]
-        counted = []
-        real_counter = textindex.Counter
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(textindex, "_LINE_CELLS", cells)
-            mp.setattr(textindex, "Counter", lambda ords: counted.append(list(ords))
-                       or real_counter(ords))
+            mp.setattr(textindex, "_RUN_CELLS", cells)
             written, default = two_files(mini_recipe(), docs, str(tmp_path / "l.idx"))
         assert written == default
         idx = textindex.InvertedIndex(written)
-        assert idx.terms("body") == {t: idx.term_span("body", t) for t in lines}
-        for term, line in lines.items():
+        assert idx.terms("body") == {t: idx.term_span("body", t) for t in runs}
+        for term, ordinals in runs.items():
             start, length = map(int, idx.term_span("body", term))
-            assert written[start:start + length].decode() == line
+            assert written[start:start + length] == struct.pack(f"<{len(ordinals)}I", *ordinals)
             assert idx.postings("body", term) == {
                 o: Counter(tokenize(b))[term] for o, b in enumerate(bodies) if term in tokenize(b)}
-        repeated = [t for t, line in lines.items() if re.search(r":[^1]", line)]
-        assert len(counted) == 2 * len(repeated)  # one a file
 
 
 DEMO_ROWS = [
@@ -1061,7 +1158,7 @@ class TestStreamedPublish:
         monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FullDisk(real_fdopen(*a, **kw)))
         err = self.failed_build(centre, capsys)
         assert "No space left on device" in err
-        assert len(blocks) == 2 and blocks[0].startswith(b"VDCIDX 2 src.t\nDOCS 4\n")
+        assert len(blocks) == 2 and blocks[0].startswith(b"VDCIDX 3 src.t\nDOCS 4\n")
         monkeypatch.undo()
         c, recipe, idx = centre
         assert cli_run(["--catalogue", c, "index", "build", "texts", "--recipe", recipe]) == 0
@@ -1276,14 +1373,17 @@ def _toc(data: bytes, i: int, shift: int | None) -> bytes:
     return data[:toc] + b"TOC " + b" ".join(b"%d" % n for n in starts) + data[end:]
 
 
-def _alpha_offset(data: bytes, change) -> bytes:
-    """``data`` with the offset digits of alpha's TERMS entry changed."""
-    m = re.search(rb"\nalpha\t(\d+)\t", data)
-    return data[:m.start(1)] + change(m[1]) + data[m.end(1):]
+def _span(data: bytes, term: bytes, cell: int, change) -> bytes:
+    """``data`` with the offset (``cell`` 1) or length (2) digits of the
+    TERMS entry of ``term`` changed, to digits of the same width."""
+    m = re.search(rb"\n" + term + rb"\t(\d+)\t(\d+)\n", data)
+    new = change(m[cell])
+    assert len(new) == len(m[cell])
+    return data[:m.start(cell)] + new + data[m.end(cell):]
 
 
 def _postings_at(data: bytes, term: str) -> int:
-    """Where ``term``'s postings line in field body starts."""
+    """Where ``term``'s postings run in field body starts."""
     return int(textindex.InvertedIndex(data).terms("body")[term][0])
 
 
@@ -1321,14 +1421,37 @@ INDEX_FAULTS = [
      "bad TERMS section for field 'body'"),
     ("terms-utf8", lambda d: _swap(d, b"\nalpha\t", b"\nalph\xff\t"), _searched("beta"),
      "invalid UTF-8 in index: .*"),
-    ("postings-number", lambda d: _alpha_offset(d, lambda o: o[:-1] + b"x"), _searched("alpha"),
-     r"bad number '\d+x' in index"),
-    ("postings-span", lambda d: _alpha_offset(d, lambda o: b"%d" % (int(o) + 1)),
+    ("postings-number", lambda d: _span(d, b"alpha", 1, lambda o: o[:-1] + b"x"),
+     _searched("alpha"), r"bad number '\d+x' in index"),
+    # alpha's run is the first: one byte earlier it starts before the section
+    ("postings-span", lambda d: _span(d, b"alpha", 1, lambda o: b"%d" % (int(o) - 1)),
      _searched("alpha"), "bad postings span for 'alpha' in field 'body'"),
-    ("postings", lambda d: _put(d, _postings_at(d, "w0"), b"0:0"), _searched("w0"),
-     "bad postings for 'w0' in field 'body'"),
-    ("postings-ordinal", lambda d: _put(d, _postings_at(d, "w10"), b"17:1"), _searched("w10"),
-     "ordinals out of order or range for 'w10' in field 'body'"),
+    # w9's run is the last: twice as long it reaches past the section, and
+    # one byte later it ends on the section's final LF
+    ("postings-past-section", lambda d: _span(d, b"w9", 2, lambda n: b"8"), _searched("w9"),
+     "bad postings span for 'w9' in field 'body'"),
+    ("postings-final-lf", lambda d: _span(d, b"w9", 1, lambda o: b"%d" % (int(o) + 1)),
+     _searched("w9"), "bad postings span for 'w9' in field 'body'"),
+    ("postings-length", lambda d: _span(d, b"w10", 2, lambda n: b"5"), _searched("w10"),
+     "bad postings span for 'w10' in field 'body'"),
+    ("postings-empty", lambda d: _span(d, b"w10", 2, lambda n: b"0"), _searched("w10"),
+     "bad postings span for 'w10' in field 'body'"),
+    ("postings", lambda d: _put(d, _postings_at(d, "alpha"), struct.pack("<I", 5)),
+     _searched("alpha"), "ordinals out of order or range for 'alpha' in field 'body'"),
+    ("postings-ordinal", lambda d: _put(d, _postings_at(d, "w10"), struct.pack("<I", 17)),
+     _searched("w10"), "ordinals out of order or range for 'w10' in field 'body'"),
+    # runs that each decode, but leave a gap (alpha's run 4 bytes short)
+    # or overlap (beta's run read at alpha's, whose bytes are the same):
+    # only ``index verify`` checks that the runs tile their section
+    ("postings-gap", lambda d: _span(d, b"alpha", 2, lambda n: b"%d" % (int(n) - 4)),
+     lambda idx: idx.verify(), "postings runs do not tile field 'body'"),
+    ("postings-overlap",
+     lambda d: _span(d, b"beta", 1, lambda o: b"%d" % _postings_at(d, "alpha")),
+     lambda idx: idx.verify(), "postings runs do not tile field 'body'"),
+    # t's run is the last of field title: 4 bytes short, it leaves a gap
+    # before the section's final LF
+    ("postings-gap-at-end", lambda d: _span(d, b"t", 2, lambda n: b"%d" % (int(n) - 4)),
+     lambda idx: idx.verify(), "postings runs do not tile field 'title'"),
     ("docs-offset", lambda d: _move_doc_offset(d, 5, 1),
      lambda idx: idx.find_ref("s/t/d05"), "bad DOCS offset for document 5"),
     ("docs-lines", lambda d: _swap(d, b"\ns/t/d05\td05\t", b"\ns/t/d05\nd05\t"),
@@ -1449,7 +1572,7 @@ class TestTermBisection:
         idx = build(mini_recipe(), [doc("d", " ".join(vocabulary))])
         for i, term in enumerate(vocabulary):
             start, length = idx.term_span("body", term)
-            assert idx.data[int(start):int(start) + int(length)] == b"0:1"
+            assert idx.data[int(start):int(start) + int(length)] == bytes(4)
         for gap in ["a", "t", *(t + "a" for t in vocabulary), "u"]:
             assert idx.term_span("body", gap) is None
 

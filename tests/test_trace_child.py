@@ -113,7 +113,7 @@ _ENGINE = ("vdc.query", "dataclasses")
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (("search", "vol_texts", "lex", "--limit", "5"), _ENGINE),
+    (("search", "vol_texts", "lex", "--limit", "5"), _ENGINE + ("vdc.colimage",)),
     (("coll", "update", "probe", "--add", "hgv/papyri/3"), _ENGINE),
     (("coll", "resolve", "finds"), _ENGINE),
     (("index", "build", "probe_texts", "--recipe", "{fx}/recipes/volterra.recipe"), _ENGINE),
@@ -126,7 +126,7 @@ _ENGINE = ("vdc.query", "dataclasses")
 def test_a_command_imports_only_its_part(centre, desk_fixtures, tmp_path, argv, absent):
     """Without site, whose hooks may load modules first: only vdc query
     loads the query engine (and with it dataclasses), and it loads no
-    index code."""
+    index code; a search loads no column image code."""
     argv = [a.format(fx=desk_fixtures[0], tmp=tmp_path) for a in argv]
     run = _run(centre, argv, "-S", "-c", _MODULES_PROBE)
     assert run.returncode == 0, run.stderr
