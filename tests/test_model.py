@@ -4,7 +4,6 @@ oracle, the date grammar, the canonical value order and CSV output."""
 import csv
 import io
 import random
-import sys
 from array import array
 
 import pytest
@@ -364,17 +363,6 @@ class TestCsvText:
 
 
 class TestLittleEndian:
-    @pytest.mark.skipif(sys.byteorder != "little", reason="pretends a big-endian platform")
-    @pytest.mark.parametrize("byteorder,stored", [("little", b"\x01\x00\x00\x00"),
-                                                  ("big", b"\x00\x00\x00\x01")])
-    def test_swapped_in_place_where_the_platform_is_big_endian(self, monkeypatch, byteorder,
-                                                               stored):
-        """Pretending a big-endian platform on a little-endian one swaps
-        the items, as the real one would."""
-        monkeypatch.setattr(sys, "byteorder", byteorder)
-        a = array("I", [1])
-        assert little_endian(a) is a and a.tobytes() == stored
-
     def test_a_platform_of_other_item_widths_is_refused(self, monkeypatch):
         monkeypatch.setitem(model._ITEM_BYTES, "I", 8)
         with pytest.raises(RuntimeError, match=r"^array\('I'\) items are 4 bytes on this "
