@@ -2,11 +2,13 @@
 
 Each connector opens a source directory read-only and exposes its content
 as uniform relational tables.  Tabular sources are RFC-4180-style CSV files
-(UTF-8, LF or CRLF, double-quote escaping), one per table, each with a
-``<table>.schema`` sidecar describing column names and kinds; the first CSV
-record must repeat the sidecar's column names.  XML corpora are directories
-of ``*.xml`` documents in the subset grammar parsed by :func:`parse_xml_doc`
-and always surface as a single table named ``docs``.
+(UTF-8, LF or CRLF, double-quote escaping), one regular file per table,
+each with a ``<table>.schema`` sidecar describing column names and kinds;
+the first CSV record must repeat the sidecar's column names.  XML corpora
+are directories of ``*.xml`` documents in the subset grammar parsed by
+:func:`parse_xml_doc` and always surface as a single table named ``docs``.
+Opening a source reads its listing (and a table's sidecars) only; a table
+or document is read, and checked, by a scan.
 
 Every handle has one shape, :class:`SourceHandle`: its tables, ``scan``,
 and ``lookup(table, item_ids)``, which answers the point lookups of
@@ -22,14 +24,15 @@ Both connectors accept pushed predicates (Compare/Contains/DateWithin,
 each naming its column by position in the table's row) and evaluate them
 as given, with the engine's one evaluator, :func:`vdc.predicates.holds`:
 the query planner alone makes them, checking each against the table's
-schema as it binds it, and the catalogue confirms that schema before the
-scan.  The tabular connector tests them before it decodes the rest of a
-row, and decodes only the columns it is asked for.  A handle of either
-kind may carry a column image (:mod:`vdc.colimage`, a vault's, attached by
-the catalogue); it then scans and looks up in the image instead of its
-files, with the same rows: there a predicate is tested once per distinct
-cell of each row group.  Connectors know nothing of trust modes: the
-catalogue decides which sources may be read.
+schema as it binds it, on the handle it then scans, whose tabular scan
+checks each file's header against that schema.  The tabular connector
+tests them before it decodes the rest of a row, and decodes only the
+columns it is asked for.  A handle of either kind may carry a column
+image (:mod:`vdc.colimage`, a vault's, attached by the catalogue); it
+then scans and looks up in the image instead of its files, with the same
+rows: there a predicate is tested once per distinct cell of each row
+group.  Connectors know nothing of trust modes: the catalogue decides
+which sources may be read.
 """
 from __future__ import annotations
 
@@ -208,13 +211,12 @@ class SourceHandle:
 
 
 class TabularSource(SourceHandle):
-    """Directory of ``<table>.csv`` + ``<table>.schema`` pairs."""
+    """Directory of ``<table>.csv`` + ``<table>.schema`` pairs, each a
+    regular file; opening it reads the listing and the sidecars only."""
 
     def __init__(self, source_id: str, path: str):
         super().__init__(source_id, path)
-        names = sorted(
-            f[:-4] for f in os.listdir(path) if f.endswith(".csv")
-        )
+        names = sorted(f.name[:-4] for f in os.scandir(path) if f.is_file() and f.name.endswith(".csv"))
         if not names:
             raise SourceError("tabular source has no .csv tables", path=path)
         for name in names:
@@ -222,28 +224,15 @@ class TabularSource(SourceHandle):
                 raise SourceError("table name is not an identifier ([A-Za-z_][A-Za-z0-9_]*)",
                                   path=self.table_path(name))
             sidecar = os.path.join(path, name + ".schema")
-            if not os.path.exists(sidecar):
+            if not os.path.isfile(sidecar):
                 raise SourceError("missing schema sidecar", path=sidecar)
-            schema = parse_sidecar(read_utf8(sidecar), name, sidecar)
-            self._validate_header(name, schema)
-            self._schemas[name] = schema
+            self._schemas[name] = parse_sidecar(read_utf8(sidecar), name, sidecar)
 
     def table_path(self, table: str) -> str:
         return os.path.join(self.path, table + ".csv")
 
     def files(self, table: str) -> list[str]:
         return [self.table_path(table)]
-
-    def _validate_header(self, table: str, schema: TableSchema):
-        path = self.table_path(table)
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            try:
-                _check_header(next(reader, None), schema, path)
-            except UnicodeDecodeError as e:
-                raise _utf8_error(path, e) from e
-            except csv.Error as e:
-                raise SourceError(f"bad csv: {e}", path=path, line=reader.line_num) from e
 
     def _lookup(self, table: str, wanted: set[str]) -> dict[str, Row]:
         """The table scanned to its end, so a change on disk during the
@@ -306,10 +295,11 @@ class TabularSource(SourceHandle):
 
 
 def _check_header(header: list[str] | None, schema: TableSchema, path: str) -> None:
-    """The header rule every reader of a table file applies: the file has a
-    header, and it names the sidecar's columns in order.  Checked on each
-    read, so a file rewritten since its source was opened is not read by
-    the old column positions."""
+    """The header rule of the one reader of a table file, ``_scan``: the
+    file has a header, and it names the sidecar's columns in order.  An
+    open reads no table file, so this is checked on each read, and a file
+    rewritten since its source was opened is not read by the old column
+    positions."""
     if header is None:
         raise SourceError("empty csv (missing header)", path=path, line=1)
     if [nfc(h) for h in header] != schema.column_names():

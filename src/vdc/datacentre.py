@@ -121,27 +121,26 @@ def catalogue_lock(catalogue_path: str):
 # relations (the query engine's view of the catalogue)
 
 class Relation:
-    """A registered view, scannable base by base.  A raw table is the
-    identity view over itself, so every relation has the same shape.
-    ``compiled`` answers the planner's questions about the view: which
-    columns mediation reads, and which predicates may run on raw rows."""
+    """A registered view, scannable base by base through ``handles``, one
+    per base: the handles whose schemas the view was compiled against.  A
+    raw table is the identity view over itself, so every relation has the
+    same shape.  ``compiled`` answers the planner's questions about the
+    view: which columns mediation reads, and which predicates may run on
+    raw rows."""
 
-    def __init__(self, compiled: CompiledView, catalogue: "Catalogue"):
+    def __init__(self, compiled: CompiledView, handles: list[SourceHandle]):
         self.name = compiled.view.name
         self.schema = compiled.schema
         self.bases: tuple[RelationRef, ...] = compiled.view.base
         self.compiled = compiled
-        self._catalogue = catalogue
+        self.handles = handles
 
     def estimate_rows(self) -> int:
         """Raw row count over all bases.  The planner does not use it; the
         benchmark's traced run wraps it by name, so it stays until that
         benchmark changes."""
-        total = 0
-        for ref in self.bases:
-            handle = self._catalogue.open_handle(ref.source_id)
-            total += sum(1 for _ in handle.scan(ref.table, columns=()))
-        return total
+        return sum(sum(1 for _ in handle.scan(ref.table, columns=()))
+                   for ref, handle in zip(self.bases, self.handles))
 
     def scan_base(
         self,
@@ -160,16 +159,13 @@ class Relation:
         connector may leave every other cell None, so they must cover the
         columns of ``preds`` and of ``compiled.mediation_reads()``.
 
-        Every position here was bound against the base's schema when the
-        view was compiled, so a base whose schema has changed since (a live
-        source rewritten on disk) raises SourceError rather than answer by
-        the wrong columns.
+        Every position here was bound against the schema of the base's
+        handle, which this scan reads through; a table file whose header
+        no longer names that schema's columns (a live source rewritten on
+        disk) fails the scan rather than answer by the wrong columns.
         """
         ref = self.bases[base_index]
-        handle = self._catalogue.open_handle(ref.source_id)
-        if handle.schema(ref.table) != self.compiled.base_schemas[base_index]:
-            raise SourceError(f"table {ref.text()} changed its schema since the query was planned")
-        rows = handle.scan(ref.table, pushed=preds if pushdown else None, columns=columns)
+        rows = self.handles[base_index].scan(ref.table, pushed=preds if pushdown else None, columns=columns)
         if preds and not pushdown:
             rows = (r for r in rows if matches(preds, r))
         apply = self.compiled.apply
@@ -205,15 +201,18 @@ class Catalogue:
 
     # -- sources -----------------------------------------------------------
     def register_source(self, source_id: str, kind: str, path: str, mode: AccessMode) -> SourceDescriptor:
+        """Accept a source once its layout is checked, and its content by
+        one rule for either kind: a vault's copy is read in full by the
+        checked scan that writes its image, a live source is read in full
+        as ``verify_source`` reads it, and an index-only source is read only
+        by its index build."""
         if source_id in self.sources:
             raise IntegrityError(f"source id {source_id!r} already registered")
         _check_name(source_id, "source id")
-        # validate before accepting (and before snapshotting): the layout,
-        # and every document of a live corpus (a vault's, as its image is written)
         handle = connectors.open_source(source_id, kind, path)
-        if mode is AccessMode.LIVE and kind == connectors.XML_CORPUS:
-            handle.documents()
-        if mode is AccessMode.VAULT:
+        if mode is AccessMode.LIVE:
+            _read_all(handle)
+        elif mode is AccessMode.VAULT:
             path = self._snapshot(source_id, kind, path)
         desc = SourceDescriptor(source_id, kind, path, mode)
         self.sources[source_id] = desc
@@ -299,16 +298,19 @@ class Catalogue:
         view = self._read_view(path)
         if view.name in self.views:
             raise IntegrityError(f"view {view.name!r} already defined")
-        self._compile_view(view)  # fail fast on unresolvable views
+        self._relation(view)  # fail fast on unresolvable views
         self.views[view.name] = _ViewEntry(path, view)
         return view
 
     def _read_view(self, path: str) -> ViewDefinition:
         return mediation.parse_view_file(_read_definition(path, "view file"))
 
-    def _compile_view(self, view: ViewDefinition) -> CompiledView:
-        schemas = [self.open_handle(ref.source_id).schema(ref.table) for ref in view.base]
-        return mediation.compile_view(view, schemas, self.xlates)
+    def _relation(self, view: ViewDefinition) -> Relation:
+        """``view`` compiled against a handle opened for each base, which
+        its relation then scans through."""
+        handles = [self.open_handle(ref.source_id) for ref in view.base]
+        schemas = [h.schema(ref.table) for ref, h in zip(view.base, handles)]
+        return Relation(mediation.compile_view(view, schemas, self.xlates), handles)
 
     # -- relation resolution -------------------------------------------------
     def resolve_relation(self, name: str) -> Relation:
@@ -321,7 +323,7 @@ class Catalogue:
                 raise PlanError(str(e)) from e
             return self._raw_relation(ref)
         if name in self.views:
-            return Relation(self._compile_view(self.views[name].definition), self)
+            return self._relation(self.views[name].definition)
         candidates = []
         for source_id, desc in self.sources.items():
             # Table names are metadata: a bare-name match on an index-only
@@ -344,7 +346,7 @@ class Catalogue:
 
     def _raw_relation(self, ref: RelationRef) -> Relation:
         """A raw table, as the identity view over itself."""
-        return Relation(self._compile_view(ViewDefinition(ref.text(), (ref,), ())), self)
+        return self._relation(ViewDefinition(ref.text(), (ref,), ()))
 
     # -- record fetching -------------------------------------------------------
     def fetch_record(self, ref: ItemRef) -> Row:
@@ -358,13 +360,11 @@ class Catalogue:
         in full, every record or document checked as a scan checks it.  The
         first fault raises, naming its file."""
         handle = self.open_handle(source_id)
-        tables = handle.list_tables()
         if handle.image is not None:
             chunks = handle.image.verify()
-            files = sum(len(handle.files(t.name)) for t in tables)
+            files = sum(len(handle.files(t.name)) for t in handle.list_tables())
             return f"every table file and image chunk matches (files: {files}, chunks: {chunks})"
-        rows = sum(1 for t in tables for _ in handle.scan(t.name, columns=()))
-        return f"{rows} rows read"
+        return f"{_read_all(handle)} rows read"
 
     # -- virtual collections -------------------------------------------------
     def update_collection(self, name: str, add: Sequence[ItemRef]) -> list[ItemRef]:
@@ -644,6 +644,12 @@ def _read_definition(path: str, what: str) -> str:
         return connectors.read_utf8(path)
     except OSError as e:
         raise SourceError(f"cannot read {what}: {e}", path=path) from e
+
+
+def _read_all(handle: SourceHandle) -> int:
+    """The number of rows of every table of ``handle``, each record or
+    document read and checked as a scan checks it; the first fault raises."""
+    return sum(1 for t in handle.list_tables() for _ in handle.scan(t.name, columns=()))
 
 
 def _pick(records: dict[str, Row | VdcError], ref: ItemRef) -> Row:

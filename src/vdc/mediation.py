@@ -392,14 +392,16 @@ class _CellOp(Record):
 class CompiledView:
     """A view resolved against its base schemas, ready to map rows.
 
-    ``schema`` is the resolved output schema and ``base_schemas`` the raw
-    schema of each base; ``apply(base_index, row)`` maps one base row to a
-    view row, returning collected coercion warnings.  Renames and
-    transforms keep positions and a union's bases agree on them, so view
-    column ``i`` is raw column ``i`` of every base and one list of cell ops,
-    in rule order, serves every base.  A raw table is the identity view
-    over itself: no rules, so ``apply`` returns its rows unchanged.  No
-    source table has a date column, so the view's are the coerced ones.
+    ``schema`` is the resolved output schema; the base schemas it was
+    resolved against are those of the handles its relation scans
+    (:class:`vdc.datacentre.Relation`).  ``apply(base_index, row)`` maps
+    one base row to a view row, returning collected coercion warnings.
+    Renames and transforms keep positions and a union's bases agree on
+    them, so view column ``i`` is raw column ``i`` of every base and one
+    list of cell ops, in rule order, serves every base.  A raw table is
+    the identity view over itself: no rules, so ``apply`` returns its rows
+    unchanged.  No source table has a date column, so the view's are the
+    coerced ones.
 
     Date coercion (:func:`coerce_date`) is memoized per distinct text in
     the process, one memo for ``apply``, the coercing predicates of
@@ -407,11 +409,9 @@ class CompiledView:
     fails still gets its own warning.
     """
 
-    def __init__(self, view: ViewDefinition, schema: TableSchema,
-                 base_schemas: list[TableSchema], ops: list[_CellOp]):
+    def __init__(self, view: ViewDefinition, schema: TableSchema, ops: list[_CellOp]):
         self.view = view
         self.schema = schema
-        self.base_schemas = base_schemas
         self._ops = ops
         self._date_columns = {i for i, c in enumerate(schema.columns) if c.kind is ColumnKind.DATE}
 
@@ -544,4 +544,4 @@ def compile_view(
             raise mismatch(b)
 
     schema = TableSchema(view.name, tuple(first))
-    return CompiledView(view, schema, list(base_schemas), ops)
+    return CompiledView(view, schema, ops)

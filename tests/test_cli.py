@@ -308,7 +308,8 @@ class TestCollectionsViaCli:
 class TestBareTableNames:
     """A bare table name in a query names the one source that holds such
     a table.  An index-only source whose original is gone is passed over;
-    any other source that no longer opens fails the query."""
+    any other source that no longer opens fails the query.  Opening reads
+    no table file, so a broken table fails only the queries that read it."""
 
     def test_a_name_two_sources_hold_is_ambiguous(self, centre):
         cli, cat, fx, _ = centre
@@ -340,6 +341,20 @@ class TestBareTableNames:
         assert cli("query", query) == (0, "id\ni0001\n", "")
         assert cli("query", "SELECT id FROM legal_texts WHERE id < 3") == (0, "id\n1\n2\n", "")
         assert cli("coll", "resolve", "finds") == (0, stub, "")
+
+    def test_a_broken_table_of_another_source_is_not_read(self, centre, tmp_path):
+        cli, *_ = centre
+        for name in ("a", "b"):
+            src = tmp_path / name
+            src.mkdir()
+            (src / f"t{name}.schema").write_text("id : int\n", encoding="utf-8")
+            (src / f"t{name}.csv").write_text("id\n1\n", encoding="utf-8")
+            assert cli("source", "add", name, "--kind", "tabular", "--path", str(src),
+                       "--mode", "live")[0] == 0
+        (tmp_path / "b" / "tb.csv").write_text("x\n1\n", encoding="utf-8")
+        assert cli("query", "SELECT id FROM ta") == (0, "id\n1\n", "")
+        assert cli("query", "SELECT id FROM tb") == (
+            2, "", f"error: csv header ['x'] does not match sidecar columns [{tmp_path / 'b' / 'tb.csv'}:1]\n")
 
     def test_a_withdrawn_live_source_fails_the_query(self, centre, tmp_path):
         cli, _, fx, _ = centre
@@ -775,8 +790,10 @@ class TestCsvFieldLimit:
 
     def test_scan(self, centre, tmp_path):
         cli, *_ = centre
-        code, _, path = self.live_source(cli, tmp_path, "id,note", f'1,"{self.BIG}"')
-        assert code == 0  # registration reads the header only
+        code, _, path = self.live_source(cli, tmp_path, "id,note", "1,a")
+        assert code == 0
+        # a live source changes after it is accepted
+        path.write_text(f'id,note\n1,"{self.BIG}"\n', encoding="utf-8")
         code, out, err = cli("query", "SELECT id FROM big.t")
         assert (code, out) == (2, "")
         assert err == f"error: bad csv: field larger than field limit (131072) [{path}:2]\n"
@@ -843,10 +860,23 @@ class TestInt64Boundary:
     def test_query_of_a_live_table(self, centre, tmp_path):
         cli, *_ = centre
         src = self.table(tmp_path)
+        bad = (src / "t.csv").read_bytes()
+        (src / "t.csv").write_text("id,note\n", encoding="utf-8")
         assert cli("source", "add", "big", "--kind", "tabular", "--path", str(src),
                    "--mode", "live")[0] == 0
+        (src / "t.csv").write_bytes(bad)  # a live source changes after it is accepted
         code, out, err = cli("query", "SELECT note FROM big.t")
         assert (code, out, err) == (2, "", f"{self.ERROR} [{src / 't.csv'}:2]\n")
+
+    def test_live_add_leaves_nothing(self, centre, tmp_path):
+        """A live add reads every record, as the scan of a query would."""
+        cli, cat, *_ = centre
+        src = self.table(tmp_path)
+        before = open(cat, "rb").read()
+        code, out, err = cli("source", "add", "big", "--kind", "tabular", "--path", str(src),
+                             "--mode", "live")
+        assert (code, out, err) == (2, "", f"{self.ERROR} [{src / 't.csv'}:2]\n")
+        assert open(cat, "rb").read() == before
 
     def test_vault_add_leaves_nothing(self, centre, tmp_path):
         cli, cat, *_ = centre
@@ -886,9 +916,20 @@ class TestInt64Boundary:
         def source(name, schema, lines):
             (d / name).mkdir()
             (d / name / "t.schema").write_text(schema, encoding="utf-8")
-            (d / name / "t.csv").write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
-            return [cli("source", "add", f"{name}_{mode}", "--kind", "tabular",
-                        "--path", str(d / name), "--mode", mode) for mode in ("live", "vault")]
+            table = d / name / "t.csv"
+            text = "".join(f"{x}\n" for x in lines)
+            table.write_text(text, encoding="utf-8")
+
+            def add(mode):
+                return cli("source", "add", f"{name}_{mode}", "--kind", "tabular",
+                           "--path", str(d / name), "--mode", mode)
+
+            adds = [add("live"), add("vault")]
+            if adds[0][0] != 0:  # register the header; the rest is written after it is accepted
+                table.write_text(f"{lines[0]}\n", encoding="utf-8")
+                assert add("live")[0] == 0
+                table.write_text(text, encoding="utf-8")
+            return adds
 
         seen: dict = {}
         for i, text in enumerate(self.INTS):
@@ -921,10 +962,11 @@ class TestInt64Boundary:
         seen = self.readers(tmp_path / "default", capsys)
         for text, value in self.INTS.items():
             live, vault = seen["add", text]
-            assert live[0] == 0 and vault[0] == (0 if value is not None else 2), text
+            assert live[0] == vault[0] == (0 if value is not None else 2), text
             if value is None:
                 error = f"{text!r} in column 'id': not an int64 [<d>/i"
-                assert error in vault[2] and vault[2].endswith("/t.csv:2]\n"), vault
+                for add in (live, vault):
+                    assert error in add[2] and add[2].endswith("/t.csv:2]\n"), add
                 live_scan, vault_scan = seen["scan", text]
                 assert live_scan[0] == 2 and error in live_scan[2]
                 assert vault_scan == (2, "", f"error: no source 'i{list(self.INTS).index(text)}_vault'\n")

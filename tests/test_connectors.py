@@ -87,8 +87,10 @@ class TestTabular:
 
     def test_header_must_match_sidecar(self, tmp_path):
         write_source(tmp_path / "s", header="id,wrong,note")
-        with pytest.raises(SourceError):
-            live("s", tmp_path / "s")
+        handle = live("s", tmp_path / "s")  # an open reads no table file
+        with pytest.raises(SourceError, match="does not match sidecar columns") as e:
+            list(handle.scan("texts", columns=()))
+        assert e.value.line == 1
 
     def test_scan_parses_cells_and_nulls(self, tmp_path):
         write_source(tmp_path / "s", rows=["1,complete,", "2,,x"])
@@ -144,8 +146,9 @@ class TestTabular:
         d = tmp_path / "s"
         write_source(d)
         (d / "texts.csv").write_bytes(b"id,status,note\n1,\xff\xfe,x\n")
+        handle = live("s", d)  # an open reads no table file
         with pytest.raises(SourceError) as e:
-            live("s", d)
+            list(handle.scan("texts", columns=()))
         assert e.value.path == str(d / "texts.csv")
         assert e.value.line == 2
 
@@ -161,8 +164,8 @@ class TestTabular:
     def test_invalid_utf8_row_is_source_error_on_scan(self, tmp_path):
         d = tmp_path / "s"
         write_source(d)
-        # past the decoder's first read-ahead block, so opening (which reads
-        # only the header) succeeds and the scan meets the bad bytes
+        # past the decoder's first read-ahead block, so the scan has read
+        # the header and many rows when it meets the bad bytes
         rows = b"".join(b"%d,a,b\n" % i for i in range(1, 2001))
         (d / "texts.csv").write_bytes(b"id,status,note\n" + rows + b"2001,\xff\xfe,x\n")
         handle = live("s", d)
@@ -553,16 +556,19 @@ class TestLateDecoding:
         "int_full_width": b"0,\xef\xbc\x95,drop,b\n",  # U+FF15
     }
     # rows before the bad one: past the decoder's first read-ahead block,
-    # so opening the source (which reads only the header) succeeds
+    # so the scan has read the header and many rows when it meets it
     LEAD = 1000
 
     def _source(self, tmp_path, bad: bytes):
         d = tmp_path / "s"
         write_source(d, table="t", header="id,n,tag,note",
                      schema="id : int\nn : int\ntag : text\nnote : text\n")
+        self._write(d, bad)
+        return d
+
+    def _write(self, d, bad: bytes):
         lead = b"".join(b"%d,5,keep,a\n" % i for i in range(1, self.LEAD + 1))
         (d / "t.csv").write_bytes(b"id,n,tag,note\n" + lead + bad + b"7,7,keep,c\n")
-        return d
 
     def test_good_rows_decode_only_the_columns_asked_for(self, tmp_path):
         d = self._source(tmp_path, b"0,6,drop,b\n")
@@ -588,9 +594,10 @@ class TestLateDecoding:
         from vdc.datacentre import Catalogue
         from vdc.query import execute_plan, parse_query, plan_query
 
-        d = self._source(tmp_path, self.BAD_ROWS[bad])
+        d = self._source(tmp_path, b"")
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("s", "tabular", str(d), AccessMode.LIVE)
+        self._write(d, self.BAD_ROWS[bad])  # a live source changes after it is accepted
         ast = parse_query("SELECT id FROM s.t WHERE tag = 'keep'")
         for pushdown in (True, False):
             plan = plan_query(ast, cat, pushdown=pushdown)
@@ -602,10 +609,11 @@ class TestLateDecoding:
     def test_cli_exit_2_with_pushdown_on_and_off(self, tmp_path, bad, capsys):
         from vdc.cli import run
 
-        d = self._source(tmp_path, self.BAD_ROWS[bad])
+        d = self._source(tmp_path, b"")
         cat = str(tmp_path / "c.vdc")
         assert run(["--catalogue", cat, "source", "add", "s", "--kind", "tabular",
                     "--path", str(d), "--mode", "live"]) == 0
+        self._write(d, self.BAD_ROWS[bad])  # a live source changes after it is accepted
         q = ["--catalogue", cat, "query", "SELECT id FROM s.t WHERE tag = 'keep'"]
         for extra in ([], ["--no-pushdown"]):
             capsys.readouterr()
@@ -637,7 +645,8 @@ class TestLiveChanges:
         order is refused by a scan of a handle opened before the rewrite,
         not read by the old column positions.  In a vault, such a file no
         longer matches the column image: a lookup through a handle opened
-        before the rewrite fails, and the vault no longer opens."""
+        before the rewrite fails, as do a lookup through a handle opened
+        after it and ``source verify``."""
         d = tmp_path / "s"
         write_source(d, table="t", header="a,b", schema="a : text\nb : text\n", rows=["x,y"])
         handle = live("s", d)
@@ -651,9 +660,10 @@ class TestLiveChanges:
         assert e.value.line == 1
         with pytest.raises(IntegrityError, match="table file differs from the column image"):
             vault.lookup("t", ["x"])
-        with pytest.raises(SourceError, match="does not match sidecar columns") as e:
-            cat.open_handle("v")
-        assert e.value.line == 1
+        for check in (lambda: cat.open_handle("v").lookup("t", ["x"]), lambda: cat.verify_source("v")):
+            with pytest.raises(IntegrityError, match="table file differs from the column image") as e:
+                check()
+            assert str(e.value).endswith(f"[{tmp_path / 'c.vdc.store' / 'vault' / 'v' / 't.csv'}]")
 
     def test_unchanged_live_and_vault_scans_succeed(self, tmp_path):
         from vdc.datacentre import Catalogue
@@ -668,9 +678,11 @@ class TestLiveChanges:
 
 
 class TestSchemaDrift:
-    """Every position a plan holds was bound against the schema the view was
-    compiled with: a live table whose schema changes between planning and
-    the scan fails the scan instead of answering by the wrong columns."""
+    """Every position a plan holds was bound against the schema of the handle
+    the view was compiled with, which the plan scans through: a live table
+    whose schema changes between planning and the scan fails the scan, its
+    header no longer naming that schema's columns, instead of answering by
+    the wrong columns."""
 
     def _centre(self, tmp_path, mode):
         from vdc.datacentre import Catalogue
@@ -694,8 +706,9 @@ class TestSchemaDrift:
         ast = parse_query("SELECT id, a FROM s.t WHERE a = 'x'")
         plan = plan_query(ast, cat, pushdown=pushdown)
         self._swap_columns(d)
-        with pytest.raises(SourceError, match="s.t changed its schema"):
+        with pytest.raises(SourceError, match="does not match sidecar columns") as e:
             execute_plan(plan)
+        assert (e.value.path, e.value.line) == (str(d / "t.csv"), 1)
         assert execute_plan(plan_query(ast, cat, pushdown=pushdown)).rows == [(1, "x")]
 
     def test_vault_and_unchanged_live_sources_succeed(self, tmp_path):

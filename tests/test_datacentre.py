@@ -273,6 +273,23 @@ class TestColumnImage:
             assert [os.path.basename(f) for f in handle.files("docs")] == ["a.xml"]
             assert list(handle.scan("docs")) == [("a",) + (None,) * 7]
 
+    def test_a_directory_named_like_a_table_is_not_one(self, tmp_path):
+        """A tabular source lists its regular ``*.csv`` files, as a vault
+        snapshot copies them: a live and a vault registration of a directory
+        that also holds a subdirectory ``t.csv`` beside ``t.schema`` both
+        succeed, with the same tables."""
+        d = tmp_path / "src"
+        (d / "t.csv").mkdir(parents=True)
+        (d / "t.schema").write_text("id : int\n", encoding="utf-8")
+        (d / "u.schema").write_text("id : int\n", encoding="utf-8")
+        (d / "u.csv").write_text("id\n1\n", encoding="utf-8")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        for mode in (AccessMode.LIVE, AccessMode.VAULT):
+            cat.register_source(mode.name, "tabular", str(d), mode)
+            handle = cat.open_handle(mode.name)
+            assert [t.name for t in handle.list_tables()] == ["u"]
+            assert list(handle.scan("u")) == [(1,)]
+
     def test_quoted_line_breaks_and_crlf(self, tmp_path):
         d = tmp_path / "src"
         d.mkdir()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdc import connectors
 from vdc.cli import run
 from vdc.datacentre import Catalogue
 from vdc.errors import ParseError, PlanError, VdcError
@@ -166,6 +167,22 @@ class TestPlanner:
         assert plan.pushdown and len(term.scan_preds) == 1
         assert term.scan_preds[0].index == term.relation.schema.index_of("Fundort")
 
+    def test_a_query_opens_each_base_once(self, desk_centre, monkeypatch):
+        """Planning and running a query open each base source once: the
+        scans read through the handles the plan was bound against."""
+        cat, _, _ = desk_centre
+        opened = []
+        real_open = connectors.open_source
+
+        def counting_open(source_id, kind, path):
+            opened.append(source_id)
+            return real_open(source_id, kind, path)
+
+        monkeypatch.setattr(connectors, "open_source", counting_open)
+        plan = plan_query(parse_query("SELECT * FROM all_texts LIMIT 5"), cat)
+        assert len(execute_plan(plan).rows) == 5
+        assert opened == ["hgv", "volterra"]
+
     def test_pushdown_through_rename(self, desk_centre):
         cat, _, _ = desk_centre
         plan = plan_query(
@@ -174,7 +191,8 @@ class TestPlanner:
         (term,) = plan.terms
         (pred,) = term.scan_preds
         # the view's position of findspot is the raw position of Fundort
-        (base,) = term.relation.compiled.base_schemas
+        ((ref, handle),) = zip(term.relation.bases, term.relation.handles)
+        base = handle.schema(ref.table)
         assert pred.index == term.relation.schema.index_of("findspot")
         assert pred.index == base.index_of("Fundort")
 
@@ -191,7 +209,8 @@ class TestPlanner:
         assert term.filters == ()
         (pred,) = term.scan_preds
         assert plan.pushdown
-        (base,) = term.relation.compiled.base_schemas
+        ((ref, handle),) = zip(term.relation.bases, term.relation.handles)
+        base = handle.schema(ref.table)
         assert (pred.index, pred.op, pred.literal) == (base.index_of("Kategorie"), "=", "letter")
         assert pred.transform == cat.xlates["de_en"].translate
         plan = plan_query(parse_query("SELECT * FROM papyri_en WHERE date = '0200'"), cat)
