@@ -12,8 +12,11 @@ columns one after the other as chunks.  Every chunk is dictionary coded
 among them, then one uint16 code per row.  A scan therefore tests a pushed
 predicate once per dictionary entry, not once per row, and decodes the
 other columns only for the rows that pass.  A date text chunk also stores
-its entries' days, parsed at registration; decoding it seeds the process's
-coercion memo (:data:`vdc.model.DATE_MEMO`), so no query parses them.
+its entries' days, parsed at registration.  A scan tests a date predicate
+on them, building no date (late materialization: Abadi, Myers, DeWitt and
+Madden, ICDE 2007), and puts the dates of the entries of the rows it
+returns into the process's coercion memo (:data:`vdc.model.DATE_MEMO`), so
+no query parses them.
 
 All integers are little-endian.  The file is::
 
@@ -72,10 +75,12 @@ from .model import (
     Row,
     TableSchema,
     UncertainDate,
+    days_within,
     int64,
     little_endian,
 )
-from .predicates import holds
+from .mediation import coerce_date
+from .predicates import COMPARE_OPS, DateWithin, holds
 
 IMAGE = "vdc.cols"
 GROUP_ROWS = 4096
@@ -157,14 +162,16 @@ class ColumnImage(Record):
 
     def _decode(
         self, data: bytes, t: _Table, g: int, column: int, rows: Iterable[int] | None = None
-    ) -> tuple[list | dict, array]:
-        """(dictionary, codes) of a checked chunk; with ``rows``, positions
-        in the group, the dictionary is a dict of just their entries.  A
-        chunk whose structure does not hold raises, though its CRC-32
-        matched.  The stored days of a date text chunk's decoded entries
-        seed :data:`vdc.model.DATE_MEMO`, so a view's coercion of them
-        parses nothing."""
+    ) -> tuple[list | dict, array, array | None]:
+        """(dictionary, codes, days) of a checked chunk; with ``rows``,
+        positions in the group, the dictionary is a dict of just their
+        entries.  ``days`` are a date text chunk's stored days, each
+        entry's earliest, then each entry's latest, where only ``NO_DATE``
+        is reversed (None for any other chunk); no entry's date is built
+        here.  A chunk whose structure does not hold raises, though its
+        CRC-32 matched."""
         size = t.group_rows(g)
+        days = None
         try:
             encoding, n, null = _CHUNK.unpack_from(data)
             at = _CHUNK.size
@@ -194,20 +201,22 @@ class ColumnImage(Record):
                     raise ValueError("bad text offsets")
                 if null != _NO_NULL and offsets[null] != offsets[null + 1]:
                     raise ValueError("the null entry is not empty")
-                only = range(n) if rows is None else {codes[r] for r in rows}
                 if rows is None:
                     values = [text[a:b] for a, b in pairwise(offsets)]
                 else:
-                    values = {c: text[offsets[c]:offsets[c + 1]] for c in only}
+                    values = {c: text[offsets[c]:offsets[c + 1]] for c in {codes[r] for r in rows}}
                 if col.date_text:
-                    _seed_dates(values, only, _array("q", data[days_at:end]), n)
+                    days = _array("q", data[days_at:end])
+                    for c in compress(range(n), map(operator.gt, days[:n], days[n:])):
+                        if (days[c], days[n + c]) != NO_DATE:
+                            raise ValueError(f"entry {c} has reversed days that are not NO_DATE")
             if null != _NO_NULL:
                 values[null] = None
         except (ValueError, IndexError, struct.error) as e:
             raise self._fail(f"chunk {column} of row group {g} of table {t.schema.name!r}: {e}") from e
-        return values, codes
+        return values, codes, days
 
-    def _read(self, f, t: _Table, g: int, column: int) -> tuple[list, array]:
+    def _read(self, f, t: _Table, g: int, column: int) -> tuple[list, array, array | None]:
         return self._decode(self._chunk(f, t, g, column), t, g, column)
 
     def _open(self):
@@ -221,20 +230,22 @@ class ColumnImage(Record):
         file order, as a scan of the files gives them: the cells at
         positions ``columns`` (all, when None) are filled and every other
         cell is None.  Row group by row group, each predicate is tested
-        once per entry of its column's dictionary, and only the chunks of
-        the predicates' columns and, where a row passes, of ``columns`` are
-        read."""
+        once per entry of its column's dictionary (see :func:`_entry_tests`),
+        and only the chunks of the predicates' columns and, where a row
+        passes, of ``columns`` are read.  The dates of a date text
+        column's entries go into :data:`vdc.model.DATE_MEMO` only for the
+        rows that pass, so a view's coercion of them parses nothing."""
         t = self.tables[table]
         wanted = range(t.width) if columns is None else sorted(set(columns))
         with self._open() as f:
             for g in range(t.groups):
-                read: dict[int, tuple[list, array]] = {}
+                read: dict[int, tuple[list, array, array | None]] = {}
                 passing: list[int] | None = None  # None: every row
                 for p in pushed:
                     if p.index not in read:
                         read[p.index] = self._read(f, t, g, p.index)
-                    values, codes = read[p.index]
-                    ok = [holds(p, v) for v in values]
+                    values, codes, days = read[p.index]
+                    ok = _entry_tests(p, values, days)
                     if passing is None:
                         passing = list(compress(range(len(codes)), map(ok.__getitem__, codes)))
                     else:
@@ -250,13 +261,16 @@ class ColumnImage(Record):
                 cells: list = [repeat(None)] * t.width
                 for i in wanted:
                     if i in read:
-                        values, codes = read[i]
+                        values, codes, days = read[i]
                     else:  # the entries of the passing rows alone
-                        values, codes = self._decode(self._chunk(f, t, g, i), t, g, i, passing)
+                        values, codes, days = self._decode(self._chunk(f, t, g, i), t, g, i, passing)
                     if passing is None:
                         cells[i] = map(values.__getitem__, codes)
                     else:
                         cells[i] = [values[codes[r]] for r in passing]
+                    if days is not None:
+                        _seed_dates(values, range(len(values)) if passing is None
+                                    else {codes[r] for r in passing}, days)
                 yield from zip(*cells)
 
     def _groups(self, f, t: _Table) -> Iterator[list[bytes]]:
@@ -302,7 +316,7 @@ class ColumnImage(Record):
             for g, chunks in enumerate(self._groups(f, t)):
                 if len(found) == len(targets):
                     continue  # the rest is read for its checks alone
-                keys, key_codes = self._decode(chunks[0], t, g, 0)
+                keys, key_codes, _ = self._decode(chunks[0], t, g, 0)
                 hits = {}  # key -> its first row in the group
                 for cell in targets.keys() & set(keys):
                     if targets[cell] not in found:
@@ -311,7 +325,7 @@ class ColumnImage(Record):
                     rows = sorted(hits.values())
                     group = [self._decode(data, t, g, i, rows) for i, data in enumerate(chunks)]
                     for key, r in hits.items():
-                        found[key] = tuple(values[codes[r]] for values, codes in group)
+                        found[key] = tuple(values[codes[r]] for values, codes, _ in group)
         return found
 
     def verify(self) -> int:
@@ -327,19 +341,37 @@ class ColumnImage(Record):
         return n
 
 
-def _seed_dates(values: list | dict, only: Iterable[int], days: array, n: int) -> None:
-    """Check a date text chunk's stored days (each entry's earliest, then
-    each entry's latest) and put the dates of the ``only`` entries of
-    ``values`` into :data:`vdc.model.DATE_MEMO`, where it has none."""
-    earliest, latest = days[:n], days[n:]
-    for c in compress(range(n), map(operator.gt, earliest, latest)):
-        if (earliest[c], latest[c]) != NO_DATE:
-            raise ValueError(f"entry {c} has reversed days that are not NO_DATE")
+def _entry_tests(p, values: list, days: array | None) -> list[bool]:
+    """Whether each entry of a chunk's dictionary ``values`` satisfies
+    ``p``, as :func:`vdc.predicates.holds` answers.  A predicate that
+    carries the view's date coercion, DATE_WITHIN or ``=``/``!=`` with a
+    date, is tested on a date text chunk's stored ``days``, so no entry's
+    date is built: the null entry passes nothing, and an entry stored as
+    ``NO_DATE``, a text the coercion maps to None, passes, as ``holds``
+    keeps it.  Any other predicate is ``holds`` on each entry."""
+    if days is None or p.transform is not coerce_date:
+        return [holds(p, v) for v in values]
+    n = len(values)
+    entries = zip(values, days[:n], days[n:])
+    if isinstance(p, DateWithin):
+        first, last = p.lo, p.hi
+        return [v is not None and (lo > hi or days_within(lo, hi, first, last))
+                for v, lo, hi in entries]
+    op, pair = COMPARE_OPS[p.op], (p.literal.earliest_day, p.literal.latest_day)
+    # a date's equality is its interval's
+    return [v is not None and (lo > hi or op((lo, hi), pair)) for v, lo, hi in entries]
+
+
+def _seed_dates(values: list | dict, entries: Iterable[int], days: array) -> None:
+    """Put the dates of the ``entries`` of ``values`` into
+    :data:`vdc.model.DATE_MEMO`, from their checked stored ``days``, where
+    it has none."""
+    n = len(days) // 2
     memo = DATE_MEMO
-    for c in only:
+    for c in entries:
         text = values[c]
-        if text not in memo:
-            lo, hi = earliest[c], latest[c]
+        if text is not None and text not in memo:
+            lo, hi = days[c], days[n + c]
             memo[text] = UncertainDate(lo, hi) if lo <= hi else None
 
 

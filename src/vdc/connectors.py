@@ -31,8 +31,9 @@ columns it is asked for.  A handle of either kind may carry a column
 image (:mod:`vdc.colimage`, a vault's, attached by the catalogue); it
 then scans and looks up in the image instead of its files, with the same
 rows: there a predicate is tested once per distinct cell of each row
-group.  Connectors know nothing of trust modes: the catalogue decides
-which sources may be read.
+group, a coercing date predicate on the cell's stored days.  Connectors
+know nothing of trust modes: the catalogue decides which sources may be
+read.
 """
 from __future__ import annotations
 
@@ -483,7 +484,9 @@ class XmlCorpusSource(SourceHandle):
         return list(self._files)
 
     def documents(self) -> list[Row]:
-        """The ``docs`` row of every document, in sorted file order."""
+        """The ``docs`` row of every document, in sorted file order.  No
+        scan reads through it; the benchmark's traced run wraps it by
+        name, so it stays until that benchmark changes."""
         return [row for _, row in self._parsed()]
 
     def _lookup(self, table: str, wanted: set[str]) -> dict[str, Row | SourceError]:
@@ -521,11 +524,20 @@ class XmlCorpusSource(SourceHandle):
             yield doc_id, row
 
     def _scan(self, schema: TableSchema, preds: tuple, columns: Iterable[int] | None) -> Iterator[Row]:
-        """The documents' rows; documents are parsed whole, so every cell
-        is filled whatever ``columns`` asks for."""
-        for row in self.documents():
-            if not preds or matches(preds, row):
-                yield row
+        """The documents' rows, each document read and parsed whole as the
+        scan reaches it: the rows that pass the pushed predicates, the
+        cells at positions ``columns`` (all, when None) filled and every
+        other cell None."""
+        wanted = None if columns is None else set(columns)
+        for _, row in self._parsed():
+            if preds and not matches(preds, row):
+                continue
+            if wanted is not None:
+                cells = [None] * len(row)
+                for i in wanted:
+                    cells[i] = row[i]
+                row = tuple(cells)
+            yield row
 
 
 def open_source(source_id: str, kind: str, path: str) -> SourceHandle:

@@ -305,10 +305,11 @@ class Catalogue:
     def _read_view(self, path: str) -> ViewDefinition:
         return mediation.parse_view_file(_read_definition(path, "view file"))
 
-    def _relation(self, view: ViewDefinition) -> Relation:
-        """``view`` compiled against a handle opened for each base, which
-        its relation then scans through."""
-        handles = [self.open_handle(ref.source_id) for ref in view.base]
+    def _relation(self, view: ViewDefinition, handles: list[SourceHandle] | None = None) -> Relation:
+        """``view`` compiled against a handle for each base, which its
+        relation then scans through: ``handles``, or one opened for each."""
+        if handles is None:
+            handles = [self.open_handle(ref.source_id) for ref in view.base]
         schemas = [h.schema(ref.table) for ref, h in zip(view.base, handles)]
         return Relation(mediation.compile_view(view, schemas, self.xlates), handles)
 
@@ -324,7 +325,7 @@ class Catalogue:
             return self._raw_relation(ref)
         if name in self.views:
             return self._relation(self.views[name].definition)
-        candidates = []
+        candidates = []  # (ref, [the handle that listed it], or None to open one)
         for source_id, desc in self.sources.items():
             # Table names are metadata: a bare-name match on an index-only
             # source is reported as denied (by open_handle, when the
@@ -336,17 +337,19 @@ class Catalogue:
                     continue  # original withdrawn; only its index remains
                 raise
             if any(schema.name == name for schema in handle.list_tables()):
-                candidates.append(RelationRef(source_id, name))
+                # an index-only handle is not to be read: open_handle denies it
+                handles = None if desc.mode is AccessMode.INDEX_ONLY else [handle]
+                candidates.append((RelationRef(source_id, name), handles))
         if not candidates:
             raise NotFound(f"no view or table named {name!r}")
         if len(candidates) > 1:
-            owners = ", ".join(c.source_id for c in candidates)
+            owners = ", ".join(ref.source_id for ref, _ in candidates)
             raise PlanError(f"table {name!r} is ambiguous across sources: {owners}")
-        return self._raw_relation(candidates[0])
+        return self._raw_relation(*candidates[0])
 
-    def _raw_relation(self, ref: RelationRef) -> Relation:
+    def _raw_relation(self, ref: RelationRef, handles: list[SourceHandle] | None = None) -> Relation:
         """A raw table, as the identity view over itself."""
-        return self._relation(ViewDefinition(ref.text(), (ref,), ()))
+        return self._relation(ViewDefinition(ref.text(), (ref,), ()), handles)
 
     # -- record fetching -------------------------------------------------------
     def fetch_record(self, ref: ItemRef) -> Row:

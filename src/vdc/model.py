@@ -158,9 +158,10 @@ class UncertainDate(Record):
 Value = int | str | UncertainDate | None
 
 # The process's one date coercion memo: date text -> its date, or None
-# when it does not parse.  A vault's column image seeds it with the days
-# stored at registration as it decodes a date text chunk, and a view's
-# coercion (``vdc.mediation.coerce_date``) parses only the texts it lacks.
+# when it does not parse.  A vault's column image seeds it, from the days
+# stored at registration, with the texts of the rows a scan returns, and
+# a view's coercion (``vdc.mediation.coerce_date``) parses only the texts
+# it lacks.
 DATE_MEMO: dict[str, UncertainDate | None] = {}
 
 _BOUND_RE = re.compile(r"(-?[0-9]+)(?:-([0-9]{2}))?(?:-([0-9]{2}))?\Z")
@@ -318,9 +319,16 @@ def date_near(a: UncertainDate, b: UncertainDate, k_years: int) -> bool:
 
 def date_within(a: UncertainDate, lo: UncertainDate, hi: UncertainDate) -> bool:
     """Containment: a's whole interval lies inside [lo.earliest, hi.latest]."""
+    return days_within(a.earliest_day, a.latest_day, lo, hi)
+
+
+def days_within(earliest: int, latest: int, lo: UncertainDate, hi: UncertainDate) -> bool:
+    """Containment of the interval of days [earliest, latest] in
+    [lo.earliest, hi.latest]: the one test of ``date_within`` and of a
+    vault image's stored days."""
     if lo.earliest_day > hi.latest_day:
         raise ValueError("empty containment range")
-    return lo.earliest_day <= a.earliest_day and a.latest_day <= hi.latest_day
+    return lo.earliest_day <= earliest and latest <= hi.latest_day
 
 
 def nfc(s: str) -> str:

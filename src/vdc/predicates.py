@@ -16,8 +16,13 @@ it: its column exists and its literal or test fits the column's kind.
 applies it to a row), and values compare by their own equality (a date's
 is its interval's): the connectors apply it to pushed predicates without
 checking them again, the executor to scan predicates it keeps for itself
-and to filters.  Pushdown therefore cannot change an answer by
-construction; the independent check of what the meanings should be is
+and to filters.  One form of a predicate is tested elsewhere: a vault's
+column image tests a coercing date predicate on each entry's stored days
+(``vdc.colimage``), with the days-level containment test that
+``date_within`` calls, ``vdc.model.days_within``, and interval equality
+as a pair of days; a property test holds it equal to ``holds`` on each
+entry's text.  Pushdown therefore cannot change an answer; the
+independent check of what the meanings should be is
 ``query/reference.py``, which keeps its own code.
 """
 

@@ -82,7 +82,7 @@ def _term_rows(term: Term, pushdown: bool, warnings: list[CoercionError]) -> Ite
     for b in range(len(term.relation.bases)):
         for row, warns in term.relation.scan_base(b, term.scan_preds, pushdown, term.columns):
             warnings.extend(warns)
-            if all(eval_bound(p, row) for p in filters):
+            if not filters or all(eval_bound(p, row) for p in filters):
                 yield row
 
 
@@ -116,9 +116,10 @@ def execute_plan(plan: Plan) -> ResultSet:
         else:
             rows = _hash_join(list(rows), list(term_rows), *term.join_key)
     project, filters = plan.projection, plan.filters
-    rows = (
-        tuple(r[i] for i in project) for r in rows if all(eval_bound(p, r) for p in filters)
-    )
+    if filters:
+        rows = (r for r in rows if all(eval_bound(p, r) for p in filters))
+    # one index makes itemgetter return the cell itself, not a 1-tuple
+    rows = map(itemgetter(*project), rows) if len(project) > 1 else ((r[project[0]],) for r in rows)
     rows = sorted(rows, key=row_sort_key) if plan.limit is None else top_k(rows, plan.limit)
     warnings.sort(key=lambda w: (w.ref, w.column, w.text))
     return ResultSet(plan.schema, rows, warnings)

@@ -468,6 +468,33 @@ class TestXmlCorpus:
                 live("c", d, kind="xml_corpus").lookup("docs", wanted)
             assert str(e.value) == message, wanted
 
+    def test_a_scan_streams_the_documents(self, tmp_path):
+        """A scan yields a document's row before it reads the next file,
+        fills only the cells asked for, and meets a fault of a later file
+        as the SourceError a whole scan raises, naming the file."""
+        d = tmp_path / "c"
+        os.makedirs(d)
+        for i in range(3):
+            (d / f"d{i}.xml").write_text(
+                f'<doc id="i{i}"><meta><title>t{i}</title></meta><text>body {i}</text></doc>'
+            )
+        handle = live("c", d, kind="xml_corpus")
+        full = list(handle.scan("docs"))
+        assert list(handle.scan("docs", columns=[7, 0, 7])) == [
+            (r[0],) + (None,) * 6 + (r[7],) for r in full
+        ]
+        assert list(handle.scan("docs", [Compare(1, "=", "t1")], columns=[])) == [(None,) * 8]
+        for fault in (b'<doc id="i2"><meta>', b'<doc id="i0"/>'):
+            rows = handle.scan("docs", columns=[0])
+            assert next(rows) == ("i0",) + (None,) * 7
+            (d / "d2.xml").write_bytes(fault)  # the last file, not yet read
+            with pytest.raises(SourceError) as e:
+                list(rows)
+            with pytest.raises(SourceError) as whole:
+                list(live("c", d, kind="xml_corpus").scan("docs"))
+            assert e.value.path == str(d / "d2.xml")
+            assert str(e.value) == str(whole.value)
+
     def test_no_pushdown_capability(self, tmp_path):
         """The XML connector takes pushed predicates like the tabular one:
         it keeps the rows the reference predicates keep, and the planner

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vdc import connectors, mediation, textindex
+from vdc import colimage, connectors, mediation, textindex
 from vdc.atomic import write_atomic
 from vdc.connectors import row_item_key
 from vdc.datacentre import AccessMode, Catalogue, catalogue_lock
-from vdc.colimage import IMAGE, NO_DATE
+from vdc.colimage import GROUP_ROWS, IMAGE, NO_DATE
 from vdc.colwriter import stored_days
 from vdc.errors import (
     AccessDenied,
@@ -33,8 +33,10 @@ from vdc.errors import (
     PlanError,
     SourceError,
 )
-from vdc.model import DATE_MEMO, ItemRef, day_number, nfc, parse_uncertain_date, refable
-from vdc.predicates import COMPARE_OPS, Compare, Contains, DateWithin
+from vdc.model import (
+    DATE_MEMO, ItemRef, UncertainDate, day_number, nfc, parse_uncertain_date, refable,
+)
+from vdc.predicates import COMPARE_OPS, Compare, Contains, DateWithin, holds
 from vdc.query import execute_plan, parse_query, plan_query, result_to_csv
 from vdc.mediation import parse_recipe_file
 from vdc.textindex import SearchQuery, search
@@ -639,6 +641,66 @@ class TestStoredDays:
         assert stored_days("0" * 15 + "1") == stored_days("0001")
         for text in ("1" * 17, f"ca. -{'0' * 17}", f"0001/{'1' * 17}-01", "x" * 20):
             assert stored_days(text) == NO_DATE, text
+
+
+_INT64_DAY = st.one_of(st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]),
+                      st.integers(-2**63, 2**63 - 1), st.integers(-10**6, 10**6))
+# a window side at an int64 edge leaves the window open on that side
+_WINDOW_SIDE = st.builds(lambda a, b: UncertainDate(min(a, b), max(a, b)), _INT64_DAY, _INT64_DAY)
+
+
+class TestStoredDayTests:
+    """A scan tests a date predicate that carries the view's coercion on
+    a date text chunk's stored days, and builds a date only for the rows
+    that pass."""
+
+    @given(texts=st.lists(_DATE_TEXT, min_size=1, max_size=20, unique=True),
+           null_at=st.none() | st.integers(0, 20),
+           sides=st.lists(_WINDOW_SIDE | st.integers(0, 19), min_size=2, max_size=8))
+    @example(texts=[f"ca. -{'9' * 16}/{'9' * 16}", f"-{'9' * 16}", "0150", "ca. 0150", "0150/0152",
+                    "x", "ca. "],
+             null_at=1, sides=[UncertainDate(-2**63, -2**63), 0, 2, 3, 4, 2, 4,
+                               UncertainDate(2**63 - 1, 2**63 - 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_each_entry_as_holds(self, texts, null_at, sides):
+        values: list = list(texts)
+        if null_at is not None:
+            values.insert(min(null_at, len(values)), None)
+        pairs = [stored_days(v or "") for v in values]  # the null entry's text is empty
+        days = array("q", [lo for lo, _ in pairs] + [hi for _, hi in pairs])
+        # an int side is an entry's date: a window that meets entries at its ends
+        dates = [UncertainDate(lo, hi) for lo, hi in pairs if lo <= hi]
+        bounds = [s if isinstance(s, UncertainDate) else dates[s % len(dates)]
+                  for s in sides if isinstance(s, UncertainDate) or dates]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo.earliest_day > hi.latest_day:
+                lo, hi = hi, lo
+            for p in (DateWithin(0, lo, hi, mediation.coerce_date),
+                      Compare(0, "=", lo, mediation.coerce_date),
+                      Compare(0, "!=", hi, mediation.coerce_date)):
+                assert colimage._entry_tests(p, values, days) == [holds(p, v) for v in values], p
+
+    @pytest.mark.parametrize("where", ["DATE_WITHIN(d, '0150', '0152-06')", "d = '0151'",
+                                       "d != 'ca. 0150'"])
+    def test_a_date_scan_seeds_only_the_rows_it_returns(self, tmp_path, where):
+        texts = [f"{150 + i % 5:04d}-{1 + i % 12:02d}" for i in range(60)] \
+            + ["0151", "ca. 0150", "0150/0152", "-0020", "unbekannt", ""]
+        rows = [(str(i), texts[i % len(texts)]) for i in range(GROUP_ROWS + 500)]
+        _write_table(tmp_path / "src", "id,d", "id : int\nd : date_text\n", rows)
+        (tmp_path / "v.view").write_text("view v\nfrom s.t\ncoerce d date\nend\n", encoding="utf-8")
+        cat = Catalogue(str(tmp_path / "c.vdc"))
+        cat.register_source("s", "tabular", str(tmp_path / "src"), AccessMode.VAULT)
+        cat.define_view(str(tmp_path / "v.view"))
+        (p,) = plan_query(parse_query(f"SELECT * FROM v WHERE {where}"), cat).terms[0].scan_preds
+        live = list(connectors.open_source("s", "tabular", str(tmp_path / "src")).scan("t", [p]))
+        DATE_MEMO.clear()
+        scanned = list(cat.open_handle("s").scan("t", [p]))
+        assert scanned == live and 0 < len(scanned) < len(rows)
+        assert "unbekannt" in {d for _, d in scanned}  # a text that does not coerce passes
+        assert set(DATE_MEMO) == {d for _, d in scanned} - {None}
+        for text, date in DATE_MEMO.items():
+            days = stored_days(text)
+            assert date == (None if days == NO_DATE else UncertainDate(*days)), text
 
 
 class TestColumnImageFaults:

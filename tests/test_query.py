@@ -183,6 +183,22 @@ class TestPlanner:
         assert len(execute_plan(plan).rows) == 5
         assert opened == ["hgv", "volterra"]
 
+    def test_a_bare_table_name_opens_each_source_once(self, desk_centre, monkeypatch):
+        """Resolving a bare table name lists every source's tables and
+        scans the one match through the handle that listed it."""
+        cat, _, _ = desk_centre
+        opened = []
+        real_open = connectors.open_source
+
+        def counting_open(source_id, kind, path):
+            opened.append(source_id)
+            return real_open(source_id, kind, path)
+
+        monkeypatch.setattr(connectors, "open_source", counting_open)
+        plan = plan_query(parse_query("SELECT id FROM papyri LIMIT 1"), cat)
+        assert len(execute_plan(plan).rows) == 1
+        assert opened == ["hgv", "volterra", "iaph"]
+
     def test_pushdown_through_rename(self, desk_centre):
         cat, _, _ = desk_centre
         plan = plan_query(
