@@ -9,14 +9,16 @@ files are those its handle's ``files(table)`` lists, a tabular table's
 cut into row groups of ``GROUP_ROWS`` rows, and each row group stores its
 columns one after the other as chunks.  Every chunk is dictionary coded
 (Abadi, Madden and Ferreira, SIGMOD 2006): the chunk's distinct cells, null
-among them, then one uint16 code per row.  A scan therefore tests a pushed
-predicate once per dictionary entry, not once per row, and decodes the
-other columns only for the rows that pass.  A date text chunk also stores
-its entries' days, parsed at registration.  A scan tests a date predicate
-on them, building no date (late materialization: Abadi, Myers, DeWitt and
-Madden, ICDE 2007), and puts the dates of the entries of the rows it
-returns into the process's coercion memo (:data:`vdc.model.DATE_MEMO`), so
-no query parses them.
+among them, then one uint16 code per row.  Scans and lookups select rows
+by one loop, whose tests run once per dictionary entry, not once per row:
+a scan's tests are its pushed predicates, a lookup's one test is whether
+a key entry is wanted.  The other columns are decoded only for the rows
+that pass.  A date text chunk also stores its entries' days, parsed at
+registration.  A scan tests a date predicate on them, building no date
+(late materialization: Abadi, Myers, DeWitt and Madden, ICDE 2007), and
+the selection puts the dates of the entries of the rows it returns into
+the process's coercion memo (:data:`vdc.model.DATE_MEMO`), so no query
+parses them.
 
 All integers are little-endian.  The file is::
 
@@ -48,11 +50,12 @@ holds every value it is given.
 A vault is checked where it is read.  Opening the image checks its
 directory (CRC-32, version, the file's size, and each table's schema
 against its source's); a scan checks the CRC-32 of each chunk it reads; a
-lookup checks each of the table's files against its size and CRC-32 and
-every chunk of the table.  A fault is an IntegrityError naming the file (a
-changed file, or the snapshot directory of a corpus that gained or lost a
-document), and so is a snapshot without an image or with an image of
-another version: a vault is read from its image or not at all.
+lookup first checks the whole table, as ``verify`` does: each of its
+files against its size and CRC-32, then every chunk.  A fault is an
+IntegrityError naming the file (a changed file, or the snapshot directory
+of a corpus that gained or lost a document), and so is a snapshot without
+an image or with an image of another version: a vault is read from its
+image or not at all.
 """
 
 from __future__ import annotations
@@ -62,10 +65,11 @@ import os
 import struct
 import zlib
 from array import array
+from functools import partial
 from itertools import accumulate, compress, pairwise, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .connectors import SourceHandle
+from .connectors import SourceHandle, row_item_key
 from .errors import IntegrityError
 from .model import (
     DATE_MEMO,
@@ -161,15 +165,16 @@ class ColumnImage(Record):
         return data
 
     def _decode(
-        self, data: bytes, t: _Table, g: int, column: int, rows: Iterable[int] | None = None
+        self, f, t: _Table, g: int, column: int, rows: Iterable[int] | None = None
     ) -> tuple[list | dict, array, array | None]:
-        """(dictionary, codes, days) of a checked chunk; with ``rows``,
-        positions in the group, the dictionary is a dict of just their
-        entries.  ``days`` are a date text chunk's stored days, each
-        entry's earliest, then each entry's latest, where only ``NO_DATE``
-        is reversed (None for any other chunk); no entry's date is built
-        here.  A chunk whose structure does not hold raises, though its
-        CRC-32 matched."""
+        """(dictionary, codes, days) of one chunk, read and checked against
+        its CRC-32; with ``rows``, positions in the group, the dictionary is
+        a dict of just their entries.  ``days`` are a date text chunk's
+        stored days, each entry's earliest, then each entry's latest, where
+        only ``NO_DATE`` is reversed (None for any other chunk); no entry's
+        date is built here.  A chunk whose structure does not hold raises,
+        though its CRC-32 matched."""
+        data = self._chunk(f, t, g, column)
         size = t.group_rows(g)
         days = None
         try:
@@ -216,72 +221,17 @@ class ColumnImage(Record):
             raise self._fail(f"chunk {column} of row group {g} of table {t.schema.name!r}: {e}") from e
         return values, codes, days
 
-    def _read(self, f, t: _Table, g: int, column: int) -> tuple[list, array, array | None]:
-        return self._decode(self._chunk(f, t, g, column), t, g, column)
-
     def _open(self):
         try:
             return open(self.path, "rb")
         except OSError as e:
             raise IntegrityError(f"cannot read column image: {e} [{self.path}]") from e
 
-    def scan(self, table: str, pushed: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
-        """The rows of ``table`` that satisfy every ``pushed`` predicate, in
-        file order, as a scan of the files gives them: the cells at
-        positions ``columns`` (all, when None) are filled and every other
-        cell is None.  Row group by row group, each predicate is tested
-        once per entry of its column's dictionary (see :func:`_entry_tests`),
-        and only the chunks of the predicates' columns and, where a row
-        passes, of ``columns`` are read.  The dates of a date text
-        column's entries go into :data:`vdc.model.DATE_MEMO` only for the
-        rows that pass, so a view's coercion of them parses nothing."""
-        t = self.tables[table]
-        wanted = range(t.width) if columns is None else sorted(set(columns))
-        with self._open() as f:
-            for g in range(t.groups):
-                read: dict[int, tuple[list, array, array | None]] = {}
-                passing: list[int] | None = None  # None: every row
-                for p in pushed:
-                    if p.index not in read:
-                        read[p.index] = self._read(f, t, g, p.index)
-                    values, codes, days = read[p.index]
-                    ok = _entry_tests(p, values, days)
-                    if passing is None:
-                        passing = list(compress(range(len(codes)), map(ok.__getitem__, codes)))
-                    else:
-                        passing = list(compress(passing, [ok[codes[r]] for r in passing]))
-                    if not passing:
-                        break
-                if passing == []:
-                    continue
-                count = t.group_rows(g) if passing is None else len(passing)
-                if not wanted:
-                    yield from repeat((None,) * t.width, count)
-                    continue
-                cells: list = [repeat(None)] * t.width
-                for i in wanted:
-                    if i in read:
-                        values, codes, days = read[i]
-                    else:  # the entries of the passing rows alone
-                        values, codes, days = self._decode(self._chunk(f, t, g, i), t, g, i, passing)
-                    if passing is None:
-                        cells[i] = map(values.__getitem__, codes)
-                    else:
-                        cells[i] = [values[codes[r]] for r in passing]
-                    if days is not None:
-                        _seed_dates(values, range(len(values)) if passing is None
-                                    else {codes[r] for r in passing}, days)
-                yield from zip(*cells)
-
-    def _groups(self, f, t: _Table) -> Iterator[list[bytes]]:
-        """Every row group's chunks, each checked against its CRC-32."""
-        for g in range(t.groups):
-            yield [self._chunk(f, t, g, c) for c in range(t.width)]
-
-    def _check_files(self, t: _Table) -> None:
+    def _check(self, f, t: _Table) -> int:
         """Each of the table's files against its size and CRC-32 in the
-        directory; a fault names the file, or the snapshot directory when
-        the table has another number of files."""
+        directory, then every chunk of the table against its CRC-32; a
+        fault names the file, or the snapshot directory when the table has
+        another number of files.  Returns the number of chunks."""
         files = self.files[t.schema.name]
         if len(files) != len(t.files):
             raise IntegrityError(f"table {t.schema.name!r} has {len(files)} files, not "
@@ -294,51 +244,91 @@ class ColumnImage(Record):
                 raise IntegrityError(f"cannot read table: {e} [{path}]") from e
             if found != expected:
                 raise IntegrityError(f"table file differs from the column image {self.path} [{path}]")
+        for g in range(t.groups):
+            for column in range(t.width):
+                self._chunk(f, t, g, column)
+        return t.groups * t.width
 
-    def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row]:
-        """The first row of each of ``item_ids`` that is a key of ``table``
-        (see :func:`vdc.connectors.row_item_key`); the handle has already
-        kept only the refable keys.
+    def _select(self, f, t: _Table, tests: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
+        """The rows of ``t`` that pass every test, in file order: the cells
+        at positions ``columns`` (all, when None) are filled and every
+        other cell is None.  ``tests`` are (column, test) pairs, and a test
+        maps a chunk's dictionary and stored days (see :meth:`_decode`) to
+        whether each entry passes, so it runs once per entry, not once per
+        row.  Row group by row group, only the chunks of the tests' columns
+        and, where a row passes, of ``columns`` are read.  The dates of a
+        date text column's entries go into :data:`vdc.model.DATE_MEMO` only
+        for the rows that pass, so a view's coercion of them parses
+        nothing."""
+        wanted = range(t.width) if columns is None else sorted(set(columns))
+        for g in range(t.groups):
+            read: dict[int, tuple[list, array, array | None]] = {}
+            passing: list[int] | None = None  # None: every row
+            for i, test in tests:
+                if i not in read:
+                    read[i] = self._decode(f, t, g, i)
+                values, codes, days = read[i]
+                ok = test(values, days)
+                if passing is None:
+                    passing = list(compress(range(len(codes)), map(ok.__getitem__, codes)))
+                else:
+                    passing = list(compress(passing, [ok[codes[r]] for r in passing]))
+                if not passing:
+                    break
+            if passing == []:
+                continue
+            count = t.group_rows(g) if passing is None else len(passing)
+            if not wanted:
+                yield from repeat((None,) * t.width, count)
+                continue
+            cells: list = [repeat(None)] * t.width
+            for i in wanted:
+                if i in read:
+                    values, codes, days = read[i]
+                else:  # the entries of the passing rows alone
+                    values, codes, days = self._decode(f, t, g, i, passing)
+                if passing is None:
+                    cells[i] = map(values.__getitem__, codes)
+                else:
+                    cells[i] = [values[codes[r]] for r in passing]
+                if days is not None:
+                    _seed_dates(values, range(len(values)) if passing is None
+                                else {codes[r] for r in passing}, days)
+            yield from zip(*cells)
 
-        Each of the table's files is checked against its size and CRC-32
-        in the directory, and every chunk of the table against its CRC-32,
-        so a lookup fails on any change to the vault's copy of the table."""
-        t = self.tables[table]
-        self._check_files(t)
-        int_keys = t.schema.columns[0].kind is ColumnKind.INT
-        targets = {}  # key cell -> key
-        for key in item_ids:
-            cell = _key_cell(key, int_keys)
-            if cell is not None:
-                targets[cell] = key
-        found: dict[str, Row] = {}
+    def scan(self, table: str, pushed: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
+        """The rows of ``table`` that satisfy every ``pushed`` predicate, in
+        file order, as a scan of the files gives them, the cells at
+        positions ``columns`` (all, when None) filled and every other cell
+        None: each predicate is one test of :meth:`_select`, run on each
+        entry of its column's dictionary (see :func:`_entry_tests`)."""
+        tests = [(p.index, partial(_entry_tests, p)) for p in pushed]
         with self._open() as f:
-            for g, chunks in enumerate(self._groups(f, t)):
-                if len(found) == len(targets):
-                    continue  # the rest is read for its checks alone
-                keys, key_codes, _ = self._decode(chunks[0], t, g, 0)
-                hits = {}  # key -> its first row in the group
-                for cell in targets.keys() & set(keys):
-                    if targets[cell] not in found:
-                        hits[targets[cell]] = key_codes.index(keys.index(cell))
-                if hits:
-                    rows = sorted(hits.values())
-                    group = [self._decode(data, t, g, i, rows) for i, data in enumerate(chunks)]
-                    for key, r in hits.items():
-                        found[key] = tuple(values[codes[r]] for values, codes, _ in group)
-        return found
+            yield from self._select(f, self.tables[table], tests, columns)
+
+    def lookup(self, table: str, item_ids: Iterable[str]) -> Iterator[tuple[str, Row]]:
+        """Each (key, row) of ``table`` whose key (see
+        :func:`vdc.connectors.row_item_key`) is one of ``item_ids``, in
+        file order: the rows :meth:`_select` gives for one test, whether
+        each key entry is a wanted key's cell; the handle keeps each key's
+        first row.  The whole table is checked first, as :meth:`verify`
+        checks it, so a lookup fails on any change to the vault's copy of
+        the table."""
+        t = self.tables[table]
+        int_keys = t.schema.columns[0].kind is ColumnKind.INT
+        cells = {_key_cell(key, int_keys) for key in item_ids} - {None}
+        with self._open() as f:
+            self._check(f, t)
+            for row in self._select(f, t, [(0, lambda values, _: [v in cells for v in values])], None):
+                yield row_item_key(row), row
 
     def verify(self) -> int:
-        """Check every table file against the directory's size and CRC-32
-        and every chunk against its CRC-32, table by table; the first that
-        differs raises, naming its file.  Returns the number of chunks."""
-        n = 0
+        """Check every table as a lookup checks it: its files against the
+        directory's size and CRC-32, then its chunks against their CRC-32,
+        table by table; the first that differs raises, naming its file.
+        Returns the number of chunks."""
         with self._open() as f:
-            for t in self.tables.values():
-                self._check_files(t)
-                for chunks in self._groups(f, t):
-                    n += len(chunks)
-        return n
+            return sum(self._check(f, t) for t in self.tables.values())
 
 
 def _entry_tests(p, values: list, days: array | None) -> list[bool]:

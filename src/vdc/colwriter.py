@@ -2,10 +2,11 @@
 layout and reads it).  Only a vault registration writes one, so a query
 process compiles none of this.
 
-A date text column's chunks store each entry's days, parsed here once per
-distinct text of the table (the dictionary-coded image's rule: do the
-expensive work once per entry, as it is written), so that no query parses
-a vault's date text.
+A date text column's chunks store each entry's days, parsed here through
+the process's one coercion memo (:func:`vdc.mediation.coerce_date`), so
+once per distinct text (the dictionary-coded image's rule: do the
+expensive work once per entry, as it is written), and so that no query
+parses a vault's date text.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .colimage import (
     _TABLE, _TEXT, _file_crc,
 )
 from .connectors import SourceHandle
-from .errors import ParseError, SourceError
-from .model import ColumnKind, little_endian, parse_uncertain_date
+from .errors import SourceError
+from .mediation import coerce_date
+from .model import ColumnKind, little_endian
 
 
 def _name(text: str) -> bytes:
@@ -38,15 +40,13 @@ def write(snapshot: SourceHandle, original: str) -> None:
     directory = [struct.pack("<I", len(schemas))]
     chunks: list[bytes] = []
     for schema in schemas:
-        days: dict[str, tuple[int, int]] = {}  # each distinct date text's, parsed once
-        columns = [(c.kind, days if c.date_text else None) for c in schema.columns]
         table_chunks = array("I")
         rows = 0
         scan = snapshot.scan(schema.name)
         try:
             for group in iter(lambda: list(islice(scan, GROUP_ROWS)), []):
-                for (kind, dates), cells in zip(columns, zip(*group)):
-                    chunk = _encode(cells, kind, dates)
+                for c, cells in zip(schema.columns, zip(*group)):
+                    chunk = _encode(cells, c.kind, c.date_text)
                     chunks.append(chunk)
                     table_chunks += array("I", (len(chunk), zlib.crc32(chunk)))
                 rows += len(group)
@@ -68,10 +68,9 @@ def write(snapshot: SourceHandle, original: str) -> None:
         f.writelines(chunks)
 
 
-def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]] | None) -> bytes:
+def _encode(cells: Sequence, kind: ColumnKind, date_text: bool) -> bytes:
     """One chunk: the dictionary of ``cells``, with each entry's stored
-    days when ``dates`` (the table's memo of them) is given, and each
-    cell's code."""
+    days when they are a ``date_text`` column's, and each cell's code."""
     index: dict = {}
     codes = array("H", [index.setdefault(v, len(index)) for v in cells])
     entries = list(index)
@@ -84,8 +83,8 @@ def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]]
         texts = ["" if v is None else v for v in entries]
         offsets = array("I", accumulate(map(len, texts), initial=0))
         values = little_endian(offsets).tobytes() + "".join(texts).encode("utf-8")
-        if dates is not None:
-            pairs = [dates[t] if t in dates else dates.setdefault(t, stored_days(t)) for t in texts]
+        if date_text:
+            pairs = [stored_days(t) for t in texts]
             days = array("q", [lo for lo, _ in pairs] + [hi for _, hi in pairs])
             values += little_endian(days).tobytes()
     return _CHUNK.pack(encoding, len(entries), null) + values + little_endian(codes).tobytes()
@@ -94,8 +93,5 @@ def _encode(cells: Sequence, kind: ColumnKind, dates: dict[str, tuple[int, int]]
 def stored_days(text: str) -> tuple[int, int]:
     """The (earliest, latest) day an image stores for a date text: its
     interval, or ``NO_DATE`` when it does not parse."""
-    try:
-        d = parse_uncertain_date(text)
-    except ParseError:
-        return NO_DATE
-    return d.earliest_day, d.latest_day
+    d = coerce_date(text)
+    return NO_DATE if d is None else (d.earliest_day, d.latest_day)

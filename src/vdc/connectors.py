@@ -13,27 +13,29 @@ or document is read, and checked, by a scan.
 Every handle has one shape, :class:`SourceHandle`: its tables, ``scan``,
 and ``lookup(table, item_ids)``, which answers the point lookups of
 collection refs with each wanted key's first row as a scan gives it, or
-the error of the XML document that holds it.  A lookup keeps only the keys
-:func:`vdc.model.refable` accepts, in that one place.  Each kind reads only
-its own files.
+the error of the XML document that holds it.  A lookup is a scan whose
+only test is the key: each store selects the rows of the wanted keys by
+its scan's path, and the handle, in that one place, keeps only the keys
+:func:`vdc.model.refable` accepts and each key's first row.  Each kind
+reads only its own files.
 
 Connectors never open a source file for writing: renaming, coercion and
 translation all happen above them, in the mediation layer.
 
 Both connectors accept pushed predicates (Compare/Contains/DateWithin,
 each naming its column by position in the table's row) and evaluate them
-as given, with the engine's one evaluator, :func:`vdc.predicates.holds`:
-the query planner alone makes them, checking each against the table's
-schema as it binds it, on the handle it then scans, whose tabular scan
-checks each file's header against that schema.  The tabular connector
-tests them before it decodes the rest of a row, and decodes only the
-columns it is asked for.  A handle of either kind may carry a column
-image (:mod:`vdc.colimage`, a vault's, attached by the catalogue); it
-then scans and looks up in the image instead of its files, with the same
-rows: there a predicate is tested once per distinct cell of each row
-group, a coercing date predicate on the cell's stored days.  Connectors
-know nothing of trust modes: the catalogue decides which sources may be
-read.
+as given, with the engine's one evaluator, :func:`vdc.predicates.holds`,
+each as one cell test: the query planner alone makes them, checking each
+against the table's schema as it binds it, on the handle it then scans,
+whose tabular scan checks each file's header against that schema.  The
+tabular connector runs its cell tests before it decodes the rest of a
+row, and decodes only the columns it is asked for.  A handle of either
+kind may carry a column image (:mod:`vdc.colimage`, a vault's, attached
+by the catalogue); it then scans and looks up in the image instead of its
+files, with the same rows: there a predicate is tested once per distinct
+cell of each row group, a coercing date predicate on the cell's stored
+days.  Connectors know nothing of trust modes: the catalogue decides
+which sources may be read.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ import csv
 import os
 import re
 import xml.parsers.expat
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 from unicodedata import normalize
 
@@ -56,7 +59,7 @@ from .model import (
     nfc,
     refable,
 )
-from .predicates import holds, matches
+from .predicates import holds
 
 TABULAR = "tabular"
 XML_CORPUS = "xml_corpus"
@@ -164,9 +167,10 @@ class SourceHandle:
     ``image`` is None, or the column image of a vault snapshot (see
     :mod:`vdc.colimage`), which the catalogue attaches to the snapshot's
     handle; scans and lookups then read the image in place of the files.
-    A kind reads only its own files: ``_scan(schema, preds, columns)``,
-    ``_lookup(table, wanted)`` and ``files(table)``, the files the image
-    checks a table against.
+    A kind reads only its own files: ``_scan(schema, tests, columns)``,
+    whose ``tests`` are (column, cell test) pairs, ``_lookup(table,
+    wanted)``, each (key, row) of a wanted key in scan order, and
+    ``files(table)``, the files the image checks a table against.
     """
 
     image = None
@@ -190,30 +194,36 @@ class SourceHandle:
     ) -> Iterator[Row]:
         """The rows of ``table`` that satisfy every ``pushed`` predicate,
         the cells at positions ``columns`` (all, when None) filled; the
-        image's rows when there is one, else the kind's read of its files.
-        An unknown table raises NotFound here, not at the first row."""
+        image's rows when there is one, else the kind's read of its files,
+        where each predicate is one cell test.  An unknown table raises
+        NotFound here, not at the first row."""
         schema = self.schema(table)
         preds = tuple(pushed or ())
         if self.image is not None:
             return self.image.scan(table, preds, columns)
-        return self._scan(schema, preds, columns)
+        return self._scan(schema, [(p.index, partial(holds, p)) for p in preds], columns)
 
     def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row | SourceError]:
         """The first row, as a scan gives it, of each of ``item_ids`` that
         is a refable key of ``table`` (see :func:`row_item_key`), or the
-        error of the XML document that holds it.  Only here are the keys
-        that :func:`vdc.model.refable` refuses dropped, for every kind and
-        for the image alike."""
+        error of the XML document that holds it.  The image or the kind
+        selects the rows of the wanted keys by its scan's path, with the
+        keys as the only test; only here, for every kind and for the image
+        alike, are the keys that :func:`vdc.model.refable` refuses dropped
+        and each key's first row kept."""
         self.schema(table)  # NotFound for an unknown table
         wanted = {key for key in item_ids if refable(key)}
-        if self.image is not None:
-            return self.image.lookup(table, wanted)
-        return self._lookup(table, wanted)
+        rows = self._lookup(table, wanted) if self.image is None else self.image.lookup(table, wanted)
+        found: dict[str, Row | SourceError] = {}
+        for key, row in rows:
+            found.setdefault(key, row)
+        return found
 
 
 class TabularSource(SourceHandle):
     """Directory of ``<table>.csv`` + ``<table>.schema`` pairs, each a
-    regular file; opening it reads the listing and the sidecars only."""
+    regular file; opening it reads the listing and the sidecars only.  Its
+    one row reader, ``_scan``, serves scans and lookups alike."""
 
     def __init__(self, source_id: str, path: str):
         super().__init__(source_id, path)
@@ -235,31 +245,30 @@ class TabularSource(SourceHandle):
     def files(self, table: str) -> list[str]:
         return [self.table_path(table)]
 
-    def _lookup(self, table: str, wanted: set[str]) -> dict[str, Row]:
-        """The table scanned to its end, so a change on disk during the
-        lookup raises as it does for a scan."""
-        found: dict[str, Row] = {}
-        for row in self.scan(table):
-            key = row_item_key(row)
-            if key in wanted:
-                found.setdefault(key, row)
-        return found
+    def _lookup(self, table: str, wanted: set[str]) -> Iterator[tuple[str, Row]]:
+        """The rows whose key cell's text is wanted: the table is read to
+        its end and every record checked, so a change on disk during the
+        lookup raises as it does for a scan, but only the rows returned
+        are decoded past their key cell."""
+        rows = self._scan(self.schema(table), [(0, lambda cell: cell_text(cell) in wanted)], None)
+        return ((row_item_key(row), row) for row in rows)
 
-    def _scan(self, schema: TableSchema, preds: tuple, columns: Iterable[int] | None) -> Iterator[Row]:
-        """The table's typed rows, decoded late.
+    def _scan(self, schema: TableSchema, tests: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
+        """The table's typed rows that pass every (column, cell test) of
+        ``tests``, decoded late.
 
         Every record is checked in full whatever is read: by
         :func:`_record_check`, and (by the text decoder) the UTF-8 of the
-        whole file.  The pushed predicates are tested on their own decoded
-        cells first; the cells at positions ``columns`` are decoded only
-        for rows that pass, and every other cell is None.  A file that
-        changes on disk during the scan (its size, mtime or inode differ at
-        the end) raises SourceError: its rows may be cut.
+        whole file.  Each test is run on its own decoded cell first; the
+        cells at positions ``columns`` are decoded only for rows that pass,
+        and every other cell is None.  A file that changes on disk during
+        the scan (its size, mtime or inode differ at the end) raises
+        SourceError: its rows may be cut.
         """
         width = len(schema.columns)
         convert = _converters(schema)
         check = _record_check(schema)
-        tests = [(p.index, convert[p.index], p) for p in preds]
+        tests = [(i, convert[i], test) for i, test in tests]
         decode = [(i, convert[i]) for i in (range(width) if columns is None else sorted(set(columns)))]
         path = self.table_path(schema.name)
         try:
@@ -275,10 +284,10 @@ class TabularSource(SourceHandle):
                     fault = check(record)
                     if fault is not None:
                         raise SourceError(fault, path=path, line=_first_line(reader, record))
-                    for i, conv, p in tests:
-                        if not holds(p, conv(record[i])):
+                    for i, conv, test in tests:
+                        if not test(conv(record[i])):
                             break
-                    else:  # the row passed every pushed predicate
+                    else:  # the row passed every test
                         cells = [None] * width
                         for i, conv in decode:
                             cells[i] = conv(record[i])
@@ -489,13 +498,14 @@ class XmlCorpusSource(SourceHandle):
         name, so it stays until that benchmark changes."""
         return [row for _, row in self._parsed()]
 
-    def _lookup(self, table: str, wanted: set[str]) -> dict[str, Row | SourceError]:
-        """Every file is parsed up to its root start tag, so the
+    def _lookup(self, table: str, wanted: set[str]) -> Iterator[tuple[str, Row | SourceError]]:
+        """The wanted documents' rows.  The key test is the root-only
+        parse: every file is parsed up to its root start tag, so the
         duplicate-id check and every error up to there cover every file, as
         a scan's do, and fail the whole lookup; only the wanted documents
         are parsed past it, and an error met there is that document's
         alone."""
-        return {doc_id: row for doc_id, row in self._parsed(wanted) if doc_id in wanted}
+        return ((doc_id, row) for doc_id, row in self._parsed(wanted) if doc_id in wanted)
 
     def _parsed(self, wanted: set[str] | None = None) -> Iterator[tuple[str, Row | SourceError]]:
         """The id and :func:`parse_xml_doc` row of each file, in sorted
@@ -523,14 +533,14 @@ class XmlCorpusSource(SourceHandle):
             seen[doc_id] = os.path.basename(full)
             yield doc_id, row
 
-    def _scan(self, schema: TableSchema, preds: tuple, columns: Iterable[int] | None) -> Iterator[Row]:
+    def _scan(self, schema: TableSchema, tests: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
         """The documents' rows, each document read and parsed whole as the
-        scan reaches it: the rows that pass the pushed predicates, the
-        cells at positions ``columns`` (all, when None) filled and every
-        other cell None."""
+        scan reaches it: the rows that pass every (column, cell test) of
+        ``tests``, the cells at positions ``columns`` (all, when None)
+        filled and every other cell None."""
         wanted = None if columns is None else set(columns)
         for _, row in self._parsed():
-            if preds and not matches(preds, row):
+            if not all(test(row[i]) for i, test in tests):
                 continue
             if wanted is not None:
                 cells = [None] * len(row)

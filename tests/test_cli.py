@@ -7,8 +7,11 @@ import io
 import os
 import shutil
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdc import mediation, model
 from vdc.cli import run
@@ -16,7 +19,7 @@ from vdc.datacentre import Catalogue, catalogue_lock
 from vdc.errors import ParseError, PlanError
 from vdc.model import DATE_MEMO
 
-from helpers import FIXTURE_VIEWS
+from helpers import FIXTURE_VIEWS, register_desk
 
 
 @pytest.fixture()
@@ -99,27 +102,92 @@ class TestQueryCommand:
             assert on.encode() == off.encode(), q
 
     def test_csv_output_round_trips_as_a_source(self, centre, tmp_path):
+        """A query's CSV, registered as a tabular source whose date column
+        is a date text and read back through a view that coerces it, as the
+        first view does, prints the same bytes, so the canonical order is
+        the same: the letters of the desk union, and a table of nulls,
+        quotes, commas, CR, LF, NFD text and dates of every precision, one
+        of which does not coerce."""
         cli, cat, fx, _ = centre
-        code, out, _ = cli("query", "SELECT * FROM all_texts WHERE category = 'letter'")
-        assert code == 0
+        os.makedirs(tmp_path / "hostile")
+        rows = [("1", "", "0150"), ("2", 'quote "q"', "0150-03"), ("3", "comma, here", "ca. 0150"),
+                ("4", "cr\rcell", "0150/0152"), ("5", "multi\nline", ""), ("6", "e\u0301 nfd", "-0020"),
+                ("7", "crlf\r\ncell", "unbekannt"), ("8", "\u00e9", "0150-03-01"), ("9", "", "")]
+        (tmp_path / "hostile" / "t.csv").write_bytes(
+            model.csv_text([("id", "note", "when"), *rows]).encode("utf-8"))
+        (tmp_path / "hostile" / "t.schema").write_text("id : int\nnote : text\nwhen : date_text\n")
+        assert cli("source", "add", "hostile", "--kind", "tabular",
+                   "--path", str(tmp_path / "hostile"), "--mode", "live")[0] == 0
+        (tmp_path / "hostile.view").write_text("view hostile_v\nfrom hostile.t\ncoerce when date\nend\n")
+        assert cli("view", "define", str(tmp_path / "hostile.view"))[0] == 0
+        queries = [("SELECT * FROM all_texts WHERE category = 'letter'", "date"),
+                   ("SELECT when, note, id FROM hostile_v", "when")]
+        for n, (q, date) in enumerate(queries):
+            code, out, _ = cli("query", q)
+            assert code == 0 and out.count("\n") > 2
 
-        # materialize the result as a new registrable tabular source
-        newdir = tmp_path / "roundtrip"
-        os.makedirs(newdir)
-        (newdir / "letters.csv").write_text(out, encoding="utf-8")
-        header = next(csv.reader(io.StringIO(out)))
-        kinds = {"id": "int", "date": "date_text"}
-        sidecar = "".join(
-            f'"{c}" : {kinds.get(c, "text")}\n' for c in header
-        )
-        (newdir / "letters.schema").write_text(sidecar, encoding="utf-8")
+            # materialize the result as a new registrable tabular source
+            newdir = tmp_path / f"rt{n}"
+            os.makedirs(newdir)
+            (newdir / "t.csv").write_bytes(out.encode("utf-8"))
+            header = next(csv.reader(io.StringIO(out)))
+            kinds = {"id": "int", date: "date_text"}
+            sidecar = "".join(f'"{c}" : {kinds.get(c, "text")}\n' for c in header)
+            (newdir / "t.schema").write_text(sidecar, encoding="utf-8")
+            assert cli("source", "add", f"rt{n}", "--kind", "tabular",
+                       "--path", str(newdir), "--mode", "live")[0] == 0
+            (tmp_path / f"rt{n}.view").write_text(f"view rt{n}_v\nfrom rt{n}.t\ncoerce {date} date\nend\n")
+            assert cli("view", "define", str(tmp_path / f"rt{n}.view"))[0] == 0
+            code, out2, _ = cli("query", f"SELECT {', '.join(header)} FROM rt{n}_v")
+            assert code == 0
+            assert out2.encode("utf-8") == out.encode("utf-8"), q
+        for text in (",,", '"quote ""q"""', '"comma, here"', '"cr\rcell"', '"multi\nline"',
+                     "\u00e9 nfd", '"crlf\r\ncell"', "0150-03-01/0150-03-01"):
+            assert text in out, text
 
-        assert cli("source", "add", "rt", "--kind", "tabular",
-                   "--path", str(newdir), "--mode", "live")[0] == 0
-        code, out2, _ = cli("query", "SELECT * FROM rt.letters")
-        assert code == 0
-        assert out2.splitlines()[0] == out.splitlines()[0]
-        assert len(out2.splitlines()) == len(out.splitlines())
+
+class TestLimitPrefix:
+    """``LIMIT n`` prints the header, then the first n lines of the
+    unlimited output, with the same warnings, where the leading column
+    ties: over one relation, a union view and a join of the desk centre."""
+
+    QUERIES = (
+        "SELECT findspot, date, id FROM papyri_en",
+        "SELECT category, title FROM all_texts WHERE id < 300",
+        "SELECT a.findspot, a.id, b.id FROM papyri_en a JOIN all_texts b ON a.findspot = b.findspot "
+        "WHERE a.id < 40 AND b.id < 40",
+    )
+
+    @pytest.fixture(scope="class")
+    def desk_cli(self, desk_fixtures, tmp_path_factory):
+        """A function that runs one query through the CLI on a persisted
+        desk catalogue and returns its (stdout, stderr), and a dict for
+        each unlimited query's lines and warnings."""
+        cat = register_desk(Catalogue(str(tmp_path_factory.mktemp("limit") / "c.vdc")), desk_fixtures[0])
+        cat.persist()
+
+        def query(q: str) -> tuple[str, str]:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert run(["--catalogue", cat.path, "query", q]) == 0
+            return out.getvalue(), err.getvalue()
+
+        return query, {}
+
+    @given(i=st.integers(0, len(QUERIES) - 1), n=st.integers(1, 40))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_limit_prints_the_first_n_lines(self, desk_cli, i, n):
+        query, unlimited = desk_cli
+        q = self.QUERIES[i]
+        if q not in unlimited:
+            out, err = query(q)
+            lines = out.splitlines(keepends=True)
+            assert len(lines) == len(list(csv.reader(io.StringIO(out)))) > 40  # a line per row
+            leading = [line.split(",", 1)[0] for line in lines[1:]]
+            assert len(set(leading)) < len(leading) and err  # ties, and warnings to compare
+            unlimited[q] = lines, err
+        lines, err = unlimited[q]
+        assert query(f"{q} LIMIT {n}") == ("".join(lines[:n + 1]), err)
 
 
 class TestModesViaCli:

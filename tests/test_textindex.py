@@ -1746,18 +1746,19 @@ class TestCollections:
 
     @staticmethod
     def count_reads(monkeypatch) -> dict[str, list]:
-        """The tables each read touches: ``scan`` for a scan, and for a
+        """The tables each read touches: ``scan`` for a read of a live
+        table by its row reader, which scans and lookups share, and for a
         column-image lookup ``lookup`` for the lookup and ``table`` for
         each read of one of the table's files, by the file's name less
         its extension."""
         reads: dict[str, list] = {"scan": [], "lookup": [], "table": []}
-        real_scan = connectors.TabularSource.scan
+        real_scan = connectors.TabularSource._scan
         real_lookup = colimage.ColumnImage.lookup
         real_file_crc = colimage._file_crc
 
-        def counting_scan(self, table, *args, **kwargs):
-            reads["scan"].append(table)
-            return real_scan(self, table, *args, **kwargs)
+        def counting_scan(self, schema, *args, **kwargs):
+            reads["scan"].append(schema.name)
+            return real_scan(self, schema, *args, **kwargs)
 
         def counting_lookup(self, table, item_ids):
             reads["lookup"].append(table)
@@ -1767,7 +1768,7 @@ class TestCollections:
             reads["table"].append(os.path.basename(path)[:-4])
             return real_file_crc(path, *running)
 
-        monkeypatch.setattr(connectors.TabularSource, "scan", counting_scan)
+        monkeypatch.setattr(connectors.TabularSource, "_scan", counting_scan)
         monkeypatch.setattr(colimage.ColumnImage, "lookup", counting_lookup)
         monkeypatch.setattr(colimage, "_file_crc", counting_file_crc)
         return reads
@@ -1816,8 +1817,8 @@ class TestCollections:
     @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
     def test_one_read_per_table_in_collection_order(self, tmp_path, desk_fixtures, monkeypatch, mode):
         """Two refs into one table, given in reverse order, and a missing
-        one: one scan of a live table, or one image lookup of a vault table
-        and one read of its file; a ref into a vault corpus is one image
+        one: one read of a live table by its row reader, or one image lookup
+        of a vault table and one read of its file; a ref into a vault corpus is one image
         lookup too, reading each document once; output in collection
         order, and a per-ref error for the missing key."""
         fx, _ = desk_fixtures
@@ -1861,10 +1862,10 @@ class TestCollections:
 
     @pytest.mark.parametrize("mode", [AccessMode.LIVE, AccessMode.VAULT])
     def test_update_checks_refs_with_one_read_per_table(self, tmp_path, desk_fixtures, monkeypatch, mode):
-        """Three refs into one table are checked by one scan of a live
-        table, or one image lookup of a vault table; an unknown key fails the update
-        naming the first unresolvable ref in the order given, and leaves the
-        collection unchanged."""
+        """Three refs into one table are checked by one read of a live
+        table by its row reader, or one image lookup of a vault table; an
+        unknown key fails the update naming the first unresolvable ref in
+        the order given, and leaves the collection unchanged."""
         cat = self.centre(tmp_path, desk_fixtures, mode)
         reads = self.count_reads(monkeypatch)
         read_kind = "scan" if mode is AccessMode.LIVE else "lookup"
