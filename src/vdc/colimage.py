@@ -8,17 +8,17 @@ files are those its handle's ``files(table)`` lists, a tabular table's
 (Ailamaki et al., VLDB 2001): after one directory, each table's rows are
 cut into row groups of ``GROUP_ROWS`` rows, and each row group stores its
 columns one after the other as chunks.  Every chunk is dictionary coded
-(Abadi, Madden and Ferreira, SIGMOD 2006): the chunk's distinct cells, null
-among them, then one uint16 code per row.  Scans and lookups select rows
-by one loop, whose tests run once per dictionary entry, not once per row:
-a scan's tests are its pushed predicates, a lookup's one test is whether
-a key entry is wanted.  The other columns are decoded only for the rows
-that pass.  A date text chunk also stores its entries' days, parsed at
-registration.  A scan tests a date predicate on them, building no date
-(late materialization: Abadi, Myers, DeWitt and Madden, ICDE 2007), and
-the selection puts the dates of the entries of the rows it returns into
-the process's coercion memo (:data:`vdc.model.DATE_MEMO`), so no query
-parses them.
+(Abadi, Madden and Ferreira, SIGMOD 2006): the chunk's distinct cells,
+null among them, then one uint16 code per row.  Scans and lookups select
+rows by one loop, whose tests run once per dictionary entry, not once per
+row: a scan's tests are its pushed predicates, a lookup's one test is
+whether a key entry is one of the key cells its handle gives.  The other
+columns are decoded only for the rows that pass.  A date text chunk also
+stores its entries' days, parsed at registration.  A scan tests a date
+predicate on them, building no date (late materialization: Abadi, Myers,
+DeWitt and Madden, ICDE 2007), and the selection puts the dates of the
+entries of the rows it returns into the process's coercion memo
+(:data:`vdc.model.DATE_MEMO`), so no query parses them.
 
 All integers are little-endian.  The file is::
 
@@ -67,9 +67,9 @@ import zlib
 from array import array
 from functools import partial
 from itertools import accumulate, compress, pairwise, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
-from .connectors import SourceHandle, row_item_key
+from .connectors import SourceHandle
 from .errors import IntegrityError
 from .model import (
     DATE_MEMO,
@@ -80,7 +80,6 @@ from .model import (
     TableSchema,
     UncertainDate,
     days_within,
-    int64,
     little_endian,
 )
 from .mediation import coerce_date
@@ -306,21 +305,18 @@ class ColumnImage(Record):
         with self._open() as f:
             yield from self._select(f, self.tables[table], tests, columns)
 
-    def lookup(self, table: str, item_ids: Iterable[str]) -> Iterator[tuple[str, Row]]:
-        """Each (key, row) of ``table`` whose key (see
-        :func:`vdc.connectors.row_item_key`) is one of ``item_ids``, in
-        file order: the rows :meth:`_select` gives for one test, whether
-        each key entry is a wanted key's cell; the handle keeps each key's
-        first row.  The whole table is checked first, as :meth:`verify`
-        checks it, so a lookup fails on any change to the vault's copy of
-        the table."""
+    def lookup(self, table: str, cells: Container) -> Iterator[tuple[object, Row]]:
+        """Each (key cell, row) of ``table`` whose key cell is one of
+        ``cells``, in file order: the rows :meth:`_select` gives for one
+        test, whether each key entry is one of ``cells``; the handle keeps
+        each key's first row.  The whole table is checked first, as
+        :meth:`verify` checks it, so a lookup fails on any change to the
+        vault's copy of the table."""
         t = self.tables[table]
-        int_keys = t.schema.columns[0].kind is ColumnKind.INT
-        cells = {_key_cell(key, int_keys) for key in item_ids} - {None}
         with self._open() as f:
             self._check(f, t)
             for row in self._select(f, t, [(0, lambda values, _: [v in cells for v in values])], None):
-                yield row_item_key(row), row
+                yield row[0], row
 
     def verify(self) -> int:
         """Check every table as a lookup checks it: its files against the
@@ -363,15 +359,6 @@ def _seed_dates(values: list | dict, entries: Iterable[int], days: array) -> Non
         if text is not None and text not in memo:
             lo, hi = days[c], days[n + c]
             memo[text] = UncertainDate(lo, hi) if lo <= hi else None
-
-
-def _key_cell(key: str, int_column: bool) -> int | str | None:
-    """The key cell whose text (see :func:`vdc.model.cell_text`) is
-    ``key``, or None when no cell prints as it."""
-    if not int_column:
-        return key
-    cell = int64(key)
-    return cell if cell is not None and str(cell) == key else None
 
 
 def open_image(handle: SourceHandle) -> ColumnImage:

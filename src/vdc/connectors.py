@@ -14,9 +14,10 @@ Every handle has one shape, :class:`SourceHandle`: its tables, ``scan``,
 and ``lookup(table, item_ids)``, which answers the point lookups of
 collection refs with each wanted key's first row as a scan gives it, or
 the error of the XML document that holds it.  A lookup is a scan whose
-only test is the key: each store selects the rows of the wanted keys by
-its scan's path, and the handle, in that one place, keeps only the keys
-:func:`vdc.model.refable` accepts and each key's first row.  Each kind
+only test is the key cell: the handle alone maps each key that
+:func:`vdc.model.refable` accepts to the cell it names (:func:`key_cell`,
+the inverse of :func:`row_item_key`), once, and keeps each key's first
+row; each store tests its decoded key cells against that set.  Each kind
 reads only its own files.
 
 Connectors never open a source file for writing: renaming, coercion and
@@ -44,7 +45,7 @@ import os
 import re
 import xml.parsers.expat
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 from unicodedata import normalize
 
 from .errors import NotFound, ParseError, SourceError
@@ -85,6 +86,13 @@ def row_item_key(row: Row) -> str:
     tables put their id column first.
     """
     return cell_text(row[0])
+
+
+def key_cell(key: str, kind: ColumnKind) -> int | str | None:
+    """The cell of a key column of ``kind`` whose text (see
+    :func:`row_item_key`) is ``key``, or None when no cell prints as it."""
+    cell = int64(key) if kind is ColumnKind.INT else key
+    return cell if cell is None or str(cell) == key else None
 
 
 # --------------------------------------------------------------------------
@@ -168,9 +176,8 @@ class SourceHandle:
     :mod:`vdc.colimage`), which the catalogue attaches to the snapshot's
     handle; scans and lookups then read the image in place of the files.
     A kind reads only its own files: ``_scan(schema, tests, columns)``,
-    whose ``tests`` are (column, cell test) pairs, ``_lookup(table,
-    wanted)``, each (key, row) of a wanted key in scan order, and
-    ``files(table)``, the files the image checks a table against.
+    whose ``tests`` are (column, cell test) pairs, and ``files(table)``,
+    the files the image checks a table against.
     """
 
     image = None
@@ -206,18 +213,26 @@ class SourceHandle:
     def lookup(self, table: str, item_ids: Iterable[str]) -> dict[str, Row | SourceError]:
         """The first row, as a scan gives it, of each of ``item_ids`` that
         is a refable key of ``table`` (see :func:`row_item_key`), or the
-        error of the XML document that holds it.  The image or the kind
-        selects the rows of the wanted keys by its scan's path, with the
-        keys as the only test; only here, for every kind and for the image
-        alike, are the keys that :func:`vdc.model.refable` refuses dropped
-        and each key's first row kept."""
-        self.schema(table)  # NotFound for an unknown table
-        wanted = {key for key in item_ids if refable(key)}
-        rows = self._lookup(table, wanted) if self.image is None else self.image.lookup(table, wanted)
+        error of the XML document that holds it.  Here alone, for every
+        kind and the image alike, each key that :func:`vdc.model.refable`
+        accepts is mapped to the key cell it names and each key's first
+        row kept; the store gives (key cell, row) pairs by its scan's path."""
+        kind = self.schema(table).columns[0].kind  # NotFound for an unknown table
+        cells = {key_cell(key, kind): key for key in item_ids if refable(key)}  # cell -> key
+        cells.pop(None, None)
+        rows = self._lookup(table, cells) if self.image is None else self.image.lookup(table, cells)
         found: dict[str, Row | SourceError] = {}
-        for key, row in rows:
-            found.setdefault(key, row)
+        for cell, row in rows:
+            found.setdefault(cells[cell], row)
         return found
+
+    def _lookup(self, table: str, cells: Container) -> Iterator[tuple[object, Row | SourceError]]:
+        """Each (key cell, row) whose key cell is one of ``cells``, in scan
+        order: the kind's ``_scan`` with one key test.  Every record is read
+        and checked, as a scan's are, but only the rows returned are decoded
+        past their key cell."""
+        rows = self._scan(self.schema(table), [(0, cells.__contains__)], None)
+        return ((row[0], row) for row in rows)
 
 
 class TabularSource(SourceHandle):
@@ -244,14 +259,6 @@ class TabularSource(SourceHandle):
 
     def files(self, table: str) -> list[str]:
         return [self.table_path(table)]
-
-    def _lookup(self, table: str, wanted: set[str]) -> Iterator[tuple[str, Row]]:
-        """The rows whose key cell's text is wanted: the table is read to
-        its end and every record checked, so a change on disk during the
-        lookup raises as it does for a scan, but only the rows returned
-        are decoded past their key cell."""
-        rows = self._scan(self.schema(table), [(0, lambda cell: cell_text(cell) in wanted)], None)
-        return ((row_item_key(row), row) for row in rows)
 
     def _scan(self, schema: TableSchema, tests: Sequence, columns: Iterable[int] | None) -> Iterator[Row]:
         """The table's typed rows that pass every (column, cell test) of
@@ -377,7 +384,7 @@ class _RootOnly(Exception):
 class _DocBuilder:
     """Expat handlers collecting one document of the subset grammar."""
 
-    def __init__(self, wanted: set[str] | None):
+    def __init__(self, wanted: Container | None):
         self.wanted = wanted
         self.id: str | None = None
         self.meta: dict[str, str | None] = {}
@@ -498,16 +505,16 @@ class XmlCorpusSource(SourceHandle):
         name, so it stays until that benchmark changes."""
         return [row for _, row in self._parsed()]
 
-    def _lookup(self, table: str, wanted: set[str]) -> Iterator[tuple[str, Row | SourceError]]:
-        """The wanted documents' rows.  The key test is the root-only
-        parse: every file is parsed up to its root start tag, so the
-        duplicate-id check and every error up to there cover every file, as
-        a scan's do, and fail the whole lookup; only the wanted documents
-        are parsed past it, and an error met there is that document's
-        alone."""
+    def _lookup(self, table: str, wanted: Container) -> Iterator[tuple[str, Row | SourceError]]:
+        """The wanted documents' rows, each with its id, which is its key
+        cell.  The key test is the root-only parse: every file is parsed up
+        to its root start tag, so the duplicate-id check and every error up
+        to there cover every file, as a scan's do, and fail the whole
+        lookup; only the wanted documents are parsed past it, and an error
+        met there is that document's alone."""
         return ((doc_id, row) for doc_id, row in self._parsed(wanted) if doc_id in wanted)
 
-    def _parsed(self, wanted: set[str] | None = None) -> Iterator[tuple[str, Row | SourceError]]:
+    def _parsed(self, wanted: Container | None = None) -> Iterator[tuple[str, Row | SourceError]]:
         """The id and :func:`parse_xml_doc` row of each file, in sorted
         order.  Any fault, a second file with one id too, is a SourceError
         naming the file; it is raised, except that a wanted document whose

@@ -549,25 +549,25 @@ class Catalogue:
 
         Each record is checked as it is read, and referenced definition
         files are re-read and parsed by the readers that registered them;
-        a malformed record, a collection naming an unregistered source or a
-        missing centre-owned file fails the load, each fault as one
-        IntegrityError naming the catalogue line.  A view's references to
-        sources and translation tables are not checked here: compiling the
-        view checks them, so only a query naming the view fails.  Sources
-        are opened lazily (a live source may be temporarily unreachable
-        without invalidating the catalogue), and so are index files: an
-        index of an older format loads, fails where it is read, and is
-        replaced by `vdc index build`.
+        a malformed or repeated record, a collection naming an unregistered
+        source, a missing centre-owned file or a last line cut before its
+        line feed fails the load, each as one IntegrityError naming the
+        catalogue line.  A view's references to sources and translation
+        tables are not checked here: compiling the view checks them, so
+        only a query naming the view fails.  Sources are opened lazily (a
+        live source may be temporarily unreachable without invalidating the
+        catalogue), and so are index files: an index of an older format
+        loads, fails where it is read, and is replaced by `vdc index build`.
         """
         try:
             text = connectors.read_utf8(path)
         except (OSError, SourceError) as e:
             raise IntegrityError(f"cannot read catalogue: {e}") from e
         lines = text.split("\n")  # as serialize writes them
-        if not lines or lines[0] != CATALOGUE_MAGIC:
-            raise IntegrityError(
-                f"bad catalogue header {(lines[0] if lines else '')!r}"
-            )
+        if lines[0] != CATALOGUE_MAGIC:
+            raise IntegrityError(f"bad catalogue header {lines[0]!r}")
+        if lines[-1]:
+            raise IntegrityError(f"catalogue line {len(lines)}: no line feed at its end: the file is cut")
         cat = cls(path)
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -589,30 +589,28 @@ class Catalogue:
             if mode_s not in {m.value for m in AccessMode}:
                 raise IntegrityError(f"unknown access mode {mode_s!r}")
             mode = AccessMode(mode_s)
-            if sid in self.sources:
-                raise IntegrityError(f"duplicate source {sid!r}")
+            _add(self.sources, sid, SourceDescriptor(sid, kind, path, mode), "source")
             if mode is AccessMode.VAULT and not os.path.isdir(path):
                 raise IntegrityError(f"vault snapshot missing for {sid!r}: {path}")
-            self.sources[sid] = SourceDescriptor(sid, kind, path, mode)
         elif tag == "VIEWFILE":
             view = self._read_view(rest)
-            self.views[view.name] = _ViewEntry(rest, view)
+            _add(self.views, view.name, _ViewEntry(rest, view), "view")
         elif tag == "XLATE":
             xid, p = _record_fields(tag, rest)
-            self.xlates[xid] = mediation.load_translation_table(xid, p)
+            _add(self.xlates, xid, mediation.load_translation_table(xid, p), "translation table")
         elif tag == "RECIPE":
             pass  # written by older catalogues; the next persist drops it
         elif tag == "INDEX":
             collection, p = _record_fields(tag, rest)
+            _add(self.indexes, collection, p, "index for collection")
             if not os.path.isfile(p):
                 raise IntegrityError(f"index file missing for {collection!r}: {p}")
-            self.indexes[collection] = p
         elif tag == "COLL":
             name, refs_s = _record_fields(tag, rest)
             refs = [ItemRef.parse(text) for text in refs_s.split(",")]
             for ref in refs:
                 self._descriptor(ref.source_id)
-            self.collections[name] = refs
+            _add(self.collections, name, refs, "collection")
         else:
             raise IntegrityError(f"unknown catalogue record {tag!r}")
 
@@ -625,6 +623,13 @@ _RECORD_FIELDS = {
     "INDEX": "collection path",
     "COLL": "name refs",
 }
+
+
+def _add(records: dict, name: str, value, what: str) -> None:
+    """Record ``value`` as ``name``, which no earlier catalogue line named."""
+    if name in records:
+        raise IntegrityError(f"duplicate {what} {name!r}")
+    records[name] = value
 
 
 def _record_fields(tag: str, rest: str) -> list[str]:

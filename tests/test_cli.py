@@ -1207,6 +1207,32 @@ class TestCatalogueLines:
             errors.append(out.err)
         assert errors[0] == errors[1]
 
+    def test_a_catalogue_cut_inside_its_last_line_is_refused(self, centre):
+        """A catalogue cut just before the last ref of its last collection
+        still parses, but lacks its final line feed: every command exits 2
+        and a resolve prints none of the refs that are left."""
+        cli, cat, _, _ = centre
+        assert cli("coll", "update", "finds", "--add", "hgv/papyri/1", "hgv/papyri/2",
+                   "hgv/papyri/3")[0] == 0
+        data = open(cat, "rb").read()
+        assert data.endswith(b"\nCOLL finds hgv/papyri/1,hgv/papyri/2,hgv/papyri/3\n")
+        with open(cat, "wb") as f:
+            f.write(data[:data.rindex(b",hgv/papyri/3")])
+        lines = data.count(b"\n")
+        assert cli("coll", "resolve", "finds") == (
+            2, "", f"error: catalogue line {lines}: no line feed at its end: the file is cut\n")
+
+    def test_a_repeated_collection_record_is_refused(self, centre):
+        """A second COLL record of one name would hide the first: the load
+        refuses it, naming its line."""
+        cli, cat, _, _ = centre
+        assert cli("coll", "update", "finds", "--add", "hgv/papyri/1", "hgv/papyri/2")[0] == 0
+        with open(cat, "a", encoding="utf-8") as f:
+            f.write("COLL finds hgv/papyri/3\n")
+        lines = open(cat, "rb").read().count(b"\n")
+        assert cli("coll", "resolve", "finds") == (
+            2, "", f"error: catalogue line {lines}: duplicate collection 'finds'\n")
+
     def test_index_build_records_no_recipe(self, centre, tmp_path):
         cli, cat, fx, _ = centre
         recipe = tmp_path / "copy.recipe"

@@ -150,13 +150,16 @@ class TestLiveMode:
 
     def test_a_lookup_decodes_only_the_rows_it_returns_past_the_key(self, tmp_path, monkeypatch):
         """Each record's int key cell is decoded for the key test; the two
-        text cells are decoded only for the two rows the lookup returns."""
+        text cells are decoded only for the two rows the lookup returns.
+        The key test compares decoded cells with the wanted keys' cells,
+        and the handle maps each found cell back to its key, so no cell is
+        formatted as text."""
         d = tmp_path / "src"
         _write_table(d, "id,a,b", "id : int\na : text\nb : text\n",
                      [(str(i), f"a{i}", f"b{i}") for i in range(300)])
         cat = Catalogue(str(tmp_path / "c.vdc"))
         cat.register_source("s", "tabular", str(d), AccessMode.LIVE)
-        calls = {"_int_cell": 0, "_text_cell": 0}
+        calls = {"_int_cell": 0, "_text_cell": 0, "cell_text": 0}
         for name in calls:
             def counting(text, name=name, real=getattr(connectors, name)):
                 calls[name] += 1
@@ -165,7 +168,7 @@ class TestLiveMode:
             monkeypatch.setattr(connectors, name, counting)
         found = cat.open_handle("s").lookup("t", ["5", "250", "nope"])
         assert found == {"5": (5, "a5", "b5"), "250": (250, "a250", "b250")}
-        assert calls == {"_int_cell": 300 + 2, "_text_cell": 2 * 2}
+        assert calls == {"_int_cell": 300 + 2, "_text_cell": 2 * 2, "cell_text": 0}
 
 
 def _write_table(d, header: str, schema: str, rows, terminator: str = "\n") -> None:
@@ -1102,6 +1105,55 @@ class TestPersistence:
         with pytest.raises(IntegrityError) as e:
             Catalogue.load(str(path))
         assert str(e.value).startswith(f"catalogue line 4: {message}")
+
+    @pytest.mark.parametrize("first,second,message", [
+        ("VIEWFILE {dir}/v.view", "VIEWFILE {dir}/w.view", "duplicate view 'v'"),
+        ("XLATE x {dir}/x.csv", "XLATE x {dir}/y.csv", "duplicate translation table 'x'"),
+        ("INDEX c {dir}/c.idx", "INDEX c {dir}/d.idx", "duplicate index for collection 'c'"),
+        ("COLL c s/t/1,s/t/2", "COLL c s/t/3", "duplicate collection 'c'"),
+    ], ids=["view", "xlate", "index", "coll"])
+    def test_a_repeated_record_is_refused_naming_its_line(self, tmp_path, first, second, message):
+        """A second record of one name would replace the first without a
+        word: the load refuses it, naming the second record's line."""
+        files = {
+            "v.view": "view v\nfrom s.t\nend\n",
+            "w.view": "view v\nfrom s.u\nend\n",
+            "x.csv": "source_term,target_term\na,b\n",
+            "y.csv": "source_term,target_term\nc,d\n",
+            "c.idx": "",
+            "d.idx": "",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        path = tmp_path / "c.vdc"
+        head = f"VDCCAT 1\nSOURCE s tabular live {tmp_path}\n{first.format(dir=tmp_path)}\n"
+        path.write_text(head, encoding="utf-8")
+        Catalogue.load(str(path))  # once is fine
+        path.write_text(head + second.format(dir=tmp_path) + "\n", encoding="utf-8")
+        with pytest.raises(IntegrityError) as e:
+            Catalogue.load(str(path))
+        assert str(e.value) == f"catalogue line 4: {message}"
+
+    def test_a_catalogue_cut_inside_a_line_is_refused(self, tmp_path, desk_fixtures):
+        """A catalogue ends with a line feed, so a copy cut at any byte
+        loads only where the cut falls just after a line feed (losing
+        whole lines is not detected); every other cut is an
+        IntegrityError."""
+        fx, _ = desk_fixtures
+        cat = register_desk(Catalogue(str(tmp_path / "c.vdc")), fx)
+        cat.update_collection("finds", [ItemRef("hgv", "papyri", "1"), ItemRef("iaph", "docs", "i0000")])
+        data = cat.serialize().encode("utf-8")
+        cut = tmp_path / "cut.vdc"
+        loaded = 0
+        for end in range(len(data)):
+            cut.write_bytes(data[:end])
+            try:
+                Catalogue.load(str(cut))
+            except IntegrityError:
+                continue
+            assert data[end - 1:end] == b"\n", data[:end]
+            loaded += 1
+        assert loaded == data.count(b"\n") - 1  # every cut after a line feed but the last
 
     def test_a_view_naming_an_unregistered_source_loads(self, tmp_path):
         """A view's sources are checked where it is compiled: the catalogue
